@@ -1,0 +1,115 @@
+"""Pinned fingerprints of one small fixed run, so a refactor that claims
+"same behaviour" is checked against recorded bytes, not against itself.
+
+Two runs of the same code agreeing (test_criterion_8) cannot catch a change
+that is the same in both runs; these hashes can. The feature values are
+rounded to one decimal so the forest meets heavy value ties. The hashes hold
+for one numpy build on one platform (recorded with numpy 2.4, x86-64): the
+MLP's matrix products may round differently elsewhere.
+
+To re-pin after an intended output change, copy the computed table from
+the assertion message of a failing run.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from zdeval.classifiers import forest_score, mlp_score, mlp_train, train_forest
+from zdeval.config import KNOWN_MODELS, config_from_dict
+from zdeval.flowdata import FlowTable, write_csv
+from zdeval.harness import _SEED_TRAIN, _prepare, derive_seed, emit_reports, run_experiment
+from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
+
+GOLDEN_FILES = {
+    "metrics_forest.csv": "dbbe496737d8a9cb43a95d5b11f88d8e83052e2f56d0a942e911ec8a8e3bc8ad",
+    "metrics_mlp.csv": "6676611a06e4f203f12bba9a524fcde179657e28076b4be709db373dc706823c",
+    "dr_vs_zdr_forest.tsv": "70b8b4ad6efe7674d7f1ad0708af3467912591658a992cec2ba633a2f58a9247",
+    "dr_vs_zdr_mlp.tsv": "71a224b936278887c01a1de459ca94d6c4e0f69db2c97a9737afd1a481a65e42",
+    "wd_means.tsv": "823f7ed23d13bef69a8719fe8127258fe02de04f74fce3dc64d1944c0ca40c58",
+}
+
+# (model, held-out class or None for the baseline, fold) -> sha256 of the
+# float64 test-score array
+GOLDEN_SCORES = {
+    ("forest", None, 0): "90665c2703a7cb6780adf4f6eb09ff20490a5bf808668717c452a19d8627d465",
+    ("forest", "beta", 1): "02065a771a0e4c8d7d43cbf6e8f0a28a756d321b36d9f1016156bd70c36d135f",
+    ("forest", "gamma", 2): "64ba851f565eba7cd699fb3068eaf2c2c62f11a7a3fa83ec652151d287d9be69",
+    ("mlp", None, 1): "5a82deb95b950fbc73b0dbb655998958b5d170749c4b7d203bd22cc809718730",
+    ("mlp", "alpha", 0): "e6796c8cbacff55d1a039cbe2f8018e0cf339adee65b44bdead279eb4324a8d5",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _table(got: dict) -> str:
+    return "\n" + "\n".join(f"    {key!r}: {value!r}," for key, value in got.items())
+
+
+@pytest.fixture(scope="module")
+def golden_cfg(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden")
+    spec = SyntheticSpec(
+        n_benign=300,
+        attacks=(
+            AttackBlob("alpha", 90, mean=1.0, cov_scale=0.5),
+            AttackBlob("beta", 80, mean=1.2, cov_scale=0.5),
+            AttackBlob("gamma", 70, mean=1.0, cov_scale=0.4, shift=-2.0),
+        ),
+        d=4,
+        seed=21,
+    )
+    table = synthesize_dataset(spec)
+    data = dict(table.data)
+    for j in range(spec.d):
+        data[f"f{j}"] = np.round(data[f"f{j}"], 1)
+    table = FlowTable(table.schema, table.benign_name, data)
+    path = tmp / "golden.csv"
+    write_csv(table, path)
+    return config_from_dict(
+        {
+            "dataset": str(path),
+            "benign_name": "Benign",
+            "columns": table.schema.to_json(),
+            "models": ["forest", "mlp"],
+            "k": 3,
+            "seed": 11,
+            "workers": 1,
+            "save_models": False,
+            "output_dir": str(tmp / "out"),
+            "forest": {"n_trees": 6, "min_samples_leaf": 2},
+            "mlp": {"epochs": 3, "learning_rate": 0.1, "batch_size": 32, "hidden_units": [8, 8]},
+        }
+    )
+
+
+def _job_scores(cfg, prep, model: str, held_out: str | None, fold_id: int) -> np.ndarray:
+    """Test scores of one scenario job, trained exactly as the harness trains it."""
+    scen = "baseline" if held_out is None else held_out
+    train_idx, test_idx = prep.scenario_rows[(scen, fold_id)]
+    matrix = prep.matrices[prep.matrix_keys[(scen, fold_id)]]
+    class_key = 0 if held_out is None else prep.class_index[held_out]
+    seed = derive_seed(cfg.seed, _SEED_TRAIN, KNOWN_MODELS.index(model), class_key, fold_id)
+    x_train, y_train = matrix.values[train_idx], matrix.labels[train_idx]
+    x_test = matrix.values[test_idx]
+    if model == "forest":
+        return forest_score(train_forest(x_train, y_train, cfg.forest, seed), x_test)
+    return mlp_score(mlp_train(x_train, y_train, cfg.mlp, seed), x_test)
+
+
+def test_golden_tables(golden_cfg):
+    emit_reports(run_experiment(golden_cfg), golden_cfg.output_dir)
+    got = {name: _sha((Path(golden_cfg.output_dir) / name).read_bytes()) for name in GOLDEN_FILES}
+    assert got == GOLDEN_FILES, _table(got)
+
+
+def test_golden_scores(golden_cfg):
+    prep = _prepare(golden_cfg, with_baseline=True)
+    got = {key: _sha(_job_scores(golden_cfg, prep, *key).tobytes()) for key in GOLDEN_SCORES}
+    assert got == GOLDEN_SCORES, _table(got)
