@@ -7,6 +7,25 @@ then the lowest threshold, which together with seeded per-tree generators
 makes training fully deterministic. Splits with zero impurity improvement
 are still taken when the node is impure: patterns like XOR are separable
 only through an initially gain-free split.
+
+Nothing is sorted per node (presorting, as in SLIQ and SPRINT). The forest
+argsorts each feature once. A tree draws its bootstrap sample as counts per
+row (`bincount`) and keeps, from every feature's sorted order, the row ids
+with a count above 0: a d x u matrix, u about 0.63 n, whose counts act as
+integer row weights. A node scores all its candidate features in one pass
+over the prefix sums of weights and weighted attacks along those sorted
+rows. A split partitions the matrix with one boolean mask, which keeps each
+feature's order sorted, so the children need no sort either.
+
+The splits are exactly those of sorting the bootstrap multiset at every
+node. A cut can only fall between two distinct values, and there the
+prefix sums count every row at or below the cut once per copy, whatever the
+order among tied rows. So each valid cut gets the same integer counts, the
+same float formula gives the same score, and the tie-break rules and the
+preorder of the generator draws are unchanged.
+
+Saved models (format version 2) store each tree as flat preorder lists, so
+reading and writing never recurse and deep trees round-trip.
 """
 
 from __future__ import annotations
@@ -94,47 +113,116 @@ def gini(counts: tuple[int, int]) -> float:
     return 1.0 - p0 * p0 - p1 * p1
 
 
-def _best_split_for_feature(
-    values: np.ndarray, y: np.ndarray, min_leaf: int
-) -> tuple[float, float] | None:
-    """Best (weighted child Gini, threshold) for one feature, or None.
+def _check_training_data(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise ValueError("training data must be a nonempty 2-D matrix")
+    if y.shape[0] != X.shape[0]:
+        raise ValueError(f"label count {y.shape[0]} does not match row count {X.shape[0]}")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be binary 0/1")
+    return X, y
 
-    Scans every midpoint between consecutive distinct sorted values; among
-    equal scores the lowest threshold wins.
+
+def _presort(X: np.ndarray) -> np.ndarray:
+    """d x n matrix whose row f lists the row ids in ascending order of feature f."""
+    return np.argsort(X.T, axis=1, kind="stable")
+
+
+def _grow_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    order: np.ndarray,
+    weight: np.ndarray,
+    cfg: ForestConfig,
+    rng: np.random.Generator,
+) -> TreeNode:
+    """Grow one tree on the rows with weight > 0, each counted `weight` times.
+
+    `order` is the presort of `X` (see `_presort`). The tree is the one a
+    per-node sort would grow on the multiset of rows: see the module
+    docstring.
     """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    labels = y[order]
-    n = v.size
+    n, d = X.shape
+    m_try = cfg.resolve_m_try(d)
+    min_leaf = cfg.min_samples_leaf
+    attack_weight = weight * y
+    goes_left = np.zeros(n, dtype=bool)
+    rows_sorted = order[weight[order] > 0].reshape(d, np.count_nonzero(weight))
+    root = TreeNode(attack_fraction=0.0, sample_count=0)
+    # work stack of (node, d x u sorted row ids, depth, row count, attack count);
+    # preorder so rng draws are reproducible without recursion-depth limits
+    stack = [(root, rows_sorted, 0, int(weight.sum()), int(attack_weight.sum()))]
+    while stack:
+        node, rows_sorted, depth, total, n_attack = stack.pop()
+        node.sample_count = total
+        node.attack_fraction = n_attack / total
 
-    attack_prefix = np.cumsum(labels)
-    total_attack = attack_prefix[-1]
-    # split after position i puts i+1 rows on the left
-    cut = np.flatnonzero(v[:-1] < v[1:])
-    if cut.size == 0:
-        return None
-    n_left = cut + 1
-    n_right = n - n_left
-    valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not valid.any():
-        return None
-    cut = cut[valid]
-    n_left = n_left[valid]
-    n_right = n_right[valid]
+        pure = n_attack == 0 or n_attack == total
+        at_depth = cfg.max_depth is not None and depth >= cfg.max_depth
+        too_small = total < 2 * min_leaf
+        if pure or at_depth or too_small or d == 0:
+            continue
 
-    a_left = attack_prefix[cut]
-    b_left = n_left - a_left
-    a_right = total_attack - a_left
-    b_right = n_right - a_right
+        candidates = np.sort(rng.choice(d, size=m_try, replace=False))
+        # one pass scores every valid cut of every candidate feature; a cut
+        # after sorted position i puts prefix[i] rows on the left
+        cand_rows = rows_sorted[candidates]
+        values = X.take(cand_rows * d + candidates[:, None])
+        n_left_all = np.cumsum(weight.take(cand_rows), axis=1)
+        a_left_all = np.cumsum(attack_weight.take(cand_rows), axis=1)
+        n_left_cut = n_left_all[:, :-1]
+        valid = (values[:, :-1] < values[:, 1:]) & (n_left_cut >= min_leaf) & (n_left_cut <= total - min_leaf)
+        counts = np.count_nonzero(valid, axis=1)
+        present = np.flatnonzero(counts)
+        if present.size == 0:
+            continue  # no candidate feature admits a valid partition
 
-    gini_left = 1.0 - (b_left / n_left) ** 2 - (a_left / n_left) ** 2
-    gini_right = 1.0 - (b_right / n_right) ** 2 - (a_right / n_right) ** 2
-    weighted = (n_left * gini_left + n_right * gini_right) / n
+        n_left = n_left_cut[valid]
+        a_left = a_left_all[:, :-1][valid]
+        n_right = total - n_left
+        b_left = n_left - a_left
+        a_right = n_attack - a_left
+        b_right = n_right - a_right
+        gini_left = 1.0 - (b_left / n_left) ** 2 - (a_left / n_left) ** 2
+        gini_right = 1.0 - (b_right / n_right) ** 2 - (a_right / n_right) ** 2
+        weighted = (n_left * gini_left + n_right * gini_right) / total
 
-    best = weighted.min()
-    first = int(np.flatnonzero(weighted <= best + _SCORE_EPS)[0])
-    threshold = 0.5 * (v[cut[first]] + v[cut[first] + 1])
-    return float(weighted[first]), float(threshold)
+        # per feature (a run of `counts` scores): the lowest threshold
+        # scoring within _SCORE_EPS of the feature's best
+        starts = np.cumsum(counts) - counts
+        best = np.minimum.reduceat(weighted, starts[present])
+        near = np.flatnonzero(weighted <= np.repeat(best, counts[present]) + _SCORE_EPS)
+        firsts = near[np.searchsorted(near, starts[present])]
+
+        # across features, in ascending feature order: a later feature must
+        # beat the incumbent by more than _SCORE_EPS
+        best_score = math.inf
+        for f, at, score in zip(present.tolist(), firsts.tolist(), weighted[firsts].tolist()):
+            if score < best_score - _SCORE_EPS:
+                best_score, j, p = score, f, at - int(starts[f])
+        p = int(np.flatnonzero(valid[j])[p])
+        threshold = float(0.5 * (values[j, p] + values[j, p + 1]))
+
+        node.feature = int(candidates[j])
+        node.threshold = threshold
+        # the split feature's sorted values route left as a prefix
+        k = int(np.count_nonzero(values[j] <= threshold))
+        left_total = int(n_left_all[j, k - 1])
+        left_attack = int(a_left_all[j, k - 1])
+        left_ids = cand_rows[j, :k]
+        goes_left[left_ids] = True
+        mask = goes_left[rows_sorted]
+        goes_left[left_ids] = False
+        node.left = TreeNode(attack_fraction=0.0, sample_count=0)
+        node.right = TreeNode(attack_fraction=0.0, sample_count=0)
+        # stable partition keeps every feature's row order sorted; push right
+        # first so the left child is processed (and draws rng) first
+        stack.append((node.right, rows_sorted[~mask].reshape(d, -1), depth + 1,
+                      total - left_total, n_attack - left_attack))
+        stack.append((node.left, rows_sorted[mask].reshape(d, -1), depth + 1, left_total, left_attack))
+    return root
 
 
 def train_tree(
@@ -151,57 +239,8 @@ def train_tree(
     max_depth, too small to split, or none of its candidate features admits a
     valid partition.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("training data must be a nonempty 2-D matrix")
-    if y.shape[0] != X.shape[0]:
-        raise ValueError(f"label count {y.shape[0]} does not match row count {X.shape[0]}")
-    if y.size and not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be binary 0/1")
-
-    d = X.shape[1]
-    m_try = cfg.resolve_m_try(d)
-    root = TreeNode(attack_fraction=0.0, sample_count=0)
-    # work stack of (node, row indices, depth); preorder so rng draws are
-    # reproducible without recursion-depth limits
-    stack: list[tuple[TreeNode, np.ndarray, int]] = [(root, np.arange(X.shape[0]), 0)]
-    while stack:
-        node, rows, depth = stack.pop()
-        labels = y[rows]
-        n_attack = int(labels.sum())
-        node.sample_count = rows.size
-        node.attack_fraction = n_attack / rows.size
-
-        pure = n_attack == 0 or n_attack == rows.size
-        at_depth = cfg.max_depth is not None and depth >= cfg.max_depth
-        too_small = rows.size < 2 * cfg.min_samples_leaf
-        if pure or at_depth or too_small:
-            continue
-
-        candidates = np.sort(rng.choice(d, size=m_try, replace=False)) if d else np.empty(0, int)
-        best_score = math.inf
-        best_feature = -1
-        best_threshold = math.nan
-        for f in candidates:
-            found = _best_split_for_feature(X[rows, f], labels, cfg.min_samples_leaf)
-            if found is None:
-                continue
-            score, threshold = found
-            if score < best_score - _SCORE_EPS:
-                best_score, best_feature, best_threshold = score, int(f), threshold
-        if best_feature < 0:
-            continue  # all candidate features constant on this node
-
-        node.feature = best_feature
-        node.threshold = best_threshold
-        go_left = X[rows, best_feature] <= best_threshold
-        node.left = TreeNode(attack_fraction=0.0, sample_count=0)
-        node.right = TreeNode(attack_fraction=0.0, sample_count=0)
-        # push right first so the left child is processed (and draws rng) first
-        stack.append((node.right, rows[~go_left], depth + 1))
-        stack.append((node.left, rows[go_left], depth + 1))
-    return root
+    X, y = _check_training_data(X, y)
+    return _grow_tree(X, y, _presort(X), np.ones(X.shape[0], dtype=np.int64), cfg, rng)
 
 
 def tree_score(root: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -226,19 +265,20 @@ def train_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: int) -> 
     """Train n_trees trees on bootstrap resamples with per-node feature subsampling.
 
     Tree i uses the generator seeded by the seed sequence (seed, spawn_key=i),
-    so the forest is reproducible and trees are independent.
+    so the forest is reproducible and trees are independent. The features
+    are sorted once here and shared by every tree.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    X, y = _check_training_data(X, y)
     n = X.shape[0]
+    order = _presort(X)
     trees = []
     for i in range(cfg.n_trees):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         if cfg.bootstrap:
-            sample = rng.integers(0, n, size=n)
-            trees.append(train_tree(X[sample], y[sample], cfg, rng))
+            weight = np.bincount(rng.integers(0, n, size=n), minlength=n)
         else:
-            trees.append(train_tree(X, y, cfg, rng))
+            weight = np.ones(n, dtype=np.int64)
+        trees.append(_grow_tree(X, y, order, weight, cfg, rng))
     return RandomForestModel(tuple(trees), X.shape[1], cfg.resolve_m_try(X.shape[1]), seed)
 
 
@@ -256,43 +296,69 @@ def forest_score(model: RandomForestModel, X: np.ndarray) -> np.ndarray:
     return total / model.n_trees
 
 
-def _node_to_json(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"fraction": node.attack_fraction, "count": node.sample_count}
-    return {
-        "fraction": node.attack_fraction,
-        "count": node.sample_count,
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_json(node.left),
-        "right": _node_to_json(node.right),
-    }
+def _tree_to_json(root: TreeNode) -> dict:
+    """Flat preorder lists; feature -1 marks a leaf, whose threshold is null."""
+    out: dict[str, list] = {"feature": [], "threshold": [], "fraction": [], "count": []}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        leaf = node.is_leaf
+        out["feature"].append(-1 if leaf else node.feature)
+        out["threshold"].append(None if leaf else node.threshold)
+        out["fraction"].append(node.attack_fraction)
+        out["count"].append(node.sample_count)
+        if not leaf:
+            stack.append(node.right)
+            stack.append(node.left)
+    return out
 
 
-def _node_from_json(obj: dict) -> TreeNode:
-    node = TreeNode(attack_fraction=float(obj["fraction"]), sample_count=int(obj["count"]))
-    if "feature" in obj:
-        node.feature = int(obj["feature"])
-        node.threshold = float(obj["threshold"])
-        node.left = _node_from_json(obj["left"])
-        node.right = _node_from_json(obj["right"])
-    return node
+def _tree_from_json(obj: dict) -> TreeNode:
+    features = obj["feature"]
+    fields = (obj["threshold"], obj["fraction"], obj["count"])
+    if not features or any(len(f) != len(features) for f in fields):
+        raise ValueError("malformed tree: node lists must be nonempty and of equal length")
+    nodes = [
+        TreeNode(attack_fraction=float(fraction), sample_count=int(count))
+        for fraction, count in zip(obj["fraction"], obj["count"])
+    ]
+    # internal nodes still missing a child, innermost last
+    open_nodes: list[TreeNode] = []
+    for i, (node, feature, threshold) in enumerate(zip(nodes, features, obj["threshold"])):
+        if i:
+            if not open_nodes:
+                raise ValueError("malformed tree: nodes after the last leaf")
+            parent = open_nodes[-1]
+            if parent.left is None:
+                parent.left = node
+            else:
+                parent.right = node
+                open_nodes.pop()
+        if feature >= 0:
+            node.feature = int(feature)
+            node.threshold = float(threshold)
+            open_nodes.append(node)
+    if open_nodes:
+        raise ValueError("malformed tree: an internal node lacks a child")
+    return nodes[0]
 
 
 def forest_to_json(model: RandomForestModel) -> dict:
     return {
         "format": "zdeval-model",
-        "version": 1,
+        "version": 2,
         "kind": "forest",
         "n_features": model.n_features,
         "m_try": model.m_try,
         "seed": model.seed,
-        "trees": [_node_to_json(t) for t in model.trees],
+        "trees": [_tree_to_json(t) for t in model.trees],
     }
 
 
 def forest_from_json(obj: dict) -> RandomForestModel:
     if obj.get("kind") != "forest":
         raise ValueError(f"not a forest model document: kind={obj.get('kind')!r}")
-    trees = tuple(_node_from_json(t) for t in obj["trees"])
+    if obj.get("version") != 2:
+        raise ValueError(f"unsupported forest model version {obj.get('version')!r}; expected 2")
+    trees = tuple(_tree_from_json(t) for t in obj["trees"])
     return RandomForestModel(trees, int(obj["n_features"]), int(obj["m_try"]), int(obj["seed"]))

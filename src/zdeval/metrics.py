@@ -104,16 +104,12 @@ def basic_metrics(c: ConfusionCounts) -> MetricsReport:
 def average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties replaced by the mean rank of the tied group."""
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    # a tied group spans sorted positions first..last (0-based); NaNs rank
+    # last, each in a group of its own
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True, equal_nan=False)
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    return (0.5 * (first + last) + 1.0)[group]
 
 
 def auc(y_true: np.ndarray, scores: np.ndarray) -> float | None:

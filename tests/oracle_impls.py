@@ -1,15 +1,21 @@
 """Independent brute-force oracles the fast implementations are checked against.
 
 Everything here is written the naive way on purpose: plain loops, all-pairs
-comparisons, Fraction-exact CDF counting. None of it shares code with the
-package.
+comparisons, Fraction-exact CDF counting, a fresh sort at every tree node.
+None of it shares code with the package; the forest oracle borrows only the
+package's model containers, so its output can be compared as model JSON.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from zdeval.classifiers import ForestConfig, RandomForestModel, TreeNode
+
+SCORE_EPS = 1e-12
 
 
 def brute_confusion(y_true, y_pred) -> dict[str, int]:
@@ -124,3 +130,125 @@ def roc_curve_points(y_true, scores) -> list[tuple[float, float]]:
         fp = int(((y_true == 0) & (pred == 1)).sum())
         points.add((fp / neg, tp / pos))
     return sorted(points)
+
+
+def loop_average_ranks(values) -> np.ndarray:
+    """1-based ranks, ties given their group's mean rank, one group at a time."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def best_split_for_feature(values: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[float, float] | None:
+    """Best (weighted child Gini, threshold) for one feature of one node, or None.
+
+    Sorts the node's values afresh and scans every midpoint between
+    consecutive distinct values; among scores within SCORE_EPS of the best
+    the lowest threshold wins.
+    """
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    labels = y[order]
+    n = v.size
+
+    attack_prefix = np.cumsum(labels)
+    total_attack = attack_prefix[-1]
+    # split after position i puts i+1 rows on the left
+    cut = np.flatnonzero(v[:-1] < v[1:])
+    if cut.size == 0:
+        return None
+    n_left = cut + 1
+    n_right = n - n_left
+    valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+    if not valid.any():
+        return None
+    cut = cut[valid]
+    n_left = n_left[valid]
+    n_right = n_right[valid]
+
+    a_left = attack_prefix[cut]
+    b_left = n_left - a_left
+    a_right = total_attack - a_left
+    b_right = n_right - a_right
+
+    gini_left = 1.0 - (b_left / n_left) ** 2 - (a_left / n_left) ** 2
+    gini_right = 1.0 - (b_right / n_right) ** 2 - (a_right / n_right) ** 2
+    weighted = (n_left * gini_left + n_right * gini_right) / n
+
+    best = weighted.min()
+    first = int(np.flatnonzero(weighted <= best + SCORE_EPS)[0])
+    threshold = 0.5 * (v[cut[first]] + v[cut[first] + 1])
+    return float(weighted[first]), float(threshold)
+
+
+def per_node_sort_tree(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, rng: np.random.Generator) -> TreeNode:
+    """One Gini tree grown by sorting every candidate feature at every node.
+
+    Candidate features are drawn from `rng` in preorder (left child first);
+    a later feature must beat the best so far by more than SCORE_EPS.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    d = X.shape[1]
+    m_try = cfg.resolve_m_try(d)
+    root = TreeNode(attack_fraction=0.0, sample_count=0)
+    stack = [(root, np.arange(X.shape[0]), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        labels = y[rows]
+        n_attack = int(labels.sum())
+        node.sample_count = rows.size
+        node.attack_fraction = n_attack / rows.size
+
+        pure = n_attack == 0 or n_attack == rows.size
+        at_depth = cfg.max_depth is not None and depth >= cfg.max_depth
+        too_small = rows.size < 2 * cfg.min_samples_leaf
+        if pure or at_depth or too_small:
+            continue
+
+        candidates = np.sort(rng.choice(d, size=m_try, replace=False)) if d else np.empty(0, int)
+        best_score = math.inf
+        best_feature = -1
+        best_threshold = math.nan
+        for f in candidates:
+            found = best_split_for_feature(X[rows, f], labels, cfg.min_samples_leaf)
+            if found is None:
+                continue
+            score, threshold = found
+            if score < best_score - SCORE_EPS:
+                best_score, best_feature, best_threshold = score, int(f), threshold
+        if best_feature < 0:
+            continue
+
+        node.feature = best_feature
+        node.threshold = best_threshold
+        go_left = X[rows, best_feature] <= best_threshold
+        node.left = TreeNode(attack_fraction=0.0, sample_count=0)
+        node.right = TreeNode(attack_fraction=0.0, sample_count=0)
+        stack.append((node.right, rows[~go_left], depth + 1))
+        stack.append((node.left, rows[go_left], depth + 1))
+    return root
+
+
+def per_node_sort_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: int) -> RandomForestModel:
+    """The forest of `per_node_sort_tree`s, each on the materialized bootstrap rows X[sample]."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n = X.shape[0]
+    trees = []
+    for i in range(cfg.n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        if cfg.bootstrap:
+            sample = rng.integers(0, n, size=n)
+            trees.append(per_node_sort_tree(X[sample], y[sample], cfg, rng))
+        else:
+            trees.append(per_node_sort_tree(X, y, cfg, rng))
+    return RandomForestModel(tuple(trees), X.shape[1], cfg.resolve_m_try(X.shape[1]), seed)

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle_impls import per_node_sort_forest, per_node_sort_tree
 
 from zdeval.classifiers import (
     ForestConfig,
     MlpConfig,
     MlpModel,
+    RandomForestModel,
     forest_from_json,
     forest_score,
     forest_to_json,
@@ -172,6 +178,91 @@ class TestForest:
         model = train_forest(X, y, ForestConfig(n_trees=3), seed=2)
         restored = forest_from_json(forest_to_json(model))
         assert np.array_equal(forest_score(model, X), forest_score(restored, X))
+        assert forest_to_json(restored) == forest_to_json(model)
+
+    def test_json_is_flat_preorder(self):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0, 0, 1, 1])
+        doc = forest_to_json(train_forest(X, y, ForestConfig(n_trees=1, bootstrap=False), seed=0))
+        assert doc["version"] == 2
+        assert doc["trees"] == [
+            {"feature": [0, -1, -1], "threshold": [1.5, None, None], "fraction": [0.5, 0.0, 1.0], "count": [4, 2, 2]}
+        ]
+
+    def test_deep_tree_survives_json_text_round_trip(self):
+        # alternating labels on one feature peel one row per split: depth 3999
+        X = np.arange(4000, dtype=np.float64)[:, None]
+        y = np.arange(4000) % 2
+        model = train_forest(X, y, ForestConfig(n_trees=1, bootstrap=False), seed=0)
+        restored = forest_from_json(json.loads(json.dumps(forest_to_json(model))))
+        assert np.array_equal(forest_score(restored, X), forest_score(model, X))
+
+    def test_version_1_document_rejected(self):
+        doc = {"format": "zdeval-model", "version": 1, "kind": "forest", "n_features": 1, "m_try": 1,
+               "seed": 0, "trees": [{"fraction": 0.5, "count": 2}]}
+        with pytest.raises(ValueError, match="version"):
+            forest_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            {"feature": [0, -1], "threshold": [0.5, None], "fraction": [0.5, 0.0], "count": [2, 1]},
+            {"feature": [-1, -1], "threshold": [None, None], "fraction": [0.0, 0.0], "count": [1, 1]},
+            {"feature": [], "threshold": [], "fraction": [], "count": []},
+            {"feature": [-1], "threshold": [None], "fraction": [0.0, 1.0], "count": [1]},
+        ],
+    )
+    def test_malformed_tree_rejected(self, tree):
+        doc = {"format": "zdeval-model", "version": 2, "kind": "forest", "n_features": 1, "m_try": 1,
+               "seed": 0, "trees": [tree]}
+        with pytest.raises(ValueError, match="malformed"):
+            forest_from_json(doc)
+
+
+@st.composite
+def forest_problems(draw):
+    """Small tie-heavy problems: values from a 4-level grid, so duplicate rows
+    and equal values are common, with an optional constant column."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    grid = draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d))
+    X = np.array(grid, dtype=np.float64).reshape(n, d) / 3.0
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = 0.5
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    cfg = ForestConfig(
+        n_trees=draw(st.integers(1, 3)),
+        m_try=draw(st.one_of(st.none(), st.integers(1, d))),
+        max_depth=draw(st.one_of(st.none(), st.integers(1, 4))),
+        min_samples_leaf=draw(st.sampled_from([1, 3])),
+        bootstrap=draw(st.booleans()),
+    )
+    return X, y, cfg, draw(st.integers(0, 2**32 - 1))
+
+
+class TestPresortMatchesPerNodeSort:
+    @given(forest_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_forest_json_identical(self, problem):
+        X, y, cfg, seed = problem
+        assert forest_to_json(train_forest(X, y, cfg, seed)) == forest_to_json(per_node_sort_forest(X, y, cfg, seed))
+
+    @given(forest_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_tree_identical(self, problem):
+        X, y, cfg, seed = problem
+        got = train_tree(X, y, cfg, np.random.default_rng(seed))
+        want = per_node_sort_tree(X, y, cfg, np.random.default_rng(seed))
+        assert forest_to_json(RandomForestModel((got,), X.shape[1], 1, seed)) == forest_to_json(
+            RandomForestModel((want,), X.shape[1], 1, seed)
+        )
+
+    def test_continuous_blobs_identical(self):
+        for seed in range(5):
+            X, y = blobs(80, d=5, gap=1.0, noise=1.0, seed=seed)
+            X[:, 2] = np.round(X[:, 2], 1)
+            cfg = ForestConfig(n_trees=4, min_samples_leaf=1 + seed % 3)
+            assert forest_to_json(train_forest(X, y, cfg, seed)) == forest_to_json(per_node_sort_forest(X, y, cfg, seed))
 
 
 class TestMlp:

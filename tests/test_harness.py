@@ -7,6 +7,7 @@ import stat
 import numpy as np
 import pytest
 
+from zdeval.classifiers import forest_from_json
 from zdeval.config import apply_overrides, config_from_dict, load_config
 from zdeval.errors import ConfigError, DataError
 from zdeval.flowdata import build_catalog, load_csv, write_csv
@@ -430,6 +431,11 @@ class TestEmitReports:
         assert len(models) == 24
         doc = json.loads(models[0].read_text())
         assert doc["format"] == "zdeval-model"
+        forests = [m for m in models if m.name.startswith("forest_")]
+        assert len(forests) == 12
+        for path in forests:
+            model = forest_from_json(json.loads(path.read_text()))
+            assert model.n_trees == 5
 
     def test_dr_vs_zdr_table(self, emitted):
         _, report, _, _ = emitted

@@ -4,13 +4,14 @@ import json
 
 import numpy as np
 import pytest
-from oracle_impls import brute_basic_metrics, brute_zdr, pairwise_auc, roc_curve_points
+from oracle_impls import brute_basic_metrics, brute_zdr, loop_average_ranks, pairwise_auc, roc_curve_points
 
 from zdeval.metrics import (
     ConfusionCounts,
     MetricsReport,
     aggregate_folds,
     auc,
+    average_ranks,
     basic_metrics,
     confusion,
     per_class_positives,
@@ -195,6 +196,28 @@ class TestOracleEquivalence:
                 assert have_auc is None
             else:
                 assert have_auc == pytest.approx(want_auc, abs=1e-12)
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.5],
+            [2.0, 2.0, 2.0, 2.0],
+            [3.0, 1.0, 2.0, 1.0, 3.0, 3.0],
+            [0.0, -0.0, 1.0, 0.0],
+            [1.0, float("nan"), 0.0, float("nan"), 1.0],
+            [],
+        ],
+    )
+    def test_matches_loop_bit_for_bit(self, values):
+        assert average_ranks(values).tobytes() == loop_average_ranks(values).tobytes()
+
+    def test_random_ties_match_loop_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            values = np.round(rng.random(int(rng.integers(1, 300))), 1)
+            assert average_ranks(values).tobytes() == loop_average_ranks(values).tobytes()
 
 
 class TestSerialization:
