@@ -35,8 +35,7 @@ from .preprocess import (
 )
 from .zslsplit import (
     FoldPlan,
-    KnownAttackScenario,
-    ZeroDayScenario,
+    Scenario,
     make_fold_plan,
     make_known_scenarios,
     make_zero_day_scenarios,

@@ -2,7 +2,9 @@
 
 Trees split greedily on the (feature, threshold) pair minimizing the
 weighted child Gini impurity. Thresholds are midpoints between consecutive
-distinct sorted feature values. Ties break toward the lowest feature index,
+distinct sorted feature values, or the lower value where the midpoint rounds
+up to the upper one (adjacent doubles, overflow), so that a split always
+separates the two. Ties break toward the lowest feature index,
 then the lowest threshold, which together with seeded per-tree generators
 makes training fully deterministic. Splits with zero impurity improvement
 are still taken when the node is impure: patterns like XOR are separable
@@ -203,7 +205,10 @@ def _grow_tree(
             if score < best_score - _SCORE_EPS:
                 best_score, j, p = score, f, at - int(starts[f])
         p = int(np.flatnonzero(valid[j])[p])
-        threshold = float(0.5 * (values[j, p] + values[j, p + 1]))
+        below, above = float(values[j, p]), float(values[j, p + 1])
+        threshold = 0.5 * (below + above)
+        if not threshold < above:  # the midpoint rounded up to (or overflowed past) the next value
+            threshold = below
 
         node.feature = int(candidates[j])
         node.threshold = threshold

@@ -7,15 +7,18 @@ those against the per-class zero-day detection rates, and writes all
 artifacts. Everything is keyed off the config seed: two runs with the same
 config and dataset produce identical metrics bytes.
 
-Scenario jobs are independent and can be fanned out over a process pool;
-results are assembled after a deterministic sort, so the worker count never
-changes any output byte.
+The run's scenarios form one ordered list: the known-attack folds, then
+each selected class's folds in catalog order. A job is (model, scenario
+index, seed). Jobs are independent and can be fanned out over a process
+pool; results are assembled in the order of their scenario indices, so the
+worker count never changes any output byte.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import datetime as _dt
+import itertools
 import json
 import multiprocessing
 import os
@@ -33,7 +36,7 @@ from .flowdata import ClassCatalog, FlowTable, build_catalog, load_csv
 from .metrics import FoldAggregate, MetricsReport, aggregate_folds, per_class_positives, scenario_report
 from .preprocess import FeatureMatrix, preprocess_pipeline, transforms_to_json
 from .wdanalysis import WdReport, per_feature_wd, rank_correlation
-from .zslsplit import FoldPlan, make_fold_plan, make_known_scenarios, make_zero_day_scenarios
+from .zslsplit import FoldPlan, Scenario, make_fold_plan, make_known_scenarios, make_zero_day_scenarios
 
 BASELINE = "baseline"
 
@@ -59,68 +62,62 @@ def subsample_rows(table: FlowTable, cap: int, seed: int) -> FlowTable:
 @dataclass(frozen=True)
 class ScenarioJob:
     model: str
-    held_out: str | None  # None = known-attack baseline
-    fold_id: int
-    matrix_key: str
-    train_indices: np.ndarray
-    test_indices: np.ndarray
+    scenario: int  # index into _Prepared.scenarios
     seed: int
-    threshold: float
-    benign_name: str
-    save_model: bool
 
 
 @dataclass
 class JobResult:
     model: str
-    held_out: str | None
-    fold_id: int
+    scenario: int  # the index, not the Scenario: its arrays would be pickled back
     report: MetricsReport | None = None
     per_class: dict[str, tuple[int, int]] | None = None
     model_json: dict | None = None
     error: str | None = None
 
 
-# Matrices and model configs shared with pool workers. Set in the parent
-# before the pool is created; visible in children via fork.
+# The prepared run and its config, shared with pool workers. Set in the
+# parent before the pool is created; visible in children via fork.
 _POOL_STATE: dict = {}
 
 
 def _execute_job(job: ScenarioJob) -> JobResult:
-    state = _POOL_STATE
+    prep: _Prepared = _POOL_STATE["prep"]
+    cfg: ExperimentConfig = _POOL_STATE["cfg"]
+    scenario = prep.scenarios[job.scenario]
     try:
-        matrix: FeatureMatrix = state["matrices"][job.matrix_key]
-        x_train = matrix.values[job.train_indices]
-        y_train = matrix.labels[job.train_indices]
-        x_test = matrix.values[job.test_indices]
-        y_test = matrix.labels[job.test_indices]
-        test_classes = matrix.attack_classes[job.test_indices]
+        matrix = prep.matrices[job.scenario]
+        x_train = matrix.values[scenario.train_indices]
+        y_train = matrix.labels[scenario.train_indices]
+        x_test = matrix.values[scenario.test_indices]
+        y_test = matrix.labels[scenario.test_indices]
+        test_classes = matrix.attack_classes[scenario.test_indices]
 
         if job.model == "forest":
-            model = train_forest(x_train, y_train, state["forest_cfg"], job.seed)
+            model = train_forest(x_train, y_train, cfg.forest, job.seed)
             scores = forest_score(model, x_test)
-            model_json = forest_to_json(model) if job.save_model else None
+            model_json = forest_to_json(model) if cfg.save_models else None
         else:
-            model = mlp_train(x_train, y_train, state["mlp_cfg"], job.seed)
+            model = mlp_train(x_train, y_train, cfg.mlp, job.seed)
             scores = mlp_score(model, x_test)
-            model_json = mlp_to_json(model) if job.save_model else None
+            model_json = mlp_to_json(model) if cfg.save_models else None
 
-        y_pred = predict(scores, job.threshold)
+        y_pred = predict(scores, cfg.threshold)
         report = scenario_report(
             y_test,
             y_pred,
             scores,
             test_classes,
-            job.benign_name,
-            held_out_class=job.held_out,
-            fold_id=job.fold_id,
+            cfg.benign_name,
+            held_out_class=scenario.held_out,
+            fold_id=scenario.fold_id,
         )
         per_class = None
-        if job.held_out is None:
-            per_class = per_class_positives(y_test, y_pred, test_classes, job.benign_name).by_class
-        return JobResult(job.model, job.held_out, job.fold_id, report, per_class, model_json)
+        if scenario.held_out is None:
+            per_class = per_class_positives(y_test, y_pred, test_classes, cfg.benign_name).by_class
+        return JobResult(job.model, job.scenario, report, per_class, model_json)
     except Exception as exc:  # noqa: BLE001 - attributed and re-raised by the parent
-        return JobResult(job.model, job.held_out, job.fold_id, error=f"{type(exc).__name__}: {exc}")
+        return JobResult(job.model, job.scenario, error=f"{type(exc).__name__}: {exc}")
 
 
 def _run_jobs(jobs: list[ScenarioJob], workers: int) -> list[JobResult]:
@@ -141,14 +138,18 @@ def _slug(name: str) -> str:
 
 
 def _unique_slugs(names: tuple[str, ...]) -> dict[str, str]:
-    """Filename-safe slugs, disambiguated when two class names collide."""
+    """Filename-safe slugs, disambiguated when two class names collide.
+
+    No class gets the slug of the known-attack baseline, whose model files
+    are named with it.
+    """
     out: dict[str, str] = {}
-    seen: dict[str, int] = {}
+    seen = {BASELINE}
     for i, name in enumerate(names):
         slug = _slug(name)
         if slug in seen:
             slug = f"{slug}-{i}"
-        seen[slug] = i
+        seen.add(slug)
         out[name] = slug
     return out
 
@@ -202,9 +203,11 @@ class _Prepared:
     catalog: ClassCatalog
     selected: tuple[str, ...]
     plan: FoldPlan
-    scenario_rows: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]]
-    matrices: dict[str, FeatureMatrix]
-    matrix_keys: dict[tuple[str, int], str]
+    scenarios: list[Scenario]
+    # aligned with `scenarios`: what each one trains and tests on, and what
+    # its distances are taken on
+    matrices: list[FeatureMatrix]
+    wd_matrices: list[FeatureMatrix]
     transforms: dict
     prep_summary: dict
     warnings: list[str]
@@ -233,53 +236,43 @@ class _Prepared:
 
 
 def _prepare_matrices(
-    cfg: ExperimentConfig,
-    table: FlowTable,
-    scenario_rows: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]],
-    warnings: list[str],
-) -> tuple[dict[str, FeatureMatrix], dict[tuple[str, int], str], dict, dict]:
-    """Fit transforms and build the matrix each scenario trains/tests on.
+    cfg: ExperimentConfig, table: FlowTable, scenarios: list[Scenario], warnings: list[str]
+) -> tuple[list[FeatureMatrix], list[FeatureMatrix], dict, dict]:
+    """Fit transforms and build, per scenario, its matrix and its distance matrix.
 
-    full-dataset scope: one matrix shared by every scenario. train-only
+    full-dataset scope: one pipeline shared by every scenario. train-only
     scope: one pipeline per scenario, fitted on that scenario's train rows
     (so nothing from a scenario's test rows leaks into its transforms).
     """
-    matrices: dict[str, FeatureMatrix] = {}
-    keys: dict[tuple[str, int], str] = {}
-    transforms: dict = {}
-
     if cfg.fit_scope == "full-dataset":
         result = preprocess_pipeline(
             table, "full-dataset", unseen=cfg.unseen_category_policy, keep_unscaled=not cfg.wd_on_scaled
         )
-        matrices["full"] = result.matrix
-        if result.unscaled is not None:
-            matrices["full-unscaled"] = result.unscaled
-        keys = {sid: "full" for sid in scenario_rows}
-        transforms["full"] = transforms_to_json(result, cfg.fit_scope)
-        return matrices, keys, transforms, {"fit_scope": cfg.fit_scope, **result.counters.to_json()}
+        wd_matrix = result.matrix if cfg.wd_on_scaled else result.unscaled
+        transforms = {"full": transforms_to_json(result, cfg.fit_scope)}
+        summary = {"fit_scope": cfg.fit_scope, **result.counters.to_json()}
+        return [result.matrix] * len(scenarios), [wd_matrix] * len(scenarios), transforms, summary
 
+    matrices, wd_matrices, transforms = [], [], {}
     clamp_total = 0
-    for (name, fold_id), (train_idx, _test_idx) in scenario_rows.items():
+    for s in scenarios:
         result = preprocess_pipeline(
-            table, "train-only", train_idx, unseen=cfg.unseen_category_policy,
+            table, "train-only", s.train_indices, unseen=cfg.unseen_category_policy,
             keep_unscaled=not cfg.wd_on_scaled,
         )
-        key = f"{name}/f{fold_id}"
-        matrices[key] = result.matrix
-        if result.unscaled is not None:
-            matrices[key + "-unscaled"] = result.unscaled
-        keys[(name, fold_id)] = key
-        transforms[key] = transforms_to_json(result, cfg.fit_scope)
+        matrices.append(result.matrix)
+        wd_matrices.append(result.matrix if cfg.wd_on_scaled else result.unscaled)
+        name = BASELINE if s.held_out is None else s.held_out
+        transforms[f"{name}/f{s.fold_id}"] = transforms_to_json(result, cfg.fit_scope)
         clamp_total += result.counters.clamped_total
         for feat, value, code in result.counters.unseen:
             warnings.append(
-                f"scenario {name!r} fold {fold_id}: unseen category {value!r} in {feat!r} "
+                f"scenario {name!r} fold {s.fold_id}: unseen category {value!r} in {feat!r} "
                 f"mapped to reserve code {code}"
             )
     if clamp_total:
         warnings.append(f"train-only scaling clamped {clamp_total} out-of-range values into [0, 1]")
-    return matrices, keys, transforms, {"fit_scope": cfg.fit_scope, "clamped_total": clamp_total}
+    return matrices, wd_matrices, transforms, {"fit_scope": cfg.fit_scope, "clamped_total": clamp_total}
 
 
 def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
@@ -306,27 +299,16 @@ def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
     for name in plan.sparse_classes:
         warnings.append(f"class {name!r} has fewer rows than folds; it is sparse across folds")
 
-    scenario_rows: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-    if with_baseline:
-        for s in make_known_scenarios(plan, catalog):
-            warnings.extend(s.warnings)
-            scenario_rows[(BASELINE, s.fold_id)] = (s.train_indices, s.test_indices)
-    for s in make_zero_day_scenarios(plan, catalog):
-        if s.held_out_class in selected:
-            scenario_rows[(s.held_out_class, s.fold_id)] = (s.train_indices, s.test_indices)
+    scenarios = make_known_scenarios(plan, catalog) if with_baseline else []
+    for s in scenarios:
+        warnings.extend(s.warnings)
+    scenarios += [s for s in make_zero_day_scenarios(plan, catalog) if s.held_out in selected]
 
-    matrices, matrix_keys, transforms, prep_summary = _prepare_matrices(cfg, table, scenario_rows, warnings)
+    matrices, wd_matrices, transforms, prep_summary = _prepare_matrices(cfg, table, scenarios, warnings)
     return _Prepared(
-        table, rows_loaded, dropped_rows, catalog, selected, plan, scenario_rows,
-        matrices, matrix_keys, transforms, prep_summary, warnings,
+        table, rows_loaded, dropped_rows, catalog, selected, plan, scenarios,
+        matrices, wd_matrices, transforms, prep_summary, warnings,
     )
-
-
-def _wd_matrix(prep: _Prepared, cfg: ExperimentConfig, name: str, fold_id: int) -> FeatureMatrix:
-    key = prep.matrix_keys[(name, fold_id)]
-    if not cfg.wd_on_scaled:
-        key = key + "-unscaled" if cfg.fit_scope == "train-only" else "full-unscaled"
-    return prep.matrices[key]
 
 
 def _compute_wd(cfg: ExperimentConfig, prep: _Prepared) -> tuple[dict, dict[str, float]]:
@@ -338,24 +320,23 @@ def _compute_wd(cfg: ExperimentConfig, prep: _Prepared) -> tuple[dict, dict[str,
     wd_section: dict[str, dict] = {}
     wd_mean_by_class: dict[str, float] = {}
     class_index = prep.class_index
-    for name in prep.selected:
+    zero_day = [(s, m) for s, m in zip(prep.scenarios, prep.wd_matrices) if s.held_out is not None]
+    for name, group in itertools.groupby(zero_day, key=lambda sm: sm[0].held_out):
         fold_reports: list[WdReport] = []
-        for fold_id in range(cfg.k):
-            train_idx, test_idx = prep.scenario_rows[(name, fold_id)]
-            matrix = _wd_matrix(prep, cfg, name, fold_id)
+        for s, matrix in group:
             try:
                 fold_reports.append(
                     per_feature_wd(
-                        matrix.take(train_idx),
-                        matrix.take(test_idx),
+                        matrix.take(s.train_indices),
+                        matrix.take(s.test_indices),
                         held_out_class=name,
-                        fold_id=fold_id,
+                        fold_id=s.fold_id,
                         subsample_cap=cfg.wd_subsample_cap,
-                        seed=derive_seed(cfg.seed, _SEED_WD, class_index[name], fold_id),
+                        seed=derive_seed(cfg.seed, _SEED_WD, class_index[name], s.fold_id),
                     )
                 )
             except Exception as exc:  # noqa: BLE001 - attributed below
-                message = f"distance analysis failed (class={name}, fold={fold_id}): {exc}"
+                message = f"distance analysis failed (class={name}, fold={s.fold_id}): {exc}"
                 if not cfg.keep_going:
                     raise RuntimeError(message) from exc
                 prep.warnings.append(message)
@@ -437,44 +418,33 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     jobs: list[ScenarioJob] = []
     for model in cfg.models:
         model_idx = KNOWN_MODELS.index(model)
-        for name in (None, *prep.selected):
-            scen = BASELINE if name is None else name
-            for fold_id in range(cfg.k):
-                train_idx, test_idx = prep.scenario_rows[(scen, fold_id)]
-                jobs.append(
-                    ScenarioJob(
-                        model, name, fold_id, prep.matrix_keys[(scen, fold_id)], train_idx, test_idx,
-                        derive_seed(cfg.seed, _SEED_TRAIN, model_idx, 0 if name is None else class_index[name], fold_id),
-                        cfg.threshold, cfg.benign_name, cfg.save_models,
-                    )
-                )
+        for i, s in enumerate(prep.scenarios):
+            class_key = 0 if s.held_out is None else class_index[s.held_out]
+            jobs.append(ScenarioJob(model, i, derive_seed(cfg.seed, _SEED_TRAIN, model_idx, class_key, s.fold_id)))
 
     _POOL_STATE.clear()
-    _POOL_STATE.update({"matrices": prep.matrices, "forest_cfg": cfg.forest, "mlp_cfg": cfg.mlp})
+    _POOL_STATE.update({"prep": prep, "cfg": cfg})
     try:
         results = _run_jobs(jobs, cfg.resolved_workers())
     finally:
         _POOL_STATE.clear()
 
-    failures = [r for r in results if r.error is not None]
-    for r in failures:
-        scen = r.held_out if r.held_out is not None else BASELINE
-        report.warnings.append(f"scenario failed (model={r.model}, class={scen}, fold={r.fold_id}): {r.error}")
+    failures = []
+    for r in results:
+        if r.error is not None:
+            s = prep.scenarios[r.scenario]
+            scen = BASELINE if s.held_out is None else s.held_out
+            failures.append(f"scenario failed (model={r.model}, class={scen}, fold={s.fold_id}): {r.error}")
+    report.warnings.extend(failures)
     if failures and not cfg.keep_going:
-        first = failures[0]
-        scen = first.held_out if first.held_out is not None else BASELINE
-        raise RuntimeError(
-            f"scenario failed (model={first.model}, class={scen}, fold={first.fold_id}): {first.error}"
-        )
+        raise RuntimeError(failures[0])
 
-    order = {name: i for i, name in enumerate((BASELINE,) + prep.catalog.attack_names)}
     slugs = _unique_slugs(prep.catalog.attack_names)
-    ok = [r for r in results if r.error is None]
-    ok.sort(key=lambda r: (KNOWN_MODELS.index(r.model), order[r.held_out or BASELINE], r.fold_id))
+    ok = sorted((r for r in results if r.error is None), key=lambda r: r.scenario)
 
     for model in cfg.models:
-        mine = [r for r in ok if r.model == model]
-        base = [r for r in mine if r.held_out is None]
+        mine = [(prep.scenarios[r.scenario], r) for r in ok if r.model == model]
+        base = [r for s, r in mine if s.held_out is None]
         if base:
             fold_reports = [r.report for r in base]
             report.baseline[model] = {
@@ -483,7 +453,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             }
         report.zero_day[model] = {}
         for name in prep.selected:
-            fold_reports = [r.report for r in mine if r.held_out == name]
+            fold_reports = [r.report for s, r in mine if s.held_out == name]
             if not fold_reports:
                 continue
             agg = aggregate_folds(fold_reports)
@@ -493,10 +463,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                     f"for class {name!r} (model={model}); mean taken over the rest"
                 )
             report.zero_day[model][name] = _aggregate_to_json(agg, fold_reports)
-        for r in mine:
+        for s, r in mine:
             if r.model_json is not None:
-                scen = slugs[r.held_out] if r.held_out else BASELINE
-                report.models_json[f"{model}_{scen}_f{r.fold_id}.json"] = r.model_json
+                scen = BASELINE if s.held_out is None else slugs[s.held_out]
+                report.models_json[f"{model}_{scen}_f{s.fold_id}.json"] = r.model_json
 
     for model in cfg.models:
         pairs = [

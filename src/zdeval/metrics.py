@@ -43,9 +43,6 @@ class PerClassPositives:
 
     by_class: dict[str, tuple[int, int]]
 
-    def to_json(self) -> dict:
-        return {c: {"tp": tp, "fn": fn} for c, (tp, fn) in sorted(self.by_class.items())}
-
 
 @dataclass
 class MetricsReport:
@@ -195,14 +192,6 @@ class FoldAggregate:
     std: dict[str, float | None]
     undefined_counts: dict[str, int]
     n_folds: int
-
-    def to_json(self) -> dict:
-        return {
-            "mean": self.mean.to_json(),
-            "std": dict(self.std),
-            "undefined_counts": dict(self.undefined_counts),
-            "n_folds": self.n_folds,
-        }
 
 
 def aggregate_folds(reports: list[MetricsReport]) -> FoldAggregate:

@@ -44,9 +44,6 @@ class FittedEncoder:
 
     mappings: dict[str, dict[str, int]]
 
-    def code_count(self, feature: str) -> int:
-        return len(self.mappings[feature])
-
     def reserve_code(self, feature: str) -> int:
         """Code assigned to values unseen at fit time, under the reserve policy."""
         return len(self.mappings[feature])

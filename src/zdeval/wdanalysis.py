@@ -46,12 +46,6 @@ class WdReport:
             "subsample_cap": self.subsample_cap,
         }
 
-    def write_feature_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("feature,distance\r\n")
-            for name, value in self.per_feature.items():
-                fh.write(f"{name},{value:.4f}\r\n")
-
 
 def wasserstein_1d(u, v) -> float:
     """First Wasserstein distance between two empirical samples.

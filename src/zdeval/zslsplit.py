@@ -1,15 +1,16 @@
 """Zero-day evaluation splits.
 
 A fold plan stratifies all rows by attack class into k disjoint test folds.
-From it we derive two scenario families: the traditional known-attack split
-(train and test share the full class set) and zero-day scenarios, where one
-attack class is removed from a fold's training rows while the test rows keep
-every class. Mean metrics over the k folds are what get reported.
+From it we derive two scenario families, both of the one `Scenario` type:
+the traditional known-attack split (train and test share the full class
+set) and zero-day scenarios, where one attack class is removed from a fold's
+training rows while the test rows keep every class. Mean metrics over the k
+folds are what get reported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,10 +20,21 @@ GENERATOR_ID = "numpy-pcg64"
 
 
 @dataclass(frozen=True, eq=False)
-class Fold:
+class Scenario:
+    """One fold's train/test split, with one attack class held out of training or none.
+
+    `held_out=None` is the known-attack split: the fold's own train and test
+    rows, every class on both sides. Otherwise the training rows are the
+    fold's train set minus every row of the held-out class, and the test rows
+    are the fold's test set untouched, so the test side mixes seen classes
+    with the unseen one.
+    """
+
+    held_out: str | None
     fold_id: int
     train_indices: np.ndarray
     test_indices: np.ndarray
+    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,73 +42,16 @@ class FoldPlan:
     """Stratified k-fold partition of the row indices.
 
     Test folds are pairwise disjoint and cover all rows; each fold's train
-    set is the complement of its test set. Per class, per-fold test counts
-    differ by at most one. `sparse_classes` flags classes with fewer rows
-    than folds.
+    set is the complement of its test set, and each fold is a known-attack
+    `Scenario`. Per class, per-fold test counts differ by at most one.
+    `sparse_classes` flags classes with fewer rows than folds.
     """
 
     k: int
     seed: int
-    folds: tuple[Fold, ...]
+    folds: tuple[Scenario, ...]
     sparse_classes: tuple[str, ...]
     generator: str = GENERATOR_ID
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "seed": self.seed,
-            "generator": self.generator,
-            "sparse_classes": list(self.sparse_classes),
-            "folds": [
-                {
-                    "fold": f.fold_id,
-                    "train_indices": f.train_indices.tolist(),
-                    "test_indices": f.test_indices.tolist(),
-                }
-                for f in self.folds
-            ],
-        }
-
-
-@dataclass(frozen=True, eq=False)
-class ZeroDayScenario:
-    """One held-out attack class in one fold.
-
-    Training rows are the fold's train set minus every row of the held-out
-    class; test rows are the fold's test set untouched, so the test side
-    mixes seen classes with the unseen one.
-    """
-
-    held_out_class: str
-    fold_id: int
-    train_indices: np.ndarray
-    test_indices: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "held_out_class": self.held_out_class,
-            "fold": self.fold_id,
-            "train_indices": self.train_indices.tolist(),
-            "test_indices": self.test_indices.tolist(),
-        }
-
-
-@dataclass(frozen=True, eq=False)
-class KnownAttackScenario:
-    """Traditional split: every class present on both sides of one fold."""
-
-    fold_id: int
-    train_indices: np.ndarray
-    test_indices: np.ndarray
-    warnings: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "fold": self.fold_id,
-            "train_indices": self.train_indices.tolist(),
-            "test_indices": self.test_indices.tolist(),
-            "warnings": list(self.warnings),
-        }
 
 
 def make_fold_plan(catalog: ClassCatalog, k: int = 5, seed: int = 0) -> FoldPlan:
@@ -134,11 +89,11 @@ def make_fold_plan(catalog: ClassCatalog, k: int = 5, seed: int = 0) -> FoldPlan
         test = np.sort(np.concatenate(test_parts[f])) if test_parts[f] else np.empty(0, dtype=np.int64)
         mask = np.ones(n, dtype=bool)
         mask[test] = False
-        folds.append(Fold(f, all_idx[mask], test.astype(np.int64)))
+        folds.append(Scenario(None, f, all_idx[mask], test.astype(np.int64)))
     return FoldPlan(k, seed, tuple(folds), tuple(sparse))
 
 
-def make_zero_day_scenarios(plan: FoldPlan, catalog: ClassCatalog) -> list[ZeroDayScenario]:
+def make_zero_day_scenarios(plan: FoldPlan, catalog: ClassCatalog) -> list[Scenario]:
     """All held-out-class x fold combinations (n_attack_classes * k scenarios)."""
     scenarios = []
     for name in catalog.attack_names:
@@ -146,13 +101,13 @@ def make_zero_day_scenarios(plan: FoldPlan, catalog: ClassCatalog) -> list[ZeroD
         for fold in plan.folds:
             keep = catalog.class_codes[fold.train_indices] != code
             scenarios.append(
-                ZeroDayScenario(name, fold.fold_id, fold.train_indices[keep], fold.test_indices)
+                Scenario(name, fold.fold_id, fold.train_indices[keep], fold.test_indices)
             )
     return scenarios
 
 
-def make_known_scenarios(plan: FoldPlan, catalog: ClassCatalog) -> list[KnownAttackScenario]:
-    """One traditional scenario per fold, warning when a class misses a side."""
+def make_known_scenarios(plan: FoldPlan, catalog: ClassCatalog) -> list[Scenario]:
+    """The plan's folds, each with a warning per class that misses a side."""
     scenarios = []
     for fold in plan.folds:
         warnings = []
@@ -166,7 +121,5 @@ def make_known_scenarios(plan: FoldPlan, catalog: ClassCatalog) -> list[KnownAtt
             warnings.append(
                 f"class {catalog.class_order[code]!r} appears in fold {fold.fold_id} train but not test"
             )
-        scenarios.append(
-            KnownAttackScenario(fold.fold_id, fold.train_indices, fold.test_indices, tuple(warnings))
-        )
+        scenarios.append(replace(fold, warnings=tuple(warnings)))
     return scenarios

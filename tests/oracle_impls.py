@@ -185,7 +185,10 @@ def best_split_for_feature(values: np.ndarray, y: np.ndarray, min_leaf: int) -> 
 
     best = weighted.min()
     first = int(np.flatnonzero(weighted <= best + SCORE_EPS)[0])
-    threshold = 0.5 * (v[cut[first]] + v[cut[first] + 1])
+    below, above = v[cut[first]], v[cut[first] + 1]
+    threshold = 0.5 * (below + above)
+    if not threshold < above:
+        threshold = below
     return float(weighted[first]), float(threshold)
 
 

@@ -215,7 +215,7 @@ def test_criterion_3_split_invariants():
                 ]
                 assert max(per_fold) - min(per_fold) <= 1
             for s in make_zero_day_scenarios(plan, catalog):
-                held_code = catalog.code_of(s.held_out_class)
+                held_code = catalog.code_of(s.held_out)
                 assert not np.any(catalog.class_codes[s.train_indices] == held_code)
 
 

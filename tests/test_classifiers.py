@@ -69,6 +69,17 @@ class TestTree:
         assert root.left.is_leaf and root.left.attack_fraction == 0.0
         assert root.right.is_leaf and root.right.attack_fraction == 1.0
 
+    @pytest.mark.parametrize("below, above", [(0.5000000000000001, 0.5000000000000002), (1e308, 1.5e308)])
+    def test_midpoint_not_below_upper_value_falls_back_to_lower(self, below, above):
+        # 0.5 * (below + above) rounds up to `above` (adjacent doubles) or
+        # overflows; a threshold there would send both rows left
+        assert not 0.5 * (below + above) < above
+        cfg = ForestConfig(n_trees=1, max_depth=3, bootstrap=False)
+        root = train_tree(np.array([[below], [above]]), np.array([0, 1]), cfg, np.random.default_rng(0))
+        assert root.threshold == below
+        assert root.left.is_leaf and root.left.sample_count == 1 and root.left.attack_fraction == 0.0
+        assert root.right.is_leaf and root.right.sample_count == 1 and root.right.attack_fraction == 1.0
+
     def test_constant_labels_single_leaf(self):
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([1, 1, 1])

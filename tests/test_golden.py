@@ -91,13 +91,12 @@ def golden_cfg(tmp_path_factory):
 
 def _job_scores(cfg, prep, model: str, held_out: str | None, fold_id: int) -> np.ndarray:
     """Test scores of one scenario job, trained exactly as the harness trains it."""
-    scen = "baseline" if held_out is None else held_out
-    train_idx, test_idx = prep.scenario_rows[(scen, fold_id)]
-    matrix = prep.matrices[prep.matrix_keys[(scen, fold_id)]]
+    i, s = next((i, s) for i, s in enumerate(prep.scenarios) if (s.held_out, s.fold_id) == (held_out, fold_id))
+    matrix = prep.matrices[i]
     class_key = 0 if held_out is None else prep.class_index[held_out]
     seed = derive_seed(cfg.seed, _SEED_TRAIN, KNOWN_MODELS.index(model), class_key, fold_id)
-    x_train, y_train = matrix.values[train_idx], matrix.labels[train_idx]
-    x_test = matrix.values[test_idx]
+    x_train, y_train = matrix.values[s.train_indices], matrix.labels[s.train_indices]
+    x_test = matrix.values[s.test_indices]
     if model == "forest":
         return forest_score(train_forest(x_train, y_train, cfg.forest, seed), x_test)
     return mlp_score(mlp_train(x_train, y_train, cfg.mlp, seed), x_test)

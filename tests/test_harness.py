@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from zdeval.classifiers import forest_from_json
 from zdeval.config import apply_overrides, config_from_dict, load_config
 from zdeval.errors import ConfigError, DataError
-from zdeval.flowdata import build_catalog, load_csv, write_csv
+from zdeval.flowdata import FlowTable, build_catalog, load_csv, write_csv
 from zdeval.harness import (
     derive_seed,
     dr_vs_zdr_tsv_text,
@@ -308,12 +309,51 @@ class TestRunExperiment:
         catalog = build_catalog(loaded)
         plan = make_fold_plan(catalog, cfg.k, cfg.seed)
         scenario = make_zero_day_scenarios(plan, catalog)[0]
-        key = f"{scenario.held_out_class}/f{scenario.fold_id}"
+        key = f"{scenario.held_out}/f{scenario.fold_id}"
         recorded = report.transforms[key]["scaler"]
         for feat, rng_ in recorded.items():
             col = loaded.column(feat)[scenario.train_indices]
             assert rng_["min"] == float(col.min())
             assert rng_["max"] == float(col.max())
+
+
+@pytest.fixture(scope="module")
+def renamed_runs(synth_csv, tmp_path_factory):
+    """Runs holding out class beta, once under its own name and once renamed to `baseline`."""
+    path, table = synth_csv
+    col = table.schema.attack_class_column
+    runs = []
+    for name in ("beta", "baseline"):
+        out = tmp_path_factory.mktemp(name)
+        classes = table.attack_classes.copy()
+        classes[classes == "beta"] = name
+        renamed = out / "data.csv"
+        write_csv(FlowTable(table.schema, table.benign_name, {**table.data, col: classes}), renamed)
+        cfg = config_from_dict(
+            base_config_dict(
+                renamed, table.schema.to_json(), classes=[name], save_models=True, output_dir=str(out / "run")
+            )
+        )
+        report = run_experiment(cfg)
+        emit_reports(report, cfg.output_dir)
+        runs.append((cfg, report))
+    return runs
+
+
+class TestClassNamedBaseline:
+    def test_known_attack_folds_train_on_every_class(self, renamed_runs):
+        (_, beta), (_, named) = renamed_runs
+        assert named.baseline["forest"]["folds"] == beta.baseline["forest"]["folds"]
+        per_class = named.baseline["forest"]["per_class_dr"]
+        assert per_class["baseline"] == beta.baseline["forest"]["per_class_dr"]["beta"]
+
+    def test_class_models_do_not_overwrite_baseline_models(self, renamed_runs):
+        (beta_cfg, _), (cfg, _) = renamed_runs
+        models = Path(cfg.output_dir) / "models"
+        assert len(list(models.iterdir())) == 2 * cfg.k
+        for f in range(cfg.k):
+            name = f"forest_baseline_f{f}.json"
+            assert (models / name).read_bytes() == (Path(beta_cfg.output_dir) / "models" / name).read_bytes()
 
 
 class TestNineClassMatrix:

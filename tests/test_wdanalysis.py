@@ -166,7 +166,7 @@ class TestPerFeatureWd:
         report = per_feature_wd(m, m)
         assert report.encoded_features == ("proto",)
 
-    def test_report_serialization(self, tmp_path):
+    def test_report_serialization(self):
         import json
 
         rng = np.random.default_rng(11)
@@ -177,11 +177,6 @@ class TestPerFeatureWd:
         assert doc["held_out_class"] == "X" and doc["fold"] == 1
         assert set(doc["per_feature"]) == {"a", "b"}
         assert doc["encoded_features"] == ["b"]
-        csv_path = tmp_path / "wd.csv"
-        report.write_feature_csv(csv_path)
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "feature,distance"
-        assert len(lines) == 3
 
     def test_scaled_features_stay_in_unit_interval(self):
         rng = np.random.default_rng(8)

@@ -88,7 +88,7 @@ class TestZeroDayScenarios:
         catalog = catalog_from_counts({"Benign": 30, "Worms": 9, "Dos": 12})
         plan = make_fold_plan(catalog, k=3, seed=0)
         for s in make_zero_day_scenarios(plan, catalog):
-            code = catalog.code_of(s.held_out_class)
+            code = catalog.code_of(s.held_out)
             assert not np.any(catalog.class_codes[s.train_indices] == code)
 
     def test_test_side_untouched_and_disjoint(self):
@@ -104,13 +104,13 @@ class TestZeroDayScenarios:
         plan = make_fold_plan(catalog, k=5, seed=0)
         for s in make_zero_day_scenarios(plan, catalog):
             test_codes = set(catalog.class_codes[s.test_indices].tolist())
-            assert catalog.code_of(s.held_out_class) in test_codes
+            assert catalog.code_of(s.held_out) in test_codes
             assert len(test_codes) == 3
 
     def test_coverage_per_class(self):
         catalog = catalog_from_counts({"Benign": 21, "A": 14})
         plan = make_fold_plan(catalog, k=5, seed=0)
-        scenarios = [s for s in make_zero_day_scenarios(plan, catalog) if s.held_out_class == "A"]
+        scenarios = [s for s in make_zero_day_scenarios(plan, catalog) if s.held_out == "A"]
         union = np.concatenate([s.test_indices for s in scenarios])
         assert np.array_equal(np.sort(union), np.arange(catalog.row_count))
 
@@ -130,6 +130,7 @@ class TestKnownScenarios:
         scenarios = make_known_scenarios(plan, catalog)
         assert len(scenarios) == 5
         for s, fold in zip(scenarios, plan.folds):
+            assert s.held_out is None and s.fold_id == fold.fold_id
             assert np.array_equal(s.train_indices, fold.train_indices)
             assert np.array_equal(s.test_indices, fold.test_indices)
 
@@ -175,21 +176,6 @@ def test_split_invariants_property(case):
         per_fold = [int((catalog.class_codes[f.test_indices] == code).sum()) for f in plan.folds]
         assert max(per_fold) - min(per_fold) <= 1
     for s in make_zero_day_scenarios(plan, catalog):
-        code = catalog.code_of(s.held_out_class)
+        code = catalog.code_of(s.held_out)
         assert not np.any(catalog.class_codes[s.train_indices] == code)
         assert np.intersect1d(s.train_indices, s.test_indices).size == 0
-
-
-def test_scenario_json_export():
-    catalog = catalog_from_counts({"Benign": 6, "A": 4})
-    plan = make_fold_plan(catalog, k=2, seed=0)
-    doc = plan.to_json()
-    assert doc["k"] == 2 and len(doc["folds"]) == 2
-    s = make_zero_day_scenarios(plan, catalog)[0]
-    sdoc = s.to_json()
-    assert sdoc["held_out_class"] == "A"
-    combined = sdoc["train_indices"] + sdoc["test_indices"]
-    assert len(set(combined)) == len(combined)
-    # the held-out rows of the training fold are gone; the test fold is whole
-    held_in_train_fold = int((catalog.class_codes[plan.folds[0].train_indices] == 1).sum())
-    assert len(combined) == catalog.row_count - held_in_train_fold
