@@ -137,20 +137,21 @@ def _slug(name: str) -> str:
     return out or "class"
 
 
-def _unique_slugs(names: tuple[str, ...]) -> dict[str, str]:
+def _unique_slugs(names: tuple[str, ...], slug=_slug) -> dict[str, str]:
     """Filename-safe slugs, disambiguated when two class names collide.
 
     No class gets the slug of the known-attack baseline, whose model files
-    are named with it.
+    and transforms are named with it. `slug=str` keeps the names as they
+    are and renames only a class named like the baseline.
     """
     out: dict[str, str] = {}
     seen = {BASELINE}
     for i, name in enumerate(names):
-        slug = _slug(name)
-        if slug in seen:
-            slug = f"{slug}-{i}"
-        seen.add(slug)
-        out[name] = slug
+        key = slug(name)
+        while key in seen:
+            key = f"{key}-{i}"
+        seen.add(key)
+        out[name] = key
     return out
 
 
@@ -205,9 +206,9 @@ class _Prepared:
     plan: FoldPlan
     scenarios: list[Scenario]
     # aligned with `scenarios`: what each one trains and tests on, and what
-    # its distances are taken on
+    # its distances are taken on (None for a known-attack scenario)
     matrices: list[FeatureMatrix]
-    wd_matrices: list[FeatureMatrix]
+    wd_matrices: list[FeatureMatrix | None]
     transforms: dict
     prep_summary: dict
     warnings: list[str]
@@ -236,13 +237,20 @@ class _Prepared:
 
 
 def _prepare_matrices(
-    cfg: ExperimentConfig, table: FlowTable, scenarios: list[Scenario], warnings: list[str]
-) -> tuple[list[FeatureMatrix], list[FeatureMatrix], dict, dict]:
+    cfg: ExperimentConfig,
+    table: FlowTable,
+    scenarios: list[Scenario],
+    class_names: tuple[str, ...],
+    warnings: list[str],
+) -> tuple[list[FeatureMatrix], list[FeatureMatrix | None], dict, dict]:
     """Fit transforms and build, per scenario, its matrix and its distance matrix.
 
     full-dataset scope: one pipeline shared by every scenario. train-only
     scope: one pipeline per scenario, fitted on that scenario's train rows
     (so nothing from a scenario's test rows leaks into its transforms).
+    Distances are taken on zero-day scenarios only, so a known-attack
+    scenario has no distance matrix (None) and no unscaled matrix is built
+    for it.
     """
     if cfg.fit_scope == "full-dataset":
         result = preprocess_pipeline(
@@ -251,18 +259,24 @@ def _prepare_matrices(
         wd_matrix = result.matrix if cfg.wd_on_scaled else result.unscaled
         transforms = {"full": transforms_to_json(result, cfg.fit_scope)}
         summary = {"fit_scope": cfg.fit_scope, **result.counters.to_json()}
-        return [result.matrix] * len(scenarios), [wd_matrix] * len(scenarios), transforms, summary
+        wd_matrices = [None if s.held_out is None else wd_matrix for s in scenarios]
+        return [result.matrix] * len(scenarios), wd_matrices, transforms, summary
 
     matrices, wd_matrices, transforms = [], [], {}
+    keys = _unique_slugs(class_names, slug=str)
     clamp_total = 0
     for s in scenarios:
+        zero_day = s.held_out is not None
         result = preprocess_pipeline(
             table, "train-only", s.train_indices, unseen=cfg.unseen_category_policy,
-            keep_unscaled=not cfg.wd_on_scaled,
+            keep_unscaled=zero_day and not cfg.wd_on_scaled,
         )
         matrices.append(result.matrix)
-        wd_matrices.append(result.matrix if cfg.wd_on_scaled else result.unscaled)
-        name = BASELINE if s.held_out is None else s.held_out
+        if not zero_day:
+            wd_matrices.append(None)
+        else:
+            wd_matrices.append(result.matrix if cfg.wd_on_scaled else result.unscaled)
+        name = keys[s.held_out] if zero_day else BASELINE
         transforms[f"{name}/f{s.fold_id}"] = transforms_to_json(result, cfg.fit_scope)
         clamp_total += result.counters.clamped_total
         for feat, value, code in result.counters.unseen:
@@ -304,7 +318,9 @@ def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
         warnings.extend(s.warnings)
     scenarios += [s for s in make_zero_day_scenarios(plan, catalog) if s.held_out in selected]
 
-    matrices, wd_matrices, transforms, prep_summary = _prepare_matrices(cfg, table, scenarios, warnings)
+    matrices, wd_matrices, transforms, prep_summary = _prepare_matrices(
+        cfg, table, scenarios, catalog.attack_names, warnings
+    )
     return _Prepared(
         table, rows_loaded, dropped_rows, catalog, selected, plan, scenarios,
         matrices, wd_matrices, transforms, prep_summary, warnings,
@@ -327,8 +343,9 @@ def _compute_wd(cfg: ExperimentConfig, prep: _Prepared) -> tuple[dict, dict[str,
             try:
                 fold_reports.append(
                     per_feature_wd(
-                        matrix.take(s.train_indices),
-                        matrix.take(s.test_indices),
+                        matrix,
+                        s.train_indices,
+                        s.test_indices,
                         held_out_class=name,
                         fold_id=s.fold_id,
                         subsample_cap=cfg.wd_subsample_cap,

@@ -9,6 +9,18 @@ rates it explains which classes a model fails to generalize to.
 
 On min-max-scaled features every distance lies in [0, 1], which makes the
 cross-feature mean meaningful.
+
+Each feature's distance takes one in-place sort per side and one merge. The
+column of the train rows and the column of the test rows are gathered from
+the scenario's matrix (no copy of the matrix is made), sorted, and merged
+by a stable sort of the two sorted runs, which is a single linear merge.
+|F_u - F_v| is then integrated over the merged values with cumulative
+counts of each side. This is exact, and bit-identical to sorting the
+concatenation and counting each breakpoint with `searchsorted`: where the
+merged value increases, the cumulative count is the `searchsorted` count;
+where values tie, the step width is 0 and so is the term, whatever the
+counts. Both build the same array of terms, which `np.sum` adds in the same
+order. Memory per scenario is a few arrays of one column's rows.
 """
 
 from __future__ import annotations
@@ -47,6 +59,24 @@ class WdReport:
         }
 
 
+def _wd_in_place(u: np.ndarray, v: np.ndarray, what: str) -> float:
+    """Distance between two nonempty float64 samples; sorts both in place."""
+    u.sort()
+    v.sort()
+    # NaN and +inf sort last, -inf first: the ends decide finiteness
+    if not (np.isfinite(u[0]) and np.isfinite(u[-1]) and np.isfinite(v[0]) and np.isfinite(v[-1])):
+        raise ValueError(f"{what} requires finite sample values")
+    n_u, n = u.size, u.size + v.size
+    both = np.concatenate([u, v])
+    # numpy's stable sort (timsort) finds the two sorted runs and merges them
+    # in one linear pass; the order within ties does not change the sum
+    order = np.argsort(both, kind="stable")
+    # how many v, then how many u, lie at or before each breakpoint but the last
+    v_count = np.cumsum(order[:-1] >= n_u)
+    u_count = np.arange(1, n) - v_count
+    return float(np.sum(np.abs(u_count / n_u - v_count / v.size) * np.diff(both[order])))
+
+
 def wasserstein_1d(u, v) -> float:
     """First Wasserstein distance between two empirical samples.
 
@@ -54,34 +84,24 @@ def wasserstein_1d(u, v) -> float:
     is exact for empirical distributions. Symmetric by construction and zero
     iff the multisets coincide.
     """
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
+    u = np.array(u, dtype=np.float64).ravel()
+    v = np.array(v, dtype=np.float64).ravel()
     if u.size == 0 or v.size == 0:
         raise ValueError("wasserstein_1d requires two nonempty samples")
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ValueError("wasserstein_1d requires finite sample values")
-
-    u_sorted = np.sort(u)
-    v_sorted = np.sort(v)
-    breakpoints = np.sort(np.concatenate([u_sorted, v_sorted]))
-    deltas = np.diff(breakpoints)
-    if deltas.size == 0:
-        return 0.0
-    u_cdf = np.searchsorted(u_sorted, breakpoints[:-1], side="right") / u.size
-    v_cdf = np.searchsorted(v_sorted, breakpoints[:-1], side="right") / v.size
-    return float(np.sum(np.abs(u_cdf - v_cdf) * deltas))
+    return _wd_in_place(u, v, "wasserstein_1d")
 
 
 def per_feature_wd(
-    train: FeatureMatrix,
-    test: FeatureMatrix,
+    matrix: FeatureMatrix,
+    train_rows: np.ndarray,
+    test_rows: np.ndarray,
     *,
     held_out_class: str | None = None,
     fold_id: int | None = None,
     subsample_cap: int | None = 100_000,
     seed: int = 0,
 ) -> WdReport:
-    """Wasserstein distance per feature between train and test rows.
+    """Wasserstein distance per feature between a matrix's train and test rows.
 
     Sides larger than `subsample_cap` rows are reduced to a seeded uniform
     subsample (without replacement); the cap is recorded in the report.
@@ -89,26 +109,27 @@ def per_feature_wd(
     `encoded_features` since distances over arbitrary integer codes depend
     on the code assignment.
     """
-    if train.feature_names != test.feature_names:
-        raise ValueError(
-            f"feature mismatch between train ({train.feature_names}) and test ({test.feature_names})"
-        )
-    if train.n_rows == 0 or test.n_rows == 0:
+    train_rows = np.asarray(train_rows, dtype=np.int64)
+    test_rows = np.asarray(test_rows, dtype=np.int64)
+    n_train, n_test = train_rows.size, test_rows.size
+    if n_train == 0 or n_test == 0:
         raise ValueError("per_feature_wd requires nonempty train and test sets")
 
-    x_train, x_test = train.values, test.values
     capped = None
-    if subsample_cap is not None and (train.n_rows > subsample_cap or test.n_rows > subsample_cap):
+    if subsample_cap is not None and (n_train > subsample_cap or n_test > subsample_cap):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        if train.n_rows > subsample_cap:
-            x_train = x_train[np.sort(rng.choice(train.n_rows, size=subsample_cap, replace=False))]
-        if test.n_rows > subsample_cap:
-            x_test = x_test[np.sort(rng.choice(test.n_rows, size=subsample_cap, replace=False))]
+        if n_train > subsample_cap:
+            train_rows = train_rows[np.sort(rng.choice(n_train, size=subsample_cap, replace=False))]
+        if n_test > subsample_cap:
+            test_rows = test_rows[np.sort(rng.choice(n_test, size=subsample_cap, replace=False))]
         capped = subsample_cap
 
+    # each gather is a fresh copy, so sorting it leaves the matrix alone
     distances = {
-        name: wasserstein_1d(x_train[:, j], x_test[:, j])
-        for j, name in enumerate(train.feature_names)
+        name: _wd_in_place(
+            matrix.values[train_rows, j], matrix.values[test_rows, j], f"per_feature_wd (feature {name!r})"
+        )
+        for j, name in enumerate(matrix.feature_names)
     }
     mean_wd = float(np.mean(list(distances.values()))) if distances else 0.0
     return WdReport(
@@ -116,9 +137,9 @@ def per_feature_wd(
         fold_id=fold_id,
         per_feature=distances,
         mean_wd=mean_wd,
-        encoded_features=train.encoded_features,
-        rows_train=train.n_rows,
-        rows_test=test.n_rows,
+        encoded_features=matrix.encoded_features,
+        rows_train=n_train,
+        rows_test=n_test,
         subsample_cap=capped,
     )
 

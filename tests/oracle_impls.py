@@ -1,7 +1,8 @@
 """Independent brute-force oracles the fast implementations are checked against.
 
 Everything here is written the naive way on purpose: plain loops, all-pairs
-comparisons, Fraction-exact CDF counting, a fresh sort at every tree node.
+comparisons, Fraction-exact CDF counting, a fresh sort at every tree node,
+three sorts and two full-length searches per Wasserstein distance.
 None of it shares code with the package; the forest oracle borrows only the
 package's model containers, so its output can be compared as model JSON.
 """
@@ -78,6 +79,19 @@ def sorted_diff_wd(u, v) -> float:
     v = sorted(v)
     assert len(u) == len(v)
     return sum(abs(a - b) for a, b in zip(u, v)) / len(u)
+
+
+def three_sort_wd(u, v) -> float:
+    """The earlier exact kernel: sort each side and their concatenation,
+    then count every breakpoint with `searchsorted`. The merge kernel must
+    equal it bit for bit."""
+    u_sorted = np.sort(np.asarray(u, dtype=np.float64).ravel())
+    v_sorted = np.sort(np.asarray(v, dtype=np.float64).ravel())
+    breakpoints = np.sort(np.concatenate([u_sorted, v_sorted]))
+    deltas = np.diff(breakpoints)
+    u_cdf = np.searchsorted(u_sorted, breakpoints[:-1], side="right") / u_sorted.size
+    v_cdf = np.searchsorted(v_sorted, breakpoints[:-1], side="right") / v_sorted.size
+    return float(np.sum(np.abs(u_cdf - v_cdf) * deltas))
 
 
 def cdf_grid_wd(u, v) -> float:

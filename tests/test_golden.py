@@ -13,7 +13,9 @@ the assertion message of a failing run.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,20 @@ GOLDEN_SCORES = {
     ("forest", "gamma", 2): "64ba851f565eba7cd699fb3068eaf2c2c62f11a7a3fa83ec652151d287d9be69",
     ("mlp", None, 1): "5a82deb95b950fbc73b0dbb655998958b5d170749c4b7d203bd22cc809718730",
     ("mlp", "alpha", 0): "e6796c8cbacff55d1a039cbe2f8018e0cf339adee65b44bdead279eb4324a8d5",
+}
+
+
+# train-only fits with distances on unscaled values: every emitted file, and
+# run.json without its timestamp and paths
+GOLDEN_TRAIN_ONLY_UNSCALED = {
+    "dr_vs_zdr_forest.tsv": "f50541502fb0d69dfe8ccf3dd44cfbd853a1eec19a9cb7742f6f48fe9e160742",
+    "metrics_forest.csv": "5605ed962a54507f32a2debcb85cc2b45de415d00892e9ed41e7391b2ea738ba",
+    "transforms.json": "5e76538dd0aea07c5726e44031784ad5e3e7d11c52b1f8906b7f75ee1dc3ccc4",
+    "wd_features_alpha.csv": "e1ba3f27cd9218db10f6b583dea4ab8e34de2298a279064948e8cbe7c8b03758",
+    "wd_features_beta.csv": "bd2c164160532849963127ac62d29e33988ba50850651d3c6ae9fcb5fbdd20b7",
+    "wd_features_gamma.csv": "dda7a05ce33ad60b253a0975a469825bed33eab869bc91855b84bf5182483fd2",
+    "wd_means.tsv": "a68ad56bcf19c0740d3ab23554f4507259bd148af46a110ecb9ac6830e8919fc",
+    "run.json": "7451a6a331746c8b77b31648b6286db5dd4445b6e6753730aacafdad486c8150",
 }
 
 
@@ -112,3 +128,15 @@ def test_golden_scores(golden_cfg):
     prep = _prepare(golden_cfg, with_baseline=True)
     got = {key: _sha(_job_scores(golden_cfg, prep, *key).tobytes()) for key in GOLDEN_SCORES}
     assert got == GOLDEN_SCORES, _table(got)
+
+
+def test_golden_train_only_unscaled(golden_cfg, tmp_path):
+    cfg = dataclasses.replace(
+        golden_cfg, fit_scope="train-only", wd_on_scaled=False, models=("forest",), output_dir=str(tmp_path)
+    )
+    emit_reports(run_experiment(cfg), cfg.output_dir)
+    got = {p.name: _sha(p.read_bytes()) for p in sorted(tmp_path.iterdir()) if p.name != "run.json"}
+    doc = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+    del doc["generated_at"], doc["config"]["dataset"], doc["config"]["output_dir"], doc["dataset"]["path"]
+    got["run.json"] = _sha(json.dumps(doc, sort_keys=True).encode())
+    assert got == GOLDEN_TRAIN_ONLY_UNSCALED, _table(got)

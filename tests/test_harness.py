@@ -13,6 +13,9 @@ from zdeval.config import apply_overrides, config_from_dict, load_config
 from zdeval.errors import ConfigError, DataError
 from zdeval.flowdata import FlowTable, build_catalog, load_csv, write_csv
 from zdeval.harness import (
+    _compute_wd,
+    _prepare,
+    _unique_slugs,
     derive_seed,
     dr_vs_zdr_tsv_text,
     emit_reports,
@@ -99,7 +102,7 @@ class TestSyntheticDataset:
         result = preprocess_pipeline(table)
         rows_a = np.flatnonzero(table.attack_classes == "a")
         rows_b = np.flatnonzero(table.attack_classes == "Benign")
-        report = per_feature_wd(result.matrix.take(rows_a), result.matrix.take(rows_b))
+        report = per_feature_wd(result.matrix, rows_a, rows_b)
         assert report.mean_wd < 0.1
 
     def test_identifier_column_optional(self):
@@ -317,21 +320,27 @@ class TestRunExperiment:
             assert rng_["max"] == float(col.max())
 
 
+def _renamed_csv(table, out: Path, name: str) -> Path:
+    """The table's CSV with class beta renamed to `name`."""
+    col = table.schema.attack_class_column
+    classes = table.attack_classes.copy()
+    classes[classes == "beta"] = name
+    path = out / "data.csv"
+    write_csv(FlowTable(table.schema, table.benign_name, {**table.data, col: classes}), path)
+    return path
+
+
 @pytest.fixture(scope="module")
 def renamed_runs(synth_csv, tmp_path_factory):
     """Runs holding out class beta, once under its own name and once renamed to `baseline`."""
-    path, table = synth_csv
-    col = table.schema.attack_class_column
+    _, table = synth_csv
     runs = []
     for name in ("beta", "baseline"):
         out = tmp_path_factory.mktemp(name)
-        classes = table.attack_classes.copy()
-        classes[classes == "beta"] = name
-        renamed = out / "data.csv"
-        write_csv(FlowTable(table.schema, table.benign_name, {**table.data, col: classes}), renamed)
         cfg = config_from_dict(
             base_config_dict(
-                renamed, table.schema.to_json(), classes=[name], save_models=True, output_dir=str(out / "run")
+                _renamed_csv(table, out, name), table.schema.to_json(), classes=[name], save_models=True,
+                output_dir=str(out / "run"),
             )
         )
         report = run_experiment(cfg)
@@ -354,6 +363,86 @@ class TestClassNamedBaseline:
         for f in range(cfg.k):
             name = f"forest_baseline_f{f}.json"
             assert (models / name).read_bytes() == (Path(beta_cfg.output_dir) / "models" / name).read_bytes()
+
+
+class TestTrainOnlyTransformKeys:
+    def test_class_named_baseline_keeps_its_own_keys(self, synth_csv, tmp_path):
+        _, table = synth_csv
+        preps = {}
+        for name in ("beta", "baseline"):
+            out = tmp_path / name
+            out.mkdir()
+            cfg = config_from_dict(
+                base_config_dict(_renamed_csv(table, out, name), table.schema.to_json(), fit_scope="train-only")
+            )
+            preps[name] = _prepare(cfg, with_baseline=True)
+        beta, named = preps["beta"].transforms, preps["baseline"].transforms
+        assert len(preps["baseline"].scenarios) == 12
+        assert len(named) == 12
+        for f in range(3):
+            for key in (f"baseline/f{f}", f"alpha/f{f}", f"gamma/f{f}"):
+                assert named[key] == beta[key]
+        renamed = sorted(set(named) - set(beta))
+        assert len(renamed) == 3
+        assert [named[k] for k in renamed] == [beta[f"beta/f{f}"] for f in range(3)]
+
+    def test_slugs_stay_unique_when_a_suffix_is_taken(self):
+        slugs = _unique_slugs(("x-2", "x", "X"))
+        assert len(set(slugs.values())) == 3
+        assert _unique_slugs(("baseline-1", "baseline"), slug=str) == {
+            "baseline-1": "baseline-1", "baseline": "baseline-1-1",
+        }
+        assert _unique_slugs(("a b", "c"), slug=str) == {"a b": "a b", "c": "c"}
+
+
+class TestTrainOnlyUnscaledDistances:
+    def test_known_attack_scenarios_keep_no_unscaled_matrix(self, synth_csv):
+        path, table = synth_csv
+        cfg = config_from_dict(
+            base_config_dict(path, table.schema.to_json(), fit_scope="train-only", wd_on_scaled=False)
+        )
+        prep = _prepare(cfg, with_baseline=True)
+        assert len(prep.scenarios) == 12
+        for s, matrix, wd_matrix in zip(prep.scenarios, prep.matrices, prep.wd_matrices):
+            if s.held_out is None:
+                assert wd_matrix is None
+            else:
+                assert wd_matrix is not matrix
+                assert wd_matrix.feature_names == matrix.feature_names
+                assert not np.array_equal(wd_matrix.values, matrix.values)
+
+
+class TestDistanceFailureAttribution:
+    @pytest.fixture()
+    def poisoned(self, synth_csv):
+        """Train-only run state with a NaN in one test row of (beta, fold 1) only."""
+        path, table = synth_csv
+
+        def make(keep_going: bool):
+            cfg = config_from_dict(
+                base_config_dict(path, table.schema.to_json(), fit_scope="train-only", keep_going=keep_going)
+            )
+            prep = _prepare(cfg, with_baseline=False)
+            i = next(i for i, s in enumerate(prep.scenarios) if (s.held_out, s.fold_id) == ("beta", 1))
+            prep.wd_matrices[i].values[prep.scenarios[i].test_indices[0], 1] = np.nan
+            return cfg, prep
+
+        return make
+
+    def test_keep_going_skips_only_the_failing_fold(self, poisoned):
+        cfg, prep = poisoned(True)
+        wd, means = _compute_wd(cfg, prep)
+        failures = [w for w in prep.warnings if "distance analysis failed" in w]
+        assert len(failures) == 1
+        assert "class=beta, fold=1" in failures[0] and "finite" in failures[0]
+        assert [f["fold"] for f in wd["beta"]["folds"]] == [0, 2]
+        assert [len(wd[c]["folds"]) for c in ("alpha", "gamma")] == [3, 3]
+        assert set(means) == {"alpha", "beta", "gamma"}
+
+    def test_without_keep_going_the_run_stops_with_attribution(self, poisoned):
+        cfg, prep = poisoned(False)
+        with pytest.raises(RuntimeError, match=r"class=beta, fold=1"):
+            _compute_wd(cfg, prep)
 
 
 class TestNineClassMatrix:

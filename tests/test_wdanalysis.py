@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_impls import cdf_grid_wd, sorted_diff_wd, spearman_oracle
+from oracle_impls import cdf_grid_wd, sorted_diff_wd, spearman_oracle, three_sort_wd
 
 from zdeval.preprocess import FeatureMatrix
 from zdeval.wdanalysis import per_feature_wd, rank_correlation, wasserstein_1d
@@ -106,11 +106,18 @@ def matrix_from(values: np.ndarray, names: tuple[str, ...], encoded=()) -> Featu
     )
 
 
+def stacked(train: np.ndarray, test: np.ndarray, names: tuple[str, ...], encoded=()):
+    """One matrix holding the train rows, then the test rows, with both row sets."""
+    m = matrix_from(np.vstack([train, test]), names, encoded)
+    n_train = len(train)
+    return m, np.arange(n_train), np.arange(n_train, n_train + len(test))
+
+
 class TestPerFeatureWd:
     def test_identical_sets_all_zero(self):
         rng = np.random.default_rng(4)
-        m = matrix_from(rng.random((30, 3)), ("a", "b", "c"))
-        report = per_feature_wd(m, m)
+        values = rng.random((30, 3))
+        report = per_feature_wd(*stacked(values, values, ("a", "b", "c")))
         assert all(v == 0.0 for v in report.per_feature.values())
         assert report.mean_wd == 0.0
 
@@ -119,9 +126,7 @@ class TestPerFeatureWd:
         base = rng.random((40, 4))
         shifted = base.copy()
         shifted[:, 2] += 0.3
-        train = matrix_from(base, ("a", "b", "c", "d"))
-        test = matrix_from(shifted, ("a", "b", "c", "d"))
-        report = per_feature_wd(train, test)
+        report = per_feature_wd(*stacked(base, shifted, ("a", "b", "c", "d")))
         assert report.per_feature["c"] == pytest.approx(0.3, abs=1e-12)
         assert report.per_feature["a"] == 0.0
         assert report.mean_wd == pytest.approx(0.3 / 4, abs=1e-12)
@@ -130,49 +135,57 @@ class TestPerFeatureWd:
             sorted_diff_wd(base[:, 2], shifted[:, 2]), abs=1e-12
         )
 
-    def test_column_mismatch_rejected(self):
-        m1 = matrix_from(np.zeros((3, 1)), ("a",))
-        m2 = matrix_from(np.zeros((3, 1)), ("b",))
-        with pytest.raises(ValueError, match="mismatch"):
-            per_feature_wd(m1, m2)
-
     def test_empty_side_rejected(self):
         m = matrix_from(np.zeros((3, 1)), ("a",))
-        empty = m.take(np.array([], dtype=np.int64))
+        empty = np.array([], dtype=np.int64)
         with pytest.raises(ValueError, match="nonempty"):
-            per_feature_wd(m, empty)
+            per_feature_wd(m, np.arange(3), empty)
+        with pytest.raises(ValueError, match="nonempty"):
+            per_feature_wd(m, empty, np.arange(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        values = np.zeros((4, 2))
+        values[3, 1] = bad
+        m = matrix_from(values, ("a", "b"))
+        with pytest.raises(ValueError, match="finite"):
+            per_feature_wd(m, np.arange(2), np.arange(2, 4))
+
+    def test_matrix_left_unchanged(self):
+        rng = np.random.default_rng(12)
+        values = rng.random((50, 3))
+        m = matrix_from(values.copy(), ("a", "b", "c"))
+        per_feature_wd(m, np.arange(49, 10, -1), np.arange(10))
+        assert np.array_equal(m.values, values)
 
     def test_mean_is_arithmetic_mean(self):
         rng = np.random.default_rng(6)
-        train = matrix_from(rng.random((25, 5)), tuple("abcde"))
-        test = matrix_from(rng.random((35, 5)), tuple("abcde"))
-        report = per_feature_wd(train, test)
+        report = per_feature_wd(*stacked(rng.random((25, 5)), rng.random((35, 5)), tuple("abcde")))
         assert report.mean_wd == pytest.approx(np.mean(list(report.per_feature.values())), abs=1e-15)
 
     def test_subsample_cap_recorded_and_deterministic(self):
         rng = np.random.default_rng(7)
-        train = matrix_from(rng.random((500, 2)), ("a", "b"))
-        test = matrix_from(rng.random((100, 2)), ("a", "b"))
-        r1 = per_feature_wd(train, test, subsample_cap=200, seed=9)
-        r2 = per_feature_wd(train, test, subsample_cap=200, seed=9)
+        m, train_rows, test_rows = stacked(rng.random((500, 2)), rng.random((100, 2)), ("a", "b"))
+        r1 = per_feature_wd(m, train_rows, test_rows, subsample_cap=200, seed=9)
+        r2 = per_feature_wd(m, train_rows, test_rows, subsample_cap=200, seed=9)
         assert r1.subsample_cap == 200
         assert r1.per_feature == r2.per_feature
-        full = per_feature_wd(train, test, subsample_cap=None)
+        assert (r1.rows_train, r1.rows_test) == (500, 100)
+        full = per_feature_wd(m, train_rows, test_rows, subsample_cap=None)
         assert full.subsample_cap is None
         assert full.per_feature != r1.per_feature  # subsample really kicked in
 
     def test_encoded_features_flagged(self):
         m = matrix_from(np.zeros((3, 2)), ("num", "proto"), encoded=("proto",))
-        report = per_feature_wd(m, m)
+        report = per_feature_wd(m, np.arange(3), np.arange(3))
         assert report.encoded_features == ("proto",)
 
     def test_report_serialization(self):
         import json
 
         rng = np.random.default_rng(11)
-        train = matrix_from(rng.random((20, 2)), ("a", "b"), encoded=("b",))
-        test = matrix_from(rng.random((30, 2)), ("a", "b"), encoded=("b",))
-        report = per_feature_wd(train, test, held_out_class="X", fold_id=1)
+        m, train_rows, test_rows = stacked(rng.random((20, 2)), rng.random((30, 2)), ("a", "b"), encoded=("b",))
+        report = per_feature_wd(m, train_rows, test_rows, held_out_class="X", fold_id=1)
         doc = json.loads(json.dumps(report.to_json()))
         assert doc["held_out_class"] == "X" and doc["fold"] == 1
         assert set(doc["per_feature"]) == {"a", "b"}
@@ -180,11 +193,81 @@ class TestPerFeatureWd:
 
     def test_scaled_features_stay_in_unit_interval(self):
         rng = np.random.default_rng(8)
-        train = matrix_from(rng.random((50, 3)), ("a", "b", "c"))
-        test = matrix_from(rng.random((60, 3)), ("a", "b", "c"))
-        report = per_feature_wd(train, test)
+        report = per_feature_wd(*stacked(rng.random((50, 3)), rng.random((60, 3)), ("a", "b", "c")))
         assert all(0.0 <= v <= 1.0 for v in report.per_feature.values())
         assert 0.0 <= report.mean_wd <= 1.0
+
+
+def _subsample(rows: np.ndarray, cap: int | None, rng) -> np.ndarray:
+    if cap is None or rows.size <= cap:
+        return rows
+    return rows[np.sort(rng.choice(rows.size, size=cap, replace=False))]
+
+
+@st.composite
+def wd_cases(draw):
+    """A matrix, disjoint unsorted train/test row sets, a cap and a seed.
+
+    Columns are tie-heavy grids, constant, or spread over a drawn magnitude
+    (negative and large included); rows may repeat; a side may hold one row
+    or be far smaller than the other.
+    """
+    n_train = draw(st.integers(1, 120))
+    n_test = draw(st.sampled_from([1, 2, 3, draw(st.integers(1, 120))]))
+    n_rows = n_train + n_test + draw(st.integers(0, 10))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["grid", "constant", "spread"]))
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e6, 1e100]))
+        if kind == "grid":
+            col = rng.integers(-3, 4, n_rows) * scale
+        elif kind == "constant":
+            col = np.full(n_rows, draw(st.floats(-1e6, 1e6)))
+        else:
+            col = rng.standard_normal(n_rows) * scale
+        columns.append(col.astype(np.float64))
+    values = np.column_stack(columns)
+    if draw(st.booleans()):  # duplicate rows
+        values = values[rng.integers(0, max(1, n_rows // 4), n_rows)]
+    perm = rng.permutation(n_rows)
+    cap = draw(st.sampled_from([None, 1, 5, 40, 100_000]))
+    return values, perm[:n_train], perm[n_train:n_train + n_test], cap, draw(st.integers(0, 1000))
+
+
+class TestBitIdentity:
+    """The merge kernel equals the earlier three-sort kernel exactly."""
+
+    @given(wd_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_per_feature_wd_equals_three_sort_oracle(self, case):
+        values, train_rows, test_rows, cap, seed = case
+        names = tuple(f"f{j}" for j in range(values.shape[1]))
+        report = per_feature_wd(
+            matrix_from(values, names), train_rows, test_rows, subsample_cap=cap, seed=seed
+        )
+        # the same rng.choice calls in the same order: train side, then test side
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        train_used = _subsample(train_rows, cap, rng)
+        test_used = _subsample(test_rows, cap, rng)
+        for j, name in enumerate(names):
+            assert report.per_feature[name] == three_sort_wd(values[train_used, j], values[test_used, j])
+        assert (report.rows_train, report.rows_test) == (train_rows.size, test_rows.size)
+
+    @given(wd_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_wasserstein_1d_equals_three_sort_oracle(self, case):
+        values, train_rows, test_rows, _, _ = case
+        for j in range(values.shape[1]):
+            u, v = values[train_rows, j], values[test_rows, j]
+            assert wasserstein_1d(u, v) == three_sort_wd(u, v)
+
+    def test_inputs_left_unsorted(self):
+        u = np.array([3.0, 1.0, 2.0])
+        v = [0.5, 0.25]
+        wasserstein_1d(u, v)
+        assert u.tolist() == [3.0, 1.0, 2.0] and v == [0.5, 0.25]
 
 
 class TestRankCorrelation:
