@@ -23,7 +23,7 @@ import pytest
 
 from zdeval.classifiers import forest_score, mlp_score, mlp_train, train_forest
 from zdeval.config import KNOWN_MODELS, config_from_dict
-from zdeval.flowdata import FlowTable, write_csv
+from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable, load_csv, write_csv
 from zdeval.harness import _SEED_TRAIN, _prepare, derive_seed, emit_reports, run_experiment
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
 
@@ -57,6 +57,34 @@ GOLDEN_TRAIN_ONLY_UNSCALED = {
     "wd_features_gamma.csv": "dda7a05ce33ad60b253a0975a469825bed33eab869bc91855b84bf5182483fd2",
     "wd_means.tsv": "a68ad56bcf19c0740d3ab23554f4507259bd148af46a110ecb9ac6830e8919fc",
     "run.json": "7451a6a331746c8b77b31648b6286db5dd4445b6e6753730aacafdad486c8150",
+}
+
+
+# train-only fits with distances on scaled values, on a table with a
+# categorical column whose value "icmp" occurs in class gamma only: every
+# emitted file (saved models included), and run.json without its timestamp
+# and paths
+GOLDEN_TRAIN_ONLY_CATEGORICAL = {
+    "dr_vs_zdr_forest.tsv": "9c99886d7433a6d5fb43399ae37e877bbbcd1b48c3b1b2afa124a8bebda1850b",
+    "metrics_forest.csv": "1a5ded7bf47bb6b9dfe4d5fa1d8686f115209c25ef36268b18ed2ffd7d5a5cc1",
+    "models/forest_alpha_f0.json": "8229850ecc47a4166492d8054dcad4084155ee1b998fd9b9dc97330cdc17de2d",
+    "models/forest_alpha_f1.json": "b88e879409359c05d4a03cdbd1dc313be114e24e53c074ab3ca1c78d558a0fb6",
+    "models/forest_alpha_f2.json": "86f79a10461d35d9978f234c932b82302acffc5ea2c6bb2c1d3d1b821c78c9bc",
+    "models/forest_baseline_f0.json": "e3447937d9120c1b46e291e379a6e5feca30ebb5a642ea0437524a59b3f44017",
+    "models/forest_baseline_f1.json": "20dac8b6994111f1e34b69e4d9b950e798cdebd5be510c35afac502403d9e46c",
+    "models/forest_baseline_f2.json": "0bceb75efbf9433c7c09e3c7dc7b89948840826cbb9234a345b96d2d0411d63d",
+    "models/forest_beta_f0.json": "3ea63bc1b8b2b861884ec621e0eb3c009887f5cfb5a51121baefc08f8d1be1dc",
+    "models/forest_beta_f1.json": "ed12b50a848d1f14e3bbf2bc40d24149386efa50389829a7c30e44ab51d0b11d",
+    "models/forest_beta_f2.json": "e68193ef009f3ee6af04e185fed6f720a6455181523a37141399b2de28d583ac",
+    "models/forest_gamma_f0.json": "2e049c3423f1b24a2363f996ece0d4107bdf6fd7e5b2eaa2b4f9ccf6d0bd4427",
+    "models/forest_gamma_f1.json": "515f08ae27659e11e1046cd4318ab9ccc1b23b7de1994da66ea2241a0bf4d65f",
+    "models/forest_gamma_f2.json": "0cbc2a309b8cd080c1ad8c81a3be9e97ddbeab530a54695cee747e29d8326fd9",
+    "run.json": "7bb03f71057eda1ba2712e20bb7de8818870aeebdfffccf603e05df03ab6b27b",
+    "transforms.json": "6ef364facc745f2539d1a0a4aa8b6ca821a5d572880d2e8d7192bec3c730a866",
+    "wd_features_alpha.csv": "191b041fafaf27dd4e7b75da18c6652bf902ff69357cf18205465dace23da22c",
+    "wd_features_beta.csv": "1e97cb9771db09110c894bb12a022ed5b028713c09bb4c74dc4be756ecad3845",
+    "wd_features_gamma.csv": "8a387ca87cc6087b241e83c43e0be64b448ea51527182cfa3e842f0a80ab7369",
+    "wd_means.tsv": "77694a519917f5b8ad9422a793e99b33022bc226ec91bd8446325cd32393bf47",
 }
 
 
@@ -105,6 +133,31 @@ def golden_cfg(tmp_path_factory):
     )
 
 
+@pytest.fixture(scope="module")
+def categorical_cfg(golden_cfg, tmp_path_factory):
+    """The golden table with a categorical `proto` column between f1 and f2.
+
+    Values are drawn per class so that the first appearance differs from
+    sorted order, "dns" is absent from alpha and "icmp" occurs in gamma only:
+    a gamma scenario meets "icmp" in its test rows alone (reserve code).
+    """
+    tmp = tmp_path_factory.mktemp("golden-categorical")
+    table = load_csv(golden_cfg.dataset, golden_cfg.schema, golden_cfg.benign_name)
+    rng = np.random.default_rng(5)
+    choices = {"Benign": ("udp", "tcp", "dns"), "alpha": ("tcp", "udp"), "beta": ("dns", "udp", "tcp"),
+               "gamma": ("icmp", "tcp")}
+    proto = np.array([str(rng.choice(choices[c])) for c in table.attack_classes], dtype=object)
+    columns = list(table.schema.columns)
+    columns.insert(columns.index(Column("f1", ColumnKind.NUMERIC)) + 1, Column("proto", ColumnKind.CATEGORICAL))
+    table = FlowTable(FeatureSchema(tuple(columns)), table.benign_name, {**table.data, "proto": proto})
+    path = tmp / "golden-categorical.csv"
+    write_csv(table, path)
+    return dataclasses.replace(
+        golden_cfg, dataset=str(path), schema=table.schema, fit_scope="train-only", models=("forest",),
+        save_models=True,
+    )
+
+
 def _job_scores(cfg, prep, model: str, held_out: str | None, fold_id: int) -> np.ndarray:
     """Test scores of one scenario job, trained exactly as the harness trains it."""
     i, s = next((i, s) for i, s in enumerate(prep.scenarios) if (s.held_out, s.fold_id) == (held_out, fold_id))
@@ -130,13 +183,31 @@ def test_golden_scores(golden_cfg):
     assert got == GOLDEN_SCORES, _table(got)
 
 
+def _run_fingerprints(cfg) -> dict[str, str]:
+    """sha256 of every file a run emits.
+
+    run.json is hashed without its timestamp and paths, and with the worker
+    count of the pinned runs (1), which changes no other byte.
+    """
+    out = Path(cfg.output_dir)
+    emit_reports(run_experiment(cfg), out)
+    got = {str(p.relative_to(out)): _sha(p.read_bytes()) for p in sorted(out.rglob("*")) if p.is_file()}
+    doc = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    del doc["generated_at"], doc["config"]["dataset"], doc["config"]["output_dir"], doc["dataset"]["path"]
+    doc["config"]["workers"] = 1
+    got["run.json"] = _sha(json.dumps(doc, sort_keys=True).encode())
+    return got
+
+
 def test_golden_train_only_unscaled(golden_cfg, tmp_path):
     cfg = dataclasses.replace(
         golden_cfg, fit_scope="train-only", wd_on_scaled=False, models=("forest",), output_dir=str(tmp_path)
     )
-    emit_reports(run_experiment(cfg), cfg.output_dir)
-    got = {p.name: _sha(p.read_bytes()) for p in sorted(tmp_path.iterdir()) if p.name != "run.json"}
-    doc = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
-    del doc["generated_at"], doc["config"]["dataset"], doc["config"]["output_dir"], doc["dataset"]["path"]
-    got["run.json"] = _sha(json.dumps(doc, sort_keys=True).encode())
+    got = _run_fingerprints(cfg)
     assert got == GOLDEN_TRAIN_ONLY_UNSCALED, _table(got)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_train_only_categorical(categorical_cfg, workers, tmp_path):
+    got = _run_fingerprints(dataclasses.replace(categorical_cfg, workers=workers, output_dir=str(tmp_path)))
+    assert got == GOLDEN_TRAIN_ONLY_CATEGORICAL, _table(got)
