@@ -25,13 +25,10 @@ from .preprocess import (
     FeatureMatrix,
     FittedEncoder,
     FittedScaler,
-    apply_encoder,
-    apply_scaler,
+    FittedTransform,
     drop_identifiers,
-    fit_encoder,
-    fit_scaler,
+    encode_table,
     preprocess_pipeline,
-    to_matrix,
 )
 from .zslsplit import (
     FoldPlan,

@@ -34,7 +34,7 @@ from .config import KNOWN_MODELS, ExperimentConfig
 from .errors import ConfigError, DataError
 from .flowdata import ClassCatalog, FlowTable, build_catalog, load_csv
 from .metrics import FoldAggregate, MetricsReport, aggregate_folds, per_class_positives, scenario_report
-from .preprocess import FeatureMatrix, preprocess_pipeline, transforms_to_json
+from .preprocess import FeatureMatrix, FittedTransform, encode_table, preprocess_pipeline, transforms_to_json
 from .wdanalysis import WdReport, per_feature_wd, rank_correlation
 from .zslsplit import FoldPlan, Scenario, make_fold_plan, make_known_scenarios, make_zero_day_scenarios
 
@@ -86,12 +86,13 @@ def _execute_job(job: ScenarioJob) -> JobResult:
     cfg: ExperimentConfig = _POOL_STATE["cfg"]
     scenario = prep.scenarios[job.scenario]
     try:
-        matrix = prep.matrices[job.scenario]
+        matrix = prep.matrix(job.scenario)
         x_train = matrix.values[scenario.train_indices]
         y_train = matrix.labels[scenario.train_indices]
         x_test = matrix.values[scenario.test_indices]
         y_test = matrix.labels[scenario.test_indices]
         test_classes = matrix.attack_classes[scenario.test_indices]
+        del matrix  # a train-only scenario's own matrix is not kept while its model trains
 
         if job.model == "forest":
             model = train_forest(x_train, y_train, cfg.forest, job.seed)
@@ -174,6 +175,9 @@ class RunReport:
     models_json: dict[str, dict] = field(default_factory=dict)
     classes: tuple[str, ...] = ()
     models: tuple[str, ...] = ()
+    # file-name slug of every attack class in the catalog, not just the
+    # selected ones, so a class is named alike in all of a run's files
+    slugs: dict[str, str] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -205,13 +209,19 @@ class _Prepared:
     selected: tuple[str, ...]
     plan: FoldPlan
     scenarios: list[Scenario]
-    # aligned with `scenarios`: what each one trains and tests on, and what
-    # its distances are taken on (None for a known-attack scenario)
-    matrices: list[FeatureMatrix]
-    wd_matrices: list[FeatureMatrix | None]
+    # train-only scope: the encoded, unscaled matrix, the one matrix the run
+    # holds; full-dataset scope keeps `shared` instead, keyed by `scaled`
+    base: FeatureMatrix | None
+    fitted: list[FittedTransform]  # aligned with `scenarios`
+    shared: dict[bool, FeatureMatrix]
     transforms: dict
     prep_summary: dict
     warnings: list[str]
+
+    def matrix(self, i: int, *, scaled: bool = True) -> FeatureMatrix:
+        """Scenario i's matrix: a shared one, or else built now from the base matrix."""
+        shared = self.shared.get(scaled)
+        return shared if shared is not None else self.fitted[i].matrix(self.base, scaled=scaled)
 
     @property
     def class_index(self) -> dict[str, int]:
@@ -236,57 +246,50 @@ class _Prepared:
         }
 
 
-def _prepare_matrices(
+def _fit_transforms(
     cfg: ExperimentConfig,
-    table: FlowTable,
+    base: FeatureMatrix,
     scenarios: list[Scenario],
     class_names: tuple[str, ...],
     warnings: list[str],
-) -> tuple[list[FeatureMatrix], list[FeatureMatrix | None], dict, dict]:
-    """Fit transforms and build, per scenario, its matrix and its distance matrix.
+) -> tuple[list[FittedTransform], dict[bool, FeatureMatrix], dict, dict]:
+    """Fit, per scenario, the transforms its matrices are built with.
 
-    full-dataset scope: one pipeline shared by every scenario. train-only
-    scope: one pipeline per scenario, fitted on that scenario's train rows
-    (so nothing from a scenario's test rows leaks into its transforms).
-    Distances are taken on zero-day scenarios only, so a known-attack
-    scenario has no distance matrix (None) and no unscaled matrix is built
-    for it.
+    full-dataset scope: one transform shared by every scenario, whose
+    matrices are built here, once, before the pool forks. train-only scope:
+    one transform per scenario, fitted on that scenario's train rows (so
+    nothing from a scenario's test rows leaks into its transforms); its
+    matrix is built where it is used and dropped afterwards.
     """
     if cfg.fit_scope == "full-dataset":
-        result = preprocess_pipeline(
-            table, "full-dataset", unseen=cfg.unseen_category_policy, keep_unscaled=not cfg.wd_on_scaled
-        )
-        wd_matrix = result.matrix if cfg.wd_on_scaled else result.unscaled
-        transforms = {"full": transforms_to_json(result, cfg.fit_scope)}
-        summary = {"fit_scope": cfg.fit_scope, **result.counters.to_json()}
-        wd_matrices = [None if s.held_out is None else wd_matrix for s in scenarios]
-        return [result.matrix] * len(scenarios), wd_matrices, transforms, summary
+        fit = preprocess_pipeline(base, "full-dataset", unseen=cfg.unseen_category_policy)
+        shared = {True: fit.matrix(base)}
+        if not cfg.wd_on_scaled:
+            shared[False] = fit.matrix(base, scaled=False)
+        transforms = {"full": transforms_to_json(fit, cfg.fit_scope)}
+        summary = {"fit_scope": cfg.fit_scope, **fit.counters.to_json()}
+        return [fit] * len(scenarios), shared, transforms, summary
 
-    matrices, wd_matrices, transforms = [], [], {}
+    fitted, transforms = [], {}
     keys = _unique_slugs(class_names, slug=str)
     clamp_total = 0
     for s in scenarios:
-        zero_day = s.held_out is not None
-        result = preprocess_pipeline(
-            table, "train-only", s.train_indices, unseen=cfg.unseen_category_policy,
-            keep_unscaled=zero_day and not cfg.wd_on_scaled,
-        )
-        matrices.append(result.matrix)
-        if not zero_day:
-            wd_matrices.append(None)
-        else:
-            wd_matrices.append(result.matrix if cfg.wd_on_scaled else result.unscaled)
-        name = keys[s.held_out] if zero_day else BASELINE
-        transforms[f"{name}/f{s.fold_id}"] = transforms_to_json(result, cfg.fit_scope)
-        clamp_total += result.counters.clamped_total
-        for feat, value, code in result.counters.unseen:
+        name = BASELINE if s.held_out is None else keys[s.held_out]
+        try:
+            fit = preprocess_pipeline(base, "train-only", s.train_indices, unseen=cfg.unseen_category_policy)
+        except DataError as exc:
+            raise DataError(f"scenario {name!r} fold {s.fold_id}: {exc}") from exc
+        fitted.append(fit)
+        transforms[f"{name}/f{s.fold_id}"] = transforms_to_json(fit, cfg.fit_scope)
+        clamp_total += fit.counters.clamped_total
+        for feat, value, code in fit.counters.unseen:
             warnings.append(
                 f"scenario {name!r} fold {s.fold_id}: unseen category {value!r} in {feat!r} "
                 f"mapped to reserve code {code}"
             )
     if clamp_total:
         warnings.append(f"train-only scaling clamped {clamp_total} out-of-range values into [0, 1]")
-    return matrices, wd_matrices, transforms, {"fit_scope": cfg.fit_scope, "clamped_total": clamp_total}
+    return fitted, {}, transforms, {"fit_scope": cfg.fit_scope, "clamped_total": clamp_total}
 
 
 def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
@@ -318,12 +321,11 @@ def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
         warnings.extend(s.warnings)
     scenarios += [s for s in make_zero_day_scenarios(plan, catalog) if s.held_out in selected]
 
-    matrices, wd_matrices, transforms, prep_summary = _prepare_matrices(
-        cfg, table, scenarios, catalog.attack_names, warnings
-    )
+    base = encode_table(table)
+    fitted, shared, transforms, prep_summary = _fit_transforms(cfg, base, scenarios, catalog.attack_names, warnings)
     return _Prepared(
         table, rows_loaded, dropped_rows, catalog, selected, plan, scenarios,
-        matrices, wd_matrices, transforms, prep_summary, warnings,
+        None if shared else base, fitted, shared, transforms, prep_summary, warnings,
     )
 
 
@@ -336,14 +338,16 @@ def _compute_wd(cfg: ExperimentConfig, prep: _Prepared) -> tuple[dict, dict[str,
     wd_section: dict[str, dict] = {}
     wd_mean_by_class: dict[str, float] = {}
     class_index = prep.class_index
-    zero_day = [(s, m) for s, m in zip(prep.scenarios, prep.wd_matrices) if s.held_out is not None]
-    for name, group in itertools.groupby(zero_day, key=lambda sm: sm[0].held_out):
+    zero_day = [i for i, s in enumerate(prep.scenarios) if s.held_out is not None]
+    for name, group in itertools.groupby(zero_day, key=lambda i: prep.scenarios[i].held_out):
         fold_reports: list[WdReport] = []
-        for s, matrix in group:
+        for i in group:
+            s = prep.scenarios[i]
             try:
+                # under train-only scope, the matrix is this scenario's own and is dropped after the call
                 fold_reports.append(
                     per_feature_wd(
-                        matrix,
+                        prep.matrix(i, scaled=cfg.wd_on_scaled),
                         s.train_indices,
                         s.test_indices,
                         held_out_class=name,
@@ -388,6 +392,7 @@ def _new_report(cfg: ExperimentConfig, prep: _Prepared) -> RunReport:
         transforms=prep.transforms,
         classes=prep.selected,
         models=(),
+        slugs=_unique_slugs(prep.catalog.attack_names),
     )
 
 
@@ -456,7 +461,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     if failures and not cfg.keep_going:
         raise RuntimeError(failures[0])
 
-    slugs = _unique_slugs(prep.catalog.attack_names)
     ok = sorted((r for r in results if r.error is None), key=lambda r: r.scenario)
 
     for model in cfg.models:
@@ -482,7 +486,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             report.zero_day[model][name] = _aggregate_to_json(agg, fold_reports)
         for s, r in mine:
             if r.model_json is not None:
-                scen = BASELINE if s.held_out is None else slugs[s.held_out]
+                scen = BASELINE if s.held_out is None else report.slugs[s.held_out]
                 report.models_json[f"{model}_{scen}_f{s.fold_id}.json"] = r.model_json
 
     for model in cfg.models:
@@ -609,10 +613,9 @@ def emit_reports(report: RunReport, out_dir) -> list[str]:
         emit(f"metrics_{model}.csv", metrics_csv_text(report, model))
         emit(f"dr_vs_zdr_{model}.tsv", dr_vs_zdr_tsv_text(report, model))
     emit("wd_means.tsv", wd_means_tsv_text(report))
-    slugs = _unique_slugs(tuple(report.classes))
     for name in report.classes:
         if name in report.wd:
-            emit(f"wd_features_{slugs[name]}.csv", wd_features_csv_text(report, name))
+            emit(f"wd_features_{report.slugs[name]}.csv", wd_features_csv_text(report, name))
 
     if report.models_json:
         models_dir = out / "models"

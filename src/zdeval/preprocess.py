@@ -2,8 +2,16 @@
 
 Order of operations matches the usual NetFlow tabular recipe: remove flow
 identifiers, turn categorical strings into integer codes, then rescale every
-feature into [0, 1]. Fitted transforms are immutable and serializable so a
-run can be replayed and audited.
+feature into [0, 1].
+
+The string work is done once per run: `encode_table` turns the table into
+one unscaled float64 base matrix whose categorical columns hold each row's
+index into the column's sorted distinct values. `preprocess_pipeline` then
+fits an encoder and a scaler from row indices alone, and the resulting
+`FittedTransform` builds a scenario's matrix from the base matrix when the
+matrix is needed. The encoder codes by first appearance among the fit rows,
+exactly as encoding the strings of those rows would. Fitted transforms are
+immutable and serializable so a run can be replayed and audited.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DataError
-from .flowdata import Column, ColumnKind, FeatureSchema, FlowTable
+from .flowdata import FeatureSchema, FlowTable
 
 
 @dataclass
@@ -40,13 +48,13 @@ class PrepCounters:
 
 @dataclass(frozen=True)
 class FittedEncoder:
-    """Per-feature mapping of category strings to contiguous integer codes."""
+    """Per-feature mapping of category strings to contiguous integer codes.
+
+    Values unseen at fit time get the reserve code, len(mapping), under the
+    reserve policy.
+    """
 
     mappings: dict[str, dict[str, int]]
-
-    def reserve_code(self, feature: str) -> int:
-        """Code assigned to values unseen at fit time, under the reserve policy."""
-        return len(self.mappings[feature])
 
     def to_json(self) -> dict:
         return {f: dict(m) for f, m in sorted(self.mappings.items())}
@@ -76,7 +84,9 @@ class FeatureMatrix:
 
     `encoded_features` names the columns that started life as categorical
     strings; distance analyses flag them because integer codes carry no
-    ordering.
+    ordering. `categories` is set on a base matrix only (`encode_table`):
+    there each encoded column holds every row's index into the feature's
+    sorted distinct values, not a code.
     """
 
     values: np.ndarray
@@ -84,6 +94,7 @@ class FeatureMatrix:
     labels: np.ndarray
     attack_classes: np.ndarray
     encoded_features: tuple[str, ...] = ()
+    categories: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def n_rows(self) -> int:
@@ -96,16 +107,6 @@ class FeatureMatrix:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.feature_names.index(name)]
 
-    def take(self, indices: np.ndarray) -> "FeatureMatrix":
-        idx = np.asarray(indices, dtype=np.int64)
-        return FeatureMatrix(
-            self.values[idx],
-            self.feature_names,
-            self.labels[idx],
-            self.attack_classes[idx],
-            self.encoded_features,
-        )
-
 
 def drop_identifiers(table: FlowTable) -> FlowTable:
     """Remove identifier-kind columns (ids, IPs, ports, timestamps)."""
@@ -117,174 +118,145 @@ def drop_identifiers(table: FlowTable) -> FlowTable:
     return FlowTable(new_schema, table.benign_name, data, dropped_rows=table.dropped_rows)
 
 
-def fit_encoder(table: FlowTable) -> FittedEncoder:
-    """Assign each categorical value an integer code, by first appearance."""
-    mappings: dict[str, dict[str, int]] = {}
-    for name in table.schema.categorical_names:
-        col = table.data[name]
-        uniq, first_idx = np.unique(col.astype(str), return_index=True)
-        order = np.argsort(first_idx, kind="stable")
-        mappings[name] = {str(uniq[i]): code for code, i in enumerate(order)}
-    return FittedEncoder(mappings)
+def encode_table(table: FlowTable) -> FeatureMatrix:
+    """The table's features as one unscaled float64 base matrix.
 
-
-def apply_encoder(
-    table: FlowTable,
-    enc: FittedEncoder,
-    *,
-    unseen: str = "error",
-    counters: PrepCounters | None = None,
-) -> FlowTable:
-    """Replace categorical cells by their integer codes (as float64 columns).
-
-    Unseen values either raise (unseen="error") or map to the feature's
-    reserve code (unseen="reserve-code"), which is recorded in `counters`.
+    This is the only string work of a run: each categorical column becomes
+    its sorted distinct values (`categories`) and every row's index into
+    them. Transforms fitted on any rows of the result map those indices to
+    codes.
     """
-    if unseen not in ("error", "reserve-code"):
-        raise ValueError(f"unseen policy must be 'error' or 'reserve-code', got {unseen!r}")
-    cat_names = table.schema.categorical_names
-    if not cat_names:
-        return table
-
-    new_columns = tuple(
-        Column(c.name, ColumnKind.NUMERIC) if c.name in cat_names else c for c in table.schema.columns
+    stripped = drop_identifiers(table)
+    names = stripped.schema.feature_names
+    columns, categories = [], {}
+    for name in names:
+        col = stripped.data[name]
+        if name in stripped.schema.categorical_names:
+            categories[name], col = np.unique(col.astype(str), return_inverse=True)
+        columns.append(col)
+    values = np.column_stack(columns).astype(np.float64, copy=False)
+    return FeatureMatrix(
+        values, names, stripped.labels, stripped.attack_classes, stripped.schema.categorical_names, categories
     )
-    data = dict(table.data)
-    for name in cat_names:
-        mapping = enc.mappings.get(name)
-        if mapping is None:
-            raise DataError(f"encoder was not fitted for categorical feature {name!r}")
-        col = table.data[name].astype(str)
-        uniq, inverse = np.unique(col, return_inverse=True)
-        codes = np.empty(len(uniq), dtype=np.float64)
-        for i, value in enumerate(uniq):
-            value = str(value)
-            if value in mapping:
-                codes[i] = mapping[value]
-            elif unseen == "error":
-                raise DataError(f"unseen category {value!r} in feature {name!r}")
-            else:
-                code = enc.reserve_code(name)
-                codes[i] = code
-                if counters is not None:
-                    counters.unseen.append((name, value, code))
-        data[name] = codes[inverse] if len(col) else np.empty(0, dtype=np.float64)
-    return FlowTable(FeatureSchema(new_columns), table.benign_name, data, dropped_rows=table.dropped_rows)
 
 
-def to_matrix(table: FlowTable, *, encoded_features: tuple[str, ...] = ()) -> FeatureMatrix:
-    """Assemble the numeric feature columns into a dense matrix.
-
-    Identifier columns are excluded; categorical columns must already be
-    encoded (apply_encoder), otherwise this raises.
-    """
-    remaining = table.schema.categorical_names
-    if remaining:
-        raise DataError(f"categorical feature {remaining[0]!r} must be encoded before matrix assembly")
-    names = table.schema.numeric_names
-    if names:
-        values = np.column_stack([table.data[n] for n in names]).astype(np.float64)
-    else:
-        values = np.empty((table.row_count, 0), dtype=np.float64)
-    return FeatureMatrix(values, names, table.labels.copy(), table.attack_classes.copy(), encoded_features)
+def _coded_column(base: FeatureMatrix, values: np.ndarray, j: int, codes: dict[str, np.ndarray]) -> np.ndarray:
+    """Column j of some rows of the base matrix, category indices replaced by codes."""
+    name = base.feature_names[j]
+    if name not in base.categories:
+        return values[:, j]
+    if name not in codes:
+        raise DataError(f"encoder was not fitted for categorical feature {name!r}")
+    return codes[name][values[:, j].astype(np.intp)]
 
 
-def fit_scaler(matrix: FeatureMatrix) -> FittedScaler:
-    """Record each feature's exact min and max."""
-    if matrix.n_rows < 1:
-        raise ValueError("cannot fit a scaler on an empty matrix")
-    ranges = {}
-    for j, name in enumerate(matrix.feature_names):
-        col = matrix.values[:, j]
-        ranges[name] = (float(col.min()), float(col.max()))
-    return FittedScaler(ranges)
-
-
-def apply_scaler(
-    matrix: FeatureMatrix,
-    scaler: FittedScaler,
-    *,
-    counters: PrepCounters | None = None,
-) -> FeatureMatrix:
-    """Min-max scale every feature into [0, 1].
-
-    Constant features (min == max) map to 0. Values outside the fitted range
-    are clamped into [0, 1] and counted per feature in `counters`.
-    """
-    if set(scaler.ranges) != set(matrix.feature_names):
-        missing = set(matrix.feature_names) ^ set(scaler.ranges)
-        raise ValueError(f"scaler/matrix feature mismatch: {sorted(missing)}")
-    out = np.empty_like(matrix.values)
-    for j, name in enumerate(matrix.feature_names):
-        lo, hi = scaler.ranges[name]
-        col = matrix.values[:, j]
-        if hi > lo:
-            scaled = (col - lo) / (hi - lo)
-        else:
-            scaled = np.zeros_like(col)
-        n_out = int(np.count_nonzero((scaled < 0.0) | (scaled > 1.0)))
-        if n_out:
-            scaled = np.clip(scaled, 0.0, 1.0)
-            if counters is not None:
-                counters.clamped[name] = counters.clamped.get(name, 0) + n_out
-        out[:, j] = scaled
-    return FeatureMatrix(out, matrix.feature_names, matrix.labels, matrix.attack_classes, matrix.encoded_features)
+def _min_max(col: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Min-max scaled column, before clamping; a constant feature maps to 0."""
+    return (col - lo) / (hi - lo) if hi > lo else np.zeros_like(col)
 
 
 @dataclass(eq=False)
-class PipelineResult:
-    """Everything the preprocessing pipeline produced, transforms included."""
+class FittedTransform:
+    """An encoder and a scaler fitted on some rows of a base matrix.
 
-    matrix: FeatureMatrix
+    `codes` holds, per encoded feature, the code of every category index
+    (the reserve code for categories unseen at fit time). `counters` tallies
+    what applying the transform to every row of the base matrix clamps or
+    meets unseen.
+    """
+
     encoder: FittedEncoder
     scaler: FittedScaler
     counters: PrepCounters
-    unscaled: FeatureMatrix | None = None
+    codes: dict[str, np.ndarray]
+
+    def apply(self, base: FeatureMatrix, rows: np.ndarray | None = None, *, scaled: bool = True) -> np.ndarray:
+        """Rows of the base matrix (all by default), encoded and optionally scaled into [0, 1]."""
+        if set(self.scaler.ranges) != set(base.feature_names):
+            missing = set(base.feature_names) ^ set(self.scaler.ranges)
+            raise ValueError(f"scaler/matrix feature mismatch: {sorted(missing)}")
+        values = base.values if rows is None else base.values[rows]
+        out = np.empty_like(values)
+        for j, name in enumerate(base.feature_names):
+            col = _coded_column(base, values, j, self.codes)
+            out[:, j] = np.clip(_min_max(col, *self.scaler.ranges[name]), 0.0, 1.0) if scaled else col
+        return out
+
+    def matrix(self, base: FeatureMatrix, *, scaled: bool = True) -> FeatureMatrix:
+        """The whole base matrix transformed; unscaled with no encoded feature, the base itself."""
+        if not scaled and not base.categories:
+            return base
+        return FeatureMatrix(
+            self.apply(base, scaled=scaled), base.feature_names, base.labels, base.attack_classes,
+            base.encoded_features,
+        )
 
 
 def preprocess_pipeline(
-    table: FlowTable,
+    base: FeatureMatrix,
     fit_scope: str = "full-dataset",
     train_indices: np.ndarray | None = None,
     *,
     unseen: str = "reserve-code",
-    keep_unscaled: bool = False,
-) -> PipelineResult:
-    """Run drop-identifiers -> encode -> scale and return matrix + transforms.
+) -> FittedTransform:
+    """Fit the encoder and the scaler of one scope on a base matrix (`encode_table`).
 
-    fit_scope "full-dataset" fits encoder and scaler over every row (note:
-    this leaks test statistics into the transforms, but is the conventional
-    order for these datasets and is the default); "train-only" fits both on
-    `train_indices` only, so test rows may hit the clamp or the encoder's
-    reserve code. The returned transforms can be reapplied to any row subset.
+    fit_scope "full-dataset" fits both over every row (note: this leaks test
+    statistics into the transforms, but is the conventional order for these
+    datasets and is the default); "train-only" fits both on `train_indices`
+    only, so other rows may hit the clamp or the encoder's reserve code.
+
+    The encoder codes each category by its first appearance among the fit
+    rows. Categories of other rows either raise (unseen="error") or map to
+    the reserve code (unseen="reserve-code"), recorded in the counters in
+    sorted order. The scaler records each feature's exact min and max over
+    the fit rows; the counters tally, per feature, the rows whose scaled
+    value falls outside [0, 1] and is clamped.
     """
     if fit_scope not in ("full-dataset", "train-only"):
         raise ValueError(f"fit_scope must be 'full-dataset' or 'train-only', got {fit_scope!r}")
+    if unseen not in ("error", "reserve-code"):
+        raise ValueError(f"unseen policy must be 'error' or 'reserve-code', got {unseen!r}")
+    rows = None
     if fit_scope == "train-only":
         if train_indices is None or len(train_indices) == 0:
             raise ValueError("train-only fit scope requires a nonempty train_indices")
+        rows = np.asarray(train_indices, dtype=np.int64)
+    if base.n_rows < 1:
+        raise ValueError("cannot fit a scaler on an empty matrix")
 
     counters = PrepCounters()
-    stripped = drop_identifiers(table)
-    fit_view = stripped if fit_scope == "full-dataset" else stripped.take(np.asarray(train_indices))
+    fit = base.values if rows is None else base.values[rows]
+    mappings, codes = {}, {}
+    for name, categories in base.categories.items():
+        seen, first = np.unique(fit[:, base.feature_names.index(name)].astype(np.intp), return_index=True)
+        order = seen[np.argsort(first, kind="stable")]
+        mappings[name] = {str(categories[i]): code for code, i in enumerate(order)}
+        reserve = len(order)
+        codes[name] = np.full(len(categories), reserve, dtype=np.float64)
+        codes[name][order] = np.arange(reserve)
+        for i in np.flatnonzero(codes[name] == reserve):
+            if unseen == "error":
+                raise DataError(f"unseen category {str(categories[i])!r} in feature {name!r}")
+            counters.unseen.append((name, str(categories[i]), reserve))
 
-    encoder = fit_encoder(fit_view)
-    encoded_names = stripped.schema.categorical_names
-    encoded = apply_encoder(stripped, encoder, unseen=unseen, counters=counters)
+    ranges = {}
+    for j, name in enumerate(base.feature_names):
+        fit_col = _coded_column(base, fit, j, codes)
+        ranges[name] = lo, hi = float(fit_col.min()), float(fit_col.max())
+        scaled = _min_max(_coded_column(base, base.values, j, codes), lo, hi)
+        n_out = int(np.count_nonzero((scaled < 0.0) | (scaled > 1.0)))
+        if n_out:
+            counters.clamped[name] = n_out
+    return FittedTransform(FittedEncoder(mappings), FittedScaler(ranges), counters, codes)
 
-    matrix = to_matrix(encoded, encoded_features=encoded_names)
-    fit_matrix = matrix if fit_scope == "full-dataset" else matrix.take(np.asarray(train_indices))
-    scaler = fit_scaler(fit_matrix)
-    scaled = apply_scaler(matrix, scaler, counters=counters)
-    return PipelineResult(scaled, encoder, scaler, counters, unscaled=matrix if keep_unscaled else None)
 
-
-def transforms_to_json(result: PipelineResult, fit_scope: str) -> dict:
+def transforms_to_json(result: FittedTransform, fit_scope: str) -> dict:
     """Serializable record of the fitted transforms, for audit and replay."""
     return {
         "fit_scope": fit_scope,
-        "feature_names": list(result.matrix.feature_names),
-        "encoded_features": list(result.matrix.encoded_features),
+        "feature_names": list(result.scaler.ranges),
+        "encoded_features": list(result.encoder.mappings),
         "encoder": result.encoder.to_json(),
         "scaler": result.scaler.to_json(),
         "counters": result.counters.to_json(),

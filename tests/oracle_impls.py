@@ -2,7 +2,8 @@
 
 Everything here is written the naive way on purpose: plain loops, all-pairs
 comparisons, Fraction-exact CDF counting, a fresh sort at every tree node,
-three sorts and two full-length searches per Wasserstein distance.
+three sorts and two full-length searches per Wasserstein distance, string
+encoding and scaling of the whole table once per fit.
 None of it shares code with the package; the forest oracle borrows only the
 package's model containers, so its output can be compared as model JSON.
 """
@@ -269,3 +270,64 @@ def per_node_sort_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: 
         else:
             trees.append(per_node_sort_tree(X, y, cfg, rng))
     return RandomForestModel(tuple(trees), X.shape[1], cfg.resolve_m_try(X.shape[1]), seed)
+
+
+def string_pipeline(table, train_indices=None, unseen: str = "reserve-code") -> dict:
+    """Drop identifiers, encode and min-max scale a FlowTable the string way.
+
+    The encoder and the scaler are fitted on `train_indices` (all rows when
+    None) and applied to every row: `np.unique` over each categorical
+    column's strings for both the fit and the application, one float64
+    matrix per stage. Returns the mappings (insertion order is code order),
+    the scaler ranges, the clamp and unseen counters, and the unscaled and
+    scaled matrices with their feature names.
+    """
+    schema = table.schema
+    features = schema.feature_names
+    fit_rows = np.arange(table.row_count) if train_indices is None else np.asarray(train_indices, dtype=np.int64)
+
+    mappings: dict[str, dict[str, int]] = {}
+    for name in schema.categorical_names:
+        uniq, first_idx = np.unique(table.data[name][fit_rows].astype(str), return_index=True)
+        order = np.argsort(first_idx, kind="stable")
+        mappings[name] = {str(uniq[i]): code for code, i in enumerate(order)}
+
+    unseen_list: list[tuple[str, str, int]] = []
+    columns = []
+    for name in features:
+        if name not in mappings:
+            columns.append(table.data[name])
+            continue
+        mapping = mappings[name]
+        col = table.data[name].astype(str)
+        uniq, inverse = np.unique(col, return_inverse=True)
+        codes = np.empty(len(uniq), dtype=np.float64)
+        for i, value in enumerate(uniq):
+            value = str(value)
+            if value in mapping:
+                codes[i] = mapping[value]
+            elif unseen == "error":
+                raise ValueError(f"unseen category {value!r} in feature {name!r}")
+            else:
+                codes[i] = len(mapping)
+                unseen_list.append((name, value, len(mapping)))
+        columns.append(codes[inverse] if len(col) else np.empty(0, dtype=np.float64))
+    unscaled = np.column_stack(columns).astype(np.float64)
+
+    fit = unscaled[fit_rows]
+    ranges = {name: (float(fit[:, j].min()), float(fit[:, j].max())) for j, name in enumerate(features)}
+    scaled = np.empty_like(unscaled)
+    clamped: dict[str, int] = {}
+    for j, name in enumerate(features):
+        lo, hi = ranges[name]
+        col = unscaled[:, j]
+        out = (col - lo) / (hi - lo) if hi > lo else np.zeros_like(col)
+        n_out = int(np.count_nonzero((out < 0.0) | (out > 1.0)))
+        if n_out:
+            out = np.clip(out, 0.0, 1.0)
+            clamped[name] = n_out
+        scaled[:, j] = out
+    return {
+        "feature_names": tuple(features), "mappings": mappings, "ranges": ranges, "clamped": clamped,
+        "unseen": unseen_list, "unscaled": unscaled, "scaled": scaled,
+    }

@@ -32,7 +32,7 @@ from zdeval.config import config_from_dict
 from zdeval.flowdata import ClassCatalog, build_catalog, infer_schema, write_csv
 from zdeval.harness import emit_reports, run_experiment
 from zdeval.metrics import auc, basic_metrics, confusion, per_class_positives, zdr
-from zdeval.preprocess import preprocess_pipeline
+from zdeval.preprocess import encode_table, preprocess_pipeline
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
 from zdeval.wdanalysis import wasserstein_1d
 from zdeval.zslsplit import make_fold_plan, make_known_scenarios, make_zero_day_scenarios
@@ -273,7 +273,8 @@ def test_criterion_5_classifier_sanity(tmp_path):
         )
         table = synthesize_dataset(spec)
         assert table.row_count == 1600
-        matrix = preprocess_pipeline(table).matrix
+        base = encode_table(table)
+        matrix = preprocess_pipeline(base).matrix(base)
         catalog = build_catalog(table)
         fold = make_known_scenarios(make_fold_plan(catalog, 5, seed=1), catalog)[0]
         x_tr, y_tr = matrix.values[fold.train_indices], matrix.labels[fold.train_indices]

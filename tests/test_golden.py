@@ -161,7 +161,7 @@ def categorical_cfg(golden_cfg, tmp_path_factory):
 def _job_scores(cfg, prep, model: str, held_out: str | None, fold_id: int) -> np.ndarray:
     """Test scores of one scenario job, trained exactly as the harness trains it."""
     i, s = next((i, s) for i, s in enumerate(prep.scenarios) if (s.held_out, s.fold_id) == (held_out, fold_id))
-    matrix = prep.matrices[i]
+    matrix = prep.matrix(i)
     class_key = 0 if held_out is None else prep.class_index[held_out]
     seed = derive_seed(cfg.seed, _SEED_TRAIN, KNOWN_MODELS.index(model), class_key, fold_id)
     x_train, y_train = matrix.values[s.train_indices], matrix.labels[s.train_indices]

@@ -11,7 +11,7 @@ import pytest
 from zdeval.classifiers import forest_from_json
 from zdeval.config import apply_overrides, config_from_dict, load_config
 from zdeval.errors import ConfigError, DataError
-from zdeval.flowdata import FlowTable, build_catalog, load_csv, write_csv
+from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable, build_catalog, load_csv, write_csv
 from zdeval.harness import (
     _compute_wd,
     _prepare,
@@ -27,7 +27,7 @@ from zdeval.harness import (
 )
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
 from zdeval.wdanalysis import per_feature_wd
-from zdeval.preprocess import preprocess_pipeline
+from zdeval.preprocess import encode_table, preprocess_pipeline
 
 
 def base_config_dict(csv_path, schema_json, **overrides):
@@ -99,10 +99,10 @@ class TestSyntheticDataset:
             n_benign=2000, attacks=(AttackBlob("a", 2000, mean=0.0, cov_scale=1.0),), d=3, seed=1
         )
         table = synthesize_dataset(spec)
-        result = preprocess_pipeline(table)
+        base = encode_table(table)
         rows_a = np.flatnonzero(table.attack_classes == "a")
         rows_b = np.flatnonzero(table.attack_classes == "Benign")
-        report = per_feature_wd(result.matrix, rows_a, rows_b)
+        report = per_feature_wd(preprocess_pipeline(base).matrix(base), rows_a, rows_b)
         assert report.mean_wd < 0.1
 
     def test_identifier_column_optional(self):
@@ -364,6 +364,16 @@ class TestClassNamedBaseline:
             name = f"forest_baseline_f{f}.json"
             assert (models / name).read_bytes() == (Path(beta_cfg.output_dir) / "models" / name).read_bytes()
 
+    def test_wd_features_and_models_share_the_class_slug(self, renamed_runs):
+        # classes alpha/baseline/gamma with only "baseline" selected: its slug
+        # comes from the whole catalog in every file name
+        _, (cfg, _) = renamed_runs
+        out = Path(cfg.output_dir)
+        assert [p.name for p in out.glob("wd_features_*.csv")] == ["wd_features_baseline-1.csv"]
+        assert sorted(p.name for p in (out / "models").glob("forest_baseline-*")) == [
+            f"forest_baseline-1_f{f}.json" for f in range(cfg.k)
+        ]
+
 
 class TestTrainOnlyTransformKeys:
     def test_class_named_baseline_keeps_its_own_keys(self, synth_csv, tmp_path):
@@ -395,21 +405,65 @@ class TestTrainOnlyTransformKeys:
         assert _unique_slugs(("a b", "c"), slug=str) == {"a b": "a b", "c": "c"}
 
 
+def _held_matrices(obj, seen: set[int] | None = None) -> list[np.ndarray]:
+    """Every distinct 2-D array reachable from obj through attributes, dicts and lists."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.ndim == 2 else []
+    if isinstance(obj, dict):
+        items = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        items = list(obj)
+    elif hasattr(obj, "__dict__"):
+        items = list(vars(obj).values())
+    else:
+        return []
+    return [m for item in items for m in _held_matrices(item, seen)]
+
+
 class TestTrainOnlyUnscaledDistances:
     def test_known_attack_scenarios_keep_no_unscaled_matrix(self, synth_csv):
+        # no scenario keeps a matrix: the run holds the base matrix alone
         path, table = synth_csv
         cfg = config_from_dict(
             base_config_dict(path, table.schema.to_json(), fit_scope="train-only", wd_on_scaled=False)
         )
         prep = _prepare(cfg, with_baseline=True)
         assert len(prep.scenarios) == 12
-        for s, matrix, wd_matrix in zip(prep.scenarios, prep.matrices, prep.wd_matrices):
-            if s.held_out is None:
-                assert wd_matrix is None
-            else:
-                assert wd_matrix is not matrix
+        assert [id(m) for m in _held_matrices(prep)] == [id(prep.base.values)]
+        for i, s in enumerate(prep.scenarios):
+            if s.held_out is not None:
+                matrix, wd_matrix = prep.matrix(i), prep.matrix(i, scaled=False)
                 assert wd_matrix.feature_names == matrix.feature_names
                 assert not np.array_equal(wd_matrix.values, matrix.values)
+
+
+class TestUnseenCategoryError:
+    @pytest.mark.parametrize("work", [run_wd_analysis, run_experiment])
+    def test_error_names_the_scenario(self, tmp_path, work):
+        # 200 rows, 4 classes, k=2; "icmp" occurs in class gamma only, so the
+        # gamma scenarios meet it in their test rows alone
+        spec = SyntheticSpec(
+            n_benign=80, attacks=tuple(AttackBlob(n, 40) for n in ("alpha", "beta", "gamma")), d=2, seed=3,
+            include_identifier=False,
+        )
+        table = synthesize_dataset(spec)
+        proto = np.where(table.attack_classes == "gamma", "icmp", np.where(np.arange(200) % 2, "tcp", "udp"))
+        schema = FeatureSchema((*table.schema.columns, Column("proto", ColumnKind.CATEGORICAL)))
+        table = FlowTable(schema, table.benign_name, {**table.data, "proto": proto.astype(object)})
+        path = tmp_path / "data.csv"
+        write_csv(table, path)
+        cfg = config_from_dict(
+            base_config_dict(
+                path, schema.to_json(), k=2, fit_scope="train-only", unseen_category_policy="error",
+                output_dir=str(tmp_path / "out"),
+            )
+        )
+        with pytest.raises(DataError, match=r"^scenario 'gamma' fold 0: unseen category 'icmp' in feature 'proto'$"):
+            work(cfg)
 
 
 class TestDistanceFailureAttribution:
@@ -423,8 +477,16 @@ class TestDistanceFailureAttribution:
                 base_config_dict(path, table.schema.to_json(), fit_scope="train-only", keep_going=keep_going)
             )
             prep = _prepare(cfg, with_baseline=False)
-            i = next(i for i, s in enumerate(prep.scenarios) if (s.held_out, s.fold_id) == ("beta", 1))
-            prep.wd_matrices[i].values[prep.scenarios[i].test_indices[0], 1] = np.nan
+            poisoned = next(i for i, s in enumerate(prep.scenarios) if (s.held_out, s.fold_id) == ("beta", 1))
+            built = prep.matrix
+
+            def matrix(i, *, scaled=True):
+                m = built(i, scaled=scaled)
+                if i == poisoned:
+                    m.values[prep.scenarios[i].test_indices[0], 1] = np.nan
+                return m
+
+            prep.matrix = matrix
             return cfg, prep
 
         return make

@@ -1,24 +1,25 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from conftest import make_table
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_impls import string_pipeline
 
 from zdeval.errors import DataError
+from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
 from zdeval.preprocess import (
     FeatureMatrix,
     FittedEncoder,
     FittedScaler,
+    FittedTransform,
     PrepCounters,
-    apply_encoder,
-    apply_scaler,
     drop_identifiers,
-    fit_encoder,
-    fit_scaler,
+    encode_table,
     preprocess_pipeline,
-    to_matrix,
     transforms_to_json,
 )
 
@@ -30,12 +31,19 @@ def cat_table(values: list[str]):
     )
 
 
+def fit(table, train_indices=None, **kwargs) -> tuple[FeatureMatrix, FittedTransform]:
+    base = encode_table(table)
+    scope = "full-dataset" if train_indices is None else "train-only"
+    return base, preprocess_pipeline(base, scope, train_indices, **kwargs)
+
+
 class TestDropIdentifiers:
     def test_identifier_removed(self, small_table):
         out = drop_identifiers(small_table)
         assert "flow_id" not in out.schema.names
         assert out.row_count == small_table.row_count
         assert out.column("dur").tolist() == small_table.column("dur").tolist()
+        assert encode_table(small_table).feature_names == ("dur", "proto")
 
     def test_no_identifiers_is_identity(self):
         table = cat_table(["tcp", "udp"])
@@ -44,12 +52,12 @@ class TestDropIdentifiers:
 
 class TestEncoder:
     def test_first_appearance_codes(self):
-        enc = fit_encoder(cat_table(["tcp", "udp", "tcp"]))
-        assert enc.mappings["proto"] == {"tcp": 0, "udp": 1}
+        _, t = fit(cat_table(["tcp", "udp", "tcp"]))
+        assert t.encoder.mappings["proto"] == {"tcp": 0, "udp": 1}
 
     def test_single_value(self):
-        enc = fit_encoder(cat_table(["only"]))
-        assert enc.mappings["proto"] == {"only": 0}
+        _, t = fit(cat_table(["only"]))
+        assert t.encoder.mappings["proto"] == {"only": 0}
 
     def test_independent_code_spaces(self):
         table = make_table(
@@ -58,38 +66,37 @@ class TestEncoder:
                 {"a": "y", "b": "q", "attack_class": "A", "label": 1},
             ]
         )
-        enc = fit_encoder(table)
-        assert enc.mappings["a"] == {"x": 0, "y": 1}
-        assert enc.mappings["b"] == {"q": 0}
+        _, t = fit(table)
+        assert t.encoder.mappings["a"] == {"x": 0, "y": 1}
+        assert t.encoder.mappings["b"] == {"q": 0}
 
     def test_apply_direct_map(self):
-        table = cat_table(["tcp", "udp"])
-        out = apply_encoder(table, fit_encoder(table))
-        assert out.column("proto").tolist() == [0.0, 1.0]
-        assert out.schema.categorical_names == ()
+        # the base matrix holds indices into the sorted values; the transform maps them to codes
+        base, t = fit(cat_table(["udp", "tcp"]))
+        assert base.categories["proto"].tolist() == ["tcp", "udp"]
+        assert base.column("proto").tolist() == [1.0, 0.0]
+        assert t.apply(base, scaled=False).ravel().tolist() == [0.0, 1.0]
+        assert t.matrix(base, scaled=False).categories == {}
 
     def test_unseen_error_names_feature_and_value(self):
-        enc = fit_encoder(cat_table(["tcp", "udp"]))
         with pytest.raises(DataError, match=r"icmp.*proto"):
-            apply_encoder(cat_table(["icmp"]), enc, unseen="error")
+            fit(cat_table(["tcp", "udp", "icmp"]), np.array([0, 1]), unseen="error")
 
     def test_unseen_reserve_code_flagged(self):
-        enc = fit_encoder(cat_table(["tcp", "udp"]))
-        counters = PrepCounters()
-        out = apply_encoder(cat_table(["icmp"]), enc, unseen="reserve-code", counters=counters)
-        assert out.column("proto").tolist() == [2.0]
-        assert counters.unseen == [("proto", "icmp", 2)]
+        base, t = fit(cat_table(["tcp", "udp", "icmp"]), np.array([0, 1]), unseen="reserve-code")
+        assert t.apply(base, np.array([2]), scaled=False).ravel().tolist() == [2.0]
+        assert t.counters.unseen == [("proto", "icmp", 2)]
 
     def test_empty_table_stays_empty(self):
-        table = cat_table(["tcp", "udp"]).take(np.array([], dtype=np.int64))
-        out = apply_encoder(table, FittedEncoder({"proto": {"tcp": 0, "udp": 1}}))
-        assert out.row_count == 0
+        table = cat_table(["tcp", "udp"])
+        assert encode_table(table.take(np.array([], dtype=np.int64))).values.shape == (0, 1)
+        base, t = fit(table)
+        assert t.apply(base, np.array([], dtype=np.int64)).shape == (0, 1)
 
     def test_labels_preserved_exactly(self, small_table):
-        stripped = drop_identifiers(small_table)
-        out = apply_encoder(stripped, fit_encoder(stripped))
-        assert np.array_equal(out.labels, small_table.labels)
-        assert np.array_equal(out.attack_classes, small_table.attack_classes)
+        base = encode_table(small_table)
+        assert np.array_equal(base.labels, small_table.labels)
+        assert np.array_equal(base.attack_classes, small_table.attack_classes)
 
 
 class TestScaler:
@@ -99,58 +106,58 @@ class TestScaler:
         return FeatureMatrix(values, ("x",), np.zeros(n, dtype=np.int64), np.array(["Benign"] * n, dtype=object))
 
     def test_fit_min_max(self):
-        s = fit_scaler(self.matrix([2.0, 4.0, 6.0]))
-        assert s.ranges["x"] == (2.0, 6.0)
+        t = preprocess_pipeline(self.matrix([2.0, 4.0, 6.0]))
+        assert t.scaler.ranges["x"] == (2.0, 6.0)
 
     def test_constant_column(self):
-        s = fit_scaler(self.matrix([5.0, 5.0]))
-        assert s.ranges["x"] == (5.0, 5.0)
-        out = apply_scaler(self.matrix([5.0, 5.0]), s)
-        assert out.values.tolist() == [[0.0], [0.0]]
+        m = self.matrix([5.0, 5.0])
+        t = preprocess_pipeline(m)
+        assert t.scaler.ranges["x"] == (5.0, 5.0)
+        assert t.apply(m).tolist() == [[0.0], [0.0]]
 
     def test_single_row(self):
-        s = fit_scaler(self.matrix([7.0]))
-        assert s.ranges["x"] == (7.0, 7.0)
+        t = preprocess_pipeline(self.matrix([7.0]))
+        assert t.scaler.ranges["x"] == (7.0, 7.0)
 
     def test_apply_arithmetic(self):
         m = self.matrix([2.0, 4.0, 6.0])
-        out = apply_scaler(m, fit_scaler(m))
-        assert out.values.ravel().tolist() == [0.0, 0.5, 1.0]
+        assert preprocess_pipeline(m).apply(m).ravel().tolist() == [0.0, 0.5, 1.0]
 
     def test_out_of_range_clamped_and_counted(self):
-        s = FittedScaler({"x": (2.0, 6.0)})
-        counters = PrepCounters()
-        out = apply_scaler(self.matrix([8.0, 0.0, 4.0]), s, counters=counters)
-        assert out.values.ravel().tolist() == [1.0, 0.0, 0.5]
-        assert counters.clamped == {"x": 2}
+        m = self.matrix([2.0, 6.0, 8.0, 0.0, 4.0])
+        t = preprocess_pipeline(m, "train-only", np.array([0, 1]))
+        assert t.scaler.ranges["x"] == (2.0, 6.0)
+        assert t.apply(m).ravel().tolist() == [0.0, 1.0, 1.0, 0.0, 0.5]
+        assert t.counters.clamped == {"x": 2}
 
     def test_column_mismatch_rejected(self):
+        t = FittedTransform(FittedEncoder({}), FittedScaler({"y": (0.0, 1.0)}), PrepCounters(), {})
         with pytest.raises(ValueError, match="mismatch"):
-            apply_scaler(self.matrix([1.0]), FittedScaler({"y": (0.0, 1.0)}))
+            t.apply(self.matrix([1.0]))
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fit_scaler(self.matrix([]).take(np.array([], dtype=np.int64)))
+            preprocess_pipeline(self.matrix([]))
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     def test_range_property(self, column):
         m = self.matrix(column)
-        out = apply_scaler(m, fit_scaler(m))
-        assert np.all(out.values >= 0.0)
-        assert np.all(out.values <= 1.0)
+        out = preprocess_pipeline(m).apply(m)
+        assert np.all(out >= 0.0)
+        assert np.all(out <= 1.0)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     def test_idempotence_property(self, column):
         m = self.matrix(column)
-        once = apply_scaler(m, fit_scaler(m))
-        twice = apply_scaler(once, fit_scaler(once))
-        assert np.max(np.abs(twice.values - once.values)) <= 1e-12
+        once = self.matrix(preprocess_pipeline(m).apply(m).ravel())
+        twice = preprocess_pipeline(once).apply(once)
+        assert np.max(np.abs(twice - once.values)) <= 1e-12
 
 
 class TestPipeline:
     def test_full_dataset_scope(self, small_table):
-        result = preprocess_pipeline(small_table)
-        m = result.matrix
+        base, t = fit(small_table)
+        m = t.matrix(base)
         assert m.feature_names == ("dur", "proto")
         assert m.encoded_features == ("proto",)
         assert m.values.min() >= 0.0 and m.values.max() <= 1.0
@@ -165,9 +172,9 @@ class TestPipeline:
                 {"x": 5.0, "attack_class": "A", "label": 1},
             ]
         )
-        result = preprocess_pipeline(table, "train-only", np.array([0, 1]))
-        assert result.matrix.values.ravel().tolist() == [0.0, 1.0, 1.0]
-        assert result.counters.clamped == {"x": 1}
+        base, t = fit(table, np.array([0, 1]))
+        assert t.matrix(base).values.ravel().tolist() == [0.0, 1.0, 1.0]
+        assert t.counters.clamped == {"x": 1}
 
     def test_numeric_only_table_has_empty_encoder(self):
         table = make_table(
@@ -176,40 +183,111 @@ class TestPipeline:
                 {"x": 1.0, "attack_class": "A", "label": 1},
             ]
         )
-        result = preprocess_pipeline(table)
-        assert result.encoder.mappings == {}
-        assert result.matrix.encoded_features == ()
+        base, t = fit(table)
+        assert t.encoder.mappings == {}
+        assert t.matrix(base).encoded_features == ()
+        assert t.matrix(base, scaled=False) is base
 
     def test_train_only_requires_indices(self, small_table):
         with pytest.raises(ValueError, match="train_indices"):
-            preprocess_pipeline(small_table, "train-only")
+            preprocess_pipeline(encode_table(small_table), "train-only")
 
     def test_matrix_requires_encoding_first(self, small_table):
+        # category indices are never passed on as values without an encoding
+        base, t = fit(small_table)
         with pytest.raises(DataError, match="proto"):
-            to_matrix(drop_identifiers(small_table))
+            FittedTransform(t.encoder, t.scaler, t.counters, {}).apply(base)
 
     def test_shape_preservation(self, small_table):
-        result = preprocess_pipeline(small_table)
-        assert result.matrix.n_rows == small_table.row_count
-        assert np.array_equal(result.matrix.labels, small_table.labels)
-        assert np.array_equal(result.matrix.attack_classes, small_table.attack_classes)
+        base, t = fit(small_table)
+        m = t.matrix(base)
+        assert m.n_rows == small_table.row_count
+        assert np.array_equal(m.labels, small_table.labels)
+        assert np.array_equal(m.attack_classes, small_table.attack_classes)
 
     def test_transforms_serializable(self, small_table):
-        import json
-
-        result = preprocess_pipeline(small_table)
-        doc = transforms_to_json(result, "full-dataset")
+        _, t = fit(small_table)
+        doc = transforms_to_json(t, "full-dataset")
         parsed = json.loads(json.dumps(doc))
+        assert parsed["feature_names"] == ["dur", "proto"]
+        assert parsed["encoded_features"] == ["proto"]
         assert parsed["encoder"]["proto"] == {"tcp": 0, "udp": 1, "icmp": 2}
         assert parsed["scaler"]["dur"] == {"min": 1.0, "max": 5.0}
-        assert FittedEncoder.from_json(parsed["encoder"]).mappings == result.encoder.mappings
-        assert FittedScaler.from_json(parsed["scaler"]).ranges == result.scaler.ranges
+        assert FittedEncoder.from_json(parsed["encoder"]).mappings == t.encoder.mappings
+        assert FittedScaler.from_json(parsed["scaler"]).ranges == t.scaler.ranges
 
 
 class TestDeterminism:
     def test_fit_twice_identical(self, small_table):
-        assert fit_encoder(small_table).mappings == fit_encoder(small_table).mappings
-        r1 = preprocess_pipeline(small_table)
-        r2 = preprocess_pipeline(small_table)
-        assert np.array_equal(r1.matrix.values, r2.matrix.values)
+        base1, r1 = fit(small_table)
+        base2, r2 = fit(small_table)
+        assert r1.encoder.mappings == r2.encoder.mappings
+        assert np.array_equal(r1.matrix(base1).values, r2.matrix(base2).values)
         assert r1.scaler.ranges == r2.scaler.ranges
+
+
+# few distinct values, so columns tie, repeat and often come out constant;
+# "10" sorts before "9", and -0.0 and huge magnitudes probe the float path
+_CATEGORY_VALUES = ("tcp", "udp", "icmp", "10", "9", "")
+_NUMBER_VALUES = (0.0, -0.0, 1.0, -2.5, 3.25, 7.0, 1e-300, -1e300, 1e300)
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(1, 14))
+    kinds = draw(st.lists(st.sampled_from(("n", "c")), min_size=1, max_size=4))
+    columns, data = [Column("flow_id", ColumnKind.IDENTIFIER)], {"flow_id": np.array(["x"] * n, dtype=object)}
+    for j, kind in enumerate(kinds):
+        name = f"{kind}{j}"
+        if kind == "n":
+            pool = draw(st.lists(st.sampled_from(_NUMBER_VALUES), min_size=1, max_size=4))
+            data[name] = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=np.float64)
+            columns.append(Column(name, ColumnKind.NUMERIC))
+        else:
+            pool = draw(st.lists(st.sampled_from(_CATEGORY_VALUES), min_size=1, max_size=5))
+            data[name] = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=object)
+            columns.append(Column(name, ColumnKind.CATEGORICAL))
+    classes = draw(st.lists(st.sampled_from(("Benign", "A")), min_size=n, max_size=n))
+    columns += [Column("attack_class", ColumnKind.ATTACK_CLASS), Column("label", ColumnKind.BINARY_LABEL)]
+    data["attack_class"] = np.array(classes, dtype=object)
+    data["label"] = np.array([int(c != "Benign") for c in classes], dtype=np.int64)
+    table = FlowTable(FeatureSchema(tuple(columns)), "Benign", data)
+    train = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    rows = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return table, None if train is None else np.array(train, dtype=np.int64), np.array(rows, dtype=np.int64)
+
+
+class TestStringOracle:
+    """The index-based transforms against the string-based path they replace."""
+
+    @given(_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_transforms_equal_string_pipeline(self, case):
+        table, train, rows = case
+        expected = string_pipeline(table, train)
+        base, t = fit(table, train)
+        assert base.feature_names == expected["feature_names"]
+        assert [(f, list(m.items())) for f, m in t.encoder.mappings.items()] == [
+            (f, list(m.items())) for f, m in expected["mappings"].items()
+        ]
+        assert list(t.scaler.ranges.items()) == list(expected["ranges"].items())
+        assert t.counters.clamped == expected["clamped"]
+        assert t.counters.unseen == expected["unseen"]
+        # bit for bit: the same operations on the same values
+        assert t.apply(base, rows).tobytes() == expected["scaled"][rows].tobytes()
+        assert t.apply(base, rows, scaled=False).tobytes() == expected["unscaled"][rows].tobytes()
+        assert t.matrix(base).values.tobytes() == expected["scaled"].tobytes()
+        assert t.matrix(base, scaled=False).values.tobytes() == expected["unscaled"].tobytes()
+
+    @given(_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_unseen_error_matches_string_pipeline(self, case):
+        table, train, _ = case
+        try:
+            string_pipeline(table, train, unseen="error")
+        except ValueError as exc:
+            with pytest.raises(DataError) as raised:
+                fit(table, train, unseen="error")
+            assert str(raised.value) == str(exc)
+        else:
+            fit(table, train, unseen="error")
