@@ -43,14 +43,11 @@ from .classifiers import (
     MlpModel,
     RandomForestModel,
     forest_score,
-    gini,
-    mlp_forward,
     mlp_init,
     mlp_score,
     mlp_train,
     predict,
     train_forest,
-    train_tree,
 )
 from .metrics import (
     ConfusionCounts,

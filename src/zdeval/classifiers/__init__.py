@@ -11,19 +11,15 @@ import numpy as np
 from .forest import (
     ForestConfig,
     RandomForestModel,
-    TreeNode,
     forest_from_json,
     forest_score,
     forest_to_json,
-    gini,
     train_forest,
-    train_tree,
     tree_score,
 )
 from .mlp import (
     MlpConfig,
     MlpModel,
-    mlp_forward,
     mlp_from_json,
     mlp_init,
     mlp_loss_and_grads,
@@ -37,12 +33,9 @@ __all__ = [
     "MlpConfig",
     "MlpModel",
     "RandomForestModel",
-    "TreeNode",
     "forest_from_json",
     "forest_score",
     "forest_to_json",
-    "gini",
-    "mlp_forward",
     "mlp_from_json",
     "mlp_init",
     "mlp_loss_and_grads",
@@ -51,7 +44,6 @@ __all__ = [
     "mlp_train",
     "predict",
     "train_forest",
-    "train_tree",
     "tree_score",
 ]
 

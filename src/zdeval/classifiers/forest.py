@@ -26,8 +26,10 @@ order among tied rows. So each valid cut gets the same integer counts, the
 same float formula gives the same score, and the tie-break rules and the
 preorder of the generator draws are unchanged.
 
-Saved models (format version 2) store each tree as flat preorder lists, so
-reading and writing never recurse and deep trees round-trip.
+A tree is held in the same layout it is saved in (format version 2): flat
+arrays in preorder, which the grower appends to as it pops each node. So
+growing, scoring, reading and writing never recurse, deep trees round-trip,
+and saving a tree is one `tolist` per array.
 """
 
 from __future__ import annotations
@@ -42,24 +44,32 @@ import numpy as np
 _SCORE_EPS = 1e-12
 
 
-@dataclass(eq=False)
-class TreeNode:
-    """Internal node (feature, threshold, children) or leaf (fraction, count).
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """One tree as parallel arrays in preorder, the layout it is saved in.
 
-    Rows route left iff row[feature] <= threshold. Leaf `attack_fraction` is
-    the fraction of attack rows that reached the leaf during training.
+    Node i is a leaf iff feature[i] == -1; a leaf's threshold is NaN and its
+    right is -1. Otherwise rows with row[feature[i]] <= threshold[i] go to
+    the left child, node i + 1, and the others to the right child, node
+    right[i]. fraction[i] is the attack fraction of the training rows that
+    reached node i and count[i] their number (bootstrap copies included).
     """
 
-    attack_fraction: float
-    sample_count: int
-    feature: int = -1
-    threshold: float = math.nan
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    feature: np.ndarray  # int64
+    threshold: np.ndarray  # float64
+    fraction: np.ndarray  # float64
+    count: np.ndarray  # int64
+    right: np.ndarray  # int64
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    @classmethod
+    def from_lists(cls, feature, threshold, fraction, count, right) -> "Tree":
+        return cls(
+            np.array(feature, dtype=np.int64),
+            np.array(threshold, dtype=np.float64),
+            np.array(fraction, dtype=np.float64),
+            np.array(count, dtype=np.int64),
+            np.array(right, dtype=np.int64),
+        )
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,7 @@ class ForestConfig:
 
 @dataclass(eq=False)
 class RandomForestModel:
-    trees: tuple[TreeNode, ...]
+    trees: tuple[Tree, ...]
     n_features: int
     m_try: int
     seed: int
@@ -102,17 +112,6 @@ class RandomForestModel:
     @property
     def n_trees(self) -> int:
         return len(self.trees)
-
-
-def gini(counts: tuple[int, int]) -> float:
-    """Gini impurity 1 - p_benign^2 - p_attack^2 of a (benign, attack) count pair."""
-    n_benign, n_attack = counts
-    total = n_benign + n_attack
-    if total < 1:
-        raise ValueError("gini impurity is undefined for an empty node")
-    p0 = n_benign / total
-    p1 = n_attack / total
-    return 1.0 - p0 * p0 - p1 * p1
 
 
 def _check_training_data(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,12 +138,16 @@ def _grow_tree(
     weight: np.ndarray,
     cfg: ForestConfig,
     rng: np.random.Generator,
-) -> TreeNode:
+) -> Tree:
     """Grow one tree on the rows with weight > 0, each counted `weight` times.
 
     `order` is the presort of `X` (see `_presort`). The tree is the one a
     per-node sort would grow on the multiset of rows: see the module
-    docstring.
+    docstring. At each node, m_try candidate features are drawn without
+    replacement from `rng` (consumed in preorder, left child before right),
+    and the best valid split among them is taken. A node becomes a leaf when
+    it is pure, at max_depth, too small to split, or none of its candidate
+    features admits a valid partition.
     """
     n, d = X.shape
     m_try = cfg.resolve_m_try(d)
@@ -152,14 +155,26 @@ def _grow_tree(
     attack_weight = weight * y
     goes_left = np.zeros(n, dtype=bool)
     rows_sorted = order[weight[order] > 0].reshape(d, np.count_nonzero(weight))
-    root = TreeNode(attack_fraction=0.0, sample_count=0)
-    # work stack of (node, d x u sorted row ids, depth, row count, attack count);
-    # preorder so rng draws are reproducible without recursion-depth limits
-    stack = [(root, rows_sorted, 0, int(weight.sum()), int(attack_weight.sum()))]
+    node_feature: list[int] = []
+    node_threshold: list[float] = []
+    node_fraction: list[float] = []
+    node_count: list[int] = []
+    node_right: list[int] = []
+    # work stack of (d x u sorted row ids, depth, row count, attack count, the
+    # parent whose right child this is or -1); popped in preorder, so the node
+    # lists fill in saved order and rng draws are reproducible without
+    # recursion-depth limits
+    stack = [(rows_sorted, 0, int(weight.sum()), int(attack_weight.sum()), -1)]
     while stack:
-        node, rows_sorted, depth, total, n_attack = stack.pop()
-        node.sample_count = total
-        node.attack_fraction = n_attack / total
+        rows_sorted, depth, total, n_attack, parent = stack.pop()
+        node = len(node_feature)
+        if parent >= 0:
+            node_right[parent] = node
+        node_feature.append(-1)
+        node_threshold.append(math.nan)
+        node_fraction.append(n_attack / total)
+        node_count.append(total)
+        node_right.append(-1)
 
         pure = n_attack == 0 or n_attack == total
         at_depth = cfg.max_depth is not None and depth >= cfg.max_depth
@@ -210,8 +225,8 @@ def _grow_tree(
         if not threshold < above:  # the midpoint rounded up to (or overflowed past) the next value
             threshold = below
 
-        node.feature = int(candidates[j])
-        node.threshold = threshold
+        node_feature[node] = int(candidates[j])
+        node_threshold[node] = threshold
         # the split feature's sorted values route left as a prefix
         k = int(np.count_nonzero(values[j] <= threshold))
         left_total = int(n_left_all[j, k - 1])
@@ -220,49 +235,31 @@ def _grow_tree(
         goes_left[left_ids] = True
         mask = goes_left[rows_sorted]
         goes_left[left_ids] = False
-        node.left = TreeNode(attack_fraction=0.0, sample_count=0)
-        node.right = TreeNode(attack_fraction=0.0, sample_count=0)
         # stable partition keeps every feature's row order sorted; push right
         # first so the left child is processed (and draws rng) first
-        stack.append((node.right, rows_sorted[~mask].reshape(d, -1), depth + 1,
-                      total - left_total, n_attack - left_attack))
-        stack.append((node.left, rows_sorted[mask].reshape(d, -1), depth + 1, left_total, left_attack))
-    return root
+        stack.append((rows_sorted[~mask].reshape(d, -1), depth + 1, total - left_total, n_attack - left_attack, node))
+        stack.append((rows_sorted[mask].reshape(d, -1), depth + 1, left_total, left_attack, -1))
+    return Tree.from_lists(node_feature, node_threshold, node_fraction, node_count, node_right)
 
 
-def train_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    cfg: ForestConfig,
-    rng: np.random.Generator,
-) -> TreeNode:
-    """Grow one decision tree by greedy Gini splitting.
-
-    At each node, m_try candidate features are drawn without replacement from
-    `rng` (consumed in preorder, left child before right), and the best valid
-    split among them is taken. A node becomes a leaf when it is pure, at
-    max_depth, too small to split, or none of its candidate features admits a
-    valid partition.
-    """
-    X, y = _check_training_data(X, y)
-    return _grow_tree(X, y, _presort(X), np.ones(X.shape[0], dtype=np.int64), cfg, rng)
-
-
-def tree_score(root: TreeNode, X: np.ndarray) -> np.ndarray:
+def tree_score(tree: Tree, X: np.ndarray) -> np.ndarray:
     """Leaf attack fraction for every row of X."""
     X = np.asarray(X, dtype=np.float64)
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    fraction, right = tree.fraction.tolist(), tree.right.tolist()
     out = np.empty(X.shape[0], dtype=np.float64)
-    stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(X.shape[0]))]
+    stack: list[tuple[int, np.ndarray]] = [(0, np.arange(X.shape[0]))]
     while stack:
         node, rows = stack.pop()
         if rows.size == 0:
             continue
-        if node.is_leaf:
-            out[rows] = node.attack_fraction
+        f = feature[node]
+        if f < 0:
+            out[rows] = fraction[node]
             continue
-        go_left = X[rows, node.feature] <= node.threshold
-        stack.append((node.left, rows[go_left]))
-        stack.append((node.right, rows[~go_left]))
+        go_left = X[rows, f] <= threshold[node]
+        stack.append((node + 1, rows[go_left]))
+        stack.append((right[node], rows[~go_left]))
     return out
 
 
@@ -301,51 +298,45 @@ def forest_score(model: RandomForestModel, X: np.ndarray) -> np.ndarray:
     return total / model.n_trees
 
 
-def _tree_to_json(root: TreeNode) -> dict:
-    """Flat preorder lists; feature -1 marks a leaf, whose threshold is null."""
-    out: dict[str, list] = {"feature": [], "threshold": [], "fraction": [], "count": []}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        leaf = node.is_leaf
-        out["feature"].append(-1 if leaf else node.feature)
-        out["threshold"].append(None if leaf else node.threshold)
-        out["fraction"].append(node.attack_fraction)
-        out["count"].append(node.sample_count)
-        if not leaf:
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
+def _tree_to_json(tree: Tree) -> dict:
+    """The saved preorder lists; a leaf's threshold is null."""
+    feature = tree.feature.tolist()
+    return {
+        "feature": feature,
+        "threshold": [t if f >= 0 else None for f, t in zip(feature, tree.threshold.tolist())],
+        "fraction": tree.fraction.tolist(),
+        "count": tree.count.tolist(),
+    }
 
 
-def _tree_from_json(obj: dict) -> TreeNode:
-    features = obj["feature"]
-    fields = (obj["threshold"], obj["fraction"], obj["count"])
-    if not features or any(len(f) != len(features) for f in fields):
+def _tree_from_json(obj: dict, n_features: int) -> Tree:
+    """Check the preorder structure in one stack pass, finding each right child."""
+    features, thresholds = obj["feature"], obj["threshold"]
+    if not features or any(len(obj[k]) != len(features) for k in ("threshold", "fraction", "count")):
         raise ValueError("malformed tree: node lists must be nonempty and of equal length")
-    nodes = [
-        TreeNode(attack_fraction=float(fraction), sample_count=int(count))
-        for fraction, count in zip(obj["fraction"], obj["count"])
-    ]
-    # internal nodes still missing a child, innermost last
-    open_nodes: list[TreeNode] = []
-    for i, (node, feature, threshold) in enumerate(zip(nodes, features, obj["threshold"])):
+    right = [-1] * len(features)
+    # internal nodes still missing their right child, innermost last
+    open_nodes: list[int] = []
+    for i, (feature, threshold) in enumerate(zip(features, thresholds)):
         if i:
             if not open_nodes:
                 raise ValueError("malformed tree: nodes after the last leaf")
-            parent = open_nodes[-1]
-            if parent.left is None:
-                parent.left = node
-            else:
-                parent.right = node
-                open_nodes.pop()
-        if feature >= 0:
-            node.feature = int(feature)
-            node.threshold = float(threshold)
-            open_nodes.append(node)
+            if open_nodes[-1] != i - 1:  # the previous node is a leaf: i is a right child
+                right[open_nodes.pop()] = i
+        if feature == -1:
+            continue
+        if not isinstance(feature, int) or not 0 <= feature < n_features:
+            raise ValueError(f"malformed tree: node {i} splits on feature {feature!r} of {n_features}")
+        if not isinstance(threshold, (int, float)) or math.isnan(threshold):
+            raise ValueError(f"malformed tree: internal node {i} has threshold {threshold!r}")
+        open_nodes.append(i)
     if open_nodes:
         raise ValueError("malformed tree: an internal node lacks a child")
-    return nodes[0]
+    thresholds = [t if f != -1 else math.nan for f, t in zip(features, thresholds)]
+    tree = Tree.from_lists(features, thresholds, obj["fraction"], obj["count"], right)
+    if not ((tree.fraction >= 0.0) & (tree.fraction <= 1.0)).all():  # a null reads as NaN
+        raise ValueError("malformed tree: attack fractions must lie in [0, 1]")
+    return tree
 
 
 def forest_to_json(model: RandomForestModel) -> dict:
@@ -365,5 +356,6 @@ def forest_from_json(obj: dict) -> RandomForestModel:
         raise ValueError(f"not a forest model document: kind={obj.get('kind')!r}")
     if obj.get("version") != 2:
         raise ValueError(f"unsupported forest model version {obj.get('version')!r}; expected 2")
-    trees = tuple(_tree_from_json(t) for t in obj["trees"])
-    return RandomForestModel(trees, int(obj["n_features"]), int(obj["m_try"]), int(obj["seed"]))
+    n_features = int(obj["n_features"])
+    trees = tuple(_tree_from_json(t, n_features) for t in obj["trees"])
+    return RandomForestModel(trees, n_features, int(obj["m_try"]), int(obj["seed"]))

@@ -106,12 +106,6 @@ def mlp_score(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return _sigmoid(_forward(model, X)[4])
 
 
-def mlp_forward(model: MlpModel, x: np.ndarray) -> float:
-    """Score a single feature row."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return float(mlp_score(model, x)[0])
-
-
 def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, y: np.ndarray):
     """Mean BCE loss and its gradients w.r.t. every parameter.
 

@@ -146,14 +146,6 @@ class FlowTable:
         idx = np.asarray(indices, dtype=np.int64)
         return FlowTable(self.schema, self.benign_name, {k: v[idx] for k, v in self.data.items()})
 
-    def equals(self, other: "FlowTable") -> bool:
-        """Cell-for-cell equality, schema and benign name included."""
-        if self.schema != other.schema or self.benign_name != other.benign_name:
-            return False
-        if self.row_count != other.row_count:
-            return False
-        return all(np.array_equal(self.data[n], other.data[n]) for n in self.schema.names)
-
     def validate(self) -> None:
         """Check structural invariants; raises DataError on violation."""
         n = self.row_count
@@ -190,10 +182,6 @@ class ClassCatalog:
     attack_names: tuple[str, ...]
     counts: dict[str, int]
     class_codes: np.ndarray
-
-    @property
-    def n_attack_classes(self) -> int:
-        return len(self.attack_names)
 
     @property
     def row_count(self) -> int:

@@ -202,7 +202,6 @@ class RunReport:
 class _Prepared:
     """Shared state both the full run and the analysis-only run build first."""
 
-    table: FlowTable
     rows_loaded: int
     dropped_rows: int
     catalog: ClassCatalog
@@ -231,7 +230,7 @@ class _Prepared:
         return {
             "path": cfg.dataset,
             "rows_loaded": self.rows_loaded,
-            "rows_used": self.table.row_count,
+            "rows_used": self.catalog.row_count,
             "dropped_rows": self.dropped_rows,
             "class_counts": {c: self.catalog.counts[c] for c in self.catalog.class_order},
             "benign_name": cfg.benign_name,
@@ -324,7 +323,7 @@ def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
     base = encode_table(table)
     fitted, shared, transforms, prep_summary = _fit_transforms(cfg, base, scenarios, catalog.attack_names, warnings)
     return _Prepared(
-        table, rows_loaded, dropped_rows, catalog, selected, plan, scenarios,
+        rows_loaded, dropped_rows, catalog, selected, plan, scenarios,
         None if shared else base, fitted, shared, transforms, prep_summary, warnings,
     )
 

@@ -94,7 +94,7 @@ def make_fold_plan(catalog: ClassCatalog, k: int = 5, seed: int = 0) -> FoldPlan
 
 
 def make_zero_day_scenarios(plan: FoldPlan, catalog: ClassCatalog) -> list[Scenario]:
-    """All held-out-class x fold combinations (n_attack_classes * k scenarios)."""
+    """All held-out-class x fold combinations (attack classes x k scenarios)."""
     scenarios = []
     for name in catalog.attack_names:
         code = catalog.code_of(name)

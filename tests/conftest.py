@@ -42,6 +42,13 @@ def make_table(rows: list[dict], benign_name: str = "Benign", schema: FeatureSch
     return table
 
 
+def tables_equal(a: FlowTable, b: FlowTable) -> bool:
+    """Cell-for-cell equality, schema and benign name included."""
+    if a.schema != b.schema or a.benign_name != b.benign_name or a.row_count != b.row_count:
+        return False
+    return all(np.array_equal(a.data[n], b.data[n]) for n in a.schema.names)
+
+
 @pytest.fixture
 def small_table() -> FlowTable:
     return make_table(

@@ -4,18 +4,20 @@ Everything here is written the naive way on purpose: plain loops, all-pairs
 comparisons, Fraction-exact CDF counting, a fresh sort at every tree node,
 three sorts and two full-length searches per Wasserstein distance, string
 encoding and scaling of the whole table once per fit.
-None of it shares code with the package; the forest oracle borrows only the
-package's model containers, so its output can be compared as model JSON.
+None of it shares code with the package; the forest oracle grows its own
+node objects and writes them out as a model document, so it shares only
+the saved format with the package.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from zdeval.classifiers import ForestConfig, RandomForestModel, TreeNode
+from zdeval.classifiers import ForestConfig
 
 SCORE_EPS = 1e-12
 
@@ -207,7 +209,19 @@ def best_split_for_feature(values: np.ndarray, y: np.ndarray, min_leaf: int) -> 
     return float(weighted[first]), float(threshold)
 
 
-def per_node_sort_tree(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, rng: np.random.Generator) -> TreeNode:
+@dataclass(eq=False)
+class Node:
+    """Internal node (feature, threshold, children) or leaf (fraction, count)."""
+
+    fraction: float = 0.0
+    count: int = 0
+    feature: int = -1
+    threshold: float = math.nan
+    left: "Node | None" = None
+    right: "Node | None" = None
+
+
+def per_node_sort_tree(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, rng: np.random.Generator) -> Node:
     """One Gini tree grown by sorting every candidate feature at every node.
 
     Candidate features are drawn from `rng` in preorder (left child first);
@@ -217,14 +231,14 @@ def per_node_sort_tree(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, rng: np.
     y = np.asarray(y, dtype=np.int64)
     d = X.shape[1]
     m_try = cfg.resolve_m_try(d)
-    root = TreeNode(attack_fraction=0.0, sample_count=0)
+    root = Node()
     stack = [(root, np.arange(X.shape[0]), 0)]
     while stack:
         node, rows, depth = stack.pop()
         labels = y[rows]
         n_attack = int(labels.sum())
-        node.sample_count = rows.size
-        node.attack_fraction = n_attack / rows.size
+        node.count = rows.size
+        node.fraction = n_attack / rows.size
 
         pure = n_attack == 0 or n_attack == rows.size
         at_depth = cfg.max_depth is not None and depth >= cfg.max_depth
@@ -249,15 +263,33 @@ def per_node_sort_tree(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, rng: np.
         node.feature = best_feature
         node.threshold = best_threshold
         go_left = X[rows, best_feature] <= best_threshold
-        node.left = TreeNode(attack_fraction=0.0, sample_count=0)
-        node.right = TreeNode(attack_fraction=0.0, sample_count=0)
+        node.left = Node()
+        node.right = Node()
         stack.append((node.right, rows[~go_left], depth + 1))
         stack.append((node.left, rows[go_left], depth + 1))
     return root
 
 
-def per_node_sort_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: int) -> RandomForestModel:
-    """The forest of `per_node_sort_tree`s, each on the materialized bootstrap rows X[sample]."""
+def node_tree_json(root: Node) -> dict:
+    """The model format's flat preorder lists; a leaf has feature -1 and threshold null."""
+    out: dict[str, list] = {"feature": [], "threshold": [], "fraction": [], "count": []}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        leaf = node.left is None
+        out["feature"].append(-1 if leaf else node.feature)
+        out["threshold"].append(None if leaf else node.threshold)
+        out["fraction"].append(node.fraction)
+        out["count"].append(node.count)
+        if not leaf:
+            stack.append(node.right)
+            stack.append(node.left)
+    return out
+
+
+def per_node_sort_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: int) -> dict:
+    """The saved model document (format version 2) of a forest of
+    `per_node_sort_tree`s, each on the materialized bootstrap rows X[sample]."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
@@ -269,7 +301,10 @@ def per_node_sort_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: 
             trees.append(per_node_sort_tree(X[sample], y[sample], cfg, rng))
         else:
             trees.append(per_node_sort_tree(X, y, cfg, rng))
-    return RandomForestModel(tuple(trees), X.shape[1], cfg.resolve_m_try(X.shape[1]), seed)
+    return {
+        "format": "zdeval-model", "version": 2, "kind": "forest", "n_features": X.shape[1],
+        "m_try": cfg.resolve_m_try(X.shape[1]), "seed": seed, "trees": [node_tree_json(t) for t in trees],
+    }
 
 
 def string_pipeline(table, train_indices=None, unseen: str = "reserve-code") -> dict:

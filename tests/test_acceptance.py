@@ -25,7 +25,6 @@ from zdeval.classifiers import (
     mlp_train,
     predict,
     train_forest,
-    train_tree,
     tree_score,
 )
 from zdeval.config import config_from_dict
@@ -296,10 +295,8 @@ def test_criterion_5_classifier_sanity(tmp_path):
 
         single_cfg = ForestConfig(n_trees=1, m_try=10, bootstrap=False)
         forest = train_forest(x_tr, y_tr, single_cfg, seed=4)
-        lone_tree = train_tree(
-            x_tr, y_tr, single_cfg,
-            np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(0,))),
-        )
+        (lone_tree,) = forest.trees
+        assert lone_tree.count[0] == len(x_tr)  # no bootstrap: every train row once
         assert np.array_equal(forest_score(forest, x_te), tree_score(lone_tree, x_te))
 
 

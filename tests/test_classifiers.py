@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_impls import per_node_sort_forest, per_node_sort_tree
+from oracle_impls import per_node_sort_forest
 
 from zdeval.classifiers import (
     ForestConfig,
     MlpConfig,
     MlpModel,
-    RandomForestModel,
     forest_from_json,
     forest_score,
     forest_to_json,
-    gini,
-    mlp_forward,
     mlp_from_json,
     mlp_init,
     mlp_loss_and_grads,
@@ -26,7 +23,6 @@ from zdeval.classifiers import (
     mlp_train,
     predict,
     train_forest,
-    train_tree,
     tree_score,
 )
 
@@ -40,34 +36,29 @@ def blobs(n_per_side=100, d=2, gap=3.0, noise=0.5, seed=0):
     return X, y
 
 
-class TestGini:
-    def test_maximal_impurity(self):
-        assert gini((5, 5)) == 0.5
-
-    def test_pure_node(self):
-        assert gini((10, 0)) == 0.0
-
-    def test_direct_formula(self):
-        # 1 - 0.75^2 - 0.25^2
-        assert gini((3, 1)) == pytest.approx(0.375, abs=1e-15)
-
-    def test_empty_node_rejected(self):
-        with pytest.raises(ValueError):
-            gini((0, 0))
+def tree_depth(tree) -> int:
+    """Longest root-to-leaf path; children follow their parent in preorder."""
+    depth = [0] * len(tree.feature)
+    for i, (feature, right) in enumerate(zip(tree.feature.tolist(), tree.right.tolist())):
+        if feature >= 0:
+            depth[i + 1] = depth[right] = depth[i] + 1
+    return max(depth)
 
 
 class TestTree:
     def full_cfg(self, d):
         return ForestConfig(n_trees=1, m_try=d, bootstrap=False)
 
+    def grow(self, X, y, cfg):
+        return train_forest(X, y, cfg, seed=0).trees[0]
+
     def test_separable_1d_single_split(self):
         X = np.array([[0.1], [0.2], [0.8], [0.9]])
         y = np.array([0, 0, 1, 1])
-        root = train_tree(X, y, self.full_cfg(1), np.random.default_rng(0))
-        assert not root.is_leaf
-        assert 0.2 < root.threshold < 0.8
-        assert root.left.is_leaf and root.left.attack_fraction == 0.0
-        assert root.right.is_leaf and root.right.attack_fraction == 1.0
+        tree = self.grow(X, y, self.full_cfg(1))
+        assert tree.feature.tolist() == [0, -1, -1] and tree.right.tolist() == [2, -1, -1]
+        assert 0.2 < tree.threshold[0] < 0.8
+        assert tree.fraction.tolist() == [0.5, 0.0, 1.0]
 
     @pytest.mark.parametrize("below, above", [(0.5000000000000001, 0.5000000000000002), (1e308, 1.5e308)])
     def test_midpoint_not_below_upper_value_falls_back_to_lower(self, below, above):
@@ -75,65 +66,52 @@ class TestTree:
         # overflows; a threshold there would send both rows left
         assert not 0.5 * (below + above) < above
         cfg = ForestConfig(n_trees=1, max_depth=3, bootstrap=False)
-        root = train_tree(np.array([[below], [above]]), np.array([0, 1]), cfg, np.random.default_rng(0))
-        assert root.threshold == below
-        assert root.left.is_leaf and root.left.sample_count == 1 and root.left.attack_fraction == 0.0
-        assert root.right.is_leaf and root.right.sample_count == 1 and root.right.attack_fraction == 1.0
+        tree = self.grow(np.array([[below], [above]]), np.array([0, 1]), cfg)
+        assert tree.threshold[0] == below
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.count.tolist() == [2, 1, 1] and tree.fraction.tolist() == [0.5, 0.0, 1.0]
 
     def test_constant_labels_single_leaf(self):
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([1, 1, 1])
-        root = train_tree(X, y, self.full_cfg(1), np.random.default_rng(0))
-        assert root.is_leaf and root.attack_fraction == 1.0 and root.sample_count == 3
+        tree = self.grow(X, y, self.full_cfg(1))
+        assert tree.feature.tolist() == [-1] and tree.fraction.tolist() == [1.0] and tree.count.tolist() == [3]
 
     def test_xor_depth_two_perfect(self):
         # greedy split gains nothing at the root, but the children separate
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
-        root = train_tree(X, y, self.full_cfg(2), np.random.default_rng(0))
-        scores = tree_score(root, X)
+        tree = self.grow(X, y, self.full_cfg(2))
+        scores = tree_score(tree, X)
         assert np.array_equal(predict(scores), y)
-        assert not root.is_leaf and not root.left.is_leaf and not root.right.is_leaf
-        assert root.left.left.is_leaf  # depth exactly 2
+        assert (tree.feature[[0, 1, tree.right[0]]] >= 0).all()
+        assert tree_depth(tree) == 2
 
     def test_min_samples_leaf_respected(self):
         X, y = blobs(50, d=3, gap=1.0, noise=0.8, seed=1)
         cfg = ForestConfig(n_trees=1, m_try=3, bootstrap=False, min_samples_leaf=5)
-        root = train_tree(X, y, cfg, np.random.default_rng(0))
-
-        def check(node):
-            if node.is_leaf:
-                assert node.sample_count >= 5
-            else:
-                check(node.left)
-                check(node.right)
-
-        check(root)
+        tree = self.grow(X, y, cfg)
+        assert tree.count[tree.feature == -1].min() >= 5
 
     def test_max_depth_respected(self):
         X, y = blobs(60, seed=2)
         cfg = ForestConfig(n_trees=1, m_try=2, bootstrap=False, max_depth=2)
-        root = train_tree(X, y, cfg, np.random.default_rng(0))
-
-        def depth(node):
-            return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
-
-        assert depth(root) <= 2
+        assert tree_depth(self.grow(X, y, cfg)) <= 2
 
     def test_tie_break_lowest_feature_then_threshold(self):
         # both features admit the identical perfect split; feature 0 must win
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         y = np.array([0, 0, 1, 1])
-        root = train_tree(X, y, self.full_cfg(2), np.random.default_rng(0))
-        assert root.feature == 0
-        assert root.threshold == 0.5
+        tree = self.grow(X, y, self.full_cfg(2))
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == 0.5
 
     def test_tie_break_lowest_threshold_within_feature(self):
         # splits at 0.5 and 2.5 both give weighted impurity 1/3; 0.5 wins
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 1, 0, 1])
-        root = train_tree(X, y, self.full_cfg(1), np.random.default_rng(0))
-        assert root.threshold == 0.5
+        tree = self.grow(X, y, self.full_cfg(1))
+        assert tree.threshold[0] == 0.5
 
 
 class TestForest:
@@ -146,7 +124,9 @@ class TestForest:
         X, y = blobs(50, d=4, seed=3)
         cfg = ForestConfig(n_trees=1, m_try=4, bootstrap=False)
         forest = train_forest(X, y, cfg, seed=5)
-        tree = train_tree(X, y, cfg, np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(0,))))
+        (tree,) = forest.trees
+        # without bootstrap the lone tree sees every row once
+        assert tree.count[0] == len(X) and tree.fraction[0] == y.mean()
         assert np.array_equal(forest_score(forest, X), tree_score(tree, X))
 
     def test_determinism_bit_identical(self):
@@ -221,6 +201,10 @@ class TestForest:
             {"feature": [-1, -1], "threshold": [None, None], "fraction": [0.0, 0.0], "count": [1, 1]},
             {"feature": [], "threshold": [], "fraction": [], "count": []},
             {"feature": [-1], "threshold": [None], "fraction": [0.0, 1.0], "count": [1]},
+            {"feature": [0, -1, -1], "threshold": [None, None, None], "fraction": [0.5, 0.0, 1.0], "count": [2, 1, 1]},
+            {"feature": [5, -1, -1], "threshold": [0.5, None, None], "fraction": [0.5, 0.0, 1.0], "count": [2, 1, 1]},
+            {"feature": [0.5, -1, -1], "threshold": [0.5, None, None], "fraction": [0.5, 0.0, 1.0], "count": [2, 1, 1]},
+            {"feature": [0, -1, -1], "threshold": [0.5, None, None], "fraction": [0.5, None, 1.0], "count": [2, 1, 1]},
         ],
     )
     def test_malformed_tree_rejected(self, tree):
@@ -256,24 +240,14 @@ class TestPresortMatchesPerNodeSort:
     @settings(max_examples=300, deadline=None)
     def test_forest_json_identical(self, problem):
         X, y, cfg, seed = problem
-        assert forest_to_json(train_forest(X, y, cfg, seed)) == forest_to_json(per_node_sort_forest(X, y, cfg, seed))
-
-    @given(forest_problems())
-    @settings(max_examples=100, deadline=None)
-    def test_tree_identical(self, problem):
-        X, y, cfg, seed = problem
-        got = train_tree(X, y, cfg, np.random.default_rng(seed))
-        want = per_node_sort_tree(X, y, cfg, np.random.default_rng(seed))
-        assert forest_to_json(RandomForestModel((got,), X.shape[1], 1, seed)) == forest_to_json(
-            RandomForestModel((want,), X.shape[1], 1, seed)
-        )
+        assert forest_to_json(train_forest(X, y, cfg, seed)) == per_node_sort_forest(X, y, cfg, seed)
 
     def test_continuous_blobs_identical(self):
         for seed in range(5):
             X, y = blobs(80, d=5, gap=1.0, noise=1.0, seed=seed)
             X[:, 2] = np.round(X[:, 2], 1)
             cfg = ForestConfig(n_trees=4, min_samples_leaf=1 + seed % 3)
-            assert forest_to_json(train_forest(X, y, cfg, seed)) == forest_to_json(per_node_sort_forest(X, y, cfg, seed))
+            assert forest_to_json(train_forest(X, y, cfg, seed)) == per_node_sort_forest(X, y, cfg, seed)
 
 
 class TestMlp:
@@ -298,7 +272,7 @@ class TestMlp:
         model = MlpModel(
             np.zeros((3, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2), np.zeros((2, 1)), np.zeros(1)
         )
-        assert mlp_forward(model, [5.0, -1.0, 2.0]) == 0.5
+        assert mlp_score(model, np.array([[5.0, -1.0, 2.0]]))[0] == 0.5
 
     def test_relu_zeroes_negative_preactivations(self):
         from zdeval.classifiers.mlp import _forward
@@ -314,12 +288,12 @@ class TestMlp:
         model = MlpModel(
             np.ones((1, 1)), np.zeros(1), np.ones((1, 1)), np.zeros(1), np.ones((1, 1)), np.zeros(1)
         )
-        assert mlp_forward(model, [1.0]) == pytest.approx(0.7310585786300049, abs=1e-15)
+        assert mlp_score(model, np.array([[1.0]]))[0] == pytest.approx(0.7310585786300049, abs=1e-15)
 
     def test_nonfinite_input_rejected(self):
         model = mlp_init(2, seed=0, hidden_units=(2, 2))
         with pytest.raises(ValueError, match="non-finite"):
-            mlp_forward(model, [np.nan, 0.0])
+            mlp_score(model, np.array([[np.nan, 0.0]]))
 
     def test_separable_blobs_high_accuracy(self):
         # margin 1.0 between the blob supports
