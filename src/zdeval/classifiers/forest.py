@@ -292,6 +292,8 @@ def forest_score(model: RandomForestModel, X: np.ndarray) -> np.ndarray:
             f"feature dimensionality mismatch: model expects {model.n_features}, "
             f"got {X.shape[1] if X.ndim == 2 else 'non-matrix input'}"
         )
+    if X.size and not np.isfinite(X).all():
+        raise ValueError("input contains non-finite values")
     total = np.zeros(X.shape[0], dtype=np.float64)
     for tree in model.trees:
         total += tree_score(tree, X)

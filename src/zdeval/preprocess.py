@@ -221,7 +221,7 @@ def preprocess_pipeline(
     if fit_scope == "train-only":
         if train_indices is None or len(train_indices) == 0:
             raise ValueError("train-only fit scope requires a nonempty train_indices")
-        rows = np.asarray(train_indices, dtype=np.int64)
+        rows = np.asarray(train_indices)
     if base.n_rows < 1:
         raise ValueError("cannot fit a scaler on an empty matrix")
 

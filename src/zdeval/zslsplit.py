@@ -17,6 +17,7 @@ import numpy as np
 from .flowdata import ClassCatalog
 
 GENERATOR_ID = "numpy-pcg64"
+_MAX_ROWS = np.iinfo(np.int32).max  # scenario row indices are int32
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +28,7 @@ class Scenario:
     rows, every class on both sides. Otherwise the training rows are the
     fold's train set minus every row of the held-out class, and the test rows
     are the fold's test set untouched, so the test side mixes seen classes
-    with the unseen one.
+    with the unseen one. Both index arrays are sorted int32 row indices.
     """
 
     held_out: str | None
@@ -65,6 +66,8 @@ def make_fold_plan(catalog: ClassCatalog, k: int = 5, seed: int = 0) -> FoldPlan
         raise ValueError(f"fold count must be >= 2, got {k}")
     if k > n:
         raise ValueError(f"fold count {k} exceeds row count {n}")
+    if n > _MAX_ROWS:
+        raise ValueError(f"row count {n} exceeds {_MAX_ROWS}, the most rows that int32 row indices can address")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     test_parts: list[list[np.ndarray]] = [[] for _ in range(k)]
@@ -83,13 +86,13 @@ def make_fold_plan(catalog: ClassCatalog, k: int = 5, seed: int = 0) -> FoldPlan
             test_parts[f].append(perm[start : start + size])
             start += size
 
-    all_idx = np.arange(n, dtype=np.int64)
+    all_idx = np.arange(n, dtype=np.int32)
     folds = []
     for f in range(k):
         test = np.sort(np.concatenate(test_parts[f])) if test_parts[f] else np.empty(0, dtype=np.int64)
         mask = np.ones(n, dtype=bool)
         mask[test] = False
-        folds.append(Scenario(None, f, all_idx[mask], test.astype(np.int64)))
+        folds.append(Scenario(None, f, all_idx[mask], test.astype(np.int32)))
     return FoldPlan(k, seed, tuple(folds), tuple(sparse))
 
 

@@ -213,6 +213,14 @@ class TestForest:
         with pytest.raises(ValueError, match="malformed"):
             forest_from_json(doc)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_rejected(self, value):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        forest = train_forest(X, np.array([0, 0, 1, 1]), ForestConfig(n_trees=1, bootstrap=False), seed=0)
+        assert forest.trees[0].feature[0] == 0  # one split, so a NaN would fall through to a leaf
+        with pytest.raises(ValueError, match="non-finite"):
+            forest_score(forest, np.array([[value]]))
+
 
 @st.composite
 def forest_problems(draw):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,20 @@ class TestFoldPlan:
             make_fold_plan(catalog, k=1, seed=0)
         with pytest.raises(ValueError, match="exceeds"):
             make_fold_plan(catalog, k=4, seed=0)
+
+    def test_row_count_beyond_int32_indices_rejected(self):
+        # a stand-in catalog: 2**31 real rows would need gigabytes; the guard
+        # must fire before any row is read or any index is built
+        catalog = SimpleNamespace(row_count=2**31)
+        with pytest.raises(ValueError, match="int32"):
+            make_fold_plan(catalog, k=5, seed=0)
+
+    def test_indices_are_int32(self):
+        catalog = catalog_from_counts({"Benign": 30, "A": 10, "B": 10})
+        plan = make_fold_plan(catalog, k=5, seed=0)
+        scenarios = [*plan.folds, *make_zero_day_scenarios(plan, catalog), *make_known_scenarios(plan, catalog)]
+        for s in scenarios:
+            assert s.train_indices.dtype == np.int32 and s.test_indices.dtype == np.int32
 
     def test_partition_properties(self):
         catalog = catalog_from_counts({"Benign": 33, "A": 17, "B": 5})
