@@ -34,8 +34,8 @@ from .zslsplit import (
     FoldPlan,
     Scenario,
     make_fold_plan,
-    make_known_scenarios,
     make_zero_day_scenarios,
+    scenario_rows,
 )
 from .classifiers import (
     ForestConfig,

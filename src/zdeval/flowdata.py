@@ -384,22 +384,17 @@ def write_csv(table: FlowTable, path: str | Path) -> None:
 def build_catalog(table: FlowTable) -> ClassCatalog:
     """Inventory the table's classes; attack names in first-appearance order."""
     col = table.attack_classes
-    uniq, first_idx, inverse, counts = np.unique(
-        col.astype(str), return_index=True, return_inverse=True, return_counts=True
+    # benign is code 0 even when absent; every other name gets the next code on first sight
+    codes_of = {table.benign_name: 0}
+    codes = np.fromiter(
+        (codes_of.setdefault(name, len(codes_of)) for name in col), dtype=np.int64, count=len(col)
     )
-    order = np.argsort(first_idx, kind="stable")
-    names_in_order = [str(uniq[i]) for i in order]
-    attack_names = tuple(n for n in names_in_order if n != table.benign_name)
-    if not attack_names:
+    class_order = tuple(str(name) for name in codes_of)
+    if len(class_order) == 1:
         raise DataError("table contains no attack classes; no zero-day scenario is definable")
-
-    class_order = [table.benign_name] + list(attack_names)
-    remap = np.array([class_order.index(str(u)) for u in uniq], dtype=np.int64)
-    codes = remap[inverse]
-
-    count_map = {str(u): int(c) for u, c in zip(uniq, counts)}
-    count_map.setdefault(table.benign_name, 0)
-    return ClassCatalog(table.benign_name, attack_names, count_map, codes)
+    counts = np.bincount(codes, minlength=len(class_order))
+    count_map = {name: int(c) for name, c in zip(class_order, counts)}
+    return ClassCatalog(table.benign_name, class_order[1:], count_map, codes)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .flowdata import ClassCatalog, FlowTable, build_catalog, load_csv
 from .metrics import FoldAggregate, MetricsReport, aggregate_folds, per_class_positives, scenario_report
 from .preprocess import FeatureMatrix, FittedTransform, encode_table, preprocess_pipeline, transforms_to_json
 from .wdanalysis import WdReport, per_feature_wd, rank_correlation
-from .zslsplit import FoldPlan, Scenario, make_fold_plan, make_known_scenarios, make_zero_day_scenarios
+from .zslsplit import FoldPlan, Scenario, fold_warnings, make_fold_plan, make_zero_day_scenarios, scenario_rows
 
 BASELINE = "baseline"
 
@@ -69,7 +69,7 @@ class ScenarioJob:
 @dataclass
 class JobResult:
     model: str
-    scenario: int  # the index, not the Scenario: its arrays would be pickled back
+    scenario: int  # index into _Prepared.scenarios
     report: MetricsReport | None = None
     per_class: dict[str, tuple[int, int]] | None = None
     model_json: dict | None = None
@@ -86,12 +86,10 @@ def _execute_job(job: ScenarioJob) -> JobResult:
     cfg: ExperimentConfig = _POOL_STATE["cfg"]
     scenario = prep.scenarios[job.scenario]
     try:
+        train, test = prep.rows(job.scenario)
         matrix = prep.matrix(job.scenario)
-        x_train = matrix.values[scenario.train_indices]
-        y_train = matrix.labels[scenario.train_indices]
-        x_test = matrix.values[scenario.test_indices]
-        y_test = matrix.labels[scenario.test_indices]
-        test_classes = matrix.attack_classes[scenario.test_indices]
+        x_train, y_train = matrix.values[train], matrix.labels[train]
+        x_test, y_test, test_classes = matrix.values[test], matrix.labels[test], matrix.attack_classes[test]
         del matrix  # a train-only scenario's own matrix is not kept while its model trains
 
         if job.model == "forest":
@@ -222,6 +220,10 @@ class _Prepared:
         shared = self.shared.get(scaled)
         return shared if shared is not None else self.fitted[i].matrix(self.base, scaled=scaled)
 
+    def rows(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Scenario i's sorted train and test rows."""
+        return scenario_rows(self.scenarios[i], self.plan, self.catalog)
+
     @property
     def class_index(self) -> dict[str, int]:
         return {name: i + 1 for i, name in enumerate(self.catalog.attack_names)}
@@ -249,7 +251,8 @@ def _fit_transforms(
     cfg: ExperimentConfig,
     base: FeatureMatrix,
     scenarios: list[Scenario],
-    class_names: tuple[str, ...],
+    plan: FoldPlan,
+    catalog: ClassCatalog,
     warnings: list[str],
 ) -> tuple[list[FittedTransform], dict[bool, FeatureMatrix], dict, dict]:
     """Fit, per scenario, the transforms its matrices are built with.
@@ -270,12 +273,13 @@ def _fit_transforms(
         return [fit] * len(scenarios), shared, transforms, summary
 
     fitted, transforms = [], {}
-    keys = _unique_slugs(class_names, slug=str)
+    keys = _unique_slugs(catalog.attack_names, slug=str)
     clamp_total = 0
     for s in scenarios:
         name = BASELINE if s.held_out is None else keys[s.held_out]
         try:
-            fit = preprocess_pipeline(base, "train-only", s.train_indices, unseen=cfg.unseen_category_policy)
+            train, _ = scenario_rows(s, plan, catalog)
+            fit = preprocess_pipeline(base, "train-only", train, unseen=cfg.unseen_category_policy)
         except DataError as exc:
             raise DataError(f"scenario {name!r} fold {s.fold_id}: {exc}") from exc
         fitted.append(fit)
@@ -315,13 +319,15 @@ def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
     for name in plan.sparse_classes:
         warnings.append(f"class {name!r} has fewer rows than folds; it is sparse across folds")
 
-    scenarios = make_known_scenarios(plan, catalog) if with_baseline else []
-    for s in scenarios:
-        warnings.extend(s.warnings)
+    scenarios = []
+    if with_baseline:
+        scenarios = [Scenario(None, f) for f in range(plan.k)]
+        warnings.extend(fold_warnings(plan, catalog))
     scenarios += [s for s in make_zero_day_scenarios(plan, catalog) if s.held_out in selected]
 
     base = encode_table(table)
-    fitted, shared, transforms, prep_summary = _fit_transforms(cfg, base, scenarios, catalog.attack_names, warnings)
+    del table  # nothing reads the loaded table after encoding; free it before any matrix is built
+    fitted, shared, transforms, prep_summary = _fit_transforms(cfg, base, scenarios, plan, catalog, warnings)
     return _Prepared(
         rows_loaded, dropped_rows, catalog, selected, plan, scenarios,
         None if shared else base, fitted, shared, transforms, prep_summary, warnings,
@@ -347,8 +353,7 @@ def _compute_wd(cfg: ExperimentConfig, prep: _Prepared) -> tuple[dict, dict[str,
                 fold_reports.append(
                     per_feature_wd(
                         prep.matrix(i, scaled=cfg.wd_on_scaled),
-                        s.train_indices,
-                        s.test_indices,
+                        *prep.rows(i),
                         held_out_class=name,
                         fold_id=s.fold_id,
                         subsample_cap=cfg.wd_subsample_cap,

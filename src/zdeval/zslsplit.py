@@ -1,26 +1,26 @@
 """Zero-day evaluation splits.
 
-A fold plan stratifies all rows by attack class into k disjoint test folds.
-From it we derive two scenario families, both of the one `Scenario` type:
-the traditional known-attack split (train and test share the full class
-set) and zero-day scenarios, where one attack class is removed from a fold's
-training rows while the test rows keep every class. Mean metrics over the k
-folds are what get reported.
+A fold plan stratifies all rows by attack class into k disjoint test folds,
+recorded as one fold id per row. A scenario is a (held-out class, fold)
+key: the traditional known-attack split (no class held out; train and test
+share the full class set) or a zero-day scenario, where one attack class is
+removed from a fold's training rows while the test rows keep every class.
+`scenario_rows` derives a scenario's rows from the plan where they are used.
+Mean metrics over the k folds are what get reported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .flowdata import ClassCatalog
 
 GENERATOR_ID = "numpy-pcg64"
-_MAX_ROWS = np.iinfo(np.int32).max  # scenario row indices are int32
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Scenario:
     """One fold's train/test split, with one attack class held out of training or none.
 
@@ -28,29 +28,26 @@ class Scenario:
     rows, every class on both sides. Otherwise the training rows are the
     fold's train set minus every row of the held-out class, and the test rows
     are the fold's test set untouched, so the test side mixes seen classes
-    with the unseen one. Both index arrays are sorted int32 row indices.
+    with the unseen one.
     """
 
     held_out: str | None
     fold_id: int
-    train_indices: np.ndarray
-    test_indices: np.ndarray
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
 class FoldPlan:
-    """Stratified k-fold partition of the row indices.
+    """Stratified k-fold partition of the rows.
 
-    Test folds are pairwise disjoint and cover all rows; each fold's train
-    set is the complement of its test set, and each fold is a known-attack
-    `Scenario`. Per class, per-fold test counts differ by at most one.
-    `sparse_classes` flags classes with fewer rows than folds.
+    `fold[i]` is the test fold of row i, in the smallest unsigned dtype that
+    holds k - 1; each fold's train set is every other row. Per class,
+    per-fold test counts differ by at most one. `sparse_classes` flags
+    classes with fewer rows than folds.
     """
 
     k: int
     seed: int
-    folds: tuple[Scenario, ...]
+    fold: np.ndarray
     sparse_classes: tuple[str, ...]
     generator: str = GENERATOR_ID
 
@@ -66,11 +63,10 @@ def make_fold_plan(catalog: ClassCatalog, k: int = 5, seed: int = 0) -> FoldPlan
         raise ValueError(f"fold count must be >= 2, got {k}")
     if k > n:
         raise ValueError(f"fold count {k} exceeds row count {n}")
-    if n > _MAX_ROWS:
-        raise ValueError(f"row count {n} exceeds {_MAX_ROWS}, the most rows that int32 row indices can address")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    test_parts: list[list[np.ndarray]] = [[] for _ in range(k)]
+    fold = np.empty(n, dtype=np.min_scalar_type(k - 1))
+    fold_ids = np.arange(k, dtype=fold.dtype)
     sparse = []
     for code, name in enumerate(catalog.class_order):
         rows = np.flatnonzero(catalog.class_codes == code)
@@ -78,51 +74,36 @@ def make_fold_plan(catalog: ClassCatalog, k: int = 5, seed: int = 0) -> FoldPlan
             continue
         if rows.size < k:
             sparse.append(name)
-        perm = rng.permutation(rows)
         base, rem = divmod(rows.size, k)
-        start = 0
-        for f in range(k):
-            size = base + (1 if f < rem else 0)
-            test_parts[f].append(perm[start : start + size])
-            start += size
-
-    all_idx = np.arange(n, dtype=np.int32)
-    folds = []
-    for f in range(k):
-        test = np.sort(np.concatenate(test_parts[f])) if test_parts[f] else np.empty(0, dtype=np.int64)
-        mask = np.ones(n, dtype=bool)
-        mask[test] = False
-        folds.append(Scenario(None, f, all_idx[mask], test.astype(np.int32)))
-    return FoldPlan(k, seed, tuple(folds), tuple(sparse))
+        fold[rng.permutation(rows)] = np.repeat(fold_ids, base + (fold_ids < rem))
+    return FoldPlan(k, seed, fold, tuple(sparse))
 
 
 def make_zero_day_scenarios(plan: FoldPlan, catalog: ClassCatalog) -> list[Scenario]:
     """All held-out-class x fold combinations (attack classes x k scenarios)."""
-    scenarios = []
-    for name in catalog.attack_names:
-        code = catalog.code_of(name)
-        for fold in plan.folds:
-            keep = catalog.class_codes[fold.train_indices] != code
-            scenarios.append(
-                Scenario(name, fold.fold_id, fold.train_indices[keep], fold.test_indices)
-            )
-    return scenarios
+    return [Scenario(name, f) for name in catalog.attack_names for f in range(plan.k)]
 
 
-def make_known_scenarios(plan: FoldPlan, catalog: ClassCatalog) -> list[Scenario]:
-    """The plan's folds, each with a warning per class that misses a side."""
-    scenarios = []
-    for fold in plan.folds:
-        warnings = []
-        train_codes = set(np.unique(catalog.class_codes[fold.train_indices]).tolist())
-        test_codes = set(np.unique(catalog.class_codes[fold.test_indices]).tolist())
-        for code in sorted(test_codes - train_codes):
-            warnings.append(
-                f"class {catalog.class_order[code]!r} appears in fold {fold.fold_id} test but not train"
-            )
-        for code in sorted(train_codes - test_codes):
-            warnings.append(
-                f"class {catalog.class_order[code]!r} appears in fold {fold.fold_id} train but not test"
-            )
-        scenarios.append(replace(fold, warnings=tuple(warnings)))
-    return scenarios
+def scenario_rows(scenario: Scenario, plan: FoldPlan, catalog: ClassCatalog) -> tuple[np.ndarray, np.ndarray]:
+    """The scenario's sorted train and test row indices."""
+    test = plan.fold == scenario.fold_id
+    train = ~test
+    if scenario.held_out is not None:
+        train &= catalog.class_codes != catalog.code_of(scenario.held_out)
+    return np.flatnonzero(train), np.flatnonzero(test)
+
+
+def fold_warnings(plan: FoldPlan, catalog: ClassCatalog) -> list[str]:
+    """A warning per (fold, class) whose class misses one side of the fold's known-attack split."""
+    n_classes = len(catalog.class_order)
+    in_test = np.bincount(catalog.class_codes * plan.k + plan.fold, minlength=n_classes * plan.k)
+    in_test = in_test.reshape(n_classes, plan.k)
+    in_train = in_test.sum(axis=1, keepdims=True) - in_test
+    warnings = []
+    for f in range(plan.k):
+        test, train = in_test[:, f], in_train[:, f]
+        for code in np.flatnonzero((test > 0) & (train == 0)):
+            warnings.append(f"class {catalog.class_order[code]!r} appears in fold {f} test but not train")
+        for code in np.flatnonzero((train > 0) & (test == 0)):
+            warnings.append(f"class {catalog.class_order[code]!r} appears in fold {f} train but not test")
+    return warnings

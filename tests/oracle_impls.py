@@ -3,7 +3,8 @@
 Everything here is written the naive way on purpose: plain loops, all-pairs
 comparisons, Fraction-exact CDF counting, a fresh sort at every tree node,
 three sorts and two full-length searches per Wasserstein distance, string
-encoding and scaling of the whole table once per fit.
+encoding and scaling of the whole table once per fit, and stored row arrays
+for every fold and zero-day scenario.
 None of it shares code with the package; the forest oracle grows its own
 node objects and writes them out as a model document, so it shares only
 the saved format with the package.
@@ -366,3 +367,56 @@ def string_pipeline(table, train_indices=None, unseen: str = "reserve-code") -> 
         "feature_names": tuple(features), "mappings": mappings, "ranges": ranges, "clamped": clamped,
         "unseen": unseen_list, "unscaled": unscaled, "scaled": scaled,
     }
+
+
+def stored_fold_plan(catalog, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per fold, its sorted (train, test) int32 row arrays, built and stored the old way.
+
+    Same rng draws as the package: one seeded generator, one permutation per
+    nonempty class in class order, dealt into k contiguous chunks whose
+    sizes differ by at most one; chunk f joins fold f's test set.
+    """
+    n = catalog.row_count
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    test_parts: list[list[np.ndarray]] = [[] for _ in range(k)]
+    for code in range(len(catalog.class_order)):
+        rows = np.flatnonzero(catalog.class_codes == code)
+        if rows.size == 0:
+            continue
+        perm = rng.permutation(rows)
+        base, rem = divmod(rows.size, k)
+        start = 0
+        for f in range(k):
+            size = base + (1 if f < rem else 0)
+            test_parts[f].append(perm[start : start + size])
+            start += size
+    folds = []
+    for f in range(k):
+        test = np.sort(np.concatenate(test_parts[f])) if test_parts[f] else np.empty(0, dtype=np.int64)
+        mask = np.ones(n, dtype=bool)
+        mask[test] = False
+        folds.append((np.arange(n, dtype=np.int32)[mask], test.astype(np.int32)))
+    return folds
+
+
+def stored_zero_day_scenarios(folds, catalog) -> dict[tuple[str, int], tuple[np.ndarray, np.ndarray]]:
+    """(class, fold) -> the fold's train rows minus the class's rows, and its test rows."""
+    out = {}
+    for name in catalog.attack_names:
+        code = catalog.class_order.index(name)
+        for f, (train, test) in enumerate(folds):
+            out[(name, f)] = (train[catalog.class_codes[train] != code], test)
+    return out
+
+
+def stored_fold_warnings(folds, catalog) -> list[str]:
+    """Per fold, a warning per class that misses a side, from sets of the stored arrays' codes."""
+    warnings = []
+    for f, (train, test) in enumerate(folds):
+        train_codes = set(np.unique(catalog.class_codes[train]).tolist())
+        test_codes = set(np.unique(catalog.class_codes[test]).tolist())
+        for code in sorted(test_codes - train_codes):
+            warnings.append(f"class {catalog.class_order[code]!r} appears in fold {f} test but not train")
+        for code in sorted(train_codes - test_codes):
+            warnings.append(f"class {catalog.class_order[code]!r} appears in fold {f} train but not test")
+    return warnings

@@ -34,7 +34,7 @@ from zdeval.metrics import auc, basic_metrics, confusion, per_class_positives, z
 from zdeval.preprocess import encode_table, preprocess_pipeline
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
 from zdeval.wdanalysis import wasserstein_1d
-from zdeval.zslsplit import make_fold_plan, make_known_scenarios, make_zero_day_scenarios
+from zdeval.zslsplit import Scenario, make_fold_plan, make_zero_day_scenarios, scenario_rows
 
 
 @contextmanager
@@ -206,16 +206,16 @@ def test_criterion_3_split_invariants():
             k = int(rng.integers(2, min(6, total) + 1))
 
             plan = make_fold_plan(catalog, k=k, seed=int(rng.integers(0, 2**63)))
-            all_test = np.concatenate([f.test_indices for f in plan.folds])
-            assert np.array_equal(np.sort(all_test), np.arange(total))
+            tests = [scenario_rows(Scenario(None, f), plan, catalog)[1] for f in range(k)]
+            assert np.array_equal(np.sort(np.concatenate(tests)), np.arange(total))
             for code in range(len(order)):
-                per_fold = [
-                    int((catalog.class_codes[f.test_indices] == code).sum()) for f in plan.folds
-                ]
+                per_fold = [int((catalog.class_codes[test] == code).sum()) for test in tests]
                 assert max(per_fold) - min(per_fold) <= 1
             for s in make_zero_day_scenarios(plan, catalog):
                 held_code = catalog.code_of(s.held_out)
-                assert not np.any(catalog.class_codes[s.train_indices] == held_code)
+                train, test = scenario_rows(s, plan, catalog)
+                assert not np.any(catalog.class_codes[train] == held_code)
+                assert np.intersect1d(train, test).size == 0
 
 
 def test_criterion_4_mlp_gradient_check():
@@ -275,9 +275,9 @@ def test_criterion_5_classifier_sanity(tmp_path):
         base = encode_table(table)
         matrix = preprocess_pipeline(base).matrix(base)
         catalog = build_catalog(table)
-        fold = make_known_scenarios(make_fold_plan(catalog, 5, seed=1), catalog)[0]
-        x_tr, y_tr = matrix.values[fold.train_indices], matrix.labels[fold.train_indices]
-        x_te, y_te = matrix.values[fold.test_indices], matrix.labels[fold.test_indices]
+        train, test = scenario_rows(Scenario(None, 0), make_fold_plan(catalog, 5, seed=1), catalog)
+        x_tr, y_tr = matrix.values[train], matrix.labels[train]
+        x_te, y_te = matrix.values[test], matrix.labels[test]
 
         for name, scores in (
             ("forest", forest_score(train_forest(x_tr, y_tr, ForestConfig(), seed=2), x_te)),

@@ -212,6 +212,21 @@ class TestCatalog:
         assert catalog.counts["Benign"] == 0
         assert catalog.attack_names == ("A",)
 
+    def test_peak_memory_is_near_the_codes(self):
+        spec = SyntheticSpec(
+            n_benign=30_000, attacks=(AttackBlob("Reconnaissance", 6_000), AttackBlob("DoS", 4_000)), d=1, seed=2
+        )
+        table = synthesize_dataset(spec)
+        tracemalloc.start()
+        try:
+            catalog = build_catalog(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert catalog.counts == {"Benign": 30_000, "Reconnaissance": 6_000, "DoS": 4_000}
+        # a catalog built from a fixed-width unicode copy of the column and a sort of it peaked at about 24x here
+        assert peak <= 3 * catalog.class_codes.nbytes
+
 
 class TestSummarize:
     def test_numeric_stats(self):

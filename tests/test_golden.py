@@ -26,6 +26,7 @@ from zdeval.config import KNOWN_MODELS, config_from_dict
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable, load_csv, write_csv
 from zdeval.harness import _SEED_TRAIN, _prepare, derive_seed, emit_reports, run_experiment
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
+from zdeval.zslsplit import Scenario
 
 GOLDEN_FILES = {
     "metrics_forest.csv": "dbbe496737d8a9cb43a95d5b11f88d8e83052e2f56d0a942e911ec8a8e3bc8ad",
@@ -160,12 +161,12 @@ def categorical_cfg(golden_cfg, tmp_path_factory):
 
 def _job_scores(cfg, prep, model: str, held_out: str | None, fold_id: int) -> np.ndarray:
     """Test scores of one scenario job, trained exactly as the harness trains it."""
-    i, s = next((i, s) for i, s in enumerate(prep.scenarios) if (s.held_out, s.fold_id) == (held_out, fold_id))
+    i = prep.scenarios.index(Scenario(held_out, fold_id))
+    train, test = prep.rows(i)
     matrix = prep.matrix(i)
     class_key = 0 if held_out is None else prep.class_index[held_out]
     seed = derive_seed(cfg.seed, _SEED_TRAIN, KNOWN_MODELS.index(model), class_key, fold_id)
-    x_train, y_train = matrix.values[s.train_indices], matrix.labels[s.train_indices]
-    x_test = matrix.values[s.test_indices]
+    x_train, y_train, x_test = matrix.values[train], matrix.labels[train], matrix.values[test]
     if model == "forest":
         return forest_score(train_forest(x_train, y_train, cfg.forest, seed), x_test)
     return mlp_score(mlp_train(x_train, y_train, cfg.mlp, seed), x_test)

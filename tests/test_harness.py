@@ -28,6 +28,7 @@ from zdeval.harness import (
 )
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
 from zdeval.wdanalysis import per_feature_wd
+from zdeval.zslsplit import Scenario, make_fold_plan, make_zero_day_scenarios, scenario_rows
 from zdeval.preprocess import encode_table, preprocess_pipeline
 
 
@@ -308,15 +309,14 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         # recompute a scenario's scaler stats from its train rows alone
         loaded = load_csv(cfg.dataset, cfg.schema, "Benign")
-        from zdeval.zslsplit import make_fold_plan, make_zero_day_scenarios
-
         catalog = build_catalog(loaded)
         plan = make_fold_plan(catalog, cfg.k, cfg.seed)
         scenario = make_zero_day_scenarios(plan, catalog)[0]
         key = f"{scenario.held_out}/f{scenario.fold_id}"
         recorded = report.transforms[key]["scaler"]
+        train, _ = scenario_rows(scenario, plan, catalog)
         for feat, rng_ in recorded.items():
-            col = loaded.column(feat)[scenario.train_indices]
+            col = loaded.column(feat)[train]
             assert rng_["min"] == float(col.min())
             assert rng_["max"] == float(col.max())
 
@@ -406,14 +406,14 @@ class TestTrainOnlyTransformKeys:
         assert _unique_slugs(("a b", "c"), slug=str) == {"a b": "a b", "c": "c"}
 
 
-def _held_matrices(obj, seen: set[int] | None = None) -> list[np.ndarray]:
-    """Every distinct 2-D array reachable from obj through attributes, dicts and lists."""
+def _held_arrays(obj, seen: set[int] | None = None) -> list[np.ndarray]:
+    """Every distinct array reachable from obj through attributes, dicts and lists."""
     seen = set() if seen is None else seen
     if id(obj) in seen:
         return []
     seen.add(id(obj))
     if isinstance(obj, np.ndarray):
-        return [obj] if obj.ndim == 2 else []
+        return [obj]
     if isinstance(obj, dict):
         items = list(obj.values())
     elif isinstance(obj, (list, tuple)):
@@ -422,7 +422,19 @@ def _held_matrices(obj, seen: set[int] | None = None) -> list[np.ndarray]:
         items = list(vars(obj).values())
     else:
         return []
-    return [m for item in items for m in _held_matrices(item, seen)]
+    return [m for item in items for m in _held_arrays(item, seen)]
+
+
+class TestScenarioMemory:
+    @pytest.mark.parametrize("fit_scope", ["full-dataset", "train-only"])
+    def test_plan_and_scenarios_hold_one_fold_id_per_row(self, synth_csv, fit_scope):
+        path, table = synth_csv
+        cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), fit_scope=fit_scope))
+        prep = _prepare(cfg, with_baseline=True)
+        assert len(prep.scenarios) == 12
+        held = sum(a.nbytes for a in _held_arrays((prep.plan, prep.scenarios)))
+        # stored row arrays per scenario held about 4 bytes per row per scenario, 48 here
+        assert held <= prep.catalog.row_count * np.min_scalar_type(cfg.k - 1).itemsize
 
 
 class TestTrainOnlyUnscaledDistances:
@@ -434,7 +446,7 @@ class TestTrainOnlyUnscaledDistances:
         )
         prep = _prepare(cfg, with_baseline=True)
         assert len(prep.scenarios) == 12
-        assert [id(m) for m in _held_matrices(prep)] == [id(prep.base.values)]
+        assert [id(m) for m in _held_arrays(prep) if m.ndim == 2] == [id(prep.base.values)]
         for i, s in enumerate(prep.scenarios):
             if s.held_out is not None:
                 matrix, wd_matrix = prep.matrix(i), prep.matrix(i, scaled=False)
@@ -478,13 +490,13 @@ class TestDistanceFailureAttribution:
                 base_config_dict(path, table.schema.to_json(), fit_scope="train-only", keep_going=keep_going)
             )
             prep = _prepare(cfg, with_baseline=False)
-            poisoned = next(i for i, s in enumerate(prep.scenarios) if (s.held_out, s.fold_id) == ("beta", 1))
+            poisoned = prep.scenarios.index(Scenario("beta", 1))
             built = prep.matrix
 
             def matrix(i, *, scaled=True):
                 m = built(i, scaled=scaled)
                 if i == poisoned:
-                    m.values[prep.scenarios[i].test_indices[0], 1] = np.nan
+                    m.values[prep.rows(i)[1][0], 1] = np.nan
                 return m
 
             prep.matrix = matrix

@@ -1,14 +1,13 @@
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracle_impls import stored_fold_plan, stored_fold_warnings, stored_zero_day_scenarios
 
 from zdeval.flowdata import ClassCatalog
-from zdeval.zslsplit import make_fold_plan, make_known_scenarios, make_zero_day_scenarios
+from zdeval.zslsplit import Scenario, fold_warnings, make_fold_plan, make_zero_day_scenarios, scenario_rows
 
 
 def catalog_from_counts(counts: dict[str, int], benign_name: str = "Benign") -> ClassCatalog:
@@ -23,20 +22,30 @@ def catalog_from_counts(counts: dict[str, int], benign_name: str = "Benign") -> 
     return ClassCatalog(benign_name, attack_names, full, codes)
 
 
+def known(plan) -> list[Scenario]:
+    """The plan's known-attack scenarios, one per fold."""
+    return [Scenario(None, f) for f in range(plan.k)]
+
+
+def fold_train(s, plan, catalog) -> np.ndarray:
+    return scenario_rows(s, plan, catalog)[0]
+
+
+def fold_test(s, plan, catalog) -> np.ndarray:
+    return scenario_rows(s, plan, catalog)[1]
+
+
 class TestFoldPlan:
     def test_single_class_even_split(self):
         catalog = catalog_from_counts({"Benign": 0, "X": 10})
         plan = make_fold_plan(catalog, k=5, seed=0)
-        for fold in plan.folds:
-            assert fold.test_indices.size == 2
+        assert np.array_equal(np.bincount(plan.fold), [2] * 5)
 
     def test_determinism(self):
         catalog = catalog_from_counts({"Benign": 20, "A": 11, "B": 7})
         p1 = make_fold_plan(catalog, k=5, seed=9)
         p2 = make_fold_plan(catalog, k=5, seed=9)
-        for f1, f2 in zip(p1.folds, p2.folds):
-            assert np.array_equal(f1.test_indices, f2.test_indices)
-            assert np.array_equal(f1.train_indices, f2.train_indices)
+        assert np.array_equal(p1.fold, p2.fold)
 
     def test_sparse_class_flagged(self):
         catalog = catalog_from_counts({"Benign": 20, "A": 3})
@@ -50,36 +59,37 @@ class TestFoldPlan:
         with pytest.raises(ValueError, match="exceeds"):
             make_fold_plan(catalog, k=4, seed=0)
 
-    def test_row_count_beyond_int32_indices_rejected(self):
-        # a stand-in catalog: 2**31 real rows would need gigabytes; the guard
-        # must fire before any row is read or any index is built
-        catalog = SimpleNamespace(row_count=2**31)
-        with pytest.raises(ValueError, match="int32"):
-            make_fold_plan(catalog, k=5, seed=0)
+    @pytest.mark.parametrize(("k", "dtype"), [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_fold_ids_use_the_smallest_unsigned_dtype(self, k, dtype):
+        catalog = catalog_from_counts({"Benign": 300, "A": 10})
+        plan = make_fold_plan(catalog, k=k, seed=0)
+        assert plan.fold.dtype == dtype and plan.fold.shape == (catalog.row_count,)
+        assert int(plan.fold.max()) == k - 1
 
-    def test_indices_are_int32(self):
+    def test_scenarios_hold_no_arrays(self):
         catalog = catalog_from_counts({"Benign": 30, "A": 10, "B": 10})
         plan = make_fold_plan(catalog, k=5, seed=0)
-        scenarios = [*plan.folds, *make_zero_day_scenarios(plan, catalog), *make_known_scenarios(plan, catalog)]
-        for s in scenarios:
-            assert s.train_indices.dtype == np.int32 and s.test_indices.dtype == np.int32
+        for s in [*known(plan), *make_zero_day_scenarios(plan, catalog)]:
+            assert all(not isinstance(v, np.ndarray) for v in vars(s).values())
+        assert Scenario("A", 2) == Scenario("A", 2) and hash(Scenario("A", 2)) == hash(Scenario("A", 2))
 
     def test_partition_properties(self):
         catalog = catalog_from_counts({"Benign": 33, "A": 17, "B": 5})
         plan = make_fold_plan(catalog, k=4, seed=2)
         n = catalog.row_count
-        all_test = np.concatenate([f.test_indices for f in plan.folds])
+        all_test = np.concatenate([fold_test(s, plan, catalog) for s in known(plan)])
         assert np.array_equal(np.sort(all_test), np.arange(n))  # disjoint cover
-        for fold in plan.folds:
-            assert np.intersect1d(fold.train_indices, fold.test_indices).size == 0
-            assert fold.train_indices.size + fold.test_indices.size == n
+        for s in known(plan):
+            train, test = scenario_rows(s, plan, catalog)
+            assert np.intersect1d(train, test).size == 0
+            assert train.size + test.size == n
 
     def test_stratification_within_one(self):
         catalog = catalog_from_counts({"Benign": 23, "A": 11, "B": 6})
         plan = make_fold_plan(catalog, k=5, seed=3)
         for code in range(3):
             per_fold = [
-                int((catalog.class_codes[f.test_indices] == code).sum()) for f in plan.folds
+                int((catalog.class_codes[fold_test(s, plan, catalog)] == code).sum()) for s in known(plan)
             ]
             assert max(per_fold) - min(per_fold) <= 1
 
@@ -87,10 +97,7 @@ class TestFoldPlan:
         catalog = catalog_from_counts({"Benign": 40, "A": 20})
         p1 = make_fold_plan(catalog, k=5, seed=0)
         p2 = make_fold_plan(catalog, k=5, seed=1)
-        assert any(
-            not np.array_equal(f1.test_indices, f2.test_indices)
-            for f1, f2 in zip(p1.folds, p2.folds)
-        )
+        assert not np.array_equal(p1.fold, p2.fold)
 
 
 class TestZeroDayScenarios:
@@ -105,21 +112,21 @@ class TestZeroDayScenarios:
         plan = make_fold_plan(catalog, k=3, seed=0)
         for s in make_zero_day_scenarios(plan, catalog):
             code = catalog.code_of(s.held_out)
-            assert not np.any(catalog.class_codes[s.train_indices] == code)
+            assert not np.any(catalog.class_codes[fold_train(s, plan, catalog)] == code)
 
     def test_test_side_untouched_and_disjoint(self):
         catalog = catalog_from_counts({"Benign": 30, "A": 10, "B": 10})
         plan = make_fold_plan(catalog, k=5, seed=0)
         for s in make_zero_day_scenarios(plan, catalog):
-            fold = plan.folds[s.fold_id]
-            assert np.array_equal(s.test_indices, fold.test_indices)
-            assert np.intersect1d(s.train_indices, s.test_indices).size == 0
+            train, test = scenario_rows(s, plan, catalog)
+            assert np.array_equal(test, fold_test(Scenario(None, s.fold_id), plan, catalog))
+            assert np.intersect1d(train, test).size == 0
 
     def test_generalized_shape_mixes_seen_and_unseen(self):
         catalog = catalog_from_counts({"Benign": 30, "A": 10, "B": 10})
         plan = make_fold_plan(catalog, k=5, seed=0)
         for s in make_zero_day_scenarios(plan, catalog):
-            test_codes = set(catalog.class_codes[s.test_indices].tolist())
+            test_codes = set(catalog.class_codes[fold_test(s, plan, catalog)].tolist())
             assert catalog.code_of(s.held_out) in test_codes
             assert len(test_codes) == 3
 
@@ -127,7 +134,7 @@ class TestZeroDayScenarios:
         catalog = catalog_from_counts({"Benign": 21, "A": 14})
         plan = make_fold_plan(catalog, k=5, seed=0)
         scenarios = [s for s in make_zero_day_scenarios(plan, catalog) if s.held_out == "A"]
-        union = np.concatenate([s.test_indices for s in scenarios])
+        union = np.concatenate([fold_test(s, plan, catalog) for s in scenarios])
         assert np.array_equal(np.sort(union), np.arange(catalog.row_count))
 
     def test_single_attack_class_degenerate(self):
@@ -136,24 +143,23 @@ class TestZeroDayScenarios:
         scenarios = make_zero_day_scenarios(plan, catalog)
         assert len(scenarios) == 2
         for s in scenarios:
-            assert np.all(catalog.class_codes[s.train_indices] == 0)  # benign only
+            assert np.all(catalog.class_codes[fold_train(s, plan, catalog)] == 0)  # benign only
 
 
 class TestKnownScenarios:
     def test_k_scenarios_mirroring_folds(self):
         catalog = catalog_from_counts({"Benign": 30, "A": 10})
         plan = make_fold_plan(catalog, k=5, seed=0)
-        scenarios = make_known_scenarios(plan, catalog)
-        assert len(scenarios) == 5
-        for s, fold in zip(scenarios, plan.folds):
-            assert s.held_out is None and s.fold_id == fold.fold_id
-            assert np.array_equal(s.train_indices, fold.train_indices)
-            assert np.array_equal(s.test_indices, fold.test_indices)
+        assert len(known(plan)) == 5
+        for f, s in enumerate(known(plan)):
+            train, test = scenario_rows(s, plan, catalog)
+            assert np.array_equal(test, np.flatnonzero(plan.fold == f))
+            assert np.array_equal(train, np.flatnonzero(plan.fold != f))
 
     def test_each_row_tested_once(self):
         catalog = catalog_from_counts({"Benign": 13, "A": 9})
         plan = make_fold_plan(catalog, k=3, seed=0)
-        union = np.concatenate([s.test_indices for s in make_known_scenarios(plan, catalog)])
+        union = np.concatenate([fold_test(s, plan, catalog) for s in known(plan)])
         assert np.array_equal(np.sort(union), np.arange(catalog.row_count))
 
     def test_rare_class_warning(self):
@@ -161,8 +167,7 @@ class TestKnownScenarios:
         # training side is missing A entirely
         catalog = catalog_from_counts({"Benign": 10, "A": 1})
         plan = make_fold_plan(catalog, k=2, seed=0)
-        scenarios = make_known_scenarios(plan, catalog)
-        assert any("'A'" in w for s in scenarios for w in s.warnings)
+        assert any("'A'" in w for w in fold_warnings(plan, catalog))
 
 
 @st.composite
@@ -186,12 +191,51 @@ def test_split_invariants_property(case):
     plan = make_fold_plan(catalog, k=k, seed=seed)
     n = catalog.row_count
 
-    all_test = np.concatenate([f.test_indices for f in plan.folds])
+    all_test = np.concatenate([fold_test(s, plan, catalog) for s in known(plan)])
     assert np.array_equal(np.sort(all_test), np.arange(n))
     for code in range(len(catalog.class_order)):
-        per_fold = [int((catalog.class_codes[f.test_indices] == code).sum()) for f in plan.folds]
+        per_fold = [int((catalog.class_codes[fold_test(s, plan, catalog)] == code).sum()) for s in known(plan)]
         assert max(per_fold) - min(per_fold) <= 1
     for s in make_zero_day_scenarios(plan, catalog):
         code = catalog.code_of(s.held_out)
-        assert not np.any(catalog.class_codes[s.train_indices] == code)
-        assert np.intersect1d(s.train_indices, s.test_indices).size == 0
+        train, test = scenario_rows(s, plan, catalog)
+        assert not np.any(catalog.class_codes[train] == code)
+        assert np.intersect1d(train, test).size == 0
+
+
+@st.composite
+def oracle_cases(draw):
+    k = draw(st.integers(2, 7))
+    tiny = draw(st.booleans())  # every class smaller than k, so some folds get no test rows
+    most = k - 1 if tiny else 25
+    counts = {"Benign": draw(st.integers(0, most))}
+    for i in range(draw(st.integers(1, 4))):
+        counts[f"atk{i}"] = draw(st.integers(1, most))
+    return counts, k, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**63 - 1))
+
+
+@given(oracle_cases())
+@example(({"Benign": 2, "atk0": 3, "atk1": 1}, 5, 0, 7))  # folds 3 and 4 have no test rows
+@example(({"Benign": 0, "atk0": 1, "atk1": 1}, 2, 1, 3))  # no benign rows at all
+@settings(max_examples=150, deadline=None)
+def test_derived_rows_match_stored_arrays_oracle(case):
+    counts, k, shuffle, seed = case
+    laid_out = catalog_from_counts(counts)
+    assume(k <= laid_out.row_count)
+    codes = laid_out.class_codes[np.random.default_rng(shuffle).permutation(laid_out.row_count)]
+    catalog = ClassCatalog(laid_out.benign_name, laid_out.attack_names, laid_out.counts, codes)
+    plan = make_fold_plan(catalog, k=k, seed=seed)
+    folds = stored_fold_plan(catalog, k, seed)
+
+    assert plan.sparse_classes == tuple(c for c in catalog.class_order if 0 < catalog.counts[c] < k)
+    for f, (train, test) in enumerate(folds):
+        got_train, got_test = scenario_rows(Scenario(None, f), plan, catalog)
+        assert np.array_equal(got_train, train) and np.array_equal(got_test, test)
+    stored = stored_zero_day_scenarios(folds, catalog)
+    scenarios = make_zero_day_scenarios(plan, catalog)
+    assert [(s.held_out, s.fold_id) for s in scenarios] == list(stored)
+    for s in scenarios:
+        got_train, got_test = scenario_rows(s, plan, catalog)
+        train, test = stored[(s.held_out, s.fold_id)]
+        assert np.array_equal(got_train, train) and np.array_equal(got_test, test)
+    assert fold_warnings(plan, catalog) == stored_fold_warnings(folds, catalog)
