@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -427,10 +428,12 @@ class TableSummary:
 def summarize(table: FlowTable) -> TableSummary:
     """Deterministic dataset summary: class counts, numeric stats, cardinalities.
 
-    Means are computed in float64 with numpy's pairwise summation.
+    Class counts are in sorted-name order. Means are computed in float64
+    with numpy's pairwise summation. The string columns are counted over
+    their interned strings, with no fixed-width copy of a column.
     """
-    classes, counts = np.unique(table.attack_classes.astype(str), return_counts=True)
-    class_counts = {str(c): int(n) for c, n in zip(classes, counts)}
+    counts = Counter(table.attack_classes)
+    class_counts = {name: counts[name] for name in sorted(counts)}
 
     numeric = {}
     for name in table.schema.numeric_names:
@@ -443,7 +446,7 @@ def summarize(table: FlowTable) -> TableSummary:
     cardinality = {}
     for name in table.schema.names:
         if table.schema.kind_of(name) in (ColumnKind.CATEGORICAL, ColumnKind.IDENTIFIER):
-            cardinality[name] = int(np.unique(table.data[name].astype(str)).size) if table.row_count else 0
+            cardinality[name] = len(set(table.data[name]))
 
     return TableSummary(
         row_count=table.row_count,

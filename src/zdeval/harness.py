@@ -8,10 +8,13 @@ artifacts. Everything is keyed off the config seed: two runs with the same
 config and dataset produce identical metrics bytes.
 
 The run's scenarios form one ordered list: the known-attack folds, then
-each selected class's folds in catalog order. A job is (model, scenario
-index, seed). Jobs are independent and can be fanned out over a process
-pool; results are assembled in the order of their scenario indices, so the
-worker count never changes any output byte.
+each selected class's folds in catalog order. A job is (kind, scenario
+index, seed): a distance job computes one zero-day scenario's per-feature
+distances, a model job trains and scores one model on one scenario. A run
+submits its distance jobs ahead of its model jobs to one process pool (the
+`wd` command submits distance jobs alone); results are assembled in the
+order of their scenario indices, so the worker count never changes any
+output byte.
 """
 
 from __future__ import annotations
@@ -59,18 +62,21 @@ def subsample_rows(table: FlowTable, cap: int, seed: int) -> FlowTable:
     return table.take(keep)
 
 
+DISTANCE = "wd"  # the kind of a distance job; a model job's kind is its model's name
+
+
 @dataclass(frozen=True)
 class ScenarioJob:
-    model: str
+    kind: str  # DISTANCE or a model name
     scenario: int  # index into _Prepared.scenarios
     seed: int
 
 
 @dataclass
 class JobResult:
-    model: str
+    kind: str
     scenario: int  # index into _Prepared.scenarios
-    report: MetricsReport | None = None
+    report: MetricsReport | WdReport | None = None
     per_class: dict[str, tuple[int, int]] | None = None
     model_json: dict | None = None
     error: str | None = None
@@ -87,12 +93,25 @@ def _execute_job(job: ScenarioJob) -> JobResult:
     scenario = prep.scenarios[job.scenario]
     try:
         train, test = prep.rows(job.scenario)
+        if job.kind == DISTANCE:
+            # under train-only scope, the matrix is this scenario's own and is dropped after the call
+            report = per_feature_wd(
+                prep.matrix(job.scenario, scaled=cfg.wd_on_scaled),
+                train,
+                test,
+                held_out_class=scenario.held_out,
+                fold_id=scenario.fold_id,
+                subsample_cap=cfg.wd_subsample_cap,
+                seed=job.seed,
+            )
+            return JobResult(job.kind, job.scenario, report)
+
         matrix = prep.matrix(job.scenario)
         x_train, y_train = matrix.values[train], matrix.labels[train]
         x_test, y_test, test_classes = matrix.values[test], matrix.labels[test], matrix.attack_classes[test]
         del matrix  # a train-only scenario's own matrix is not kept while its model trains
 
-        if job.model == "forest":
+        if job.kind == "forest":
             model = train_forest(x_train, y_train, cfg.forest, job.seed)
             scores = forest_score(model, x_test)
             model_json = forest_to_json(model) if cfg.save_models else None
@@ -114,21 +133,61 @@ def _execute_job(job: ScenarioJob) -> JobResult:
         per_class = None
         if scenario.held_out is None:
             per_class = per_class_positives(y_test, y_pred, test_classes, cfg.benign_name).by_class
-        return JobResult(job.model, job.scenario, report, per_class, model_json)
+        return JobResult(job.kind, job.scenario, report, per_class, model_json)
     except Exception as exc:  # noqa: BLE001 - attributed and re-raised by the parent
-        return JobResult(job.model, job.scenario, error=f"{type(exc).__name__}: {exc}")
+        error = str(exc) if job.kind == DISTANCE else f"{type(exc).__name__}: {exc}"
+        return JobResult(job.kind, job.scenario, error=error)
 
 
-def _run_jobs(jobs: list[ScenarioJob], workers: int) -> list[JobResult]:
-    if workers <= 1 or len(jobs) <= 1:
-        return [_execute_job(j) for j in jobs]
+def _attribution(prep: _Prepared, job: ScenarioJob | JobResult) -> str:
+    """The job's key in messages: (class=…, fold=…), led by model=… for a model job."""
+    s = prep.scenarios[job.scenario]
+    where = f"class={BASELINE if s.held_out is None else s.held_out}, fold={s.fold_id}"
+    return f"({where})" if job.kind == DISTANCE else f"(model={job.kind}, {where})"
+
+
+def _run_jobs(cfg: ExperimentConfig, prep: _Prepared, jobs: list[ScenarioJob]) -> list[JobResult]:
+    """The jobs' results in job order: in-process, or on one fork pool when workers > 1.
+
+    A job's own failure comes back as its result's error. Without keep_going
+    the run stops at a failure: jobs that have not started by then are
+    dropped, so the results are those of a prefix of the jobs that holds
+    the first failure in job order. A worker that dies fails the run,
+    naming every job it left without a result.
+    """
+    workers = cfg.resolved_workers()
+    _POOL_STATE.clear()
+    _POOL_STATE.update({"prep": prep, "cfg": cfg})
     try:
+        # without fork, the shared matrices cannot be inherited cheaply
+        if workers <= 1 or len(jobs) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+            results = []
+            for j in jobs:
+                results.append(_execute_job(j))
+                if results[-1].error is not None and not cfg.keep_going:
+                    break
+            return results
         ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        # no fork on this platform; shared matrices cannot be inherited cheaply
-        return [_execute_job(j) for j in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        return list(pool.map(_execute_job, jobs, chunksize=1))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            futures = [pool.submit(_execute_job, j) for j in jobs]
+            if not cfg.keep_going:
+                for f in concurrent.futures.as_completed(futures):
+                    if f.exception() is None and f.result().error is not None:
+                        # the pool starts jobs in submission order: every job before this one has started
+                        for pending in futures:
+                            pending.cancel()
+                        break
+    finally:
+        _POOL_STATE.clear()
+    done = [(j, f) for j, f in zip(jobs, futures) if not f.cancelled()]
+    lost = [(j, f.exception()) for j, f in done if f.exception() is not None]
+    if lost:
+        names = ", ".join(
+            f"{'distance' if j.kind == DISTANCE else 'model'} job {_attribution(prep, j)}" for j, _ in lost
+        )
+        exc = lost[0][1]
+        raise RuntimeError(f"{len(lost)} job(s) returned no result: {names}: {type(exc).__name__}: {exc}") from exc
+    return [f.result() for _, f in done]
 
 
 def _slug(name: str) -> str:
@@ -334,37 +393,34 @@ def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
     )
 
 
-def _compute_wd(cfg: ExperimentConfig, prep: _Prepared) -> tuple[dict, dict[str, float]]:
-    """Per (class, fold) distances plus the fold-mean per class.
+def _distance_jobs(cfg: ExperimentConfig, prep: _Prepared) -> list[ScenarioJob]:
+    """One distance job per zero-day scenario, in scenario order."""
+    class_index = prep.class_index
+    return [
+        ScenarioJob(DISTANCE, i, derive_seed(cfg.seed, _SEED_WD, class_index[s.held_out], s.fold_id))
+        for i, s in enumerate(prep.scenarios)
+        if s.held_out is not None
+    ]
 
-    A failing (class, fold) aborts with attribution, or is skipped with a
+
+def _compute_wd(cfg: ExperimentConfig, prep: _Prepared, results: list[JobResult]) -> tuple[dict, dict[str, float]]:
+    """Per (class, fold) distances plus the fold-mean per class, from the distance jobs' results.
+
+    A failed (class, fold) aborts with attribution, or is skipped with a
     warning when keep_going is set.
     """
     wd_section: dict[str, dict] = {}
     wd_mean_by_class: dict[str, float] = {}
-    class_index = prep.class_index
-    zero_day = [i for i, s in enumerate(prep.scenarios) if s.held_out is not None]
-    for name, group in itertools.groupby(zero_day, key=lambda i: prep.scenarios[i].held_out):
+    for name, group in itertools.groupby(results, key=lambda r: prep.scenarios[r.scenario].held_out):
         fold_reports: list[WdReport] = []
-        for i in group:
-            s = prep.scenarios[i]
-            try:
-                # under train-only scope, the matrix is this scenario's own and is dropped after the call
-                fold_reports.append(
-                    per_feature_wd(
-                        prep.matrix(i, scaled=cfg.wd_on_scaled),
-                        *prep.rows(i),
-                        held_out_class=name,
-                        fold_id=s.fold_id,
-                        subsample_cap=cfg.wd_subsample_cap,
-                        seed=derive_seed(cfg.seed, _SEED_WD, class_index[name], s.fold_id),
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 - attributed below
-                message = f"distance analysis failed (class={name}, fold={s.fold_id}): {exc}"
-                if not cfg.keep_going:
-                    raise RuntimeError(message) from exc
-                prep.warnings.append(message)
+        for r in group:
+            if r.error is None:
+                fold_reports.append(r.report)
+                continue
+            message = f"distance analysis failed {_attribution(prep, r)}: {r.error}"
+            if not cfg.keep_going:
+                raise RuntimeError(message)
+            prep.warnings.append(message)
         if not fold_reports:
             continue
         mean_over_folds = float(np.mean([r.mean_wd for r in fold_reports]))
@@ -437,30 +493,20 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     report = _new_report(cfg, prep)
     report.models = cfg.models
 
-    wd_section, wd_mean_by_class = _compute_wd(cfg, prep)
-    report.wd = wd_section
-
+    # the distance jobs first, then each model's jobs; the results come back in this order
+    jobs = _distance_jobs(cfg, prep)
+    n_distance = len(jobs)
     class_index = prep.class_index
-    jobs: list[ScenarioJob] = []
     for model in cfg.models:
         model_idx = KNOWN_MODELS.index(model)
         for i, s in enumerate(prep.scenarios):
             class_key = 0 if s.held_out is None else class_index[s.held_out]
             jobs.append(ScenarioJob(model, i, derive_seed(cfg.seed, _SEED_TRAIN, model_idx, class_key, s.fold_id)))
+    results = _run_jobs(cfg, prep, jobs)
 
-    _POOL_STATE.clear()
-    _POOL_STATE.update({"prep": prep, "cfg": cfg})
-    try:
-        results = _run_jobs(jobs, cfg.resolved_workers())
-    finally:
-        _POOL_STATE.clear()
-
-    failures = []
-    for r in results:
-        if r.error is not None:
-            s = prep.scenarios[r.scenario]
-            scen = BASELINE if s.held_out is None else s.held_out
-            failures.append(f"scenario failed (model={r.model}, class={scen}, fold={s.fold_id}): {r.error}")
+    report.wd, wd_mean_by_class = _compute_wd(cfg, prep, results[:n_distance])
+    results = results[n_distance:]
+    failures = [f"scenario failed {_attribution(prep, r)}: {r.error}" for r in results if r.error is not None]
     report.warnings.extend(failures)
     if failures and not cfg.keep_going:
         raise RuntimeError(failures[0])
@@ -468,7 +514,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     ok = sorted((r for r in results if r.error is None), key=lambda r: r.scenario)
 
     for model in cfg.models:
-        mine = [(prep.scenarios[r.scenario], r) for r in ok if r.model == model]
+        mine = [(prep.scenarios[r.scenario], r) for r in ok if r.kind == model]
         base = [r for s, r in mine if s.held_out is None]
         if base:
             fold_reports = [r.report for r in base]
@@ -520,7 +566,7 @@ def run_wd_analysis(cfg: ExperimentConfig) -> RunReport:
     """Distribution-distance analysis only, no model training."""
     prep = _prepare(cfg, with_baseline=False)
     report = _new_report(cfg, prep)
-    report.wd, _ = _compute_wd(cfg, prep)
+    report.wd, _ = _compute_wd(cfg, prep, _run_jobs(cfg, prep, _distance_jobs(cfg, prep)))
     return report
 
 

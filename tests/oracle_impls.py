@@ -3,8 +3,9 @@
 Everything here is written the naive way on purpose: plain loops, all-pairs
 comparisons, Fraction-exact CDF counting, a fresh sort at every tree node,
 three sorts and two full-length searches per Wasserstein distance, string
-encoding and scaling of the whole table once per fit, and stored row arrays
-for every fold and zero-day scenario.
+encoding and scaling of the whole table once per fit, stored row arrays
+for every fold and zero-day scenario, and `np.unique` over fixed-width
+copies of the string columns for a table summary.
 None of it shares code with the package; the forest oracle grows its own
 node objects and writes them out as a model document, so it shares only
 the saved format with the package.
@@ -420,3 +421,14 @@ def stored_fold_warnings(folds, catalog) -> list[str]:
         for code in sorted(train_codes - test_codes):
             warnings.append(f"class {catalog.class_order[code]!r} appears in fold {f} train but not test")
     return warnings
+
+
+def unique_summary_counts(table) -> tuple[dict[str, int], dict[str, int]]:
+    """Class counts and string-column cardinalities from `np.unique` over fixed-width copies."""
+    classes, counts = np.unique(table.attack_classes.astype(str), return_counts=True)
+    class_counts = {str(c): int(n) for c, n in zip(classes, counts)}
+    cardinality = {}
+    for name in table.schema.names:
+        if table.schema.kind_of(name).value in ("categorical", "identifier"):
+            cardinality[name] = int(np.unique(table.data[name].astype(str)).size) if table.row_count else 0
+    return class_counts, cardinality

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import make_table, tables_equal
+from oracle_impls import unique_summary_counts
 
 from zdeval import flowdata
 from zdeval.errors import DataError, SchemaError
@@ -254,6 +255,46 @@ class TestSummarize:
         s = summarize(empty)
         assert s.cardinality["proto"] == 0
         assert s.row_count == 0
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],  # empty table
+            [("x1", "tcp", "Benign"), ("x2", "tcp", "Benign")],  # one class
+            # ties: equal class counts in an order unlike the sorted names, repeated identifiers
+            [("b", "udp", "Worms"), ("a", "tcp", "Dos"), ("a", "icmp", "Benign"), ("c", "tcp", "Dos"),
+             ("b", "udp", "Worms"), ("d", "tcp", "Benign")],
+        ],
+        ids=["empty", "one-class", "ties"],
+    )
+    def test_counts_match_unique_oracle(self, small_table, rows):
+        if rows:
+            table = make_table(
+                [{"flow_id": f, "dur": 1.0, "proto": p, "attack_class": c, "label": int(c != "Benign")}
+                 for f, p, c in rows]
+            )
+        else:
+            table = small_table.take(np.array([], dtype=np.int64))
+        s = summarize(table)
+        class_counts, cardinality = unique_summary_counts(table)
+        assert list(s.class_counts.items()) == list(class_counts.items())
+        assert s.cardinality == cardinality
+
+    def test_peak_memory_without_fixed_width_copies(self):
+        spec = SyntheticSpec(
+            n_benign=30_000, attacks=(AttackBlob("Reconnaissance", 6_000), AttackBlob("DoS", 4_000)), d=1, seed=2
+        )
+        table = synthesize_dataset(spec)  # flow_id is a distinct 12-character string per row
+        tracemalloc.start()
+        try:
+            s = summarize(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.cardinality == {"flow_id": 40_000}
+        # a set of the 40k identifiers peaks at about 66 bytes per row; a fixed-width
+        # unicode copy of the column and its sorted copy peaked at about 170
+        assert peak <= 100 * table.row_count
 
 
 class TestInferSchema:

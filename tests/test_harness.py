@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import stat
 from pathlib import Path
@@ -9,12 +10,13 @@ import numpy as np
 import pytest
 from conftest import tables_equal
 
+from zdeval import harness
 from zdeval.classifiers import forest_from_json
-from zdeval.config import apply_overrides, config_from_dict, load_config
+from zdeval.config import KNOWN_MODELS, apply_overrides, config_from_dict, load_config
 from zdeval.errors import ConfigError, DataError
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable, build_catalog, load_csv, write_csv
 from zdeval.harness import (
-    _compute_wd,
+    _SEED_TRAIN,
     _prepare,
     _unique_slugs,
     derive_seed,
@@ -481,15 +483,17 @@ class TestUnseenCategoryError:
 
 class TestDistanceFailureAttribution:
     @pytest.fixture()
-    def poisoned(self, synth_csv):
-        """Train-only run state with a NaN in one test row of (beta, fold 1) only."""
-        path, table = synth_csv
+    def poisoned(self, synth_csv, monkeypatch):
+        """Config of a train-only run whose (beta, fold 1) matrix holds a NaN in one test row.
 
-        def make(keep_going: bool):
-            cfg = config_from_dict(
-                base_config_dict(path, table.schema.to_json(), fit_scope="train-only", keep_going=keep_going)
-            )
-            prep = _prepare(cfg, with_baseline=False)
+        `_prepare` is replaced by one that poisons the prepared state, which
+        pool workers inherit by fork.
+        """
+        path, table = synth_csv
+        prepare = harness._prepare
+
+        def poisoned_prepare(cfg, *, with_baseline):
+            prep = prepare(cfg, with_baseline=with_baseline)
             poisoned = prep.scenarios.index(Scenario("beta", 1))
             built = prep.matrix
 
@@ -500,24 +504,137 @@ class TestDistanceFailureAttribution:
                 return m
 
             prep.matrix = matrix
-            return cfg, prep
+            return prep
+
+        monkeypatch.setattr(harness, "_prepare", poisoned_prepare)
+
+        def make(keep_going: bool, workers: int):
+            return config_from_dict(
+                base_config_dict(
+                    path, table.schema.to_json(), fit_scope="train-only", keep_going=keep_going, workers=workers
+                )
+            )
 
         return make
 
-    def test_keep_going_skips_only_the_failing_fold(self, poisoned):
-        cfg, prep = poisoned(True)
-        wd, means = _compute_wd(cfg, prep)
-        failures = [w for w in prep.warnings if "distance analysis failed" in w]
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_keep_going_skips_only_the_failing_fold(self, poisoned, workers):
+        report = run_wd_analysis(poisoned(True, workers))
+        failures = [w for w in report.warnings if "distance analysis failed" in w]
         assert len(failures) == 1
         assert "class=beta, fold=1" in failures[0] and "finite" in failures[0]
-        assert [f["fold"] for f in wd["beta"]["folds"]] == [0, 2]
-        assert [len(wd[c]["folds"]) for c in ("alpha", "gamma")] == [3, 3]
-        assert set(means) == {"alpha", "beta", "gamma"}
+        assert [f["fold"] for f in report.wd["beta"]["folds"]] == [0, 2]
+        assert [len(report.wd[c]["folds"]) for c in ("alpha", "gamma")] == [3, 3]
+        assert set(report.wd) == {"alpha", "beta", "gamma"}
 
-    def test_without_keep_going_the_run_stops_with_attribution(self, poisoned):
-        cfg, prep = poisoned(False)
-        with pytest.raises(RuntimeError, match=r"class=beta, fold=1"):
-            _compute_wd(cfg, prep)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_without_keep_going_the_run_stops_with_attribution(self, poisoned, workers):
+        with pytest.raises(RuntimeError, match=r"distance analysis failed \(class=beta, fold=1\)"):
+            run_wd_analysis(poisoned(False, workers))
+
+    def test_run_raises_the_distance_failure_before_a_model_failure(self, poisoned, monkeypatch):
+        # model jobs share the pool with the distance jobs; the first model job fails too
+        cfg = poisoned(False, 2)
+        first_model_seed = derive_seed(cfg.seed, _SEED_TRAIN, KNOWN_MODELS.index("forest"), 0, 0)
+        train = harness.train_forest
+
+        def failing_first(x, y, forest_cfg, seed):
+            if seed == first_model_seed:
+                raise ValueError("model job failed on purpose")
+            return train(x, y, forest_cfg, seed)
+
+        monkeypatch.setattr(harness, "train_forest", failing_first)
+        with pytest.raises(RuntimeError, match=r"distance analysis failed \(class=beta, fold=1\)"):
+            run_experiment(cfg)
+        monkeypatch.setattr(harness, "_prepare", _prepare)
+        with pytest.raises(RuntimeError, match=r"scenario failed \(model=forest, class=baseline, fold=0\)"):
+            run_experiment(cfg)
+
+    def test_without_keep_going_no_model_trains_after_a_distance_failure(self, poisoned, monkeypatch):
+        trained = []
+        train = harness.train_forest
+
+        def counted(x, y, forest_cfg, seed):
+            trained.append(seed)
+            return train(x, y, forest_cfg, seed)
+
+        monkeypatch.setattr(harness, "train_forest", counted)
+        with pytest.raises(RuntimeError, match=r"distance analysis failed \(class=beta, fold=1\)"):
+            run_experiment(poisoned(False, 1))
+        assert trained == []
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork")
+class TestDeadWorker:
+    """A worker that dies fails the run at the parent, naming the jobs left without a result."""
+
+    @staticmethod
+    def _exit_in_worker(monkeypatch, name: str, dies) -> None:
+        # in the parent (an in-process run) the wrapped call runs normally
+        parent, func = os.getpid(), getattr(harness, name)
+
+        def wrapped(*args, **kwargs):
+            if os.getpid() != parent and dies(*args, **kwargs):
+                os._exit(1)
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapped)
+
+    def test_a_dead_distance_job_is_named(self, synth_csv, monkeypatch):
+        path, table = synth_csv
+        cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), workers=2))
+        self._exit_in_worker(
+            monkeypatch, "per_feature_wd", lambda *a, held_out_class, fold_id, **kw: (held_out_class, fold_id) == ("beta", 1)
+        )
+        with pytest.raises(RuntimeError, match=r"returned no result: .*distance job \(class=beta, fold=1\)"):
+            run_wd_analysis(cfg)
+
+    def test_a_dead_model_job_is_named(self, synth_csv, monkeypatch):
+        path, table = synth_csv
+        cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), workers=2))
+        prep = _prepare(cfg, with_baseline=True)
+        doomed_seed = derive_seed(
+            cfg.seed, _SEED_TRAIN, KNOWN_MODELS.index("forest"), prep.class_index["gamma"], 2
+        )
+        self._exit_in_worker(monkeypatch, "train_forest", lambda x, y, forest_cfg, seed: seed == doomed_seed)
+        with pytest.raises(RuntimeError, match=r"returned no result: .*model job \(model=forest, class=gamma, fold=2\)"):
+            run_experiment(cfg)
+
+
+def _emitted_bytes(report, out: Path) -> dict[str, bytes]:
+    """Every emitted file's bytes; run.json without its timestamp, paths and worker count."""
+    emit_reports(report, out)
+    files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    doc = json.loads(files["run.json"])
+    del doc["generated_at"], doc["config"]["dataset"], doc["config"]["output_dir"], doc["dataset"]["path"]
+    del doc["config"]["workers"]
+    files["run.json"] = json.dumps(doc, sort_keys=True).encode()
+    return files
+
+
+class TestWorkerCountIdentity:
+    @pytest.mark.parametrize(
+        "command, fit_scope",
+        [("wd", "full-dataset"), ("wd", "train-only"), ("run", "full-dataset")],
+    )
+    def test_one_and_two_workers_emit_the_same_bytes(self, synth_csv, tmp_path, command, fit_scope):
+        path, table = synth_csv
+        work = run_wd_analysis if command == "wd" else run_experiment
+        emitted = []
+        for workers in (1, 2):
+            cfg = config_from_dict(
+                base_config_dict(
+                    path, table.schema.to_json(), fit_scope=fit_scope, workers=workers, save_models=True,
+                    forest={"n_trees": 3},
+                )
+            )
+            emitted.append(_emitted_bytes(work(cfg), tmp_path / f"w{workers}"))
+        assert sorted(emitted[0]) == sorted(emitted[1])
+        assert any(name.startswith("wd_features_") for name in emitted[0])
+        if command == "run":
+            assert any(name.startswith("models/") for name in emitted[0])
+        for name, content in emitted[0].items():
+            assert content == emitted[1][name], name
 
 
 class TestNineClassMatrix:
