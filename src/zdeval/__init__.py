@@ -16,7 +16,6 @@ from .flowdata import (
     FeatureSchema,
     FlowTable,
     build_catalog,
-    infer_schema,
     load_csv,
     summarize,
     write_csv,
@@ -26,7 +25,6 @@ from .preprocess import (
     FittedEncoder,
     FittedScaler,
     FittedTransform,
-    drop_identifiers,
     encode_table,
     preprocess_pipeline,
 )

@@ -127,8 +127,17 @@ def _check_training_data(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _presort(X: np.ndarray) -> np.ndarray:
-    """d x n matrix whose row f lists the row ids in ascending order of feature f."""
-    return np.argsort(X.T, axis=1, kind="stable")
+    """d x n matrix whose row f lists the row ids in ascending order of feature f.
+
+    The order among rows with equal values is whatever numpy's default sort
+    gives, not their row order: no split depends on it. A cut is only valid
+    between two distinct values, and the prefix sums there count the same
+    rows, in whatever order the tied rows before the cut come; the sorted
+    values, and so the thresholds, are the same too (see the module
+    docstring). The partition that follows a split only keeps each feature's
+    rows sorted, so a child inherits the same freedom.
+    """
+    return np.argsort(X.T, axis=1)
 
 
 def _grow_tree(
@@ -154,7 +163,7 @@ def _grow_tree(
     min_leaf = cfg.min_samples_leaf
     attack_weight = weight * y
     goes_left = np.zeros(n, dtype=bool)
-    rows_sorted = order[weight[order] > 0].reshape(d, np.count_nonzero(weight))
+    rows_sorted = order[(weight > 0)[order]].reshape(d, np.count_nonzero(weight))
     node_feature: list[int] = []
     node_threshold: list[float] = []
     node_fraction: list[float] = []

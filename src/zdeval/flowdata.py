@@ -1,18 +1,24 @@
 """Flow-record tables: column schemas, CSV loading, class catalogs, summaries.
 
-A table is stored column-wise: numeric columns as float64 arrays, the binary
-label as an int64 array, and string-valued columns (categorical, identifier,
-attack class) as object arrays of interned strings. Tables are immutable by
-convention: no function in this package mutates a table after construction.
+A table holds its features once, as one row-major n x d float64 block whose
+columns are the schema's feature columns in schema order: a numeric column
+holds its values, a categorical column each row's index into the column's
+sorted distinct values (`FlowTable.categories`). The numeric entries of
+`FlowTable.data` are views of the block's columns; the binary label is an
+int64 array and the string-valued columns (categorical, identifier, attack
+class) are object arrays of interned strings. `load_csv` parses straight
+into the block; a table built from a dict of columns builds it once, at
+construction. Tables are immutable by convention: no function in this
+package mutates a table after construction. (A full-dataset run scales the
+block in place once nothing holds the table; see `harness`.)
 """
 
 from __future__ import annotations
 
 import csv
-import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -115,20 +121,70 @@ class FeatureSchema:
         return cls(tuple(cols))
 
 
+def _category_indices(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A column's sorted distinct values (a `<U` array) and each row's index into them.
+
+    One dict pass over the cells as `str(v)`, then a sort of the distinct
+    values: the result of `np.unique(col.astype(str), return_inverse=True)`
+    without its fixed-width copy of the column.
+    """
+    first: dict[str, int] = {}
+    codes = np.fromiter((first.setdefault(v, len(first)) for v in map(str, col)), dtype=np.intp, count=len(col))
+    categories = sorted(first)
+    index = np.empty(len(categories), dtype=np.intp)
+    index[[first[v] for v in categories]] = np.arange(len(categories))
+    return np.array(categories, dtype=str), index[codes]
+
+
 @dataclass(eq=False)
 class FlowTable:
     """A loaded flow-record dataset.
 
     `data` maps each schema column name to a full-length column: float64 for
     numeric, int64 (0/1) for the binary label, object arrays of strings
-    otherwise. `dropped_rows` counts rows discarded by the loader under the
-    drop policy; it is metadata and excluded from equality.
+    otherwise. `features` is the n x d float64 block of the feature columns
+    (see the module docstring), and the numeric columns of `data` are views
+    of it. Given `features`, its numeric columns are the table's and `data`
+    need not hold them; without it, the block is built from `data`. Either
+    way its categorical columns are filled from `data`. `dropped_rows` counts
+    rows discarded by the loader under the drop policy; it is metadata and
+    excluded from equality.
     """
 
     schema: FeatureSchema
     benign_name: str
     data: dict[str, np.ndarray]
     dropped_rows: int = 0
+    features: np.ndarray | None = None
+    categories: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        schema = self.schema
+        numeric = schema.numeric_names
+        stored = [name for name in schema.names if self.features is None or name not in numeric]
+        for name in stored:
+            if name not in self.data:
+                raise DataError(f"table is missing column {name!r}")
+        n = len(self.data[schema.attack_class_column])
+        for name in stored:
+            if len(self.data[name]) != n:
+                raise DataError(f"column {name!r} has {len(self.data[name])} cells, expected {n}")
+        names = schema.feature_names
+        if self.features is None:
+            self.features = np.empty((n, len(names)))
+            for j, name in enumerate(names):
+                if name in numeric:
+                    self.features[:, j] = self.data[name]
+        elif self.features.shape != (n, len(names)):
+            raise DataError(f"feature block has shape {self.features.shape}, expected {(n, len(names))}")
+        self.categories = {}
+        for j, name in enumerate(names):
+            if name in schema.categorical_names:
+                self.categories[name], self.features[:, j] = _category_indices(self.data[name])
+        self.data = {
+            **{name: self.features[:, j] for j, name in enumerate(names) if name in numeric},
+            **{k: v for k, v in self.data.items() if k not in numeric},
+        }
 
     @property
     def row_count(self) -> int:
@@ -148,16 +204,12 @@ class FlowTable:
     def take(self, indices: np.ndarray) -> "FlowTable":
         """A new table containing the given rows, in the given order."""
         idx = np.asarray(indices, dtype=np.int64)
-        return FlowTable(self.schema, self.benign_name, {k: v[idx] for k, v in self.data.items()})
+        numeric = self.schema.numeric_names
+        data = {k: v[idx] for k, v in self.data.items() if k not in numeric}
+        return FlowTable(self.schema, self.benign_name, data, features=self.features[idx])
 
     def validate(self) -> None:
-        """Check structural invariants; raises DataError on violation."""
-        n = self.row_count
-        for name in self.schema.names:
-            if name not in self.data:
-                raise DataError(f"table is missing column {name!r}")
-            if len(self.data[name]) != n:
-                raise DataError(f"column {name!r} has {len(self.data[name])} cells, expected {n}")
+        """Check value invariants (construction checks the shapes); raises DataError on violation."""
         for name in self.schema.numeric_names:
             col = self.data[name]
             if col.size and not np.isfinite(col).all():
@@ -245,21 +297,41 @@ def _row_chunks(reader, width: int, path: Path) -> Iterator[tuple[list[list[str]
         yield rows, lines
 
 
-def _typed_chunk(
-    rows: list[list[str]], position: dict[str, int], schema: FeatureSchema, benign_name: str
-) -> tuple[dict[str, np.ndarray], dict[int, str]]:
-    """Typed columns of full-width rows, and bad row index -> the row's first reason.
+def _line_end_bound(path: Path) -> int:
+    """An upper bound on the rows of a CSV file: its line ends, plus one.
 
-    A row's first reason is its first bad numeric cell in schema order, else
-    a label other than 0 or 1, else a label that disagrees with the class.
+    A line end is "\n", "\r\n" or a lone "\r", as the reader splits lines;
+    the count runs over the raw bytes in 1 MiB reads.
+    """
+    ends, last = 1, b""
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            ends += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            if last == b"\r" and block[:1] == b"\n":
+                ends -= 1  # a "\r\n" split between two reads
+            last = block[-1:]
+    return ends
+
+
+def _typed_chunk(
+    rows: list[list[str]], position: dict[str, int], schema: FeatureSchema, benign_name: str, out: np.ndarray
+) -> tuple[dict[str, np.ndarray], dict[int, str]]:
+    """Parse full-width rows: numeric cells into `out`, the rest into typed columns.
+
+    `out` is the rows' slice of the feature block; its categorical columns
+    are left as they are. Returns the label and string columns, and bad row
+    index -> the row's first reason: its first bad numeric cell in schema
+    order, else a label other than 0 or 1, else a label that disagrees with
+    the class.
     """
     cells = list(zip(*rows))
     columns: dict[str, np.ndarray] = {}
     bad: dict[int, str] = {}
-    for name in schema.numeric_names:
-        columns[name], column_bad = _parse_numeric_column(cells[position[name]], name)
-        for i, reason in column_bad.items():
-            bad.setdefault(i, reason)
+    for j, name in enumerate(schema.feature_names):
+        if schema.kind_of(name) is ColumnKind.NUMERIC:
+            out[:, j], column_bad = _parse_numeric_column(cells[position[name]], name)
+            for i, reason in column_bad.items():
+                bad.setdefault(i, reason)
 
     raw_labels = cells[position[schema.label_column]]
     labels = np.array([_BINARY_LABELS.get(c.strip(), -1) for c in raw_labels], dtype=np.int64)
@@ -303,8 +375,12 @@ def load_csv(
     ends, so a row with a quoted cell that spans lines is named by its last
     line.
 
-    Rows are parsed in chunks of `_CHUNK_ROWS` straight into typed column
-    parts, so memory peaks at about the final table plus one chunk of cells.
+    The feature block is allocated once, for as many rows as the file has
+    line ends, and rows are parsed in chunks of `_CHUNK_ROWS`: each chunk's
+    numeric cells go straight into the block's next rows (its kept rows
+    only), the other columns into typed parts. Pages of the block past the
+    last row are never written, so they take no memory. The categorical
+    columns of the block are filled once the file is read.
     """
     if on_bad_row not in ("abort", "drop"):
         raise ValueError(f"on_bad_row must be 'abort' or 'drop', got {on_bad_row!r}")
@@ -312,13 +388,13 @@ def load_csv(
     if not path.exists():
         raise DataError(f"dataset file does not exist: {path}")
 
-    # the table's column order: numeric columns, the label, then string columns
-    parts: dict[str, list[np.ndarray]] = {name: [np.empty(0, dtype=np.float64)] for name in schema.numeric_names}
-    parts[schema.label_column] = [np.empty(0, dtype=np.int64)]
+    # the label first, then the string columns; the numeric columns are the block's
+    parts: dict[str, list[np.ndarray]] = {schema.label_column: [np.empty(0, dtype=np.int64)]}
     for name in schema.names:
         if schema.kind_of(name) in _STRING_KINDS:
             parts[name] = [np.empty(0, dtype=object)]
-    dropped = 0
+    block = np.empty((_line_end_bound(path), len(schema.feature_names)))
+    n = dropped = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -338,22 +414,25 @@ def load_csv(
 
         position = {name: i for i, name in enumerate(header)}
         for rows, lines in _row_chunks(reader, len(header), path):
-            columns, bad = _typed_chunk(rows, position, schema, benign_name)
+            out = block[n : n + len(rows)]
+            columns, bad = _typed_chunk(rows, position, schema, benign_name, out)
             if bad and on_bad_row == "abort":
                 first = min(bad)
                 raise DataError(f"line {lines[first]}: {bad[first]} ({path})")
             if bad:
                 keep = np.ones(len(rows), dtype=bool)
                 keep[list(bad)] = False
+                block[n : n + len(rows) - len(bad)] = out[keep]
                 columns = {name: col[keep] for name, col in columns.items()}
                 dropped += len(bad)
+            n += len(rows) - len(bad)
             for name, col in columns.items():
                 parts[name].append(col)
             del rows, lines  # free this chunk's cells before the next one is read
 
     # pop each column's parts as it is joined, so only one column is held twice
     data = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
-    table = FlowTable(schema, benign_name, data, dropped_rows=dropped)
+    table = FlowTable(schema, benign_name, data, dropped_rows=dropped, features=block[:n])
     table.validate()
     return table
 
@@ -455,62 +534,3 @@ def summarize(table: FlowTable) -> TableSummary:
         cardinality=cardinality,
         n_feature_columns=len(table.schema.feature_names),
     )
-
-
-_IDENTIFIER_NAME_RE = re.compile(r"(^|_)(id|ip|ipv4|ipv6|port|addr|time|timestamp|stime|ltime)($|_)", re.IGNORECASE)
-
-
-def infer_schema(
-    path: str | Path,
-    label_column: str,
-    attack_class_column: str,
-    *,
-    sample_rows: int = 10000,
-) -> FeatureSchema:
-    """Guess a schema from a CSV header and a row sample, for human review.
-
-    Columns whose sampled cells all parse as floats become numeric, columns
-    with identifier-looking names (id/ip/port/time...) become identifiers,
-    everything else categorical. Never applied automatically: review the
-    result, correct it, and declare it in the experiment config.
-    """
-    path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"empty CSV file (no header row): {path}") from None
-        sample: list[list[str]] = []
-        for row in reader:
-            if row:
-                sample.append(row)
-            if len(sample) >= sample_rows:
-                break
-
-    if label_column not in header:
-        raise SchemaError(f"label column {label_column!r} not in header")
-    if attack_class_column not in header:
-        raise SchemaError(f"attack class column {attack_class_column!r} not in header")
-
-    columns = []
-    for pos, name in enumerate(header):
-        if name == label_column:
-            columns.append(Column(name, ColumnKind.BINARY_LABEL))
-            continue
-        if name == attack_class_column:
-            columns.append(Column(name, ColumnKind.ATTACK_CLASS))
-            continue
-        if _IDENTIFIER_NAME_RE.search(name):
-            columns.append(Column(name, ColumnKind.IDENTIFIER))
-            continue
-        cells = [row[pos] for row in sample if pos < len(row)]
-        kind = ColumnKind.NUMERIC
-        for cell in cells:
-            try:
-                float(cell)
-            except ValueError:
-                kind = ColumnKind.CATEGORICAL
-                break
-        columns.append(Column(name, kind))
-    return FeatureSchema(tuple(columns))

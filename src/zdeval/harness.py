@@ -15,6 +15,11 @@ submits its distance jobs ahead of its model jobs to one process pool (the
 `wd` command submits distance jobs alone); results are assembled in the
 order of their scenario indices, so the worker count never changes any
 output byte.
+
+The features are held once: the loaded table's feature block is the base
+matrix (`encode_table`), and under full-dataset scope the shared matrix is
+scaled into it in place once the table is dropped, so a run holds one n x d
+float64 matrix unless it reads both a scaled and an unscaled one.
 """
 
 from __future__ import annotations
@@ -83,8 +88,21 @@ class JobResult:
 
 
 # The prepared run and its config, shared with pool workers. Set in the
-# parent before the pool is created; visible in children via fork.
+# parent before the pool is created; visible in children via fork. A pool
+# run also shares one state per job: _QUEUED, then _STARTED and _FINISHED as
+# a worker runs it, so the jobs a dead worker left in flight can be told
+# from those that never started.
 _POOL_STATE: dict = {}
+_QUEUED, _STARTED, _FINISHED = 0, 1, 2
+
+
+def _execute_tracked(slot: int, job: ScenarioJob) -> JobResult:
+    """`_execute_job` in a pool worker, recording the job's state in its slot."""
+    states = _POOL_STATE["states"]
+    states[slot] = _STARTED
+    result = _execute_job(job)
+    states[slot] = _FINISHED
+    return result
 
 
 def _execute_job(job: ScenarioJob) -> JobResult:
@@ -153,7 +171,8 @@ def _run_jobs(cfg: ExperimentConfig, prep: _Prepared, jobs: list[ScenarioJob]) -
     the run stops at a failure: jobs that have not started by then are
     dropped, so the results are those of a prefix of the jobs that holds
     the first failure in job order. A worker that dies fails the run,
-    naming every job it left without a result.
+    naming the jobs that were in flight and counting those that had not
+    started.
     """
     workers = cfg.resolved_workers()
     _POOL_STATE.clear()
@@ -168,8 +187,9 @@ def _run_jobs(cfg: ExperimentConfig, prep: _Prepared, jobs: list[ScenarioJob]) -
                     break
             return results
         ctx = multiprocessing.get_context("fork")
+        states = _POOL_STATE["states"] = ctx.Array("b", len(jobs), lock=False)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            futures = [pool.submit(_execute_job, j) for j in jobs]
+            futures = [pool.submit(_execute_tracked, i, j) for i, j in enumerate(jobs)]
             if not cfg.keep_going:
                 for f in concurrent.futures.as_completed(futures):
                     if f.exception() is None and f.result().error is not None:
@@ -179,14 +199,18 @@ def _run_jobs(cfg: ExperimentConfig, prep: _Prepared, jobs: list[ScenarioJob]) -
                         break
     finally:
         _POOL_STATE.clear()
-    done = [(j, f) for j, f in zip(jobs, futures) if not f.cancelled()]
-    lost = [(j, f.exception()) for j, f in done if f.exception() is not None]
+    done = [(i, f) for i, f in enumerate(futures) if not f.cancelled()]
+    lost = [(i, f.exception()) for i, f in done if f.exception() is not None]
     if lost:
+        in_flight = [jobs[i] for i, _ in lost if states[i] != _QUEUED]
         names = ", ".join(
-            f"{'distance' if j.kind == DISTANCE else 'model'} job {_attribution(prep, j)}" for j, _ in lost
+            f"{'distance' if j.kind == DISTANCE else 'model'} job {_attribution(prep, j)}" for j in in_flight
         )
         exc = lost[0][1]
-        raise RuntimeError(f"{len(lost)} job(s) returned no result: {names}: {type(exc).__name__}: {exc}") from exc
+        raise RuntimeError(
+            f"a pool worker died; {len(in_flight)} job(s) in flight returned no result: {names}; "
+            f"{len(lost) - len(in_flight)} job(s) had not started: {type(exc).__name__}: {exc}"
+        ) from exc
     return [f.result() for _, f in done]
 
 
@@ -266,7 +290,8 @@ class _Prepared:
     plan: FoldPlan
     scenarios: list[Scenario]
     # train-only scope: the encoded, unscaled matrix, the one matrix the run
-    # holds; full-dataset scope keeps `shared` instead, keyed by `scaled`
+    # holds; full-dataset scope keeps `shared` instead, keyed by `scaled`,
+    # one of which was written over the base matrix
     base: FeatureMatrix | None
     fitted: list[FittedTransform]  # aligned with `scenarios`
     shared: dict[bool, FeatureMatrix]
@@ -313,20 +338,28 @@ def _fit_transforms(
     plan: FoldPlan,
     catalog: ClassCatalog,
     warnings: list[str],
+    *,
+    with_models: bool,
 ) -> tuple[list[FittedTransform], dict[bool, FeatureMatrix], dict, dict]:
     """Fit, per scenario, the transforms its matrices are built with.
 
     full-dataset scope: one transform shared by every scenario, whose
-    matrices are built here, once, before the pool forks. train-only scope:
-    one transform per scenario, fitted on that scenario's train rows (so
-    nothing from a scenario's test rows leaks into its transforms); its
-    matrix is built where it is used and dropped afterwards.
+    matrices are built here, once, before the pool forks: the scaled one if
+    models are trained, and the one the distance jobs read (`wd_on_scaled`).
+    Nothing reads the base matrix afterwards, so the last matrix built is
+    written over it in place; a second n x d matrix is built only when both
+    are read. train-only scope: one transform per scenario, fitted on that
+    scenario's train rows (so nothing from a scenario's test rows leaks into
+    its transforms); its matrix is built where it is used and dropped
+    afterwards, and the base matrix is kept.
     """
     if cfg.fit_scope == "full-dataset":
         fit = preprocess_pipeline(base, "full-dataset", unseen=cfg.unseen_category_policy)
-        shared = {True: fit.matrix(base)}
-        if not cfg.wd_on_scaled:
-            shared[False] = fit.matrix(base, scaled=False)
+        reads = sorted({cfg.wd_on_scaled, True} if with_models else {cfg.wd_on_scaled}, reverse=True)
+        shared = {
+            scaled: fit.matrix(base, scaled=scaled, out=base.values if scaled == reads[-1] else None)
+            for scaled in reads
+        }
         transforms = {"full": transforms_to_json(fit, cfg.fit_scope)}
         summary = {"fit_scope": cfg.fit_scope, **fit.counters.to_json()}
         return [fit] * len(scenarios), shared, transforms, summary
@@ -385,8 +418,12 @@ def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
     scenarios += [s for s in make_zero_day_scenarios(plan, catalog) if s.held_out in selected]
 
     base = encode_table(table)
-    del table  # nothing reads the loaded table after encoding; free it before any matrix is built
-    fitted, shared, transforms, prep_summary = _fit_transforms(cfg, base, scenarios, plan, catalog, warnings)
+    # nothing reads the loaded table after encoding, and under full-dataset scope
+    # its feature block is scaled in place, so free it (its strings included) now
+    del table
+    fitted, shared, transforms, prep_summary = _fit_transforms(
+        cfg, base, scenarios, plan, catalog, warnings, with_models=with_baseline
+    )
     return _Prepared(
         rows_loaded, dropped_rows, catalog, selected, plan, scenarios,
         None if shared else base, fitted, shared, transforms, prep_summary, warnings,

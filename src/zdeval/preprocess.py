@@ -4,14 +4,17 @@ Order of operations matches the usual NetFlow tabular recipe: remove flow
 identifiers, turn categorical strings into integer codes, then rescale every
 feature into [0, 1].
 
-The string work is done once per run: `encode_table` turns the table into
-one unscaled float64 base matrix whose categorical columns hold each row's
-index into the column's sorted distinct values. `preprocess_pipeline` then
-fits an encoder and a scaler from row indices alone, and the resulting
-`FittedTransform` builds a scenario's matrix from the base matrix when the
-matrix is needed. The encoder codes by first appearance among the fit rows,
-exactly as encoding the strings of those rows would. Fitted transforms are
-immutable and serializable so a run can be replayed and audited.
+The string work is done when the table is built: its feature block (see
+`flowdata`) has no identifier columns and holds, in each categorical
+column, every row's index into the column's sorted distinct values.
+`encode_table` returns that block as the unscaled base matrix, with no copy.
+`preprocess_pipeline` then fits an encoder and a scaler from row indices
+alone, and the resulting `FittedTransform` builds a scenario's matrix from
+the base matrix when the matrix is needed, or rewrites the base matrix in
+place (`out=`) when nothing reads the base afterwards. The encoder codes by
+first appearance among the fit rows, exactly as encoding the strings of
+those rows would. Fitted transforms are immutable and serializable so a run
+can be replayed and audited.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DataError
-from .flowdata import FeatureSchema, FlowTable
+from .flowdata import FlowTable
 
 
 @dataclass
@@ -108,35 +111,18 @@ class FeatureMatrix:
         return self.values[:, self.feature_names.index(name)]
 
 
-def drop_identifiers(table: FlowTable) -> FlowTable:
-    """Remove identifier-kind columns (ids, IPs, ports, timestamps)."""
-    idents = set(table.schema.identifier_names)
-    if not idents:
-        return table
-    new_schema = FeatureSchema(tuple(c for c in table.schema.columns if c.name not in idents))
-    data = {k: v for k, v in table.data.items() if k not in idents}
-    return FlowTable(new_schema, table.benign_name, data, dropped_rows=table.dropped_rows)
-
-
 def encode_table(table: FlowTable) -> FeatureMatrix:
-    """The table's features as one unscaled float64 base matrix.
+    """The table's features as the unscaled float64 base matrix: its feature block, not a copy.
 
-    This is the only string work of a run: each categorical column becomes
-    its sorted distinct values (`categories`) and every row's index into
-    them. Transforms fitted on any rows of the result map those indices to
-    codes.
+    The block's categorical columns hold every row's index into the
+    feature's sorted distinct values (`categories`); transforms fitted on any
+    rows of the result map those indices to codes. The matrix shares its
+    memory with the table's numeric columns.
     """
-    stripped = drop_identifiers(table)
-    names = stripped.schema.feature_names
-    columns, categories = [], {}
-    for name in names:
-        col = stripped.data[name]
-        if name in stripped.schema.categorical_names:
-            categories[name], col = np.unique(col.astype(str), return_inverse=True)
-        columns.append(col)
-    values = np.column_stack(columns).astype(np.float64, copy=False)
+    schema = table.schema
     return FeatureMatrix(
-        values, names, stripped.labels, stripped.attack_classes, stripped.schema.categorical_names, categories
+        table.features, schema.feature_names, table.labels, table.attack_classes,
+        schema.categorical_names, table.categories,
     )
 
 
@@ -170,24 +156,37 @@ class FittedTransform:
     counters: PrepCounters
     codes: dict[str, np.ndarray]
 
-    def apply(self, base: FeatureMatrix, rows: np.ndarray | None = None, *, scaled: bool = True) -> np.ndarray:
-        """Rows of the base matrix (all by default), encoded and optionally scaled into [0, 1]."""
+    def apply(
+        self,
+        base: FeatureMatrix,
+        rows: np.ndarray | None = None,
+        *,
+        scaled: bool = True,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Rows of the base matrix (all by default), encoded and optionally scaled into [0, 1].
+
+        The result is written into `out` when given, which may be the base
+        matrix's own values: each column is computed whole before it is
+        written, from that column alone, so in place the values are the same.
+        """
         if set(self.scaler.ranges) != set(base.feature_names):
             missing = set(base.feature_names) ^ set(self.scaler.ranges)
             raise ValueError(f"scaler/matrix feature mismatch: {sorted(missing)}")
         values = base.values if rows is None else base.values[rows]
-        out = np.empty_like(values)
+        if out is None:
+            out = np.empty_like(values)
         for j, name in enumerate(base.feature_names):
             col = _coded_column(base, values, j, self.codes)
             out[:, j] = np.clip(_min_max(col, *self.scaler.ranges[name]), 0.0, 1.0) if scaled else col
         return out
 
-    def matrix(self, base: FeatureMatrix, *, scaled: bool = True) -> FeatureMatrix:
-        """The whole base matrix transformed; unscaled with no encoded feature, the base itself."""
+    def matrix(self, base: FeatureMatrix, *, scaled: bool = True, out: np.ndarray | None = None) -> FeatureMatrix:
+        """The whole base matrix transformed, into `out` as `apply` does; unscaled with no encoded feature, the base."""
         if not scaled and not base.categories:
             return base
         return FeatureMatrix(
-            self.apply(base, scaled=scaled), base.feature_names, base.labels, base.attack_classes,
+            self.apply(base, scaled=scaled, out=out), base.feature_names, base.labels, base.attack_classes,
             base.encoded_features,
         )
 

@@ -7,6 +7,7 @@ lines as they complete. Criterion 7 needs a user-supplied full-scale CSV
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import time
@@ -28,7 +29,7 @@ from zdeval.classifiers import (
     tree_score,
 )
 from zdeval.config import config_from_dict
-from zdeval.flowdata import ClassCatalog, build_catalog, infer_schema, write_csv
+from zdeval.flowdata import ClassCatalog, build_catalog, write_csv
 from zdeval.harness import emit_reports, run_experiment
 from zdeval.metrics import auc, basic_metrics, confusion, per_class_positives, zdr
 from zdeval.preprocess import encode_table, preprocess_pipeline
@@ -403,12 +404,17 @@ def test_criterion_7_full_scale_rank_agreement(tmp_path):
     """
     with criterion(7, "full-scale subsample ranks Fuzzers and Exploits hardest (forest)"):
         path = os.environ["ZDEVAL_NF_UNSW_V2_CSV"]
-        schema = infer_schema(path, label_column="Label", attack_class_column="Attack")
+        # NetFlow v2: the endpoint addresses and ports identify flows, every other feature is numeric
+        kinds = {"Label": "binary_label", "Attack": "attack_class"}
+        kinds.update(dict.fromkeys(("IPV4_SRC_ADDR", "L4_SRC_PORT", "IPV4_DST_ADDR", "L4_DST_PORT"), "identifier"))
+        with open(path, encoding="utf-8", newline="") as fh:
+            header = [h.strip() for h in next(csv.reader(fh))]
+        columns = [{"name": h, "kind": kinds.get(h, "numeric")} for h in header]
         cfg = config_from_dict(
             {
                 "dataset": path,
                 "benign_name": "Benign",
-                "columns": schema.to_json(),
+                "columns": columns,
                 "models": ["forest"],
                 "k": 5,
                 "seed": 1,

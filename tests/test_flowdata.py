@@ -15,7 +15,6 @@ from zdeval.flowdata import (
     ColumnKind,
     FeatureSchema,
     build_catalog,
-    infer_schema,
     load_csv,
     summarize,
     write_csv,
@@ -297,26 +296,6 @@ class TestSummarize:
         assert peak <= 100 * table.row_count
 
 
-class TestInferSchema:
-    def test_kinds_guessed_for_review(self, tmp_path):
-        p = tmp_path / "t.csv"
-        write_lines(
-            p,
-            [
-                "src_ip,dur,proto,attack_class,label",
-                "10.0.0.1,1.5,tcp,Benign,0",
-                "10.0.0.2,2.5,udp,Dos,1",
-            ],
-        )
-        schema = infer_schema(p, "label", "attack_class")
-        kinds = {c.name: c.kind for c in schema.columns}
-        assert kinds["src_ip"] is ColumnKind.IDENTIFIER
-        assert kinds["dur"] is ColumnKind.NUMERIC
-        assert kinds["proto"] is ColumnKind.CATEGORICAL
-        assert kinds["label"] is ColumnKind.BINARY_LABEL
-        assert kinds["attack_class"] is ColumnKind.ATTACK_CLASS
-
-
 def test_label_consistency_assertable_over_all_rows(small_table):
     derived = (small_table.attack_classes != small_table.benign_name).astype(int)
     assert np.array_equal(small_table.labels, derived)
@@ -347,6 +326,73 @@ class TestLoadLineNumbers:
         # dropping the bad cell's row leaves the short row, which no policy can repair
         with pytest.raises(DataError, match=r"^row at line 4 has 2 cells"):
             load_csv(p, schema_3col(), "Benign", on_bad_row="drop")
+
+
+class TestLoadLineEnds:
+    """The feature block is sized from the file's line ends; every row lands in it whatever they are."""
+
+    ROWS = [(1.5, "Benign"), (2.5, "dos"), (0.25, "Benign")]
+
+    def expected(self, schema):
+        return make_table(
+            [{"dur": d, "attack_class": c, "label": int(c != "Benign")} for d, c in self.ROWS], schema=schema
+        )
+
+    @pytest.mark.parametrize(
+        "newline, trailing",
+        [("\n", True), ("\r\n", True), ("\r", True), ("\n", False), ("\r\n", False), ("\r", False)],
+        ids=["lf", "crlf", "cr", "lf-no-final", "crlf-no-final", "cr-no-final"],
+    )
+    def test_rows_load_whatever_the_line_ends(self, tmp_path, newline, trailing):
+        lines = ["dur,attack_class,label"] + [f"{d!r},{c},{int(c != 'Benign')}" for d, c in self.ROWS]
+        p = tmp_path / "t.csv"
+        p.write_bytes((newline.join(lines) + (newline if trailing else "")).encode())
+        table = load_csv(p, schema_3col(), "Benign")
+        assert tables_equal(table, self.expected(table.schema))
+        assert table.features.shape == (3, 1)
+
+    def test_quoted_line_ends_and_blank_lines_only_overcount(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_lines(p, ["dur,attack_class,label", "", '1.5,"Ben', 'ign",1', "", "", "2.5,Benign,0", ""])
+        table = load_csv(p, schema_3col(), "Benign")
+        assert table.attack_classes.tolist() == ["Ben\nign", "Benign"]
+        assert table.column("dur").tolist() == [1.5, 2.5]
+        assert table.features.shape == (2, 1)
+
+    @pytest.mark.parametrize(
+        "content, ends",
+        [
+            (b"", 0),
+            (b"a\nb\n", 2),
+            (b"a\r\nb\r\n", 2),
+            (b"a\rb\r", 2),
+            (b"a\r\nb\rc\n\n", 4),
+            (b"a\nb", 1),
+            # a "\r\n" split between two 1 MiB reads is one line end
+            (b"x" * ((1 << 20) - 1) + b"\r\ny\n", 2),
+            (b"x" * ((1 << 20) - 1) + b"\r\ry\n", 3),
+        ],
+        ids=["empty", "lf", "crlf", "cr", "mixed", "no-final", "crlf-split", "cr-cr-split"],
+    )
+    def test_bound_is_the_line_ends_plus_one(self, tmp_path, content, ends):
+        p = tmp_path / "t.csv"
+        p.write_bytes(content)
+        assert flowdata._line_end_bound(p) == ends + 1
+
+
+class TestCategoryIndices:
+    def test_same_as_unique_over_the_str_copy(self):
+        col = np.array(["udp", 1, "1.0", 1.0, True, "tcp", 2, "udp", "10"], dtype=object)
+        categories, index = flowdata._category_indices(col)
+        expect_categories, expect_index = np.unique(col.astype(str), return_inverse=True)
+        assert categories.dtype.kind == "U"
+        assert categories.tolist() == expect_categories.tolist()
+        assert index.tolist() == expect_index.tolist()
+
+    def test_table_block_holds_the_indices(self, small_table):
+        j = small_table.schema.feature_names.index("proto")
+        assert small_table.categories["proto"].tolist() == ["icmp", "tcp", "udp"]
+        assert small_table.features[:, j].tolist() == [1.0, 2.0, 1.0, 0.0, 1.0]
 
 
 class TestLoadChunks:

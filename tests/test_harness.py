@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import re
 import stat
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from zdeval.harness import (
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
 from zdeval.wdanalysis import per_feature_wd
 from zdeval.zslsplit import Scenario, make_fold_plan, make_zero_day_scenarios, scenario_rows
-from zdeval.preprocess import encode_table, preprocess_pipeline
+from zdeval.preprocess import FittedTransform, encode_table, preprocess_pipeline
 
 
 def base_config_dict(csv_path, schema_json, **overrides):
@@ -456,6 +457,70 @@ class TestTrainOnlyUnscaledDistances:
                 assert not np.array_equal(wd_matrix.values, matrix.values)
 
 
+def _buffers(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """The distinct memory blocks behind arrays: a view counts as the array it views."""
+    owners = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        owners[id(a)] = a
+    return list(owners.values())
+
+
+class TestOneFeatureMatrix:
+    """Under full-dataset scope the loaded feature block becomes the run's shared matrix, in place."""
+
+    @pytest.fixture(scope="class")
+    def cat_csv(self, synth_csv, tmp_path_factory):
+        path, table = synth_csv
+        proto = np.where(np.arange(table.row_count) % 3, "tcp", "udp").astype(object)
+        schema = FeatureSchema((*table.schema.columns, Column("proto", ColumnKind.CATEGORICAL)))
+        path = tmp_path_factory.mktemp("cat") / "data.csv"
+        write_csv(FlowTable(schema, table.benign_name, {**table.data, "proto": proto}), path)
+        return path, schema
+
+    def prepare(self, cat_csv, monkeypatch, *, with_baseline, **overrides):
+        """The prepared run, the (scaled, in place) of each matrix built, and the transform out of place."""
+        path, schema = cat_csv
+        cfg = config_from_dict(base_config_dict(path, schema.to_json(), **overrides))
+        built, apply = [], FittedTransform.apply
+
+        def spy(fit, base, rows=None, *, scaled=True, out=None):
+            built.append((scaled, out is base.values))
+            return apply(fit, base, rows, scaled=scaled, out=out)
+
+        monkeypatch.setattr(FittedTransform, "apply", spy)
+        prep = _prepare(cfg, with_baseline=with_baseline)
+        monkeypatch.undo()
+        base = encode_table(load_csv(path, schema, "Benign"))
+        return prep, built, base, preprocess_pipeline(base)
+
+    def big_buffers(self, prep, base):
+        return [b for b in _buffers(_held_arrays(prep)) if b.nbytes >= base.values.nbytes]
+
+    @pytest.mark.parametrize("with_baseline", [True, False])
+    def test_one_matrix_scaled_in_place(self, cat_csv, monkeypatch, with_baseline):
+        prep, built, base, fit = self.prepare(cat_csv, monkeypatch, with_baseline=with_baseline)
+        assert built == [(True, True)]
+        assert prep.base is None and list(prep.shared) == [True]
+        assert len(self.big_buffers(prep, base)) == 1
+        assert prep.shared[True].values.tobytes() == fit.apply(base).tobytes()
+
+    def test_wd_on_unscaled_builds_no_scaled_matrix(self, cat_csv, monkeypatch):
+        prep, built, base, fit = self.prepare(cat_csv, monkeypatch, with_baseline=False, wd_on_scaled=False)
+        assert built == [(False, True)]
+        assert list(prep.shared) == [False]
+        assert len(self.big_buffers(prep, base)) == 1
+        assert prep.shared[False].values.tobytes() == fit.apply(base, scaled=False).tobytes()
+
+    def test_run_on_unscaled_distances_builds_a_second_matrix(self, cat_csv, monkeypatch):
+        prep, built, base, fit = self.prepare(cat_csv, monkeypatch, with_baseline=True, wd_on_scaled=False)
+        assert built == [(True, False), (False, True)]
+        assert len(self.big_buffers(prep, base)) == 2
+        assert prep.shared[True].values.tobytes() == fit.apply(base).tobytes()
+        assert prep.shared[False].values.tobytes() == fit.apply(base, scaled=False).tobytes()
+
+
 class TestUnseenCategoryError:
     @pytest.mark.parametrize("work", [run_wd_analysis, run_experiment])
     def test_error_names_the_scenario(self, tmp_path, work):
@@ -599,6 +664,21 @@ class TestDeadWorker:
         self._exit_in_worker(monkeypatch, "train_forest", lambda x, y, forest_cfg, seed: seed == doomed_seed)
         with pytest.raises(RuntimeError, match=r"returned no result: .*model job \(model=forest, class=gamma, fold=2\)"):
             run_experiment(cfg)
+
+    def test_only_the_jobs_in_flight_are_named(self, synth_csv, monkeypatch):
+        # 21 jobs on 2 workers: 9 distance jobs, then 12 forest jobs
+        path, table = synth_csv
+        cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), workers=2))
+        self._exit_in_worker(
+            monkeypatch, "per_feature_wd", lambda *a, held_out_class, fold_id, **kw: (held_out_class, fold_id) == ("alpha", 0)
+        )
+        with pytest.raises(RuntimeError) as raised:
+            run_experiment(cfg)
+        message = str(raised.value)
+        named = re.findall(r"(?:distance|model) job \([^)]*\)", message)
+        assert "distance job (class=alpha, fold=0)" in named
+        assert len(named) <= 2, message
+        assert re.search(r"\b\d+ job\(s\) had not started", message), message
 
 
 def _emitted_bytes(report, out: Path) -> dict[str, bytes]:

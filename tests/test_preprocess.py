@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from zdeval.preprocess import (
     FittedScaler,
     FittedTransform,
     PrepCounters,
-    drop_identifiers,
     encode_table,
     preprocess_pipeline,
     transforms_to_json,
@@ -35,19 +36,6 @@ def fit(table, train_indices=None, **kwargs) -> tuple[FeatureMatrix, FittedTrans
     base = encode_table(table)
     scope = "full-dataset" if train_indices is None else "train-only"
     return base, preprocess_pipeline(base, scope, train_indices, **kwargs)
-
-
-class TestDropIdentifiers:
-    def test_identifier_removed(self, small_table):
-        out = drop_identifiers(small_table)
-        assert "flow_id" not in out.schema.names
-        assert out.row_count == small_table.row_count
-        assert out.column("dur").tolist() == small_table.column("dur").tolist()
-        assert encode_table(small_table).feature_names == ("dur", "proto")
-
-    def test_no_identifiers_is_identity(self):
-        table = cat_table(["tcp", "udp"])
-        assert drop_identifiers(table) is table
 
 
 class TestEncoder:
@@ -92,6 +80,32 @@ class TestEncoder:
         assert encode_table(table.take(np.array([], dtype=np.int64))).values.shape == (0, 1)
         base, t = fit(table)
         assert t.apply(base, np.array([], dtype=np.int64)).shape == (0, 1)
+
+    def test_identifiers_are_not_features(self, small_table):
+        assert encode_table(small_table).feature_names == ("dur", "proto")
+
+    def test_base_matrix_is_the_tables_block(self, small_table):
+        base = encode_table(small_table)
+        assert base.values is small_table.features
+        assert np.shares_memory(base.values, small_table.column("dur"))
+        assert base.values.flags.c_contiguous
+
+    def test_encoding_allocates_no_matrix(self):
+        table = make_table(
+            [
+                {"proto": ("tcp", "udp")[i % 2], **{f"x{k}": float(i * k) for k in range(20)},
+                 "attack_class": "A" if i % 3 == 0 else "Benign", "label": int(i % 3 == 0)}
+                for i in range(5000)
+            ]
+        )
+        tracemalloc.start()
+        try:
+            base = encode_table(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # stacking the columns into a new matrix allocated at least n x d float64
+        assert peak < base.n_rows * base.n_features * 8
 
     def test_labels_preserved_exactly(self, small_table):
         base = encode_table(small_table)
@@ -278,6 +292,11 @@ class TestStringOracle:
         assert t.apply(base, rows, scaled=False).tobytes() == expected["unscaled"][rows].tobytes()
         assert t.matrix(base).values.tobytes() == expected["scaled"].tobytes()
         assert t.matrix(base, scaled=False).values.tobytes() == expected["unscaled"].tobytes()
+        for scaled in (True, False):
+            # written over a copy of the base matrix, in place, as a full-dataset run does
+            values = base.values.copy()
+            t.apply(dataclasses.replace(base, values=values), scaled=scaled, out=values)
+            assert values.tobytes() == expected["scaled" if scaled else "unscaled"].tobytes()
 
     @given(_tables())
     @settings(max_examples=100, deadline=None)
