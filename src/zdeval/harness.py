@@ -202,14 +202,16 @@ def _run_jobs(cfg: ExperimentConfig, prep: _Prepared, jobs: list[ScenarioJob]) -
     done = [(i, f) for i, f in enumerate(futures) if not f.cancelled()]
     lost = [(i, f.exception()) for i, f in done if f.exception() is not None]
     if lost:
-        in_flight = [jobs[i] for i, _ in lost if states[i] != _QUEUED]
+        # a job that finished before the pool broke may still have lost its result
+        in_flight = [jobs[i] for i, _ in lost if states[i] == _STARTED]
         names = ", ".join(
             f"{'distance' if j.kind == DISTANCE else 'model'} job {_attribution(prep, j)}" for j in in_flight
         )
+        queued = sum(states[i] == _QUEUED for i, _ in lost)
         exc = lost[0][1]
         raise RuntimeError(
-            f"a pool worker died; {len(in_flight)} job(s) in flight returned no result: {names}; "
-            f"{len(lost) - len(in_flight)} job(s) had not started: {type(exc).__name__}: {exc}"
+            f"a pool worker died; {len(lost)} job(s) returned no result: {len(in_flight)} in flight ({names}), "
+            f"{queued} not started: {type(exc).__name__}: {exc}"
         ) from exc
     return [f.result() for _, f in done]
 
