@@ -368,9 +368,9 @@ class TestLoadLineEnds:
             (b"a\rb\r", 2),
             (b"a\r\nb\rc\n\n", 4),
             (b"a\nb", 1),
-            # a "\r\n" split between two 1 MiB reads is one line end
-            (b"x" * ((1 << 20) - 1) + b"\r\ny\n", 2),
-            (b"x" * ((1 << 20) - 1) + b"\r\ry\n", 3),
+            # a "\r\n" split between two reads is one line end
+            (b"x" * (flowdata._COUNT_BYTES - 1) + b"\r\ny\n", 2),
+            (b"x" * (flowdata._COUNT_BYTES - 1) + b"\r\ry\n", 3),
         ],
         ids=["empty", "lf", "crlf", "cr", "mixed", "no-final", "crlf-split", "cr-cr-split"],
     )
