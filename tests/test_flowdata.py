@@ -394,6 +394,13 @@ class TestCategoryIndices:
         assert small_table.categories["proto"].tolist() == ["icmp", "tcp", "udp"]
         assert small_table.features[:, j].tolist() == [1.0, 2.0, 1.0, 0.0, 1.0]
 
+    def test_taken_rows_index_their_own_values(self, small_table):
+        taken = small_table.take(np.array([3, 1]))
+        j = small_table.schema.feature_names.index("proto")
+        assert taken.categories["proto"].tolist() == ["icmp", "udp"]
+        assert taken.features[:, j].tolist() == [0.0, 1.0]
+        assert taken.column("dur").tolist() == [4.0, 2.0]
+
 
 class TestLoadChunks:
     """Files longer than one parse chunk: rows, errors and drops across chunk boundaries."""
