@@ -58,7 +58,7 @@ from .metrics import (
     scenario_report,
     zdr,
 )
-from .wdanalysis import WdReport, per_feature_wd, rank_correlation, wasserstein_1d
+from .wdanalysis import WdReport, per_feature_wd, rank_correlation
 from .synth import AttackBlob, SyntheticSpec, synthesize_dataset
 from .config import ExperimentConfig, apply_overrides, config_from_dict, load_config
 from .harness import RunReport, emit_reports, run_experiment, run_wd_analysis

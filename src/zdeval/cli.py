@@ -143,7 +143,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    table = load_csv(cfg.dataset, cfg.schema, cfg.benign_name, on_bad_row=cfg.on_bad_row)
+    table = load_csv(cfg.dataset, cfg.schema, cfg.benign_name, on_bad_row=cfg.on_bad_row, keep_identifiers=True)
     catalog = build_catalog(table)
     summary = summarize(table)
     out = summary.to_json()

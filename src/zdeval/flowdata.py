@@ -7,8 +7,10 @@ sorted distinct values (`FlowTable.categories`). The numeric entries of
 `FlowTable.data` are views of the block's columns; the binary label is an
 int64 array and the string-valued columns (categorical, identifier, attack
 class) are object arrays of interned strings. `load_csv` parses straight
-into the block; a table built from a dict of columns builds it once, at
-construction. Tables are immutable by convention: no function in this
+into the block, with numpy's C reader while the file's chunks are clean and
+with the `csv` module from the first chunk that is not; it keeps the
+identifier columns only when asked. A table built from a dict of columns
+builds its block once, at construction. Tables are immutable by convention: no function in this
 package mutates a table after construction. (A full-dataset run scales the
 block in place once nothing holds the table; see `harness`.)
 """
@@ -16,7 +18,9 @@ block in place once nothing holds the table; see `harness`.)
 from __future__ import annotations
 
 import csv
+import itertools
 import sys
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -148,9 +152,10 @@ class FlowTable:
     (see the module docstring), and the numeric columns of `data` are views
     of it. Given `features`, its numeric columns are the table's and `data`
     need not hold them; without it, the block is built from `data`. Either
-    way its categorical columns are filled from `data`. `dropped_rows` counts
-    rows discarded by the loader under the drop policy; it is metadata and
-    excluded from equality.
+    way its categorical columns are filled from `data`. `data` may leave out
+    the identifier columns, as `load_csv` does unless asked to keep them.
+    `dropped_rows` counts rows discarded by the loader under the drop
+    policy; it is metadata and excluded from equality.
     """
 
     schema: FeatureSchema
@@ -165,8 +170,9 @@ class FlowTable:
         numeric = schema.numeric_names
         stored = [name for name in schema.names if self.features is None or name not in numeric]
         for name in stored:
-            if name not in self.data:
+            if name not in self.data and name not in schema.identifier_names:
                 raise DataError(f"table is missing column {name!r}")
+        stored = [name for name in stored if name in self.data]
         n = len(self.data[schema.attack_class_column])
         for name in stored:
             if len(self.data[name]) != n:
@@ -276,10 +282,12 @@ def _parse_numeric_column(raw: Sequence[str], name: str) -> tuple[np.ndarray, di
     return out, bad
 
 
-def _row_chunks(reader, width: int, path: Path) -> Iterator[tuple[list[list[str]], list[int]]]:
+def _row_chunks(reader, width: int, path: Path, offset: int) -> Iterator[tuple[list[list[str]], list[int]]]:
     """Nonblank rows in chunks of `_CHUNK_ROWS`, each with the file lines its rows end on.
 
-    A row of the wrong width raises DataError once the rows before it are yielded.
+    `offset` is the number of file lines read before the reader's first
+    line. A row of the wrong width raises DataError once the rows before it
+    are yielded.
     """
     rows: list[list[str]] = []
     lines: list[int] = []
@@ -289,9 +297,11 @@ def _row_chunks(reader, width: int, path: Path) -> Iterator[tuple[list[list[str]
         if len(row) != width:
             if rows:
                 yield rows, lines
-            raise DataError(f"row at line {reader.line_num} has {len(row)} cells, expected {width} ({path})")
+            raise DataError(
+                f"row at line {offset + reader.line_num} has {len(row)} cells, expected {width} ({path})"
+            )
         rows.append(row)
-        lines.append(reader.line_num)
+        lines.append(offset + reader.line_num)
         if len(rows) == _CHUNK_ROWS:
             yield rows, lines
             rows, lines = [], []
@@ -319,15 +329,20 @@ def _line_end_bound(path: Path) -> int:
 
 
 def _typed_chunk(
-    rows: list[list[str]], position: dict[str, int], schema: FeatureSchema, benign_name: str, out: np.ndarray
+    rows: list[list[str]],
+    position: dict[str, int],
+    schema: FeatureSchema,
+    benign_name: str,
+    strings: tuple[str, ...],
+    out: np.ndarray,
 ) -> tuple[dict[str, np.ndarray], dict[int, str]]:
     """Parse full-width rows: numeric cells into `out`, the rest into typed columns.
 
     `out` is the rows' slice of the feature block; its categorical columns
-    are left as they are. Returns the label and string columns, and bad row
-    index -> the row's first reason: its first bad numeric cell in schema
-    order, else a label other than 0 or 1, else a label that disagrees with
-    the class.
+    are left as they are. Returns the label and the string columns named in
+    `strings`, and bad row index -> the row's first reason: its first bad
+    numeric cell in schema order, else a label other than 0 or 1, else a
+    label that disagrees with the class.
     """
     cells = list(zip(*rows))
     columns: dict[str, np.ndarray] = {}
@@ -345,9 +360,8 @@ def _typed_chunk(
         labels[i] = 0
     columns[schema.label_column] = labels
 
-    for name in schema.names:
-        if schema.kind_of(name) in _STRING_KINDS:
-            columns[name] = np.fromiter(map(sys.intern, cells[position[name]]), dtype=object, count=len(rows))
+    for name in strings:
+        columns[name] = np.fromiter(map(sys.intern, cells[position[name]]), dtype=object, count=len(rows))
 
     class_col = columns[schema.attack_class_column]
     expect = (class_col != benign_name).astype(np.int64)
@@ -360,12 +374,46 @@ def _typed_chunk(
     return columns, bad
 
 
+def _recorded(lines: Iterator[str], handed: list[str]) -> Iterator[str]:
+    """The lines of `lines`, each appended to `handed` as it is handed out."""
+    for line in lines:
+        handed.append(line)
+        yield line
+
+
+def _clean_columns(
+    chunk: np.ndarray, schema: FeatureSchema, benign_name: str, strings: tuple[str, ...], out: np.ndarray
+) -> dict[str, np.ndarray] | None:
+    """The label and string columns of a chunk parsed by `np.loadtxt`, or None when it is not clean.
+
+    A chunk is clean when every numeric cell is finite and every label
+    strips to 0 or 1 and agrees with its row's class. The numeric fields are
+    written into `out`, the rows' slice of the feature block, as they are
+    checked.
+    """
+    for j, name in enumerate(schema.feature_names):
+        if schema.kind_of(name) is ColumnKind.NUMERIC:
+            if not np.isfinite(chunk[name]).all():
+                return None
+            out[:, j] = chunk[name]
+    labels = np.fromiter(
+        (_BINARY_LABELS.get(c.strip(), -1) for c in chunk[schema.label_column]), dtype=np.int64, count=len(chunk)
+    )
+    columns = {schema.label_column: labels}
+    for name in strings:
+        columns[name] = np.fromiter(map(sys.intern, chunk[name]), dtype=object, count=len(chunk))
+    if not np.array_equal(labels, columns[schema.attack_class_column] != benign_name):
+        return None
+    return columns
+
+
 def load_csv(
     path: str | Path,
     schema: FeatureSchema,
     benign_name: str,
     *,
     on_bad_row: str = "abort",
+    keep_identifiers: bool = False,
 ) -> FlowTable:
     """Load an RFC-4180 CSV into a FlowTable.
 
@@ -378,14 +426,25 @@ def load_csv(
     with the wrong number of cells raises DataError under either policy.
     Blank lines are skipped. An error names the file line on which its row
     ends, so a row with a quoted cell that spans lines is named by its last
-    line.
+    line. The identifier columns are checked like any other, but their
+    cells are kept only with `keep_identifiers`: no analysis reads them, and
+    only `summarize` and `write_csv` need them.
 
     The feature block is allocated once, for as many rows as the file has
-    line ends, and rows are parsed in chunks of `_CHUNK_ROWS`: each chunk's
-    numeric cells go straight into the block's next rows (its kept rows
-    only), the other columns into typed parts. Pages of the block past the
-    last row are never written, so they take no memory. The categorical
-    columns of the block are filled once the file is read.
+    line ends, and rows are parsed in chunks of `_CHUNK_ROWS`. Each chunk is
+    first parsed by numpy's C reader (`np.loadtxt`) from a generator that
+    pulls the file's lines as the reader asks for them, so a quoted cell
+    that spans lines is read whole. While every chunk is clean (see
+    `_clean_columns`), its numeric cells go straight into the block's next
+    rows and its label and string columns into typed parts. The first chunk
+    that is not clean -- `loadtxt` rejects a cell or a row's width, a numeric
+    cell is not finite, or a label is bad or disagrees with the class --
+    is parsed again from its recorded lines by the `csv` module, and so is
+    the rest of the file. The csv path is the reference: it alone reports
+    or drops bad rows, and on every chunk that `loadtxt` accepts it yields
+    the same cells. Pages of the block past the last row are never written,
+    so they take no memory. The categorical columns of the block are filled
+    once the file is read.
     """
     if on_bad_row not in ("abort", "drop"):
         raise ValueError(f"on_bad_row must be 'abort' or 'drop', got {on_bad_row!r}")
@@ -393,11 +452,16 @@ def load_csv(
     if not path.exists():
         raise DataError(f"dataset file does not exist: {path}")
 
+    strings = tuple(
+        name
+        for name in schema.names
+        if schema.kind_of(name) in _STRING_KINDS
+        and (keep_identifiers or schema.kind_of(name) is not ColumnKind.IDENTIFIER)
+    )
     # the label first, then the string columns; the numeric columns are the block's
     parts: dict[str, list[np.ndarray]] = {schema.label_column: [np.empty(0, dtype=np.int64)]}
-    for name in schema.names:
-        if schema.kind_of(name) in _STRING_KINDS:
-            parts[name] = [np.empty(0, dtype=object)]
+    for name in strings:
+        parts[name] = [np.empty(0, dtype=object)]
     block = np.empty((_line_end_bound(path), len(schema.feature_names)))
     n = dropped = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -417,10 +481,41 @@ def load_csv(
         if extra:
             raise SchemaError(f"CSV has column {sorted(extra)[0]!r} not present in schema ({path})")
 
+        # every column is a field, so loadtxt checks each row's width; an identifier
+        # not kept is a zero-width string, which holds none of its cell
+        fields = {ColumnKind.NUMERIC: "f8", ColumnKind.IDENTIFIER: "O" if keep_identifiers else "U0"}
+        dtype = np.dtype([(name, fields.get(schema.kind_of(name), "O")) for name in header])
+        handed: list[str] = []
+        pulled = _recorded(fh, handed)
+        offset = reader.line_num  # file lines before the first line of `handed`
+        with warnings.catch_warnings():
+            # blank lines and an empty chunk are not errors here, as they are not in the csv path
+            warnings.filterwarnings("ignore", r"(loadtxt: input|input line \d+) contained no data", UserWarning)
+            while True:
+                try:
+                    chunk = np.loadtxt(
+                        pulled, delimiter=",", quotechar='"', comments=None, dtype=dtype,
+                        max_rows=_CHUNK_ROWS, ndmin=1,
+                    )
+                except ValueError:
+                    break
+                columns = _clean_columns(chunk, schema, benign_name, strings, block[n : n + len(chunk)])
+                if columns is None:
+                    break
+                for name, col in columns.items():
+                    parts[name].append(col)
+                n += len(chunk)
+                offset += len(handed)
+                handed.clear()
+                if len(chunk) < _CHUNK_ROWS:
+                    break  # the file is read
+
+        # the csv path: the chunk that was not clean, if any, and the rest of the file
         position = {name: i for i, name in enumerate(header)}
-        for rows, lines in _row_chunks(reader, len(header), path):
+        reader = csv.reader(itertools.chain(handed, fh))
+        for rows, lines in _row_chunks(reader, len(header), path, offset):
             out = block[n : n + len(rows)]
-            columns, bad = _typed_chunk(rows, position, schema, benign_name, out)
+            columns, bad = _typed_chunk(rows, position, schema, benign_name, strings, out)
             if bad and on_bad_row == "abort":
                 first = min(bad)
                 raise DataError(f"line {lines[first]}: {bad[first]} ({path})")
@@ -442,12 +537,22 @@ def load_csv(
     return table
 
 
+def _require_identifiers(table: FlowTable, what: str) -> None:
+    for name in table.schema.identifier_names:
+        if name not in table.data:
+            raise DataError(
+                f"{what} needs identifier column {name!r}, and the table has none: "
+                "load it with keep_identifiers=True"
+            )
+
+
 def write_csv(table: FlowTable, path: str | Path) -> None:
     """Write a table back to CSV; reloading with the same schema round-trips.
 
     Floats are written with repr, the shortest digit string that parses back
     to the identical float64.
     """
+    _require_identifiers(table, "write_csv")
     schema = table.schema
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -516,6 +621,7 @@ def summarize(table: FlowTable) -> TableSummary:
     with numpy's pairwise summation. The string columns are counted over
     their interned strings, with no fixed-width copy of a column.
     """
+    _require_identifiers(table, "summarize")
     counts = Counter(table.attack_classes)
     class_counts = {name: counts[name] for name in sorted(counts)}
 

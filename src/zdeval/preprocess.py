@@ -137,8 +137,16 @@ def _coded_column(base: FeatureMatrix, values: np.ndarray, j: int, codes: dict[s
 
 
 def _min_max(col: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Min-max scaled column, before clamping; a constant feature maps to 0."""
-    return (col - lo) / (hi - lo) if hi > lo else np.zeros_like(col)
+    """Min-max scaled column, before clamping; a constant feature maps to 0.
+
+    A range wider than the largest float (hi - lo overflows) is scaled with
+    both sides halved, which keeps every term finite.
+    """
+    if not hi > lo:
+        return np.zeros_like(col)
+    if not np.isfinite(hi - lo):
+        return (col / 2 - lo / 2) / (hi / 2 - lo / 2)
+    return (col - lo) / (hi - lo)
 
 
 @dataclass(eq=False)
@@ -243,6 +251,8 @@ def preprocess_pipeline(
     for j, name in enumerate(base.feature_names):
         fit_col = _coded_column(base, fit, j, codes)
         ranges[name] = lo, hi = float(fit_col.min()), float(fit_col.max())
+        if rows is None:
+            continue  # fitted on every row, so no value falls outside [lo, hi]
         scaled = _min_max(_coded_column(base, base.values, j, codes), lo, hi)
         n_out = int(np.count_nonzero((scaled < 0.0) | (scaled > 1.0)))
         if n_out:

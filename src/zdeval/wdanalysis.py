@@ -77,20 +77,6 @@ def _wd_in_place(u: np.ndarray, v: np.ndarray, what: str) -> float:
     return float(np.sum(np.abs(u_count / n_u - v_count / v.size) * np.diff(both[order])))
 
 
-def wasserstein_1d(u, v) -> float:
-    """First Wasserstein distance between two empirical samples.
-
-    Integrates |F_u(t) - F_v(t)| over the union of sample breakpoints, which
-    is exact for empirical distributions. Symmetric by construction and zero
-    iff the multisets coincide.
-    """
-    u = np.array(u, dtype=np.float64).ravel()
-    v = np.array(v, dtype=np.float64).ravel()
-    if u.size == 0 or v.size == 0:
-        raise ValueError("wasserstein_1d requires two nonempty samples")
-    return _wd_in_place(u, v, "wasserstein_1d")
-
-
 def per_feature_wd(
     matrix: FeatureMatrix,
     train_rows: np.ndarray,

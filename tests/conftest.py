@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
+from zdeval.preprocess import FeatureMatrix
+from zdeval.wdanalysis import per_feature_wd
 
 
 def make_table(rows: list[dict], benign_name: str = "Benign", schema: FeatureSchema | None = None) -> FlowTable:
@@ -47,6 +49,20 @@ def tables_equal(a: FlowTable, b: FlowTable) -> bool:
     if a.schema != b.schema or a.benign_name != b.benign_name or a.row_count != b.row_count:
         return False
     return all(np.array_equal(a.data[n], b.data[n]) for n in a.schema.names)
+
+
+def wasserstein_1d(u, v) -> float:
+    """The package's distance between two samples: `per_feature_wd` on a one-feature matrix.
+
+    The rows of `u` are the train rows and the rows of `v` the test rows, with
+    no subsampling.
+    """
+    u = np.asarray(u, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    values = np.concatenate([u, v]).reshape(-1, 1)
+    n = len(values)
+    matrix = FeatureMatrix(values, ("x",), np.zeros(n, dtype=np.int64), np.full(n, "Benign", dtype=object))
+    return per_feature_wd(matrix, np.arange(u.size), np.arange(u.size, n), subsample_cap=None).per_feature["x"]
 
 
 @pytest.fixture

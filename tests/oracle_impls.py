@@ -4,15 +4,19 @@ Everything here is written the naive way on purpose: plain loops, all-pairs
 comparisons, Fraction-exact CDF counting, a fresh sort at every tree node,
 three sorts and two full-length searches per Wasserstein distance, string
 encoding and scaling of the whole table once per fit, stored row arrays
-for every fold and zero-day scenario, and `np.unique` over fixed-width
-copies of the string columns for a table summary.
+for every fold and zero-day scenario, `np.unique` over fixed-width
+copies of the string columns for a table summary, and a CSV loader that
+reads one row at a time through the `csv` module and one cell at a time
+through `float`.
 None of it shares code with the package; the forest oracle grows its own
 node objects and writes them out as a model document, so it shares only
-the saved format with the package.
+the saved format with the package, and the CSV loader only the table type
+and the error type it returns and raises.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from zdeval.classifiers import ForestConfig
+from zdeval.errors import DataError
+from zdeval.flowdata import FlowTable
 
 SCORE_EPS = 1e-12
 
@@ -432,3 +438,63 @@ def unique_summary_counts(table) -> tuple[dict[str, int], dict[str, int]]:
         if table.schema.kind_of(name).value in ("categorical", "identifier"):
             cardinality[name] = int(np.unique(table.data[name].astype(str)).size) if table.row_count else 0
     return class_counts, cardinality
+
+
+def _bad_row_reason(cells: dict[str, str], schema, benign_name: str) -> str | None:
+    """A row's first fault: a numeric cell in schema order, else its label, else label versus class."""
+    for name in schema.feature_names:
+        if schema.kind_of(name).value != "numeric":
+            continue
+        try:
+            value = float(cells[name])
+        except ValueError:
+            return f"unparseable numeric cell {cells[name]!r} in column {name!r}"
+        if not math.isfinite(value):
+            return f"non-finite value in column {name!r}"
+    raw = cells[schema.label_column]
+    if raw.strip() not in ("0", "1"):
+        return f"binary label must be 0 or 1, got {raw!r}"
+    cls = cells[schema.attack_class_column]
+    if int(raw.strip()) != int(cls != benign_name):
+        return f"binary label {int(raw.strip())} disagrees with attack class {cls!r} (benign name is {benign_name!r})"
+    return None
+
+
+def row_at_a_time_load_csv(path, schema, benign_name: str, on_bad_row: str = "abort", keep_identifiers: bool = False):
+    """The csv-only loader, one row at a time: every row through `csv.reader`, every cell through `float`.
+
+    The reference for `flowdata.load_csv` on files whose header names
+    exactly the schema's columns: the same table, or the same DataError
+    message, and the same `dropped_rows`. A row of the wrong width raises
+    under either policy; a bad row raises under "abort" and is dropped
+    under "drop"; errors name the file line the row ends on.
+    """
+    rows = []
+    dropped = 0
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"row at line {reader.line_num} has {len(row)} cells, expected {len(header)} ({path})")
+            cells = dict(zip(header, row))
+            reason = _bad_row_reason(cells, schema, benign_name)
+            if reason is None:
+                rows.append(cells)
+            elif on_bad_row == "abort":
+                raise DataError(f"line {reader.line_num}: {reason} ({path})")
+            else:
+                dropped += 1
+    data = {}
+    for column in schema.columns:
+        cells = [r[column.name] for r in rows]
+        kind = column.kind.value
+        if kind == "numeric":
+            data[column.name] = np.array([float(c) for c in cells], dtype=np.float64)
+        elif kind == "binary_label":
+            data[column.name] = np.array([int(c.strip()) for c in cells], dtype=np.int64)
+        elif kind != "identifier" or keep_identifiers:
+            data[column.name] = np.array(cells, dtype=object)
+    return FlowTable(schema, benign_name, data, dropped_rows=dropped)

@@ -15,6 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from conftest import wasserstein_1d
 
 from zdeval.classifiers import (
     ForestConfig,
@@ -34,7 +35,6 @@ from zdeval.harness import emit_reports, run_experiment
 from zdeval.metrics import auc, basic_metrics, confusion, per_class_positives, zdr
 from zdeval.preprocess import encode_table, preprocess_pipeline
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
-from zdeval.wdanalysis import wasserstein_1d
 from zdeval.zslsplit import Scenario, make_fold_plan, make_zero_day_scenarios, scenario_rows
 
 

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import make_table, tables_equal
-from oracle_impls import unique_summary_counts
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracle_impls import row_at_a_time_load_csv, unique_summary_counts
 
 from zdeval import flowdata
 from zdeval.errors import DataError, SchemaError
@@ -166,8 +169,21 @@ class TestRoundTrip:
     def test_write_then_load_identical(self, tmp_path, small_table):
         p = tmp_path / "rt.csv"
         write_csv(small_table, p)
-        again = load_csv(p, small_table.schema, small_table.benign_name)
+        again = load_csv(p, small_table.schema, small_table.benign_name, keep_identifiers=True)
         assert tables_equal(small_table, again)
+
+    def test_identifier_cells_kept_only_when_asked(self, tmp_path, small_table):
+        p = tmp_path / "rt.csv"
+        write_csv(small_table, p)
+        table = load_csv(p, small_table.schema, small_table.benign_name)
+        assert set(small_table.data) - set(table.data) == {"flow_id"}
+        assert np.array_equal(table.features, small_table.features)
+        assert all(np.array_equal(table.data[n], small_table.data[n]) for n in table.data)
+        assert table.take(np.array([4, 0])).column("dur").tolist() == [5.0, 1.0]
+        with pytest.raises(DataError, match=r"^summarize needs identifier column 'flow_id'"):
+            summarize(table)
+        with pytest.raises(DataError, match=r"^write_csv needs identifier column 'flow_id'"):
+            write_csv(table, tmp_path / "again.csv")
 
     def test_round_trip_awkward_values(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -436,6 +452,134 @@ class TestLoadChunks:
         self.write(p, self.rows(n), {flowdata._CHUNK_ROWS + 5, n - 1})
         with pytest.raises(DataError, match=rf"^line {flowdata._CHUNK_ROWS + 7}: .*'oops'"):
             load_csv(p, schema_3col(), "Benign")
+
+
+# a file of every column kind, its columns not in schema order
+MIXED = FeatureSchema(
+    (
+        Column("flow_id", ColumnKind.IDENTIFIER),
+        Column("dur", ColumnKind.NUMERIC),
+        Column("proto", ColumnKind.CATEGORICAL),
+        Column("bytes", ColumnKind.NUMERIC),
+        Column("label", ColumnKind.BINARY_LABEL),
+        Column("attack_class", ColumnKind.ATTACK_CLASS),
+    )
+)
+MIXED_HEADER = "dur,flow_id,label,proto,attack_class,bytes"
+# numeric cells: what both readers take, then what one of them turns down or reads as non-finite
+GOOD_NUMBERS = ("0", "1.5", "-2", "1e3", "7", " 4.5 ", '"2.5"', "+.5", "1.", "-0", "1E-2")
+BAD_NUMBERS = ("nan", "inf", "-Infinity", "1_5", "\u0661\u0662", "", "abc", "1e500", "0x10", " ", "1.5e", '"2\n"')
+# raw class cell -> the class it names
+CLASSES = {
+    "Benign": "Benign", "dos": "dos", '"d,os"': "d,os", '"Ben""ign"': 'Ben"ign', '"x\ny"': "x\ny",
+    'a"b': 'a"b', '"ab"c': "abc", " Benign": " Benign", '"Benign"': "Benign", "sc\x00an": "sc\x00an",
+}
+IDENTIFIERS = ("10.0.0.1", '"a,b"', '"multi\nline"', "", '"q""q"')
+
+
+@st.composite
+def mixed_rows(draw) -> str:
+    """One row of a MIXED file, sometimes with a fault: a bad cell, label or width, or a blank line."""
+    if draw(st.integers(0, 11)) == 0:
+        return ""
+    fault = draw(st.integers(0, 15))
+    cls = draw(st.sampled_from(sorted(CLASSES)))
+    label = str(int(CLASSES[cls] != "Benign"))
+    numbers = st.sampled_from(BAD_NUMBERS if fault == 0 else GOOD_NUMBERS) | st.floats(
+        allow_nan=False, allow_infinity=False
+    ).map(repr)
+    if fault == 1:
+        label = draw(st.sampled_from(("2", "", "yes", "1" if label == "0" else "0")))
+    elif draw(st.booleans()):
+        label = draw(st.sampled_from((f" {label} ", f'"{label}"', f"{label} ")))
+    cells = {
+        "dur": draw(numbers), "flow_id": draw(st.sampled_from(IDENTIFIERS)), "label": label,
+        "proto": draw(st.sampled_from(("tcp", "udp", '"i,cmp"'))), "attack_class": cls,
+        "bytes": draw(numbers),
+    }
+    row = [cells[name] for name in MIXED_HEADER.split(",")]
+    if fault == 2:
+        row = row[:-1] if draw(st.booleans()) else row + ["x"]
+    return ",".join(row)
+
+
+@st.composite
+def mixed_files(draw) -> bytes:
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    lines = [MIXED_HEADER] + draw(st.lists(mixed_rows(), max_size=14))
+    return (newline.join(lines) + (newline if draw(st.booleans()) else "")).encode()
+
+
+def _loaded(load, path, **kwargs):
+    """A loaded table as plain values, or the DataError message."""
+    try:
+        table = load(path, MIXED, "Benign", **kwargs)
+    except DataError as exc:
+        return str(exc)
+    strings = {name: (col.dtype, col.tolist()) for name, col in table.data.items() if name not in ("dur", "bytes")}
+    categories = {name: col.tolist() for name, col in table.categories.items()}
+    return table.features.tobytes(), strings, categories, table.dropped_rows
+
+
+def assert_same_as_oracle(path, keep_identifiers=False):
+    for on_bad_row in ("abort", "drop"):
+        kwargs = {"on_bad_row": on_bad_row, "keep_identifiers": keep_identifiers}
+        assert _loaded(load_csv, path, **kwargs) == _loaded(row_at_a_time_load_csv, path, **kwargs)
+
+
+class TestLoadAgainstOracle:
+    """The loader against the row-at-a-time csv loader, on files that take the csv path at any chunk."""
+
+    @pytest.mark.parametrize("chunk_rows", [2, 3])
+    @given(content=mixed_files(), keep_identifiers=st.booleans())
+    # an unterminated quote reads to the end of the file, in either reader
+    @example(content=f'{MIXED_HEADER}\n1,a,0,tcp,Benign,2\n1,"open,0,tcp,Benign,2\n3,b,1,tcp,dos,4\n'.encode(),
+             keep_identifiers=True)
+    @settings(max_examples=150, deadline=None)
+    def test_same_table_error_and_drops(self, tmp_path_factory, chunk_rows, content, keep_identifiers):
+        path = tmp_path_factory.getbasetemp() / "mixed.csv"
+        path.write_bytes(content)
+        with mock.patch.object(flowdata, "_CHUNK_ROWS", chunk_rows):
+            assert_same_as_oracle(path, keep_identifiers)
+
+    @pytest.mark.parametrize("chunk_rows", [2, 3])
+    @pytest.mark.parametrize(
+        "late",
+        ["nan,id6,1,tcp,dos,6", "6.5,id6,2,tcp,dos,6", "6.5,id6,1,tcp,dos", "1_5,id6,1,tcp,dos,6"],
+        ids=["nan", "label", "width", "csv-only-number"],
+    )
+    def test_quoted_newline_across_a_chunk_end_then_a_late_row(self, tmp_path, chunk_rows, late):
+        rows = [f"{i}.5,id{i},1,tcp,dos,{i}" for i in range(8)]
+        rows[1] = '1.5,"multi\nline id",1,"t\ncp","Ben\nign",2'
+        rows[chunk_rows] = '9.5,"x\n\ny",1,"u,dp",dos,3'  # the first row of the second chunk
+        rows[6] = late  # in the third chunk of 2 rows, or the third row of the second of 3
+        path = tmp_path / "t.csv"
+        write_lines(path, [MIXED_HEADER] + rows)
+        with mock.patch.object(flowdata, "_CHUNK_ROWS", chunk_rows):
+            assert_same_as_oracle(path)
+            assert_same_as_oracle(path, keep_identifiers=True)
+            if late.startswith("1_5"):
+                assert load_csv(path, MIXED, "Benign").column("dur")[6] == 15.0
+                return
+            line = 1 + sum(row.count("\n") + 1 for row in rows[:7])
+            with pytest.raises(DataError, match=rf"^(row at )?line {line}\b"):
+                load_csv(path, MIXED, "Benign")
+
+    def test_clean_file_never_takes_the_csv_path(self, tmp_path):
+        rows = [f"{i}.25,id{i},{int(i % 3 > 0)},tcp,{'dos' if i % 3 else 'Benign'},{i}" for i in range(9)]
+        rows[2] = '2.25,"a,""b""\r\nc",1,"u\ndp",dos,2'
+        rows[5] = ""
+        path = tmp_path / "t.csv"
+        path.write_bytes(("\r\n".join([MIXED_HEADER] + rows) + "\r\n").encode())
+        with mock.patch.object(flowdata, "_CHUNK_ROWS", 2):
+            with mock.patch.object(flowdata, "_typed_chunk", side_effect=AssertionError("csv path")) as csv_path:
+                table = load_csv(path, MIXED, "Benign", keep_identifiers=True)
+                assert table.row_count == 8 and csv_path.call_count == 0
+                assert table.data["flow_id"][2] == 'a,"b"\r\nc' and table.data["proto"][2] == "u\ndp"
+                path.write_bytes(path.read_bytes().replace(b"7.25", b"nan"))
+                with pytest.raises(AssertionError, match="csv path"):
+                    load_csv(path, MIXED, "Benign")
+            assert_same_as_oracle(path)
 
 
 def _table_bytes(table) -> int:

@@ -143,7 +143,7 @@ def categorical_cfg(golden_cfg, tmp_path_factory):
     a gamma scenario meets "icmp" in its test rows alone (reserve code).
     """
     tmp = tmp_path_factory.mktemp("golden-categorical")
-    table = load_csv(golden_cfg.dataset, golden_cfg.schema, golden_cfg.benign_name)
+    table = load_csv(golden_cfg.dataset, golden_cfg.schema, golden_cfg.benign_name, keep_identifiers=True)
     rng = np.random.default_rng(5)
     choices = {"Benign": ("udp", "tcp", "dns"), "alpha": ("tcp", "udp"), "beta": ("dns", "udp", "tcp"),
                "gamma": ("icmp", "tcp")}

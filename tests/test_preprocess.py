@@ -137,6 +137,15 @@ class TestScaler:
         m = self.matrix([2.0, 4.0, 6.0])
         assert preprocess_pipeline(m).apply(m).ravel().tolist() == [0.0, 0.5, 1.0]
 
+    def test_range_wider_than_the_largest_float(self):
+        # hi - lo overflows to inf, and (x - lo) / inf read 0 for 0 and nan for hi
+        m = self.matrix([-1e308, 0.0, 1e308])
+        assert preprocess_pipeline(m).apply(m).ravel().tolist() == [0.0, 0.5, 1.0]
+        with np.errstate(over="ignore"):  # the out-of-range row overflows to inf, then clamps to 1
+            t = preprocess_pipeline(m, "train-only", np.array([0, 1]))
+            assert t.apply(m).ravel().tolist() == [0.0, 1.0, 1.0]
+        assert t.counters.clamped == {"x": 1}
+
     def test_out_of_range_clamped_and_counted(self):
         m = self.matrix([2.0, 6.0, 8.0, 0.0, 4.0])
         t = preprocess_pipeline(m, "train-only", np.array([0, 1]))

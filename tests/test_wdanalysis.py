@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import wasserstein_1d
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_impls import cdf_grid_wd, sorted_diff_wd, spearman_oracle, three_sort_wd
 
 from zdeval.preprocess import FeatureMatrix
-from zdeval.wdanalysis import per_feature_wd, rank_correlation, wasserstein_1d
+from zdeval.wdanalysis import per_feature_wd, rank_correlation
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
 samples = st.lists(finite_floats, min_size=1, max_size=60)
@@ -264,10 +265,9 @@ class TestBitIdentity:
             assert wasserstein_1d(u, v) == three_sort_wd(u, v)
 
     def test_inputs_left_unsorted(self):
-        u = np.array([3.0, 1.0, 2.0])
-        v = [0.5, 0.25]
-        wasserstein_1d(u, v)
-        assert u.tolist() == [3.0, 1.0, 2.0] and v == [0.5, 0.25]
+        values = np.array([[3.0], [1.0], [2.0], [0.5], [0.25]])
+        per_feature_wd(matrix_from(values, ("x",)), np.array([0, 1, 2]), np.array([3, 4]), subsample_cap=None)
+        assert values.ravel().tolist() == [3.0, 1.0, 2.0, 0.5, 0.25]
 
 
 class TestRankCorrelation:
