@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .classifiers import ForestConfig, MlpConfig
@@ -41,8 +41,8 @@ _TOP_LEVEL_KEYS = {
     "mlp": dict,
 }
 
-_FOREST_KEYS = {"n_trees", "m_try", "max_depth", "min_samples_leaf", "bootstrap"}
-_MLP_KEYS = {"learning_rate", "batch_size", "epochs", "hidden_units"}
+_FOREST_KEYS = {f.name for f in fields(ForestConfig)}
+_MLP_KEYS = {f.name for f in fields(MlpConfig)}
 
 
 @dataclass(frozen=True)
@@ -189,29 +189,17 @@ def config_from_dict(obj: dict, *, base_dir: Path | None = None) -> ExperimentCo
     if base_dir is not None and not Path(dataset).is_absolute():
         dataset = str(base_dir / dataset)
 
+    # keys left out take the ExperimentConfig defaults
+    given = {key: value for key, value in obj.items() if key != "columns"}
+    given.update(dataset=dataset, schema=schema, forest=forest, mlp=mlp)
+    if "models" in obj:
+        given["models"] = tuple(obj["models"])
+    if obj.get("classes") is not None:
+        given["classes"] = tuple(obj["classes"])
+    if "threshold" in obj:
+        given["threshold"] = float(obj["threshold"])
     try:
-        return ExperimentConfig(
-            dataset=dataset,
-            benign_name=obj["benign_name"],
-            schema=schema,
-            models=tuple(obj.get("models", ["forest", "mlp"])),
-            k=obj.get("k", 5),
-            seed=obj["seed"],
-            fit_scope=obj.get("fit_scope", "full-dataset"),
-            wd_on_scaled=obj.get("wd_on_scaled", True),
-            wd_subsample_cap=obj.get("wd_subsample_cap", 100_000),
-            subsample=obj.get("subsample"),
-            classes=tuple(obj["classes"]) if obj.get("classes") is not None else None,
-            output_dir=obj.get("output_dir", "out"),
-            workers=obj.get("workers"),
-            keep_going=obj.get("keep_going", False),
-            save_models=obj.get("save_models", True),
-            on_bad_row=obj.get("on_bad_row", "abort"),
-            unseen_category_policy=obj.get("unseen_category_policy", "reserve-code"),
-            threshold=float(obj.get("threshold", 0.5)),
-            forest=forest,
-            mlp=mlp,
-        )
+        return ExperimentConfig(**given)
     except ConfigError:
         raise
     except Exception as exc:

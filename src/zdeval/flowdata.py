@@ -11,8 +11,7 @@ into the block, with numpy's C reader while the file's chunks are clean and
 with the `csv` module from the first chunk that is not; it keeps the
 identifier columns only when asked. A table built from a dict of columns
 builds its block once, at construction. Tables are immutable by convention: no function in this
-package mutates a table after construction. (A full-dataset run scales the
-block in place once nothing holds the table; see `harness`.)
+package mutates a table after construction.
 """
 
 from __future__ import annotations

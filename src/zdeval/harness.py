@@ -17,9 +17,10 @@ order of their scenario indices, so the worker count never changes any
 output byte.
 
 The features are held once: the loaded table's feature block is the base
-matrix (`encode_table`), and under full-dataset scope the shared matrix is
-scaled into it in place once the table is dropped, so a run holds one n x d
-float64 matrix unless it reads both a scaled and an unscaled one.
+matrix (`encode_table`), the one n x d float64 matrix a run holds, and
+nothing writes to it. Each job reads its rows of it through its scenario's
+fitted transform: a distance job one column at a time, a model job its
+train rows and its test rows.
 """
 
 from __future__ import annotations
@@ -112,12 +113,14 @@ def _execute_job(job: ScenarioJob) -> JobResult:
     scenario = prep.scenarios[job.scenario]
     try:
         train, test = prep.rows(job.scenario)
+        base, transform = prep.base, prep.fitted[job.scenario]
         if job.kind == DISTANCE:
-            # under train-only scope, the matrix is this scenario's own and is dropped after the call
             report = per_feature_wd(
-                prep.matrix(job.scenario, scaled=cfg.wd_on_scaled),
+                base,
                 train,
                 test,
+                transform=transform,
+                scaled=cfg.wd_on_scaled,
                 held_out_class=scenario.held_out,
                 fold_id=scenario.fold_id,
                 subsample_cap=cfg.wd_subsample_cap,
@@ -125,10 +128,9 @@ def _execute_job(job: ScenarioJob) -> JobResult:
             )
             return JobResult(job.kind, job.scenario, report)
 
-        matrix = prep.matrix(job.scenario)
-        x_train, y_train = matrix.values[train], matrix.labels[train]
-        x_test, y_test, test_classes = matrix.values[test], matrix.labels[test], matrix.attack_classes[test]
-        del matrix  # a train-only scenario's own matrix is not kept while its model trains
+        x_train, y_train = transform.apply(base, train, scaled=True), base.labels[train]
+        x_test = transform.apply(base, test, scaled=True)
+        y_test, test_classes = base.labels[test], base.attack_classes[test]
 
         if job.kind == "forest":
             model = train_forest(x_train, y_train, cfg.forest, job.seed)
@@ -179,7 +181,7 @@ def _run_jobs(cfg: ExperimentConfig, prep: _Prepared, jobs: list[ScenarioJob]) -
     _POOL_STATE.clear()
     _POOL_STATE.update({"prep": prep, "cfg": cfg})
     try:
-        # without fork, the shared matrices cannot be inherited cheaply
+        # without fork, the base matrix cannot be inherited cheaply
         if workers <= 1 or len(jobs) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
             results = []
             for j in jobs:
@@ -294,20 +296,11 @@ class _Prepared:
     selected: tuple[str, ...]
     plan: FoldPlan
     scenarios: list[Scenario]
-    # train-only scope: the encoded, unscaled matrix, the one matrix the run
-    # holds; full-dataset scope keeps `shared` instead, keyed by `scaled`,
-    # one of which was written over the base matrix
-    base: FeatureMatrix | None
+    base: FeatureMatrix  # the loaded feature block, encoded and unscaled; nothing writes to it
     fitted: list[FittedTransform]  # aligned with `scenarios`
-    shared: dict[bool, FeatureMatrix]
     transforms: dict
     prep_summary: dict
     warnings: list[str]
-
-    def matrix(self, i: int, *, scaled: bool = True) -> FeatureMatrix:
-        """Scenario i's matrix: a shared one, or else built now from the base matrix."""
-        shared = self.shared.get(scaled)
-        return shared if shared is not None else self.fitted[i].matrix(self.base, scaled=scaled)
 
     def rows(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Scenario i's sorted train and test rows."""
@@ -343,31 +336,18 @@ def _fit_transforms(
     plan: FoldPlan,
     catalog: ClassCatalog,
     warnings: list[str],
-    *,
-    with_models: bool,
-) -> tuple[list[FittedTransform], dict[bool, FeatureMatrix], dict, dict]:
-    """Fit, per scenario, the transforms its matrices are built with.
+) -> tuple[list[FittedTransform], dict, dict]:
+    """Fit, per scenario, the transform its jobs read the base matrix through.
 
-    full-dataset scope: one transform shared by every scenario, whose
-    matrices are built here, once, before the pool forks: the scaled one if
-    models are trained, and the one the distance jobs read (`wd_on_scaled`).
-    Nothing reads the base matrix afterwards, so the last matrix built is
-    written over it in place; a second n x d matrix is built only when both
-    are read. train-only scope: one transform per scenario, fitted on that
-    scenario's train rows (so nothing from a scenario's test rows leaks into
-    its transforms); its matrix is built where it is used and dropped
-    afterwards, and the base matrix is kept.
+    full-dataset scope: one transform, fitted on every row, shared by every
+    scenario. train-only scope: one transform per scenario, fitted on that
+    scenario's train rows, so nothing from a scenario's test rows leaks into
+    its transforms.
     """
     if cfg.fit_scope == "full-dataset":
         fit = preprocess_pipeline(base, "full-dataset", unseen=cfg.unseen_category_policy)
-        reads = sorted({cfg.wd_on_scaled, True} if with_models else {cfg.wd_on_scaled}, reverse=True)
-        shared = {
-            scaled: fit.matrix(base, scaled=scaled, out=base.values if scaled == reads[-1] else None)
-            for scaled in reads
-        }
         transforms = {"full": transforms_to_json(fit, cfg.fit_scope)}
-        summary = {"fit_scope": cfg.fit_scope, **fit.counters.to_json()}
-        return [fit] * len(scenarios), shared, transforms, summary
+        return [fit] * len(scenarios), transforms, {"fit_scope": cfg.fit_scope, **fit.counters.to_json()}
 
     fitted, transforms = [], {}
     keys = _unique_slugs(catalog.attack_names, slug=str)
@@ -389,7 +369,7 @@ def _fit_transforms(
             )
     if clamp_total:
         warnings.append(f"train-only scaling clamped {clamp_total} out-of-range values into [0, 1]")
-    return fitted, {}, transforms, {"fit_scope": cfg.fit_scope, "clamped_total": clamp_total}
+    return fitted, transforms, {"fit_scope": cfg.fit_scope, "clamped_total": clamp_total}
 
 
 def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
@@ -423,15 +403,12 @@ def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
     scenarios += [s for s in make_zero_day_scenarios(plan, catalog) if s.held_out in selected]
 
     base = encode_table(table)
-    # nothing reads the loaded table after encoding, and under full-dataset scope
-    # its feature block is scaled in place, so free it (its strings included) now
+    # nothing reads the loaded table after encoding, so free it (its strings included) now
     del table
-    fitted, shared, transforms, prep_summary = _fit_transforms(
-        cfg, base, scenarios, plan, catalog, warnings, with_models=with_baseline
-    )
+    fitted, transforms, prep_summary = _fit_transforms(cfg, base, scenarios, plan, catalog, warnings)
     return _Prepared(
-        rows_loaded, dropped_rows, catalog, selected, plan, scenarios,
-        None if shared else base, fitted, shared, transforms, prep_summary, warnings,
+        rows_loaded, dropped_rows, catalog, selected, plan, scenarios, base, fitted, transforms, prep_summary,
+        warnings,
     )
 
 

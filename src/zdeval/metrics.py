@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PERCENT_METRICS = ("accuracy", "dr", "far", "zdr")
-RATIO_METRICS = ("precision", "f1", "auc")
 METRIC_NAMES = ("accuracy", "dr", "far", "precision", "f1", "auc", "zdr")
 
 

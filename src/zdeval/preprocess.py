@@ -9,9 +9,9 @@ The string work is done when the table is built: its feature block (see
 column, every row's index into the column's sorted distinct values.
 `encode_table` returns that block as the unscaled base matrix, with no copy.
 `preprocess_pipeline` then fits an encoder and a scaler from row indices
-alone, and the resulting `FittedTransform` builds a scenario's matrix from
-the base matrix when the matrix is needed, or rewrites the base matrix in
-place (`out=`) when nothing reads the base afterwards. The encoder codes by
+alone, and the resulting `FittedTransform` codes and scales the rows a
+reader asks for, one column (`column`) or all of them (`apply`), in a fresh
+copy of those rows: nothing writes to the base matrix. The encoder codes by
 first appearance among the fit rows, exactly as encoding the strings of
 those rows would. Fitted transforms are immutable and serializable so a run
 can be replayed and audited.
@@ -126,27 +126,34 @@ def encode_table(table: FlowTable) -> FeatureMatrix:
     )
 
 
-def _coded_column(base: FeatureMatrix, values: np.ndarray, j: int, codes: dict[str, np.ndarray]) -> np.ndarray:
-    """Column j of some rows of the base matrix, category indices replaced by codes."""
-    name = base.feature_names[j]
+def _coded(base: FeatureMatrix, name: str, col: np.ndarray, codes: dict[str, np.ndarray]) -> np.ndarray:
+    """A column of the base matrix with its category indices replaced by codes (a new array), else the column."""
     if name not in base.categories:
-        return values[:, j]
+        return col
     if name not in codes:
         raise DataError(f"encoder was not fitted for categorical feature {name!r}")
-    return codes[name][values[:, j].astype(np.intp)]
+    return codes[name][col.astype(np.intp)]
 
 
-def _min_max(col: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Min-max scaled column, before clamping; a constant feature maps to 0.
+def _min_max(col: np.ndarray, lo: float, hi: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Min-max scaled column, before clamping, into `out` (which may be `col`) or a new array.
 
-    A range wider than the largest float (hi - lo overflows) is scaled with
-    both sides halved, which keeps every term finite.
+    A constant feature maps to 0. A range wider than the largest float
+    (hi - lo overflows) is scaled with both sides halved, which keeps every
+    term finite.
     """
     if not hi > lo:
-        return np.zeros_like(col)
+        out = np.empty_like(col) if out is None else out
+        out.fill(0.0)
+        return out
     if not np.isfinite(hi - lo):
-        return (col / 2 - lo / 2) / (hi / 2 - lo / 2)
-    return (col - lo) / (hi - lo)
+        out = np.divide(col, 2, out=out)
+        out -= lo / 2
+        out /= hi / 2 - lo / 2
+        return out
+    out = np.subtract(col, lo, out=out)
+    out /= hi - lo
+    return out
 
 
 @dataclass(eq=False)
@@ -164,39 +171,37 @@ class FittedTransform:
     counters: PrepCounters
     codes: dict[str, np.ndarray]
 
-    def apply(
-        self,
-        base: FeatureMatrix,
-        rows: np.ndarray | None = None,
-        *,
-        scaled: bool = True,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Rows of the base matrix (all by default), encoded and optionally scaled into [0, 1].
+    def _scale(self, name: str, col: np.ndarray) -> np.ndarray:
+        """The column, scaled into [0, 1] in place."""
+        _min_max(col, *self.scaler.ranges[name], out=col)
+        return np.clip(col, 0.0, 1.0, out=col)
 
-        The result is written into `out` when given, which may be the base
-        matrix's own values: each column is computed whole before it is
-        written, from that column alone, so in place the values are the same.
+    def column(self, base: FeatureMatrix, rows: np.ndarray, j: int, *, scaled: bool) -> np.ndarray:
+        """Column j of the base matrix's `rows` (an index array), encoded and optionally scaled into [0, 1].
+
+        The column is gathered fresh, then coded and scaled in place.
+        """
+        name = base.feature_names[j]
+        col = _coded(base, name, base.values[rows, j], self.codes)
+        return self._scale(name, col) if scaled else col
+
+    def apply(self, base: FeatureMatrix, rows: np.ndarray, *, scaled: bool) -> np.ndarray:
+        """The base matrix's `rows` (an index array), encoded and optionally scaled into [0, 1].
+
+        The rows are gathered once, and each column of that copy is coded
+        and scaled in place.
         """
         if set(self.scaler.ranges) != set(base.feature_names):
             missing = set(base.feature_names) ^ set(self.scaler.ranges)
             raise ValueError(f"scaler/matrix feature mismatch: {sorted(missing)}")
-        values = base.values if rows is None else base.values[rows]
-        if out is None:
-            out = np.empty_like(values)
+        values = base.values[rows]
         for j, name in enumerate(base.feature_names):
-            col = _coded_column(base, values, j, self.codes)
-            out[:, j] = np.clip(_min_max(col, *self.scaler.ranges[name]), 0.0, 1.0) if scaled else col
-        return out
-
-    def matrix(self, base: FeatureMatrix, *, scaled: bool = True, out: np.ndarray | None = None) -> FeatureMatrix:
-        """The whole base matrix transformed, into `out` as `apply` does; unscaled with no encoded feature, the base."""
-        if not scaled and not base.categories:
-            return base
-        return FeatureMatrix(
-            self.apply(base, scaled=scaled, out=out), base.feature_names, base.labels, base.attack_classes,
-            base.encoded_features,
-        )
+            col = values[:, j]
+            if name in base.categories:
+                col[:] = _coded(base, name, col, self.codes)
+            if scaled:
+                self._scale(name, col)
+        return values
 
 
 def preprocess_pipeline(
@@ -249,11 +254,12 @@ def preprocess_pipeline(
 
     ranges = {}
     for j, name in enumerate(base.feature_names):
-        fit_col = _coded_column(base, fit, j, codes)
+        fit_col = _coded(base, name, fit[:, j], codes)
         ranges[name] = lo, hi = float(fit_col.min()), float(fit_col.max())
         if rows is None:
             continue  # fitted on every row, so no value falls outside [lo, hi]
-        scaled = _min_max(_coded_column(base, base.values, j, codes), lo, hi)
+        # no `out`: a numeric column here is a view of the base matrix
+        scaled = _min_max(_coded(base, name, base.values[:, j], codes), lo, hi)
         n_out = int(np.count_nonzero((scaled < 0.0) | (scaled > 1.0)))
         if n_out:
             counters.clamped[name] = n_out

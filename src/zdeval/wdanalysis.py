@@ -12,7 +12,8 @@ cross-feature mean meaningful.
 
 Each feature's distance takes one in-place sort per side and one merge. The
 column of the train rows and the column of the test rows are gathered from
-the scenario's matrix (no copy of the matrix is made), sorted, and merged
+the base matrix and transformed by the scenario's fitted transform, one
+column at a time (no matrix is built), sorted, and merged
 by a stable sort of the two sorted runs, which is a single linear merge.
 |F_u - F_v| is then integrated over the merged values with cumulative
 counts of each side. This is exact, and bit-identical to sorting the
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import average_ranks
-from .preprocess import FeatureMatrix
+from .preprocess import FeatureMatrix, FittedTransform
 
 
 @dataclass
@@ -78,16 +79,22 @@ def _wd_in_place(u: np.ndarray, v: np.ndarray, what: str) -> float:
 
 
 def per_feature_wd(
-    matrix: FeatureMatrix,
+    base: FeatureMatrix,
     train_rows: np.ndarray,
     test_rows: np.ndarray,
     *,
+    transform: FittedTransform,
+    scaled: bool,
     held_out_class: str | None = None,
     fold_id: int | None = None,
     subsample_cap: int | None = 100_000,
     seed: int = 0,
 ) -> WdReport:
-    """Wasserstein distance per feature between a matrix's train and test rows.
+    """Wasserstein distance per feature between a base matrix's train and test rows.
+
+    Each feature is read through `transform.column`, encoded and scaled
+    into [0, 1] when `scaled`, so about one column of each side is held at
+    a time.
 
     Sides larger than `subsample_cap` rows are reduced to a seeded uniform
     subsample (without replacement); the cap is recorded in the report.
@@ -110,12 +117,14 @@ def per_feature_wd(
             test_rows = test_rows[np.sort(rng.choice(n_test, size=subsample_cap, replace=False))]
         capped = subsample_cap
 
-    # each gather is a fresh copy, so sorting it leaves the matrix alone
+    # each column is a fresh copy, so sorting it leaves the base matrix alone
     distances = {
         name: _wd_in_place(
-            matrix.values[train_rows, j], matrix.values[test_rows, j], f"per_feature_wd (feature {name!r})"
+            transform.column(base, train_rows, j, scaled=scaled),
+            transform.column(base, test_rows, j, scaled=scaled),
+            f"per_feature_wd (feature {name!r})",
         )
-        for j, name in enumerate(matrix.feature_names)
+        for j, name in enumerate(base.feature_names)
     }
     mean_wd = float(np.mean(list(distances.values()))) if distances else 0.0
     return WdReport(
@@ -123,7 +132,7 @@ def per_feature_wd(
         fold_id=fold_id,
         per_feature=distances,
         mean_wd=mean_wd,
-        encoded_features=matrix.encoded_features,
+        encoded_features=base.encoded_features,
         rows_train=n_train,
         rows_test=n_test,
         subsample_cap=capped,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
-from zdeval.preprocess import FeatureMatrix
+from zdeval.preprocess import FeatureMatrix, preprocess_pipeline
 from zdeval.wdanalysis import per_feature_wd
 
 
@@ -62,7 +62,18 @@ def wasserstein_1d(u, v) -> float:
     values = np.concatenate([u, v]).reshape(-1, 1)
     n = len(values)
     matrix = FeatureMatrix(values, ("x",), np.zeros(n, dtype=np.int64), np.full(n, "Benign", dtype=object))
-    return per_feature_wd(matrix, np.arange(u.size), np.arange(u.size, n), subsample_cap=None).per_feature["x"]
+    return raw_wd(matrix, np.arange(u.size), np.arange(u.size, n), subsample_cap=None).per_feature["x"]
+
+
+def raw_wd(matrix: FeatureMatrix, train_rows, test_rows, **kwargs):
+    """`per_feature_wd` on the matrix's own values.
+
+    The matrix has no categorical column, so its transform, unscaled, reads
+    the gathered values bit for bit.
+    """
+    return per_feature_wd(
+        matrix, train_rows, test_rows, transform=preprocess_pipeline(matrix), scaled=False, **kwargs
+    )
 
 
 @pytest.fixture

@@ -274,11 +274,11 @@ def test_criterion_5_classifier_sanity(tmp_path):
         table = synthesize_dataset(spec)
         assert table.row_count == 1600
         base = encode_table(table)
-        matrix = preprocess_pipeline(base).matrix(base)
+        fit = preprocess_pipeline(base)
         catalog = build_catalog(table)
         train, test = scenario_rows(Scenario(None, 0), make_fold_plan(catalog, 5, seed=1), catalog)
-        x_tr, y_tr = matrix.values[train], matrix.labels[train]
-        x_te, y_te = matrix.values[test], matrix.labels[test]
+        x_tr, y_tr = fit.apply(base, train, scaled=True), base.labels[train]
+        x_te, y_te = fit.apply(base, test, scaled=True), base.labels[test]
 
         for name, scores in (
             ("forest", forest_score(train_forest(x_tr, y_tr, ForestConfig(), seed=2), x_te)),

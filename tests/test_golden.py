@@ -163,10 +163,11 @@ def _job_scores(cfg, prep, model: str, held_out: str | None, fold_id: int) -> np
     """Test scores of one scenario job, trained exactly as the harness trains it."""
     i = prep.scenarios.index(Scenario(held_out, fold_id))
     train, test = prep.rows(i)
-    matrix = prep.matrix(i)
+    fit = prep.fitted[i]
     class_key = 0 if held_out is None else prep.class_index[held_out]
     seed = derive_seed(cfg.seed, _SEED_TRAIN, KNOWN_MODELS.index(model), class_key, fold_id)
-    x_train, y_train, x_test = matrix.values[train], matrix.labels[train], matrix.values[test]
+    x_train, y_train = fit.apply(prep.base, train, scaled=True), prep.base.labels[train]
+    x_test = fit.apply(prep.base, test, scaled=True)
     if model == "forest":
         return forest_score(train_forest(x_train, y_train, cfg.forest, seed), x_test)
     return mlp_score(mlp_train(x_train, y_train, cfg.mlp, seed), x_test)

@@ -13,7 +13,7 @@ from conftest import tables_equal
 
 from zdeval import harness
 from zdeval.classifiers import forest_from_json
-from zdeval.config import KNOWN_MODELS, apply_overrides, config_from_dict, load_config
+from zdeval.config import KNOWN_MODELS, ExperimentConfig, apply_overrides, config_from_dict, load_config
 from zdeval.errors import ConfigError, DataError
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable, build_catalog, load_csv, write_csv
 from zdeval.harness import (
@@ -32,7 +32,7 @@ from zdeval.harness import (
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
 from zdeval.wdanalysis import per_feature_wd
 from zdeval.zslsplit import Scenario, make_fold_plan, make_zero_day_scenarios, scenario_rows
-from zdeval.preprocess import FittedTransform, encode_table, preprocess_pipeline
+from zdeval.preprocess import encode_table, preprocess_pipeline
 
 
 def base_config_dict(csv_path, schema_json, **overrides):
@@ -107,7 +107,7 @@ class TestSyntheticDataset:
         base = encode_table(table)
         rows_a = np.flatnonzero(table.attack_classes == "a")
         rows_b = np.flatnonzero(table.attack_classes == "Benign")
-        report = per_feature_wd(preprocess_pipeline(base).matrix(base), rows_a, rows_b)
+        report = per_feature_wd(base, rows_a, rows_b, transform=preprocess_pipeline(base), scaled=True)
         assert report.mean_wd < 0.1
 
     def test_identifier_column_optional(self):
@@ -126,10 +126,11 @@ class TestConfig:
         path, table = synth_csv
         with pytest.raises(ConfigError, match="dataset"):
             config_from_dict({"benign_name": "Benign", "columns": [], "seed": 0})
+        required = {"dataset": str(path), "benign_name": "Benign", "columns": table.schema.to_json()}
         with pytest.raises(ConfigError, match="seed"):
-            config_from_dict(
-                {"dataset": str(path), "benign_name": "Benign", "columns": table.schema.to_json()}
-            )
+            config_from_dict(required)
+        # every key left out takes its ExperimentConfig default
+        assert config_from_dict({**required, "seed": 0}) == ExperimentConfig(str(path), "Benign", table.schema)
 
     def test_unknown_key_rejected(self, synth_csv):
         path, table = synth_csv
@@ -450,11 +451,15 @@ class TestTrainOnlyUnscaledDistances:
         prep = _prepare(cfg, with_baseline=True)
         assert len(prep.scenarios) == 12
         assert [id(m) for m in _held_arrays(prep) if m.ndim == 2] == [id(prep.base.values)]
+        base = prep.base
         for i, s in enumerate(prep.scenarios):
             if s.held_out is not None:
-                matrix, wd_matrix = prep.matrix(i), prep.matrix(i, scaled=False)
-                assert wd_matrix.feature_names == matrix.feature_names
-                assert not np.array_equal(wd_matrix.values, matrix.values)
+                _, test = prep.rows(i)
+                fit = prep.fitted[i]
+                unscaled = np.column_stack([fit.column(base, test, j, scaled=False) for j in range(base.n_features)])
+                # no categorical column: the distance jobs read the loaded values
+                assert unscaled.tobytes() == base.values[test].tobytes()
+                assert not np.array_equal(fit.apply(base, test, scaled=True), unscaled)
 
 
 def _buffers(arrays: list[np.ndarray]) -> list[np.ndarray]:
@@ -468,7 +473,7 @@ def _buffers(arrays: list[np.ndarray]) -> list[np.ndarray]:
 
 
 class TestOneFeatureMatrix:
-    """Under full-dataset scope the loaded feature block becomes the run's shared matrix, in place."""
+    """Under either fit scope the run holds one n x d matrix, the loaded feature block, and nothing writes to it."""
 
     @pytest.fixture(scope="class")
     def cat_csv(self, synth_csv, tmp_path_factory):
@@ -479,46 +484,34 @@ class TestOneFeatureMatrix:
         write_csv(FlowTable(schema, table.benign_name, {**table.data, "proto": proto}), path)
         return path, schema
 
-    def prepare(self, cat_csv, monkeypatch, *, with_baseline, **overrides):
-        """The prepared run, the (scaled, in place) of each matrix built, and the transform out of place."""
+    @staticmethod
+    def assert_one_unwritten_matrix(prep, loaded: np.ndarray) -> None:
+        big = [b for b in _buffers(_held_arrays(prep)) if b.nbytes >= loaded.nbytes]
+        assert [id(b) for b in big] == [id(b) for b in _buffers([prep.base.values])]
+        assert prep.base.values.tobytes() == loaded.tobytes()
+
+    @pytest.mark.parametrize("fit_scope", ["full-dataset", "train-only"], ids=["full", "train"])
+    @pytest.mark.parametrize("wd_on_scaled", [True, False], ids=["scaled", "unscaled"])
+    @pytest.mark.parametrize("work", [run_experiment, run_wd_analysis], ids=["run", "wd"])
+    def test_one_unwritten_matrix(self, cat_csv, monkeypatch, fit_scope, wd_on_scaled, work):
         path, schema = cat_csv
-        cfg = config_from_dict(base_config_dict(path, schema.to_json(), **overrides))
-        built, apply = [], FittedTransform.apply
+        cfg = config_from_dict(
+            base_config_dict(path, schema.to_json(), fit_scope=fit_scope, wd_on_scaled=wd_on_scaled, workers=1)
+        )
+        loaded = encode_table(load_csv(path, schema, "Benign")).values
+        with_baseline = work is run_experiment
+        self.assert_one_unwritten_matrix(_prepare(cfg, with_baseline=with_baseline), loaded)
 
-        def spy(fit, base, rows=None, *, scaled=True, out=None):
-            built.append((scaled, out is base.values))
-            return apply(fit, base, rows, scaled=scaled, out=out)
+        # in-process jobs would show any write to the base matrix in the run's own state
+        prepared = []
 
-        monkeypatch.setattr(FittedTransform, "apply", spy)
-        prep = _prepare(cfg, with_baseline=with_baseline)
-        monkeypatch.undo()
-        base = encode_table(load_csv(path, schema, "Benign"))
-        return prep, built, base, preprocess_pipeline(base)
+        def keep(cfg, *, with_baseline):
+            prepared.append(_prepare(cfg, with_baseline=with_baseline))
+            return prepared[-1]
 
-    def big_buffers(self, prep, base):
-        return [b for b in _buffers(_held_arrays(prep)) if b.nbytes >= base.values.nbytes]
-
-    @pytest.mark.parametrize("with_baseline", [True, False])
-    def test_one_matrix_scaled_in_place(self, cat_csv, monkeypatch, with_baseline):
-        prep, built, base, fit = self.prepare(cat_csv, monkeypatch, with_baseline=with_baseline)
-        assert built == [(True, True)]
-        assert prep.base is None and list(prep.shared) == [True]
-        assert len(self.big_buffers(prep, base)) == 1
-        assert prep.shared[True].values.tobytes() == fit.apply(base).tobytes()
-
-    def test_wd_on_unscaled_builds_no_scaled_matrix(self, cat_csv, monkeypatch):
-        prep, built, base, fit = self.prepare(cat_csv, monkeypatch, with_baseline=False, wd_on_scaled=False)
-        assert built == [(False, True)]
-        assert list(prep.shared) == [False]
-        assert len(self.big_buffers(prep, base)) == 1
-        assert prep.shared[False].values.tobytes() == fit.apply(base, scaled=False).tobytes()
-
-    def test_run_on_unscaled_distances_builds_a_second_matrix(self, cat_csv, monkeypatch):
-        prep, built, base, fit = self.prepare(cat_csv, monkeypatch, with_baseline=True, wd_on_scaled=False)
-        assert built == [(True, False), (False, True)]
-        assert len(self.big_buffers(prep, base)) == 2
-        assert prep.shared[True].values.tobytes() == fit.apply(base).tobytes()
-        assert prep.shared[False].values.tobytes() == fit.apply(base, scaled=False).tobytes()
+        monkeypatch.setattr(harness, "_prepare", keep)
+        work(cfg)
+        self.assert_one_unwritten_matrix(prepared[0], loaded)
 
 
 class TestUnseenCategoryError:
@@ -549,10 +542,10 @@ class TestUnseenCategoryError:
 class TestDistanceFailureAttribution:
     @pytest.fixture()
     def poisoned(self, synth_csv, monkeypatch):
-        """Config of a train-only run whose (beta, fold 1) matrix holds a NaN in one test row.
+        """Config of a train-only run whose (beta, fold 1) transform reads a NaN in one test row.
 
-        `_prepare` is replaced by one that poisons the prepared state, which
-        pool workers inherit by fork.
+        `_prepare` is replaced by one that poisons that scenario's transform,
+        which pool workers inherit by fork.
         """
         path, table = synth_csv
         prepare = harness._prepare
@@ -560,15 +553,16 @@ class TestDistanceFailureAttribution:
         def poisoned_prepare(cfg, *, with_baseline):
             prep = prepare(cfg, with_baseline=with_baseline)
             poisoned = prep.scenarios.index(Scenario("beta", 1))
-            built = prep.matrix
+            fit, bad_row = prep.fitted[poisoned], prep.rows(poisoned)[1][0]
+            column = fit.column
 
-            def matrix(i, *, scaled=True):
-                m = built(i, scaled=scaled)
-                if i == poisoned:
-                    m.values[prep.rows(i)[1][0], 1] = np.nan
-                return m
+            def poisoned_column(base, rows, j, *, scaled):
+                col = column(base, rows, j, scaled=scaled)
+                if j == 1:
+                    col[rows == bad_row] = np.nan
+                return col
 
-            prep.matrix = matrix
+            fit.column = poisoned_column  # train-only scope: no other scenario shares this transform
             return prep
 
         monkeypatch.setattr(harness, "_prepare", poisoned_prepare)

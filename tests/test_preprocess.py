@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import tracemalloc
 
@@ -30,6 +29,10 @@ def cat_table(values: list[str]):
         [{"proto": v, "attack_class": "A" if i % 2 else "Benign", "label": 1 if i % 2 else 0}
          for i, v in enumerate(values)]
     )
+
+
+def every_row(m: FeatureMatrix) -> np.ndarray:
+    return np.arange(m.n_rows)
 
 
 def fit(table, train_indices=None, **kwargs) -> tuple[FeatureMatrix, FittedTransform]:
@@ -63,8 +66,8 @@ class TestEncoder:
         base, t = fit(cat_table(["udp", "tcp"]))
         assert base.categories["proto"].tolist() == ["tcp", "udp"]
         assert base.column("proto").tolist() == [1.0, 0.0]
-        assert t.apply(base, scaled=False).ravel().tolist() == [0.0, 1.0]
-        assert t.matrix(base, scaled=False).categories == {}
+        assert t.apply(base, every_row(base), scaled=False).ravel().tolist() == [0.0, 1.0]
+        assert t.column(base, every_row(base), 0, scaled=False).tolist() == [0.0, 1.0]
 
     def test_unseen_error_names_feature_and_value(self):
         with pytest.raises(DataError, match=r"icmp.*proto"):
@@ -79,7 +82,7 @@ class TestEncoder:
         table = cat_table(["tcp", "udp"])
         assert encode_table(table.take(np.array([], dtype=np.int64))).values.shape == (0, 1)
         base, t = fit(table)
-        assert t.apply(base, np.array([], dtype=np.int64)).shape == (0, 1)
+        assert t.apply(base, np.array([], dtype=np.int64), scaled=True).shape == (0, 1)
 
     def test_identifiers_are_not_features(self, small_table):
         assert encode_table(small_table).feature_names == ("dur", "proto")
@@ -127,7 +130,7 @@ class TestScaler:
         m = self.matrix([5.0, 5.0])
         t = preprocess_pipeline(m)
         assert t.scaler.ranges["x"] == (5.0, 5.0)
-        assert t.apply(m).tolist() == [[0.0], [0.0]]
+        assert t.apply(m, every_row(m), scaled=True).tolist() == [[0.0], [0.0]]
 
     def test_single_row(self):
         t = preprocess_pipeline(self.matrix([7.0]))
@@ -135,28 +138,28 @@ class TestScaler:
 
     def test_apply_arithmetic(self):
         m = self.matrix([2.0, 4.0, 6.0])
-        assert preprocess_pipeline(m).apply(m).ravel().tolist() == [0.0, 0.5, 1.0]
+        assert preprocess_pipeline(m).apply(m, every_row(m), scaled=True).ravel().tolist() == [0.0, 0.5, 1.0]
 
     def test_range_wider_than_the_largest_float(self):
         # hi - lo overflows to inf, and (x - lo) / inf read 0 for 0 and nan for hi
         m = self.matrix([-1e308, 0.0, 1e308])
-        assert preprocess_pipeline(m).apply(m).ravel().tolist() == [0.0, 0.5, 1.0]
+        assert preprocess_pipeline(m).apply(m, every_row(m), scaled=True).ravel().tolist() == [0.0, 0.5, 1.0]
         with np.errstate(over="ignore"):  # the out-of-range row overflows to inf, then clamps to 1
             t = preprocess_pipeline(m, "train-only", np.array([0, 1]))
-            assert t.apply(m).ravel().tolist() == [0.0, 1.0, 1.0]
+            assert t.apply(m, every_row(m), scaled=True).ravel().tolist() == [0.0, 1.0, 1.0]
         assert t.counters.clamped == {"x": 1}
 
     def test_out_of_range_clamped_and_counted(self):
         m = self.matrix([2.0, 6.0, 8.0, 0.0, 4.0])
         t = preprocess_pipeline(m, "train-only", np.array([0, 1]))
         assert t.scaler.ranges["x"] == (2.0, 6.0)
-        assert t.apply(m).ravel().tolist() == [0.0, 1.0, 1.0, 0.0, 0.5]
+        assert t.apply(m, every_row(m), scaled=True).ravel().tolist() == [0.0, 1.0, 1.0, 0.0, 0.5]
         assert t.counters.clamped == {"x": 2}
 
     def test_column_mismatch_rejected(self):
         t = FittedTransform(FittedEncoder({}), FittedScaler({"y": (0.0, 1.0)}), PrepCounters(), {})
         with pytest.raises(ValueError, match="mismatch"):
-            t.apply(self.matrix([1.0]))
+            t.apply(self.matrix([1.0]), np.array([0]), scaled=True)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -165,27 +168,27 @@ class TestScaler:
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     def test_range_property(self, column):
         m = self.matrix(column)
-        out = preprocess_pipeline(m).apply(m)
+        out = preprocess_pipeline(m).apply(m, every_row(m), scaled=True)
         assert np.all(out >= 0.0)
         assert np.all(out <= 1.0)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     def test_idempotence_property(self, column):
         m = self.matrix(column)
-        once = self.matrix(preprocess_pipeline(m).apply(m).ravel())
-        twice = preprocess_pipeline(once).apply(once)
+        once = self.matrix(preprocess_pipeline(m).apply(m, every_row(m), scaled=True).ravel())
+        twice = preprocess_pipeline(once).apply(once, every_row(once), scaled=True)
         assert np.max(np.abs(twice - once.values)) <= 1e-12
 
 
 class TestPipeline:
     def test_full_dataset_scope(self, small_table):
         base, t = fit(small_table)
-        m = t.matrix(base)
-        assert m.feature_names == ("dur", "proto")
-        assert m.encoded_features == ("proto",)
-        assert m.values.min() >= 0.0 and m.values.max() <= 1.0
+        values = t.apply(base, every_row(base), scaled=True)
+        assert base.feature_names == ("dur", "proto")
+        assert base.encoded_features == ("proto",)
+        assert values.min() >= 0.0 and values.max() <= 1.0
         # scaler was fitted over all rows: extremes hit exactly 0 and 1
-        assert m.column("dur").min() == 0.0 and m.column("dur").max() == 1.0
+        assert values[:, 0].min() == 0.0 and values[:, 0].max() == 1.0
 
     def test_train_only_scope_clamps_test_rows(self):
         table = make_table(
@@ -196,7 +199,7 @@ class TestPipeline:
             ]
         )
         base, t = fit(table, np.array([0, 1]))
-        assert t.matrix(base).values.ravel().tolist() == [0.0, 1.0, 1.0]
+        assert t.apply(base, every_row(base), scaled=True).ravel().tolist() == [0.0, 1.0, 1.0]
         assert t.counters.clamped == {"x": 1}
 
     def test_numeric_only_table_has_empty_encoder(self):
@@ -208,8 +211,8 @@ class TestPipeline:
         )
         base, t = fit(table)
         assert t.encoder.mappings == {}
-        assert t.matrix(base).encoded_features == ()
-        assert t.matrix(base, scaled=False) is base
+        assert base.encoded_features == ()
+        assert t.apply(base, every_row(base), scaled=False).tobytes() == base.values.tobytes()
 
     def test_train_only_requires_indices(self, small_table):
         with pytest.raises(ValueError, match="train_indices"):
@@ -219,14 +222,13 @@ class TestPipeline:
         # category indices are never passed on as values without an encoding
         base, t = fit(small_table)
         with pytest.raises(DataError, match="proto"):
-            FittedTransform(t.encoder, t.scaler, t.counters, {}).apply(base)
+            FittedTransform(t.encoder, t.scaler, t.counters, {}).apply(base, every_row(base), scaled=False)
 
     def test_shape_preservation(self, small_table):
         base, t = fit(small_table)
-        m = t.matrix(base)
-        assert m.n_rows == small_table.row_count
-        assert np.array_equal(m.labels, small_table.labels)
-        assert np.array_equal(m.attack_classes, small_table.attack_classes)
+        rows = np.array([4, 0, 0, 2])
+        assert t.apply(base, rows, scaled=True).shape == (4, base.n_features)
+        assert t.column(base, rows, 1, scaled=True).shape == (4,)
 
     def test_transforms_serializable(self, small_table):
         _, t = fit(small_table)
@@ -245,7 +247,8 @@ class TestDeterminism:
         base1, r1 = fit(small_table)
         base2, r2 = fit(small_table)
         assert r1.encoder.mappings == r2.encoder.mappings
-        assert np.array_equal(r1.matrix(base1).values, r2.matrix(base2).values)
+        rows = every_row(base1)
+        assert np.array_equal(r1.apply(base1, rows, scaled=True), r2.apply(base2, rows, scaled=True))
         assert r1.scaler.ranges == r2.scaler.ranges
 
 
@@ -296,16 +299,13 @@ class TestStringOracle:
         assert list(t.scaler.ranges.items()) == list(expected["ranges"].items())
         assert t.counters.clamped == expected["clamped"]
         assert t.counters.unseen == expected["unseen"]
-        # bit for bit: the same operations on the same values
-        assert t.apply(base, rows).tobytes() == expected["scaled"][rows].tobytes()
-        assert t.apply(base, rows, scaled=False).tobytes() == expected["unscaled"][rows].tobytes()
-        assert t.matrix(base).values.tobytes() == expected["scaled"].tobytes()
-        assert t.matrix(base, scaled=False).values.tobytes() == expected["unscaled"].tobytes()
-        for scaled in (True, False):
-            # written over a copy of the base matrix, in place, as a full-dataset run does
-            values = base.values.copy()
-            t.apply(dataclasses.replace(base, values=values), scaled=scaled, out=values)
-            assert values.tobytes() == expected["scaled" if scaled else "unscaled"].tobytes()
+        # bit for bit: the same operations on the same values, and the base matrix left as it was
+        loaded = base.values.copy()
+        for scaled, key in ((True, "scaled"), (False, "unscaled")):
+            assert t.apply(base, rows, scaled=scaled).tobytes() == expected[key][rows].tobytes()
+            for j in range(base.n_features):
+                assert t.column(base, rows, j, scaled=scaled).tobytes() == expected[key][rows, j].tobytes()
+        assert base.values.tobytes() == loaded.tobytes()
 
     @given(_tables())
     @settings(max_examples=100, deadline=None)

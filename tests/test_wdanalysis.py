@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import wasserstein_1d
+from conftest import raw_wd, wasserstein_1d
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_impls import cdf_grid_wd, sorted_diff_wd, spearman_oracle, three_sort_wd
 
-from zdeval.preprocess import FeatureMatrix
+from zdeval.preprocess import FeatureMatrix, preprocess_pipeline
 from zdeval.wdanalysis import per_feature_wd, rank_correlation
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
@@ -118,7 +118,7 @@ class TestPerFeatureWd:
     def test_identical_sets_all_zero(self):
         rng = np.random.default_rng(4)
         values = rng.random((30, 3))
-        report = per_feature_wd(*stacked(values, values, ("a", "b", "c")))
+        report = raw_wd(*stacked(values, values, ("a", "b", "c")))
         assert all(v == 0.0 for v in report.per_feature.values())
         assert report.mean_wd == 0.0
 
@@ -127,7 +127,7 @@ class TestPerFeatureWd:
         base = rng.random((40, 4))
         shifted = base.copy()
         shifted[:, 2] += 0.3
-        report = per_feature_wd(*stacked(base, shifted, ("a", "b", "c", "d")))
+        report = raw_wd(*stacked(base, shifted, ("a", "b", "c", "d")))
         assert report.per_feature["c"] == pytest.approx(0.3, abs=1e-12)
         assert report.per_feature["a"] == 0.0
         assert report.mean_wd == pytest.approx(0.3 / 4, abs=1e-12)
@@ -140,9 +140,9 @@ class TestPerFeatureWd:
         m = matrix_from(np.zeros((3, 1)), ("a",))
         empty = np.array([], dtype=np.int64)
         with pytest.raises(ValueError, match="nonempty"):
-            per_feature_wd(m, np.arange(3), empty)
+            raw_wd(m, np.arange(3), empty)
         with pytest.raises(ValueError, match="nonempty"):
-            per_feature_wd(m, empty, np.arange(3))
+            raw_wd(m, empty, np.arange(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected(self, bad):
@@ -150,35 +150,35 @@ class TestPerFeatureWd:
         values[3, 1] = bad
         m = matrix_from(values, ("a", "b"))
         with pytest.raises(ValueError, match="finite"):
-            per_feature_wd(m, np.arange(2), np.arange(2, 4))
+            raw_wd(m, np.arange(2), np.arange(2, 4))
 
     def test_matrix_left_unchanged(self):
         rng = np.random.default_rng(12)
         values = rng.random((50, 3))
         m = matrix_from(values.copy(), ("a", "b", "c"))
-        per_feature_wd(m, np.arange(49, 10, -1), np.arange(10))
+        raw_wd(m, np.arange(49, 10, -1), np.arange(10))
         assert np.array_equal(m.values, values)
 
     def test_mean_is_arithmetic_mean(self):
         rng = np.random.default_rng(6)
-        report = per_feature_wd(*stacked(rng.random((25, 5)), rng.random((35, 5)), tuple("abcde")))
+        report = raw_wd(*stacked(rng.random((25, 5)), rng.random((35, 5)), tuple("abcde")))
         assert report.mean_wd == pytest.approx(np.mean(list(report.per_feature.values())), abs=1e-15)
 
     def test_subsample_cap_recorded_and_deterministic(self):
         rng = np.random.default_rng(7)
         m, train_rows, test_rows = stacked(rng.random((500, 2)), rng.random((100, 2)), ("a", "b"))
-        r1 = per_feature_wd(m, train_rows, test_rows, subsample_cap=200, seed=9)
-        r2 = per_feature_wd(m, train_rows, test_rows, subsample_cap=200, seed=9)
+        r1 = raw_wd(m, train_rows, test_rows, subsample_cap=200, seed=9)
+        r2 = raw_wd(m, train_rows, test_rows, subsample_cap=200, seed=9)
         assert r1.subsample_cap == 200
         assert r1.per_feature == r2.per_feature
         assert (r1.rows_train, r1.rows_test) == (500, 100)
-        full = per_feature_wd(m, train_rows, test_rows, subsample_cap=None)
+        full = raw_wd(m, train_rows, test_rows, subsample_cap=None)
         assert full.subsample_cap is None
         assert full.per_feature != r1.per_feature  # subsample really kicked in
 
     def test_encoded_features_flagged(self):
         m = matrix_from(np.zeros((3, 2)), ("num", "proto"), encoded=("proto",))
-        report = per_feature_wd(m, np.arange(3), np.arange(3))
+        report = raw_wd(m, np.arange(3), np.arange(3))
         assert report.encoded_features == ("proto",)
 
     def test_report_serialization(self):
@@ -186,7 +186,7 @@ class TestPerFeatureWd:
 
         rng = np.random.default_rng(11)
         m, train_rows, test_rows = stacked(rng.random((20, 2)), rng.random((30, 2)), ("a", "b"), encoded=("b",))
-        report = per_feature_wd(m, train_rows, test_rows, held_out_class="X", fold_id=1)
+        report = raw_wd(m, train_rows, test_rows, held_out_class="X", fold_id=1)
         doc = json.loads(json.dumps(report.to_json()))
         assert doc["held_out_class"] == "X" and doc["fold"] == 1
         assert set(doc["per_feature"]) == {"a", "b"}
@@ -194,7 +194,8 @@ class TestPerFeatureWd:
 
     def test_scaled_features_stay_in_unit_interval(self):
         rng = np.random.default_rng(8)
-        report = per_feature_wd(*stacked(rng.random((50, 3)), rng.random((60, 3)), ("a", "b", "c")))
+        m, train_rows, test_rows = stacked(rng.random((50, 3)) * 7 - 2, rng.random((60, 3)), ("a", "b", "c"))
+        report = per_feature_wd(m, train_rows, test_rows, transform=preprocess_pipeline(m), scaled=True)
         assert all(0.0 <= v <= 1.0 for v in report.per_feature.values())
         assert 0.0 <= report.mean_wd <= 1.0
 
@@ -245,7 +246,7 @@ class TestBitIdentity:
     def test_per_feature_wd_equals_three_sort_oracle(self, case):
         values, train_rows, test_rows, cap, seed = case
         names = tuple(f"f{j}" for j in range(values.shape[1]))
-        report = per_feature_wd(
+        report = raw_wd(
             matrix_from(values, names), train_rows, test_rows, subsample_cap=cap, seed=seed
         )
         # the same rng.choice calls in the same order: train side, then test side
@@ -256,17 +257,9 @@ class TestBitIdentity:
             assert report.per_feature[name] == three_sort_wd(values[train_used, j], values[test_used, j])
         assert (report.rows_train, report.rows_test) == (train_rows.size, test_rows.size)
 
-    @given(wd_cases())
-    @settings(max_examples=100, deadline=None)
-    def test_wasserstein_1d_equals_three_sort_oracle(self, case):
-        values, train_rows, test_rows, _, _ = case
-        for j in range(values.shape[1]):
-            u, v = values[train_rows, j], values[test_rows, j]
-            assert wasserstein_1d(u, v) == three_sort_wd(u, v)
-
     def test_inputs_left_unsorted(self):
         values = np.array([[3.0], [1.0], [2.0], [0.5], [0.25]])
-        per_feature_wd(matrix_from(values, ("x",)), np.array([0, 1, 2]), np.array([3, 4]), subsample_cap=None)
+        raw_wd(matrix_from(values, ("x",)), np.array([0, 1, 2]), np.array([3, 4]), subsample_cap=None)
         assert values.ravel().tolist() == [3.0, 1.0, 2.0, 0.5, 0.25]
 
 
