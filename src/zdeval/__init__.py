@@ -20,14 +20,7 @@ from .flowdata import (
     summarize,
     write_csv,
 )
-from .preprocess import (
-    FeatureMatrix,
-    FittedEncoder,
-    FittedScaler,
-    FittedTransform,
-    encode_table,
-    preprocess_pipeline,
-)
+from .preprocess import FittedTransform, preprocess_pipeline
 from .zslsplit import (
     FoldPlan,
     Scenario,

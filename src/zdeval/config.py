@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .classifiers import ForestConfig, MlpConfig
@@ -119,21 +119,9 @@ class ExperimentConfig:
             "on_bad_row": self.on_bad_row,
             "unseen_category_policy": self.unseen_category_policy,
             "threshold": self.threshold,
-            "forest": {
-                "n_trees": self.forest.n_trees,
-                "m_try": self.forest.m_try,
-                "max_depth": self.forest.max_depth,
-                "min_samples_leaf": self.forest.min_samples_leaf,
-                "bootstrap": self.forest.bootstrap,
-            },
-            "mlp": {
-                "learning_rate": self.mlp.learning_rate,
-                "batch_size": self.mlp.batch_size,
-                "epochs": self.mlp.epochs,
-                "hidden_units": list(self.mlp.hidden_units),
-            },
+            "forest": asdict(self.forest),
+            "mlp": {**asdict(self.mlp), "hidden_units": list(self.mlp.hidden_units)},
         }
-
 
 def _check_type(key: str, value, expected) -> None:
     # bool is an int subclass; keep them apart for int-typed keys

@@ -3,15 +3,16 @@
 A table holds its features once, as one row-major n x d float64 block whose
 columns are the schema's feature columns in schema order: a numeric column
 holds its values, a categorical column each row's index into the column's
-sorted distinct values (`FlowTable.categories`). The numeric entries of
-`FlowTable.data` are views of the block's columns; the binary label is an
-int64 array and the string-valued columns (categorical, identifier, attack
-class) are object arrays of interned strings. `load_csv` parses straight
-into the block, with numpy's C reader while the file's chunks are clean and
-with the `csv` module from the first chunk that is not; it keeps the
-identifier columns only when asked. A table built from a dict of columns
-builds its block once, at construction. Tables are immutable by convention: no function in this
-package mutates a table after construction.
+sorted distinct values (`FlowTable.categories`). A categorical column is
+held nowhere else: the strings a table is built from are indexed into the
+block and dropped. The numeric entries of `FlowTable.data` are views of the
+block's columns; the binary label is an int64 array and the identifier and
+attack-class columns are object arrays of interned strings. `load_csv`
+parses straight into the block, with numpy's C reader while the file's
+chunks are clean and with the `csv` module from the first chunk that is
+not; it keeps the identifier columns only when asked. Tables are immutable
+by convention: no function in this package mutates a table after
+construction.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -58,7 +60,11 @@ class Column:
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered declaration of every column in a flow-record file."""
+    """Ordered declaration of every column in a flow-record file.
+
+    The name tuples are computed once per schema: the transforms read them
+    per column of every job.
+    """
 
     columns: tuple[Column, ...]
 
@@ -76,31 +82,31 @@ class FeatureSchema:
         if not any(c.kind in (ColumnKind.NUMERIC, ColumnKind.CATEGORICAL) for c in self.columns):
             raise SchemaError("schema must declare at least one numeric or categorical column")
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
-    @property
+    @cached_property
     def label_column(self) -> str:
         return next(c.name for c in self.columns if c.kind is ColumnKind.BINARY_LABEL)
 
-    @property
+    @cached_property
     def attack_class_column(self) -> str:
         return next(c.name for c in self.columns if c.kind is ColumnKind.ATTACK_CLASS)
 
-    @property
+    @cached_property
     def identifier_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns if c.kind is ColumnKind.IDENTIFIER)
 
-    @property
+    @cached_property
     def numeric_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns if c.kind is ColumnKind.NUMERIC)
 
-    @property
+    @cached_property
     def categorical_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns if c.kind is ColumnKind.CATEGORICAL)
 
-    @property
+    @cached_property
     def feature_names(self) -> tuple[str, ...]:
         """Numeric and categorical column names, in schema order."""
         return tuple(
@@ -143,18 +149,24 @@ def _category_indices(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class FlowTable:
-    """A loaded flow-record dataset.
+    """A loaded flow-record dataset, and the unscaled base matrix every fit and job reads.
 
-    `data` maps each schema column name to a full-length column: float64 for
-    numeric, int64 (0/1) for the binary label, object arrays of strings
-    otherwise. `features` is the n x d float64 block of the feature columns
-    (see the module docstring), and the numeric columns of `data` are views
-    of it. Given `features`, its numeric columns are the table's and `data`
-    need not hold them; without it, the block is built from `data`. Either
-    way its categorical columns are filled from `data`. `data` may leave out
-    the identifier columns, as `load_csv` does unless asked to keep them.
+    `features` is the n x d float64 block of the feature columns (see the
+    module docstring), and `categories` maps each categorical feature to
+    the sorted distinct values its block column indexes. `data` maps the
+    label, the attack class and the identifiers to full-length columns --
+    int64 (0/1) for the label, object arrays of strings otherwise -- and
+    each numeric feature to a view of its block column. `data` may leave
+    out the identifier columns, as `load_csv` does unless asked to keep
+    them.
+
+    At construction a categorical column is given as strings in `data`,
+    which are indexed into the block and dropped from `data`; or, with
+    `categories`, as indices already in the given block (as `take` builds
+    it). Given `features`, its numeric columns are the table's and `data`
+    need not hold them; without it, the block is built from `data`.
     `dropped_rows` counts rows discarded by the loader under the drop
-    policy; it is metadata and excluded from equality.
+    policy.
     """
 
     schema: FeatureSchema
@@ -162,12 +174,17 @@ class FlowTable:
     data: dict[str, np.ndarray]
     dropped_rows: int = 0
     features: np.ndarray | None = None
-    categories: dict[str, np.ndarray] = field(init=False, repr=False)
+    categories: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         schema = self.schema
-        numeric = schema.numeric_names
-        stored = [name for name in schema.names if self.features is None or name not in numeric]
+        numeric, names = schema.numeric_names, schema.feature_names
+        if self.categories and self.features is None:
+            raise DataError("categories index a given feature block, and none was given")
+        stored = [
+            name for name in schema.names
+            if name not in self.categories and (self.features is None or name not in numeric)
+        ]
         for name in stored:
             if name not in self.data and name not in schema.identifier_names:
                 raise DataError(f"table is missing column {name!r}")
@@ -176,7 +193,6 @@ class FlowTable:
         for name in stored:
             if len(self.data[name]) != n:
                 raise DataError(f"column {name!r} has {len(self.data[name])} cells, expected {n}")
-        names = schema.feature_names
         if self.features is None:
             self.features = np.empty((n, len(names)))
             for j, name in enumerate(names):
@@ -184,18 +200,22 @@ class FlowTable:
                     self.features[:, j] = self.data[name]
         elif self.features.shape != (n, len(names)):
             raise DataError(f"feature block has shape {self.features.shape}, expected {(n, len(names))}")
-        self.categories = {}
+        self.categories = dict(self.categories)
         for j, name in enumerate(names):
-            if name in schema.categorical_names:
+            if name in schema.categorical_names and name not in self.categories:
                 self.categories[name], self.features[:, j] = _category_indices(self.data[name])
         self.data = {
             **{name: self.features[:, j] for j, name in enumerate(names) if name in numeric},
-            **{k: v for k, v in self.data.items() if k not in numeric},
+            **{k: v for k, v in self.data.items() if k not in names},
         }
 
     @property
     def row_count(self) -> int:
         return len(self.data[self.schema.attack_class_column])
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return self.schema.feature_names
 
     def column(self, name: str) -> np.ndarray:
         return self.data[name]
@@ -209,11 +229,19 @@ class FlowTable:
         return self.data[self.schema.attack_class_column]
 
     def take(self, indices: np.ndarray) -> "FlowTable":
-        """A new table containing the given rows, in the given order."""
+        """A new table containing the given rows, in the given order.
+
+        Each categorical column indexes only the categories its rows use.
+        """
         idx = np.asarray(indices, dtype=np.int64)
-        numeric = self.schema.numeric_names
-        data = {k: v[idx] for k, v in self.data.items() if k not in numeric}
-        return FlowTable(self.schema, self.benign_name, data, features=self.features[idx])
+        names = self.feature_names
+        features, categories = self.features[idx], {}
+        for j, name in enumerate(names):
+            if name in self.categories:
+                used, features[:, j] = np.unique(features[:, j].astype(np.intp), return_inverse=True)
+                categories[name] = self.categories[name][used]
+        data = {k: v[idx] for k, v in self.data.items() if k not in names}
+        return FlowTable(self.schema, self.benign_name, data, features=features, categories=categories)
 
     def validate(self) -> None:
         """Check value invariants (construction checks the shapes); raises DataError on violation."""
@@ -442,8 +470,8 @@ def load_csv(
     the rest of the file. The csv path is the reference: it alone reports
     or drops bad rows, and on every chunk that `loadtxt` accepts it yields
     the same cells. Pages of the block past the last row are never written,
-    so they take no memory. The categorical columns of the block are filled
-    once the file is read.
+    so they take no memory. The categorical columns of the block are indexed
+    from their strings once the file is read.
     """
     if on_bad_row not in ("abort", "drop"):
         raise ValueError(f"on_bad_row must be 'abort' or 'drop', got {on_bad_row!r}")
@@ -559,13 +587,15 @@ def write_csv(table: FlowTable, path: str | Path) -> None:
         columns = []
         for name in schema.names:
             kind = schema.kind_of(name)
-            col = table.data[name]
-            if kind is ColumnKind.NUMERIC:
-                columns.append([repr(float(v)) for v in col])
+            if kind is ColumnKind.CATEGORICAL:
+                j = schema.feature_names.index(name)
+                columns.append(table.categories[name][table.features[:, j].astype(np.intp)].tolist())
+            elif kind is ColumnKind.NUMERIC:
+                columns.append([repr(float(v)) for v in table.data[name]])
             elif kind is ColumnKind.BINARY_LABEL:
-                columns.append([str(int(v)) for v in col])
+                columns.append([str(int(v)) for v in table.data[name]])
             else:
-                columns.append(list(col))
+                columns.append(list(table.data[name]))
         for row in zip(*columns) if columns else []:
             writer.writerow(row)
 
@@ -617,8 +647,9 @@ def summarize(table: FlowTable) -> TableSummary:
     """Deterministic dataset summary: class counts, numeric stats, cardinalities.
 
     Class counts are in sorted-name order. Means are computed in float64
-    with numpy's pairwise summation. The string columns are counted over
-    their interned strings, with no fixed-width copy of a column.
+    with numpy's pairwise summation. A categorical column's cardinality is
+    the number of its categories; the class and identifier columns are
+    counted over their interned strings, with no fixed-width copy.
     """
     _require_identifiers(table, "summarize")
     counts = Counter(table.attack_classes)
@@ -634,7 +665,10 @@ def summarize(table: FlowTable) -> TableSummary:
 
     cardinality = {}
     for name in table.schema.names:
-        if table.schema.kind_of(name) in (ColumnKind.CATEGORICAL, ColumnKind.IDENTIFIER):
+        kind = table.schema.kind_of(name)
+        if kind is ColumnKind.CATEGORICAL:
+            cardinality[name] = len(table.categories[name])
+        elif kind is ColumnKind.IDENTIFIER:
             cardinality[name] = len(set(table.data[name]))
 
     return TableSummary(

@@ -16,11 +16,11 @@ submits its distance jobs ahead of its model jobs to one process pool (the
 order of their scenario indices, so the worker count never changes any
 output byte.
 
-The features are held once: the loaded table's feature block is the base
-matrix (`encode_table`), the one n x d float64 matrix a run holds, and
-nothing writes to it. Each job reads its rows of it through its scenario's
-fitted transform: a distance job one column at a time, a model job its
-train rows and its test rows.
+The features are held once: the loaded table is the base matrix, its
+feature block the one n x d float64 matrix a run holds, and nothing writes
+to it. Each job reads its rows of it through its scenario's fitted
+transform: a distance job one column at a time, a model job its train rows
+and its test rows.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .config import KNOWN_MODELS, ExperimentConfig
 from .errors import ConfigError, DataError
 from .flowdata import ClassCatalog, FlowTable, build_catalog, load_csv
 from .metrics import FoldAggregate, MetricsReport, aggregate_folds, per_class_positives, scenario_report
-from .preprocess import FeatureMatrix, FittedTransform, encode_table, preprocess_pipeline, transforms_to_json
+from .preprocess import FittedTransform, preprocess_pipeline, transforms_to_json
 from .wdanalysis import WdReport, per_feature_wd, rank_correlation
 from .zslsplit import FoldPlan, Scenario, fold_warnings, make_fold_plan, make_zero_day_scenarios, scenario_rows
 
@@ -153,7 +153,7 @@ def _execute_job(job: ScenarioJob) -> JobResult:
         )
         per_class = None
         if scenario.held_out is None:
-            per_class = per_class_positives(y_test, y_pred, test_classes, cfg.benign_name).by_class
+            per_class = per_class_positives(y_test, y_pred, test_classes, cfg.benign_name)
         return JobResult(job.kind, job.scenario, report, per_class, model_json)
     except Exception as exc:  # noqa: BLE001 - attributed and re-raised by the parent
         error = str(exc) if job.kind == DISTANCE else f"{type(exc).__name__}: {exc}"
@@ -296,7 +296,7 @@ class _Prepared:
     selected: tuple[str, ...]
     plan: FoldPlan
     scenarios: list[Scenario]
-    base: FeatureMatrix  # the loaded feature block, encoded and unscaled; nothing writes to it
+    base: FlowTable  # the loaded table, its block unscaled; nothing writes to it
     fitted: list[FittedTransform]  # aligned with `scenarios`
     transforms: dict
     prep_summary: dict
@@ -331,13 +331,13 @@ class _Prepared:
 
 def _fit_transforms(
     cfg: ExperimentConfig,
-    base: FeatureMatrix,
+    base: FlowTable,
     scenarios: list[Scenario],
     plan: FoldPlan,
     catalog: ClassCatalog,
     warnings: list[str],
 ) -> tuple[list[FittedTransform], dict, dict]:
-    """Fit, per scenario, the transform its jobs read the base matrix through.
+    """Fit, per scenario, the transform its jobs read the table through.
 
     full-dataset scope: one transform, fitted on every row, shared by every
     scenario. train-only scope: one transform per scenario, fitted on that
@@ -402,12 +402,9 @@ def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
         warnings.extend(fold_warnings(plan, catalog))
     scenarios += [s for s in make_zero_day_scenarios(plan, catalog) if s.held_out in selected]
 
-    base = encode_table(table)
-    # nothing reads the loaded table after encoding, so free it (its strings included) now
-    del table
-    fitted, transforms, prep_summary = _fit_transforms(cfg, base, scenarios, plan, catalog, warnings)
+    fitted, transforms, prep_summary = _fit_transforms(cfg, table, scenarios, plan, catalog, warnings)
     return _Prepared(
-        rows_loaded, dropped_rows, catalog, selected, plan, scenarios, base, fitted, transforms, prep_summary,
+        rows_loaded, dropped_rows, catalog, selected, plan, scenarios, table, fitted, transforms, prep_summary,
         warnings,
     )
 

@@ -35,13 +35,6 @@ class ConfusionCounts:
         return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
 
 
-@dataclass(frozen=True)
-class PerClassPositives:
-    """(tp, fn) restricted to the test rows of each attack class."""
-
-    by_class: dict[str, tuple[int, int]]
-
-
 @dataclass
 class MetricsReport:
     accuracy: float | None = None
@@ -131,8 +124,8 @@ def per_class_positives(
     y_pred: np.ndarray,
     attack_classes: np.ndarray,
     benign_name: str,
-) -> PerClassPositives:
-    """Per-attack-class (tp, fn) over the test rows of that class."""
+) -> dict[str, tuple[int, int]]:
+    """Per attack class, (tp, fn) over the test rows of that class."""
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     classes = np.asarray(attack_classes)
@@ -145,18 +138,18 @@ def per_class_positives(
         tp = int(np.count_nonzero(y_pred[rows] == 1))
         fn = int(np.count_nonzero(y_pred[rows] == 0))
         by_class[str(name)] = (tp, fn)
-    return PerClassPositives(by_class)
+    return by_class
 
 
-def zdr(per_class: PerClassPositives, held_out: str) -> float | None:
+def zdr(per_class: dict[str, tuple[int, int]], held_out: str) -> float | None:
     """Detection rate (percent) over the held-out class's test rows.
 
     None when the class has no test rows in this fold; aggregation then
     skips the fold and reports it.
     """
-    if held_out not in per_class.by_class:
+    if held_out not in per_class:
         return None
-    tp, fn = per_class.by_class[held_out]
+    tp, fn = per_class[held_out]
     if tp + fn == 0:
         return None
     return tp / (tp + fn) * 100.0

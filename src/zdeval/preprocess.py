@@ -6,21 +6,20 @@ feature into [0, 1].
 
 The string work is done when the table is built: its feature block (see
 `flowdata`) has no identifier columns and holds, in each categorical
-column, every row's index into the column's sorted distinct values.
-`encode_table` returns that block as the unscaled base matrix, with no copy.
-`preprocess_pipeline` then fits an encoder and a scaler from row indices
-alone, and the resulting `FittedTransform` codes and scales the rows a
-reader asks for, one column (`column`) or all of them (`apply`), in a fresh
-copy of those rows: nothing writes to the base matrix. The encoder codes by
-first appearance among the fit rows, exactly as encoding the strings of
-those rows would. Fitted transforms are immutable and serializable so a run
-can be replayed and audited.
+column, every row's index into the column's sorted distinct values, so the
+table itself is the unscaled base matrix. `preprocess_pipeline` fits an
+encoding and a scaling on some of its rows, from row indices alone, and the
+resulting `FittedTransform` codes and scales the rows a reader asks for,
+one column (`column`) or all of them (`apply`), in a fresh copy of those
+rows: nothing writes to the table. The encoding codes by first appearance
+among the fit rows, exactly as encoding the strings of those rows would.
+Fitted transforms are immutable and serializable so a run can be replayed
+and audited.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -49,85 +48,8 @@ class PrepCounters:
         }
 
 
-@dataclass(frozen=True)
-class FittedEncoder:
-    """Per-feature mapping of category strings to contiguous integer codes.
-
-    Values unseen at fit time get the reserve code, len(mapping), under the
-    reserve policy.
-    """
-
-    mappings: dict[str, dict[str, int]]
-
-    def to_json(self) -> dict:
-        return {f: dict(m) for f, m in sorted(self.mappings.items())}
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Mapping[str, int]]) -> "FittedEncoder":
-        return cls({f: {str(k): int(v) for k, v in m.items()} for f, m in obj.items()})
-
-
-@dataclass(frozen=True)
-class FittedScaler:
-    """Per-feature (min, max) observed at fit time."""
-
-    ranges: dict[str, tuple[float, float]]
-
-    def to_json(self) -> dict:
-        return {f: {"min": lo, "max": hi} for f, (lo, hi) in sorted(self.ranges.items())}
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Mapping[str, float]]) -> "FittedScaler":
-        return cls({f: (float(r["min"]), float(r["max"])) for f, r in obj.items()})
-
-
-@dataclass(eq=False)
-class FeatureMatrix:
-    """Dense feature matrix plus aligned label and attack-class vectors.
-
-    `encoded_features` names the columns that started life as categorical
-    strings; distance analyses flag them because integer codes carry no
-    ordering. `categories` is set on a base matrix only (`encode_table`):
-    there each encoded column holds every row's index into the feature's
-    sorted distinct values, not a code.
-    """
-
-    values: np.ndarray
-    feature_names: tuple[str, ...]
-    labels: np.ndarray
-    attack_classes: np.ndarray
-    encoded_features: tuple[str, ...] = ()
-    categories: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[1]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.feature_names.index(name)]
-
-
-def encode_table(table: FlowTable) -> FeatureMatrix:
-    """The table's features as the unscaled float64 base matrix: its feature block, not a copy.
-
-    The block's categorical columns hold every row's index into the
-    feature's sorted distinct values (`categories`); transforms fitted on any
-    rows of the result map those indices to codes. The matrix shares its
-    memory with the table's numeric columns.
-    """
-    schema = table.schema
-    return FeatureMatrix(
-        table.features, schema.feature_names, table.labels, table.attack_classes,
-        schema.categorical_names, table.categories,
-    )
-
-
-def _coded(base: FeatureMatrix, name: str, col: np.ndarray, codes: dict[str, np.ndarray]) -> np.ndarray:
-    """A column of the base matrix with its category indices replaced by codes (a new array), else the column."""
+def _coded(base: FlowTable, name: str, col: np.ndarray, codes: dict[str, np.ndarray]) -> np.ndarray:
+    """A column of the table's block with its category indices replaced by codes (a new array), else the column."""
     if name not in base.categories:
         return col
     if name not in codes:
@@ -158,44 +80,46 @@ def _min_max(col: np.ndarray, lo: float, hi: float, out: np.ndarray | None = Non
 
 @dataclass(eq=False)
 class FittedTransform:
-    """An encoder and a scaler fitted on some rows of a base matrix.
+    """A label encoding and a min-max scaling fitted on some rows of a table.
 
-    `codes` holds, per encoded feature, the code of every category index
-    (the reserve code for categories unseen at fit time). `counters` tallies
-    what applying the transform to every row of the base matrix clamps or
-    meets unseen.
+    `mappings` maps, per categorical feature, each category seen at fit time
+    to its code, and `codes` holds the code of every category index: the
+    reserve code, len(mapping), for a category unseen at fit time. `ranges`
+    holds each feature's (min, max) over the fit rows. `counters` tallies
+    what applying the transform to every row of the table clamps or meets
+    unseen.
     """
 
-    encoder: FittedEncoder
-    scaler: FittedScaler
-    counters: PrepCounters
+    mappings: dict[str, dict[str, int]]
+    ranges: dict[str, tuple[float, float]]
     codes: dict[str, np.ndarray]
+    counters: PrepCounters
 
     def _scale(self, name: str, col: np.ndarray) -> np.ndarray:
         """The column, scaled into [0, 1] in place."""
-        _min_max(col, *self.scaler.ranges[name], out=col)
+        _min_max(col, *self.ranges[name], out=col)
         return np.clip(col, 0.0, 1.0, out=col)
 
-    def column(self, base: FeatureMatrix, rows: np.ndarray, j: int, *, scaled: bool) -> np.ndarray:
-        """Column j of the base matrix's `rows` (an index array), encoded and optionally scaled into [0, 1].
+    def column(self, base: FlowTable, rows: np.ndarray, j: int, *, scaled: bool) -> np.ndarray:
+        """Feature j of the table's `rows` (an index array), encoded and optionally scaled into [0, 1].
 
         The column is gathered fresh, then coded and scaled in place.
         """
         name = base.feature_names[j]
-        col = _coded(base, name, base.values[rows, j], self.codes)
+        col = _coded(base, name, base.features[rows, j], self.codes)
         return self._scale(name, col) if scaled else col
 
-    def apply(self, base: FeatureMatrix, rows: np.ndarray, *, scaled: bool) -> np.ndarray:
-        """The base matrix's `rows` (an index array), encoded and optionally scaled into [0, 1].
+    def apply(self, base: FlowTable, rows: np.ndarray, *, scaled: bool) -> np.ndarray:
+        """The features of the table's `rows` (an index array), encoded and optionally scaled into [0, 1].
 
         The rows are gathered once, and each column of that copy is coded
         and scaled in place.
         """
-        if set(self.scaler.ranges) != set(base.feature_names):
-            missing = set(base.feature_names) ^ set(self.scaler.ranges)
-            raise ValueError(f"scaler/matrix feature mismatch: {sorted(missing)}")
-        values = base.values[rows]
-        for j, name in enumerate(base.feature_names):
+        names = base.feature_names
+        if set(self.ranges) != set(names):
+            raise ValueError(f"scaler/table feature mismatch: {sorted(set(names) ^ set(self.ranges))}")
+        values = base.features[rows]
+        for j, name in enumerate(names):
             col = values[:, j]
             if name in base.categories:
                 col[:] = _coded(base, name, col, self.codes)
@@ -205,13 +129,13 @@ class FittedTransform:
 
 
 def preprocess_pipeline(
-    base: FeatureMatrix,
+    base: FlowTable,
     fit_scope: str = "full-dataset",
     train_indices: np.ndarray | None = None,
     *,
     unseen: str = "reserve-code",
 ) -> FittedTransform:
-    """Fit the encoder and the scaler of one scope on a base matrix (`encode_table`).
+    """Fit the encoding and the scaling of one scope on a table's features.
 
     fit_scope "full-dataset" fits both over every row (note: this leaks test
     statistics into the transforms, but is the conventional order for these
@@ -234,14 +158,15 @@ def preprocess_pipeline(
         if train_indices is None or len(train_indices) == 0:
             raise ValueError("train-only fit scope requires a nonempty train_indices")
         rows = np.asarray(train_indices)
-    if base.n_rows < 1:
-        raise ValueError("cannot fit a scaler on an empty matrix")
+    if base.row_count < 1:
+        raise ValueError("cannot fit a scaler on an empty table")
 
+    names = base.feature_names
     counters = PrepCounters()
-    fit = base.values if rows is None else base.values[rows]
+    fit = base.features if rows is None else base.features[rows]
     mappings, codes = {}, {}
     for name, categories in base.categories.items():
-        seen, first = np.unique(fit[:, base.feature_names.index(name)].astype(np.intp), return_index=True)
+        seen, first = np.unique(fit[:, names.index(name)].astype(np.intp), return_index=True)
         order = seen[np.argsort(first, kind="stable")]
         mappings[name] = {str(categories[i]): code for code, i in enumerate(order)}
         reserve = len(order)
@@ -253,26 +178,26 @@ def preprocess_pipeline(
             counters.unseen.append((name, str(categories[i]), reserve))
 
     ranges = {}
-    for j, name in enumerate(base.feature_names):
+    for j, name in enumerate(names):
         fit_col = _coded(base, name, fit[:, j], codes)
         ranges[name] = lo, hi = float(fit_col.min()), float(fit_col.max())
         if rows is None:
             continue  # fitted on every row, so no value falls outside [lo, hi]
-        # no `out`: a numeric column here is a view of the base matrix
-        scaled = _min_max(_coded(base, name, base.values[:, j], codes), lo, hi)
+        # no `out`: a numeric column here is a view of the table's block
+        scaled = _min_max(_coded(base, name, base.features[:, j], codes), lo, hi)
         n_out = int(np.count_nonzero((scaled < 0.0) | (scaled > 1.0)))
         if n_out:
             counters.clamped[name] = n_out
-    return FittedTransform(FittedEncoder(mappings), FittedScaler(ranges), counters, codes)
+    return FittedTransform(mappings, ranges, codes, counters)
 
 
 def transforms_to_json(result: FittedTransform, fit_scope: str) -> dict:
     """Serializable record of the fitted transforms, for audit and replay."""
     return {
         "fit_scope": fit_scope,
-        "feature_names": list(result.scaler.ranges),
-        "encoded_features": list(result.encoder.mappings),
-        "encoder": result.encoder.to_json(),
-        "scaler": result.scaler.to_json(),
+        "feature_names": list(result.ranges),
+        "encoded_features": list(result.mappings),
+        "encoder": {f: dict(m) for f, m in sorted(result.mappings.items())},
+        "scaler": {f: {"min": lo, "max": hi} for f, (lo, hi) in sorted(result.ranges.items())},
         "counters": result.counters.to_json(),
     }

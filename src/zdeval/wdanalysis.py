@@ -12,8 +12,8 @@ cross-feature mean meaningful.
 
 Each feature's distance takes one in-place sort per side and one merge. The
 column of the train rows and the column of the test rows are gathered from
-the base matrix and transformed by the scenario's fitted transform, one
-column at a time (no matrix is built), sorted, and merged
+the table's feature block and transformed by the scenario's fitted
+transform, one column at a time (no matrix is built), sorted, and merged
 by a stable sort of the two sorted runs, which is a single linear merge.
 |F_u - F_v| is then integrated over the merged values with cumulative
 counts of each side. This is exact, and bit-identical to sorting the
@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flowdata import FlowTable
 from .metrics import average_ranks
-from .preprocess import FeatureMatrix, FittedTransform
+from .preprocess import FittedTransform
 
 
 @dataclass
@@ -79,7 +80,7 @@ def _wd_in_place(u: np.ndarray, v: np.ndarray, what: str) -> float:
 
 
 def per_feature_wd(
-    base: FeatureMatrix,
+    base: FlowTable,
     train_rows: np.ndarray,
     test_rows: np.ndarray,
     *,
@@ -90,7 +91,7 @@ def per_feature_wd(
     subsample_cap: int | None = 100_000,
     seed: int = 0,
 ) -> WdReport:
-    """Wasserstein distance per feature between a base matrix's train and test rows.
+    """Wasserstein distance per feature between a table's train and test rows.
 
     Each feature is read through `transform.column`, encoded and scaled
     into [0, 1] when `scaled`, so about one column of each side is held at
@@ -117,7 +118,7 @@ def per_feature_wd(
             test_rows = test_rows[np.sort(rng.choice(n_test, size=subsample_cap, replace=False))]
         capped = subsample_cap
 
-    # each column is a fresh copy, so sorting it leaves the base matrix alone
+    # each column is a fresh copy, so sorting it leaves the table alone
     distances = {
         name: _wd_in_place(
             transform.column(base, train_rows, j, scaled=scaled),
@@ -132,7 +133,7 @@ def per_feature_wd(
         fold_id=fold_id,
         per_feature=distances,
         mean_wd=mean_wd,
-        encoded_features=base.encoded_features,
+        encoded_features=base.schema.categorical_names,
         rows_train=n_train,
         rows_test=n_test,
         subsample_cap=capped,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
-from zdeval.preprocess import FeatureMatrix, preprocess_pipeline
+from zdeval.preprocess import preprocess_pipeline
 from zdeval.wdanalysis import per_feature_wd
 
 
@@ -45,10 +45,32 @@ def make_table(rows: list[dict], benign_name: str = "Benign", schema: FeatureSch
 
 
 def tables_equal(a: FlowTable, b: FlowTable) -> bool:
-    """Cell-for-cell equality, schema and benign name included."""
+    """Cell-for-cell equality, schema and benign name included.
+
+    The feature blocks, categorical indices included, must be equal, and so
+    must the categories and every column of `data`.
+    """
     if a.schema != b.schema or a.benign_name != b.benign_name or a.row_count != b.row_count:
         return False
-    return all(np.array_equal(a.data[n], b.data[n]) for n in a.schema.names)
+    if a.data.keys() != b.data.keys() or a.categories.keys() != b.categories.keys():
+        return False
+    return (
+        np.array_equal(a.features, b.features)
+        and all(a.categories[n].tolist() == b.categories[n].tolist() for n in a.categories)
+        and all(np.array_equal(a.data[n], b.data[n]) for n in a.data)
+    )
+
+
+def feature_table(values, names: tuple[str, ...] = ("x",)) -> FlowTable:
+    """A table of benign rows whose feature block is `values` (n x d float64), numeric columns `names`."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1, len(names))
+    n = values.shape[0]
+    schema = FeatureSchema(
+        (*(Column(name, ColumnKind.NUMERIC) for name in names),
+         Column("attack_class", ColumnKind.ATTACK_CLASS), Column("label", ColumnKind.BINARY_LABEL))
+    )
+    columns = {"attack_class": np.full(n, "Benign", dtype=object), "label": np.zeros(n, dtype=np.int64)}
+    return FlowTable(schema, "Benign", columns, features=values)
 
 
 def wasserstein_1d(u, v) -> float:
@@ -59,20 +81,18 @@ def wasserstein_1d(u, v) -> float:
     """
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
-    values = np.concatenate([u, v]).reshape(-1, 1)
-    n = len(values)
-    matrix = FeatureMatrix(values, ("x",), np.zeros(n, dtype=np.int64), np.full(n, "Benign", dtype=object))
-    return raw_wd(matrix, np.arange(u.size), np.arange(u.size, n), subsample_cap=None).per_feature["x"]
+    table = feature_table(np.concatenate([u, v]))
+    return raw_wd(table, np.arange(u.size), np.arange(u.size, table.row_count), subsample_cap=None).per_feature["x"]
 
 
-def raw_wd(matrix: FeatureMatrix, train_rows, test_rows, **kwargs):
-    """`per_feature_wd` on the matrix's own values.
+def raw_wd(table: FlowTable, train_rows, test_rows, **kwargs):
+    """`per_feature_wd` on the table's own values.
 
-    The matrix has no categorical column, so its transform, unscaled, reads
-    the gathered values bit for bit.
+    With no categorical column, the table's transform, unscaled, reads the
+    gathered values bit for bit.
     """
     return per_feature_wd(
-        matrix, train_rows, test_rows, transform=preprocess_pipeline(matrix), scaled=False, **kwargs
+        table, train_rows, test_rows, transform=preprocess_pipeline(table), scaled=False, **kwargs
     )
 
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from zdeval.classifiers import ForestConfig
 from zdeval.errors import DataError
-from zdeval.flowdata import FlowTable
 
 SCORE_EPS = 1e-12
 
@@ -315,9 +314,11 @@ def per_node_sort_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: 
     }
 
 
-def string_pipeline(table, train_indices=None, unseen: str = "reserve-code") -> dict:
-    """Drop identifiers, encode and min-max scale a FlowTable the string way.
+def string_pipeline(schema, cells, train_indices=None, unseen: str = "reserve-code") -> dict:
+    """Drop identifiers, encode and min-max scale a table's raw cells the string way.
 
+    `cells` maps each feature column of `schema` to its cells, as the test
+    built them: numbers for a numeric column, strings for a categorical one.
     The encoder and the scaler are fitted on `train_indices` (all rows when
     None) and applied to every row: `np.unique` over each categorical
     column's strings for both the fit and the application, one float64
@@ -325,13 +326,13 @@ def string_pipeline(table, train_indices=None, unseen: str = "reserve-code") -> 
     the scaler ranges, the clamp and unseen counters, and the unscaled and
     scaled matrices with their feature names.
     """
-    schema = table.schema
     features = schema.feature_names
-    fit_rows = np.arange(table.row_count) if train_indices is None else np.asarray(train_indices, dtype=np.int64)
+    n = len(cells[schema.attack_class_column])
+    fit_rows = np.arange(n) if train_indices is None else np.asarray(train_indices, dtype=np.int64)
 
     mappings: dict[str, dict[str, int]] = {}
     for name in schema.categorical_names:
-        uniq, first_idx = np.unique(table.data[name][fit_rows].astype(str), return_index=True)
+        uniq, first_idx = np.unique(np.asarray(cells[name], dtype=object)[fit_rows].astype(str), return_index=True)
         order = np.argsort(first_idx, kind="stable")
         mappings[name] = {str(uniq[i]): code for code, i in enumerate(order)}
 
@@ -339,10 +340,10 @@ def string_pipeline(table, train_indices=None, unseen: str = "reserve-code") -> 
     columns = []
     for name in features:
         if name not in mappings:
-            columns.append(table.data[name])
+            columns.append(np.asarray(cells[name], dtype=np.float64))
             continue
         mapping = mappings[name]
-        col = table.data[name].astype(str)
+        col = np.asarray(cells[name], dtype=object).astype(str)
         uniq, inverse = np.unique(col, return_inverse=True)
         codes = np.empty(len(uniq), dtype=np.float64)
         for i, value in enumerate(uniq):
@@ -429,14 +430,14 @@ def stored_fold_warnings(folds, catalog) -> list[str]:
     return warnings
 
 
-def unique_summary_counts(table) -> tuple[dict[str, int], dict[str, int]]:
-    """Class counts and string-column cardinalities from `np.unique` over fixed-width copies."""
-    classes, counts = np.unique(table.attack_classes.astype(str), return_counts=True)
+def unique_summary_counts(schema, cells) -> tuple[dict[str, int], dict[str, int]]:
+    """Class counts and string-column cardinalities of raw cells, from `np.unique` over fixed-width copies."""
+    classes, counts = np.unique(np.asarray(cells[schema.attack_class_column], dtype=str), return_counts=True)
     class_counts = {str(c): int(n) for c, n in zip(classes, counts)}
     cardinality = {}
-    for name in table.schema.names:
-        if table.schema.kind_of(name).value in ("categorical", "identifier"):
-            cardinality[name] = int(np.unique(table.data[name].astype(str)).size) if table.row_count else 0
+    for name in schema.names:
+        if schema.kind_of(name).value in ("categorical", "identifier"):
+            cardinality[name] = int(np.unique(np.asarray(cells[name], dtype=str)).size)
     return class_counts, cardinality
 
 
@@ -463,11 +464,13 @@ def _bad_row_reason(cells: dict[str, str], schema, benign_name: str) -> str | No
 def row_at_a_time_load_csv(path, schema, benign_name: str, on_bad_row: str = "abort", keep_identifiers: bool = False):
     """The csv-only loader, one row at a time: every row through `csv.reader`, every cell through `float`.
 
-    The reference for `flowdata.load_csv` on files whose header names
-    exactly the schema's columns: the same table, or the same DataError
-    message, and the same `dropped_rows`. A row of the wrong width raises
-    under either policy; a bad row raises under "abort" and is dropped
-    under "drop"; errors name the file line the row ends on.
+    Returns the parsed cells, a column per kept schema column (float64
+    numbers, int64 labels, object arrays of strings), and the number of
+    dropped rows. The reference for `flowdata.load_csv` on files whose
+    header names exactly the schema's columns: the same cells, or the same
+    DataError message, and the same `dropped_rows`. A row of the wrong
+    width raises under either policy; a bad row raises under "abort" and
+    is dropped under "drop"; errors name the file line the row ends on.
     """
     rows = []
     dropped = 0
@@ -497,4 +500,4 @@ def row_at_a_time_load_csv(path, schema, benign_name: str, on_bad_row: str = "ab
             data[column.name] = np.array([int(c.strip()) for c in cells], dtype=np.int64)
         elif kind != "identifier" or keep_identifiers:
             data[column.name] = np.array(cells, dtype=object)
-    return FlowTable(schema, benign_name, data, dropped_rows=dropped)
+    return data, dropped

@@ -33,7 +33,7 @@ from zdeval.config import config_from_dict
 from zdeval.flowdata import ClassCatalog, build_catalog, write_csv
 from zdeval.harness import emit_reports, run_experiment
 from zdeval.metrics import auc, basic_metrics, confusion, per_class_positives, zdr
-from zdeval.preprocess import encode_table, preprocess_pipeline
+from zdeval.preprocess import preprocess_pipeline
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
 from zdeval.zslsplit import Scenario, make_fold_plan, make_zero_day_scenarios, scenario_rows
 
@@ -273,12 +273,11 @@ def test_criterion_5_classifier_sanity(tmp_path):
         )
         table = synthesize_dataset(spec)
         assert table.row_count == 1600
-        base = encode_table(table)
-        fit = preprocess_pipeline(base)
+        fit = preprocess_pipeline(table)
         catalog = build_catalog(table)
         train, test = scenario_rows(Scenario(None, 0), make_fold_plan(catalog, 5, seed=1), catalog)
-        x_tr, y_tr = fit.apply(base, train, scaled=True), base.labels[train]
-        x_te, y_te = fit.apply(base, test, scaled=True), base.labels[test]
+        x_tr, y_tr = fit.apply(table, train, scaled=True), table.labels[train]
+        x_te, y_te = fit.apply(table, test, scaled=True), table.labels[test]
 
         for name, scores in (
             ("forest", forest_score(train_forest(x_tr, y_tr, ForestConfig(), seed=2), x_te)),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import sys
 import tracemalloc
 from unittest import mock
@@ -17,11 +18,13 @@ from zdeval.flowdata import (
     Column,
     ColumnKind,
     FeatureSchema,
+    FlowTable,
     build_catalog,
     load_csv,
     summarize,
     write_csv,
 )
+from zdeval.harness import subsample_rows
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
 
 
@@ -283,15 +286,13 @@ class TestSummarize:
         ids=["empty", "one-class", "ties"],
     )
     def test_counts_match_unique_oracle(self, small_table, rows):
-        if rows:
-            table = make_table(
-                [{"flow_id": f, "dur": 1.0, "proto": p, "attack_class": c, "label": int(c != "Benign")}
-                 for f, p, c in rows]
-            )
-        else:
-            table = small_table.take(np.array([], dtype=np.int64))
+        cells = [
+            {"flow_id": f, "dur": 1.0, "proto": p, "attack_class": c, "label": int(c != "Benign")} for f, p, c in rows
+        ]
+        table = make_table(cells, schema=small_table.schema)
         s = summarize(table)
-        class_counts, cardinality = unique_summary_counts(table)
+        columns = {name: [row[name] for row in cells] for name in table.schema.names}
+        class_counts, cardinality = unique_summary_counts(table.schema, columns)
         assert list(s.class_counts.items()) == list(class_counts.items())
         assert s.cardinality == cardinality
 
@@ -418,6 +419,60 @@ class TestCategoryIndices:
         assert taken.column("dur").tolist() == [4.0, 2.0]
 
 
+class TestTakeAgainstLoad:
+    """A taken or subsampled table equals the table loaded from a CSV of its rows' own cells."""
+
+    SCHEMA = FeatureSchema(
+        (
+            Column("flow_id", ColumnKind.IDENTIFIER),
+            Column("proto", ColumnKind.CATEGORICAL),
+            Column("dur", ColumnKind.NUMERIC),
+            Column("service", ColumnKind.CATEGORICAL),
+            Column("attack_class", ColumnKind.ATTACK_CLASS),
+            Column("label", ColumnKind.BINARY_LABEL),
+        )
+    )
+
+    @staticmethod
+    def rows():
+        rng = np.random.default_rng(4)
+        protos, services, classes = ("tcp", "udp", "icmp", "gre"), ("10", "9", "dns", "", "http"), ("Benign", "dos")
+        return [
+            {"flow_id": str(i), "proto": protos[rng.integers(4)], "dur": float(rng.normal()),
+             "service": services[rng.integers(5)], "attack_class": classes[i % 2], "label": i % 2}
+            for i in range(40)
+        ]
+
+    def loaded(self, tmp_path, rows) -> FlowTable:
+        path = tmp_path / "subset.csv"
+        names = self.SCHEMA.names
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(names)
+            writer.writerows([repr(r[n]) if n == "dur" else r[n] for n in names] for r in rows)
+        return load_csv(path, self.SCHEMA, "Benign", keep_identifiers=True)
+
+    def assert_same(self, table, loaded):
+        assert table.features.tobytes() == loaded.features.tobytes()
+        assert tables_equal(table, loaded)  # the categories and the other columns
+
+    @pytest.mark.parametrize(
+        "keep", [[5, 3, 3, 0, 39], [1, 1], list(range(40))[::-1], []], ids=["unsorted", "repeated", "reversed", "empty"]
+    )
+    def test_take(self, tmp_path, keep):
+        rows = self.rows()
+        taken = make_table(rows, schema=self.SCHEMA).take(np.array(keep, dtype=np.int64))
+        self.assert_same(taken, self.loaded(tmp_path, [rows[i] for i in keep]))
+
+    @pytest.mark.parametrize("cap", [1, 7, 25])
+    def test_subsample(self, tmp_path, cap):
+        rows = self.rows()
+        sub = subsample_rows(make_table(rows, schema=self.SCHEMA), cap, seed=cap)
+        keep = [int(i) for i in sub.data["flow_id"]]
+        assert len(keep) == cap
+        self.assert_same(sub, self.loaded(tmp_path, [rows[i] for i in keep]))
+
+
 class TestLoadChunks:
     """Files longer than one parse chunk: rows, errors and drops across chunk boundaries."""
 
@@ -510,21 +565,48 @@ def mixed_files(draw) -> bytes:
     return (newline.join(lines) + (newline if draw(st.booleans()) else "")).encode()
 
 
-def _loaded(load, path, **kwargs):
-    """A loaded table as plain values, or the DataError message."""
+def _outcome(load, path, **kwargs):
+    """What `load` returns on a MIXED file, or its DataError message."""
     try:
-        table = load(path, MIXED, "Benign", **kwargs)
+        return load(path, MIXED, "Benign", **kwargs)
     except DataError as exc:
         return str(exc)
-    strings = {name: (col.dtype, col.tolist()) for name, col in table.data.items() if name not in ("dur", "bytes")}
+
+
+def _loaded(table) -> tuple:
+    """A loaded table as plain values: its block's bytes, its other columns, its categories and its drops."""
+    strings = {name: (col.dtype, col.tolist()) for name, col in table.data.items() if name not in MIXED.numeric_names}
     categories = {name: col.tolist() for name, col in table.categories.items()}
     return table.features.tobytes(), strings, categories, table.dropped_rows
+
+
+def _parsed(cells, dropped) -> tuple:
+    """The oracle's cells as `_loaded` puts a table: each categorical column indexed by `np.unique` over its strings."""
+    block, categories = [], {}
+    for name in MIXED.feature_names:
+        if name in MIXED.categorical_names:
+            uniq, index = np.unique(cells[name].astype(str), return_inverse=True)
+            categories[name] = uniq.tolist()
+            block.append(index.astype(np.float64))
+        else:
+            block.append(cells[name])
+    strings = {name: (col.dtype, col.tolist()) for name, col in cells.items() if name not in MIXED.feature_names}
+    return np.column_stack(block).tobytes(), strings, categories, dropped
 
 
 def assert_same_as_oracle(path, keep_identifiers=False):
     for on_bad_row in ("abort", "drop"):
         kwargs = {"on_bad_row": on_bad_row, "keep_identifiers": keep_identifiers}
-        assert _loaded(load_csv, path, **kwargs) == _loaded(row_at_a_time_load_csv, path, **kwargs)
+        table, parsed = _outcome(load_csv, path, **kwargs), _outcome(row_at_a_time_load_csv, path, **kwargs)
+        if isinstance(table, str) or isinstance(parsed, str):
+            assert table == parsed
+            continue
+        assert _loaded(table) == _parsed(*parsed)
+        # the categorical column is held once, as the block's indices into its categories
+        cells, _ = parsed
+        index = table.features[:, MIXED.feature_names.index("proto")].astype(np.intp)
+        assert "proto" not in table.data
+        assert table.categories["proto"][index].tolist() == cells["proto"].tolist()
 
 
 class TestLoadAgainstOracle:
@@ -575,7 +657,8 @@ class TestLoadAgainstOracle:
             with mock.patch.object(flowdata, "_typed_chunk", side_effect=AssertionError("csv path")) as csv_path:
                 table = load_csv(path, MIXED, "Benign", keep_identifiers=True)
                 assert table.row_count == 8 and csv_path.call_count == 0
-                assert table.data["flow_id"][2] == 'a,"b"\r\nc' and table.data["proto"][2] == "u\ndp"
+                proto = table.categories["proto"][int(table.features[2, MIXED.feature_names.index("proto")])]
+                assert table.data["flow_id"][2] == 'a,"b"\r\nc' and proto == "u\ndp"
                 path.write_bytes(path.read_bytes().replace(b"7.25", b"nan"))
                 with pytest.raises(AssertionError, match="csv path"):
                     load_csv(path, MIXED, "Benign")

@@ -32,7 +32,7 @@ from zdeval.harness import (
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
 from zdeval.wdanalysis import per_feature_wd
 from zdeval.zslsplit import Scenario, make_fold_plan, make_zero_day_scenarios, scenario_rows
-from zdeval.preprocess import encode_table, preprocess_pipeline
+from zdeval.preprocess import preprocess_pipeline
 
 
 def base_config_dict(csv_path, schema_json, **overrides):
@@ -104,10 +104,9 @@ class TestSyntheticDataset:
             n_benign=2000, attacks=(AttackBlob("a", 2000, mean=0.0, cov_scale=1.0),), d=3, seed=1
         )
         table = synthesize_dataset(spec)
-        base = encode_table(table)
         rows_a = np.flatnonzero(table.attack_classes == "a")
         rows_b = np.flatnonzero(table.attack_classes == "Benign")
-        report = per_feature_wd(base, rows_a, rows_b, transform=preprocess_pipeline(base), scaled=True)
+        report = per_feature_wd(table, rows_a, rows_b, transform=preprocess_pipeline(table), scaled=True)
         assert report.mean_wd < 0.1
 
     def test_identifier_column_optional(self):
@@ -450,15 +449,17 @@ class TestTrainOnlyUnscaledDistances:
         )
         prep = _prepare(cfg, with_baseline=True)
         assert len(prep.scenarios) == 12
-        assert [id(m) for m in _held_arrays(prep) if m.ndim == 2] == [id(prep.base.values)]
+        assert [id(m) for m in _held_arrays(prep) if m.ndim == 2] == [id(prep.base.features)]
         base = prep.base
         for i, s in enumerate(prep.scenarios):
             if s.held_out is not None:
                 _, test = prep.rows(i)
                 fit = prep.fitted[i]
-                unscaled = np.column_stack([fit.column(base, test, j, scaled=False) for j in range(base.n_features)])
+                unscaled = np.column_stack(
+                    [fit.column(base, test, j, scaled=False) for j in range(len(base.feature_names))]
+                )
                 # no categorical column: the distance jobs read the loaded values
-                assert unscaled.tobytes() == base.values[test].tobytes()
+                assert unscaled.tobytes() == base.features[test].tobytes()
                 assert not np.array_equal(fit.apply(base, test, scaled=True), unscaled)
 
 
@@ -487,8 +488,8 @@ class TestOneFeatureMatrix:
     @staticmethod
     def assert_one_unwritten_matrix(prep, loaded: np.ndarray) -> None:
         big = [b for b in _buffers(_held_arrays(prep)) if b.nbytes >= loaded.nbytes]
-        assert [id(b) for b in big] == [id(b) for b in _buffers([prep.base.values])]
-        assert prep.base.values.tobytes() == loaded.tobytes()
+        assert [id(b) for b in big] == [id(b) for b in _buffers([prep.base.features])]
+        assert prep.base.features.tobytes() == loaded.tobytes()
 
     @pytest.mark.parametrize("fit_scope", ["full-dataset", "train-only"], ids=["full", "train"])
     @pytest.mark.parametrize("wd_on_scaled", [True, False], ids=["scaled", "unscaled"])
@@ -498,7 +499,7 @@ class TestOneFeatureMatrix:
         cfg = config_from_dict(
             base_config_dict(path, schema.to_json(), fit_scope=fit_scope, wd_on_scaled=wd_on_scaled, workers=1)
         )
-        loaded = encode_table(load_csv(path, schema, "Benign")).values
+        loaded = load_csv(path, schema, "Benign").features
         with_baseline = work is run_experiment
         self.assert_one_unwritten_matrix(_prepare(cfg, with_baseline=with_baseline), loaded)
 

@@ -133,8 +133,8 @@ class TestZdr:
         y_pred = rng.integers(0, 2, 200)
         pc = per_class_positives(y_true, y_pred, classes, "Benign")
         c = confusion(y_true, y_pred)
-        assert sum(tp for tp, _ in pc.by_class.values()) == c.tp
-        assert sum(fn for _, fn in pc.by_class.values()) == c.fn
+        assert sum(tp for tp, _ in pc.values()) == c.tp
+        assert sum(fn for _, fn in pc.values()) == c.fn
 
     def test_zdr_equals_dr_when_single_attack_class(self):
         classes = np.array(["Benign"] * 10 + ["Z"] * 10, dtype=object)

@@ -5,23 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import make_table
+from conftest import feature_table, make_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_impls import string_pipeline
 
 from zdeval.errors import DataError
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
-from zdeval.preprocess import (
-    FeatureMatrix,
-    FittedEncoder,
-    FittedScaler,
-    FittedTransform,
-    PrepCounters,
-    encode_table,
-    preprocess_pipeline,
-    transforms_to_json,
-)
+from zdeval.preprocess import FittedTransform, PrepCounters, preprocess_pipeline, transforms_to_json
 
 
 def cat_table(values: list[str]):
@@ -31,24 +22,23 @@ def cat_table(values: list[str]):
     )
 
 
-def every_row(m: FeatureMatrix) -> np.ndarray:
-    return np.arange(m.n_rows)
+def every_row(table: FlowTable) -> np.ndarray:
+    return np.arange(table.row_count)
 
 
-def fit(table, train_indices=None, **kwargs) -> tuple[FeatureMatrix, FittedTransform]:
-    base = encode_table(table)
+def fit(table, train_indices=None, **kwargs) -> tuple[FlowTable, FittedTransform]:
     scope = "full-dataset" if train_indices is None else "train-only"
-    return base, preprocess_pipeline(base, scope, train_indices, **kwargs)
+    return table, preprocess_pipeline(table, scope, train_indices, **kwargs)
 
 
 class TestEncoder:
     def test_first_appearance_codes(self):
         _, t = fit(cat_table(["tcp", "udp", "tcp"]))
-        assert t.encoder.mappings["proto"] == {"tcp": 0, "udp": 1}
+        assert t.mappings["proto"] == {"tcp": 0, "udp": 1}
 
     def test_single_value(self):
         _, t = fit(cat_table(["only"]))
-        assert t.encoder.mappings["proto"] == {"only": 0}
+        assert t.mappings["proto"] == {"only": 0}
 
     def test_independent_code_spaces(self):
         table = make_table(
@@ -58,14 +48,14 @@ class TestEncoder:
             ]
         )
         _, t = fit(table)
-        assert t.encoder.mappings["a"] == {"x": 0, "y": 1}
-        assert t.encoder.mappings["b"] == {"q": 0}
+        assert t.mappings["a"] == {"x": 0, "y": 1}
+        assert t.mappings["b"] == {"q": 0}
 
     def test_apply_direct_map(self):
-        # the base matrix holds indices into the sorted values; the transform maps them to codes
+        # the table's block holds indices into the sorted values; the transform maps them to codes
         base, t = fit(cat_table(["udp", "tcp"]))
         assert base.categories["proto"].tolist() == ["tcp", "udp"]
-        assert base.column("proto").tolist() == [1.0, 0.0]
+        assert base.features[:, 0].tolist() == [1.0, 0.0]
         assert t.apply(base, every_row(base), scaled=False).ravel().tolist() == [0.0, 1.0]
         assert t.column(base, every_row(base), 0, scaled=False).tolist() == [0.0, 1.0]
 
@@ -80,18 +70,20 @@ class TestEncoder:
 
     def test_empty_table_stays_empty(self):
         table = cat_table(["tcp", "udp"])
-        assert encode_table(table.take(np.array([], dtype=np.int64))).values.shape == (0, 1)
+        assert table.take(np.array([], dtype=np.int64)).features.shape == (0, 1)
         base, t = fit(table)
         assert t.apply(base, np.array([], dtype=np.int64), scaled=True).shape == (0, 1)
 
     def test_identifiers_are_not_features(self, small_table):
-        assert encode_table(small_table).feature_names == ("dur", "proto")
+        assert small_table.feature_names == ("dur", "proto")
+        assert small_table.features.shape == (5, 2)
 
     def test_base_matrix_is_the_tables_block(self, small_table):
-        base = encode_table(small_table)
-        assert base.values is small_table.features
-        assert np.shares_memory(base.values, small_table.column("dur"))
-        assert base.values.flags.c_contiguous
+        _, t = fit(small_table)
+        assert np.shares_memory(small_table.features, small_table.column("dur"))
+        assert small_table.features.flags.c_contiguous
+        rows = every_row(small_table)
+        assert t.column(small_table, rows, 0, scaled=False).tobytes() == small_table.features[:, 0].tobytes()
 
     def test_encoding_allocates_no_matrix(self):
         table = make_table(
@@ -103,38 +95,37 @@ class TestEncoder:
         )
         tracemalloc.start()
         try:
-            base = encode_table(table)
+            preprocess_pipeline(table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # stacking the columns into a new matrix allocated at least n x d float64
-        assert peak < base.n_rows * base.n_features * 8
+        # a full-dataset fit reads the table's block in place; a copy of it is n x d float64
+        assert peak < table.features.nbytes
 
     def test_labels_preserved_exactly(self, small_table):
-        base = encode_table(small_table)
-        assert np.array_equal(base.labels, small_table.labels)
-        assert np.array_equal(base.attack_classes, small_table.attack_classes)
+        # the categorical strings are dropped at construction; the label and the class stay
+        assert "proto" not in small_table.data
+        assert small_table.labels.tolist() == [0, 1, 1, 1, 0]
+        assert small_table.attack_classes.tolist() == ["Benign", "Dos", "Worms", "Dos", "Benign"]
 
 
 class TestScaler:
     def matrix(self, column):
-        values = np.asarray(column, dtype=np.float64).reshape(-1, 1)
-        n = values.shape[0]
-        return FeatureMatrix(values, ("x",), np.zeros(n, dtype=np.int64), np.array(["Benign"] * n, dtype=object))
+        return feature_table(column)
 
     def test_fit_min_max(self):
         t = preprocess_pipeline(self.matrix([2.0, 4.0, 6.0]))
-        assert t.scaler.ranges["x"] == (2.0, 6.0)
+        assert t.ranges["x"] == (2.0, 6.0)
 
     def test_constant_column(self):
         m = self.matrix([5.0, 5.0])
         t = preprocess_pipeline(m)
-        assert t.scaler.ranges["x"] == (5.0, 5.0)
+        assert t.ranges["x"] == (5.0, 5.0)
         assert t.apply(m, every_row(m), scaled=True).tolist() == [[0.0], [0.0]]
 
     def test_single_row(self):
         t = preprocess_pipeline(self.matrix([7.0]))
-        assert t.scaler.ranges["x"] == (7.0, 7.0)
+        assert t.ranges["x"] == (7.0, 7.0)
 
     def test_apply_arithmetic(self):
         m = self.matrix([2.0, 4.0, 6.0])
@@ -152,12 +143,12 @@ class TestScaler:
     def test_out_of_range_clamped_and_counted(self):
         m = self.matrix([2.0, 6.0, 8.0, 0.0, 4.0])
         t = preprocess_pipeline(m, "train-only", np.array([0, 1]))
-        assert t.scaler.ranges["x"] == (2.0, 6.0)
+        assert t.ranges["x"] == (2.0, 6.0)
         assert t.apply(m, every_row(m), scaled=True).ravel().tolist() == [0.0, 1.0, 1.0, 0.0, 0.5]
         assert t.counters.clamped == {"x": 2}
 
     def test_column_mismatch_rejected(self):
-        t = FittedTransform(FittedEncoder({}), FittedScaler({"y": (0.0, 1.0)}), PrepCounters(), {})
+        t = FittedTransform({}, {"y": (0.0, 1.0)}, {}, PrepCounters())
         with pytest.raises(ValueError, match="mismatch"):
             t.apply(self.matrix([1.0]), np.array([0]), scaled=True)
 
@@ -177,7 +168,7 @@ class TestScaler:
         m = self.matrix(column)
         once = self.matrix(preprocess_pipeline(m).apply(m, every_row(m), scaled=True).ravel())
         twice = preprocess_pipeline(once).apply(once, every_row(once), scaled=True)
-        assert np.max(np.abs(twice - once.values)) <= 1e-12
+        assert np.max(np.abs(twice - once.features)) <= 1e-12
 
 
 class TestPipeline:
@@ -185,7 +176,7 @@ class TestPipeline:
         base, t = fit(small_table)
         values = t.apply(base, every_row(base), scaled=True)
         assert base.feature_names == ("dur", "proto")
-        assert base.encoded_features == ("proto",)
+        assert base.schema.categorical_names == ("proto",)
         assert values.min() >= 0.0 and values.max() <= 1.0
         # scaler was fitted over all rows: extremes hit exactly 0 and 1
         assert values[:, 0].min() == 0.0 and values[:, 0].max() == 1.0
@@ -210,24 +201,24 @@ class TestPipeline:
             ]
         )
         base, t = fit(table)
-        assert t.encoder.mappings == {}
-        assert base.encoded_features == ()
-        assert t.apply(base, every_row(base), scaled=False).tobytes() == base.values.tobytes()
+        assert t.mappings == {}
+        assert base.categories == {}
+        assert t.apply(base, every_row(base), scaled=False).tobytes() == base.features.tobytes()
 
     def test_train_only_requires_indices(self, small_table):
         with pytest.raises(ValueError, match="train_indices"):
-            preprocess_pipeline(encode_table(small_table), "train-only")
+            preprocess_pipeline(small_table, "train-only")
 
     def test_matrix_requires_encoding_first(self, small_table):
         # category indices are never passed on as values without an encoding
         base, t = fit(small_table)
         with pytest.raises(DataError, match="proto"):
-            FittedTransform(t.encoder, t.scaler, t.counters, {}).apply(base, every_row(base), scaled=False)
+            FittedTransform(t.mappings, t.ranges, {}, t.counters).apply(base, every_row(base), scaled=False)
 
     def test_shape_preservation(self, small_table):
         base, t = fit(small_table)
         rows = np.array([4, 0, 0, 2])
-        assert t.apply(base, rows, scaled=True).shape == (4, base.n_features)
+        assert t.apply(base, rows, scaled=True).shape == (4, len(base.feature_names))
         assert t.column(base, rows, 1, scaled=True).shape == (4,)
 
     def test_transforms_serializable(self, small_table):
@@ -238,18 +229,18 @@ class TestPipeline:
         assert parsed["encoded_features"] == ["proto"]
         assert parsed["encoder"]["proto"] == {"tcp": 0, "udp": 1, "icmp": 2}
         assert parsed["scaler"]["dur"] == {"min": 1.0, "max": 5.0}
-        assert FittedEncoder.from_json(parsed["encoder"]).mappings == t.encoder.mappings
-        assert FittedScaler.from_json(parsed["scaler"]).ranges == t.scaler.ranges
+        assert parsed["encoder"] == t.mappings
+        assert parsed["scaler"] == {f: {"min": lo, "max": hi} for f, (lo, hi) in t.ranges.items()}
 
 
 class TestDeterminism:
     def test_fit_twice_identical(self, small_table):
         base1, r1 = fit(small_table)
         base2, r2 = fit(small_table)
-        assert r1.encoder.mappings == r2.encoder.mappings
+        assert r1.mappings == r2.mappings
         rows = every_row(base1)
         assert np.array_equal(r1.apply(base1, rows, scaled=True), r2.apply(base2, rows, scaled=True))
-        assert r1.scaler.ranges == r2.scaler.ranges
+        assert r1.ranges == r2.ranges
 
 
 # few distinct values, so columns tie, repeat and often come out constant;
@@ -280,7 +271,7 @@ def _tables(draw):
     table = FlowTable(FeatureSchema(tuple(columns)), "Benign", data)
     train = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     rows = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
-    return table, None if train is None else np.array(train, dtype=np.int64), np.array(rows, dtype=np.int64)
+    return table, data, None if train is None else np.array(train, dtype=np.int64), np.array(rows, dtype=np.int64)
 
 
 class TestStringOracle:
@@ -289,30 +280,30 @@ class TestStringOracle:
     @given(_tables())
     @settings(max_examples=300, deadline=None)
     def test_transforms_equal_string_pipeline(self, case):
-        table, train, rows = case
-        expected = string_pipeline(table, train)
+        table, cells, train, rows = case
+        expected = string_pipeline(table.schema, cells, train)
         base, t = fit(table, train)
         assert base.feature_names == expected["feature_names"]
-        assert [(f, list(m.items())) for f, m in t.encoder.mappings.items()] == [
+        assert [(f, list(m.items())) for f, m in t.mappings.items()] == [
             (f, list(m.items())) for f, m in expected["mappings"].items()
         ]
-        assert list(t.scaler.ranges.items()) == list(expected["ranges"].items())
+        assert list(t.ranges.items()) == list(expected["ranges"].items())
         assert t.counters.clamped == expected["clamped"]
         assert t.counters.unseen == expected["unseen"]
-        # bit for bit: the same operations on the same values, and the base matrix left as it was
-        loaded = base.values.copy()
+        # bit for bit: the same operations on the same values, and the table's block left as it was
+        loaded = base.features.copy()
         for scaled, key in ((True, "scaled"), (False, "unscaled")):
             assert t.apply(base, rows, scaled=scaled).tobytes() == expected[key][rows].tobytes()
-            for j in range(base.n_features):
+            for j in range(len(base.feature_names)):
                 assert t.column(base, rows, j, scaled=scaled).tobytes() == expected[key][rows, j].tobytes()
-        assert base.values.tobytes() == loaded.tobytes()
+        assert base.features.tobytes() == loaded.tobytes()
 
     @given(_tables())
     @settings(max_examples=100, deadline=None)
     def test_unseen_error_matches_string_pipeline(self, case):
-        table, train, _ = case
+        table, cells, train, _ = case
         try:
-            string_pipeline(table, train, unseen="error")
+            string_pipeline(table.schema, cells, train, unseen="error")
         except ValueError as exc:
             with pytest.raises(DataError) as raised:
                 fit(table, train, unseen="error")

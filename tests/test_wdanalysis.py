@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import raw_wd, wasserstein_1d
+from conftest import feature_table, make_table, raw_wd, wasserstein_1d
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_impls import cdf_grid_wd, sorted_diff_wd, spearman_oracle, three_sort_wd
 
-from zdeval.preprocess import FeatureMatrix, preprocess_pipeline
+from zdeval.flowdata import FlowTable
+from zdeval.preprocess import preprocess_pipeline
 from zdeval.wdanalysis import per_feature_wd, rank_correlation
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
@@ -96,14 +97,16 @@ class TestWasserstein1d:
             assert 0.0 <= wasserstein_1d(u, v) <= 1.0
 
 
-def matrix_from(values: np.ndarray, names: tuple[str, ...], encoded=()) -> FeatureMatrix:
-    n = values.shape[0]
-    return FeatureMatrix(
-        np.asarray(values, dtype=np.float64),
-        names,
-        np.zeros(n, dtype=np.int64),
-        np.array(["Benign"] * n, dtype=object),
-        encoded,
+def matrix_from(values: np.ndarray, names: tuple[str, ...], encoded=()) -> FlowTable:
+    """A table of `values`: its block itself, or, with `encoded`, the strings of those columns' values."""
+    if not encoded:
+        return feature_table(values, names)
+    return make_table(
+        [
+            {**{name: repr(v) if name in encoded else v for name, v in zip(names, row)},
+             "attack_class": "Benign", "label": 0}
+            for row in np.asarray(values, dtype=np.float64).tolist()
+        ]
     )
 
 
@@ -157,7 +160,7 @@ class TestPerFeatureWd:
         values = rng.random((50, 3))
         m = matrix_from(values.copy(), ("a", "b", "c"))
         raw_wd(m, np.arange(49, 10, -1), np.arange(10))
-        assert np.array_equal(m.values, values)
+        assert np.array_equal(m.features, values)
 
     def test_mean_is_arithmetic_mean(self):
         rng = np.random.default_rng(6)
