@@ -6,8 +6,9 @@ holds its values, a categorical column each row's index into the column's
 sorted distinct values (`FlowTable.categories`). A categorical column is
 held nowhere else: the strings a table is built from are indexed into the
 block and dropped. The numeric entries of `FlowTable.data` are views of the
-block's columns; the binary label is an int64 array and the identifier and
-attack-class columns are object arrays of interned strings. `load_csv`
+block's columns, and the identifier columns are object arrays of interned
+strings. The attack class is held once, as each row's code into
+`FlowTable.class_names`; the binary label is the code != 0. `load_csv`
 parses straight into the block, with numpy's C reader while the file's
 chunks are clean and with the `csv` module from the first chunk that is
 not; it keeps the identifier columns only when asked. Tables are immutable
@@ -21,7 +22,6 @@ import csv
 import itertools
 import sys
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -147,26 +147,36 @@ def _category_indices(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(categories, dtype=str), index
 
 
+def _class_codes(cells: list, codes_of: dict) -> np.ndarray:
+    """Each cell's code in `codes_of`, which first gives the cells' new classes, found
+    through a set, the next codes in order of first appearance."""
+    for name in sorted(set(cells).difference(codes_of), key=cells.index):
+        codes_of[name] = len(codes_of)
+    return np.fromiter(map(codes_of.__getitem__, cells), dtype=np.intp, count=len(cells))
+
+
 @dataclass(eq=False)
 class FlowTable:
     """A loaded flow-record dataset, and the unscaled base matrix every fit and job reads.
 
     `features` is the n x d float64 block of the feature columns (see the
     module docstring), and `categories` maps each categorical feature to
-    the sorted distinct values its block column indexes. `data` maps the
-    label, the attack class and the identifiers to full-length columns --
-    int64 (0/1) for the label, object arrays of strings otherwise -- and
-    each numeric feature to a view of its block column. `data` may leave
-    out the identifier columns, as `load_csv` does unless asked to keep
-    them.
+    the sorted distinct values its block column indexes. `class_codes` holds
+    each row's attack class as its code into `class_names`: benign first,
+    then the attack classes in order of first appearance. `data` maps the
+    identifiers to object arrays of strings and each numeric feature to a
+    view of its block column; it may leave out the identifier columns, as
+    `load_csv` does unless asked to keep them.
 
     At construction a categorical column is given as strings in `data`,
     which are indexed into the block and dropped from `data`; or, with
     `categories`, as indices already in the given block (as `take` builds
-    it). Given `features`, its numeric columns are the table's and `data`
-    need not hold them; without it, the block is built from `data`.
-    `dropped_rows` counts rows discarded by the loader under the drop
-    policy.
+    it). Likewise the attack class is given as strings in `data`, coded and
+    dropped with the label, which, if given, must be code != 0 on every
+    row; or as `class_codes` with `class_names`. Given `features`, its
+    numeric columns are the table's and `data` need not hold them; without
+    it, the block is built from `data`. `dropped_rows` counts rows
+    discarded by the loader under the drop policy.
     """
 
     schema: FeatureSchema
@@ -175,24 +185,40 @@ class FlowTable:
     dropped_rows: int = 0
     features: np.ndarray | None = None
     categories: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    class_codes: np.ndarray | None = field(default=None, repr=False)
+    class_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         schema = self.schema
         numeric, names = schema.numeric_names, schema.feature_names
+        class_column, label_column = schema.attack_class_column, schema.label_column
         if self.categories and self.features is None:
             raise DataError("categories index a given feature block, and none was given")
+        coded = self.class_codes is not None
         stored = [
             name for name in schema.names
             if name not in self.categories and (self.features is None or name not in numeric)
+            and not (coded and name == class_column)
         ]
         for name in stored:
-            if name not in self.data and name not in schema.identifier_names:
+            if name not in self.data and name not in (*schema.identifier_names, label_column):
                 raise DataError(f"table is missing column {name!r}")
         stored = [name for name in stored if name in self.data]
-        n = len(self.data[schema.attack_class_column])
+        if not coded:
+            codes_of = {self.benign_name: 0}
+            self.class_codes = _class_codes(self.data[class_column].tolist(), codes_of)
+            self.class_names = tuple(codes_of)
+        n = len(self.class_codes)
         for name in stored:
             if len(self.data[name]) != n:
                 raise DataError(f"column {name!r} has {len(self.data[name])} cells, expected {n}")
+        if label_column in self.data:
+            labels = self.data[label_column]
+            for bad in np.flatnonzero(labels != (self.class_codes != 0))[:1]:
+                raise DataError(
+                    f"binary label disagrees with attack class at row {bad}: "
+                    f"label={labels[bad]}, class={self.class_names[self.class_codes[bad]]!r}"
+                )
         if self.features is None:
             self.features = np.empty((n, len(names)))
             for j, name in enumerate(names):
@@ -206,32 +232,27 @@ class FlowTable:
                 self.categories[name], self.features[:, j] = _category_indices(self.data[name])
         self.data = {
             **{name: self.features[:, j] for j, name in enumerate(names) if name in numeric},
-            **{k: v for k, v in self.data.items() if k not in names},
+            **{k: v for k, v in self.data.items() if k not in names and k not in (class_column, label_column)},
         }
 
     @property
     def row_count(self) -> int:
-        return len(self.data[self.schema.attack_class_column])
+        return len(self.class_codes)
 
     @property
     def feature_names(self) -> tuple[str, ...]:
         return self.schema.feature_names
 
-    def column(self, name: str) -> np.ndarray:
-        return self.data[name]
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.data[self.schema.label_column]
-
     @property
     def attack_classes(self) -> np.ndarray:
-        return self.data[self.schema.attack_class_column]
+        """Each row's attack class, decoded from its code: an object array of strings."""
+        return np.array(self.class_names, dtype=object)[self.class_codes]
 
     def take(self, indices: np.ndarray) -> "FlowTable":
         """A new table containing the given rows, in the given order.
 
-        Each categorical column indexes only the categories its rows use.
+        Each categorical column indexes only the categories its rows use, and
+        the classes are coded in the rows' own order of first appearance.
         """
         idx = np.asarray(indices, dtype=np.int64)
         names = self.feature_names
@@ -240,34 +261,25 @@ class FlowTable:
             if name in self.categories:
                 used, features[:, j] = np.unique(features[:, j].astype(np.intp), return_inverse=True)
                 categories[name] = self.categories[name][used]
+        codes_of = {0: 0}  # an old code -> its new code
+        codes = _class_codes(self.class_codes[idx].tolist(), codes_of)
         data = {k: v[idx] for k, v in self.data.items() if k not in names}
-        return FlowTable(self.schema, self.benign_name, data, features=features, categories=categories)
+        return FlowTable(self.schema, self.benign_name, data, features=features, categories=categories,
+                         class_codes=codes, class_names=tuple(self.class_names[c] for c in codes_of))
 
     def validate(self) -> None:
-        """Check value invariants (construction checks the shapes); raises DataError on violation."""
+        """Check that every numeric cell is finite (construction checks the rest); raises DataError."""
         for name in self.schema.numeric_names:
             col = self.data[name]
             if col.size and not np.isfinite(col).all():
                 bad = int(np.flatnonzero(~np.isfinite(col))[0])
                 raise DataError(f"non-finite value in column {name!r} at row {bad}")
-        labels = self.labels
-        derived = (self.attack_classes != self.benign_name).astype(np.int64)
-        if not np.array_equal(labels, derived):
-            bad = int(np.flatnonzero(labels != derived)[0])
-            raise DataError(
-                f"binary label disagrees with attack class at row {bad}: "
-                f"label={labels[bad]}, class={self.attack_classes[bad]!r}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
 class ClassCatalog:
-    """Class inventory of a table: benign name, attack names, per-class counts.
-
-    `class_codes` assigns every row an integer code (0 for benign, i+1 for
-    the i-th attack name) so downstream splitting can stratify without
-    re-touching the table.
-    """
+    """Class inventory of a table: benign name, attack names, per-class counts, and the
+    table's own `class_codes` (0 for benign, i+1 for the i-th attack name)."""
 
     benign_name: str
     attack_names: tuple[str, ...]
@@ -366,10 +378,10 @@ def _typed_chunk(
     """Parse full-width rows: numeric cells into `out`, the rest into typed columns.
 
     `out` is the rows' slice of the feature block; its categorical columns
-    are left as they are. Returns the label and the string columns named in
-    `strings`, and bad row index -> the row's first reason: its first bad
-    numeric cell in schema order, else a label other than 0 or 1, else a
-    label that disagrees with the class.
+    are left as they are. Returns the string columns named in `strings`,
+    and bad row index -> the row's first reason: its first bad numeric cell
+    in schema order, else a label other than 0 or 1, else a label that
+    disagrees with the class.
     """
     cells = list(zip(*rows))
     columns: dict[str, np.ndarray] = {}
@@ -385,7 +397,6 @@ def _typed_chunk(
     for i in np.flatnonzero(labels < 0):
         bad.setdefault(int(i), f"binary label must be 0 or 1, got {raw_labels[i]!r}")
         labels[i] = 0
-    columns[schema.label_column] = labels
 
     for name in strings:
         columns[name] = np.fromiter(map(sys.intern, cells[position[name]]), dtype=object, count=len(rows))
@@ -411,7 +422,7 @@ def _recorded(lines: Iterator[str], handed: list[str]) -> Iterator[str]:
 def _clean_columns(
     chunk: np.ndarray, schema: FeatureSchema, benign_name: str, strings: tuple[str, ...], out: np.ndarray
 ) -> dict[str, np.ndarray] | None:
-    """The label and string columns of a chunk parsed by `np.loadtxt`, or None when it is not clean.
+    """The string columns of a chunk parsed by `np.loadtxt`, or None when it is not clean.
 
     A chunk is clean when every numeric cell is finite and every label
     strips to 0 or 1 and agrees with its row's class. The numeric fields are
@@ -426,9 +437,7 @@ def _clean_columns(
     labels = np.fromiter(
         (_BINARY_LABELS.get(c.strip(), -1) for c in chunk[schema.label_column]), dtype=np.int64, count=len(chunk)
     )
-    columns = {schema.label_column: labels}
-    for name in strings:
-        columns[name] = np.fromiter(map(sys.intern, chunk[name]), dtype=object, count=len(chunk))
+    columns = {name: np.fromiter(map(sys.intern, chunk[name]), dtype=object, count=len(chunk)) for name in strings}
     if not np.array_equal(labels, columns[schema.attack_class_column] != benign_name):
         return None
     return columns
@@ -463,15 +472,16 @@ def load_csv(
     pulls the file's lines as the reader asks for them, so a quoted cell
     that spans lines is read whole. While every chunk is clean (see
     `_clean_columns`), its numeric cells go straight into the block's next
-    rows and its label and string columns into typed parts. The first chunk
-    that is not clean -- `loadtxt` rejects a cell or a row's width, a numeric
-    cell is not finite, or a label is bad or disagrees with the class --
-    is parsed again from its recorded lines by the `csv` module, and so is
-    the rest of the file. The csv path is the reference: it alone reports
-    or drops bad rows, and on every chunk that `loadtxt` accepts it yields
-    the same cells. Pages of the block past the last row are never written,
-    so they take no memory. The categorical columns of the block are indexed
-    from their strings once the file is read.
+    rows and its string columns into typed parts. The first chunk that is
+    not clean -- `loadtxt` rejects a cell or a row's width, a numeric cell
+    is not finite, or a label is bad or disagrees with the class -- is
+    parsed again from its recorded lines by the `csv` module, and so is the
+    rest of the file. The csv path is the reference: it alone reports or
+    drops bad rows, and on every chunk that `loadtxt` accepts it yields the
+    same cells. Only then are a chunk's class cells coded, so a class met
+    only in dropped rows gets no code. Pages of the block past the last row
+    are never written, so they take no memory. The categorical columns of
+    the block are indexed from their strings once the file is read.
     """
     if on_bad_row not in ("abort", "drop"):
         raise ValueError(f"on_bad_row must be 'abort' or 'drop', got {on_bad_row!r}")
@@ -485,10 +495,10 @@ def load_csv(
         if schema.kind_of(name) in _STRING_KINDS
         and (keep_identifiers or schema.kind_of(name) is not ColumnKind.IDENTIFIER)
     )
-    # the label first, then the string columns; the numeric columns are the block's
-    parts: dict[str, list[np.ndarray]] = {schema.label_column: [np.empty(0, dtype=np.int64)]}
-    for name in strings:
-        parts[name] = [np.empty(0, dtype=object)]
+    # the string columns but the class, whose cells are coded chunk by chunk; the numeric columns are the block's
+    class_column = schema.attack_class_column
+    parts = {name: [np.empty(0, dtype=object)] for name in strings if name != class_column}
+    codes, codes_of = [np.empty(0, dtype=np.intp)], {benign_name: 0}
     block = np.empty((_line_end_bound(path), len(schema.feature_names)))
     n = dropped = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -529,6 +539,7 @@ def load_csv(
                 columns = _clean_columns(chunk, schema, benign_name, strings, block[n : n + len(chunk)])
                 if columns is None:
                     break
+                codes.append(_class_codes(columns.pop(class_column).tolist(), codes_of))
                 for name, col in columns.items():
                     parts[name].append(col)
                 n += len(chunk)
@@ -553,13 +564,15 @@ def load_csv(
                 columns = {name: col[keep] for name, col in columns.items()}
                 dropped += len(bad)
             n += len(rows) - len(bad)
+            codes.append(_class_codes(columns.pop(class_column).tolist(), codes_of))
             for name, col in columns.items():
                 parts[name].append(col)
             del rows, lines  # free this chunk's cells before the next one is read
 
     # pop each column's parts as it is joined, so only one column is held twice
     data = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
-    table = FlowTable(schema, benign_name, data, dropped_rows=dropped, features=block[:n])
+    table = FlowTable(schema, benign_name, data, dropped_rows=dropped, features=block[:n],
+                      class_codes=np.concatenate(codes), class_names=tuple(codes_of))
     table.validate()
     return table
 
@@ -593,7 +606,9 @@ def write_csv(table: FlowTable, path: str | Path) -> None:
             elif kind is ColumnKind.NUMERIC:
                 columns.append([repr(float(v)) for v in table.data[name]])
             elif kind is ColumnKind.BINARY_LABEL:
-                columns.append([str(int(v)) for v in table.data[name]])
+                columns.append(["0" if c == 0 else "1" for c in table.class_codes.tolist()])
+            elif kind is ColumnKind.ATTACK_CLASS:
+                columns.append(table.attack_classes.tolist())
             else:
                 columns.append(list(table.data[name]))
         for row in zip(*columns) if columns else []:
@@ -601,19 +616,12 @@ def write_csv(table: FlowTable, path: str | Path) -> None:
 
 
 def build_catalog(table: FlowTable) -> ClassCatalog:
-    """Inventory the table's classes; attack names in first-appearance order."""
-    col = table.attack_classes
-    # benign is code 0 even when absent; every other name gets the next code on first sight
-    codes_of = {table.benign_name: 0}
-    codes = np.fromiter(
-        (codes_of.setdefault(name, len(codes_of)) for name in col), dtype=np.int64, count=len(col)
-    )
-    class_order = tuple(str(name) for name in codes_of)
-    if len(class_order) == 1:
+    """Inventory the table's classes: its own codes and names, attack names in first-appearance order."""
+    names = table.class_names
+    if len(names) == 1:
         raise DataError("table contains no attack classes; no zero-day scenario is definable")
-    counts = np.bincount(codes, minlength=len(class_order))
-    count_map = {name: int(c) for name, c in zip(class_order, counts)}
-    return ClassCatalog(table.benign_name, class_order[1:], count_map, codes)
+    counts = np.bincount(table.class_codes, minlength=len(names))
+    return ClassCatalog(table.benign_name, names[1:], dict(zip(names, counts.tolist())), table.class_codes)
 
 
 @dataclass(frozen=True)
@@ -648,12 +656,13 @@ def summarize(table: FlowTable) -> TableSummary:
 
     Class counts are in sorted-name order. Means are computed in float64
     with numpy's pairwise summation. A categorical column's cardinality is
-    the number of its categories; the class and identifier columns are
-    counted over their interned strings, with no fixed-width copy.
+    the number of its categories, and an identifier column's is counted over
+    its interned strings, with no fixed-width copy. A class with no rows has
+    no count.
     """
     _require_identifiers(table, "summarize")
-    counts = Counter(table.attack_classes)
-    class_counts = {name: counts[name] for name in sorted(counts)}
+    counts = np.bincount(table.class_codes, minlength=len(table.class_names)).tolist()
+    class_counts = {name: c for name, c in sorted(zip(table.class_names, counts)) if c}
 
     numeric = {}
     for name in table.schema.numeric_names:

@@ -20,7 +20,8 @@ The features are held once: the loaded table is the base matrix, its
 feature block the one n x d float64 matrix a run holds, and nothing writes
 to it. Each job reads its rows of it through its scenario's fitted
 transform: a distance job one column at a time, a model job its train rows
-and its test rows.
+and its test rows. The table's class codes, which the catalog shares, are
+the one class column: a model job's labels are its rows' codes != 0.
 """
 
 from __future__ import annotations
@@ -128,9 +129,9 @@ def _execute_job(job: ScenarioJob) -> JobResult:
             )
             return JobResult(job.kind, job.scenario, report)
 
-        x_train, y_train = transform.apply(base, train, scaled=True), base.labels[train]
-        x_test = transform.apply(base, test, scaled=True)
-        y_test, test_classes = base.labels[test], base.attack_classes[test]
+        train_codes, test_codes = base.class_codes[train], base.class_codes[test]
+        x_train, y_train = transform.apply(base, train, scaled=True), (train_codes != 0).astype(np.int64)
+        x_test, y_test = transform.apply(base, test, scaled=True), (test_codes != 0).astype(np.int64)
 
         if job.kind == "forest":
             model = train_forest(x_train, y_train, cfg.forest, job.seed)
@@ -146,14 +147,14 @@ def _execute_job(job: ScenarioJob) -> JobResult:
             y_test,
             y_pred,
             scores,
-            test_classes,
-            cfg.benign_name,
+            test_codes,
+            base.class_names,
             held_out_class=scenario.held_out,
             fold_id=scenario.fold_id,
         )
         per_class = None
         if scenario.held_out is None:
-            per_class = per_class_positives(y_test, y_pred, test_classes, cfg.benign_name)
+            per_class = per_class_positives(y_test, y_pred, test_codes, base.class_names)
         return JobResult(job.kind, job.scenario, report, per_class, model_json)
     except Exception as exc:  # noqa: BLE001 - attributed and re-raised by the parent
         error = str(exc) if job.kind == DISTANCE else f"{type(exc).__name__}: {exc}"
@@ -306,10 +307,6 @@ class _Prepared:
         """Scenario i's sorted train and test rows."""
         return scenario_rows(self.scenarios[i], self.plan, self.catalog)
 
-    @property
-    def class_index(self) -> dict[str, int]:
-        return {name: i + 1 for i, name in enumerate(self.catalog.attack_names)}
-
     def dataset_json(self, cfg: ExperimentConfig) -> dict:
         return {
             "path": cfg.dataset,
@@ -411,9 +408,8 @@ def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
 
 def _distance_jobs(cfg: ExperimentConfig, prep: _Prepared) -> list[ScenarioJob]:
     """One distance job per zero-day scenario, in scenario order."""
-    class_index = prep.class_index
     return [
-        ScenarioJob(DISTANCE, i, derive_seed(cfg.seed, _SEED_WD, class_index[s.held_out], s.fold_id))
+        ScenarioJob(DISTANCE, i, derive_seed(cfg.seed, _SEED_WD, prep.catalog.code_of(s.held_out), s.fold_id))
         for i, s in enumerate(prep.scenarios)
         if s.held_out is not None
     ]
@@ -512,11 +508,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     # the distance jobs first, then each model's jobs; the results come back in this order
     jobs = _distance_jobs(cfg, prep)
     n_distance = len(jobs)
-    class_index = prep.class_index
     for model in cfg.models:
         model_idx = KNOWN_MODELS.index(model)
         for i, s in enumerate(prep.scenarios):
-            class_key = 0 if s.held_out is None else class_index[s.held_out]
+            class_key = 0 if s.held_out is None else prep.catalog.code_of(s.held_out)
             jobs.append(ScenarioJob(model, i, derive_seed(cfg.seed, _SEED_TRAIN, model_idx, class_key, s.fold_id)))
     results = _run_jobs(cfg, prep, jobs)
 

@@ -9,6 +9,7 @@ turns these into nulls and fold aggregation skips them with a count.
 The zero-day detection rate of a held-out class is the detection rate
 restricted to the test rows of that class: tp_z / (tp_z + fn_z) * 100. When
 the test set's only attack class is the held-out one it coincides with DR.
+Test rows name their classes by code, as the table holds them (0 is benign).
 """
 
 from __future__ import annotations
@@ -122,23 +123,18 @@ def auc(y_true: np.ndarray, scores: np.ndarray) -> float | None:
 def per_class_positives(
     y_true: np.ndarray,
     y_pred: np.ndarray,
-    attack_classes: np.ndarray,
-    benign_name: str,
+    class_codes: np.ndarray,
+    class_names: tuple[str, ...],
 ) -> dict[str, tuple[int, int]]:
-    """Per attack class, (tp, fn) over the test rows of that class."""
-    y_true = np.asarray(y_true, dtype=np.int64)
+    """Per attack class with test rows, (tp, fn) over them: `bincount`s of the rows' codes into `class_names`."""
     y_pred = np.asarray(y_pred, dtype=np.int64)
-    classes = np.asarray(attack_classes)
-    if not (y_true.shape == y_pred.shape == classes.shape):
-        raise ValueError("y_true, y_pred and attack_classes must share one length")
-    by_class: dict[str, tuple[int, int]] = {}
-    attack_rows = classes != benign_name
-    for name in np.unique(classes[attack_rows].astype(str)):
-        rows = classes == name
-        tp = int(np.count_nonzero(y_pred[rows] == 1))
-        fn = int(np.count_nonzero(y_pred[rows] == 0))
-        by_class[str(name)] = (tp, fn)
-    return by_class
+    codes = np.asarray(class_codes)
+    if not (np.shape(y_true) == y_pred.shape == codes.shape):
+        raise ValueError("y_true, y_pred and class_codes must share one length")
+    rows = np.bincount(codes, minlength=len(class_names))
+    tp = np.bincount(codes[y_pred == 1], minlength=len(rows))
+    fn = np.bincount(codes[y_pred == 0], minlength=len(rows))
+    return {class_names[c]: (int(tp[c]), int(fn[c])) for c in np.flatnonzero(rows[1:]) + 1}
 
 
 def zdr(per_class: dict[str, tuple[int, int]], held_out: str) -> float | None:
@@ -159,8 +155,8 @@ def scenario_report(
     y_true: np.ndarray,
     y_pred: np.ndarray,
     scores: np.ndarray,
-    attack_classes: np.ndarray,
-    benign_name: str,
+    class_codes: np.ndarray,
+    class_names: tuple[str, ...],
     *,
     held_out_class: str | None = None,
     fold_id: int | None = None,
@@ -171,7 +167,7 @@ def scenario_report(
     report.fold_id = fold_id
     report.held_out_class = held_out_class
     if held_out_class is not None:
-        report.zdr = zdr(per_class_positives(y_true, y_pred, attack_classes, benign_name), held_out_class)
+        report.zdr = zdr(per_class_positives(y_true, y_pred, class_codes, class_names), held_out_class)
     return report
 
 

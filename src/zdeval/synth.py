@@ -117,8 +117,7 @@ def synthesize_dataset(spec: SyntheticSpec) -> FlowTable:
         data[f"f{j}"] = values[:, j].copy()
     columns.append(Column("attack_class", ColumnKind.ATTACK_CLASS))
     data["attack_class"] = np.array(class_cells, dtype=object)
-    columns.append(Column("label", ColumnKind.BINARY_LABEL))
-    data["label"] = np.array([0 if c == spec.benign_name else 1 for c in class_cells], dtype=np.int64)
+    columns.append(Column("label", ColumnKind.BINARY_LABEL))  # each row's class code != 0
 
     table = FlowTable(FeatureSchema(tuple(columns)), spec.benign_name, data)
     table.validate()

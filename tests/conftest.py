@@ -48,9 +48,12 @@ def tables_equal(a: FlowTable, b: FlowTable) -> bool:
     """Cell-for-cell equality, schema and benign name included.
 
     The feature blocks, categorical indices included, must be equal, and so
-    must the categories and every column of `data`.
+    must the categories, the class codes and names, and every column of
+    `data`.
     """
     if a.schema != b.schema or a.benign_name != b.benign_name or a.row_count != b.row_count:
+        return False
+    if a.class_names != b.class_names or not np.array_equal(a.class_codes, b.class_codes):
         return False
     if a.data.keys() != b.data.keys() or a.categories.keys() != b.categories.keys():
         return False

@@ -81,14 +81,15 @@ class TestLoadCsv:
         write_lines(p, ["dur,attack_class,label", "1.5,Benign,0", "2.0,Dos,1", "0.5,Worms,1"])
         table = load_csv(p, schema_3col(), "Benign")
         assert table.row_count == 3
-        assert table.labels.tolist() == [0, 1, 1]
-        assert table.column("dur").tolist() == [1.5, 2.0, 0.5]
+        assert table.class_names == ("Benign", "Dos", "Worms")
+        assert table.class_codes.tolist() == [0, 1, 2]
+        assert table.data["dur"].tolist() == [1.5, 2.0, 0.5]
 
     def test_header_order_insensitive(self, tmp_path):
         p = tmp_path / "t.csv"
         write_lines(p, ["label,dur,attack_class", "0,1.5,Benign", "1,2.0,Dos"])
         table = load_csv(p, schema_3col(), "Benign")
-        assert table.column("dur").tolist() == [1.5, 2.0]
+        assert table.data["dur"].tolist() == [1.5, 2.0]
 
     def test_missing_column_named(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -119,7 +120,8 @@ class TestLoadCsv:
         write_lines(p, ["dur,attack_class,label"])
         table = load_csv(p, schema_3col(), "Benign")
         assert table.row_count == 0
-        assert [col.dtype for col in table.data.values()] == [np.float64, np.int64, object]
+        assert [col.dtype for col in table.data.values()] == [np.float64]
+        assert table.class_codes.dtype == np.intp and table.class_names == ("Benign",)
 
     def test_bad_numeric_abort_names_line(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -159,13 +161,14 @@ class TestLoadCsv:
         p = tmp_path / "t.csv"
         write_lines(p, ["dur,attack_class,label", "1.0,Normal,0", "2.0,Dos,1"])
         table = load_csv(p, schema_3col(), "Normal")
-        assert table.labels.tolist() == [0, 1]
+        assert table.class_names == ("Normal", "Dos")
+        assert table.class_codes.tolist() == [0, 1]
 
     def test_scientific_notation_and_dot_decimal(self, tmp_path):
         p = tmp_path / "t.csv"
         write_lines(p, ["dur,attack_class,label", "1e-3,Benign,0", "2.75,Dos,1"])
         table = load_csv(p, schema_3col(), "Benign")
-        assert table.column("dur").tolist() == [0.001, 2.75]
+        assert table.data["dur"].tolist() == [0.001, 2.75]
 
 
 class TestRoundTrip:
@@ -182,7 +185,7 @@ class TestRoundTrip:
         assert set(small_table.data) - set(table.data) == {"flow_id"}
         assert np.array_equal(table.features, small_table.features)
         assert all(np.array_equal(table.data[n], small_table.data[n]) for n in table.data)
-        assert table.take(np.array([4, 0])).column("dur").tolist() == [5.0, 1.0]
+        assert table.take(np.array([4, 0])).data["dur"].tolist() == [5.0, 1.0]
         with pytest.raises(DataError, match=r"^summarize needs identifier column 'flow_id'"):
             summarize(table)
         with pytest.raises(DataError, match=r"^write_csv needs identifier column 'flow_id'"):
@@ -219,6 +222,9 @@ class TestCatalog:
     def test_counts_sum_to_rows(self, small_table):
         catalog = build_catalog(small_table)
         assert sum(catalog.counts.values()) == small_table.row_count
+
+    def test_codes_are_the_tables_own(self, small_table):
+        assert np.shares_memory(build_catalog(small_table).class_codes, small_table.class_codes)
 
     def test_only_benign_rows_is_error(self):
         table = make_table([{"x": 0.0, "attack_class": "Benign", "label": 0}])
@@ -282,8 +288,9 @@ class TestSummarize:
             # ties: equal class counts in an order unlike the sorted names, repeated identifiers
             [("b", "udp", "Worms"), ("a", "tcp", "Dos"), ("a", "icmp", "Benign"), ("c", "tcp", "Dos"),
              ("b", "udp", "Worms"), ("d", "tcp", "Benign")],
+            [("x1", "tcp", "Dos"), ("x2", "udp", "Worms"), ("x3", "tcp", "Dos")],  # no benign rows
         ],
-        ids=["empty", "one-class", "ties"],
+        ids=["empty", "one-class", "ties", "no-benign"],
     )
     def test_counts_match_unique_oracle(self, small_table, rows):
         cells = [
@@ -314,8 +321,12 @@ class TestSummarize:
 
 
 def test_label_consistency_assertable_over_all_rows(small_table):
+    # the label is not held: a row's label is its class code != 0, and code 0 is the benign name
+    assert small_table.class_names[0] == small_table.benign_name
     derived = (small_table.attack_classes != small_table.benign_name).astype(int)
-    assert np.array_equal(small_table.labels, derived)
+    assert np.array_equal((small_table.class_codes != 0).astype(int), derived)
+    with pytest.raises(DataError, match=r"^binary label disagrees with attack class at row 1: label=0, class='Dos'"):
+        make_table([{"x": 0.0, "attack_class": "Benign", "label": 0}, {"x": 1.0, "attack_class": "Dos", "label": 0}])
 
 
 class TestLoadLineNumbers:
@@ -373,7 +384,7 @@ class TestLoadLineEnds:
         write_lines(p, ["dur,attack_class,label", "", '1.5,"Ben', 'ign",1', "", "", "2.5,Benign,0", ""])
         table = load_csv(p, schema_3col(), "Benign")
         assert table.attack_classes.tolist() == ["Ben\nign", "Benign"]
-        assert table.column("dur").tolist() == [1.5, 2.5]
+        assert table.data["dur"].tolist() == [1.5, 2.5]
         assert table.features.shape == (2, 1)
 
     @pytest.mark.parametrize(
@@ -416,7 +427,7 @@ class TestCategoryIndices:
         j = small_table.schema.feature_names.index("proto")
         assert taken.categories["proto"].tolist() == ["icmp", "udp"]
         assert taken.features[:, j].tolist() == [0.0, 1.0]
-        assert taken.column("dur").tolist() == [4.0, 2.0]
+        assert taken.data["dur"].tolist() == [4.0, 2.0]
 
 
 class TestTakeAgainstLoad:
@@ -436,10 +447,12 @@ class TestTakeAgainstLoad:
     @staticmethod
     def rows():
         rng = np.random.default_rng(4)
-        protos, services, classes = ("tcp", "udp", "icmp", "gre"), ("10", "9", "dns", "", "http"), ("Benign", "dos")
+        # the table meets dos before scan; the reversed rows meet scan first
+        protos, services = ("tcp", "udp", "icmp", "gre"), ("10", "9", "dns", "", "http")
+        classes = ("Benign", "dos", "scan")
         return [
             {"flow_id": str(i), "proto": protos[rng.integers(4)], "dur": float(rng.normal()),
-             "service": services[rng.integers(5)], "attack_class": classes[i % 2], "label": i % 2}
+             "service": services[rng.integers(5)], "attack_class": classes[i % 3], "label": int(i % 3 > 0)}
             for i in range(40)
         ]
 
@@ -454,7 +467,7 @@ class TestTakeAgainstLoad:
 
     def assert_same(self, table, loaded):
         assert table.features.tobytes() == loaded.features.tobytes()
-        assert tables_equal(table, loaded)  # the categories and the other columns
+        assert tables_equal(table, loaded)  # the categories, the class codes and the other columns
 
     @pytest.mark.parametrize(
         "keep", [[5, 3, 3, 0, 39], [1, 1], list(range(40))[::-1], []], ids=["unsorted", "repeated", "reversed", "empty"]
@@ -498,8 +511,21 @@ class TestLoadChunks:
         )
         assert table.dropped_rows == len(bad)
         assert tables_equal(table, expect)
-        assert list(table.data) == ["dur", "label", "attack_class"]
-        assert [col.dtype for col in table.data.values()] == [np.float64, np.int64, object]
+        assert list(table.data) == ["dur"]
+        assert table.class_codes.dtype == np.intp
+
+    @pytest.mark.parametrize("chunk_rows", [2, flowdata._CHUNK_ROWS], ids=["second-chunk", "one-chunk"])
+    @pytest.mark.parametrize("bad", ["oops,X,1", "nan,X,1", "1.0,X,0"], ids=["unparseable", "nan", "label"])
+    def test_a_dropped_row_codes_no_class(self, tmp_path, chunk_rows, bad):
+        # X's first row is dropped and Y comes before X's next row; the chunk that holds
+        # them falls back to the csv path, the second of 2-row chunks or the only chunk
+        p = tmp_path / "t.csv"
+        write_lines(p, ["dur,attack_class,label", "1.0,Benign,0", "2.0,Benign,0", bad, "3.0,Y,1", "4.0,X,1"])
+        with mock.patch.object(flowdata, "_CHUNK_ROWS", chunk_rows):
+            table = load_csv(p, schema_3col(), "Benign", on_bad_row="drop")
+        assert table.dropped_rows == 1
+        assert build_catalog(table).attack_names == ("Y", "X")
+        assert table.class_codes.tolist() == [0, 0, 1, 2]
 
     def test_abort_names_a_line_in_a_later_chunk(self, tmp_path):
         n = 2 * flowdata._CHUNK_ROWS + 3
@@ -590,7 +616,8 @@ def _parsed(cells, dropped) -> tuple:
             block.append(index.astype(np.float64))
         else:
             block.append(cells[name])
-    strings = {name: (col.dtype, col.tolist()) for name, col in cells.items() if name not in MIXED.feature_names}
+    held = (*MIXED.feature_names, MIXED.label_column, MIXED.attack_class_column)
+    strings = {name: (col.dtype, col.tolist()) for name, col in cells.items() if name not in held}
     return np.column_stack(block).tobytes(), strings, categories, dropped
 
 
@@ -607,6 +634,12 @@ def assert_same_as_oracle(path, keep_identifiers=False):
         index = table.features[:, MIXED.feature_names.index("proto")].astype(np.intp)
         assert "proto" not in table.data
         assert table.categories["proto"][index].tolist() == cells["proto"].tolist()
+        # the class is held once, as codes into the names in order of first appearance, and the label not at all
+        classes = cells["attack_class"].tolist()
+        assert not {"label", "attack_class"} & set(table.data)
+        assert table.class_names == tuple(dict.fromkeys(["Benign", *classes]))
+        assert [table.class_names[c] for c in table.class_codes] == classes
+        assert (table.class_codes != 0).tolist() == (cells["label"] == 1).tolist()
 
 
 class TestLoadAgainstOracle:
@@ -641,7 +674,7 @@ class TestLoadAgainstOracle:
             assert_same_as_oracle(path)
             assert_same_as_oracle(path, keep_identifiers=True)
             if late.startswith("1_5"):
-                assert load_csv(path, MIXED, "Benign").column("dur")[6] == 15.0
+                assert load_csv(path, MIXED, "Benign").data["dur"][6] == 15.0
                 return
             line = 1 + sum(row.count("\n") + 1 for row in rows[:7])
             with pytest.raises(DataError, match=rf"^(row at )?line {line}\b"):
@@ -666,9 +699,10 @@ class TestLoadAgainstOracle:
 
 
 def _table_bytes(table) -> int:
-    """Array bytes plus each distinct string object the object arrays point to."""
+    """Array bytes, the class codes' included, plus each distinct string object the object arrays point to."""
     strings = {id(s): s for col in table.data.values() if col.dtype == object for s in col}
-    return sum(col.nbytes for col in table.data.values()) + sum(sys.getsizeof(s) for s in strings.values())
+    arrays = sum(col.nbytes for col in table.data.values()) + table.class_codes.nbytes
+    return arrays + sum(sys.getsizeof(s) for s in strings.values())
 
 
 def test_load_peak_memory_is_near_the_table(tmp_path):

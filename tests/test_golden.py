@@ -114,7 +114,9 @@ def golden_cfg(tmp_path_factory):
     data = dict(table.data)
     for j in range(spec.d):
         data[f"f{j}"] = np.round(data[f"f{j}"], 1)
-    table = FlowTable(table.schema, table.benign_name, data)
+    table = FlowTable(
+        table.schema, table.benign_name, data, class_codes=table.class_codes, class_names=table.class_names
+    )
     path = tmp / "golden.csv"
     write_csv(table, path)
     return config_from_dict(
@@ -150,7 +152,10 @@ def categorical_cfg(golden_cfg, tmp_path_factory):
     proto = np.array([str(rng.choice(choices[c])) for c in table.attack_classes], dtype=object)
     columns = list(table.schema.columns)
     columns.insert(columns.index(Column("f1", ColumnKind.NUMERIC)) + 1, Column("proto", ColumnKind.CATEGORICAL))
-    table = FlowTable(FeatureSchema(tuple(columns)), table.benign_name, {**table.data, "proto": proto})
+    table = FlowTable(
+        FeatureSchema(tuple(columns)), table.benign_name, {**table.data, "proto": proto},
+        class_codes=table.class_codes, class_names=table.class_names,
+    )
     path = tmp / "golden-categorical.csv"
     write_csv(table, path)
     return dataclasses.replace(
@@ -164,9 +169,9 @@ def _job_scores(cfg, prep, model: str, held_out: str | None, fold_id: int) -> np
     i = prep.scenarios.index(Scenario(held_out, fold_id))
     train, test = prep.rows(i)
     fit = prep.fitted[i]
-    class_key = 0 if held_out is None else prep.class_index[held_out]
+    class_key = 0 if held_out is None else prep.catalog.code_of(held_out)
     seed = derive_seed(cfg.seed, _SEED_TRAIN, KNOWN_MODELS.index(model), class_key, fold_id)
-    x_train, y_train = fit.apply(prep.base, train, scaled=True), prep.base.labels[train]
+    x_train, y_train = fit.apply(prep.base, train, scaled=True), (prep.base.class_codes[train] != 0).astype(np.int64)
     x_test = fit.apply(prep.base, test, scaled=True)
     if model == "forest":
         return forest_score(train_forest(x_train, y_train, cfg.forest, seed), x_test)

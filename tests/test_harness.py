@@ -95,7 +95,7 @@ class TestSyntheticDataset:
             n_benign=10, attacks=(AttackBlob("a", 50, mean=0.0, shift=1.5),), d=2, seed=9
         )
         t_base, t_moved = synthesize_dataset(base), synthesize_dataset(moved)
-        delta = t_moved.column("f0")[10:] - t_base.column("f0")[10:]
+        delta = t_moved.data["f0"][10:] - t_base.data["f0"][10:]
         assert np.allclose(delta, 1.5, atol=1e-12)
 
     def test_unshifted_class_near_benign_wd(self):
@@ -319,7 +319,7 @@ class TestRunExperiment:
         recorded = report.transforms[key]["scaler"]
         train, _ = scenario_rows(scenario, plan, catalog)
         for feat, rng_ in recorded.items():
-            col = loaded.column(feat)[train]
+            col = loaded.data[feat][train]
             assert rng_["min"] == float(col.min())
             assert rng_["max"] == float(col.max())
 
@@ -482,7 +482,13 @@ class TestOneFeatureMatrix:
         proto = np.where(np.arange(table.row_count) % 3, "tcp", "udp").astype(object)
         schema = FeatureSchema((*table.schema.columns, Column("proto", ColumnKind.CATEGORICAL)))
         path = tmp_path_factory.mktemp("cat") / "data.csv"
-        write_csv(FlowTable(schema, table.benign_name, {**table.data, "proto": proto}), path)
+        write_csv(
+            FlowTable(
+                schema, table.benign_name, {**table.data, "proto": proto},
+                class_codes=table.class_codes, class_names=table.class_names,
+            ),
+            path,
+        )
         return path, schema
 
     @staticmethod
@@ -527,7 +533,10 @@ class TestUnseenCategoryError:
         table = synthesize_dataset(spec)
         proto = np.where(table.attack_classes == "gamma", "icmp", np.where(np.arange(200) % 2, "tcp", "udp"))
         schema = FeatureSchema((*table.schema.columns, Column("proto", ColumnKind.CATEGORICAL)))
-        table = FlowTable(schema, table.benign_name, {**table.data, "proto": proto.astype(object)})
+        table = FlowTable(
+            schema, table.benign_name, {**table.data, "proto": proto.astype(object)},
+            class_codes=table.class_codes, class_names=table.class_names,
+        )
         path = tmp_path / "data.csv"
         write_csv(table, path)
         cfg = config_from_dict(
@@ -654,7 +663,7 @@ class TestDeadWorker:
         cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), workers=2))
         prep = _prepare(cfg, with_baseline=True)
         doomed_seed = derive_seed(
-            cfg.seed, _SEED_TRAIN, KNOWN_MODELS.index("forest"), prep.class_index["gamma"], 2
+            cfg.seed, _SEED_TRAIN, KNOWN_MODELS.index("forest"), prep.catalog.code_of("gamma"), 2
         )
         self._exit_in_worker(monkeypatch, "train_forest", lambda x, y, forest_cfg, seed: seed == doomed_seed)
         with pytest.raises(RuntimeError, match=r"returned no result: .*model job \(model=forest, class=gamma, fold=2\)"):

@@ -101,10 +101,16 @@ class TestAuc:
             assert yy <= np.interp(x, fprs, tprs) + 1e-12
 
 
+def coded(classes):
+    """Class cells as a table holds them: codes into the names, benign first, then first appearance."""
+    names = tuple(dict.fromkeys(["Benign", *classes]))
+    return np.array([names.index(c) for c in classes], dtype=np.intp), names
+
+
 class TestZdr:
     def per_class(self, y_pred, classes):
         y_true = np.array([1 if c != "Benign" else 0 for c in classes])
-        return per_class_positives(y_true, np.asarray(y_pred), np.asarray(classes, dtype=object), "Benign")
+        return per_class_positives(y_true, np.asarray(y_pred), *coded(classes))
 
     def test_arithmetic(self):
         classes = ["Z"] * 100 + ["Benign"]
@@ -131,7 +137,7 @@ class TestZdr:
         )
         y_true = (classes != "Benign").astype(int)
         y_pred = rng.integers(0, 2, 200)
-        pc = per_class_positives(y_true, y_pred, classes, "Benign")
+        pc = per_class_positives(y_true, y_pred, *coded(list(classes)))
         c = confusion(y_true, y_pred)
         assert sum(tp for tp, _ in pc.values()) == c.tp
         assert sum(fn for _, fn in pc.values()) == c.fn
@@ -142,7 +148,21 @@ class TestZdr:
         rng = np.random.default_rng(2)
         y_pred = rng.integers(0, 2, 20)
         r = basic_metrics(confusion(y_true, y_pred))
-        assert zdr(per_class_positives(y_true, y_pred, classes, "Benign"), "Z") == r.dr
+        assert zdr(per_class_positives(y_true, y_pred, *coded(list(classes))), "Z") == r.dr
+
+    def test_counts_match_brute_zdr_on_random_codes(self):
+        # code 3 names a class no row holds: it gets no entry, as benign gets none
+        names = ("Benign", "A", "B", "absent", "C")
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            codes = rng.choice(np.array([0, 1, 2, 4]), size=n)
+            y_pred = rng.integers(0, 2, n)
+            pc = per_class_positives((codes != 0).astype(np.int64), y_pred, codes, names)
+            classes = [names[c] for c in codes]
+            assert set(pc) == set(classes) - {"Benign"}
+            for name in names[1:]:
+                assert zdr(pc, name) == brute_zdr(y_pred, classes, name)
 
 
 class TestAggregate:
@@ -226,8 +246,8 @@ class TestSerialization:
             np.array([0, 0, 1]),
             np.array([0, 0, 0]),
             np.array([0.1, 0.1, 0.1]),
-            np.array(["Benign", "Benign", "Z"], dtype=object),
-            "Benign",
+            np.array([0, 0, 1]),
+            ("Benign", "Z"),
             held_out_class="Z",
             fold_id=0,
         )
@@ -243,7 +263,7 @@ class TestSerialization:
         y_true = (classes != "Benign").astype(int)
         scores = rng.random(100)
         y_pred = (scores >= 0.5).astype(int)
-        report = scenario_report(y_true, y_pred, scores, classes, "Benign", held_out_class="A", fold_id=3)
+        report = scenario_report(y_true, y_pred, scores, *coded(list(classes)), held_out_class="A", fold_id=3)
         assert report.zdr == pytest.approx(brute_zdr(y_pred, classes, "A"))
         assert report.auc == pytest.approx(pairwise_auc(y_true, scores), abs=1e-12)
         assert report.fold_id == 3

@@ -80,7 +80,7 @@ class TestEncoder:
 
     def test_base_matrix_is_the_tables_block(self, small_table):
         _, t = fit(small_table)
-        assert np.shares_memory(small_table.features, small_table.column("dur"))
+        assert np.shares_memory(small_table.features, small_table.data["dur"])
         assert small_table.features.flags.c_contiguous
         rows = every_row(small_table)
         assert t.column(small_table, rows, 0, scaled=False).tobytes() == small_table.features[:, 0].tobytes()
@@ -103,9 +103,10 @@ class TestEncoder:
         assert peak < table.features.nbytes
 
     def test_labels_preserved_exactly(self, small_table):
-        # the categorical strings are dropped at construction; the label and the class stay
-        assert "proto" not in small_table.data
-        assert small_table.labels.tolist() == [0, 1, 1, 1, 0]
+        # the categorical strings, the label and the class cells are dropped at construction;
+        # the class is held as codes, and the label is the code != 0
+        assert not {"proto", "label", "attack_class"} & set(small_table.data)
+        assert (small_table.class_codes != 0).astype(int).tolist() == [0, 1, 1, 1, 0]
         assert small_table.attack_classes.tolist() == ["Benign", "Dos", "Worms", "Dos", "Benign"]
 
 

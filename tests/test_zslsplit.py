@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from conftest import make_table
 from oracle_impls import stored_fold_plan, stored_fold_warnings, stored_zero_day_scenarios
 
-from zdeval.flowdata import ClassCatalog
+from zdeval.flowdata import ClassCatalog, build_catalog
 from zdeval.zslsplit import Scenario, fold_warnings, make_fold_plan, make_zero_day_scenarios, scenario_rows
 
 
@@ -239,3 +240,12 @@ def test_derived_rows_match_stored_arrays_oracle(case):
         train, test = stored[(s.held_out, s.fold_id)]
         assert np.array_equal(got_train, train) and np.array_equal(got_test, test)
     assert fold_warnings(plan, catalog) == stored_fold_warnings(folds, catalog)
+
+
+def test_table_codes_times_folds_do_not_wrap():
+    # 30 attack classes and k=10: fold_warnings' code * k + fold passes 255, so a table
+    # whose class codes were narrowed to uint8 would count its folds in the wrong bins
+    rows = [{"x": float(i), "attack_class": f"atk{i % 30}", "label": 1} for i in range(90)]
+    catalog = build_catalog(make_table(rows))
+    plan = make_fold_plan(catalog, k=10, seed=3)
+    assert fold_warnings(plan, catalog) == stored_fold_warnings(stored_fold_plan(catalog, 10, 3), catalog)
