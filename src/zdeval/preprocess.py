@@ -10,9 +10,10 @@ column, every row's index into the column's sorted distinct values, so the
 table itself is the unscaled base matrix. `preprocess_pipeline` fits an
 encoding and a scaling on some of its rows, from row indices alone, and the
 resulting `FittedTransform` codes and scales the rows a reader asks for,
-one column (`column`) or all of them (`apply`), in a fresh copy of those
-rows: nothing writes to the table. The encoding codes by first appearance
-among the fit rows, exactly as encoding the strings of those rows would.
+one column (`column`, into a caller's buffer or a new one) or all of them
+(`apply`), in a copy of those rows: nothing writes to the table. The
+encoding codes by first appearance among the fit rows, exactly as encoding
+the strings of those rows would.
 Fitted transforms are immutable and serializable so a run can be replayed
 and audited.
 """
@@ -25,6 +26,9 @@ import numpy as np
 
 from .errors import DataError
 from .flowdata import FlowTable
+
+# `column` gathers this many rows at a time, so its temporaries stay small
+_GATHER_ROWS = 2048
 
 
 @dataclass
@@ -100,14 +104,21 @@ class FittedTransform:
         _min_max(col, *self.ranges[name], out=col)
         return np.clip(col, 0.0, 1.0, out=col)
 
-    def column(self, base: FlowTable, rows: np.ndarray, j: int, *, scaled: bool) -> np.ndarray:
+    def column(
+        self, base: FlowTable, rows: np.ndarray, j: int, *, scaled: bool, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Feature j of the table's `rows` (an index array), encoded and optionally scaled into [0, 1].
 
-        The column is gathered fresh, then coded and scaled in place.
+        The column is gathered and coded into `out` (float64, one element
+        per row) or a new array, `_GATHER_ROWS` rows at a time, then scaled
+        in place; `out` is returned.
         """
         name = base.feature_names[j]
-        col = _coded(base, name, base.features[rows, j], self.codes)
-        return self._scale(name, col) if scaled else col
+        out = np.empty(len(rows)) if out is None else out
+        for start in range(0, len(rows), _GATHER_ROWS):
+            stop = start + _GATHER_ROWS
+            out[start:stop] = _coded(base, name, base.features[rows[start:stop], j], self.codes)
+        return self._scale(name, out) if scaled else out
 
     def apply(self, base: FlowTable, rows: np.ndarray, *, scaled: bool) -> np.ndarray:
         """The features of the table's `rows` (an index array), encoded and optionally scaled into [0, 1].

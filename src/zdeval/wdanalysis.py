@@ -10,18 +10,22 @@ rates it explains which classes a model fails to generalize to.
 On min-max-scaled features every distance lies in [0, 1], which makes the
 cross-feature mean meaningful.
 
-Each feature's distance takes one in-place sort per side and one merge. The
-column of the train rows and the column of the test rows are gathered from
-the table's feature block and transformed by the scenario's fitted
-transform, one column at a time (no matrix is built), sorted, and merged
-by a stable sort of the two sorted runs, which is a single linear merge.
-|F_u - F_v| is then integrated over the merged values with cumulative
-counts of each side. This is exact, and bit-identical to sorting the
-concatenation and counting each breakpoint with `searchsorted`: where the
-merged value increases, the cumulative count is the `searchsorted` count;
-where values tie, the step width is 0 and so is the term, whatever the
-counts. Both build the same array of terms, which `np.sum` adds in the same
-order. Memory per scenario is a few arrays of one column's rows.
+Each feature's distance takes one in-place sort per side and one merge,
+inside one workspace per scenario, so a pool worker does not fault in fresh
+pages for every feature: one allocation, sized to the scenario's n train
+and test rows after the cap, holding the values (the train half, then the
+test half), the merged values, two float buffers of n - 1 and the float
+ranks 1..n-1. A feature's train and test columns are gathered from the
+table's feature block into the two halves, transformed there by the
+scenario's fitted transform, sorted, and merged by a stable argsort of the
+two sorted runs (one linear merge, whose result is the only n-element array
+a feature allocates). |F_u - F_v| is then integrated over the merged values
+with cumulative counts of each side, in float64 (exact below 2**53). This
+is exact, and bit-identical to sorting the concatenation and counting each
+breakpoint with `searchsorted`: where the merged value increases, the
+cumulative count is the `searchsorted` count; where values tie, the step
+width is 0 and so is the term, whatever the counts. Both build the same
+array of terms, which `np.sum` adds in the same order.
 """
 
 from __future__ import annotations
@@ -61,22 +65,42 @@ class WdReport:
         }
 
 
-def _wd_in_place(u: np.ndarray, v: np.ndarray, what: str) -> float:
-    """Distance between two nonempty float64 samples; sorts both in place."""
+class _Workspace:
+    """One scenario's row sets and its distance buffers, views of one block of n = n_u + n_v rows."""
+
+    def __init__(self, train_rows: np.ndarray, test_rows: np.ndarray):
+        self.train_rows, self.test_rows = train_rows, test_rows
+        self.n_u, self.n_v = train_rows.size, test_rows.size
+        n = self.n_u + self.n_v
+        block = np.empty(5 * n - 3)
+        self.values, self.merged = block[:n], block[n:2 * n]
+        self.u, self.v = self.values[:self.n_u], self.values[self.n_u:]
+        self.counts, self.terms, self.ranks = block[2 * n:].reshape(3, n - 1)
+        self.ranks[:] = np.arange(1.0, n)
+
+
+def _feature_wd(ws: _Workspace, base: FlowTable, transform: FittedTransform, j: int, *, scaled: bool) -> float:
+    """Feature j's distance between the workspace's two nonempty row sets, computed inside it."""
+    u, v = ws.u, ws.v
+    transform.column(base, ws.train_rows, j, scaled=scaled, out=u)
+    transform.column(base, ws.test_rows, j, scaled=scaled, out=v)
     u.sort()
     v.sort()
     # NaN and +inf sort last, -inf first: the ends decide finiteness
     if not (np.isfinite(u[0]) and np.isfinite(u[-1]) and np.isfinite(v[0]) and np.isfinite(v[-1])):
-        raise ValueError(f"{what} requires finite sample values")
-    n_u, n = u.size, u.size + v.size
-    both = np.concatenate([u, v])
+        raise ValueError(f"per_feature_wd (feature {base.feature_names[j]!r}) requires finite sample values")
     # numpy's stable sort (timsort) finds the two sorted runs and merges them
     # in one linear pass; the order within ties does not change the sum
-    order = np.argsort(both, kind="stable")
+    order = np.argsort(ws.values, kind="stable")
+    merged = np.take(ws.values, order, out=ws.merged, mode="clip")  # "raise" would copy `out`
     # how many v, then how many u, lie at or before each breakpoint but the last
-    v_count = np.cumsum(order[:-1] >= n_u)
-    u_count = np.arange(1, n) - v_count
-    return float(np.sum(np.abs(u_count / n_u - v_count / v.size) * np.diff(both[order])))
+    v_count = np.cumsum(np.greater_equal(order[:-1], ws.n_u, out=ws.counts), out=ws.counts)
+    u_count = np.subtract(ws.ranks, v_count, out=ws.terms)
+    u_count /= ws.n_u
+    v_count /= ws.n_v
+    terms = np.abs(np.subtract(u_count, v_count, out=ws.terms), out=ws.terms)
+    terms *= np.subtract(merged[1:], merged[:-1], out=ws.counts)
+    return float(np.sum(terms))
 
 
 def per_feature_wd(
@@ -94,8 +118,7 @@ def per_feature_wd(
     """Wasserstein distance per feature between a table's train and test rows.
 
     Each feature is read through `transform.column`, encoded and scaled
-    into [0, 1] when `scaled`, so about one column of each side is held at
-    a time.
+    into [0, 1] when `scaled`, into one workspace reused for every feature.
 
     Sides larger than `subsample_cap` rows are reduced to a seeded uniform
     subsample (without replacement); the cap is recorded in the report.
@@ -118,14 +141,10 @@ def per_feature_wd(
             test_rows = test_rows[np.sort(rng.choice(n_test, size=subsample_cap, replace=False))]
         capped = subsample_cap
 
-    # each column is a fresh copy, so sorting it leaves the table alone
+    # each column is copied into the workspace, so sorting it leaves the table alone
+    ws = _Workspace(train_rows, test_rows)
     distances = {
-        name: _wd_in_place(
-            transform.column(base, train_rows, j, scaled=scaled),
-            transform.column(base, test_rows, j, scaled=scaled),
-            f"per_feature_wd (feature {name!r})",
-        )
-        for j, name in enumerate(base.feature_names)
+        name: _feature_wd(ws, base, transform, j, scaled=scaled) for j, name in enumerate(base.feature_names)
     }
     mean_wd = float(np.mean(list(distances.values()))) if distances else 0.0
     return WdReport(

@@ -566,8 +566,8 @@ class TestDistanceFailureAttribution:
             fit, bad_row = prep.fitted[poisoned], prep.rows(poisoned)[1][0]
             column = fit.column
 
-            def poisoned_column(base, rows, j, *, scaled):
-                col = column(base, rows, j, scaled=scaled)
+            def poisoned_column(base, rows, j, *, scaled, out=None):
+                col = column(base, rows, j, scaled=scaled, out=out)
                 if j == 1:
                     col[rows == bad_row] = np.nan
                 return col

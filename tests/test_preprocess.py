@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_impls import string_pipeline
 
+from zdeval import preprocess
 from zdeval.errors import DataError
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
 from zdeval.preprocess import FittedTransform, PrepCounters, preprocess_pipeline, transforms_to_json
@@ -296,8 +297,74 @@ class TestStringOracle:
         for scaled, key in ((True, "scaled"), (False, "unscaled")):
             assert t.apply(base, rows, scaled=scaled).tobytes() == expected[key][rows].tobytes()
             for j in range(len(base.feature_names)):
-                assert t.column(base, rows, j, scaled=scaled).tobytes() == expected[key][rows, j].tobytes()
+                col = t.column(base, rows, j, scaled=scaled)
+                assert col.tobytes() == expected[key][rows, j].tobytes()
+                # into a caller's buffer: the tail of a larger one, as a distance workspace passes it
+                buf = np.full(2 * len(rows) + 1, np.nan)
+                out = buf[len(rows) + 1:]
+                assert t.column(base, rows, j, scaled=scaled, out=out) is out
+                assert out.tobytes() == col.tobytes()
+                assert np.isnan(buf[:len(rows) + 1]).all()
         assert base.features.tobytes() == loaded.tobytes()
+
+    def test_train_only_range_keeps_the_sign_of_zero(self):
+        # min and max of a tie between -0.0 and 0.0 depend on the layout reduced: a contiguous
+        # column of these fit rows gives min -0.0, the column of their gathered block 0.0, so a
+        # fit that gathers one column at a time must still reduce a strided column
+        values = np.zeros((10, 3))
+        values[:, 2] = [-0.0] * 7 + [1.0, 0.0, -0.0]
+        table = feature_table(values, ("a", "b", "c"))
+        train = np.array([0, 1, 2, 3, 4, 9, 5, 6, 8, 7])
+        _, t = fit(table, train)
+        block = values[train]
+        for j, name in enumerate(("a", "b", "c")):
+            assert repr(t.ranges[name]) == repr((float(block[:, j].min()), float(block[:, j].max())))
+
+    @pytest.mark.parametrize("train", [None, np.array([5, 1, 2, 8])])
+    def test_column_gathers_across_chunks(self, monkeypatch, train):
+        # chunks of 3 rows: unsorted, repeated rows cross every chunk boundary
+        monkeypatch.setattr(preprocess, "_GATHER_ROWS", 3)
+        table = make_table(
+            [{"x": float((i * 7) % 5) - 1.5, "proto": ("tcp", "udp", "icmp")[i % 3],
+              "attack_class": "Benign", "label": 0} for i in range(10)]
+        )
+        base, t = fit(table, train)
+        rows = np.array([9, 0, 3, 3, 7, 1, 8, 2, 6, 5, 4, 0])
+        for scaled in (True, False):
+            values = t.apply(base, rows, scaled=scaled)
+            for j in range(len(base.feature_names)):
+                out = np.full(len(rows), np.nan)
+                t.column(base, rows, j, scaled=scaled, out=out)
+                assert out.tobytes() == values[:, j].tobytes()
+
+    @pytest.mark.parametrize("train", [None, np.arange(0, 40_000, 3)])
+    def test_column_into_a_buffer_allocates_only_chunks(self, train):
+        rng = np.random.default_rng(18)
+        n = 40_000
+        table = FlowTable(
+            FeatureSchema((Column("x", ColumnKind.NUMERIC), Column("proto", ColumnKind.CATEGORICAL),
+                           Column("attack_class", ColumnKind.ATTACK_CLASS), Column("label", ColumnKind.BINARY_LABEL))),
+            "Benign",
+            {"x": rng.normal(size=n), "proto": np.array(rng.choice(["tcp", "udp", "icmp"], n), dtype=object),
+             "attack_class": np.full(n, "Benign", dtype=object), "label": np.zeros(n, dtype=np.int64)},
+        )
+        base, t = fit(table, train)
+        rows, out = rng.permutation(n), np.empty(n)
+        t.column(base, rows, 1, scaled=True, out=out)  # the first call sets up what is cached
+        tracemalloc.start()
+        try:
+            for j in range(len(base.feature_names)):
+                t.column(base, rows, j, scaled=True, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a chunk of gathered, cast and coded values at a time; the column is n x 8 bytes
+        assert peak <= 64 * 1024
+
+    def test_column_rejects_a_row_past_the_table(self, small_table):
+        base, t = fit(small_table)
+        with pytest.raises(IndexError):
+            t.column(base, np.array([0, base.row_count]), 0, scaled=True, out=np.empty(2))
 
     @given(_tables())
     @settings(max_examples=100, deadline=None)

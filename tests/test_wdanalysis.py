@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import feature_table, make_table, raw_wd, wasserstein_1d
@@ -7,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_impls import cdf_grid_wd, sorted_diff_wd, spearman_oracle, three_sort_wd
 
-from zdeval.flowdata import FlowTable
+from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
 from zdeval.preprocess import preprocess_pipeline
-from zdeval.wdanalysis import per_feature_wd, rank_correlation
+from zdeval.wdanalysis import _feature_wd, _Workspace, per_feature_wd, rank_correlation
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
 samples = st.lists(finite_floats, min_size=1, max_size=60)
@@ -264,6 +266,82 @@ class TestBitIdentity:
         values = np.array([[3.0], [1.0], [2.0], [0.5], [0.25]])
         raw_wd(matrix_from(values, ("x",)), np.array([0, 1, 2]), np.array([3, 4]), subsample_cap=None)
         assert values.ravel().tolist() == [3.0, 1.0, 2.0, 0.5, 0.25]
+
+
+class TestWorkspace:
+    """Every feature of a scenario is computed inside one workspace."""
+
+    @staticmethod
+    def mixed_table(n: int, rng) -> FlowTable:
+        schema = FeatureSchema((
+            Column("a", ColumnKind.NUMERIC), Column("proto", ColumnKind.CATEGORICAL), Column("b", ColumnKind.NUMERIC),
+            Column("attack_class", ColumnKind.ATTACK_CLASS), Column("label", ColumnKind.BINARY_LABEL),
+        ))
+        data = {
+            "a": rng.normal(size=n) * 100,
+            "proto": np.array(rng.choice(["tcp", "udp", "icmp"], n), dtype=object),
+            "b": rng.integers(0, 5, n).astype(np.float64),
+            "attack_class": np.full(n, "Benign", dtype=object),
+            "label": np.zeros(n, dtype=np.int64),
+        }
+        return FlowTable(schema, "Benign", data)
+
+    @pytest.mark.parametrize("scope", ["full-dataset", "train-only"])
+    def test_a_feature_allocates_one_index_array(self, scope):
+        rng = np.random.default_rng(15)
+        table = self.mixed_table(50_000, rng)
+        perm = rng.permutation(table.row_count)
+        train, test = perm[:30_000], perm[30_000:]
+        transform = preprocess_pipeline(table, scope, train)
+        ws = _Workspace(train, test)
+        _feature_wd(ws, table, transform, 0, scaled=True)  # the first call sets up what is cached
+        tracemalloc.start()
+        try:
+            peaks = []
+            for j in range(len(table.feature_names)):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                _feature_wd(ws, table, transform, j, scaled=True)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        # the argsort result, n int64, and nothing else of more than a few chunks
+        assert max(peaks) <= (train.size + test.size) * 8 + 64 * 1024
+
+    def test_one_row_each_side(self):
+        m, train_rows, test_rows = stacked(np.array([[0.25, 3.0]]), np.array([[1.0, 3.0]]), ("a", "b"))
+        report = raw_wd(m, train_rows, test_rows)
+        assert report.per_feature == {"a": 0.75, "b": 0.0}
+        assert report.per_feature["a"] == three_sort_wd([0.25], [1.0])
+
+    def test_ties_across_the_two_sides(self):
+        u = np.array([0.0, 1.0, 1.0, 2.0, 2.0, 5.0])
+        v = np.array([1.0, 1.0, 2.0, 5.0])
+        m, train_rows, test_rows = stacked(u[::-1, None], v[:, None], ("x",))
+        got = raw_wd(m, train_rows, test_rows).per_feature["x"]
+        assert got == three_sort_wd(u, v)
+        assert got == pytest.approx(cdf_grid_wd(list(u), list(v)), abs=1e-15)
+        assert wasserstein_1d(v, u) == got
+
+    def test_buffers_carry_nothing_from_feature_to_feature(self):
+        # a wide feature, then a constant one, then the first again: each equals it computed alone
+        rng = np.random.default_rng(17)
+        wide = rng.normal(size=40) * 1e6
+        values = np.column_stack([wide, np.full(40, 2.0), wide])
+        m = matrix_from(values, ("a", "b", "c"))
+        train_rows, test_rows = np.arange(25), np.arange(25, 40)
+        report = raw_wd(m, train_rows, test_rows)
+        for j, name in enumerate(("a", "b", "c")):
+            alone = raw_wd(matrix_from(values[:, j:j + 1], (name,)), train_rows, test_rows)
+            assert report.per_feature[name] == alone.per_feature[name]
+        assert report.per_feature["b"] == 0.0
+
+    def test_a_row_past_the_table_raises(self):
+        m = matrix_from(np.arange(6.0).reshape(3, 2), ("a", "b"))
+        with pytest.raises(IndexError):
+            raw_wd(m, np.array([0, 1]), np.array([2, 3]))
+        with pytest.raises(IndexError):
+            raw_wd(m, np.array([3, 0]), np.array([2]))
 
 
 class TestRankCorrelation:
