@@ -10,12 +10,10 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, DataError, SchemaError, ZdevalError
 from .flowdata import (
-    ClassCatalog,
     Column,
     ColumnKind,
     FeatureSchema,
     FlowTable,
-    build_catalog,
     load_csv,
     summarize,
     write_csv,

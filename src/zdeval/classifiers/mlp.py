@@ -138,7 +138,10 @@ def mlp_train(X: np.ndarray, y: np.ndarray, cfg: MlpConfig, seed: int) -> MlpMod
 
     Rows are reshuffled every epoch with the model's own generator, so a
     fixed (X, y, cfg, seed) reproduces the exact parameter trajectory. The
-    model's `loss_history` records the full-dataset loss after each epoch.
+    model's `loss_history` records each epoch's training loss: the mean of
+    its batch losses, each taken before its batch's update, weighted by the
+    batch's rows. It is not the loss of the epoch's final weights, which
+    would cost one more forward pass over X per epoch.
     Raises if the loss or any parameter stops being finite, naming the
     offending epoch and batch.
     """
@@ -156,16 +159,18 @@ def mlp_train(X: np.ndarray, y: np.ndarray, cfg: MlpConfig, seed: int) -> MlpMod
     params = model.parameters()
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        total = 0.0
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             rows = order[start : start + cfg.batch_size]
             loss, grads = mlp_loss_and_grads(model, X[rows], y[rows])
             if not np.isfinite(loss):
                 raise ValueError(f"non-finite training loss at epoch {epoch}, batch {batch_no}")
+            total += loss * len(rows)
             for name, grad in grads.items():
                 params[name] -= cfg.learning_rate * grad
                 if not np.isfinite(params[name]).all():
                     raise ValueError(f"non-finite parameter {name!r} at epoch {epoch}, batch {batch_no}")
-        model.loss_history.append(_bce(_forward(model, X)[4], y))
+        model.loss_history.append(total / n)
     return model
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .config import apply_overrides, load_config
 from .errors import ConfigError, DataError, SchemaError
-from .flowdata import build_catalog, load_csv, summarize, write_csv
+from .flowdata import load_csv, summarize, write_csv
 from .harness import emit_reports, run_experiment, run_wd_analysis
 from .synth import SyntheticSpec, synthesize_dataset
 
@@ -144,11 +144,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     table = load_csv(cfg.dataset, cfg.schema, cfg.benign_name, on_bad_row=cfg.on_bad_row, keep_identifiers=True)
-    catalog = build_catalog(table)
-    summary = summarize(table)
-    out = summary.to_json()
-    out["attack_names"] = list(catalog.attack_names)
-    out["attack_rows"] = int(sum(catalog.counts[c] for c in catalog.attack_names))
+    attack_names = table.attack_names
+    out = summarize(table).to_json()
+    out["attack_names"] = list(attack_names)
+    out["attack_rows"] = sum(table.class_counts[1:])
     json.dump(out, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0

@@ -1,4 +1,4 @@
-"""Flow-record tables: column schemas, CSV loading, class catalogs, summaries.
+"""Flow-record tables: column schemas, CSV loading, summaries.
 
 A table holds its features once, as one row-major n x d float64 block whose
 columns are the schema's feature columns in schema order: a numeric column
@@ -163,7 +163,9 @@ class FlowTable:
     module docstring), and `categories` maps each categorical feature to
     the sorted distinct values its block column indexes. `class_codes` holds
     each row's attack class as its code into `class_names`: benign first,
-    then the attack classes in order of first appearance. `data` maps the
+    then the attack classes in order of first appearance. The table is the
+    one class inventory: `attack_names` and `class_counts` are read from
+    these codes and names. `data` maps the
     identifiers to object arrays of strings and each numeric feature to a
     view of its block column; it may leave out the identifier columns, as
     `load_csv` does unless asked to keep them.
@@ -176,7 +178,8 @@ class FlowTable:
     row; or as `class_codes` with `class_names`. Given `features`, its
     numeric columns are the table's and `data` need not hold them; without
     it, the block is built from `data`. `dropped_rows` counts rows
-    discarded by the loader under the drop policy.
+    discarded by the loader under the drop policy; a table taken from
+    another keeps its count.
     """
 
     schema: FeatureSchema
@@ -244,6 +247,18 @@ class FlowTable:
         return self.schema.feature_names
 
     @property
+    def attack_names(self) -> tuple[str, ...]:
+        """The attack classes in code order; raises DataError when there are none."""
+        if len(self.class_names) == 1:
+            raise DataError("table contains no attack classes; no zero-day scenario is definable")
+        return self.class_names[1:]
+
+    @property
+    def class_counts(self) -> tuple[int, ...]:
+        """Rows per class in code order, benign included even at 0 rows."""
+        return tuple(np.bincount(self.class_codes, minlength=len(self.class_names)).tolist())
+
+    @property
     def attack_classes(self) -> np.ndarray:
         """Each row's attack class, decoded from its code: an object array of strings."""
         return np.array(self.class_names, dtype=object)[self.class_codes]
@@ -264,8 +279,9 @@ class FlowTable:
         codes_of = {0: 0}  # an old code -> its new code
         codes = _class_codes(self.class_codes[idx].tolist(), codes_of)
         data = {k: v[idx] for k, v in self.data.items() if k not in names}
-        return FlowTable(self.schema, self.benign_name, data, features=features, categories=categories,
-                         class_codes=codes, class_names=tuple(self.class_names[c] for c in codes_of))
+        return FlowTable(self.schema, self.benign_name, data, dropped_rows=self.dropped_rows, features=features,
+                         categories=categories, class_codes=codes,
+                         class_names=tuple(self.class_names[c] for c in codes_of))
 
     def validate(self) -> None:
         """Check that every numeric cell is finite (construction checks the rest); raises DataError."""
@@ -274,29 +290,6 @@ class FlowTable:
             if col.size and not np.isfinite(col).all():
                 bad = int(np.flatnonzero(~np.isfinite(col))[0])
                 raise DataError(f"non-finite value in column {name!r} at row {bad}")
-
-
-@dataclass(frozen=True, eq=False)
-class ClassCatalog:
-    """Class inventory of a table: benign name, attack names, per-class counts, and the
-    table's own `class_codes` (0 for benign, i+1 for the i-th attack name)."""
-
-    benign_name: str
-    attack_names: tuple[str, ...]
-    counts: dict[str, int]
-    class_codes: np.ndarray
-
-    @property
-    def row_count(self) -> int:
-        return len(self.class_codes)
-
-    @property
-    def class_order(self) -> tuple[str, ...]:
-        """Benign first, then attack names in first-appearance order."""
-        return (self.benign_name,) + self.attack_names
-
-    def code_of(self, class_name: str) -> int:
-        return self.class_order.index(class_name)
 
 
 def _parse_numeric_column(raw: Sequence[str], name: str) -> tuple[np.ndarray, dict[int, str]]:
@@ -615,15 +608,6 @@ def write_csv(table: FlowTable, path: str | Path) -> None:
             writer.writerow(row)
 
 
-def build_catalog(table: FlowTable) -> ClassCatalog:
-    """Inventory the table's classes: its own codes and names, attack names in first-appearance order."""
-    names = table.class_names
-    if len(names) == 1:
-        raise DataError("table contains no attack classes; no zero-day scenario is definable")
-    counts = np.bincount(table.class_codes, minlength=len(names))
-    return ClassCatalog(table.benign_name, names[1:], dict(zip(names, counts.tolist())), table.class_codes)
-
-
 @dataclass(frozen=True)
 class NumericStats:
     """Per-feature stats; None for a column with no rows."""
@@ -661,8 +645,7 @@ def summarize(table: FlowTable) -> TableSummary:
     no count.
     """
     _require_identifiers(table, "summarize")
-    counts = np.bincount(table.class_codes, minlength=len(table.class_names)).tolist()
-    class_counts = {name: c for name, c in sorted(zip(table.class_names, counts)) if c}
+    class_counts = {name: c for name, c in sorted(zip(table.class_names, table.class_counts)) if c}
 
     numeric = {}
     for name in table.schema.numeric_names:

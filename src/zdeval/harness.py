@@ -8,7 +8,7 @@ artifacts. Everything is keyed off the config seed: two runs with the same
 config and dataset produce identical metrics bytes.
 
 The run's scenarios form one ordered list: the known-attack folds, then
-each selected class's folds in catalog order. A job is (kind, scenario
+each selected class's folds in code order. A job is (kind, scenario
 index, seed): a distance job computes one zero-day scenario's per-feature
 distances, a model job trains and scores one model on one scenario. A run
 submits its distance jobs ahead of its model jobs to one process pool (the
@@ -20,8 +20,8 @@ The features are held once: the loaded table is the base matrix, its
 feature block the one n x d float64 matrix a run holds, and nothing writes
 to it. Each job reads its rows of it through its scenario's fitted
 transform: a distance job one column at a time, a model job its train rows
-and its test rows. The table's class codes, which the catalog shares, are
-the one class column: a model job's labels are its rows' codes != 0.
+and its test rows. The table's class codes are the one class column and
+the one class inventory: a model job's labels are its rows' codes != 0.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from . import __version__
 from .classifiers import forest_score, forest_to_json, mlp_score, mlp_to_json, mlp_train, predict, train_forest
 from .config import KNOWN_MODELS, ExperimentConfig
 from .errors import ConfigError, DataError
-from .flowdata import ClassCatalog, FlowTable, build_catalog, load_csv
+from .flowdata import FlowTable, load_csv
 from .metrics import FoldAggregate, MetricsReport, aggregate_folds, per_class_positives, scenario_report
 from .preprocess import FittedTransform, preprocess_pipeline, transforms_to_json
 from .wdanalysis import WdReport, per_feature_wd, rank_correlation
@@ -264,7 +264,7 @@ class RunReport:
     models_json: dict[str, dict] = field(default_factory=dict)
     classes: tuple[str, ...] = ()
     models: tuple[str, ...] = ()
-    # file-name slug of every attack class in the catalog, not just the
+    # file-name slug of every attack class in the table, not just the
     # selected ones, so a class is named alike in all of a run's files
     slugs: dict[str, str] = field(default_factory=dict)
 
@@ -292,8 +292,6 @@ class _Prepared:
     """Shared state both the full run and the analysis-only run build first."""
 
     rows_loaded: int
-    dropped_rows: int
-    catalog: ClassCatalog
     selected: tuple[str, ...]
     plan: FoldPlan
     scenarios: list[Scenario]
@@ -305,15 +303,15 @@ class _Prepared:
 
     def rows(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Scenario i's sorted train and test rows."""
-        return scenario_rows(self.scenarios[i], self.plan, self.catalog)
+        return scenario_rows(self.scenarios[i], self.plan, self.base)
 
     def dataset_json(self, cfg: ExperimentConfig) -> dict:
         return {
             "path": cfg.dataset,
             "rows_loaded": self.rows_loaded,
-            "rows_used": self.catalog.row_count,
-            "dropped_rows": self.dropped_rows,
-            "class_counts": {c: self.catalog.counts[c] for c in self.catalog.class_order},
+            "rows_used": self.base.row_count,
+            "dropped_rows": self.base.dropped_rows,
+            "class_counts": dict(zip(self.base.class_names, self.base.class_counts)),
             "benign_name": cfg.benign_name,
         }
 
@@ -327,12 +325,7 @@ class _Prepared:
 
 
 def _fit_transforms(
-    cfg: ExperimentConfig,
-    base: FlowTable,
-    scenarios: list[Scenario],
-    plan: FoldPlan,
-    catalog: ClassCatalog,
-    warnings: list[str],
+    cfg: ExperimentConfig, base: FlowTable, scenarios: list[Scenario], plan: FoldPlan, warnings: list[str]
 ) -> tuple[list[FittedTransform], dict, dict]:
     """Fit, per scenario, the transform its jobs read the table through.
 
@@ -347,12 +340,12 @@ def _fit_transforms(
         return [fit] * len(scenarios), transforms, {"fit_scope": cfg.fit_scope, **fit.counters.to_json()}
 
     fitted, transforms = [], {}
-    keys = _unique_slugs(catalog.attack_names, slug=str)
+    keys = _unique_slugs(base.attack_names, slug=str)
     clamp_total = 0
     for s in scenarios:
         name = BASELINE if s.held_out is None else keys[s.held_out]
         try:
-            train, _ = scenario_rows(s, plan, catalog)
+            train, _ = scenario_rows(s, plan, base)
             fit = preprocess_pipeline(base, "train-only", train, unseen=cfg.unseen_category_policy)
         except DataError as exc:
             raise DataError(f"scenario {name!r} fold {s.fold_id}: {exc}") from exc
@@ -373,43 +366,36 @@ def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
     warnings: list[str] = []
     table = load_csv(cfg.dataset, cfg.schema, cfg.benign_name, on_bad_row=cfg.on_bad_row)
     rows_loaded = table.row_count
-    dropped_rows = table.dropped_rows
-    if dropped_rows:
-        warnings.append(f"loader dropped {dropped_rows} bad rows")
+    if table.dropped_rows:
+        warnings.append(f"loader dropped {table.dropped_rows} bad rows")
     if cfg.subsample is not None and cfg.subsample < table.row_count:
         table = subsample_rows(table, cfg.subsample, derive_seed(cfg.seed, _SEED_SUBSAMPLE))
         warnings.append(f"subsampled {table.row_count} of {rows_loaded} rows (seeded)")
 
-    catalog = build_catalog(table)
-    if cfg.classes is not None:
-        unknown = [c for c in cfg.classes if c not in catalog.attack_names]
-        if unknown:
-            raise ConfigError(f"held-out class {unknown[0]!r} not present in dataset")
-        selected = tuple(c for c in catalog.attack_names if c in cfg.classes)
-    else:
-        selected = catalog.attack_names
+    attack_names = table.attack_names  # a table with no attack class raises here, before the classes check
+    unknown = [c for c in cfg.classes or () if c not in attack_names]
+    if unknown:
+        raise ConfigError(f"held-out class {unknown[0]!r} not present in dataset")
+    selected = attack_names if cfg.classes is None else tuple(c for c in attack_names if c in cfg.classes)
 
-    plan = make_fold_plan(catalog, cfg.k, cfg.seed)
+    plan = make_fold_plan(table, cfg.k, cfg.seed)
     for name in plan.sparse_classes:
         warnings.append(f"class {name!r} has fewer rows than folds; it is sparse across folds")
 
     scenarios = []
     if with_baseline:
         scenarios = [Scenario(None, f) for f in range(plan.k)]
-        warnings.extend(fold_warnings(plan, catalog))
-    scenarios += [s for s in make_zero_day_scenarios(plan, catalog) if s.held_out in selected]
+        warnings.extend(fold_warnings(plan, table))
+    scenarios += [s for s in make_zero_day_scenarios(plan, table) if s.held_out in selected]
 
-    fitted, transforms, prep_summary = _fit_transforms(cfg, table, scenarios, plan, catalog, warnings)
-    return _Prepared(
-        rows_loaded, dropped_rows, catalog, selected, plan, scenarios, table, fitted, transforms, prep_summary,
-        warnings,
-    )
+    fitted, transforms, prep_summary = _fit_transforms(cfg, table, scenarios, plan, warnings)
+    return _Prepared(rows_loaded, selected, plan, scenarios, table, fitted, transforms, prep_summary, warnings)
 
 
 def _distance_jobs(cfg: ExperimentConfig, prep: _Prepared) -> list[ScenarioJob]:
     """One distance job per zero-day scenario, in scenario order."""
     return [
-        ScenarioJob(DISTANCE, i, derive_seed(cfg.seed, _SEED_WD, prep.catalog.code_of(s.held_out), s.fold_id))
+        ScenarioJob(DISTANCE, i, derive_seed(cfg.seed, _SEED_WD, prep.base.class_names.index(s.held_out), s.fold_id))
         for i, s in enumerate(prep.scenarios)
         if s.held_out is not None
     ]
@@ -464,7 +450,7 @@ def _new_report(cfg: ExperimentConfig, prep: _Prepared) -> RunReport:
         transforms=prep.transforms,
         classes=prep.selected,
         models=(),
-        slugs=_unique_slugs(prep.catalog.attack_names),
+        slugs=_unique_slugs(prep.base.attack_names),
     )
 
 
@@ -478,11 +464,11 @@ def _aggregate_to_json(agg: FoldAggregate, folds: list[MetricsReport]) -> dict:
 
 
 def _baseline_per_class_dr(
-    base: list[JobResult], catalog: ClassCatalog, warnings: list[str], model: str
+    base: list[JobResult], attack_names: tuple[str, ...], warnings: list[str], model: str
 ) -> dict:
     """Known-attack detection rate per class, averaged over folds."""
     out = {}
-    for name in catalog.attack_names:
+    for name in attack_names:
         values = []
         for r in base:
             counts = (r.per_class or {}).get(name)
@@ -511,7 +497,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     for model in cfg.models:
         model_idx = KNOWN_MODELS.index(model)
         for i, s in enumerate(prep.scenarios):
-            class_key = 0 if s.held_out is None else prep.catalog.code_of(s.held_out)
+            class_key = 0 if s.held_out is None else prep.base.class_names.index(s.held_out)
             jobs.append(ScenarioJob(model, i, derive_seed(cfg.seed, _SEED_TRAIN, model_idx, class_key, s.fold_id)))
     results = _run_jobs(cfg, prep, jobs)
 
@@ -531,7 +517,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             fold_reports = [r.report for r in base]
             report.baseline[model] = {
                 **_aggregate_to_json(aggregate_folds(fold_reports), fold_reports),
-                "per_class_dr": _baseline_per_class_dr(base, prep.catalog, report.warnings, model),
+                "per_class_dr": _baseline_per_class_dr(base, prep.base.attack_names, report.warnings, model),
             }
         report.zero_day[model] = {}
         for name in prep.selected:
@@ -586,7 +572,7 @@ def _fmt(value: float | None, places: int) -> str:
 
 
 def metrics_csv_text(report: RunReport, model: str) -> str:
-    """One row per held-out class, in catalog order, fold-mean metrics."""
+    """One row per held-out class, in code order, fold-mean metrics."""
     lines = ["Zero-day Attack,Z-DR,Accuracy,F1 Score,FAR,DR,AUC"]
     for name in report.classes:
         entry = report.zero_day.get(model, {}).get(name)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flowdata import ClassCatalog
+from .flowdata import FlowTable
 
 GENERATOR_ID = "numpy-pcg64"
 
@@ -52,13 +52,14 @@ class FoldPlan:
     generator: str = GENERATOR_ID
 
 
-def make_fold_plan(catalog: ClassCatalog, k: int = 5, seed: int = 0) -> FoldPlan:
-    """Stratified k-fold plan over the catalog's rows, deterministic per seed.
+def make_fold_plan(table: FlowTable, k: int = 5, seed: int = 0) -> FoldPlan:
+    """Stratified k-fold plan over the table's rows, deterministic per seed.
 
-    Each class's rows are shuffled and dealt into k contiguous chunks whose
-    sizes differ by at most one; chunk f joins fold f's test set.
+    Each class's rows, in code order, are shuffled and dealt into k
+    contiguous chunks whose sizes differ by at most one; chunk f joins fold
+    f's test set.
     """
-    n = catalog.row_count
+    n = table.row_count
     if k < 2:
         raise ValueError(f"fold count must be >= 2, got {k}")
     if k > n:
@@ -68,8 +69,8 @@ def make_fold_plan(catalog: ClassCatalog, k: int = 5, seed: int = 0) -> FoldPlan
     fold = np.empty(n, dtype=np.min_scalar_type(k - 1))
     fold_ids = np.arange(k, dtype=fold.dtype)
     sparse = []
-    for code, name in enumerate(catalog.class_order):
-        rows = np.flatnonzero(catalog.class_codes == code)
+    for code, name in enumerate(table.class_names):
+        rows = np.flatnonzero(table.class_codes == code)
         if rows.size == 0:
             continue
         if rows.size < k:
@@ -79,31 +80,31 @@ def make_fold_plan(catalog: ClassCatalog, k: int = 5, seed: int = 0) -> FoldPlan
     return FoldPlan(k, seed, fold, tuple(sparse))
 
 
-def make_zero_day_scenarios(plan: FoldPlan, catalog: ClassCatalog) -> list[Scenario]:
-    """All held-out-class x fold combinations (attack classes x k scenarios)."""
-    return [Scenario(name, f) for name in catalog.attack_names for f in range(plan.k)]
+def make_zero_day_scenarios(plan: FoldPlan, table: FlowTable) -> list[Scenario]:
+    """All held-out-class x fold combinations (attack classes x k scenarios), in code order."""
+    return [Scenario(name, f) for name in table.attack_names for f in range(plan.k)]
 
 
-def scenario_rows(scenario: Scenario, plan: FoldPlan, catalog: ClassCatalog) -> tuple[np.ndarray, np.ndarray]:
+def scenario_rows(scenario: Scenario, plan: FoldPlan, table: FlowTable) -> tuple[np.ndarray, np.ndarray]:
     """The scenario's sorted train and test row indices."""
     test = plan.fold == scenario.fold_id
     train = ~test
     if scenario.held_out is not None:
-        train &= catalog.class_codes != catalog.code_of(scenario.held_out)
+        train &= table.class_codes != table.class_names.index(scenario.held_out)
     return np.flatnonzero(train), np.flatnonzero(test)
 
 
-def fold_warnings(plan: FoldPlan, catalog: ClassCatalog) -> list[str]:
+def fold_warnings(plan: FoldPlan, table: FlowTable) -> list[str]:
     """A warning per (fold, class) whose class misses one side of the fold's known-attack split."""
-    n_classes = len(catalog.class_order)
-    in_test = np.bincount(catalog.class_codes * plan.k + plan.fold, minlength=n_classes * plan.k)
+    n_classes = len(table.class_names)
+    in_test = np.bincount(table.class_codes * plan.k + plan.fold, minlength=n_classes * plan.k)
     in_test = in_test.reshape(n_classes, plan.k)
     in_train = in_test.sum(axis=1, keepdims=True) - in_test
     warnings = []
     for f in range(plan.k):
         test, train = in_test[:, f], in_train[:, f]
         for code in np.flatnonzero((test > 0) & (train == 0)):
-            warnings.append(f"class {catalog.class_order[code]!r} appears in fold {f} test but not train")
+            warnings.append(f"class {table.class_names[code]!r} appears in fold {f} test but not train")
         for code in np.flatnonzero((train > 0) & (test == 0)):
-            warnings.append(f"class {catalog.class_order[code]!r} appears in fold {f} train but not test")
+            warnings.append(f"class {table.class_names[code]!r} appears in fold {f} train but not test")
     return warnings

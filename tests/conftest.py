@@ -76,6 +76,17 @@ def feature_table(values, names: tuple[str, ...] = ("x",)) -> FlowTable:
     return FlowTable(schema, "Benign", columns, features=values)
 
 
+def coded_table(codes, class_names: tuple[str, ...]) -> FlowTable:
+    """A table whose rows have the given class codes into `class_names` (benign first), with one zero feature."""
+    codes = np.asarray(codes, dtype=np.intp)
+    schema = FeatureSchema(
+        (Column("x", ColumnKind.NUMERIC), Column("attack_class", ColumnKind.ATTACK_CLASS),
+         Column("label", ColumnKind.BINARY_LABEL))
+    )
+    return FlowTable(schema, class_names[0], {}, features=np.zeros((codes.size, 1)), class_codes=codes,
+                     class_names=tuple(class_names))
+
+
 def wasserstein_1d(u, v) -> float:
     """The package's distance between two samples: `per_feature_wd` on a one-feature matrix.
 

@@ -377,18 +377,18 @@ def string_pipeline(schema, cells, train_indices=None, unseen: str = "reserve-co
     }
 
 
-def stored_fold_plan(catalog, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def stored_fold_plan(table, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per fold, its sorted (train, test) int32 row arrays, built and stored the old way.
 
     Same rng draws as the package: one seeded generator, one permutation per
     nonempty class in class order, dealt into k contiguous chunks whose
     sizes differ by at most one; chunk f joins fold f's test set.
     """
-    n = catalog.row_count
+    n = table.row_count
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     test_parts: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for code in range(len(catalog.class_order)):
-        rows = np.flatnonzero(catalog.class_codes == code)
+    for code in range(len(table.class_names)):
+        rows = np.flatnonzero(table.class_codes == code)
         if rows.size == 0:
             continue
         perm = rng.permutation(rows)
@@ -407,26 +407,26 @@ def stored_fold_plan(catalog, k: int, seed: int) -> list[tuple[np.ndarray, np.nd
     return folds
 
 
-def stored_zero_day_scenarios(folds, catalog) -> dict[tuple[str, int], tuple[np.ndarray, np.ndarray]]:
+def stored_zero_day_scenarios(folds, table) -> dict[tuple[str, int], tuple[np.ndarray, np.ndarray]]:
     """(class, fold) -> the fold's train rows minus the class's rows, and its test rows."""
     out = {}
-    for name in catalog.attack_names:
-        code = catalog.class_order.index(name)
+    for name in table.attack_names:
+        code = table.class_names.index(name)
         for f, (train, test) in enumerate(folds):
-            out[(name, f)] = (train[catalog.class_codes[train] != code], test)
+            out[(name, f)] = (train[table.class_codes[train] != code], test)
     return out
 
 
-def stored_fold_warnings(folds, catalog) -> list[str]:
+def stored_fold_warnings(folds, table) -> list[str]:
     """Per fold, a warning per class that misses a side, from sets of the stored arrays' codes."""
     warnings = []
     for f, (train, test) in enumerate(folds):
-        train_codes = set(np.unique(catalog.class_codes[train]).tolist())
-        test_codes = set(np.unique(catalog.class_codes[test]).tolist())
+        train_codes = set(np.unique(table.class_codes[train]).tolist())
+        test_codes = set(np.unique(table.class_codes[test]).tolist())
         for code in sorted(test_codes - train_codes):
-            warnings.append(f"class {catalog.class_order[code]!r} appears in fold {f} test but not train")
+            warnings.append(f"class {table.class_names[code]!r} appears in fold {f} test but not train")
         for code in sorted(train_codes - test_codes):
-            warnings.append(f"class {catalog.class_order[code]!r} appears in fold {f} train but not test")
+            warnings.append(f"class {table.class_names[code]!r} appears in fold {f} train but not test")
     return warnings
 
 

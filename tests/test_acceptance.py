@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from conftest import wasserstein_1d
+from conftest import coded_table, wasserstein_1d
 
 from zdeval.classifiers import (
     ForestConfig,
@@ -30,7 +30,7 @@ from zdeval.classifiers import (
     tree_score,
 )
 from zdeval.config import config_from_dict
-from zdeval.flowdata import ClassCatalog, build_catalog, write_csv
+from zdeval.flowdata import write_csv
 from zdeval.harness import emit_reports, run_experiment
 from zdeval.metrics import auc, basic_metrics, confusion, per_class_positives, zdr
 from zdeval.preprocess import preprocess_pipeline
@@ -191,7 +191,7 @@ def test_criterion_2_wasserstein_oracle_suite():
 
 
 def test_criterion_3_split_invariants():
-    with criterion(3, "split invariants hold over 100 random synthetic catalogs", 10.0):
+    with criterion(3, "split invariants hold over 100 random synthetic class layouts", 10.0):
         rng = np.random.default_rng(303)
         for _ in range(100):
             counts = {"Benign": int(rng.integers(0, 40))}
@@ -203,20 +203,20 @@ def test_criterion_3_split_invariants():
                 [np.full(counts[name], order.index(name), dtype=np.int64) for name in order]
             )
             perm = rng.permutation(codes.size)
-            catalog = ClassCatalog("Benign", attack_names, counts, codes[perm])
-            total = catalog.row_count
+            table = coded_table(codes[perm], tuple(order))
+            total = table.row_count
             k = int(rng.integers(2, min(6, total) + 1))
 
-            plan = make_fold_plan(catalog, k=k, seed=int(rng.integers(0, 2**63)))
-            tests = [scenario_rows(Scenario(None, f), plan, catalog)[1] for f in range(k)]
+            plan = make_fold_plan(table, k=k, seed=int(rng.integers(0, 2**63)))
+            tests = [scenario_rows(Scenario(None, f), plan, table)[1] for f in range(k)]
             assert np.array_equal(np.sort(np.concatenate(tests)), np.arange(total))
             for code in range(len(order)):
-                per_fold = [int((catalog.class_codes[test] == code).sum()) for test in tests]
+                per_fold = [int((table.class_codes[test] == code).sum()) for test in tests]
                 assert max(per_fold) - min(per_fold) <= 1
-            for s in make_zero_day_scenarios(plan, catalog):
-                held_code = catalog.code_of(s.held_out)
-                train, test = scenario_rows(s, plan, catalog)
-                assert not np.any(catalog.class_codes[train] == held_code)
+            for s in make_zero_day_scenarios(plan, table):
+                held_code = table.class_names.index(s.held_out)
+                train, test = scenario_rows(s, plan, table)
+                assert not np.any(table.class_codes[train] == held_code)
                 assert np.intersect1d(train, test).size == 0
 
 
@@ -275,8 +275,7 @@ def test_criterion_5_classifier_sanity(tmp_path):
         table = synthesize_dataset(spec)
         assert table.row_count == 1600
         fit = preprocess_pipeline(table)
-        catalog = build_catalog(table)
-        train, test = scenario_rows(Scenario(None, 0), make_fold_plan(catalog, 5, seed=1), catalog)
+        train, test = scenario_rows(Scenario(None, 0), make_fold_plan(table, 5, seed=1), table)
         labels = (table.class_codes != 0).astype(np.int64)
         x_tr, y_tr = fit.apply(table, train, scaled=True), labels[train]
         x_te, y_te = fit.apply(table, test, scaled=True), labels[test]

@@ -327,11 +327,14 @@ class TestMlp:
 
     def test_zero_learning_rate_is_identity(self):
         X, y = blobs(20, seed=9)
-        cfg = MlpConfig(learning_rate=0.0, epochs=3, batch_size=8, hidden_units=(4, 4))
+        cfg = MlpConfig(learning_rate=0.0, epochs=3, batch_size=7, hidden_units=(4, 4))
         trained = mlp_train(X, y, cfg, seed=7)
         fresh = mlp_init(2, seed=7, hidden_units=(4, 4))
         for k in fresh.parameters():
             assert np.array_equal(trained.parameters()[k], fresh.parameters()[k])
+        # 40 rows in batches of 7 and a last of 5: weighted by rows, the batch losses average to the full-data loss
+        full, _ = mlp_loss_and_grads(fresh, X, y.astype(float))
+        assert np.allclose(trained.loss_history, [full] * 3, rtol=1e-12, atol=0)
 
     def test_batch_size_at_least_n_one_update_per_epoch(self):
         X, y = blobs(10, seed=10)
@@ -341,11 +344,13 @@ class TestMlp:
         manual = mlp_init(2, seed=2, hidden_units=(3, 3))
         rng = np.random.default_rng(np.random.SeedSequence(entropy=2, spawn_key=(1,)))
         order = rng.permutation(20)
-        _, grads = mlp_loss_and_grads(manual, X[order], y[order].astype(float))
+        loss, grads = mlp_loss_and_grads(manual, X[order], y[order].astype(float))
         for name, grad in grads.items():
             manual.parameters()[name] -= 0.1 * grad
         for k in manual.parameters():
             assert np.allclose(trained.parameters()[k], manual.parameters()[k], atol=1e-15)
+        # the epoch's loss is its batch's, taken before the update
+        assert trained.loss_history == [pytest.approx(loss, rel=1e-15, abs=0)]
 
     def test_determinism(self):
         X, y = blobs(30, seed=11)

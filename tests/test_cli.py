@@ -153,3 +153,24 @@ class TestInspect:
         assert doc["row_count"] == 300
         assert doc["attack_names"] == ["alpha", "beta", "gamma"]
         assert doc["attack_rows"] == 150
+
+
+class TestBenignOnly:
+    @pytest.mark.parametrize(
+        "argv", [["run", "--classes", "nope"], ["wd", "--classes", "nope"], ["inspect"]], ids=["run", "wd", "inspect"]
+    )
+    def test_a_file_with_no_attack_class_is_a_data_error(self, tmp_path, caplog, argv):
+        # raised before the --classes check, so the unknown class is not what is reported
+        data = tmp_path / "benign.csv"
+        data.write_text("\n".join(["f0,attack_class,label"] + [f"{i}.0,Benign,0" for i in range(6)]) + "\n")
+        cfg = tmp_path / "cfg.json"
+        columns = [
+            {"name": "f0", "kind": "numeric"},
+            {"name": "attack_class", "kind": "attack_class"},
+            {"name": "label", "kind": "binary_label"},
+        ]
+        cfg.write_text(json.dumps({"dataset": str(data), "benign_name": "Benign", "columns": columns, "k": 2, "seed": 0}))
+        out = [] if argv[0] == "inspect" else ["--out", str(tmp_path / "o")]
+        assert main([argv[0], "--config", str(cfg), *argv[1:], *out]) == 2
+        assert "table contains no attack classes; no zero-day scenario is definable" in caplog.text
+        assert not (tmp_path / "o").exists()

@@ -19,7 +19,6 @@ from zdeval.flowdata import (
     ColumnKind,
     FeatureSchema,
     FlowTable,
-    build_catalog,
     load_csv,
     summarize,
     write_csv,
@@ -205,6 +204,8 @@ class TestRoundTrip:
 
 
 class TestCatalog:
+    """The table is the class catalog: `class_names`, `attack_names` and `class_counts` read its codes."""
+
     def test_first_appearance_order(self):
         table = make_table(
             [
@@ -214,28 +215,24 @@ class TestCatalog:
                 {"x": 3.0, "attack_class": "A", "label": 1},
             ]
         )
-        catalog = build_catalog(table)
-        assert catalog.attack_names == ("A", "B")
-        assert catalog.counts == {"Benign": 1, "A": 2, "B": 1}
-        assert catalog.class_codes.tolist() == [0, 1, 2, 1]
+        assert table.attack_names == ("A", "B")
+        assert table.class_counts == (1, 2, 1)
+        assert table.class_codes.tolist() == [0, 1, 2, 1]
 
     def test_counts_sum_to_rows(self, small_table):
-        catalog = build_catalog(small_table)
-        assert sum(catalog.counts.values()) == small_table.row_count
-
-    def test_codes_are_the_tables_own(self, small_table):
-        assert np.shares_memory(build_catalog(small_table).class_codes, small_table.class_codes)
+        assert sum(small_table.class_counts) == small_table.row_count
+        assert len(small_table.class_counts) == len(small_table.class_names)
 
     def test_only_benign_rows_is_error(self):
         table = make_table([{"x": 0.0, "attack_class": "Benign", "label": 0}])
         with pytest.raises(DataError, match="no attack classes"):
-            build_catalog(table)
+            table.attack_names
 
     def test_no_benign_rows_allowed(self):
         table = make_table([{"x": 0.0, "attack_class": "A", "label": 1}])
-        catalog = build_catalog(table)
-        assert catalog.counts["Benign"] == 0
-        assert catalog.attack_names == ("A",)
+        assert table.class_names == ("Benign", "A")
+        assert table.class_counts == (0, 1)
+        assert table.attack_names == ("A",)
 
     def test_peak_memory_is_near_the_codes(self):
         spec = SyntheticSpec(
@@ -244,13 +241,14 @@ class TestCatalog:
         table = synthesize_dataset(spec)
         tracemalloc.start()
         try:
-            catalog = build_catalog(table)
+            counts, attack_names = table.class_counts, table.attack_names
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert catalog.counts == {"Benign": 30_000, "Reconnaissance": 6_000, "DoS": 4_000}
-        # a catalog built from a fixed-width unicode copy of the column and a sort of it peaked at about 24x here
-        assert peak <= 3 * catalog.class_codes.nbytes
+        assert dict(zip(table.class_names, counts)) == {"Benign": 30_000, "Reconnaissance": 6_000, "DoS": 4_000}
+        assert attack_names == ("Reconnaissance", "DoS")
+        # counts from a fixed-width unicode copy of the class column and a sort of it peaked at about 24x here
+        assert peak <= 3 * table.class_codes.nbytes
 
 
 class TestSummarize:
@@ -524,8 +522,18 @@ class TestLoadChunks:
         with mock.patch.object(flowdata, "_CHUNK_ROWS", chunk_rows):
             table = load_csv(p, schema_3col(), "Benign", on_bad_row="drop")
         assert table.dropped_rows == 1
-        assert build_catalog(table).attack_names == ("Y", "X")
+        assert table.attack_names == ("Y", "X")
         assert table.class_codes.tolist() == [0, 0, 1, 2]
+
+    @pytest.mark.parametrize("keep", [[0, 2, 3], []], ids=["rows", "no-rows"])
+    def test_take_keeps_dropped_rows(self, tmp_path, keep):
+        # the count is the loader's, so a subsample of the table still reports it
+        p = tmp_path / "t.csv"
+        write_lines(p, ["dur,attack_class,label", "1.0,Benign,0", "oops,X,1", "2.0,X,1", "3.0,Y,1", "4.0,Benign,0"])
+        table = load_csv(p, schema_3col(), "Benign", on_bad_row="drop")
+        assert table.dropped_rows == 1
+        assert table.take(np.array(keep, dtype=np.int64)).dropped_rows == 1
+        assert subsample_rows(table, 2, seed=0).dropped_rows == 1
 
     def test_abort_names_a_line_in_a_later_chunk(self, tmp_path):
         n = 2 * flowdata._CHUNK_ROWS + 3

@@ -169,7 +169,7 @@ def _job_scores(cfg, prep, model: str, held_out: str | None, fold_id: int) -> np
     i = prep.scenarios.index(Scenario(held_out, fold_id))
     train, test = prep.rows(i)
     fit = prep.fitted[i]
-    class_key = 0 if held_out is None else prep.catalog.code_of(held_out)
+    class_key = 0 if held_out is None else prep.base.class_names.index(held_out)
     seed = derive_seed(cfg.seed, _SEED_TRAIN, KNOWN_MODELS.index(model), class_key, fold_id)
     x_train, y_train = fit.apply(prep.base, train, scaled=True), (prep.base.class_codes[train] != 0).astype(np.int64)
     x_test = fit.apply(prep.base, test, scaled=True)

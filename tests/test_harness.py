@@ -15,7 +15,7 @@ from zdeval import harness
 from zdeval.classifiers import forest_from_json
 from zdeval.config import KNOWN_MODELS, ExperimentConfig, apply_overrides, config_from_dict, load_config
 from zdeval.errors import ConfigError, DataError
-from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable, build_catalog, load_csv, write_csv
+from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable, load_csv, write_csv
 from zdeval.harness import (
     _SEED_TRAIN,
     _prepare,
@@ -81,7 +81,7 @@ class TestSyntheticDataset:
         )
         table = synthesize_dataset(spec)
         assert table.row_count == 1600
-        assert build_catalog(table).attack_names == ("a", "b", "c")
+        assert table.attack_names == ("a", "b", "c")
 
     def test_deterministic_per_seed(self):
         spec = SyntheticSpec(n_benign=50, attacks=(AttackBlob("a", 20),), d=2, seed=3)
@@ -312,12 +312,11 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         # recompute a scenario's scaler stats from its train rows alone
         loaded = load_csv(cfg.dataset, cfg.schema, "Benign")
-        catalog = build_catalog(loaded)
-        plan = make_fold_plan(catalog, cfg.k, cfg.seed)
-        scenario = make_zero_day_scenarios(plan, catalog)[0]
+        plan = make_fold_plan(loaded, cfg.k, cfg.seed)
+        scenario = make_zero_day_scenarios(plan, loaded)[0]
         key = f"{scenario.held_out}/f{scenario.fold_id}"
         recorded = report.transforms[key]["scaler"]
-        train, _ = scenario_rows(scenario, plan, catalog)
+        train, _ = scenario_rows(scenario, plan, loaded)
         for feat, rng_ in recorded.items():
             col = loaded.data[feat][train]
             assert rng_["min"] == float(col.min())
@@ -370,7 +369,7 @@ class TestClassNamedBaseline:
 
     def test_wd_features_and_models_share_the_class_slug(self, renamed_runs):
         # classes alpha/baseline/gamma with only "baseline" selected: its slug
-        # comes from the whole catalog in every file name
+        # comes from the whole table in every file name
         _, (cfg, _) = renamed_runs
         out = Path(cfg.output_dir)
         assert [p.name for p in out.glob("wd_features_*.csv")] == ["wd_features_baseline-1.csv"]
@@ -437,7 +436,7 @@ class TestScenarioMemory:
         assert len(prep.scenarios) == 12
         held = sum(a.nbytes for a in _held_arrays((prep.plan, prep.scenarios)))
         # stored row arrays per scenario held about 4 bytes per row per scenario, 48 here
-        assert held <= prep.catalog.row_count * np.min_scalar_type(cfg.k - 1).itemsize
+        assert held <= prep.base.row_count * np.min_scalar_type(cfg.k - 1).itemsize
 
 
 class TestTrainOnlyUnscaledDistances:
@@ -663,7 +662,7 @@ class TestDeadWorker:
         cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), workers=2))
         prep = _prepare(cfg, with_baseline=True)
         doomed_seed = derive_seed(
-            cfg.seed, _SEED_TRAIN, KNOWN_MODELS.index("forest"), prep.catalog.code_of("gamma"), 2
+            cfg.seed, _SEED_TRAIN, KNOWN_MODELS.index("forest"), prep.base.class_names.index("gamma"), 2
         )
         self._exit_in_worker(monkeypatch, "train_forest", lambda x, y, forest_cfg, seed: seed == doomed_seed)
         with pytest.raises(RuntimeError, match=r"returned no result: .*model job \(model=forest, class=gamma, fold=2\)"):

@@ -4,23 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from conftest import make_table
+from conftest import coded_table, make_table
 from oracle_impls import stored_fold_plan, stored_fold_warnings, stored_zero_day_scenarios
 
-from zdeval.flowdata import ClassCatalog, build_catalog
+from zdeval.flowdata import FlowTable
 from zdeval.zslsplit import Scenario, fold_warnings, make_fold_plan, make_zero_day_scenarios, scenario_rows
 
 
-def catalog_from_counts(counts: dict[str, int], benign_name: str = "Benign") -> ClassCatalog:
-    """Catalog with class blocks laid out in dict order."""
-    attack_names = tuple(n for n in counts if n != benign_name)
-    order = [benign_name] + list(attack_names)
-    codes = np.concatenate(
-        [np.full(counts.get(name, 0), order.index(name), dtype=np.int64) for name in order]
-    ) if sum(counts.values()) else np.empty(0, dtype=np.int64)
-    full = dict(counts)
-    full.setdefault(benign_name, 0)
-    return ClassCatalog(benign_name, attack_names, full, codes)
+def table_from_counts(counts: dict[str, int], benign_name: str = "Benign") -> FlowTable:
+    """Table with class blocks laid out in dict order, benign first."""
+    names = (benign_name, *(n for n in counts if n != benign_name))
+    return coded_table(np.repeat(np.arange(len(names)), [counts.get(n, 0) for n in names]), names)
 
 
 def known(plan) -> list[Scenario]:
@@ -28,151 +22,151 @@ def known(plan) -> list[Scenario]:
     return [Scenario(None, f) for f in range(plan.k)]
 
 
-def fold_train(s, plan, catalog) -> np.ndarray:
-    return scenario_rows(s, plan, catalog)[0]
+def fold_train(s, plan, table) -> np.ndarray:
+    return scenario_rows(s, plan, table)[0]
 
 
-def fold_test(s, plan, catalog) -> np.ndarray:
-    return scenario_rows(s, plan, catalog)[1]
+def fold_test(s, plan, table) -> np.ndarray:
+    return scenario_rows(s, plan, table)[1]
 
 
 class TestFoldPlan:
     def test_single_class_even_split(self):
-        catalog = catalog_from_counts({"Benign": 0, "X": 10})
-        plan = make_fold_plan(catalog, k=5, seed=0)
+        table = table_from_counts({"Benign": 0, "X": 10})
+        plan = make_fold_plan(table, k=5, seed=0)
         assert np.array_equal(np.bincount(plan.fold), [2] * 5)
 
     def test_determinism(self):
-        catalog = catalog_from_counts({"Benign": 20, "A": 11, "B": 7})
-        p1 = make_fold_plan(catalog, k=5, seed=9)
-        p2 = make_fold_plan(catalog, k=5, seed=9)
+        table = table_from_counts({"Benign": 20, "A": 11, "B": 7})
+        p1 = make_fold_plan(table, k=5, seed=9)
+        p2 = make_fold_plan(table, k=5, seed=9)
         assert np.array_equal(p1.fold, p2.fold)
 
     def test_sparse_class_flagged(self):
-        catalog = catalog_from_counts({"Benign": 20, "A": 3})
-        plan = make_fold_plan(catalog, k=5, seed=1)
+        table = table_from_counts({"Benign": 20, "A": 3})
+        plan = make_fold_plan(table, k=5, seed=1)
         assert plan.sparse_classes == ("A",)
 
     def test_k_bounds(self):
-        catalog = catalog_from_counts({"Benign": 2, "A": 1})
+        table = table_from_counts({"Benign": 2, "A": 1})
         with pytest.raises(ValueError, match=">= 2"):
-            make_fold_plan(catalog, k=1, seed=0)
+            make_fold_plan(table, k=1, seed=0)
         with pytest.raises(ValueError, match="exceeds"):
-            make_fold_plan(catalog, k=4, seed=0)
+            make_fold_plan(table, k=4, seed=0)
 
     @pytest.mark.parametrize(("k", "dtype"), [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
     def test_fold_ids_use_the_smallest_unsigned_dtype(self, k, dtype):
-        catalog = catalog_from_counts({"Benign": 300, "A": 10})
-        plan = make_fold_plan(catalog, k=k, seed=0)
-        assert plan.fold.dtype == dtype and plan.fold.shape == (catalog.row_count,)
+        table = table_from_counts({"Benign": 300, "A": 10})
+        plan = make_fold_plan(table, k=k, seed=0)
+        assert plan.fold.dtype == dtype and plan.fold.shape == (table.row_count,)
         assert int(plan.fold.max()) == k - 1
 
     def test_scenarios_hold_no_arrays(self):
-        catalog = catalog_from_counts({"Benign": 30, "A": 10, "B": 10})
-        plan = make_fold_plan(catalog, k=5, seed=0)
-        for s in [*known(plan), *make_zero_day_scenarios(plan, catalog)]:
+        table = table_from_counts({"Benign": 30, "A": 10, "B": 10})
+        plan = make_fold_plan(table, k=5, seed=0)
+        for s in [*known(plan), *make_zero_day_scenarios(plan, table)]:
             assert all(not isinstance(v, np.ndarray) for v in vars(s).values())
         assert Scenario("A", 2) == Scenario("A", 2) and hash(Scenario("A", 2)) == hash(Scenario("A", 2))
 
     def test_partition_properties(self):
-        catalog = catalog_from_counts({"Benign": 33, "A": 17, "B": 5})
-        plan = make_fold_plan(catalog, k=4, seed=2)
-        n = catalog.row_count
-        all_test = np.concatenate([fold_test(s, plan, catalog) for s in known(plan)])
+        table = table_from_counts({"Benign": 33, "A": 17, "B": 5})
+        plan = make_fold_plan(table, k=4, seed=2)
+        n = table.row_count
+        all_test = np.concatenate([fold_test(s, plan, table) for s in known(plan)])
         assert np.array_equal(np.sort(all_test), np.arange(n))  # disjoint cover
         for s in known(plan):
-            train, test = scenario_rows(s, plan, catalog)
+            train, test = scenario_rows(s, plan, table)
             assert np.intersect1d(train, test).size == 0
             assert train.size + test.size == n
 
     def test_stratification_within_one(self):
-        catalog = catalog_from_counts({"Benign": 23, "A": 11, "B": 6})
-        plan = make_fold_plan(catalog, k=5, seed=3)
+        table = table_from_counts({"Benign": 23, "A": 11, "B": 6})
+        plan = make_fold_plan(table, k=5, seed=3)
         for code in range(3):
             per_fold = [
-                int((catalog.class_codes[fold_test(s, plan, catalog)] == code).sum()) for s in known(plan)
+                int((table.class_codes[fold_test(s, plan, table)] == code).sum()) for s in known(plan)
             ]
             assert max(per_fold) - min(per_fold) <= 1
 
     def test_seed_sensitivity_smoke(self):
-        catalog = catalog_from_counts({"Benign": 40, "A": 20})
-        p1 = make_fold_plan(catalog, k=5, seed=0)
-        p2 = make_fold_plan(catalog, k=5, seed=1)
+        table = table_from_counts({"Benign": 40, "A": 20})
+        p1 = make_fold_plan(table, k=5, seed=0)
+        p2 = make_fold_plan(table, k=5, seed=1)
         assert not np.array_equal(p1.fold, p2.fold)
 
 
 class TestZeroDayScenarios:
     def test_counts_classes_times_folds(self):
-        catalog = catalog_from_counts({"Benign": 30, "A": 10, "B": 10, "C": 10})
-        plan = make_fold_plan(catalog, k=5, seed=0)
-        scenarios = make_zero_day_scenarios(plan, catalog)
+        table = table_from_counts({"Benign": 30, "A": 10, "B": 10, "C": 10})
+        plan = make_fold_plan(table, k=5, seed=0)
+        scenarios = make_zero_day_scenarios(plan, table)
         assert len(scenarios) == 3 * 5
 
     def test_exclusion(self):
-        catalog = catalog_from_counts({"Benign": 30, "Worms": 9, "Dos": 12})
-        plan = make_fold_plan(catalog, k=3, seed=0)
-        for s in make_zero_day_scenarios(plan, catalog):
-            code = catalog.code_of(s.held_out)
-            assert not np.any(catalog.class_codes[fold_train(s, plan, catalog)] == code)
+        table = table_from_counts({"Benign": 30, "Worms": 9, "Dos": 12})
+        plan = make_fold_plan(table, k=3, seed=0)
+        for s in make_zero_day_scenarios(plan, table):
+            code = table.class_names.index(s.held_out)
+            assert not np.any(table.class_codes[fold_train(s, plan, table)] == code)
 
     def test_test_side_untouched_and_disjoint(self):
-        catalog = catalog_from_counts({"Benign": 30, "A": 10, "B": 10})
-        plan = make_fold_plan(catalog, k=5, seed=0)
-        for s in make_zero_day_scenarios(plan, catalog):
-            train, test = scenario_rows(s, plan, catalog)
-            assert np.array_equal(test, fold_test(Scenario(None, s.fold_id), plan, catalog))
+        table = table_from_counts({"Benign": 30, "A": 10, "B": 10})
+        plan = make_fold_plan(table, k=5, seed=0)
+        for s in make_zero_day_scenarios(plan, table):
+            train, test = scenario_rows(s, plan, table)
+            assert np.array_equal(test, fold_test(Scenario(None, s.fold_id), plan, table))
             assert np.intersect1d(train, test).size == 0
 
     def test_generalized_shape_mixes_seen_and_unseen(self):
-        catalog = catalog_from_counts({"Benign": 30, "A": 10, "B": 10})
-        plan = make_fold_plan(catalog, k=5, seed=0)
-        for s in make_zero_day_scenarios(plan, catalog):
-            test_codes = set(catalog.class_codes[fold_test(s, plan, catalog)].tolist())
-            assert catalog.code_of(s.held_out) in test_codes
+        table = table_from_counts({"Benign": 30, "A": 10, "B": 10})
+        plan = make_fold_plan(table, k=5, seed=0)
+        for s in make_zero_day_scenarios(plan, table):
+            test_codes = set(table.class_codes[fold_test(s, plan, table)].tolist())
+            assert table.class_names.index(s.held_out) in test_codes
             assert len(test_codes) == 3
 
     def test_coverage_per_class(self):
-        catalog = catalog_from_counts({"Benign": 21, "A": 14})
-        plan = make_fold_plan(catalog, k=5, seed=0)
-        scenarios = [s for s in make_zero_day_scenarios(plan, catalog) if s.held_out == "A"]
-        union = np.concatenate([fold_test(s, plan, catalog) for s in scenarios])
-        assert np.array_equal(np.sort(union), np.arange(catalog.row_count))
+        table = table_from_counts({"Benign": 21, "A": 14})
+        plan = make_fold_plan(table, k=5, seed=0)
+        scenarios = [s for s in make_zero_day_scenarios(plan, table) if s.held_out == "A"]
+        union = np.concatenate([fold_test(s, plan, table) for s in scenarios])
+        assert np.array_equal(np.sort(union), np.arange(table.row_count))
 
     def test_single_attack_class_degenerate(self):
-        catalog = catalog_from_counts({"Benign": 10, "A": 4})
-        plan = make_fold_plan(catalog, k=2, seed=0)
-        scenarios = make_zero_day_scenarios(plan, catalog)
+        table = table_from_counts({"Benign": 10, "A": 4})
+        plan = make_fold_plan(table, k=2, seed=0)
+        scenarios = make_zero_day_scenarios(plan, table)
         assert len(scenarios) == 2
         for s in scenarios:
-            assert np.all(catalog.class_codes[fold_train(s, plan, catalog)] == 0)  # benign only
+            assert np.all(table.class_codes[fold_train(s, plan, table)] == 0)  # benign only
 
 
 class TestKnownScenarios:
     def test_k_scenarios_mirroring_folds(self):
-        catalog = catalog_from_counts({"Benign": 30, "A": 10})
-        plan = make_fold_plan(catalog, k=5, seed=0)
+        table = table_from_counts({"Benign": 30, "A": 10})
+        plan = make_fold_plan(table, k=5, seed=0)
         assert len(known(plan)) == 5
         for f, s in enumerate(known(plan)):
-            train, test = scenario_rows(s, plan, catalog)
+            train, test = scenario_rows(s, plan, table)
             assert np.array_equal(test, np.flatnonzero(plan.fold == f))
             assert np.array_equal(train, np.flatnonzero(plan.fold != f))
 
     def test_each_row_tested_once(self):
-        catalog = catalog_from_counts({"Benign": 13, "A": 9})
-        plan = make_fold_plan(catalog, k=3, seed=0)
-        union = np.concatenate([fold_test(s, plan, catalog) for s in known(plan)])
-        assert np.array_equal(np.sort(union), np.arange(catalog.row_count))
+        table = table_from_counts({"Benign": 13, "A": 9})
+        plan = make_fold_plan(table, k=3, seed=0)
+        union = np.concatenate([fold_test(s, plan, table) for s in known(plan)])
+        assert np.array_equal(np.sort(union), np.arange(table.row_count))
 
     def test_rare_class_warning(self):
         # one row of A: it lands in exactly one fold's test, so that fold's
         # training side is missing A entirely
-        catalog = catalog_from_counts({"Benign": 10, "A": 1})
-        plan = make_fold_plan(catalog, k=2, seed=0)
-        assert any("'A'" in w for w in fold_warnings(plan, catalog))
+        table = table_from_counts({"Benign": 10, "A": 1})
+        plan = make_fold_plan(table, k=2, seed=0)
+        assert any("'A'" in w for w in fold_warnings(plan, table))
 
 
 @st.composite
-def random_catalogs(draw):
+def random_tables(draw):
     n_classes = draw(st.integers(1, 4))
     counts = {"Benign": draw(st.integers(0, 30))}
     for i in range(n_classes):
@@ -182,25 +176,25 @@ def random_catalogs(draw):
     return counts, k, seed
 
 
-@given(random_catalogs())
+@given(random_tables())
 @settings(max_examples=60, deadline=None)
 def test_split_invariants_property(case):
     counts, k, seed = case
-    catalog = catalog_from_counts(counts)
-    if k > catalog.row_count:
+    table = table_from_counts(counts)
+    if k > table.row_count:
         return
-    plan = make_fold_plan(catalog, k=k, seed=seed)
-    n = catalog.row_count
+    plan = make_fold_plan(table, k=k, seed=seed)
+    n = table.row_count
 
-    all_test = np.concatenate([fold_test(s, plan, catalog) for s in known(plan)])
+    all_test = np.concatenate([fold_test(s, plan, table) for s in known(plan)])
     assert np.array_equal(np.sort(all_test), np.arange(n))
-    for code in range(len(catalog.class_order)):
-        per_fold = [int((catalog.class_codes[fold_test(s, plan, catalog)] == code).sum()) for s in known(plan)]
+    for code in range(len(table.class_names)):
+        per_fold = [int((table.class_codes[fold_test(s, plan, table)] == code).sum()) for s in known(plan)]
         assert max(per_fold) - min(per_fold) <= 1
-    for s in make_zero_day_scenarios(plan, catalog):
-        code = catalog.code_of(s.held_out)
-        train, test = scenario_rows(s, plan, catalog)
-        assert not np.any(catalog.class_codes[train] == code)
+    for s in make_zero_day_scenarios(plan, table):
+        code = table.class_names.index(s.held_out)
+        train, test = scenario_rows(s, plan, table)
+        assert not np.any(table.class_codes[train] == code)
         assert np.intersect1d(train, test).size == 0
 
 
@@ -221,31 +215,31 @@ def oracle_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_derived_rows_match_stored_arrays_oracle(case):
     counts, k, shuffle, seed = case
-    laid_out = catalog_from_counts(counts)
+    laid_out = table_from_counts(counts)
     assume(k <= laid_out.row_count)
     codes = laid_out.class_codes[np.random.default_rng(shuffle).permutation(laid_out.row_count)]
-    catalog = ClassCatalog(laid_out.benign_name, laid_out.attack_names, laid_out.counts, codes)
-    plan = make_fold_plan(catalog, k=k, seed=seed)
-    folds = stored_fold_plan(catalog, k, seed)
+    table = coded_table(codes, laid_out.class_names)
+    plan = make_fold_plan(table, k=k, seed=seed)
+    folds = stored_fold_plan(table, k, seed)
 
-    assert plan.sparse_classes == tuple(c for c in catalog.class_order if 0 < catalog.counts[c] < k)
+    assert plan.sparse_classes == tuple(c for c, n in zip(table.class_names, table.class_counts) if 0 < n < k)
     for f, (train, test) in enumerate(folds):
-        got_train, got_test = scenario_rows(Scenario(None, f), plan, catalog)
+        got_train, got_test = scenario_rows(Scenario(None, f), plan, table)
         assert np.array_equal(got_train, train) and np.array_equal(got_test, test)
-    stored = stored_zero_day_scenarios(folds, catalog)
-    scenarios = make_zero_day_scenarios(plan, catalog)
+    stored = stored_zero_day_scenarios(folds, table)
+    scenarios = make_zero_day_scenarios(plan, table)
     assert [(s.held_out, s.fold_id) for s in scenarios] == list(stored)
     for s in scenarios:
-        got_train, got_test = scenario_rows(s, plan, catalog)
+        got_train, got_test = scenario_rows(s, plan, table)
         train, test = stored[(s.held_out, s.fold_id)]
         assert np.array_equal(got_train, train) and np.array_equal(got_test, test)
-    assert fold_warnings(plan, catalog) == stored_fold_warnings(folds, catalog)
+    assert fold_warnings(plan, table) == stored_fold_warnings(folds, table)
 
 
 def test_table_codes_times_folds_do_not_wrap():
     # 30 attack classes and k=10: fold_warnings' code * k + fold passes 255, so a table
     # whose class codes were narrowed to uint8 would count its folds in the wrong bins
     rows = [{"x": float(i), "attack_class": f"atk{i % 30}", "label": 1} for i in range(90)]
-    catalog = build_catalog(make_table(rows))
-    plan = make_fold_plan(catalog, k=10, seed=3)
-    assert fold_warnings(plan, catalog) == stored_fold_warnings(stored_fold_plan(catalog, 10, 3), catalog)
+    table = make_table(rows)
+    plan = make_fold_plan(table, k=10, seed=3)
+    assert fold_warnings(plan, table) == stored_fold_warnings(stored_fold_plan(table, 10, 3), table)
