@@ -76,6 +76,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown model {m!r}; known models: {', '.join(KNOWN_MODELS)}")
         if len(set(self.models)) != len(self.models):
             raise ConfigError(f"duplicate model in {self.models}")
+        if self.classes is not None and not self.classes:
+            raise ConfigError("'classes' is empty; omit the key or set it to null for every attack class")
         if self.k < 2:
             raise ConfigError(f"k must be >= 2, got {self.k}")
         if self.fit_scope not in ("full-dataset", "train-only"):

@@ -47,7 +47,9 @@ from .flowdata import FlowTable, load_csv
 from .metrics import FoldAggregate, MetricsReport, aggregate_folds, per_class_positives, scenario_report
 from .preprocess import FittedTransform, preprocess_pipeline, transforms_to_json
 from .wdanalysis import WdReport, per_feature_wd, rank_correlation
-from .zslsplit import FoldPlan, Scenario, fold_warnings, make_fold_plan, make_zero_day_scenarios, scenario_rows
+from .zslsplit import (
+    FoldPlan, Scenario, fold_warnings, make_fold_plan, make_zero_day_scenarios, row_groups, scenario_rows, train_groups,
+)
 
 BASELINE = "baseline"
 
@@ -332,31 +334,32 @@ def _fit_transforms(
     full-dataset scope: one transform, fitted on every row, shared by every
     scenario. train-only scope: one transform per scenario, fitted on that
     scenario's train rows, so nothing from a scenario's test rows leaks into
-    its transforms.
+    its transforms; one call fits them all, from the (class, fold) row
+    groups that each scenario's train rows are a union of.
     """
     if cfg.fit_scope == "full-dataset":
-        fit = preprocess_pipeline(base, "full-dataset", unseen=cfg.unseen_category_policy)
+        [fit] = preprocess_pipeline(base, "full-dataset", unseen=cfg.unseen_category_policy)
         transforms = {"full": transforms_to_json(fit, cfg.fit_scope)}
         return [fit] * len(scenarios), transforms, {"fit_scope": cfg.fit_scope, **fit.counters.to_json()}
 
-    fitted, transforms = [], {}
     keys = _unique_slugs(base.attack_names, slug=str)
-    clamp_total = 0
-    for s in scenarios:
-        name = BASELINE if s.held_out is None else keys[s.held_out]
-        try:
-            train, _ = scenario_rows(s, plan, base)
-            fit = preprocess_pipeline(base, "train-only", train, unseen=cfg.unseen_category_policy)
-        except DataError as exc:
-            raise DataError(f"scenario {name!r} fold {s.fold_id}: {exc}") from exc
-        fitted.append(fit)
-        transforms[f"{name}/f{s.fold_id}"] = transforms_to_json(fit, cfg.fit_scope)
-        clamp_total += fit.counters.clamped_total
+    names = [(BASELINE if s.held_out is None else keys[s.held_out], s.fold_id) for s in scenarios]
+    try:
+        fitted = preprocess_pipeline(
+            base, "train-only", row_groups(plan, base), train_groups(scenarios, plan, base),
+            unseen=cfg.unseen_category_policy,
+        )
+    except DataError as exc:
+        name, fold = names[exc.fit]
+        raise DataError(f"scenario {name!r} fold {fold}: {exc}") from exc
+    transforms = {}
+    for (name, fold), fit in zip(names, fitted):
+        transforms[f"{name}/f{fold}"] = transforms_to_json(fit, cfg.fit_scope)
         for feat, value, code in fit.counters.unseen:
             warnings.append(
-                f"scenario {name!r} fold {s.fold_id}: unseen category {value!r} in {feat!r} "
-                f"mapped to reserve code {code}"
+                f"scenario {name!r} fold {fold}: unseen category {value!r} in {feat!r} mapped to reserve code {code}"
             )
+    clamp_total = sum(fit.counters.clamped_total for fit in fitted)
     if clamp_total:
         warnings.append(f"train-only scaling clamped {clamp_total} out-of-range values into [0, 1]")
     return fitted, transforms, {"fit_scope": cfg.fit_scope, "clamped_total": clamp_total}

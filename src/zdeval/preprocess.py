@@ -7,13 +7,16 @@ feature into [0, 1].
 The string work is done when the table is built: its feature block (see
 `flowdata`) has no identifier columns and holds, in each categorical
 column, every row's index into the column's sorted distinct values, so the
-table itself is the unscaled base matrix. `preprocess_pipeline` fits an
-encoding and a scaling on some of its rows, from row indices alone, and the
+table itself is the unscaled base matrix. `preprocess_pipeline` fits the
+encodings and scalings of one scope from the block alone: one transform on
+every row, or, under train-only scope, one per fit, each on a union of row
+groups (a scenario's train rows are its (class, fold) groups), all in one
+pass that reads one column at a time and gathers no fit's rows. Each
 resulting `FittedTransform` codes and scales the rows a reader asks for,
 one column (`column`, into a caller's buffer or a new one) or all of them
 (`apply`), in a copy of those rows: nothing writes to the table. The
-encoding codes by first appearance among the fit rows, exactly as encoding
-the strings of those rows would.
+encoding codes by first appearance among the fit rows in row order,
+exactly as encoding the strings of those rows would.
 Fitted transforms are immutable and serializable so a run can be replayed
 and audited.
 """
@@ -139,67 +142,143 @@ class FittedTransform:
         return values
 
 
+def _group_min_max(col: np.ndarray, groups: np.ndarray | None, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row group, the column's min and max (+inf and -inf for an empty group); one group when `groups` is None."""
+    if groups is None:
+        return np.array([col.min()]), np.array([col.max()])
+    lo, hi = np.full(n_groups, np.inf), np.full(n_groups, -np.inf)
+    np.minimum.at(lo, groups, col)
+    np.maximum.at(hi, groups, col)
+    return lo, hi
+
+
+def _group_first_rows(idx: np.ndarray, groups: np.ndarray | None, n_groups: int, n_categories: int) -> np.ndarray:
+    """Per row group and category index, the first row at which the category appears (the row count if none)."""
+    first = np.full(n_groups * n_categories, len(idx), dtype=np.intp)
+    np.minimum.at(first, idx if groups is None else groups * n_categories + idx, np.arange(len(idx)))
+    return first.reshape(n_groups, n_categories)
+
+
+def _strided(col: np.ndarray, rows: np.ndarray, d: int) -> np.ndarray:
+    """`col[rows]`, laid out as a column of the gathered d-column block of those rows is.
+
+    numpy's min and max pick -0.0 or 0.0 from a tie by the layout they
+    reduce: a contiguous column (d == 1) one way, every strided one another.
+    """
+    block = np.empty((len(rows), min(d, 2)))
+    block[:, 0] = col[rows]
+    return block[:, 0]
+
+
+def _clamped(scaled: np.ndarray) -> np.ndarray:
+    """Where a scaled column falls outside [0, 1], which the clamp changes."""
+    return (scaled < 0.0) | (scaled > 1.0)
+
+
 def preprocess_pipeline(
     base: FlowTable,
     fit_scope: str = "full-dataset",
-    train_indices: np.ndarray | None = None,
+    groups: np.ndarray | None = None,
+    fits: np.ndarray | None = None,
     *,
     unseen: str = "reserve-code",
-) -> FittedTransform:
-    """Fit the encoding and the scaling of one scope on a table's features.
+) -> list[FittedTransform]:
+    """Fit the encodings and the scalings of one scope on a table's features, in one pass over its columns.
 
-    fit_scope "full-dataset" fits both over every row (note: this leaks test
-    statistics into the transforms, but is the conventional order for these
-    datasets and is the default); "train-only" fits both on `train_indices`
-    only, so other rows may hit the clamp or the encoder's reserve code.
+    fit_scope "full-dataset" fits one transform over every row (note: this
+    leaks test statistics into the transforms, but is the conventional order
+    for these datasets and is the default). "train-only" fits one transform
+    per row of `fits`, a boolean matrix over row groups: transform i is
+    fitted on the rows whose group, `groups[row]`, has `fits[i, group]` set,
+    so other rows may hit the clamp or the encoder's reserve code.
 
-    The encoder codes each category by its first appearance among the fit
-    rows. Categories of other rows either raise (unseen="error") or map to
-    the reserve code (unseen="reserve-code"), recorded in the counters in
+    Each column is read once and reduced per group: to its min and max, or,
+    for a categorical column, to the first row at which each category
+    appears. A fit's range and encoding are reduced from its groups'
+    entries. The encoder codes each category by its first row among the fit
+    rows. Categories of other rows either raise (unseen="error"; the
+    DataError's `fit` is the index of the fit that met it) or map to the
+    reserve code (unseen="reserve-code"), recorded in the counters in
     sorted order. The scaler records each feature's exact min and max over
     the fit rows; the counters tally, per feature, the rows whose scaled
-    value falls outside [0, 1] and is clamped.
+    value falls outside [0, 1] and is clamped. Only a value outside [lo, hi]
+    can be, since rounding is monotone, so only those are scaled to count.
     """
     if fit_scope not in ("full-dataset", "train-only"):
         raise ValueError(f"fit_scope must be 'full-dataset' or 'train-only', got {fit_scope!r}")
     if unseen not in ("error", "reserve-code"):
         raise ValueError(f"unseen policy must be 'error' or 'reserve-code', got {unseen!r}")
-    rows = None
     if fit_scope == "train-only":
-        if train_indices is None or len(train_indices) == 0:
+        if groups is None or fits is None:
             raise ValueError("train-only fit scope requires a nonempty train_indices")
-        rows = np.asarray(train_indices)
+        groups, fits = np.asarray(groups, dtype=np.intp), np.asarray(fits, dtype=bool)
+    else:
+        groups, fits = None, np.ones((1, 1), dtype=bool)
     if base.row_count < 1:
         raise ValueError("cannot fit a scaler on an empty table")
 
+    n, d = base.features.shape
+    n_fits, n_groups = fits.shape
+    sizes = fits @ (np.array([n]) if groups is None else np.bincount(groups, minlength=n_groups))
     names = base.feature_names
-    counters = PrepCounters()
-    fit = base.features if rows is None else base.features[rows]
-    mappings, codes = {}, {}
-    for name, categories in base.categories.items():
-        seen, first = np.unique(fit[:, names.index(name)].astype(np.intp), return_index=True)
-        order = seen[np.argsort(first, kind="stable")]
-        mappings[name] = {str(categories[i]): code for code, i in enumerate(order)}
-        reserve = len(order)
-        codes[name] = np.full(len(categories), reserve, dtype=np.float64)
-        codes[name][order] = np.arange(reserve)
-        for i in np.flatnonzero(codes[name] == reserve):
-            if unseen == "error":
-                raise DataError(f"unseen category {str(categories[i])!r} in feature {name!r}")
-            counters.unseen.append((name, str(categories[i]), reserve))
+    first_rows = {
+        name: _group_first_rows(base.features[:, names.index(name)].astype(np.intp), groups, n_groups, len(categories))
+        for name, categories in base.categories.items()
+    }
+    fitted = []
+    for i in range(n_fits):
+        if not sizes[i]:
+            raise ValueError("train-only fit scope requires a nonempty train_indices")
+        counters, mappings, codes = PrepCounters(), {}, {}
+        for name, categories in base.categories.items():
+            first = first_rows[name][fits[i]].min(axis=0)
+            reserve = int(np.count_nonzero(first < n))
+            order = np.argsort(first, kind="stable")[:reserve]
+            mappings[name] = {str(categories[c]): code for code, c in enumerate(order)}
+            codes[name] = np.full(len(categories), reserve, dtype=np.float64)
+            codes[name][order] = np.arange(reserve)
+            for c in np.flatnonzero(first == n):
+                if unseen == "error":
+                    error = DataError(f"unseen category {str(categories[c])!r} in feature {name!r}")
+                    error.fit = i
+                    raise error
+                counters.unseen.append((name, str(categories[c]), reserve))
+        fitted.append(FittedTransform(mappings, {}, codes, counters))
 
-    ranges = {}
     for j, name in enumerate(names):
-        fit_col = _coded(base, name, fit[:, j], codes)
-        ranges[name] = lo, hi = float(fit_col.min()), float(fit_col.max())
-        if rows is None:
-            continue  # fitted on every row, so no value falls outside [lo, hi]
-        # no `out`: a numeric column here is a view of the table's block
-        scaled = _min_max(_coded(base, name, base.features[:, j], codes), lo, hi)
-        n_out = int(np.count_nonzero((scaled < 0.0) | (scaled > 1.0)))
-        if n_out:
-            counters.clamped[name] = n_out
-    return FittedTransform(mappings, ranges, codes, counters)
+        col = base.features[:, j]
+        if name in base.categories:
+            reserves = [len(fit.mappings[name]) for fit in fitted]
+            lo, hi = np.zeros(n_fits), np.array(reserves, dtype=np.float64) - 1
+            histogram = None
+            for i, fit in enumerate(fitted):
+                if reserves[i] < len(base.categories[name]):  # an unseen category's reserve code may clamp
+                    if histogram is None:
+                        histogram = np.bincount(col.astype(np.intp), minlength=len(base.categories[name]))
+                    n_out = int(histogram[_clamped(_min_max(fit.codes[name], float(lo[i]), float(hi[i])))].sum())
+                    if n_out:
+                        fit.counters.clamped[name] = n_out
+        else:
+            group_lo, group_hi = _group_min_max(col, groups, n_groups)
+            lo = np.where(fits, group_lo, np.inf).min(axis=1)
+            hi = np.where(fits, group_hi, -np.inf).max(axis=1)
+            zero = (lo == 0) | (hi == 0)
+            if groups is not None and zero.any() and np.signbit(col[col == 0]).any():
+                for i in np.flatnonzero(zero):  # the group reductions may have picked the other zero
+                    fit_col = _strided(col, np.flatnonzero(fits[i][groups]), d)
+                    lo[i], hi[i] = fit_col.min(), fit_col.max()
+            narrow = np.flatnonzero((lo > group_lo.min()) | (hi < group_hi.max()))
+            if narrow.size:
+                values = np.sort(col)
+                below, above = np.searchsorted(values, lo, "left"), np.searchsorted(values, hi, "right")
+                for i in narrow:
+                    outside = np.concatenate((values[: below[i]], values[above[i] :]))
+                    n_out = int(np.count_nonzero(_clamped(_min_max(outside, float(lo[i]), float(hi[i])))))
+                    if n_out:
+                        fitted[i].counters.clamped[name] = n_out
+        for i, fit in enumerate(fitted):
+            fit.ranges[name] = float(lo[i]), float(hi[i])
+    return fitted
 
 
 def transforms_to_json(result: FittedTransform, fit_scope: str) -> dict:

@@ -6,6 +6,8 @@ key: the traditional known-attack split (no class held out; train and test
 share the full class set) or a zero-day scenario, where one attack class is
 removed from a fold's training rows while the test rows keep every class.
 `scenario_rows` derives a scenario's rows from the plan where they are used.
+A scenario's train rows are also a union of (class, fold) row groups
+(`row_groups`, `train_groups`), which is how the train-only fits see them.
 Mean metrics over the k folds are what get reported.
 """
 
@@ -94,11 +96,25 @@ def scenario_rows(scenario: Scenario, plan: FoldPlan, table: FlowTable) -> tuple
     return np.flatnonzero(train), np.flatnonzero(test)
 
 
+def row_groups(plan: FoldPlan, table: FlowTable) -> np.ndarray:
+    """Each row's (class, fold) group: its class code times k plus its test fold."""
+    return table.class_codes * plan.k + plan.fold
+
+
+def train_groups(scenarios: list[Scenario], plan: FoldPlan, table: FlowTable) -> np.ndarray:
+    """Per scenario, the `row_groups` its train rows are: every class but the held-out one, in every other fold."""
+    train = np.ones((len(scenarios), len(table.class_names), plan.k), dtype=bool)
+    for i, s in enumerate(scenarios):
+        train[i, :, s.fold_id] = False
+        if s.held_out is not None:
+            train[i, table.class_names.index(s.held_out)] = False
+    return train.reshape(len(scenarios), -1)
+
+
 def fold_warnings(plan: FoldPlan, table: FlowTable) -> list[str]:
     """A warning per (fold, class) whose class misses one side of the fold's known-attack split."""
     n_classes = len(table.class_names)
-    in_test = np.bincount(table.class_codes * plan.k + plan.fold, minlength=n_classes * plan.k)
-    in_test = in_test.reshape(n_classes, plan.k)
+    in_test = np.bincount(row_groups(plan, table), minlength=n_classes * plan.k).reshape(n_classes, plan.k)
     in_train = in_test.sum(axis=1, keepdims=True) - in_test
     warnings = []
     for f in range(plan.k):

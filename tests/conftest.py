@@ -87,6 +87,21 @@ def coded_table(codes, class_names: tuple[str, ...]) -> FlowTable:
                      class_names=tuple(class_names))
 
 
+def fit_rows(table: FlowTable, rows=None, **kwargs):
+    """`preprocess_pipeline`'s one transform: over every row, or train-only on the row set `rows`.
+
+    The rows are one group of two, and the one fit takes that group alone,
+    so they are fitted on as a set, in row order.
+    """
+    if rows is None:
+        [fit] = preprocess_pipeline(table, **kwargs)
+    else:
+        groups = np.ones(table.row_count, dtype=np.intp)
+        groups[rows] = 0
+        [fit] = preprocess_pipeline(table, "train-only", groups, [[True, False]], **kwargs)
+    return fit
+
+
 def wasserstein_1d(u, v) -> float:
     """The package's distance between two samples: `per_feature_wd` on a one-feature matrix.
 
@@ -106,7 +121,7 @@ def raw_wd(table: FlowTable, train_rows, test_rows, **kwargs):
     gathered values bit for bit.
     """
     return per_feature_wd(
-        table, train_rows, test_rows, transform=preprocess_pipeline(table), scaled=False, **kwargs
+        table, train_rows, test_rows, transform=fit_rows(table), scaled=False, **kwargs
     )
 
 

@@ -3,7 +3,8 @@
 Everything here is written the naive way on purpose: plain loops, all-pairs
 comparisons, Fraction-exact CDF counting, a fresh sort at every tree node,
 three sorts and two full-length searches per Wasserstein distance, string
-encoding and scaling of the whole table once per fit, stored row arrays
+encoding and scaling of the whole table once per fit, a gathered block and
+a full-table clamp count per train-only fit, stored row arrays
 for every fold and zero-day scenario, `np.unique` over fixed-width
 copies of the string columns for a table summary, and a CSV loader that
 reads one row at a time through the `csv` module and one cell at a time
@@ -25,6 +26,7 @@ import numpy as np
 
 from zdeval.classifiers import ForestConfig
 from zdeval.errors import DataError
+from zdeval.preprocess import FittedTransform, PrepCounters
 
 SCORE_EPS = 1e-12
 
@@ -375,6 +377,54 @@ def string_pipeline(schema, cells, train_indices=None, unseen: str = "reserve-co
         "feature_names": tuple(features), "mappings": mappings, "ranges": ranges, "clamped": clamped,
         "unseen": unseen_list, "unscaled": unscaled, "scaled": scaled,
     }
+
+
+def gathered_scenario_fit(base, train_indices, unseen: str = "reserve-code"):
+    """One train-only transform fitted on a table's sorted `train_indices`, one scenario at a time.
+
+    The fit rows' n_train x d block is gathered; each categorical column is
+    encoded by `np.unique` over those rows' category indices, by first
+    appearance; each range is the min and max of the gathered block's
+    (strided) column; and the clamps are counted by min-max scaling every
+    row of every column of the table, with the package's float operations.
+    """
+    rows = np.asarray(train_indices)
+    if len(rows) == 0:
+        raise ValueError("train-only fit scope requires a nonempty train_indices")
+    names = base.feature_names
+    counters = PrepCounters()
+    fit = base.features[rows]
+    mappings, codes = {}, {}
+    for name, categories in base.categories.items():
+        seen, first = np.unique(fit[:, names.index(name)].astype(np.intp), return_index=True)
+        order = seen[np.argsort(first, kind="stable")]
+        mappings[name] = {str(categories[i]): code for code, i in enumerate(order)}
+        reserve = len(order)
+        codes[name] = np.full(len(categories), reserve, dtype=np.float64)
+        codes[name][order] = np.arange(reserve)
+        for i in np.flatnonzero(codes[name] == reserve):
+            if unseen == "error":
+                raise DataError(f"unseen category {str(categories[i])!r} in feature {name!r}")
+            counters.unseen.append((name, str(categories[i]), reserve))
+
+    def coded(name, col):
+        return codes[name][col.astype(np.intp)] if name in codes else col
+
+    ranges = {}
+    for j, name in enumerate(names):
+        fit_col = coded(name, fit[:, j])
+        ranges[name] = lo, hi = float(fit_col.min()), float(fit_col.max())
+        col = coded(name, base.features[:, j])
+        if not hi > lo:
+            scaled = np.zeros_like(col)
+        elif np.isfinite(hi - lo):
+            scaled = (col - lo) / (hi - lo)
+        else:
+            scaled = (col / 2 - lo / 2) / (hi / 2 - lo / 2)
+        n_out = int(np.count_nonzero((scaled < 0.0) | (scaled > 1.0)))
+        if n_out:
+            counters.clamped[name] = n_out
+    return FittedTransform(mappings, ranges, codes, counters)
 
 
 def stored_fold_plan(table, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -145,6 +145,18 @@ class TestWd:
         assert len(body) == 4
 
 
+class TestEmptyClasses:
+    @pytest.mark.parametrize("command", ["run", "wd"])
+    def test_an_empty_class_list_is_a_config_error(self, experiment_setup, caplog, command):
+        tmp_path, cfg = experiment_setup
+        doc = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps(dict(doc, classes=[])))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "'classes' is empty; omit the key or set it to null for every attack class" in caplog.text
+        assert not out.exists()
+
+
 class TestInspect:
     def test_prints_summary_json(self, experiment_setup, capsys):
         _, cfg = experiment_setup

@@ -5,11 +5,12 @@ import multiprocessing
 import os
 import re
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import tables_equal
+from conftest import fit_rows, tables_equal
 
 from zdeval import harness
 from zdeval.classifiers import forest_from_json
@@ -32,7 +33,6 @@ from zdeval.harness import (
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
 from zdeval.wdanalysis import per_feature_wd
 from zdeval.zslsplit import Scenario, make_fold_plan, make_zero_day_scenarios, scenario_rows
-from zdeval.preprocess import preprocess_pipeline
 
 
 def base_config_dict(csv_path, schema_json, **overrides):
@@ -106,7 +106,7 @@ class TestSyntheticDataset:
         table = synthesize_dataset(spec)
         rows_a = np.flatnonzero(table.attack_classes == "a")
         rows_b = np.flatnonzero(table.attack_classes == "Benign")
-        report = per_feature_wd(table, rows_a, rows_b, transform=preprocess_pipeline(table), scaled=True)
+        report = per_feature_wd(table, rows_a, rows_b, transform=fit_rows(table), scaled=True)
         assert report.mean_wd < 0.1
 
     def test_identifier_column_optional(self):
@@ -140,6 +140,13 @@ class TestConfig:
         path, table = synth_csv
         with pytest.raises(ConfigError, match="svm"):
             config_from_dict(base_config_dict(path, table.schema.to_json(), models=["svm"]))
+
+    def test_empty_class_list_rejected(self, synth_csv):
+        # an empty list selects no class, so a run would write empty tables and succeed
+        path, table = synth_csv
+        with pytest.raises(ConfigError, match=r"^'classes' is empty; omit the key or set it to null"):
+            config_from_dict(base_config_dict(path, table.schema.to_json(), classes=[]))
+        assert config_from_dict(base_config_dict(path, table.schema.to_json(), classes=None)).classes is None
 
     def test_bad_hyperparameter_rejected(self, synth_csv):
         path, table = synth_csv
@@ -437,6 +444,28 @@ class TestScenarioMemory:
         held = sum(a.nbytes for a in _held_arrays((prep.plan, prep.scenarios)))
         # stored row arrays per scenario held about 4 bytes per row per scenario, 48 here
         assert held <= prep.base.row_count * np.min_scalar_type(cfg.k - 1).itemsize
+
+
+    def test_train_only_fits_peak_near_the_full_dataset_scope(self, tmp_path):
+        # 40k x 45 with 4 classes, k=5: 20 train-only fits; one gathered train block is 80% of the table
+        spec = SyntheticSpec(
+            n_benign=31_000, attacks=tuple(AttackBlob(c, 3_000, mean=1.0) for c in "abc"), d=45, seed=9,
+            include_identifier=False,
+        )
+        table = synthesize_dataset(spec)
+        path = tmp_path / "wide.csv"
+        write_csv(table, path)
+        peaks = {}
+        for fit_scope in ("full-dataset", "train-only"):
+            cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), k=5, fit_scope=fit_scope))
+            tracemalloc.start()
+            try:
+                _prepare(cfg, with_baseline=True)
+                peaks[fit_scope] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the fits read one column at a time: a few columns of n float64 at most above the load's peak
+        assert peaks["train-only"] <= peaks["full-dataset"] + 4 * table.row_count * 8, peaks
 
 
 class TestTrainOnlyUnscaledDistances:

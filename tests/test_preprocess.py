@@ -5,15 +5,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import feature_table, make_table
-from hypothesis import given, settings
+from conftest import feature_table, fit_rows, make_table
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracle_impls import string_pipeline
+from oracle_impls import gathered_scenario_fit, string_pipeline
 
 from zdeval import preprocess
 from zdeval.errors import DataError
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
+from zdeval.harness import subsample_rows
 from zdeval.preprocess import FittedTransform, PrepCounters, preprocess_pipeline, transforms_to_json
+from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
+from zdeval.zslsplit import Scenario, make_fold_plan, make_zero_day_scenarios, row_groups, scenario_rows, train_groups
 
 
 def cat_table(values: list[str]):
@@ -28,8 +31,7 @@ def every_row(table: FlowTable) -> np.ndarray:
 
 
 def fit(table, train_indices=None, **kwargs) -> tuple[FlowTable, FittedTransform]:
-    scope = "full-dataset" if train_indices is None else "train-only"
-    return table, preprocess_pipeline(table, scope, train_indices, **kwargs)
+    return table, fit_rows(table, train_indices, **kwargs)
 
 
 class TestEncoder:
@@ -116,35 +118,35 @@ class TestScaler:
         return feature_table(column)
 
     def test_fit_min_max(self):
-        t = preprocess_pipeline(self.matrix([2.0, 4.0, 6.0]))
+        t = fit_rows(self.matrix([2.0, 4.0, 6.0]))
         assert t.ranges["x"] == (2.0, 6.0)
 
     def test_constant_column(self):
         m = self.matrix([5.0, 5.0])
-        t = preprocess_pipeline(m)
+        t = fit_rows(m)
         assert t.ranges["x"] == (5.0, 5.0)
         assert t.apply(m, every_row(m), scaled=True).tolist() == [[0.0], [0.0]]
 
     def test_single_row(self):
-        t = preprocess_pipeline(self.matrix([7.0]))
+        t = fit_rows(self.matrix([7.0]))
         assert t.ranges["x"] == (7.0, 7.0)
 
     def test_apply_arithmetic(self):
         m = self.matrix([2.0, 4.0, 6.0])
-        assert preprocess_pipeline(m).apply(m, every_row(m), scaled=True).ravel().tolist() == [0.0, 0.5, 1.0]
+        assert fit_rows(m).apply(m, every_row(m), scaled=True).ravel().tolist() == [0.0, 0.5, 1.0]
 
     def test_range_wider_than_the_largest_float(self):
         # hi - lo overflows to inf, and (x - lo) / inf read 0 for 0 and nan for hi
         m = self.matrix([-1e308, 0.0, 1e308])
-        assert preprocess_pipeline(m).apply(m, every_row(m), scaled=True).ravel().tolist() == [0.0, 0.5, 1.0]
+        assert fit_rows(m).apply(m, every_row(m), scaled=True).ravel().tolist() == [0.0, 0.5, 1.0]
         with np.errstate(over="ignore"):  # the out-of-range row overflows to inf, then clamps to 1
-            t = preprocess_pipeline(m, "train-only", np.array([0, 1]))
+            t = fit_rows(m, np.array([0, 1]))
             assert t.apply(m, every_row(m), scaled=True).ravel().tolist() == [0.0, 1.0, 1.0]
         assert t.counters.clamped == {"x": 1}
 
     def test_out_of_range_clamped_and_counted(self):
         m = self.matrix([2.0, 6.0, 8.0, 0.0, 4.0])
-        t = preprocess_pipeline(m, "train-only", np.array([0, 1]))
+        t = fit_rows(m, np.array([0, 1]))
         assert t.ranges["x"] == (2.0, 6.0)
         assert t.apply(m, every_row(m), scaled=True).ravel().tolist() == [0.0, 1.0, 1.0, 0.0, 0.5]
         assert t.counters.clamped == {"x": 2}
@@ -156,20 +158,20 @@ class TestScaler:
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            preprocess_pipeline(self.matrix([]))
+            fit_rows(self.matrix([]))
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     def test_range_property(self, column):
         m = self.matrix(column)
-        out = preprocess_pipeline(m).apply(m, every_row(m), scaled=True)
+        out = fit_rows(m).apply(m, every_row(m), scaled=True)
         assert np.all(out >= 0.0)
         assert np.all(out <= 1.0)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     def test_idempotence_property(self, column):
         m = self.matrix(column)
-        once = self.matrix(preprocess_pipeline(m).apply(m, every_row(m), scaled=True).ravel())
-        twice = preprocess_pipeline(once).apply(once, every_row(once), scaled=True)
+        once = self.matrix(fit_rows(m).apply(m, every_row(m), scaled=True).ravel())
+        twice = fit_rows(once).apply(once, every_row(once), scaled=True)
         assert np.max(np.abs(twice - once.features)) <= 1e-12
 
 
@@ -271,7 +273,8 @@ def _tables(draw):
     data["attack_class"] = np.array(classes, dtype=object)
     data["label"] = np.array([int(c != "Benign") for c in classes], dtype=np.int64)
     table = FlowTable(FeatureSchema(tuple(columns)), "Benign", data)
-    train = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    # sorted, as a scenario's train rows are: a fit takes its rows as a set, in row order
+    train = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).map(sorted))
     rows = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
     return table, data, None if train is None else np.array(train, dtype=np.int64), np.array(rows, dtype=np.int64)
 
@@ -309,18 +312,19 @@ class TestStringOracle:
 
     def test_train_only_range_keeps_the_sign_of_zero(self):
         # min and max of a tie between -0.0 and 0.0 depend on the layout reduced: a contiguous
-        # column of these fit rows gives min -0.0, the column of their gathered block 0.0, so a
-        # fit that gathers one column at a time must still reduce a strided column
+        # column of these fit rows gives min -0.0, the column of their gathered block 0.0, so the
+        # range must be that of the strided column, as a fit that gathers the block finds it
         values = np.zeros((10, 3))
         values[:, 2] = [-0.0] * 7 + [1.0, 0.0, -0.0]
         table = feature_table(values, ("a", "b", "c"))
-        train = np.array([0, 1, 2, 3, 4, 9, 5, 6, 8, 7])
-        _, t = fit(table, train)
+        train = np.arange(9)
         block = values[train]
+        assert repr(values[train, 2].min()) != repr(block[:, 2].min())
+        _, t = fit(table, train)
         for j, name in enumerate(("a", "b", "c")):
             assert repr(t.ranges[name]) == repr((float(block[:, j].min()), float(block[:, j].max())))
 
-    @pytest.mark.parametrize("train", [None, np.array([5, 1, 2, 8])])
+    @pytest.mark.parametrize("train", [None, np.array([1, 2, 5, 8])])
     def test_column_gathers_across_chunks(self, monkeypatch, train):
         # chunks of 3 rows: unsorted, repeated rows cross every chunk boundary
         monkeypatch.setattr(preprocess, "_GATHER_ROWS", 3)
@@ -378,3 +382,127 @@ class TestStringOracle:
             assert str(raised.value) == str(exc)
         else:
             fit(table, train, unseen="error")
+
+
+def _transform_bytes(t: FittedTransform) -> tuple:
+    """Everything of a transform that a run reads or records, in order and bit for bit."""
+    return (
+        repr(list(t.ranges.items())),
+        repr([(f, list(m.items())) for f, m in t.mappings.items()]),
+        [(f, c.tobytes()) for f, c in t.codes.items()],
+        repr(list(t.counters.clamped.items())),
+        repr(t.counters.unseen),
+    )
+
+
+def _fit_or_error(fit):
+    try:
+        return fit()
+    except (ValueError, DataError) as exc:
+        return exc
+
+
+def assert_fits_equal_oracle(table: FlowTable, plan, scenarios: list[Scenario], unseen: str) -> None:
+    """The one-pass fit of every scenario against the oracle's fit of each, or both raise the same first error."""
+    expected = [
+        _fit_or_error(lambda s=s: gathered_scenario_fit(table, scenario_rows(s, plan, table)[0], unseen))
+        for s in scenarios
+    ]
+    fits = train_groups(scenarios, plan, table)
+    got = _fit_or_error(lambda: preprocess_pipeline(table, "train-only", row_groups(plan, table), fits, unseen=unseen))
+    first = next((i for i, e in enumerate(expected) if isinstance(e, Exception)), None)
+    if first is not None:
+        assert type(got) is type(expected[first]) and str(got) == str(expected[first])
+        if isinstance(got, DataError):
+            assert got.fit == first
+        return
+    assert len(got) == len(expected)
+    for one_pass, oracle in zip(got, expected):
+        assert _transform_bytes(one_pass) == _transform_bytes(oracle)
+
+
+# ties, both zeros, the smallest subnormal, and a range wider than the largest float
+_SPREAD_VALUES = (0.0, -0.0, 1.0, -2.5, 7.0, 5e-324, -1.5e308, 1.5e308)
+_CLASSES = ("Benign", "A", "B", "C")
+
+
+@st.composite
+def _scenario_tables(draw):
+    """A labelled table with its fold plan and scenarios: baseline folds, then the selected classes' folds."""
+    n = draw(st.integers(2, 30))
+    classes = draw(st.lists(st.sampled_from(_CLASSES), min_size=n, max_size=n).filter(lambda c: set(c) != {"Benign"}))
+    columns, data = [], {}
+    for j, kind in enumerate(draw(st.lists(st.sampled_from(("n", "c")), min_size=1, max_size=4))):
+        name = f"{kind}{j}"
+        if kind == "n":
+            pool = draw(st.lists(st.sampled_from(_SPREAD_VALUES), min_size=1, max_size=4))
+            data[name] = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=np.float64)
+            columns.append(Column(name, ColumnKind.NUMERIC))
+        else:
+            pool = draw(st.lists(st.sampled_from(("tcp", "udp", "dns")), min_size=1, max_size=3))
+            cells = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+            only_in = draw(st.sampled_from((None, *_CLASSES)))  # a category of one class's rows, as "icmp" is
+            data[name] = np.array([("icmp" if c == only_in else v) for v, c in zip(cells, classes)], dtype=object)
+            columns.append(Column(name, ColumnKind.CATEGORICAL))
+    columns += [Column("attack_class", ColumnKind.ATTACK_CLASS), Column("label", ColumnKind.BINARY_LABEL)]
+    data["attack_class"] = np.array(classes, dtype=object)
+    data["label"] = np.array([int(c != "Benign") for c in classes], dtype=np.int64)
+    table = FlowTable(FeatureSchema(tuple(columns)), "Benign", data)
+    k = draw(st.integers(2, min(3, n)))
+    cap = draw(st.none() | st.integers(k, n))
+    if cap is not None:
+        table = subsample_rows(table, cap, draw(st.integers(0, 9)))
+    assume(k <= table.row_count and sum(table.class_counts[1:]) > 0)
+    plan = make_fold_plan(table, k, draw(st.integers(0, 9)))
+    selected = draw(st.lists(st.sampled_from(table.attack_names), min_size=1, unique=True))
+    scenarios = [Scenario(None, f) for f in range(k)]
+    scenarios += [s for s in make_zero_day_scenarios(plan, table) if s.held_out in selected]
+    return table, plan, scenarios
+
+
+class TestOnePassFit:
+    """Every scenario's train-only transform from one pass over the columns, against fitting each on its rows."""
+
+    @given(_scenario_tables(), st.sampled_from(("reserve-code", "error")))
+    @settings(max_examples=300, deadline=None)
+    def test_fits_equal_the_per_scenario_oracle(self, case, unseen):
+        table, plan, scenarios = case
+        with np.errstate(over="ignore"):  # an out-of-range value of a wide range scales past the largest float
+            assert_fits_equal_oracle(table, plan, scenarios, unseen)
+
+    @pytest.mark.parametrize("subsample", [None, 900])
+    def test_a_synthetic_table_fits_as_the_oracle(self, subsample):
+        # 1200 rows, 4 classes, k=5: values rounded to ties with both zeros, one category in one class only
+        spec = SyntheticSpec(
+            n_benign=600, attacks=tuple(AttackBlob(c, 200, mean=0.5 * i) for i, c in enumerate("abc")), d=3, seed=4,
+            include_identifier=False,
+        )
+        table = synthesize_dataset(spec)
+        proto = np.where(table.attack_classes == "c", "icmp", np.where(np.arange(table.row_count) % 3, "tcp", "udp"))
+        x = np.round(table.data["f0"], 0) * np.where(np.arange(table.row_count) % 2, 1.0, -1.0)
+        schema = FeatureSchema((*table.schema.columns, Column("proto", ColumnKind.CATEGORICAL)))
+        table = FlowTable(
+            schema, table.benign_name, {**table.data, "f0": x, "proto": proto.astype(object)},
+            class_codes=table.class_codes, class_names=table.class_names,
+        )
+        assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
+        if subsample is not None:
+            table = subsample_rows(table, subsample, 3)
+        plan = make_fold_plan(table, 5, 11)
+        scenarios = [Scenario(None, f) for f in range(5)]
+        scenarios += [s for s in make_zero_day_scenarios(plan, table) if s.held_out in ("a", "c")]
+        assert_fits_equal_oracle(table, plan, scenarios, "reserve-code")
+
+    @pytest.mark.parametrize(
+        "lo, hi, value",
+        [(-0.5, 2.0**53 - 1, 2.0**53), (3 * 5e-324, 1e300, 2 * 5e-324)],
+        ids=["rounds-to-one", "rounds-to-negative-zero"],
+    )
+    def test_a_value_the_scaling_rounds_into_range_is_not_clamped(self, lo, hi, value):
+        # outside [lo, hi], yet the scaling lands it on 1.0 or -0.0, which the clamp leaves as it is
+        table = feature_table([lo, hi, value])
+        t = fit_rows(table, np.array([0, 1]))
+        assert t.ranges == {"x": (lo, hi)} and not lo <= value <= hi
+        assert t.apply(table, np.array([2]), scaled=True).tobytes() == preprocess._min_max(np.array([value]), lo, hi).tobytes()
+        assert t.counters.clamped == {}
+        assert gathered_scenario_fit(table, np.array([0, 1])).counters.clamped == {}

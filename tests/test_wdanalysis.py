@@ -4,13 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import feature_table, make_table, raw_wd, wasserstein_1d
+from conftest import feature_table, fit_rows, make_table, raw_wd, wasserstein_1d
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_impls import cdf_grid_wd, sorted_diff_wd, spearman_oracle, three_sort_wd
 
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
-from zdeval.preprocess import preprocess_pipeline
 from zdeval.wdanalysis import _feature_wd, _Workspace, per_feature_wd, rank_correlation
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
@@ -200,7 +199,7 @@ class TestPerFeatureWd:
     def test_scaled_features_stay_in_unit_interval(self):
         rng = np.random.default_rng(8)
         m, train_rows, test_rows = stacked(rng.random((50, 3)) * 7 - 2, rng.random((60, 3)), ("a", "b", "c"))
-        report = per_feature_wd(m, train_rows, test_rows, transform=preprocess_pipeline(m), scaled=True)
+        report = per_feature_wd(m, train_rows, test_rows, transform=fit_rows(m), scaled=True)
         assert all(0.0 <= v <= 1.0 for v in report.per_feature.values())
         assert 0.0 <= report.mean_wd <= 1.0
 
@@ -292,7 +291,7 @@ class TestWorkspace:
         table = self.mixed_table(50_000, rng)
         perm = rng.permutation(table.row_count)
         train, test = perm[:30_000], perm[30_000:]
-        transform = preprocess_pipeline(table, scope, train)
+        transform = fit_rows(table, None if scope == "full-dataset" else train)
         ws = _Workspace(train, test)
         _feature_wd(ws, table, transform, 0, scaled=True)  # the first call sets up what is cached
         tracemalloc.start()

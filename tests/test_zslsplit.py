@@ -8,7 +8,9 @@ from conftest import coded_table, make_table
 from oracle_impls import stored_fold_plan, stored_fold_warnings, stored_zero_day_scenarios
 
 from zdeval.flowdata import FlowTable
-from zdeval.zslsplit import Scenario, fold_warnings, make_fold_plan, make_zero_day_scenarios, scenario_rows
+from zdeval.zslsplit import (
+    Scenario, fold_warnings, make_fold_plan, make_zero_day_scenarios, row_groups, scenario_rows, train_groups,
+)
 
 
 def table_from_counts(counts: dict[str, int], benign_name: str = "Benign") -> FlowTable:
@@ -233,6 +235,11 @@ def test_derived_rows_match_stored_arrays_oracle(case):
         got_train, got_test = scenario_rows(s, plan, table)
         train, test = stored[(s.held_out, s.fold_id)]
         assert np.array_equal(got_train, train) and np.array_equal(got_test, test)
+    # a scenario's train groups hold exactly its train rows
+    every = [Scenario(None, f) for f in range(k)] + scenarios
+    groups = row_groups(plan, table)
+    for s, allowed in zip(every, train_groups(every, plan, table)):
+        assert np.array_equal(np.flatnonzero(allowed[groups]), scenario_rows(s, plan, table)[0])
     assert fold_warnings(plan, table) == stored_fold_warnings(folds, table)
 
 
