@@ -349,9 +349,11 @@ def _fit_transforms(
             base, "train-only", row_groups(plan, base), train_groups(scenarios, plan, base),
             unseen=cfg.unseen_category_policy,
         )
-    except DataError as exc:
+    except (DataError, ValueError) as exc:
+        if not hasattr(exc, "fit"):
+            raise
         name, fold = names[exc.fit]
-        raise DataError(f"scenario {name!r} fold {fold}: {exc}") from exc
+        raise type(exc)(f"scenario {name!r} fold {fold}: {exc}") from exc
     transforms = {}
     for (name, fold), fit in zip(names, fitted):
         transforms[f"{name}/f{fold}"] = transforms_to_json(fit, cfg.fit_scope)

@@ -203,6 +203,8 @@ def preprocess_pipeline(
     the fit rows; the counters tally, per feature, the rows whose scaled
     value falls outside [0, 1] and is clamped. Only a value outside [lo, hi]
     can be, since rounding is monotone, so only those are scaled to count.
+    A fit whose groups hold no row raises a ValueError whose `fit` is its
+    index.
     """
     if fit_scope not in ("full-dataset", "train-only"):
         raise ValueError(f"fit_scope must be 'full-dataset' or 'train-only', got {fit_scope!r}")
@@ -210,7 +212,7 @@ def preprocess_pipeline(
         raise ValueError(f"unseen policy must be 'error' or 'reserve-code', got {unseen!r}")
     if fit_scope == "train-only":
         if groups is None or fits is None:
-            raise ValueError("train-only fit scope requires a nonempty train_indices")
+            raise ValueError("train-only fit scope requires the row groups and the fits over them")
         groups, fits = np.asarray(groups, dtype=np.intp), np.asarray(fits, dtype=bool)
     else:
         groups, fits = None, np.ones((1, 1), dtype=bool)
@@ -228,7 +230,9 @@ def preprocess_pipeline(
     fitted = []
     for i in range(n_fits):
         if not sizes[i]:
-            raise ValueError("train-only fit scope requires a nonempty train_indices")
+            error = ValueError("train-only fit has no train rows")
+            error.fit = i
+            raise error
         counters, mappings, codes = PrepCounters(), {}, {}
         for name, categories in base.categories.items():
             first = first_rows[name][fits[i]].min(axis=0)

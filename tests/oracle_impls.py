@@ -390,7 +390,7 @@ def gathered_scenario_fit(base, train_indices, unseen: str = "reserve-code"):
     """
     rows = np.asarray(train_indices)
     if len(rows) == 0:
-        raise ValueError("train-only fit scope requires a nonempty train_indices")
+        raise ValueError("train-only fit has no train rows")
     names = base.feature_names
     counters = PrepCounters()
     fit = base.features[rows]

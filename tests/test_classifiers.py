@@ -164,6 +164,14 @@ class TestForest:
         with pytest.raises(ValueError, match="dimensionality"):
             forest_score(model, np.zeros((3, 5)))
 
+    def test_row_count_past_the_packed_counts_rejected(self):
+        # broadcast views give 2**31 rows without allocating them; the check
+        # comes before anything reads the rows
+        X = np.broadcast_to(np.zeros((1, 1)), (2**31, 1))
+        y = np.broadcast_to(np.zeros(1, dtype=np.int64), (2**31,))
+        with pytest.raises(ValueError, match=r"fewer than 2\*\*31"):
+            train_forest(X, y, ForestConfig(n_trees=1), seed=0)
+
     def test_json_round_trip(self):
         X, y = blobs(30, seed=8)
         model = train_forest(X, y, ForestConfig(n_trees=3), seed=2)
@@ -237,7 +245,7 @@ def forest_problems(draw):
         n_trees=draw(st.integers(1, 3)),
         m_try=draw(st.one_of(st.none(), st.integers(1, d))),
         max_depth=draw(st.one_of(st.none(), st.integers(1, 4))),
-        min_samples_leaf=draw(st.sampled_from([1, 3])),
+        min_samples_leaf=draw(st.sampled_from([1, 2, 3])),
         bootstrap=draw(st.booleans()),
     )
     return X, y, cfg, draw(st.integers(0, 2**32 - 1))

@@ -130,6 +130,9 @@ class TestRun:
             )
         )
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        # under train-only scope the empty training set fails its scenario's fit
+        cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), fit_scope="train-only")))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 3
 
 
 class TestWd:

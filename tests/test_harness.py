@@ -949,6 +949,11 @@ class TestKeepGoing:
         with pytest.raises(RuntimeError, match=r"class=solo.*fold=0"):
             run_experiment(cfg)
 
+    def test_train_only_empty_fit_names_the_scenario(self, doomed_config):
+        cfg = config_from_dict(dict(doomed_config, fit_scope="train-only"))
+        with pytest.raises(ValueError, match=r"^scenario 'solo' fold 0: train-only fit has no train rows$"):
+            run_experiment(cfg)
+
     def test_keep_going_collects_errors(self, doomed_config):
         cfg = config_from_dict(dict(doomed_config, keep_going=True))
         report = run_experiment(cfg)
