@@ -102,14 +102,16 @@ class ForestConfig:
     bootstrap: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.m_try is not None and self.m_try < 1:
-            raise ValueError(f"m_try must be >= 1, got {self.m_try}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_samples_leaf < 1:
-            raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
+        for name in ("n_trees", "m_try", "max_depth", "min_samples_leaf"):
+            value = getattr(self, name)
+            if value is None and name in ("m_try", "max_depth"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if not isinstance(self.bootstrap, bool):
+            raise ValueError(f"bootstrap must be true or false, got {self.bootstrap!r}")
 
     def resolve_m_try(self, n_features: int) -> int:
         if self.m_try is not None:

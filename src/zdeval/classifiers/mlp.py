@@ -8,6 +8,7 @@ its logit form, so large magnitudes cannot overflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,14 +22,30 @@ class MlpConfig:
     hidden_units: tuple[int, int] = (100, 100)
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if any(h < 1 for h in self.hidden_units):
-            raise ValueError(f"hidden_units must be positive, got {self.hidden_units}")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not math.isfinite(rate):
+            raise ValueError(f"learning_rate must be a finite number, got {rate!r}")
+        if rate < 0:
+            raise ValueError(f"learning_rate must be >= 0, got {rate}")
+        for name, least in (("batch_size", 1), ("epochs", 0)):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        units = self.hidden_units
+        if not isinstance(units, (tuple, list)) or len(units) != 2 or not all(map(_is_int, units)):
+            raise ValueError(f"hidden_units must be two integers, got {units!r}")
+        if any(h < 1 for h in units):
+            raise ValueError(f"hidden_units must be positive, got {units}")
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is not a layer width or an epoch count
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_PARAMETERS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 @dataclass(eq=False)
@@ -46,7 +63,7 @@ class MlpModel:
         return self.w1.shape[0]
 
     def parameters(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2, "w3": self.w3, "b3": self.b3}
+        return {name: getattr(self, name) for name in _PARAMETERS}
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -185,10 +202,34 @@ def mlp_to_json(model: MlpModel) -> dict:
 
 
 def mlp_from_json(obj: dict) -> MlpModel:
+    """Load a saved model, rejecting a document that could not score rows.
+
+    Each layer's weight matrix must take the previous layer's width, its bias
+    must match the matrix's width, the last layer must have one unit, and
+    every parameter must be finite.
+    """
     if obj.get("kind") != "mlp":
         raise ValueError(f"not an mlp model document: kind={obj.get('kind')!r}")
-    w = {k: np.asarray(v, dtype=np.float64) for k, v in obj["weights"].items()}
-    return MlpModel(
-        w1=w["w1"], b1=w["b1"], w2=w["w2"], b2=w["b2"], w3=w["w3"], b3=w["b3"],
-        loss_history=[float(v) for v in obj.get("loss_history", [])],
-    )
+    if obj.get("version") != 1:
+        raise ValueError(f"unsupported mlp model version {obj.get('version')!r}; expected 1")
+    weights = obj["weights"]
+    missing = [name for name in _PARAMETERS if name not in weights]
+    if missing:
+        raise ValueError(f"malformed mlp: missing parameter {missing[0]!r}")
+    w = {name: np.asarray(weights[name], dtype=np.float64) for name in _PARAMETERS}
+    width = None
+    for layer in ("1", "2", "3"):
+        weight, bias = w["w" + layer], w["b" + layer]
+        if weight.ndim != 2:
+            raise ValueError(f"malformed mlp: w{layer} has shape {weight.shape}; expected a matrix")
+        if width is not None and weight.shape[0] != width:
+            raise ValueError(f"malformed mlp: w{layer} has {weight.shape[0]} rows; the layer before has {width} units")
+        width = weight.shape[1]
+        if bias.shape != (width,):
+            raise ValueError(f"malformed mlp: b{layer} has shape {bias.shape}; expected ({width},)")
+    if width != 1:
+        raise ValueError(f"malformed mlp: the output layer has {width} units; expected 1")
+    for name, value in w.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"malformed mlp: {name} holds a non-finite value")
+    return MlpModel(**w, loss_history=[float(v) for v in obj.get("loss_history", [])])

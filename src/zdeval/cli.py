@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: run (full experiment), wd (distance analysis only), synth
-(generate a synthetic dataset), inspect (dataset summary). Progress goes to
-stderr; machine-readable artifacts go only to the output directory (inspect
-prints its JSON summary to stdout). Exit codes: 0 success, 1 config error,
-2 data/schema error, 3 runtime failure.
+(generate a synthetic dataset), inspect (dataset summary). The override
+flags of run and wd store under their config field's name (`--out` under
+`out`, which sets `output_dir`), so they reach the config by name. Progress
+goes to stderr; machine-readable artifacts go only to the output directory
+(inspect prints its JSON summary to stdout). Exit codes: 0 success, 1 config
+error, 2 data/schema error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -26,12 +28,16 @@ from .synth import SyntheticSpec, synthesize_dataset
 log = logging.getLogger("zdeval")
 
 
+def _comma_list(text: str) -> tuple[str, ...] | None:
+    return tuple(text.split(",")) if text else None
+
+
 def _add_common_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="experiment config JSON")
     sub.add_argument("--out", help="output directory (overrides config output_dir)")
     sub.add_argument("--seed", type=int, help="override config seed")
-    sub.add_argument("--models", help="comma-separated subset of forest,mlp")
-    sub.add_argument("--classes", help="comma-separated subset of held-out attack classes")
+    sub.add_argument("--models", type=_comma_list, help="comma-separated subset of forest,mlp")
+    sub.add_argument("--classes", type=_comma_list, help="comma-separated subset of held-out attack classes")
     sub.add_argument("--subsample", type=int, help="seeded row cap for desk-scale runs")
     sub.add_argument("--workers", type=int, help="worker pool size (1 = in-process)")
     sub.add_argument("--keep-going", action="store_true", default=None,
@@ -61,36 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overridden_config(args: argparse.Namespace):
-    cfg = load_config(args.config)
-    return apply_overrides(
-        cfg,
-        out=args.out,
-        seed=args.seed,
-        models=tuple(args.models.split(",")) if args.models else None,
-        classes=tuple(args.classes.split(",")) if args.classes else None,
-        subsample=args.subsample,
-        workers=args.workers,
-        keep_going=args.keep_going,
-    )
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _overridden_config(args)
-    log.info("running experiment: dataset=%s models=%s k=%d seed=%d",
-             cfg.dataset, ",".join(cfg.models), cfg.k, cfg.seed)
-    report = run_experiment(cfg)
-    written = emit_reports(report, cfg.output_dir)
-    for w in report.warnings:
-        log.warning("%s", w)
-    log.info("wrote %d artifacts to %s", len(written), cfg.output_dir)
-    return 0
-
-
-def _cmd_wd(args: argparse.Namespace) -> int:
-    cfg = _overridden_config(args)
-    log.info("running distance analysis: dataset=%s k=%d seed=%d", cfg.dataset, cfg.k, cfg.seed)
-    report = run_wd_analysis(cfg)
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    overrides = {name: value for name, value in vars(args).items() if name not in ("command", "config")}
+    cfg = apply_overrides(load_config(args.config), **overrides)
+    if args.command == "run":
+        log.info("running experiment: dataset=%s models=%s k=%d seed=%d",
+                 cfg.dataset, ",".join(cfg.models), cfg.k, cfg.seed)
+        report = run_experiment(cfg)
+    else:
+        log.info("running distance analysis: dataset=%s k=%d seed=%d", cfg.dataset, cfg.k, cfg.seed)
+        report = run_wd_analysis(cfg)
     written = emit_reports(report, cfg.output_dir)
     for w in report.warnings:
         log.warning("%s", w)
@@ -153,7 +139,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {"run": _cmd_run, "wd": _cmd_wd, "synth": _cmd_synth, "inspect": _cmd_inspect}
+_COMMANDS = {"run": _cmd_experiment, "wd": _cmd_experiment, "synth": _cmd_synth, "inspect": _cmd_inspect}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,15 +1,19 @@
 """Declarative experiment configuration.
 
 A config is one flat JSON document; every knob the run depends on lives here
-(there is no hidden nondeterminism: the seed is required). CLI flags may
-override individual keys. Unknown keys are rejected so typos fail loudly.
+(there is no hidden nondeterminism: the seed is required). The
+`ExperimentConfig` fields are the one list of run settings: the config echo
+is built from them, and CLI flags override them by field name. Unknown keys
+are rejected so typos fail loudly, and the `forest` and `mlp`
+hyperparameters are type-checked, so a bad value fails before the dataset
+is read.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .classifiers import ForestConfig, MlpConfig
@@ -40,9 +44,6 @@ _TOP_LEVEL_KEYS = {
     "forest": dict,
     "mlp": dict,
 }
-
-_FOREST_KEYS = {f.name for f in fields(ForestConfig)}
-_MLP_KEYS = {f.name for f in fields(MlpConfig)}
 
 
 @dataclass(frozen=True)
@@ -102,28 +103,23 @@ class ExperimentConfig:
 
     def to_json(self) -> dict:
         """Config echo with every default resolved, for the run report."""
-        return {
-            "dataset": self.dataset,
-            "benign_name": self.benign_name,
-            "columns": self.schema.to_json(),
-            "models": list(self.models),
-            "k": self.k,
-            "seed": self.seed,
-            "fit_scope": self.fit_scope,
-            "wd_on_scaled": self.wd_on_scaled,
-            "wd_subsample_cap": self.wd_subsample_cap,
-            "subsample": self.subsample,
-            "classes": list(self.classes) if self.classes is not None else None,
-            "output_dir": self.output_dir,
-            "workers": self.resolved_workers(),
-            "keep_going": self.keep_going,
-            "save_models": self.save_models,
-            "on_bad_row": self.on_bad_row,
-            "unseen_category_policy": self.unseen_category_policy,
-            "threshold": self.threshold,
-            "forest": asdict(self.forest),
-            "mlp": {**asdict(self.mlp), "hidden_units": list(self.mlp.hidden_units)},
-        }
+        echo = {}
+        for f in fields(self):
+            if f.name == "schema":
+                echo["columns"] = self.schema.to_json()
+            elif f.name == "workers":
+                echo["workers"] = self.resolved_workers()
+            else:
+                echo[f.name] = _as_json(getattr(self, f.name))
+        return echo
+
+
+def _as_json(value):
+    """A field value as JSON loads it back: dataclasses as dicts, tuples as lists."""
+    if is_dataclass(value):
+        return {key: _as_json(v) for key, v in asdict(value).items()}
+    return list(value) if isinstance(value, tuple) else value
+
 
 def _check_type(key: str, value, expected) -> None:
     # bool is an int subclass; keep them apart for int-typed keys
@@ -137,6 +133,11 @@ def _check_type(key: str, value, expected) -> None:
         ok = isinstance(value, expected)
     if not ok:
         raise ConfigError(f"config key {key!r} has wrong type: expected {expected}, got {type(value).__name__}")
+
+
+def _lists_as_tuples(obj: dict) -> dict:
+    """JSON lists become tuples, as the frozen config holds them (`_as_json` turns them back)."""
+    return {key: tuple(value) if isinstance(value, list) else value for key, value in obj.items()}
 
 
 def config_from_dict(obj: dict, *, base_dir: Path | None = None) -> ExperimentConfig:
@@ -154,38 +155,23 @@ def config_from_dict(obj: dict, *, base_dir: Path | None = None) -> ExperimentCo
     for key, value in obj.items():
         _check_type(key, value, _TOP_LEVEL_KEYS[key])
 
+    # keys left out take the ExperimentConfig defaults
+    given = _lists_as_tuples({key: value for key, value in obj.items() if key != "columns"})
     try:
-        schema = FeatureSchema.from_json(obj["columns"])
+        given["schema"] = FeatureSchema.from_json(obj["columns"])
     except Exception as exc:
         raise ConfigError(f"bad 'columns' entry: {exc}") from exc
-
-    forest_obj = obj.get("forest", {})
-    unknown = set(forest_obj) - _FOREST_KEYS
-    if unknown:
-        raise ConfigError(f"unknown forest key {sorted(unknown)[0]!r}")
-    mlp_obj = obj.get("mlp", {})
-    unknown = set(mlp_obj) - _MLP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown mlp key {sorted(unknown)[0]!r}")
-    try:
-        forest = ForestConfig(**forest_obj)
-        if "hidden_units" in mlp_obj:
-            mlp_obj = dict(mlp_obj, hidden_units=tuple(mlp_obj["hidden_units"]))
-        mlp = MlpConfig(**mlp_obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model hyperparameters: {exc}") from exc
-
-    dataset = obj["dataset"]
-    if base_dir is not None and not Path(dataset).is_absolute():
-        dataset = str(base_dir / dataset)
-
-    # keys left out take the ExperimentConfig defaults
-    given = {key: value for key, value in obj.items() if key != "columns"}
-    given.update(dataset=dataset, schema=schema, forest=forest, mlp=mlp)
-    if "models" in obj:
-        given["models"] = tuple(obj["models"])
-    if obj.get("classes") is not None:
-        given["classes"] = tuple(obj["classes"])
+    for key, params_type in (("forest", ForestConfig), ("mlp", MlpConfig)):
+        params = given.get(key, {})
+        unknown = set(params) - {f.name for f in fields(params_type)}
+        if unknown:
+            raise ConfigError(f"unknown {key} key {sorted(unknown)[0]!r}")
+        try:
+            given[key] = params_type(**_lists_as_tuples(params))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad model hyperparameters: {exc}") from exc
+    if base_dir is not None and not Path(obj["dataset"]).is_absolute():
+        given["dataset"] = str(base_dir / obj["dataset"])
     if "threshold" in obj:
         given["threshold"] = float(obj["threshold"])
     try:
@@ -208,31 +194,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(obj, base_dir=path.parent)
 
 
-def apply_overrides(
-    cfg: ExperimentConfig,
-    *,
-    out: str | None = None,
-    seed: int | None = None,
-    models: tuple[str, ...] | None = None,
-    classes: tuple[str, ...] | None = None,
-    subsample: int | None = None,
-    workers: int | None = None,
-    keep_going: bool | None = None,
-) -> ExperimentConfig:
-    """CLI flags win over config keys; anything left None keeps the config value."""
-    updates: dict = {}
+def apply_overrides(cfg: ExperimentConfig, *, out: str | None = None, **overrides) -> ExperimentConfig:
+    """CLI flags win over config keys.
+
+    Each override names an `ExperimentConfig` field (`out` sets `output_dir`);
+    anything left None keeps the config value.
+    """
     if out is not None:
-        updates["output_dir"] = out
-    if seed is not None:
-        updates["seed"] = seed
-    if models is not None:
-        updates["models"] = models
-    if classes is not None:
-        updates["classes"] = classes
-    if subsample is not None:
-        updates["subsample"] = subsample
-    if workers is not None:
-        updates["workers"] = workers
-    if keep_going is not None:
-        updates["keep_going"] = keep_going
+        overrides["output_dir"] = out
+    updates = {name: value for name, value in overrides.items() if value is not None}
     return replace(cfg, **updates) if updates else cfg

@@ -379,6 +379,31 @@ class TestMlp:
         restored = mlp_from_json(mlp_to_json(model))
         assert np.array_equal(mlp_score(model, X), mlp_score(restored, X))
 
+    def test_unsupported_version_rejected(self):
+        doc = dict(mlp_to_json(mlp_init(3, seed=0, hidden_units=(4, 4))), version=99)
+        with pytest.raises(ValueError, match="unsupported mlp model version 99; expected 1"):
+            mlp_from_json(doc)
+
+    def test_missing_parameter_rejected(self):
+        doc = mlp_to_json(mlp_init(3, seed=0, hidden_units=(4, 4)))
+        del doc["weights"]["w3"]
+        with pytest.raises(ValueError, match="malformed mlp: missing parameter 'w3'"):
+            mlp_from_json(doc)
+
+    def test_mismatched_shape_rejected(self):
+        # a 4x3 w2 for hidden units (4, 4) would load and then fail to broadcast at scoring
+        doc = mlp_to_json(mlp_init(3, seed=0, hidden_units=(4, 4)))
+        doc["weights"]["w2"] = np.zeros((4, 3)).tolist()
+        with pytest.raises(ValueError, match=r"malformed mlp: b2 has shape \(4,\); expected \(3,\)"):
+            mlp_from_json(doc)
+
+    def test_nonfinite_parameter_rejected(self):
+        # a NaN bias would load and score every row NaN
+        doc = mlp_to_json(mlp_init(3, seed=0, hidden_units=(4, 4)))
+        doc["weights"]["b1"][0] = float("nan")
+        with pytest.raises(ValueError, match="malformed mlp: b1 holds a non-finite value"):
+            mlp_from_json(doc)
+
 
 def relu_margin(model, X) -> float:
     """Smallest |pre-activation|; finite differences are only valid when the

@@ -1,10 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from zdeval import cli
+from zdeval.classifiers import ForestConfig, MlpConfig
 from zdeval.cli import main
+from zdeval.config import load_config
+
+_COLUMNS = [
+    {"name": "f0", "kind": "numeric"},
+    {"name": "attack_class", "kind": "attack_class"},
+    {"name": "label", "kind": "binary_label"},
+]
 
 
 @pytest.fixture()
@@ -189,3 +200,83 @@ class TestBenignOnly:
         assert main([argv[0], "--config", str(cfg), *argv[1:], *out]) == 2
         assert "table contains no attack classes; no zero-day scenario is definable" in caplog.text
         assert not (tmp_path / "o").exists()
+
+
+class TestOverrideFlags:
+    """Each run/wd flag reaches the config field of its name, and only that field."""
+
+    @pytest.fixture()
+    def captured(self, monkeypatch):
+        # the runners and the writer are patched out, so nothing is read or written
+        calls = []
+
+        def runner(name):
+            def run(cfg):
+                calls.append((name, cfg))
+                return SimpleNamespace(warnings=[])
+            return run
+
+        monkeypatch.setattr(cli, "run_experiment", runner("run"))
+        monkeypatch.setattr(cli, "run_wd_analysis", runner("wd"))
+        monkeypatch.setattr(cli, "emit_reports", lambda report, output_dir: [])
+        return calls
+
+    @pytest.fixture()
+    def config_path(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"dataset": "data.csv", "benign_name": "Benign", "columns": _COLUMNS, "seed": 0, "workers": 1}
+        ))
+        return path
+
+    @pytest.mark.parametrize("command", ["run", "wd"])
+    @pytest.mark.parametrize(
+        "flags, name, value",
+        [
+            (["--out", "elsewhere"], "output_dir", "elsewhere"),
+            (["--seed", "99"], "seed", 99),
+            (["--models", "mlp"], "models", ("mlp",)),
+            (["--classes", "alpha,gamma"], "classes", ("alpha", "gamma")),
+            (["--subsample", "150"], "subsample", 150),
+            (["--workers", "3"], "workers", 3),
+            (["--keep-going"], "keep_going", True),
+        ],
+        ids=["out", "seed", "models", "classes", "subsample", "workers", "keep-going"],
+    )
+    def test_flag_sets_its_field(self, captured, config_path, command, flags, name, value):
+        loaded = load_config(config_path)
+        assert getattr(loaded, name) != value
+        assert main([command, "--config", str(config_path), *flags]) == 0
+        assert captured == [(command, dataclasses.replace(loaded, **{name: value}))]
+
+    @pytest.mark.parametrize("command", ["run", "wd"])
+    def test_no_flag_keeps_the_config(self, captured, config_path, command):
+        assert main([command, "--config", str(config_path)]) == 0
+        assert captured == [(command, load_config(config_path))]
+
+
+class TestHyperparameterTypes:
+    @pytest.mark.parametrize(
+        "key, params",
+        [
+            ("forest", {"n_trees": 2.5}),
+            ("forest", {"m_try": 1.5}),
+            ("forest", {"n_trees": True}),
+            ("forest", {"bootstrap": "no"}),
+            ("mlp", {"epochs": 1.5}),
+            ("mlp", {"hidden_units": [4.5, 4]}),
+            ("mlp", {"hidden_units": [4, 4, 4]}),
+        ],
+        ids=["n_trees-float", "m_try-float", "n_trees-bool", "bootstrap-str", "epochs-float", "hidden-float",
+             "hidden-three"],
+    )
+    def test_a_mistyped_hyperparameter_exits_1_before_the_dataset_is_read(self, tmp_path, caplog, key, params):
+        # the dataset does not exist, so reading it would exit 2
+        cfg = tmp_path / "cfg.json"
+        doc = {"dataset": "missing.csv", "benign_name": "Benign", "columns": _COLUMNS, "seed": 0, key: params}
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"bad model hyperparameters: {next(iter(params))} must be" in caplog.text
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(ValueError):
+            {"forest": ForestConfig, "mlp": MlpConfig}[key](**params)

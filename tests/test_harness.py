@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -14,7 +15,14 @@ from conftest import fit_rows, tables_equal
 
 from zdeval import harness
 from zdeval.classifiers import forest_from_json
-from zdeval.config import KNOWN_MODELS, ExperimentConfig, apply_overrides, config_from_dict, load_config
+from zdeval.config import (
+    _TOP_LEVEL_KEYS,
+    KNOWN_MODELS,
+    ExperimentConfig,
+    apply_overrides,
+    config_from_dict,
+    load_config,
+)
 from zdeval.errors import ConfigError, DataError
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable, load_csv, write_csv
 from zdeval.harness import (
@@ -176,6 +184,31 @@ class TestConfig:
         assert echo["fit_scope"] == "full-dataset"
         assert echo["threshold"] == 0.5
         assert echo["forest"]["n_trees"] == 5
+
+    def test_echo_names_every_config_key(self, synth_csv):
+        path, table = synth_csv
+        assert config_from_dict(base_config_dict(path, table.schema.to_json())).to_json().keys() == _TOP_LEVEL_KEYS.keys()
+
+    def test_echo_loads_back_to_an_equal_config(self, synth_csv):
+        path, table = synth_csv
+        every_key = base_config_dict(
+            path, table.schema.to_json(), models=["mlp", "forest"], k=4, fit_scope="train-only", wd_on_scaled=False,
+            wd_subsample_cap=500, subsample=200, classes=["alpha", "gamma"], output_dir="elsewhere", workers=3,
+            keep_going=True, save_models=True, on_bad_row="drop", unseen_category_policy="error", threshold=0.25,
+            forest={"n_trees": 4, "m_try": 2, "max_depth": 6, "min_samples_leaf": 3, "bootstrap": False},
+            mlp={"learning_rate": 0.5, "batch_size": 16, "epochs": 2, "hidden_units": [3, 5]},
+        )
+        assert every_key.keys() == _TOP_LEVEL_KEYS.keys()
+        cfg = config_from_dict(every_key)
+        echo = cfg.to_json()
+        assert echo == every_key
+        assert config_from_dict(json.loads(json.dumps(echo))) == cfg
+
+    def test_overrides_take_field_names(self, synth_csv):
+        path, table = synth_csv
+        cfg = config_from_dict(base_config_dict(path, table.schema.to_json()))
+        assert apply_overrides(cfg, output_dir="a", subsample=None) == dataclasses.replace(cfg, output_dir="a")
+        assert apply_overrides(cfg, out=None) is cfg
 
 
 class TestSeedsAndSubsample:
