@@ -120,7 +120,12 @@ def mlp_score(model: MlpModel, X: np.ndarray) -> np.ndarray:
         )
     if X.size and not np.isfinite(X).all():
         raise ValueError("input contains non-finite values")
-    return _sigmoid(_forward(model, X)[4])
+    logits = _forward(model, X)[4]
+    # finite weights and inputs give a non-finite logit only by overflow: its
+    # sigmoid would be a confident 0 or 1 (or NaN) that no training earned
+    if not np.isfinite(logits).all():
+        raise ValueError("non-finite output logit: the forward pass overflowed")
+    return _sigmoid(logits)
 
 
 def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, y: np.ndarray):

@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate model in {self.models}")
         if self.classes is not None and not self.classes:
             raise ConfigError("'classes' is empty; omit the key or set it to null for every attack class")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.k < 2:
             raise ConfigError(f"k must be >= 2, got {self.k}")
         if self.fit_scope not in ("full-dataset", "train-only"):

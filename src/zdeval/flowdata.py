@@ -564,10 +564,8 @@ def load_csv(
 
     # pop each column's parts as it is joined, so only one column is held twice
     data = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
-    table = FlowTable(schema, benign_name, data, dropped_rows=dropped, features=block[:n],
-                      class_codes=np.concatenate(codes), class_names=tuple(codes_of))
-    table.validate()
-    return table
+    return FlowTable(schema, benign_name, data, dropped_rows=dropped, features=block[:n],
+                     class_codes=np.concatenate(codes), class_names=tuple(codes_of))
 
 
 def _require_identifiers(table: FlowTable, what: str) -> None:

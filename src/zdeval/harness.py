@@ -16,6 +16,12 @@ submits its distance jobs ahead of its model jobs to one process pool (the
 order of their scenario indices, so the worker count never changes any
 output byte.
 
+`_prepare` builds the run report with its fixed sections (config, dataset,
+fold plan, preprocessing, transforms and the preparation warnings); the
+jobs' results fill in the rest. `_succeeded` is the one place a failed job
+is settled: without keep_going it stops the run, naming the job; with it,
+the job becomes a warning and is left out of every mean.
+
 The features are held once: the loaded table is the base matrix, its
 feature block the one n x d float64 matrix a run holds, and nothing writes
 to it. Each job reads its rows of it through its scenario's fitted
@@ -44,7 +50,7 @@ from .classifiers import forest_score, forest_to_json, mlp_score, mlp_to_json, m
 from .config import KNOWN_MODELS, ExperimentConfig
 from .errors import ConfigError, DataError
 from .flowdata import FlowTable, load_csv
-from .metrics import FoldAggregate, MetricsReport, aggregate_folds, per_class_positives, scenario_report
+from .metrics import FoldAggregate, MetricsReport, aggregate_folds, per_class_positives, scenario_report, zdr
 from .preprocess import FittedTransform, preprocess_pipeline, transforms_to_json
 from .wdanalysis import WdReport, per_feature_wd, rank_correlation
 from .zslsplit import (
@@ -257,12 +263,12 @@ class RunReport:
     dataset: dict
     fold_plan: dict
     preprocess: dict
-    baseline: dict
-    zero_day: dict
-    wd: dict
-    correlation: dict
     warnings: list[str]
     transforms: dict
+    baseline: dict = field(default_factory=dict)
+    zero_day: dict = field(default_factory=dict)
+    wd: dict = field(default_factory=dict)
+    correlation: dict = field(default_factory=dict)
     models_json: dict[str, dict] = field(default_factory=dict)
     classes: tuple[str, ...] = ()
     models: tuple[str, ...] = ()
@@ -293,37 +299,15 @@ class RunReport:
 class _Prepared:
     """Shared state both the full run and the analysis-only run build first."""
 
-    rows_loaded: int
-    selected: tuple[str, ...]
     plan: FoldPlan
     scenarios: list[Scenario]
     base: FlowTable  # the loaded table, its block unscaled; nothing writes to it
     fitted: list[FittedTransform]  # aligned with `scenarios`
-    transforms: dict
-    prep_summary: dict
-    warnings: list[str]
+    report: RunReport  # its fixed sections filled in; the jobs' results go into the rest
 
     def rows(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Scenario i's sorted train and test rows."""
         return scenario_rows(self.scenarios[i], self.plan, self.base)
-
-    def dataset_json(self, cfg: ExperimentConfig) -> dict:
-        return {
-            "path": cfg.dataset,
-            "rows_loaded": self.rows_loaded,
-            "rows_used": self.base.row_count,
-            "dropped_rows": self.base.dropped_rows,
-            "class_counts": dict(zip(self.base.class_names, self.base.class_counts)),
-            "benign_name": cfg.benign_name,
-        }
-
-    def fold_plan_json(self) -> dict:
-        return {
-            "k": self.plan.k,
-            "seed": self.plan.seed,
-            "generator": self.plan.generator,
-            "sparse_classes": list(self.plan.sparse_classes),
-        }
 
 
 def _fit_transforms(
@@ -394,7 +378,28 @@ def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
     scenarios += [s for s in make_zero_day_scenarios(plan, table) if s.held_out in selected]
 
     fitted, transforms, prep_summary = _fit_transforms(cfg, table, scenarios, plan, warnings)
-    return _Prepared(rows_loaded, selected, plan, scenarios, table, fitted, transforms, prep_summary, warnings)
+    report = RunReport(
+        config=cfg.to_json(),
+        generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
+        rng={"bit_generator": "PCG64", "numpy": np.__version__},
+        dataset={
+            "path": cfg.dataset,
+            "rows_loaded": rows_loaded,
+            "rows_used": table.row_count,
+            "dropped_rows": table.dropped_rows,
+            "class_counts": dict(zip(table.class_names, table.class_counts)),
+            "benign_name": cfg.benign_name,
+        },
+        fold_plan={
+            "k": plan.k, "seed": plan.seed, "generator": plan.generator, "sparse_classes": list(plan.sparse_classes),
+        },
+        preprocess=prep_summary,
+        warnings=warnings,
+        transforms=transforms,
+        classes=selected,
+        slugs=_unique_slugs(attack_names),
+    )
+    return _Prepared(plan, scenarios, table, fitted, report)
 
 
 def _distance_jobs(cfg: ExperimentConfig, prep: _Prepared) -> list[ScenarioJob]:
@@ -406,57 +411,39 @@ def _distance_jobs(cfg: ExperimentConfig, prep: _Prepared) -> list[ScenarioJob]:
     ]
 
 
-def _compute_wd(cfg: ExperimentConfig, prep: _Prepared, results: list[JobResult]) -> tuple[dict, dict[str, float]]:
-    """Per (class, fold) distances plus the fold-mean per class, from the distance jobs' results.
+def _succeeded(cfg: ExperimentConfig, prep: _Prepared, results: list[JobResult]) -> list[JobResult]:
+    """The results of the jobs that succeeded, in job order: the one place a failed job is settled.
 
-    A failed (class, fold) aborts with attribution, or is skipped with a
-    warning when keep_going is set.
+    Without keep_going a failed job stops the run with its attribution; with
+    it, the job becomes a warning on the report and is left out of every mean.
     """
-    wd_section: dict[str, dict] = {}
-    wd_mean_by_class: dict[str, float] = {}
-    for name, group in itertools.groupby(results, key=lambda r: prep.scenarios[r.scenario].held_out):
-        fold_reports: list[WdReport] = []
-        for r in group:
-            if r.error is None:
-                fold_reports.append(r.report)
-                continue
-            message = f"distance analysis failed {_attribution(prep, r)}: {r.error}"
-            if not cfg.keep_going:
-                raise RuntimeError(message)
-            prep.warnings.append(message)
-        if not fold_reports:
+    ok = []
+    for r in results:
+        if r.error is None:
+            ok.append(r)
             continue
-        mean_over_folds = float(np.mean([r.mean_wd for r in fold_reports]))
-        wd_mean_by_class[name] = mean_over_folds
+        failed = "distance analysis failed" if r.kind == DISTANCE else "scenario failed"
+        message = f"{failed} {_attribution(prep, r)}: {r.error}"
+        if not cfg.keep_going:
+            raise RuntimeError(message)
+        prep.report.warnings.append(message)
+    return ok
+
+
+def _compute_wd(prep: _Prepared, results: list[JobResult]) -> dict:
+    """Per (class, fold) distances and the fold mean per class, from the succeeded distance jobs."""
+    wd_section: dict[str, dict] = {}
+    for name, group in itertools.groupby(results, key=lambda r: prep.scenarios[r.scenario].held_out):
+        fold_reports: list[WdReport] = [r.report for r in group]
         wd_section[name] = {
             "folds": [r.to_json() for r in fold_reports],
-            "mean_wd": mean_over_folds,
+            "mean_wd": float(np.mean([r.mean_wd for r in fold_reports])),
             "per_feature_mean": {
                 feat: float(np.mean([r.per_feature[feat] for r in fold_reports]))
                 for feat in fold_reports[0].per_feature
             },
         }
-    return wd_section, wd_mean_by_class
-
-
-def _new_report(cfg: ExperimentConfig, prep: _Prepared) -> RunReport:
-    return RunReport(
-        config=cfg.to_json(),
-        generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
-        rng={"bit_generator": "PCG64", "numpy": np.__version__},
-        dataset=prep.dataset_json(cfg),
-        fold_plan=prep.fold_plan_json(),
-        preprocess=prep.prep_summary,
-        baseline={},
-        zero_day={},
-        wd={},
-        correlation={},
-        warnings=prep.warnings,
-        transforms=prep.transforms,
-        classes=prep.selected,
-        models=(),
-        slugs=_unique_slugs(prep.base.attack_names),
-    )
+    return wd_section
 
 
 def _aggregate_to_json(agg: FoldAggregate, folds: list[MetricsReport]) -> dict:
@@ -471,19 +458,12 @@ def _aggregate_to_json(agg: FoldAggregate, folds: list[MetricsReport]) -> dict:
 def _baseline_per_class_dr(
     base: list[JobResult], attack_names: tuple[str, ...], warnings: list[str], model: str
 ) -> dict:
-    """Known-attack detection rate per class, averaged over folds."""
+    """Known-attack detection rate per class, averaged over the folds that hold the class."""
     out = {}
     for name in attack_names:
-        values = []
-        for r in base:
-            counts = (r.per_class or {}).get(name)
-            if counts is None or sum(counts) == 0:
-                continue
-            tp, fn = counts
-            values.append(tp / (tp + fn) * 100.0)
+        values = [v for v in (zdr(r.per_class, name) for r in base) if v is not None]
         if values:
-            arr = np.array(values, dtype=np.float64)
-            out[name] = {"mean": float(arr.mean()), "std": float(arr.std()), "n_folds": len(values)}
+            out[name] = {"mean": float(np.mean(values)), "std": float(np.std(values)), "n_folds": len(values)}
         else:
             out[name] = {"mean": None, "std": None, "n_folds": 0}
             warnings.append(f"class {name!r} has no test rows in any baseline fold (model={model})")
@@ -493,27 +473,18 @@ def _baseline_per_class_dr(
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Execute the full model x scenario matrix described by the config."""
     prep = _prepare(cfg, with_baseline=True)
-    report = _new_report(cfg, prep)
+    report = prep.report
     report.models = cfg.models
 
-    # the distance jobs first, then each model's jobs; the results come back in this order
+    # the distance jobs first, then each model's jobs in scenario order; the results come back in this order
     jobs = _distance_jobs(cfg, prep)
-    n_distance = len(jobs)
     for model in cfg.models:
         model_idx = KNOWN_MODELS.index(model)
         for i, s in enumerate(prep.scenarios):
             class_key = 0 if s.held_out is None else prep.base.class_names.index(s.held_out)
             jobs.append(ScenarioJob(model, i, derive_seed(cfg.seed, _SEED_TRAIN, model_idx, class_key, s.fold_id)))
-    results = _run_jobs(cfg, prep, jobs)
-
-    report.wd, wd_mean_by_class = _compute_wd(cfg, prep, results[:n_distance])
-    results = results[n_distance:]
-    failures = [f"scenario failed {_attribution(prep, r)}: {r.error}" for r in results if r.error is not None]
-    report.warnings.extend(failures)
-    if failures and not cfg.keep_going:
-        raise RuntimeError(failures[0])
-
-    ok = sorted((r for r in results if r.error is None), key=lambda r: r.scenario)
+    ok = _succeeded(cfg, prep, _run_jobs(cfg, prep, jobs))
+    report.wd = _compute_wd(prep, [r for r in ok if r.kind == DISTANCE])
 
     for model in cfg.models:
         mine = [(prep.scenarios[r.scenario], r) for r in ok if r.kind == model]
@@ -525,7 +496,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 "per_class_dr": _baseline_per_class_dr(base, prep.base.attack_names, report.warnings, model),
             }
         report.zero_day[model] = {}
-        for name in prep.selected:
+        for name in report.classes:
             fold_reports = [r.report for s, r in mine if s.held_out == name]
             if not fold_reports:
                 continue
@@ -542,12 +513,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 report.models_json[f"{model}_{scen}_f{s.fold_id}.json"] = r.model_json
 
     for model in cfg.models:
+        # zero_day[model] holds its classes in report order
         pairs = [
-            (wd_mean_by_class[name], report.zero_day[model][name]["mean"]["zdr"])
-            for name in prep.selected
-            if name in wd_mean_by_class
-            and name in report.zero_day.get(model, {})
-            and report.zero_day[model][name]["mean"]["zdr"] is not None
+            (report.wd[name]["mean_wd"], entry["mean"]["zdr"])
+            for name, entry in report.zero_day[model].items()
+            if name in report.wd and entry["mean"]["zdr"] is not None
         ]
         if len(pairs) >= 3:
             try:
@@ -567,9 +537,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 def run_wd_analysis(cfg: ExperimentConfig) -> RunReport:
     """Distribution-distance analysis only, no model training."""
     prep = _prepare(cfg, with_baseline=False)
-    report = _new_report(cfg, prep)
-    report.wd, _ = _compute_wd(cfg, prep, _run_jobs(cfg, prep, _distance_jobs(cfg, prep)))
-    return report
+    prep.report.wd = _compute_wd(prep, _succeeded(cfg, prep, _run_jobs(cfg, prep, _distance_jobs(cfg, prep))))
+    return prep.report
 
 
 def _fmt(value: float | None, places: int) -> str:

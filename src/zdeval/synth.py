@@ -51,6 +51,8 @@ class SyntheticSpec:
             raise ValueError(f"dimensionality must be >= 1, got {self.d}")
         if self.n_benign < 0:
             raise ValueError(f"n_benign must be >= 0, got {self.n_benign}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         names = [a.name for a in self.attacks]
         if len(set(names)) != len(names):
             raise ValueError(f"attack class names must be unique, got {names}")

@@ -311,6 +311,22 @@ class TestMlp:
         with pytest.raises(ValueError, match="non-finite"):
             mlp_score(model, np.array([[np.nan, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "w3, logit", [([-1e300, -1e300], -np.inf), ([1e300, -1e300], np.nan)], ids=["minus-inf", "nan"]
+    )
+    def test_overflowing_forward_pass_rejected(self, w3, logit):
+        # weights that a diverged training run leaves finite: the hidden layers overflow to
+        # inf, so the logit is -inf (all-negative w3) or inf - inf = NaN (mixed signs)
+        from zdeval.classifiers.mlp import _forward
+
+        big = np.full((2, 2), 1e300)
+        model = MlpModel(big, np.zeros(2), big, np.zeros(2), np.array(w3)[:, None], np.zeros(1))
+        x = np.array([[1.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.testing.assert_equal(_forward(model, x)[4], [logit])
+            with pytest.raises(ValueError, match="non-finite output logit"):
+                mlp_score(model, x)
+
     def test_separable_blobs_high_accuracy(self):
         # margin 1.0 between the blob supports
         rng = np.random.default_rng(12)

@@ -65,8 +65,11 @@ class TestSynth:
         doc = json.loads(cfg.read_text())
         assert doc["benign_name"] == "Benign"
 
-    def test_missing_spec_is_config_error(self, tmp_path):
+    def test_missing_spec_is_config_error(self, tmp_path, spec_file, caplog):
         assert main(["synth", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.csv")]) == 1
+        assert main(["synth", "--spec", str(spec_file), "--out", str(tmp_path / "o.csv"), "--seed", "-1"]) == 1
+        assert "bad synthetic spec: seed must be >= 0, got -1" in caplog.text
+        assert not (tmp_path / "o.csv").exists()
 
     def test_seed_override(self, tmp_path, spec_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -102,12 +105,19 @@ class TestRun:
         doc = json.loads((out / "run.json").read_text())
         assert doc["dataset"]["rows_used"] == 150
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, caplog):
         missing = tmp_path / "missing.json"
         assert main(["run", "--config", str(missing)]) == 1
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad)]) == 1
+        # a negative seed exits 1 before the dataset is read: the file does not exist, so reading it would exit 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": "missing.csv", "benign_name": "Benign", "columns": _COLUMNS, "seed": 0}))
+        for command in ("run", "wd"):
+            assert main([command, "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+        assert caplog.text.count("seed must be >= 0, got -1") == 2
+        assert not (tmp_path / "o").exists()
 
     def test_data_error_exit_code(self, experiment_setup):
         tmp_path, cfg = experiment_setup

@@ -127,6 +127,10 @@ class TestSyntheticDataset:
         with pytest.raises(ValueError, match="unique"):
             SyntheticSpec(n_benign=1, attacks=(AttackBlob("a", 1), AttackBlob("a", 1)))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            SyntheticSpec(n_benign=1, attacks=(AttackBlob("a", 1),), seed=-1)
+
 
 class TestConfig:
     def test_required_keys(self, synth_csv):
@@ -155,6 +159,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"^'classes' is empty; omit the key or set it to null"):
             config_from_dict(base_config_dict(path, table.schema.to_json(), classes=[]))
         assert config_from_dict(base_config_dict(path, table.schema.to_json(), classes=None)).classes is None
+
+    def test_negative_seed_rejected(self, synth_csv):
+        # numpy's SeedSequence rejects it too, but only once the dataset has been read
+        path, table = synth_csv
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            config_from_dict(base_config_dict(path, table.schema.to_json(), seed=-1))
+        cfg = config_from_dict(base_config_dict(path, table.schema.to_json()))
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            apply_overrides(cfg, seed=-1)
 
     def test_bad_hyperparameter_rejected(self, synth_csv):
         path, table = synth_csv
@@ -429,7 +442,7 @@ class TestTrainOnlyTransformKeys:
                 base_config_dict(_renamed_csv(table, out, name), table.schema.to_json(), fit_scope="train-only")
             )
             preps[name] = _prepare(cfg, with_baseline=True)
-        beta, named = preps["beta"].transforms, preps["baseline"].transforms
+        beta, named = preps["beta"].report.transforms, preps["baseline"].report.transforms
         assert len(preps["baseline"].scenarios) == 12
         assert len(named) == 12
         for f in range(3):
@@ -990,9 +1003,56 @@ class TestKeepGoing:
     def test_keep_going_collects_errors(self, doomed_config):
         cfg = config_from_dict(dict(doomed_config, keep_going=True))
         report = run_experiment(cfg)
-        wd_failures = [w for w in report.warnings if "distance analysis failed" in w]
-        train_failures = [w for w in report.warnings if "scenario failed" in w]
-        assert len(wd_failures) == 2 and len(train_failures) == 2  # one per fold each
+        failures = [w for w in report.warnings if "failed" in w]
+        # in job order: the distance jobs, then the model jobs; one per fold each
+        assert failures == [
+            *(f"distance analysis failed (class=solo, fold={f}): per_feature_wd requires nonempty train and test sets"
+              for f in range(2)),
+            *(f"scenario failed (model=forest, class=solo, fold={f}): "
+              "ValueError: training data must be a nonempty 2-D matrix" for f in range(2)),
+        ]
         assert report.baseline["forest"]["folds"]  # baseline itself succeeded
         assert report.zero_day["forest"] == {}
         assert report.wd == {}
+
+
+class TestDivergedModel:
+    """Model jobs that fail while every distance job succeeds go through the same failure policy."""
+
+    @pytest.fixture()
+    def diverging(self, synth_csv):
+        path, table = synth_csv
+
+        def make(keep_going: bool, workers: int):
+            return config_from_dict(
+                base_config_dict(
+                    path, table.schema.to_json(), models=["mlp"], keep_going=keep_going, workers=workers,
+                    mlp={"learning_rate": 1e300, "batch_size": 1, "epochs": 1},
+                )
+            )
+
+        return make
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_without_keep_going_the_first_model_job_stops_the_run(self, diverging, workers):
+        message = (
+            "scenario failed (model=mlp, class=baseline, fold=0): "
+            "ValueError: non-finite training loss at epoch 0, batch 1"
+        )
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            run_experiment(diverging(False, workers))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_keep_going_warns_for_every_model_job_in_job_order(self, diverging, workers):
+        with np.errstate(all="ignore"):
+            report = run_experiment(diverging(True, workers))
+        failures = [w for w in report.warnings if "failed" in w]
+        assert failures == [
+            f"scenario failed (model=mlp, class={name}, fold={fold}): "
+            "ValueError: non-finite training loss at epoch 0, batch 1"
+            for name in ("baseline", "alpha", "beta", "gamma")
+            for fold in range(3)
+        ]
+        assert [len(report.wd[c]["folds"]) for c in ("alpha", "beta", "gamma")] == [3, 3, 3]
+        assert report.baseline == {} and report.zero_day == {"mlp": {}}
+        assert report.correlation == {"mlp": None}
