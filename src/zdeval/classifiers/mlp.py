@@ -120,7 +120,8 @@ def mlp_score(model: MlpModel, X: np.ndarray) -> np.ndarray:
         )
     if X.size and not np.isfinite(X).all():
         raise ValueError("input contains non-finite values")
-    logits = _forward(model, X)[4]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught just below
+        logits = _forward(model, X)[4]
     # finite weights and inputs give a non-finite logit only by overflow: its
     # sigmoid would be a confident 0 or 1 (or NaN) that no training earned
     if not np.isfinite(logits).all():
@@ -179,20 +180,21 @@ def mlp_train(X: np.ndarray, y: np.ndarray, cfg: MlpConfig, seed: int) -> MlpMod
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     model = mlp_init(X.shape[1], seed, cfg.hidden_units)
     params = model.parameters()
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
-            rows = order[start : start + cfg.batch_size]
-            loss, grads = mlp_loss_and_grads(model, X[rows], y[rows])
-            if not np.isfinite(loss):
-                raise ValueError(f"non-finite training loss at epoch {epoch}, batch {batch_no}")
-            total += loss * len(rows)
-            for name, grad in grads.items():
-                params[name] -= cfg.learning_rate * grad
-                if not np.isfinite(params[name]).all():
-                    raise ValueError(f"non-finite parameter {name!r} at epoch {epoch}, batch {batch_no}")
-        model.loss_history.append(total / n)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below name where a run diverged
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            total = 0.0
+            for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
+                rows = order[start : start + cfg.batch_size]
+                loss, grads = mlp_loss_and_grads(model, X[rows], y[rows])
+                if not np.isfinite(loss):
+                    raise ValueError(f"non-finite training loss at epoch {epoch}, batch {batch_no}")
+                total += loss * len(rows)
+                for name, grad in grads.items():
+                    params[name] -= cfg.learning_rate * grad
+                    if not np.isfinite(params[name]).all():
+                        raise ValueError(f"non-finite parameter {name!r} at epoch {epoch}, batch {batch_no}")
+            model.loss_history.append(total / n)
     return model
 
 

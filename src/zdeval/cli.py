@@ -22,7 +22,7 @@ from . import __version__
 from .config import apply_overrides, load_config
 from .errors import ConfigError, DataError, SchemaError
 from .flowdata import load_csv, summarize, write_csv
-from .harness import emit_reports, run_experiment, run_wd_analysis
+from .harness import emit_reports, run_experiment, run_wd_analysis, writable_dir
 from .synth import SyntheticSpec, synthesize_dataset
 
 log = logging.getLogger("zdeval")
@@ -70,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     overrides = {name: value for name, value in vars(args).items() if name not in ("command", "config")}
     cfg = apply_overrides(load_config(args.config), **overrides)
+    writable_dir(cfg.output_dir)  # before the dataset is read
     if args.command == "run":
         log.info("running experiment: dataset=%s models=%s k=%d seed=%d",
                  cfg.dataset, ",".join(cfg.models), cfg.k, cfg.seed)
@@ -80,7 +81,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     written = emit_reports(report, cfg.output_dir)
     for w in report.warnings:
         log.warning("%s", w)
-    log.info("wrote %d artifacts to %s", len(written), cfg.output_dir)
+    log.info("wrote %d report files to %s", len(written), cfg.output_dir)
     return 0
 
 

@@ -18,9 +18,10 @@ output byte.
 
 `_prepare` builds the run report with its fixed sections (config, dataset,
 fold plan, preprocessing, transforms and the preparation warnings); the
-jobs' results fill in the rest. `_succeeded` is the one place a failed job
-is settled: without keep_going it stops the run, naming the job; with it,
-the job becomes a warning and is left out of every mean.
+jobs' results fill in the rest. The model jobs write the model files and
+`emit_reports` the reports. `_succeeded` is the one place a failed job is
+settled: without keep_going it stops the run, naming the job; with it, the
+job becomes a warning and is left out of every mean.
 
 The features are held once: the loaded table is the base matrix, its
 feature block the one n x d float64 matrix a run holds, and nothing writes
@@ -94,7 +95,6 @@ class JobResult:
     scenario: int  # index into _Prepared.scenarios
     report: MetricsReport | WdReport | None = None
     per_class: dict[str, tuple[int, int]] | None = None
-    model_json: dict | None = None
     error: str | None = None
 
 
@@ -144,11 +144,9 @@ def _execute_job(job: ScenarioJob) -> JobResult:
         if job.kind == "forest":
             model = train_forest(x_train, y_train, cfg.forest, job.seed)
             scores = forest_score(model, x_test)
-            model_json = forest_to_json(model) if cfg.save_models else None
         else:
             model = mlp_train(x_train, y_train, cfg.mlp, job.seed)
             scores = mlp_score(model, x_test)
-            model_json = mlp_to_json(model) if cfg.save_models else None
 
         y_pred = predict(scores, cfg.threshold)
         report = scenario_report(
@@ -163,7 +161,12 @@ def _execute_job(job: ScenarioJob) -> JobResult:
         per_class = None
         if scenario.held_out is None:
             per_class = per_class_positives(y_test, y_pred, test_codes, base.class_names)
-        return JobResult(job.kind, job.scenario, report, per_class, model_json)
+        if cfg.save_models:  # written last, so a failed job leaves no model file
+            doc = forest_to_json(model) if job.kind == "forest" else mlp_to_json(model)
+            name = BASELINE if scenario.held_out is None else prep.report.slugs[scenario.held_out]
+            path = Path(cfg.output_dir, "models", f"{job.kind}_{name}_f{scenario.fold_id}.json")
+            _write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
+        return JobResult(job.kind, job.scenario, report, per_class)
     except Exception as exc:  # noqa: BLE001 - attributed and re-raised by the parent
         error = str(exc) if job.kind == DISTANCE else f"{type(exc).__name__}: {exc}"
         return JobResult(job.kind, job.scenario, error=error)
@@ -269,7 +272,6 @@ class RunReport:
     zero_day: dict = field(default_factory=dict)
     wd: dict = field(default_factory=dict)
     correlation: dict = field(default_factory=dict)
-    models_json: dict[str, dict] = field(default_factory=dict)
     classes: tuple[str, ...] = ()
     models: tuple[str, ...] = ()
     # file-name slug of every attack class in the table, not just the
@@ -483,6 +485,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         for i, s in enumerate(prep.scenarios):
             class_key = 0 if s.held_out is None else prep.base.class_names.index(s.held_out)
             jobs.append(ScenarioJob(model, i, derive_seed(cfg.seed, _SEED_TRAIN, model_idx, class_key, s.fold_id)))
+    if cfg.save_models:
+        writable_dir(Path(cfg.output_dir, "models"))
     ok = _succeeded(cfg, prep, _run_jobs(cfg, prep, jobs))
     report.wd = _compute_wd(prep, [r for r in ok if r.kind == DISTANCE])
 
@@ -507,10 +511,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                     f"for class {name!r} (model={model}); mean taken over the rest"
                 )
             report.zero_day[model][name] = _aggregate_to_json(agg, fold_reports)
-        for s, r in mine:
-            if r.model_json is not None:
-                scen = BASELINE if s.held_out is None else report.slugs[s.held_out]
-                report.models_json[f"{model}_{scen}_f{s.fold_id}.json"] = r.model_json
 
     for model in cfg.models:
         # zero_day[model] holds its classes in report order
@@ -606,14 +606,9 @@ def _write_atomic(path, content: str) -> None:
     os.replace(tmp, path)
 
 
-def emit_reports(report: RunReport, out_dir) -> list[str]:
-    """Write run.json, per-model CSV/TSV tables, transforms, and models.
-
-    The directory is probed for writability first and every file lands via
-    write-to-temp + rename, so a failure cannot leave a partially written
-    artifact behind.
-    """
-    out = Path(out_dir)
+def writable_dir(path) -> Path:
+    """Make the directory if need be, and prove a file can be written in it."""
+    out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / f".probe-{os.getpid()}"
@@ -621,27 +616,28 @@ def emit_reports(report: RunReport, out_dir) -> list[str]:
         probe.unlink()
     except OSError as exc:
         raise DataError(f"output directory is not writable: {out} ({exc})") from exc
+    return out
 
-    written: list[str] = []
 
-    def emit(name: str, content: str) -> None:
-        _write_atomic(out / name, content)
-        written.append(str(out / name))
+def emit_reports(report: RunReport, out_dir) -> list[str]:
+    """Write run.json, per-model CSV/TSV tables and transforms; return their paths.
 
-    emit("run.json", json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
-    emit("transforms.json", json.dumps(report.transforms, indent=2, sort_keys=True) + "\n")
+    The directory is probed for writability first and every file lands via
+    write-to-temp + rename, so a failure cannot leave a partially written
+    report behind. The model files are written by the model jobs.
+    """
+    out = writable_dir(out_dir)
+    files = {
+        "run.json": json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",
+        "transforms.json": json.dumps(report.transforms, indent=2, sort_keys=True) + "\n",
+    }
     for model in report.models:
-        emit(f"metrics_{model}.csv", metrics_csv_text(report, model))
-        emit(f"dr_vs_zdr_{model}.tsv", dr_vs_zdr_tsv_text(report, model))
-    emit("wd_means.tsv", wd_means_tsv_text(report))
+        files[f"metrics_{model}.csv"] = metrics_csv_text(report, model)
+        files[f"dr_vs_zdr_{model}.tsv"] = dr_vs_zdr_tsv_text(report, model)
+    files["wd_means.tsv"] = wd_means_tsv_text(report)
     for name in report.classes:
         if name in report.wd:
-            emit(f"wd_features_{report.slugs[name]}.csv", wd_features_csv_text(report, name))
-
-    if report.models_json:
-        models_dir = out / "models"
-        models_dir.mkdir(exist_ok=True)
-        for filename, doc in sorted(report.models_json.items()):
-            _write_atomic(models_dir / filename, json.dumps(doc, sort_keys=True) + "\n")
-            written.append(str(models_dir / filename))
-    return written
+            files[f"wd_features_{report.slugs[name]}.csv"] = wd_features_csv_text(report, name)
+    for name, content in files.items():
+        _write_atomic(out / name, content)
+    return [str(out / name) for name in files]

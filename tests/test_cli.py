@@ -119,13 +119,17 @@ class TestRun:
         assert caplog.text.count("seed must be >= 0, got -1") == 2
         assert not (tmp_path / "o").exists()
 
-    def test_data_error_exit_code(self, experiment_setup):
+    def test_data_error_exit_code(self, experiment_setup, caplog):
         tmp_path, cfg = experiment_setup
         doc = json.loads(cfg.read_text())
         doc["dataset"] = "does-not-exist.csv"
         cfg2 = tmp_path / "cfg2.json"
         cfg2.write_text(json.dumps(doc))
-        assert main(["run", "--config", str(cfg2)]) == 2
+        assert main(["run", "--config", str(cfg2), "--out", str(tmp_path / "o")]) == 2
+        # an output directory that cannot be made fails before the dataset is read
+        for command in ("run", "wd"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "data.csv" / "out")]) == 2
+        assert caplog.text.count("output directory is not writable: ") == 2
 
     def test_runtime_failure_exit_code(self, tmp_path):
         # holding out the only class empties the training set: runtime failure
@@ -209,7 +213,9 @@ class TestBenignOnly:
         out = [] if argv[0] == "inspect" else ["--out", str(tmp_path / "o")]
         assert main([argv[0], "--config", str(cfg), *argv[1:], *out]) == 2
         assert "table contains no attack classes; no zero-day scenario is definable" in caplog.text
-        assert not (tmp_path / "o").exists()
+        if argv[0] != "inspect":
+            # run and wd make and probe the output directory before reading the dataset; nothing is written to it
+            assert list((tmp_path / "o").iterdir()) == []
 
 
 class TestOverrideFlags:
@@ -217,7 +223,7 @@ class TestOverrideFlags:
 
     @pytest.fixture()
     def captured(self, monkeypatch):
-        # the runners and the writer are patched out, so nothing is read or written
+        # the runners, the writer and the directory probe are patched out, so nothing is read or written
         calls = []
 
         def runner(name):
@@ -229,6 +235,7 @@ class TestOverrideFlags:
         monkeypatch.setattr(cli, "run_experiment", runner("run"))
         monkeypatch.setattr(cli, "run_wd_analysis", runner("wd"))
         monkeypatch.setattr(cli, "emit_reports", lambda report, output_dir: [])
+        monkeypatch.setattr(cli, "writable_dir", lambda output_dir: None)
         return calls
 
     @pytest.fixture()

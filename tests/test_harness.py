@@ -7,6 +7,7 @@ import os
 import re
 import stat
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -260,10 +261,13 @@ class TestSeedsAndSubsample:
 
 
 @pytest.fixture(scope="module")
-def run(synth_csv):
+def run(synth_csv, tmp_path_factory):
     path, table = synth_csv
     cfg = config_from_dict(
-        base_config_dict(path, table.schema.to_json(), models=["forest", "mlp"], save_models=True)
+        base_config_dict(
+            path, table.schema.to_json(), models=["forest", "mlp"], save_models=True,
+            output_dir=str(tmp_path_factory.mktemp("run")),
+        )
     )
     return cfg, run_experiment(cfg)
 
@@ -307,9 +311,9 @@ class TestRunExperiment:
         assert min(zdrs, key=zdrs.get) == "gamma"
 
     def test_models_serialized_per_scenario(self, run):
-        cfg, report = run
+        cfg, _ = run
         # 2 models x (1 baseline + 3 classes) x 3 folds
-        assert len(report.models_json) == 2 * 4 * 3
+        assert len(list(Path(cfg.output_dir, "models").iterdir())) == 2 * 4 * 3
 
     def test_correlation_present(self, run):
         _, report = run
@@ -780,13 +784,14 @@ class TestWorkerCountIdentity:
         work = run_wd_analysis if command == "wd" else run_experiment
         emitted = []
         for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
             cfg = config_from_dict(
                 base_config_dict(
                     path, table.schema.to_json(), fit_scope=fit_scope, workers=workers, save_models=True,
-                    forest={"n_trees": 3},
+                    forest={"n_trees": 3}, output_dir=str(out),
                 )
             )
-            emitted.append(_emitted_bytes(work(cfg), tmp_path / f"w{workers}"))
+            emitted.append(_emitted_bytes(work(cfg), out))
         assert sorted(emitted[0]) == sorted(emitted[1])
         assert any(name.startswith("wd_features_") for name in emitted[0])
         if command == "run":
@@ -814,10 +819,11 @@ class TestNineClassMatrix:
                 path, table.schema.to_json(), k=2, models=["forest", "mlp"], save_models=True,
                 forest={"n_trees": 2},
                 mlp={"epochs": 1, "learning_rate": 0.1, "batch_size": 64, "hidden_units": [4, 4]},
+                output_dir=str(tmp_path / "out"),
             )
         )
         report = run_experiment(cfg)
-        assert len(report.models_json) == 2 * (1 + 9) * 2
+        assert len(list((tmp_path / "out" / "models").iterdir())) == 2 * (1 + 9) * 2
         for model in ("forest", "mlp"):
             lines = metrics_csv_text(report, model).strip().splitlines()
             assert len(lines) == 1 + 9
@@ -959,8 +965,16 @@ class TestEmitReports:
             assert feat in report.wd[name]["per_feature_mean"]
             assert float(value) >= 0.0
 
-    def test_unwritable_directory_fails_before_partial_write(self, emitted, tmp_path):
+    @pytest.mark.parametrize("case", ["read-only", "under-a-file"])
+    def test_unwritable_directory_fails_before_partial_write(self, emitted, tmp_path, case):
         _, report, _, _ = emitted
+        if case == "under-a-file":
+            # a path under a regular file cannot be made, not even by root
+            (tmp_path / "file.txt").write_text("")
+            with pytest.raises(DataError, match="not writable"):
+                emit_reports(report, tmp_path / "file.txt" / "out")
+            assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+            return
         target = tmp_path / "ro"
         target.mkdir()
         os.chmod(target, stat.S_IRUSR | stat.S_IXUSR)
@@ -972,6 +986,20 @@ class TestEmitReports:
             assert list(target.iterdir()) == []
         finally:
             os.chmod(target, stat.S_IRWXU)
+
+    def test_unwritable_directory_fails_before_any_job(self, synth_csv, tmp_path, monkeypatch):
+        path, table = synth_csv
+        (tmp_path / "file.txt").write_text("")
+        trained = []
+        monkeypatch.setattr(harness, "train_forest", lambda *args: trained.append(args))
+        cfg = config_from_dict(
+            base_config_dict(
+                path, table.schema.to_json(), save_models=True, output_dir=str(tmp_path / "file.txt" / "out")
+            )
+        )
+        with pytest.raises(DataError, match="^output directory is not writable: "):
+            run_experiment(cfg)
+        assert trained == []
 
 
 class TestKeepGoing:
@@ -1039,8 +1067,25 @@ class TestDivergedModel:
             "scenario failed (model=mlp, class=baseline, fold=0): "
             "ValueError: non-finite training loss at epoch 0, batch 1"
         )
-        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        # a numpy warning, raised as an error here and in the forked workers, would change the message
+        with warnings.catch_warnings(), pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            warnings.simplefilter("error")
             run_experiment(diverging(False, workers))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_run_keeps_the_finished_model_files(self, diverging, tmp_path, workers):
+        # every forest job is submitted, so started, before the first mlp job fails the run
+        failed = dataclasses.replace(
+            diverging(False, workers), models=("forest", "mlp"), save_models=True, output_dir=str(tmp_path / "failed")
+        )
+        clean = dataclasses.replace(failed, models=("forest",), output_dir=str(tmp_path / "clean"))
+        run_experiment(clean)
+        with pytest.raises(RuntimeError, match=r"^scenario failed \(model=mlp, class=baseline, fold=0\)"):
+            run_experiment(failed)
+        expected = {p.name: p.read_bytes() for p in (tmp_path / "clean" / "models").iterdir()}
+        assert len(expected) == 4 * 3
+        assert {p.name: p.read_bytes() for p in (tmp_path / "failed" / "models").iterdir()} == expected
+        assert not (tmp_path / "failed" / "run.json").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_keep_going_warns_for_every_model_job_in_job_order(self, diverging, workers):
