@@ -30,7 +30,6 @@ _TOP_LEVEL_KEYS = {
     "k": int,
     "seed": int,
     "fit_scope": str,
-    "wd_on_scaled": bool,
     "wd_subsample_cap": (int, type(None)),
     "subsample": (int, type(None)),
     "classes": (list, type(None)),
@@ -55,7 +54,6 @@ class ExperimentConfig:
     k: int = 5
     seed: int = 0
     fit_scope: str = "full-dataset"
-    wd_on_scaled: bool = True
     wd_subsample_cap: int | None = 100_000
     subsample: int | None = None
     classes: tuple[str, ...] | None = None

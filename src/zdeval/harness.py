@@ -129,7 +129,6 @@ def _execute_job(job: ScenarioJob) -> JobResult:
                 train,
                 test,
                 transform=transform,
-                scaled=cfg.wd_on_scaled,
                 held_out_class=scenario.held_out,
                 fold_id=scenario.fold_id,
                 subsample_cap=cfg.wd_subsample_cap,
@@ -138,8 +137,8 @@ def _execute_job(job: ScenarioJob) -> JobResult:
             return JobResult(job.kind, job.scenario, report)
 
         train_codes, test_codes = base.class_codes[train], base.class_codes[test]
-        x_train, y_train = transform.apply(base, train, scaled=True), (train_codes != 0).astype(np.int64)
-        x_test, y_test = transform.apply(base, test, scaled=True), (test_codes != 0).astype(np.int64)
+        x_train, y_train = transform.apply(base, train), (train_codes != 0).astype(np.int64)
+        x_test, y_test = transform.apply(base, test), (test_codes != 0).astype(np.int64)
 
         if job.kind == "forest":
             model = train_forest(x_train, y_train, cfg.forest, job.seed)
@@ -324,7 +323,7 @@ def _fit_transforms(
     groups that each scenario's train rows are a union of.
     """
     if cfg.fit_scope == "full-dataset":
-        [fit] = preprocess_pipeline(base, "full-dataset", unseen=cfg.unseen_category_policy)
+        [fit] = preprocess_pipeline(base, unseen=cfg.unseen_category_policy)
         transforms = {"full": transforms_to_json(fit, cfg.fit_scope)}
         return [fit] * len(scenarios), transforms, {"fit_scope": cfg.fit_scope, **fit.counters.to_json()}
 
@@ -332,8 +331,7 @@ def _fit_transforms(
     names = [(BASELINE if s.held_out is None else keys[s.held_out], s.fold_id) for s in scenarios]
     try:
         fitted = preprocess_pipeline(
-            base, "train-only", row_groups(plan, base), train_groups(scenarios, plan, base),
-            unseen=cfg.unseen_category_policy,
+            base, row_groups(plan, base), train_groups(scenarios, plan, base), unseen=cfg.unseen_category_policy
         )
     except (DataError, ValueError) as exc:
         if not hasattr(exc, "fit"):

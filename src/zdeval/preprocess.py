@@ -9,14 +9,16 @@ The string work is done when the table is built: its feature block (see
 column, every row's index into the column's sorted distinct values, so the
 table itself is the unscaled base matrix. `preprocess_pipeline` fits the
 encodings and scalings of one scope from the block alone: one transform on
-every row, or, under train-only scope, one per fit, each on a union of row
-groups (a scenario's train rows are its (class, fold) groups), all in one
-pass that reads one column at a time and gathers no fit's rows. Each
-resulting `FittedTransform` codes and scales the rows a reader asks for,
-one column (`column`, into a caller's buffer or a new one) or all of them
-(`apply`), in a copy of those rows: nothing writes to the table. The
-encoding codes by first appearance among the fit rows in row order,
-exactly as encoding the strings of those rows would.
+every row, or, given row groups and fits over them (train-only scope), one
+per fit, each on a union of row groups (a scenario's train rows are its
+(class, fold) groups), all in one pass that reads one column at a time and
+gathers no fit's rows. Each resulting `FittedTransform` codes and scales
+the rows a reader asks for, one column (`column`, into a caller's buffer)
+or all of them (`apply`), in a copy of those rows: nothing writes to the
+table. Distance jobs and model jobs read the same coded and scaled values;
+no reader sees a coded but unscaled column. The encoding codes by first
+appearance among the fit rows in row order, exactly as encoding the
+strings of those rows would.
 Fitted transforms are immutable and serializable so a run can be replayed
 and audited.
 """
@@ -107,24 +109,21 @@ class FittedTransform:
         _min_max(col, *self.ranges[name], out=col)
         return np.clip(col, 0.0, 1.0, out=col)
 
-    def column(
-        self, base: FlowTable, rows: np.ndarray, j: int, *, scaled: bool, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Feature j of the table's `rows` (an index array), encoded and optionally scaled into [0, 1].
+    def column(self, base: FlowTable, rows: np.ndarray, j: int, *, out: np.ndarray) -> np.ndarray:
+        """Feature j of the table's `rows` (an index array), encoded and scaled into [0, 1] in `out`.
 
         The column is gathered and coded into `out` (float64, one element
-        per row) or a new array, `_GATHER_ROWS` rows at a time, then scaled
-        in place; `out` is returned.
+        per row), `_GATHER_ROWS` rows at a time, then scaled in place; `out`
+        is returned.
         """
         name = base.feature_names[j]
-        out = np.empty(len(rows)) if out is None else out
         for start in range(0, len(rows), _GATHER_ROWS):
             stop = start + _GATHER_ROWS
             out[start:stop] = _coded(base, name, base.features[rows[start:stop], j], self.codes)
-        return self._scale(name, out) if scaled else out
+        return self._scale(name, out)
 
-    def apply(self, base: FlowTable, rows: np.ndarray, *, scaled: bool) -> np.ndarray:
-        """The features of the table's `rows` (an index array), encoded and optionally scaled into [0, 1].
+    def apply(self, base: FlowTable, rows: np.ndarray) -> np.ndarray:
+        """The features of the table's `rows` (an index array), encoded and scaled into [0, 1].
 
         The rows are gathered once, and each column of that copy is coded
         and scaled in place.
@@ -137,8 +136,7 @@ class FittedTransform:
             col = values[:, j]
             if name in base.categories:
                 col[:] = _coded(base, name, col, self.codes)
-            if scaled:
-                self._scale(name, col)
+            self._scale(name, col)
         return values
 
 
@@ -177,7 +175,6 @@ def _clamped(scaled: np.ndarray) -> np.ndarray:
 
 def preprocess_pipeline(
     base: FlowTable,
-    fit_scope: str = "full-dataset",
     groups: np.ndarray | None = None,
     fits: np.ndarray | None = None,
     *,
@@ -185,12 +182,13 @@ def preprocess_pipeline(
 ) -> list[FittedTransform]:
     """Fit the encodings and the scalings of one scope on a table's features, in one pass over its columns.
 
-    fit_scope "full-dataset" fits one transform over every row (note: this
-    leaks test statistics into the transforms, but is the conventional order
-    for these datasets and is the default). "train-only" fits one transform
-    per row of `fits`, a boolean matrix over row groups: transform i is
-    fitted on the rows whose group, `groups[row]`, has `fits[i, group]` set,
-    so other rows may hit the clamp or the encoder's reserve code.
+    With neither `groups` nor `fits`, one transform is fitted over every
+    row (full-dataset scope; note: this leaks test statistics into the
+    transforms, but is the conventional order for these datasets and is the
+    default). With both (train-only scope), one transform is fitted per row
+    of `fits`, a boolean matrix over row groups: transform i is fitted on
+    the rows whose group, `groups[row]`, has `fits[i, group]` set, so other
+    rows may hit the clamp or the encoder's reserve code.
 
     Each column is read once and reduced per group: to its min and max, or,
     for a categorical column, to the first row at which each category
@@ -206,16 +204,14 @@ def preprocess_pipeline(
     A fit whose groups hold no row raises a ValueError whose `fit` is its
     index.
     """
-    if fit_scope not in ("full-dataset", "train-only"):
-        raise ValueError(f"fit_scope must be 'full-dataset' or 'train-only', got {fit_scope!r}")
     if unseen not in ("error", "reserve-code"):
         raise ValueError(f"unseen policy must be 'error' or 'reserve-code', got {unseen!r}")
-    if fit_scope == "train-only":
-        if groups is None or fits is None:
-            raise ValueError("train-only fit scope requires the row groups and the fits over them")
-        groups, fits = np.asarray(groups, dtype=np.intp), np.asarray(fits, dtype=bool)
+    if (groups is None) != (fits is None):
+        raise ValueError("the row groups and the fits over them are given together or not at all")
+    if groups is None:
+        fits = np.ones((1, 1), dtype=bool)
     else:
-        groups, fits = None, np.ones((1, 1), dtype=bool)
+        groups, fits = np.asarray(groups, dtype=np.intp), np.asarray(fits, dtype=bool)
     if base.row_count < 1:
         raise ValueError("cannot fit a scaler on an empty table")
 

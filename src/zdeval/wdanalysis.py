@@ -7,8 +7,10 @@ and averaged, it quantifies how unlike the training distribution a test set
 is once a class is held out; ranked against the per-class zero-day detection
 rates it explains which classes a model fails to generalize to.
 
-On min-max-scaled features every distance lies in [0, 1], which makes the
-cross-feature mean meaningful.
+Every feature is read coded and min-max scaled by the scenario's fitted
+transform, so every distance lies in [0, 1] and the cross-feature mean
+weighs the features alike: no feature counts for more because of its unit
+or range.
 
 Each feature's distance takes one in-place sort per side and one merge,
 inside one workspace per scenario, so a pool worker does not fault in fresh
@@ -79,11 +81,11 @@ class _Workspace:
         self.ranks[:] = np.arange(1.0, n)
 
 
-def _feature_wd(ws: _Workspace, base: FlowTable, transform: FittedTransform, j: int, *, scaled: bool) -> float:
+def _feature_wd(ws: _Workspace, base: FlowTable, transform: FittedTransform, j: int) -> float:
     """Feature j's distance between the workspace's two nonempty row sets, computed inside it."""
     u, v = ws.u, ws.v
-    transform.column(base, ws.train_rows, j, scaled=scaled, out=u)
-    transform.column(base, ws.test_rows, j, scaled=scaled, out=v)
+    transform.column(base, ws.train_rows, j, out=u)
+    transform.column(base, ws.test_rows, j, out=v)
     u.sort()
     v.sort()
     # NaN and +inf sort last, -inf first: the ends decide finiteness
@@ -109,7 +111,6 @@ def per_feature_wd(
     test_rows: np.ndarray,
     *,
     transform: FittedTransform,
-    scaled: bool,
     held_out_class: str | None = None,
     fold_id: int | None = None,
     subsample_cap: int | None = 100_000,
@@ -118,7 +119,8 @@ def per_feature_wd(
     """Wasserstein distance per feature between a table's train and test rows.
 
     Each feature is read through `transform.column`, encoded and scaled
-    into [0, 1] when `scaled`, into one workspace reused for every feature.
+    into [0, 1], into one workspace reused for every feature, so every
+    distance lies in [0, 1].
 
     Sides larger than `subsample_cap` rows are reduced to a seeded uniform
     subsample (without replacement); the cap is recorded in the report.
@@ -143,9 +145,7 @@ def per_feature_wd(
 
     # each column is copied into the workspace, so sorting it leaves the table alone
     ws = _Workspace(train_rows, test_rows)
-    distances = {
-        name: _feature_wd(ws, base, transform, j, scaled=scaled) for j, name in enumerate(base.feature_names)
-    }
+    distances = {name: _feature_wd(ws, base, transform, j) for j, name in enumerate(base.feature_names)}
     mean_wd = float(np.mean(list(distances.values()))) if distances else 0.0
     return WdReport(
         held_out_class=held_out_class,

@@ -98,8 +98,21 @@ def fit_rows(table: FlowTable, rows=None, **kwargs):
     else:
         groups = np.ones(table.row_count, dtype=np.intp)
         groups[rows] = 0
-        [fit] = preprocess_pipeline(table, "train-only", groups, [[True, False]], **kwargs)
+        [fit] = preprocess_pipeline(table, groups, [[True, False]], **kwargs)
     return fit
+
+
+class RawColumns:
+    """A stand-in for a fitted transform whose `column` reads the table's block as it is, bit for bit.
+
+    It lets the distance kernel be checked on raw values: a categorical
+    column reads as its category indices.
+    """
+
+    @staticmethod
+    def column(base: FlowTable, rows, j: int, *, out: np.ndarray) -> np.ndarray:
+        out[:] = base.features[rows, j]
+        return out
 
 
 def wasserstein_1d(u, v) -> float:
@@ -115,14 +128,8 @@ def wasserstein_1d(u, v) -> float:
 
 
 def raw_wd(table: FlowTable, train_rows, test_rows, **kwargs):
-    """`per_feature_wd` on the table's own values.
-
-    With no categorical column, the table's transform, unscaled, reads the
-    gathered values bit for bit.
-    """
-    return per_feature_wd(
-        table, train_rows, test_rows, transform=fit_rows(table), scaled=False, **kwargs
-    )
+    """`per_feature_wd` on the table's own values, read through `RawColumns`."""
+    return per_feature_wd(table, train_rows, test_rows, transform=RawColumns(), **kwargs)
 
 
 @pytest.fixture

@@ -277,8 +277,8 @@ def test_criterion_5_classifier_sanity(tmp_path):
         [fit] = preprocess_pipeline(table)
         train, test = scenario_rows(Scenario(None, 0), make_fold_plan(table, 5, seed=1), table)
         labels = (table.class_codes != 0).astype(np.int64)
-        x_tr, y_tr = fit.apply(table, train, scaled=True), labels[train]
-        x_te, y_te = fit.apply(table, test, scaled=True), labels[test]
+        x_tr, y_tr = fit.apply(table, train), labels[train]
+        x_te, y_te = fit.apply(table, test), labels[test]
 
         for name, scores in (
             ("forest", forest_score(train_forest(x_tr, y_tr, ForestConfig(), seed=2), x_te)),

@@ -4,8 +4,9 @@
 Two runs of the same code agreeing (test_criterion_8) cannot catch a change
 that is the same in both runs; these hashes can. The feature values are
 rounded to one decimal so the forest meets heavy value ties. The hashes hold
-for one numpy build on one platform (recorded with numpy 2.4, x86-64): the
-MLP's matrix products may round differently elsewhere.
+for one numpy build on one platform (recorded with numpy 2.4, x86-64, on
+OpenBLAS core SkylakeX): the MLP's matrix products may round differently
+elsewhere, so a failing score check names the host's OpenBLAS core.
 
 To re-pin after an intended output change, copy the computed table from
 the assertion message of a failing run.
@@ -13,6 +14,7 @@ the assertion message of a failing run.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -47,24 +49,23 @@ GOLDEN_SCORES = {
 }
 
 
-# train-only fits with distances on unscaled values: every emitted file, and
-# run.json without its timestamp and paths
-GOLDEN_TRAIN_ONLY_UNSCALED = {
+# train-only fits: every emitted file, and run.json without its timestamp
+# and paths
+GOLDEN_TRAIN_ONLY = {
     "dr_vs_zdr_forest.tsv": "f50541502fb0d69dfe8ccf3dd44cfbd853a1eec19a9cb7742f6f48fe9e160742",
     "metrics_forest.csv": "5605ed962a54507f32a2debcb85cc2b45de415d00892e9ed41e7391b2ea738ba",
     "transforms.json": "5e76538dd0aea07c5726e44031784ad5e3e7d11c52b1f8906b7f75ee1dc3ccc4",
-    "wd_features_alpha.csv": "e1ba3f27cd9218db10f6b583dea4ab8e34de2298a279064948e8cbe7c8b03758",
-    "wd_features_beta.csv": "bd2c164160532849963127ac62d29e33988ba50850651d3c6ae9fcb5fbdd20b7",
-    "wd_features_gamma.csv": "dda7a05ce33ad60b253a0975a469825bed33eab869bc91855b84bf5182483fd2",
-    "wd_means.tsv": "a68ad56bcf19c0740d3ab23554f4507259bd148af46a110ecb9ac6830e8919fc",
-    "run.json": "7451a6a331746c8b77b31648b6286db5dd4445b6e6753730aacafdad486c8150",
+    "wd_features_alpha.csv": "f631fa50cdf1b93c57fa68a1bf2ad36e8fb83ac2e20f014c639fa3d554a7c50d",
+    "wd_features_beta.csv": "6ac42bfbb380ac9f61355336cc4db01e1e109249d09fdb3993af75bdbb55a5e4",
+    "wd_features_gamma.csv": "1811d5a893976ad516a27b9d07c5389fd006d6265c26858465069887ddd5e1ad",
+    "wd_means.tsv": "c1bd00b49fbc41b0b55ac1654a338b432a7c73f578aaf4b5910b0276f84aaca5",
+    "run.json": "73ab96fe6c036124fbdc9a3cfc09aa6fb4ef9f85d3eae1a08d06e1df4ea4cd19",
 }
 
 
-# train-only fits with distances on scaled values, on a table with a
-# categorical column whose value "icmp" occurs in class gamma only: every
-# emitted file (saved models included), and run.json without its timestamp
-# and paths
+# train-only fits on a table with a categorical column whose value "icmp"
+# occurs in class gamma only: every emitted file (saved models included),
+# and run.json without its timestamp and paths
 GOLDEN_TRAIN_ONLY_CATEGORICAL = {
     "dr_vs_zdr_forest.tsv": "9c99886d7433a6d5fb43399ae37e877bbbcd1b48c3b1b2afa124a8bebda1850b",
     "metrics_forest.csv": "1a5ded7bf47bb6b9dfe4d5fa1d8686f115209c25ef36268b18ed2ffd7d5a5cc1",
@@ -80,7 +81,7 @@ GOLDEN_TRAIN_ONLY_CATEGORICAL = {
     "models/forest_gamma_f0.json": "2e049c3423f1b24a2363f996ece0d4107bdf6fd7e5b2eaa2b4f9ccf6d0bd4427",
     "models/forest_gamma_f1.json": "515f08ae27659e11e1046cd4318ab9ccc1b23b7de1994da66ea2241a0bf4d65f",
     "models/forest_gamma_f2.json": "0cbc2a309b8cd080c1ad8c81a3be9e97ddbeab530a54695cee747e29d8326fd9",
-    "run.json": "7bb03f71057eda1ba2712e20bb7de8818870aeebdfffccf603e05df03ab6b27b",
+    "run.json": "7d2e8f00e98a46733be77046472a811d007e16584c959c48a9b97f52509da406",
     "transforms.json": "6ef364facc745f2539d1a0a4aa8b6ca821a5d572880d2e8d7192bec3c730a866",
     "wd_features_alpha.csv": "191b041fafaf27dd4e7b75da18c6652bf902ff69357cf18205465dace23da22c",
     "wd_features_beta.csv": "1e97cb9771db09110c894bb12a022ed5b028713c09bb4c74dc4be756ecad3845",
@@ -95,6 +96,21 @@ def _sha(data: bytes) -> str:
 
 def _table(got: dict) -> str:
     return "\n" + "\n".join(f"    {key!r}: {value!r}," for key, value in got.items())
+
+
+def _blas_core() -> str:
+    """The core name of the OpenBLAS bundled with numpy (e.g. "SkylakeX"), or "unknown" if it is not found.
+
+    The MLP's matrix products round by this kernel, so a score mismatch on
+    another host names it.
+    """
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 @pytest.fixture(scope="module")
@@ -171,8 +187,8 @@ def _job_scores(cfg, prep, model: str, held_out: str | None, fold_id: int) -> np
     fit = prep.fitted[i]
     class_key = 0 if held_out is None else prep.base.class_names.index(held_out)
     seed = derive_seed(cfg.seed, _SEED_TRAIN, KNOWN_MODELS.index(model), class_key, fold_id)
-    x_train, y_train = fit.apply(prep.base, train, scaled=True), (prep.base.class_codes[train] != 0).astype(np.int64)
-    x_test = fit.apply(prep.base, test, scaled=True)
+    x_train, y_train = fit.apply(prep.base, train), (prep.base.class_codes[train] != 0).astype(np.int64)
+    x_test = fit.apply(prep.base, test)
     if model == "forest":
         return forest_score(train_forest(x_train, y_train, cfg.forest, seed), x_test)
     return mlp_score(mlp_train(x_train, y_train, cfg.mlp, seed), x_test)
@@ -187,7 +203,7 @@ def test_golden_tables(golden_cfg):
 def test_golden_scores(golden_cfg):
     prep = _prepare(golden_cfg, with_baseline=True)
     got = {key: _sha(_job_scores(golden_cfg, prep, *key).tobytes()) for key in GOLDEN_SCORES}
-    assert got == GOLDEN_SCORES, _table(got)
+    assert got == GOLDEN_SCORES, f"OpenBLAS core {_blas_core()}:" + _table(got)
 
 
 def _run_fingerprints(cfg) -> dict[str, str]:
@@ -206,12 +222,17 @@ def _run_fingerprints(cfg) -> dict[str, str]:
     return got
 
 
-def test_golden_train_only_unscaled(golden_cfg, tmp_path):
-    cfg = dataclasses.replace(
-        golden_cfg, fit_scope="train-only", wd_on_scaled=False, models=("forest",), output_dir=str(tmp_path)
-    )
+def test_blas_core_names_a_core_or_unknown():
+    # a failing score check calls this for its message, so it must answer, not raise, on any host
+    core = _blas_core()
+    assert isinstance(core, str) and core
+    assert _blas_core() == core
+
+
+def test_golden_train_only(golden_cfg, tmp_path):
+    cfg = dataclasses.replace(golden_cfg, fit_scope="train-only", models=("forest",), output_dir=str(tmp_path))
     got = _run_fingerprints(cfg)
-    assert got == GOLDEN_TRAIN_ONLY_UNSCALED, _table(got)
+    assert got == GOLDEN_TRAIN_ONLY, _table(got)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -115,7 +115,7 @@ class TestSyntheticDataset:
         table = synthesize_dataset(spec)
         rows_a = np.flatnonzero(table.attack_classes == "a")
         rows_b = np.flatnonzero(table.attack_classes == "Benign")
-        report = per_feature_wd(table, rows_a, rows_b, transform=fit_rows(table), scaled=True)
+        report = per_feature_wd(table, rows_a, rows_b, transform=fit_rows(table))
         assert report.mean_wd < 0.1
 
     def test_identifier_column_optional(self):
@@ -144,10 +144,12 @@ class TestConfig:
         # every key left out takes its ExperimentConfig default
         assert config_from_dict({**required, "seed": 0}) == ExperimentConfig(str(path), "Benign", table.schema)
 
-    def test_unknown_key_rejected(self, synth_csv):
+    @pytest.mark.parametrize("key, value", [("typo_key", 1), ("wd_on_scaled", False)])
+    def test_unknown_key_rejected(self, synth_csv, key, value):
+        # the second is a deleted key: distances always read scaled features
         path, table = synth_csv
-        with pytest.raises(ConfigError, match="typo_key"):
-            config_from_dict(base_config_dict(path, table.schema.to_json(), typo_key=1))
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            config_from_dict(base_config_dict(path, table.schema.to_json(), **{key: value}))
 
     def test_unknown_model_rejected(self, synth_csv):
         path, table = synth_csv
@@ -206,7 +208,7 @@ class TestConfig:
     def test_echo_loads_back_to_an_equal_config(self, synth_csv):
         path, table = synth_csv
         every_key = base_config_dict(
-            path, table.schema.to_json(), models=["mlp", "forest"], k=4, fit_scope="train-only", wd_on_scaled=False,
+            path, table.schema.to_json(), models=["mlp", "forest"], k=4, fit_scope="train-only",
             wd_subsample_cap=500, subsample=200, classes=["alpha", "gamma"], output_dir="elsewhere", workers=3,
             keep_going=True, save_models=True, on_bad_row="drop", unseen_category_policy="error", threshold=0.25,
             forest={"n_trees": 4, "m_try": 2, "max_depth": 6, "min_samples_leaf": 3, "bootstrap": False},
@@ -518,29 +520,6 @@ class TestScenarioMemory:
         assert peaks["train-only"] <= peaks["full-dataset"] + 4 * table.row_count * 8, peaks
 
 
-class TestTrainOnlyUnscaledDistances:
-    def test_known_attack_scenarios_keep_no_unscaled_matrix(self, synth_csv):
-        # no scenario keeps a matrix: the run holds the base matrix alone
-        path, table = synth_csv
-        cfg = config_from_dict(
-            base_config_dict(path, table.schema.to_json(), fit_scope="train-only", wd_on_scaled=False)
-        )
-        prep = _prepare(cfg, with_baseline=True)
-        assert len(prep.scenarios) == 12
-        assert [id(m) for m in _held_arrays(prep) if m.ndim == 2] == [id(prep.base.features)]
-        base = prep.base
-        for i, s in enumerate(prep.scenarios):
-            if s.held_out is not None:
-                _, test = prep.rows(i)
-                fit = prep.fitted[i]
-                unscaled = np.column_stack(
-                    [fit.column(base, test, j, scaled=False) for j in range(len(base.feature_names))]
-                )
-                # no categorical column: the distance jobs read the loaded values
-                assert unscaled.tobytes() == base.features[test].tobytes()
-                assert not np.array_equal(fit.apply(base, test, scaled=True), unscaled)
-
-
 def _buffers(arrays: list[np.ndarray]) -> list[np.ndarray]:
     """The distinct memory blocks behind arrays: a view counts as the array it views."""
     owners = {}
@@ -576,13 +555,10 @@ class TestOneFeatureMatrix:
         assert prep.base.features.tobytes() == loaded.tobytes()
 
     @pytest.mark.parametrize("fit_scope", ["full-dataset", "train-only"], ids=["full", "train"])
-    @pytest.mark.parametrize("wd_on_scaled", [True, False], ids=["scaled", "unscaled"])
     @pytest.mark.parametrize("work", [run_experiment, run_wd_analysis], ids=["run", "wd"])
-    def test_one_unwritten_matrix(self, cat_csv, monkeypatch, fit_scope, wd_on_scaled, work):
+    def test_one_unwritten_matrix(self, cat_csv, monkeypatch, fit_scope, work):
         path, schema = cat_csv
-        cfg = config_from_dict(
-            base_config_dict(path, schema.to_json(), fit_scope=fit_scope, wd_on_scaled=wd_on_scaled, workers=1)
-        )
+        cfg = config_from_dict(base_config_dict(path, schema.to_json(), fit_scope=fit_scope, workers=1))
         loaded = load_csv(path, schema, "Benign").features
         with_baseline = work is run_experiment
         self.assert_one_unwritten_matrix(_prepare(cfg, with_baseline=with_baseline), loaded)
@@ -644,8 +620,8 @@ class TestDistanceFailureAttribution:
             fit, bad_row = prep.fitted[poisoned], prep.rows(poisoned)[1][0]
             column = fit.column
 
-            def poisoned_column(base, rows, j, *, scaled, out=None):
-                col = column(base, rows, j, scaled=scaled, out=out)
+            def poisoned_column(base, rows, j, *, out):
+                col = column(base, rows, j, out=out)
                 if j == 1:
                     col[rows == bad_row] = np.nan
                 return col

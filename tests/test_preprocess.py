@@ -34,6 +34,14 @@ def fit(table, train_indices=None, **kwargs) -> tuple[FlowTable, FittedTransform
     return table, fit_rows(table, train_indices, **kwargs)
 
 
+def coded(base: FlowTable, t: FittedTransform, rows: np.ndarray) -> np.ndarray:
+    """The table's `rows` encoded by `t` but not scaled: each column of their block through `preprocess._coded`."""
+    block = base.features[rows]
+    return np.column_stack(
+        [preprocess._coded(base, name, block[:, j], t.codes) for j, name in enumerate(base.feature_names)]
+    )
+
+
 class TestEncoder:
     def test_first_appearance_codes(self):
         _, t = fit(cat_table(["tcp", "udp", "tcp"]))
@@ -59,8 +67,8 @@ class TestEncoder:
         base, t = fit(cat_table(["udp", "tcp"]))
         assert base.categories["proto"].tolist() == ["tcp", "udp"]
         assert base.features[:, 0].tolist() == [1.0, 0.0]
-        assert t.apply(base, every_row(base), scaled=False).ravel().tolist() == [0.0, 1.0]
-        assert t.column(base, every_row(base), 0, scaled=False).tolist() == [0.0, 1.0]
+        assert coded(base, t, every_row(base)).ravel().tolist() == [0.0, 1.0]
+        assert t.apply(base, every_row(base)).ravel().tolist() == [0.0, 1.0]
 
     def test_unseen_error_names_feature_and_value(self):
         with pytest.raises(DataError, match=r"icmp.*proto"):
@@ -68,14 +76,14 @@ class TestEncoder:
 
     def test_unseen_reserve_code_flagged(self):
         base, t = fit(cat_table(["tcp", "udp", "icmp"]), np.array([0, 1]), unseen="reserve-code")
-        assert t.apply(base, np.array([2]), scaled=False).ravel().tolist() == [2.0]
+        assert coded(base, t, np.array([2])).ravel().tolist() == [2.0]
         assert t.counters.unseen == [("proto", "icmp", 2)]
 
     def test_empty_table_stays_empty(self):
         table = cat_table(["tcp", "udp"])
         assert table.take(np.array([], dtype=np.int64)).features.shape == (0, 1)
         base, t = fit(table)
-        assert t.apply(base, np.array([], dtype=np.int64), scaled=True).shape == (0, 1)
+        assert t.apply(base, np.array([], dtype=np.int64)).shape == (0, 1)
 
     def test_identifiers_are_not_features(self, small_table):
         assert small_table.feature_names == ("dur", "proto")
@@ -86,7 +94,7 @@ class TestEncoder:
         assert np.shares_memory(small_table.features, small_table.data["dur"])
         assert small_table.features.flags.c_contiguous
         rows = every_row(small_table)
-        assert t.column(small_table, rows, 0, scaled=False).tobytes() == small_table.features[:, 0].tobytes()
+        assert coded(small_table, t, rows)[:, 0].tobytes() == small_table.features[:, 0].tobytes()
 
     def test_encoding_allocates_no_matrix(self):
         table = make_table(
@@ -125,7 +133,7 @@ class TestScaler:
         m = self.matrix([5.0, 5.0])
         t = fit_rows(m)
         assert t.ranges["x"] == (5.0, 5.0)
-        assert t.apply(m, every_row(m), scaled=True).tolist() == [[0.0], [0.0]]
+        assert t.apply(m, every_row(m)).tolist() == [[0.0], [0.0]]
 
     def test_single_row(self):
         t = fit_rows(self.matrix([7.0]))
@@ -133,28 +141,28 @@ class TestScaler:
 
     def test_apply_arithmetic(self):
         m = self.matrix([2.0, 4.0, 6.0])
-        assert fit_rows(m).apply(m, every_row(m), scaled=True).ravel().tolist() == [0.0, 0.5, 1.0]
+        assert fit_rows(m).apply(m, every_row(m)).ravel().tolist() == [0.0, 0.5, 1.0]
 
     def test_range_wider_than_the_largest_float(self):
         # hi - lo overflows to inf, and (x - lo) / inf read 0 for 0 and nan for hi
         m = self.matrix([-1e308, 0.0, 1e308])
-        assert fit_rows(m).apply(m, every_row(m), scaled=True).ravel().tolist() == [0.0, 0.5, 1.0]
+        assert fit_rows(m).apply(m, every_row(m)).ravel().tolist() == [0.0, 0.5, 1.0]
         with np.errstate(over="ignore"):  # the out-of-range row overflows to inf, then clamps to 1
             t = fit_rows(m, np.array([0, 1]))
-            assert t.apply(m, every_row(m), scaled=True).ravel().tolist() == [0.0, 1.0, 1.0]
+            assert t.apply(m, every_row(m)).ravel().tolist() == [0.0, 1.0, 1.0]
         assert t.counters.clamped == {"x": 1}
 
     def test_out_of_range_clamped_and_counted(self):
         m = self.matrix([2.0, 6.0, 8.0, 0.0, 4.0])
         t = fit_rows(m, np.array([0, 1]))
         assert t.ranges["x"] == (2.0, 6.0)
-        assert t.apply(m, every_row(m), scaled=True).ravel().tolist() == [0.0, 1.0, 1.0, 0.0, 0.5]
+        assert t.apply(m, every_row(m)).ravel().tolist() == [0.0, 1.0, 1.0, 0.0, 0.5]
         assert t.counters.clamped == {"x": 2}
 
     def test_column_mismatch_rejected(self):
         t = FittedTransform({}, {"y": (0.0, 1.0)}, {}, PrepCounters())
         with pytest.raises(ValueError, match="mismatch"):
-            t.apply(self.matrix([1.0]), np.array([0]), scaled=True)
+            t.apply(self.matrix([1.0]), np.array([0]))
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -163,22 +171,22 @@ class TestScaler:
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     def test_range_property(self, column):
         m = self.matrix(column)
-        out = fit_rows(m).apply(m, every_row(m), scaled=True)
+        out = fit_rows(m).apply(m, every_row(m))
         assert np.all(out >= 0.0)
         assert np.all(out <= 1.0)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     def test_idempotence_property(self, column):
         m = self.matrix(column)
-        once = self.matrix(fit_rows(m).apply(m, every_row(m), scaled=True).ravel())
-        twice = fit_rows(once).apply(once, every_row(once), scaled=True)
+        once = self.matrix(fit_rows(m).apply(m, every_row(m)).ravel())
+        twice = fit_rows(once).apply(once, every_row(once))
         assert np.max(np.abs(twice - once.features)) <= 1e-12
 
 
 class TestPipeline:
     def test_full_dataset_scope(self, small_table):
         base, t = fit(small_table)
-        values = t.apply(base, every_row(base), scaled=True)
+        values = t.apply(base, every_row(base))
         assert base.feature_names == ("dur", "proto")
         assert base.schema.categorical_names == ("proto",)
         assert values.min() >= 0.0 and values.max() <= 1.0
@@ -194,7 +202,7 @@ class TestPipeline:
             ]
         )
         base, t = fit(table, np.array([0, 1]))
-        assert t.apply(base, every_row(base), scaled=True).ravel().tolist() == [0.0, 1.0, 1.0]
+        assert t.apply(base, every_row(base)).ravel().tolist() == [0.0, 1.0, 1.0]
         assert t.counters.clamped == {"x": 1}
 
     def test_numeric_only_table_has_empty_encoder(self):
@@ -207,23 +215,27 @@ class TestPipeline:
         base, t = fit(table)
         assert t.mappings == {}
         assert base.categories == {}
-        assert t.apply(base, every_row(base), scaled=False).tobytes() == base.features.tobytes()
+        assert coded(base, t, every_row(base)).tobytes() == base.features.tobytes()
 
     def test_train_only_requires_indices(self, small_table):
-        with pytest.raises(ValueError, match="requires the row groups and the fits"):
-            preprocess_pipeline(small_table, "train-only")
+        groups = np.zeros(small_table.row_count, dtype=np.intp)
+        with pytest.raises(ValueError, match="given together or not at all"):
+            preprocess_pipeline(small_table, groups)
+        with pytest.raises(ValueError, match="given together or not at all"):
+            preprocess_pipeline(small_table, fits=[[True]])
 
     def test_matrix_requires_encoding_first(self, small_table):
         # category indices are never passed on as values without an encoding
         base, t = fit(small_table)
         with pytest.raises(DataError, match="proto"):
-            FittedTransform(t.mappings, t.ranges, {}, t.counters).apply(base, every_row(base), scaled=False)
+            FittedTransform(t.mappings, t.ranges, {}, t.counters).apply(base, every_row(base))
 
     def test_shape_preservation(self, small_table):
         base, t = fit(small_table)
         rows = np.array([4, 0, 0, 2])
-        assert t.apply(base, rows, scaled=True).shape == (4, len(base.feature_names))
-        assert t.column(base, rows, 1, scaled=True).shape == (4,)
+        values = t.apply(base, rows)
+        assert values.shape == (4, len(base.feature_names))
+        assert t.column(base, rows, 1, out=np.empty(4)).tobytes() == values[:, 1].tobytes()
 
     def test_transforms_serializable(self, small_table):
         _, t = fit(small_table)
@@ -243,7 +255,7 @@ class TestDeterminism:
         base2, r2 = fit(small_table)
         assert r1.mappings == r2.mappings
         rows = every_row(base1)
-        assert np.array_equal(r1.apply(base1, rows, scaled=True), r2.apply(base2, rows, scaled=True))
+        assert np.array_equal(r1.apply(base1, rows), r2.apply(base2, rows))
         assert r1.ranges == r2.ranges
 
 
@@ -297,17 +309,15 @@ class TestStringOracle:
         assert t.counters.unseen == expected["unseen"]
         # bit for bit: the same operations on the same values, and the table's block left as it was
         loaded = base.features.copy()
-        for scaled, key in ((True, "scaled"), (False, "unscaled")):
-            assert t.apply(base, rows, scaled=scaled).tobytes() == expected[key][rows].tobytes()
-            for j in range(len(base.feature_names)):
-                col = t.column(base, rows, j, scaled=scaled)
-                assert col.tobytes() == expected[key][rows, j].tobytes()
-                # into a caller's buffer: the tail of a larger one, as a distance workspace passes it
-                buf = np.full(2 * len(rows) + 1, np.nan)
-                out = buf[len(rows) + 1:]
-                assert t.column(base, rows, j, scaled=scaled, out=out) is out
-                assert out.tobytes() == col.tobytes()
-                assert np.isnan(buf[:len(rows) + 1]).all()
+        assert coded(base, t, rows).tobytes() == expected["unscaled"][rows].tobytes()
+        assert t.apply(base, rows).tobytes() == expected["scaled"][rows].tobytes()
+        for j in range(len(base.feature_names)):
+            # into a caller's buffer: the tail of a larger one, as a distance workspace passes it
+            buf = np.full(2 * len(rows) + 1, np.nan)
+            out = buf[len(rows) + 1:]
+            assert t.column(base, rows, j, out=out) is out
+            assert out.tobytes() == expected["scaled"][rows, j].tobytes()
+            assert np.isnan(buf[:len(rows) + 1]).all()
         assert base.features.tobytes() == loaded.tobytes()
 
     def test_train_only_range_keeps_the_sign_of_zero(self):
@@ -328,18 +338,19 @@ class TestStringOracle:
     def test_column_gathers_across_chunks(self, monkeypatch, train):
         # chunks of 3 rows: unsorted, repeated rows cross every chunk boundary
         monkeypatch.setattr(preprocess, "_GATHER_ROWS", 3)
-        table = make_table(
-            [{"x": float((i * 7) % 5) - 1.5, "proto": ("tcp", "udp", "icmp")[i % 3],
-              "attack_class": "Benign", "label": 0} for i in range(10)]
-        )
-        base, t = fit(table, train)
+        records = [{"x": float((i * 7) % 5) - 1.5, "proto": ("tcp", "udp", "icmp")[i % 3],
+                    "attack_class": "Benign", "label": 0} for i in range(10)]
+        base, t = fit(make_table(records), train)
         rows = np.array([9, 0, 3, 3, 7, 1, 8, 2, 6, 5, 4, 0])
-        for scaled in (True, False):
-            values = t.apply(base, rows, scaled=scaled)
-            for j in range(len(base.feature_names)):
-                out = np.full(len(rows), np.nan)
-                t.column(base, rows, j, scaled=scaled, out=out)
-                assert out.tobytes() == values[:, j].tobytes()
+        values = t.apply(base, rows)
+        for j in range(len(base.feature_names)):
+            out = np.full(len(rows), np.nan)
+            t.column(base, rows, j, out=out)
+            assert out.tobytes() == values[:, j].tobytes()
+        cells = {key: [r[key] for r in records] for key in records[0]}
+        expected = string_pipeline(base.schema, cells, train)
+        assert coded(base, t, rows).tobytes() == expected["unscaled"][rows].tobytes()
+        assert values.tobytes() == expected["scaled"][rows].tobytes()
 
     @pytest.mark.parametrize("train", [None, np.arange(0, 40_000, 3)])
     def test_column_into_a_buffer_allocates_only_chunks(self, train):
@@ -354,11 +365,11 @@ class TestStringOracle:
         )
         base, t = fit(table, train)
         rows, out = rng.permutation(n), np.empty(n)
-        t.column(base, rows, 1, scaled=True, out=out)  # the first call sets up what is cached
+        t.column(base, rows, 1, out=out)  # the first call sets up what is cached
         tracemalloc.start()
         try:
             for j in range(len(base.feature_names)):
-                t.column(base, rows, j, scaled=True, out=out)
+                t.column(base, rows, j, out=out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -368,7 +379,7 @@ class TestStringOracle:
     def test_column_rejects_a_row_past_the_table(self, small_table):
         base, t = fit(small_table)
         with pytest.raises(IndexError):
-            t.column(base, np.array([0, base.row_count]), 0, scaled=True, out=np.empty(2))
+            t.column(base, np.array([0, base.row_count]), 0, out=np.empty(2))
 
     @given(_tables())
     @settings(max_examples=100, deadline=None)
@@ -409,7 +420,7 @@ def assert_fits_equal_oracle(table: FlowTable, plan, scenarios: list[Scenario], 
         for s in scenarios
     ]
     fits = train_groups(scenarios, plan, table)
-    got = _fit_or_error(lambda: preprocess_pipeline(table, "train-only", row_groups(plan, table), fits, unseen=unseen))
+    got = _fit_or_error(lambda: preprocess_pipeline(table, row_groups(plan, table), fits, unseen=unseen))
     first = next((i for i, e in enumerate(expected) if isinstance(e, Exception)), None)
     if first is not None:
         assert type(got) is type(expected[first]) and str(got) == str(expected[first])
@@ -502,6 +513,6 @@ class TestOnePassFit:
         table = feature_table([lo, hi, value])
         t = fit_rows(table, np.array([0, 1]))
         assert t.ranges == {"x": (lo, hi)} and not lo <= value <= hi
-        assert t.apply(table, np.array([2]), scaled=True).tobytes() == preprocess._min_max(np.array([value]), lo, hi).tobytes()
+        assert t.apply(table, np.array([2])).tobytes() == preprocess._min_max(np.array([value]), lo, hi).tobytes()
         assert t.counters.clamped == {}
         assert gathered_scenario_fit(table, np.array([0, 1])).counters.clamped == {}

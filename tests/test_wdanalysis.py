@@ -199,9 +199,32 @@ class TestPerFeatureWd:
     def test_scaled_features_stay_in_unit_interval(self):
         rng = np.random.default_rng(8)
         m, train_rows, test_rows = stacked(rng.random((50, 3)) * 7 - 2, rng.random((60, 3)), ("a", "b", "c"))
-        report = per_feature_wd(m, train_rows, test_rows, transform=fit_rows(m), scaled=True)
+        report = per_feature_wd(m, train_rows, test_rows, transform=fit_rows(m))
         assert all(0.0 <= v <= 1.0 for v in report.per_feature.values())
         assert 0.0 <= report.mean_wd <= 1.0
+
+    def test_train_only_clamped_features_stay_in_unit_interval(self):
+        # test rows fall outside the train range on both sides: they clamp to 0 and 1
+        rng = np.random.default_rng(9)
+        train, test = rng.random((50, 3)), rng.random((60, 3)) * 7 - 2
+        m, train_rows, test_rows = stacked(train, test, ("a", "b", "c"))
+        transform = fit_rows(m, train_rows)
+        report = per_feature_wd(m, train_rows, test_rows, transform=transform)
+        assert set(transform.counters.clamped) == {"a", "b", "c"}
+        assert all(0.0 <= v <= 1.0 for v in report.per_feature.values())
+        assert 0.0 <= report.mean_wd <= 1.0
+
+    def test_scaled_distance_is_the_raw_distance_over_the_range(self):
+        # W1(a x + b, a y + b) = a W1(x, y): min-max scaling divides each raw distance by its column's range
+        rng = np.random.default_rng(10)
+        m, train_rows, test_rows = stacked(rng.random((40, 3)) * [1.0, 50.0, 1e4], rng.random((30, 3)) + 0.5,
+                                           ("a", "b", "c"))
+        transform = fit_rows(m)
+        scaled = per_feature_wd(m, train_rows, test_rows, transform=transform).per_feature
+        raw = raw_wd(m, train_rows, test_rows).per_feature
+        for name, (lo, hi) in transform.ranges.items():
+            assert scaled[name] == pytest.approx(raw[name] / (hi - lo), rel=1e-12)
+        assert raw["c"] > 1.0 > scaled["c"]
 
 
 def _subsample(rows: np.ndarray, cap: int | None, rng) -> np.ndarray:
@@ -293,14 +316,14 @@ class TestWorkspace:
         train, test = perm[:30_000], perm[30_000:]
         transform = fit_rows(table, None if scope == "full-dataset" else train)
         ws = _Workspace(train, test)
-        _feature_wd(ws, table, transform, 0, scaled=True)  # the first call sets up what is cached
+        _feature_wd(ws, table, transform, 0)  # the first call sets up what is cached
         tracemalloc.start()
         try:
             peaks = []
             for j in range(len(table.feature_names)):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                _feature_wd(ws, table, transform, j, scaled=True)
+                _feature_wd(ws, table, transform, j)
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
