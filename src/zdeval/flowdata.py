@@ -1,13 +1,16 @@
 """Flow-record tables: column schemas, CSV loading, summaries.
 
-A table holds its features once, as one row-major n x d float64 block whose
-columns are the schema's feature columns in schema order: a numeric column
-holds its values, a categorical column each row's index into the column's
-sorted distinct values (`FlowTable.categories`). A categorical column is
-held nowhere else: the strings a table is built from are indexed into the
-block and dropped. The numeric entries of `FlowTable.data` are views of the
-block's columns, and the identifier columns are object arrays of interned
-strings. The attack class is held once, as each row's code into
+A table holds its features once, as one feature-major n x d float64 block
+whose columns are the schema's feature columns in schema order: a numeric
+column holds its values, a categorical column each row's index into the
+column's sorted distinct values (`FlowTable.categories`). Each column's n
+values are contiguous (`features.strides[0]` is the item size), since every
+reader but a model job reads one feature at a time; a model job's gather of
+its rows, `features[rows]`, is a new row-major block. A categorical column
+is held nowhere else: the strings a table is built from are indexed into
+the block and dropped. The numeric entries of `FlowTable.data` are views of
+the block's columns, and the identifier columns are object arrays of
+interned strings. The attack class is held once, as each row's code into
 `FlowTable.class_names`; the binary label is the code != 0. `load_csv`
 parses straight into the block, with numpy's C reader while the file's
 chunks are clean and with the `csv` module from the first chunk that is
@@ -155,17 +158,35 @@ def _class_codes(cells: list, codes_of: dict) -> np.ndarray:
     return np.fromiter(map(codes_of.__getitem__, cells), dtype=np.intp, count=len(cells))
 
 
+def row_major_extremes(values: np.ndarray, d: int) -> tuple[float, float]:
+    """The min and max of `values`, as numpy reduces them from a column of a row-major block of d columns.
+
+    numpy's min and max pick -0.0 or 0.0 from a tie by the layout they
+    reduce: a contiguous column (d == 1) one way, every strided one another.
+    The values are reduced where they are, and again from a copy laid out
+    as a strided column only when an extreme is zero and a -0.0 is among
+    them, so a fitted range or a summary records the same zero whatever
+    the layout of the block it reads.
+    """
+    lo, hi = values.min(), values.max()
+    if d > 1 and (lo == 0 or hi == 0) and np.signbit(values[values == 0]).any():
+        block = np.empty((len(values), 2))
+        block[:, 0] = values
+        lo, hi = block[:, 0].min(), block[:, 0].max()
+    return float(lo), float(hi)
+
+
 @dataclass(eq=False)
 class FlowTable:
     """A loaded flow-record dataset, and the unscaled base matrix every fit and job reads.
 
-    `features` is the n x d float64 block of the feature columns (see the
-    module docstring), and `categories` maps each categorical feature to
-    the sorted distinct values its block column indexes. `class_codes` holds
-    each row's attack class as its code into `class_names`: benign first,
-    then the attack classes in order of first appearance. The table is the
-    one class inventory: `attack_names` and `class_counts` are read from
-    these codes and names. `data` maps the
+    `features` is the feature-major n x d float64 block of the feature
+    columns (see the module docstring), and `categories` maps each
+    categorical feature to the sorted distinct values its block column
+    indexes. `class_codes` holds each row's attack class as its code into
+    `class_names`: benign first, then the attack classes in order of first
+    appearance. The table is the one class inventory: `attack_names` and
+    `class_counts` are read from these codes and names. `data` maps the
     identifiers to object arrays of strings and each numeric feature to a
     view of its block column; it may leave out the identifier columns, as
     `load_csv` does unless asked to keep them.
@@ -176,8 +197,9 @@ class FlowTable:
     it). Likewise the attack class is given as strings in `data`, coded and
     dropped with the label, which, if given, must be code != 0 on every
     row; or as `class_codes` with `class_names`. Given `features`, its
-    numeric columns are the table's and `data` need not hold them; without
-    it, the block is built from `data`. `dropped_rows` counts rows
+    numeric columns are the table's and `data` need not hold them; a given
+    block whose columns are not contiguous is copied into one whose are.
+    Without it, the block is built from `data`. `dropped_rows` counts rows
     discarded by the loader under the drop policy; a table taken from
     another keeps its count.
     """
@@ -223,12 +245,14 @@ class FlowTable:
                     f"label={labels[bad]}, class={self.class_names[self.class_codes[bad]]!r}"
                 )
         if self.features is None:
-            self.features = np.empty((n, len(names)))
+            self.features = np.empty((n, len(names)), order="F")
             for j, name in enumerate(names):
                 if name in numeric:
                     self.features[:, j] = self.data[name]
         elif self.features.shape != (n, len(names)):
             raise DataError(f"feature block has shape {self.features.shape}, expected {(n, len(names))}")
+        elif self.features.strides[0] != self.features.itemsize:
+            self.features = np.asfortranarray(self.features)
         self.categories = dict(self.categories)
         for j, name in enumerate(names):
             if name in schema.categorical_names and name not in self.categories:
@@ -266,16 +290,20 @@ class FlowTable:
     def take(self, indices: np.ndarray) -> "FlowTable":
         """A new table containing the given rows, in the given order.
 
-        Each categorical column indexes only the categories its rows use, and
-        the classes are coded in the rows' own order of first appearance.
+        The feature-major block is filled one column at a time, so no other
+        copy of the rows is held. Each categorical column indexes only the
+        categories its rows use, and the classes are coded in the rows' own
+        order of first appearance.
         """
         idx = np.asarray(indices, dtype=np.int64)
         names = self.feature_names
-        features, categories = self.features[idx], {}
+        features, categories = np.empty((len(idx), len(names)), order="F"), {}
         for j, name in enumerate(names):
+            col = self.features[:, j][idx]
             if name in self.categories:
-                used, features[:, j] = np.unique(features[:, j].astype(np.intp), return_inverse=True)
+                used, col = np.unique(col.astype(np.intp), return_inverse=True)
                 categories[name] = self.categories[name][used]
+            features[:, j] = col
         codes_of = {0: 0}  # an old code -> its new code
         codes = _class_codes(self.class_codes[idx].tolist(), codes_of)
         data = {k: v[idx] for k, v in self.data.items() if k not in names}
@@ -472,9 +500,11 @@ def load_csv(
     rest of the file. The csv path is the reference: it alone reports or
     drops bad rows, and on every chunk that `loadtxt` accepts it yields the
     same cells. Only then are a chunk's class cells coded, so a class met
-    only in dropped rows gets no code. Pages of the block past the last row
-    are never written, so they take no memory. The categorical columns of
-    the block are indexed from their strings once the file is read.
+    only in dropped rows gets no code. The block is feature-major, so a
+    chunk writes one contiguous run of each column; the pages of each column
+    past the last row are never written, so they take no memory. The
+    categorical columns of the block are indexed from their strings once the
+    file is read.
     """
     if on_bad_row not in ("abort", "drop"):
         raise ValueError(f"on_bad_row must be 'abort' or 'drop', got {on_bad_row!r}")
@@ -492,7 +522,7 @@ def load_csv(
     class_column = schema.attack_class_column
     parts = {name: [np.empty(0, dtype=object)] for name in strings if name != class_column}
     codes, codes_of = [np.empty(0, dtype=np.intp)], {benign_name: 0}
-    block = np.empty((_line_end_bound(path), len(schema.feature_names)))
+    block = np.empty((_line_end_bound(path), len(schema.feature_names)), order="F")
     n = dropped = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -637,19 +667,20 @@ def summarize(table: FlowTable) -> TableSummary:
     """Deterministic dataset summary: class counts, numeric stats, cardinalities.
 
     Class counts are in sorted-name order. Means are computed in float64
-    with numpy's pairwise summation. A categorical column's cardinality is
-    the number of its categories, and an identifier column's is counted over
-    its interned strings, with no fixed-width copy. A class with no rows has
-    no count.
+    with numpy's pairwise summation, and a tie of -0.0 and 0.0 at the min or
+    the max is settled as `row_major_extremes` says. A categorical column's
+    cardinality is the number of its categories, and an identifier column's
+    is counted over its interned strings, with no fixed-width copy. A class
+    with no rows has no count.
     """
     _require_identifiers(table, "summarize")
     class_counts = {name: c for name, c in sorted(zip(table.class_names, table.class_counts)) if c}
 
-    numeric = {}
+    numeric, d = {}, len(table.feature_names)
     for name in table.schema.numeric_names:
         col = table.data[name]
         if col.size:
-            numeric[name] = NumericStats(float(col.min()), float(col.max()), float(col.mean()))
+            numeric[name] = NumericStats(*row_major_extremes(col, d), float(col.mean()))
         else:
             numeric[name] = NumericStats(None, None, None)
 

@@ -24,11 +24,13 @@ settled: without keep_going it stops the run, naming the job; with it, the
 job becomes a warning and is left out of every mean.
 
 The features are held once: the loaded table is the base matrix, its
-feature block the one n x d float64 matrix a run holds, and nothing writes
-to it. Each job reads its rows of it through its scenario's fitted
-transform: a distance job one column at a time, a model job its train rows
-and its test rows. The table's class codes are the one class column and
-the one class inventory: a model job's labels are its rows' codes != 0.
+feature-major block the one n x d float64 matrix a run holds, and nothing
+writes to it. Each job reads its rows of it through its scenario's fitted
+transform: a distance job one column at a time, each side one take from
+the contiguous column, and a model job its train rows and its test rows,
+each gathered into a new row-major matrix. The table's class codes are the
+one class column and the one class inventory: a model job's labels are its
+rows' codes != 0.
 """
 
 from __future__ import annotations

@@ -12,13 +12,14 @@ encodings and scalings of one scope from the block alone: one transform on
 every row, or, given row groups and fits over them (train-only scope), one
 per fit, each on a union of row groups (a scenario's train rows are its
 (class, fold) groups), all in one pass that reads one column at a time and
-gathers no fit's rows. Each resulting `FittedTransform` codes and scales
-the rows a reader asks for, one column (`column`, into a caller's buffer)
-or all of them (`apply`), in a copy of those rows: nothing writes to the
-table. Distance jobs and model jobs read the same coded and scaled values;
-no reader sees a coded but unscaled column. The encoding codes by first
-appearance among the fit rows in row order, exactly as encoding the
-strings of those rows would.
+gathers no fit's rows; the block is feature-major, so each column it reads
+is contiguous. Each resulting `FittedTransform` codes and scales the rows a
+reader asks for, one column (`column`, into a caller's buffer) or all of
+them (`apply`, into a new row-major matrix), in a copy of those rows:
+nothing writes to the table. Distance jobs and model jobs read the same
+coded and scaled values; no reader sees a coded but unscaled column. The
+encoding codes by first appearance among the fit rows in row order,
+exactly as encoding the strings of those rows would.
 Fitted transforms are immutable and serializable so a run can be replayed
 and audited.
 """
@@ -30,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .flowdata import FlowTable
+from .flowdata import FlowTable, row_major_extremes
 
-# `column` gathers this many rows at a time, so its temporaries stay small
+# `column` codes this many rows of a categorical column at a time, so its temporaries stay small
 _GATHER_ROWS = 2048
 
 
@@ -112,21 +113,27 @@ class FittedTransform:
     def column(self, base: FlowTable, rows: np.ndarray, j: int, *, out: np.ndarray) -> np.ndarray:
         """Feature j of the table's `rows` (an index array), encoded and scaled into [0, 1] in `out`.
 
-        The column is gathered and coded into `out` (float64, one element
-        per row), `_GATHER_ROWS` rows at a time, then scaled in place; `out`
-        is returned.
+        The rows are checked against the table once, and the column, which
+        is contiguous in the block, is gathered into `out` (float64, one
+        element per row) by one take; a categorical column is then coded in
+        place, `_GATHER_ROWS` rows at a time, and the column scaled in
+        place. `out` is returned.
         """
         name = base.feature_names[j]
-        for start in range(0, len(rows), _GATHER_ROWS):
-            stop = start + _GATHER_ROWS
-            out[start:stop] = _coded(base, name, base.features[rows[start:stop], j], self.codes)
+        if len(rows) and not (rows.min() >= 0 and rows.max() < base.row_count):
+            raise IndexError(f"rows must lie in [0, {base.row_count}) of the table")
+        np.take(base.features[:, j], rows, out=out, mode="clip")  # "raise" would copy `out`
+        if name in base.categories:
+            for start in range(0, len(rows), _GATHER_ROWS):
+                chunk = out[start:start + _GATHER_ROWS]
+                chunk[:] = _coded(base, name, chunk, self.codes)
         return self._scale(name, out)
 
     def apply(self, base: FlowTable, rows: np.ndarray) -> np.ndarray:
         """The features of the table's `rows` (an index array), encoded and scaled into [0, 1].
 
-        The rows are gathered once, and each column of that copy is coded
-        and scaled in place.
+        The rows are gathered once, into a new row-major matrix, and each
+        column of that copy is coded and scaled in place.
         """
         names = base.feature_names
         if set(self.ranges) != set(names):
@@ -140,10 +147,17 @@ class FittedTransform:
         return values
 
 
-def _group_min_max(col: np.ndarray, groups: np.ndarray | None, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row group, the column's min and max (+inf and -inf for an empty group); one group when `groups` is None."""
+def _group_min_max(
+    col: np.ndarray, groups: np.ndarray | None, n_groups: int, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row group, the column's min and max (+inf and -inf for an empty group).
+
+    When `groups` is None there is one group, reduced as a column of a
+    row-major block of d columns (`row_major_extremes`).
+    """
     if groups is None:
-        return np.array([col.min()]), np.array([col.max()])
+        lo, hi = row_major_extremes(col, d)
+        return np.array([lo]), np.array([hi])
     lo, hi = np.full(n_groups, np.inf), np.full(n_groups, -np.inf)
     np.minimum.at(lo, groups, col)
     np.maximum.at(hi, groups, col)
@@ -155,17 +169,6 @@ def _group_first_rows(idx: np.ndarray, groups: np.ndarray | None, n_groups: int,
     first = np.full(n_groups * n_categories, len(idx), dtype=np.intp)
     np.minimum.at(first, idx if groups is None else groups * n_categories + idx, np.arange(len(idx)))
     return first.reshape(n_groups, n_categories)
-
-
-def _strided(col: np.ndarray, rows: np.ndarray, d: int) -> np.ndarray:
-    """`col[rows]`, laid out as a column of the gathered d-column block of those rows is.
-
-    numpy's min and max pick -0.0 or 0.0 from a tie by the layout they
-    reduce: a contiguous column (d == 1) one way, every strided one another.
-    """
-    block = np.empty((len(rows), min(d, 2)))
-    block[:, 0] = col[rows]
-    return block[:, 0]
 
 
 def _clamped(scaled: np.ndarray) -> np.ndarray:
@@ -259,14 +262,13 @@ def preprocess_pipeline(
                     if n_out:
                         fit.counters.clamped[name] = n_out
         else:
-            group_lo, group_hi = _group_min_max(col, groups, n_groups)
+            group_lo, group_hi = _group_min_max(col, groups, n_groups, d)
             lo = np.where(fits, group_lo, np.inf).min(axis=1)
             hi = np.where(fits, group_hi, -np.inf).max(axis=1)
             zero = (lo == 0) | (hi == 0)
             if groups is not None and zero.any() and np.signbit(col[col == 0]).any():
                 for i in np.flatnonzero(zero):  # the group reductions may have picked the other zero
-                    fit_col = _strided(col, np.flatnonzero(fits[i][groups]), d)
-                    lo[i], hi[i] = fit_col.min(), fit_col.max()
+                    lo[i], hi[i] = row_major_extremes(col[np.flatnonzero(fits[i][groups])], d)
             narrow = np.flatnonzero((lo > group_lo.min()) | (hi < group_hi.max()))
             if narrow.size:
                 values = np.sort(col)

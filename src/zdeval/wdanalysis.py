@@ -18,8 +18,9 @@ pages for every feature: one allocation, sized to the scenario's n train
 and test rows after the cap, holding the values (the train half, then the
 test half), the merged values, two float buffers of n - 1 and the float
 ranks 1..n-1. A feature's train and test columns are gathered from the
-table's feature block into the two halves, transformed there by the
-scenario's fitted transform, sorted, and merged by a stable argsort of the
+table's feature-major block into the two halves, each by one take from the
+contiguous column, transformed there by the scenario's fitted transform,
+sorted, and merged by a stable argsort of the
 two sorted runs (one linear merge, whose result is the only n-element array
 a feature allocates). |F_u - F_v| is then integrated over the merged values
 with cumulative counts of each side, in float64 (exact below 2**53). This

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import make_table, tables_equal
+from conftest import feature_table, make_table, tables_equal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle_impls import row_at_a_time_load_csv, unique_summary_counts
@@ -266,6 +266,14 @@ class TestSummarize:
         assert s.numeric["x"].mean == 4.0
         assert s.class_counts == {"Benign": 1, "A": 2}
 
+    def test_min_and_max_keep_the_sign_of_zero(self):
+        # a contiguous column of these values gives min -0.0, a column of the row-major block
+        # tables once held 0.0, and the summary keeps that pick, as the full-dataset fit does
+        values = np.zeros((9, 3))
+        values[:, 2] = [-0.0] * 7 + [1.0, 0.0]
+        s = summarize(feature_table(values, ("a", "b", "c")))
+        assert (repr(s.numeric["c"].min), repr(s.numeric["c"].max)) == ("0.0", "1.0")
+
     def test_cardinality_and_feature_count(self, small_table):
         s = summarize(small_table)
         assert s.cardinality["proto"] == 3
@@ -426,6 +434,75 @@ class TestCategoryIndices:
         assert taken.categories["proto"].tolist() == ["icmp", "udp"]
         assert taken.features[:, j].tolist() == [0.0, 1.0]
         assert taken.data["dur"].tolist() == [4.0, 2.0]
+
+
+def assert_feature_major(table: FlowTable) -> None:
+    """Each column of the table's block is contiguous, and each numeric column of `data` is a view of it."""
+    block = table.features
+    assert block.strides[0] == block.itemsize
+    for j, name in enumerate(table.feature_names):
+        if name in table.schema.numeric_names:
+            assert np.shares_memory(table.data[name], block[:, j])
+
+
+class TestFeatureMajorLayout:
+    """Every way a table is built gives it a feature-major block. Not `f_contiguous`: the
+    loader's block is a view of a larger allocation."""
+
+    SCHEMA = FeatureSchema(
+        (
+            Column("dur", ColumnKind.NUMERIC),
+            Column("proto", ColumnKind.CATEGORICAL),
+            Column("bytes", ColumnKind.NUMERIC),
+            Column("attack_class", ColumnKind.ATTACK_CLASS),
+            Column("label", ColumnKind.BINARY_LABEL),
+        )
+    )
+    LINES = ["dur,proto,bytes,attack_class,label", "1.5,tcp,10,Benign,0", "2.5,udp,20,Dos,1", "3.5,tcp,30,Dos,1"]
+
+    def test_load_csv(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_lines(p, self.LINES)
+        table = load_csv(p, self.SCHEMA, "Benign")
+        assert_feature_major(table)
+        assert table.data["bytes"].tolist() == [10.0, 20.0, 30.0]
+
+    def test_load_csv_dropping_a_row(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_lines(p, [*self.LINES[:2], "oops,udp,20,Dos,1", *self.LINES[3:]])
+        table = load_csv(p, self.SCHEMA, "Benign", on_bad_row="drop")
+        assert table.dropped_rows == 1
+        assert_feature_major(table)
+        assert table.data["dur"].tolist() == [1.5, 3.5]
+        assert table.data["bytes"].tolist() == [10.0, 30.0]
+
+    def test_built_from_data(self, small_table):
+        assert_feature_major(small_table)
+
+    def test_given_a_row_major_block(self):
+        values = np.arange(12.0).reshape(4, 3)
+        table = feature_table(values, ("a", "b", "c"))
+        assert_feature_major(table)
+        assert table.features.tolist() == values.tolist()
+
+    def test_take_and_subsample(self, small_table):
+        taken = small_table.take(np.array([4, 0, 3, 0]))
+        assert_feature_major(taken)
+        assert taken.data["dur"].tolist() == [5.0, 1.0, 4.0, 1.0]
+        assert_feature_major(subsample_rows(small_table, 3, seed=1))
+
+    def test_take_holds_the_rows_once(self):
+        # the block is filled a column at a time; a row-major gather converted to the
+        # feature-major layout would hold the taken rows twice
+        table = feature_table(np.random.default_rng(2).normal(size=(40_000, 20)), tuple(f"x{k}" for k in range(20)))
+        half = np.arange(0, 40_000, 2)
+        tracemalloc.start()
+        try:
+            taken = table.take(half)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * taken.features.nbytes
 
 
 class TestTakeAgainstLoad:

@@ -92,7 +92,7 @@ class TestEncoder:
     def test_base_matrix_is_the_tables_block(self, small_table):
         _, t = fit(small_table)
         assert np.shares_memory(small_table.features, small_table.data["dur"])
-        assert small_table.features.flags.c_contiguous
+        assert small_table.features.strides[0] == small_table.features.itemsize  # each column contiguous
         rows = every_row(small_table)
         assert coded(small_table, t, rows)[:, 0].tobytes() == small_table.features[:, 0].tobytes()
 
@@ -333,6 +333,22 @@ class TestStringOracle:
         _, t = fit(table, train)
         for j, name in enumerate(("a", "b", "c")):
             assert repr(t.ranges[name]) == repr((float(block[:, j].min()), float(block[:, j].max())))
+
+    def test_full_dataset_range_keeps_the_sign_of_zero(self):
+        # the full-scope twin of the test above: a contiguous column of these values gives min
+        # -0.0, a column of the row-major block tables once held 0.0, and the range keeps that pick
+        values = np.zeros((9, 3))
+        values[:, 2] = [-0.0] * 7 + [1.0, 0.0]
+        assert np.signbit(values[:, 2].copy().min())
+        (t,) = preprocess_pipeline(feature_table(values, ("a", "b", "c")))
+        assert repr(t.ranges["c"]) == "(0.0, 1.0)"
+
+    @pytest.mark.parametrize("train", [None, np.array([0, 1, 3])])
+    def test_apply_returns_a_row_major_matrix(self, small_table, train):
+        # the models read the matrix as the row-major block a model job has always handed them
+        base, t = fit(small_table, train)
+        values = t.apply(base, np.array([4, 0, 2]))
+        assert values.flags.c_contiguous and values.shape == (3, 2)
 
     @pytest.mark.parametrize("train", [None, np.array([1, 2, 5, 8])])
     def test_column_gathers_across_chunks(self, monkeypatch, train):
