@@ -158,24 +158,6 @@ def _class_codes(cells: list, codes_of: dict) -> np.ndarray:
     return np.fromiter(map(codes_of.__getitem__, cells), dtype=np.intp, count=len(cells))
 
 
-def row_major_extremes(values: np.ndarray, d: int) -> tuple[float, float]:
-    """The min and max of `values`, as numpy reduces them from a column of a row-major block of d columns.
-
-    numpy's min and max pick -0.0 or 0.0 from a tie by the layout they
-    reduce: a contiguous column (d == 1) one way, every strided one another.
-    The values are reduced where they are, and again from a copy laid out
-    as a strided column only when an extreme is zero and a -0.0 is among
-    them, so a fitted range or a summary records the same zero whatever
-    the layout of the block it reads.
-    """
-    lo, hi = values.min(), values.max()
-    if d > 1 and (lo == 0 or hi == 0) and np.signbit(values[values == 0]).any():
-        block = np.empty((len(values), 2))
-        block[:, 0] = values
-        lo, hi = block[:, 0].min(), block[:, 0].max()
-    return float(lo), float(hi)
-
-
 @dataclass(eq=False)
 class FlowTable:
     """A loaded flow-record dataset, and the unscaled base matrix every fit and job reads.
@@ -667,20 +649,20 @@ def summarize(table: FlowTable) -> TableSummary:
     """Deterministic dataset summary: class counts, numeric stats, cardinalities.
 
     Class counts are in sorted-name order. Means are computed in float64
-    with numpy's pairwise summation, and a tie of -0.0 and 0.0 at the min or
-    the max is settled as `row_major_extremes` says. A categorical column's
-    cardinality is the number of its categories, and an identifier column's
-    is counted over its interned strings, with no fixed-width copy. A class
-    with no rows has no count.
+    with numpy's pairwise summation, and a zero min or max is 0.0, as in a
+    fitted range, whether the column holds -0.0 or 0.0 there. A categorical
+    column's cardinality is the number of its categories, and an identifier
+    column's is counted over its interned strings, with no fixed-width copy.
+    A class with no rows has no count.
     """
     _require_identifiers(table, "summarize")
     class_counts = {name: c for name, c in sorted(zip(table.class_names, table.class_counts)) if c}
 
-    numeric, d = {}, len(table.feature_names)
+    numeric = {}
     for name in table.schema.numeric_names:
         col = table.data[name]
         if col.size:
-            numeric[name] = NumericStats(*row_major_extremes(col, d), float(col.mean()))
+            numeric[name] = NumericStats(float(col.min()) + 0.0, float(col.max()) + 0.0, float(col.mean()))
         else:
             numeric[name] = NumericStats(None, None, None)
 

@@ -36,9 +36,11 @@ rows' codes != 0.
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
 import datetime as _dt
 import itertools
 import json
+import logging
 import mmap
 import multiprocessing
 import os
@@ -61,6 +63,8 @@ from .zslsplit import (
 )
 
 BASELINE = "baseline"
+
+log = logging.getLogger(__name__)
 
 # spawn-key prefixes partitioning the master seed into independent streams
 _SEED_TRAIN, _SEED_WD, _SEED_SUBSAMPLE = 10, 20, 30
@@ -180,6 +184,30 @@ def _attribution(prep: _Prepared, job: ScenarioJob | JobResult) -> str:
     return f"({where})" if job.kind == DISTANCE else f"(model={job.kind}, {where})"
 
 
+def openblas_function(name: str, restype, *argtypes):
+    """OpenBLAS's `openblas_<name>` in the library numpy calls, typed, or None if no OpenBLAS is found.
+
+    numpy's wheels bundle `numpy.libs/libscipy_openblas64_*.so`, whose
+    symbols read `scipy_openblas_<name>64_`; a system OpenBLAS exports
+    `openblas_<name>`.
+    """
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if libs:
+        path, symbol = str(libs[0]), f"scipy_openblas_{name}64_"
+    else:
+        from ctypes.util import find_library  # here, as it imports subprocess, which nothing else needs
+
+        path, symbol = find_library("openblas"), f"openblas_{name}"
+        if path is None:
+            return None
+    try:
+        function = getattr(ctypes.CDLL(path), symbol)
+    except (OSError, AttributeError):
+        return None
+    function.restype, function.argtypes = restype, list(argtypes)
+    return function
+
+
 def _run_jobs(cfg: ExperimentConfig, prep: _Prepared, jobs: list[ScenarioJob]) -> list[JobResult]:
     """The jobs' results in job order: in-process, or on one fork pool when workers > 1.
 
@@ -188,7 +216,9 @@ def _run_jobs(cfg: ExperimentConfig, prep: _Prepared, jobs: list[ScenarioJob]) -
     dropped, so the results are those of a prefix of the jobs that holds
     the first failure in job order. A worker that dies fails the run,
     naming the jobs that were in flight and counting those that had not
-    started.
+    started. Each worker of a pool with MLP jobs does its BLAS work on one
+    thread, so the workers do not contend for the CPUs with a BLAS thread
+    per CPU each.
     """
     workers = cfg.resolved_workers()
     _POOL_STATE.clear()
@@ -204,9 +234,19 @@ def _run_jobs(cfg: ExperimentConfig, prep: _Prepared, jobs: list[ScenarioJob]) -
             return results
         ctx = multiprocessing.get_context("fork")
         # one byte per job in anonymous shared memory, which the forked workers write to
-        # (a multiprocessing.Array took 6.5 ms to make, for importing ctypes)
+        # (a multiprocessing.Array took 6.5 ms to make)
         states = _POOL_STATE["states"] = mmap.mmap(-1, len(jobs))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        # the BLAS read its thread count from the environment before the fork, so each worker sets
+        # it. Only the MLP calls the BLAS, and setting the count starts the BLAS's thread server in
+        # the worker, whose idle thread spins about 80 ms, so a pool with no MLP job leaves it be
+        set_threads = None
+        if any(j.kind == "mlp" for j in jobs):
+            set_threads = openblas_function("set_num_threads", None, ctypes.c_int)
+            if set_threads is None:
+                log.warning("no OpenBLAS library found: each pool worker keeps the BLAS's own thread count")
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=ctx, initializer=set_threads, initargs=(1,)
+        ) as pool:
             futures = [pool.submit(_execute_tracked, i, j) for i, j in enumerate(jobs)]
             if not cfg.keep_going:
                 for f in concurrent.futures.as_completed(futures):
@@ -619,25 +659,55 @@ def writable_dir(path) -> Path:
     return out
 
 
+def _stale_files(report: RunReport, out: Path, written: set[str]) -> list[str]:
+    """The files in `out` named as zdeval names its tables and model files that this run did not write.
+
+    `written` holds the tables this run writes; its model files are named
+    from its models, its classes and the baseline, and its k folds.
+    """
+    if report.config["save_models"]:
+        names = [BASELINE, *(report.slugs[c] for c in report.classes)]
+        written = written | {
+            f"models/{model}_{name}_f{fold}.json"
+            for model in report.models for name in names for fold in range(report.fold_plan["k"])
+        }
+    found = {
+        path.relative_to(out).as_posix()
+        for pattern in ("metrics_*.csv", "dr_vs_zdr_*.tsv", "wd_features_*.csv", "models/*.json")
+        for path in out.glob(pattern)
+    }
+    return sorted(found - written)
+
+
 def emit_reports(report: RunReport, out_dir) -> list[str]:
     """Write run.json, per-model CSV/TSV tables and transforms; return their paths.
 
     The directory is probed for writability first and every file lands via
     write-to-temp + rename, so a failure cannot leave a partially written
-    report behind. The model files are written by the model jobs.
+    report behind. The model files are written by the model jobs. Files an
+    earlier run left in the directory under zdeval's names are kept, and
+    one warning on the report names them.
     """
     out = writable_dir(out_dir)
+    tables = {}
+    for model in report.models:
+        tables[f"metrics_{model}.csv"] = metrics_csv_text(report, model)
+        tables[f"dr_vs_zdr_{model}.tsv"] = dr_vs_zdr_tsv_text(report, model)
+    tables["wd_means.tsv"] = wd_means_tsv_text(report)
+    for name in report.classes:
+        if name in report.wd:
+            tables[f"wd_features_{report.slugs[name]}.csv"] = wd_features_csv_text(report, name)
+    stale = _stale_files(report, out, set(tables))
+    if stale:
+        report.warnings.append(
+            f"the output directory holds {len(stale)} file(s) that this run did not write, left by an earlier run: "
+            + ", ".join(stale)
+        )
     files = {
         "run.json": json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",
         "transforms.json": json.dumps(report.transforms, indent=2, sort_keys=True) + "\n",
+        **tables,
     }
-    for model in report.models:
-        files[f"metrics_{model}.csv"] = metrics_csv_text(report, model)
-        files[f"dr_vs_zdr_{model}.tsv"] = dr_vs_zdr_tsv_text(report, model)
-    files["wd_means.tsv"] = wd_means_tsv_text(report)
-    for name in report.classes:
-        if name in report.wd:
-            files[f"wd_features_{report.slugs[name]}.csv"] = wd_features_csv_text(report, name)
     for name, content in files.items():
         _write_atomic(out / name, content)
     return [str(out / name) for name in files]

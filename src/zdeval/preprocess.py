@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .flowdata import FlowTable, row_major_extremes
+from .flowdata import FlowTable
 
 # `column` codes this many rows of a categorical column at a time, so its temporaries stay small
 _GATHER_ROWS = 2048
@@ -147,17 +147,10 @@ class FittedTransform:
         return values
 
 
-def _group_min_max(
-    col: np.ndarray, groups: np.ndarray | None, n_groups: int, d: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row group, the column's min and max (+inf and -inf for an empty group).
-
-    When `groups` is None there is one group, reduced as a column of a
-    row-major block of d columns (`row_major_extremes`).
-    """
+def _group_min_max(col: np.ndarray, groups: np.ndarray | None, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row group, the column's min and max (+inf and -inf for an empty group); one group if `groups` is None."""
     if groups is None:
-        lo, hi = row_major_extremes(col, d)
-        return np.array([lo]), np.array([hi])
+        return np.array([col.min()]), np.array([col.max()])
     lo, hi = np.full(n_groups, np.inf), np.full(n_groups, -np.inf)
     np.minimum.at(lo, groups, col)
     np.maximum.at(hi, groups, col)
@@ -201,11 +194,12 @@ def preprocess_pipeline(
     DataError's `fit` is the index of the fit that met it) or map to the
     reserve code (unseen="reserve-code"), recorded in the counters in
     sorted order. The scaler records each feature's exact min and max over
-    the fit rows; the counters tally, per feature, the rows whose scaled
-    value falls outside [0, 1] and is clamped. Only a value outside [lo, hi]
-    can be, since rounding is monotone, so only those are scaled to count.
-    A fit whose groups hold no row raises a ValueError whose `fit` is its
-    index.
+    the fit rows, a zero end as 0.0 whether the rows hold -0.0 or 0.0 there,
+    so no layout or reduction order can change a range. The counters tally,
+    per feature, the rows whose scaled value falls outside [0, 1] and is
+    clamped. Only a value outside [lo, hi] can be, since rounding is
+    monotone, so only those are scaled to count. A fit whose groups hold no
+    row raises a ValueError whose `fit` is its index.
     """
     if unseen not in ("error", "reserve-code"):
         raise ValueError(f"unseen policy must be 'error' or 'reserve-code', got {unseen!r}")
@@ -218,7 +212,7 @@ def preprocess_pipeline(
     if base.row_count < 1:
         raise ValueError("cannot fit a scaler on an empty table")
 
-    n, d = base.features.shape
+    n = base.row_count
     n_fits, n_groups = fits.shape
     sizes = fits @ (np.array([n]) if groups is None else np.bincount(groups, minlength=n_groups))
     names = base.feature_names
@@ -262,13 +256,10 @@ def preprocess_pipeline(
                     if n_out:
                         fit.counters.clamped[name] = n_out
         else:
-            group_lo, group_hi = _group_min_max(col, groups, n_groups, d)
-            lo = np.where(fits, group_lo, np.inf).min(axis=1)
-            hi = np.where(fits, group_hi, -np.inf).max(axis=1)
-            zero = (lo == 0) | (hi == 0)
-            if groups is not None and zero.any() and np.signbit(col[col == 0]).any():
-                for i in np.flatnonzero(zero):  # the group reductions may have picked the other zero
-                    lo[i], hi[i] = row_major_extremes(col[np.flatnonzero(fits[i][groups])], d)
+            group_lo, group_hi = _group_min_max(col, groups, n_groups)
+            # a zero end is recorded as 0.0, whichever of -0.0 and 0.0 the reductions picked
+            lo = np.where(fits, group_lo, np.inf).min(axis=1) + 0.0
+            hi = np.where(fits, group_hi, -np.inf).max(axis=1) + 0.0
             narrow = np.flatnonzero((lo > group_lo.min()) | (hi < group_hi.max()))
             if narrow.size:
                 values = np.sort(col)

@@ -325,7 +325,7 @@ def string_pipeline(schema, cells, train_indices=None, unseen: str = "reserve-co
     None) and applied to every row: `np.unique` over each categorical
     column's strings for both the fit and the application, one float64
     matrix per stage. Returns the mappings (insertion order is code order),
-    the scaler ranges, the clamp and unseen counters, and the unscaled and
+    the scaler ranges (a zero end as 0.0), the clamp and unseen counters, and the unscaled and
     scaled matrices with their feature names.
     """
     features = schema.feature_names
@@ -361,7 +361,7 @@ def string_pipeline(schema, cells, train_indices=None, unseen: str = "reserve-co
     unscaled = np.column_stack(columns).astype(np.float64)
 
     fit = unscaled[fit_rows]
-    ranges = {name: (float(fit[:, j].min()), float(fit[:, j].max())) for j, name in enumerate(features)}
+    ranges = {name: (float(fit[:, j].min()) + 0.0, float(fit[:, j].max()) + 0.0) for j, name in enumerate(features)}
     scaled = np.empty_like(unscaled)
     clamped: dict[str, int] = {}
     for j, name in enumerate(features):
@@ -385,7 +385,7 @@ def gathered_scenario_fit(base, train_indices, unseen: str = "reserve-code"):
     The fit rows' n_train x d block is gathered; each categorical column is
     encoded by `np.unique` over those rows' category indices, by first
     appearance; each range is the min and max of the gathered block's
-    (strided) column; and the clamps are counted by min-max scaling every
+    column, a zero end as 0.0; and the clamps are counted by min-max scaling every
     row of every column of the table, with the package's float operations.
     """
     rows = np.asarray(train_indices)
@@ -413,7 +413,7 @@ def gathered_scenario_fit(base, train_indices, unseen: str = "reserve-code"):
     ranges = {}
     for j, name in enumerate(names):
         fit_col = coded(name, fit[:, j])
-        ranges[name] = lo, hi = float(fit_col.min()), float(fit_col.max())
+        ranges[name] = lo, hi = float(fit_col.min()) + 0.0, float(fit_col.max()) + 0.0
         col = coded(name, base.features[:, j])
         if not hi > lo:
             scaled = np.zeros_like(col)

@@ -267,8 +267,8 @@ class TestSummarize:
         assert s.class_counts == {"Benign": 1, "A": 2}
 
     def test_min_and_max_keep_the_sign_of_zero(self):
-        # a contiguous column of these values gives min -0.0, a column of the row-major block
-        # tables once held 0.0, and the summary keeps that pick, as the full-dataset fit does
+        # a contiguous column of these values reduces to min -0.0, and the summary records that
+        # zero min as 0.0, as a fitted range does
         values = np.zeros((9, 3))
         values[:, 2] = [-0.0] * 7 + [1.0, 0.0]
         s = summarize(feature_table(values, ("a", "b", "c")))

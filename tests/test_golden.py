@@ -26,7 +26,7 @@ import pytest
 from zdeval.classifiers import forest_score, mlp_score, mlp_train, train_forest
 from zdeval.config import KNOWN_MODELS, config_from_dict
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable, load_csv, write_csv
-from zdeval.harness import _SEED_TRAIN, _prepare, derive_seed, emit_reports, run_experiment
+from zdeval.harness import _SEED_TRAIN, _prepare, derive_seed, emit_reports, openblas_function, run_experiment
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
 from zdeval.zslsplit import Scenario
 
@@ -99,18 +99,13 @@ def _table(got: dict) -> str:
 
 
 def _blas_core() -> str:
-    """The core name of the OpenBLAS bundled with numpy (e.g. "SkylakeX"), or "unknown" if it is not found.
+    """The core name of the OpenBLAS numpy calls (e.g. "SkylakeX"), or "unknown" if it is not found.
 
     The MLP's matrix products round by this kernel, so a score mismatch on
     another host names it.
     """
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
-    try:
-        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
-        return "unknown"
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
+    corename = openblas_function("get_corename", ctypes.c_char_p)
+    return "unknown" if corename is None else corename().decode()
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import multiprocessing
 import os
 import re
+import shutil
 import stat
 import tracemalloc
 import warnings
@@ -739,6 +741,29 @@ class TestDeadWorker:
         assert re.search(r"\b\d+ not started", message), message
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork")
+@pytest.mark.parametrize("kinds", [("wd", "mlp", "wd", "mlp"), ("wd", "forest", "wd", "forest")])
+def test_a_pool_worker_runs_one_blas_thread(synth_csv, monkeypatch, kinds):
+    # with an MLP job, every worker runs one BLAS thread; with none, they keep the parent's count
+    get_threads = harness.openblas_function("get_num_threads", ctypes.c_int)
+    set_threads = harness.openblas_function("set_num_threads", None, ctypes.c_int)
+    if get_threads is None:
+        pytest.skip("no OpenBLAS library found")
+    path, table = synth_csv
+    cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), workers=2))
+    # each job reports its worker's BLAS thread count as its result
+    monkeypatch.setattr(harness, "_execute_job", lambda job: harness.JobResult(job.kind, job.scenario, get_threads()))
+    before = get_threads()
+    set_threads(2)  # so that a worker that kept the parent's count would show it, on any host
+    try:
+        parent = get_threads()
+        results = harness._run_jobs(cfg, None, [harness.ScenarioJob(kind, i, 0) for i, kind in enumerate(kinds)])
+        assert [r.report for r in results] == [1 if "mlp" in kinds else parent] * len(kinds)
+        assert get_threads() == parent
+    finally:
+        set_threads(before)
+
+
 def _emitted_bytes(report, out: Path) -> dict[str, bytes]:
     """Every emitted file's bytes; run.json without its timestamp, paths and worker count."""
     emit_reports(report, out)
@@ -897,6 +922,21 @@ class TestEmitReports:
         for path in forests:
             model = forest_from_json(json.loads(path.read_text()))
             assert model.n_trees == 5
+
+    def test_a_run_into_an_earlier_runs_directory_names_its_files(self, emitted, tmp_path):
+        cfg, report, out, _ = emitted
+        assert not any("did not write" in w for w in report.warnings)  # a fresh directory
+        shutil.copytree(out, tmp_path / "out")
+        forest = dataclasses.replace(cfg, models=("forest",), output_dir=str(tmp_path / "out"))
+        again = run_experiment(forest)
+        emit_reports(again, forest.output_dir)
+        [warning] = [w for w in again.warnings if "did not write" in w]
+        # the mlp's 12 model files (baseline and 3 classes, k=3) and its two tables
+        assert "holds 14 file(s)" in warning
+        assert "models/mlp_baseline_f0.json" in warning and "metrics_mlp.csv" in warning
+        assert "forest_" not in warning and "metrics_forest.csv" not in warning
+        assert warning in json.loads((tmp_path / "out" / "run.json").read_text())["warnings"]
+        assert (tmp_path / "out" / "metrics_mlp.csv").is_file()  # nothing is deleted
 
     def test_dr_vs_zdr_table(self, emitted):
         _, report, _, _ = emitted

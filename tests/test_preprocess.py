@@ -12,7 +12,7 @@ from oracle_impls import gathered_scenario_fit, string_pipeline
 
 from zdeval import preprocess
 from zdeval.errors import DataError
-from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
+from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable, summarize
 from zdeval.harness import subsample_rows
 from zdeval.preprocess import FittedTransform, PrepCounters, preprocess_pipeline, transforms_to_json
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
@@ -321,9 +321,8 @@ class TestStringOracle:
         assert base.features.tobytes() == loaded.tobytes()
 
     def test_train_only_range_keeps_the_sign_of_zero(self):
-        # min and max of a tie between -0.0 and 0.0 depend on the layout reduced: a contiguous
-        # column of these fit rows gives min -0.0, the column of their gathered block 0.0, so the
-        # range must be that of the strided column, as a fit that gathers the block finds it
+        # a contiguous column of these fit rows reduces to min -0.0, the column of their gathered
+        # block to 0.0; the range records a zero end as 0.0, which is the gathered block's pick
         values = np.zeros((10, 3))
         values[:, 2] = [-0.0] * 7 + [1.0, 0.0, -0.0]
         table = feature_table(values, ("a", "b", "c"))
@@ -335,13 +334,25 @@ class TestStringOracle:
             assert repr(t.ranges[name]) == repr((float(block[:, j].min()), float(block[:, j].max())))
 
     def test_full_dataset_range_keeps_the_sign_of_zero(self):
-        # the full-scope twin of the test above: a contiguous column of these values gives min
-        # -0.0, a column of the row-major block tables once held 0.0, and the range keeps that pick
+        # the full-scope twin of the test above: a contiguous column of these values reduces to
+        # min -0.0, and the range records that zero end as 0.0
         values = np.zeros((9, 3))
         values[:, 2] = [-0.0] * 7 + [1.0, 0.0]
         assert np.signbit(values[:, 2].copy().min())
         (t,) = preprocess_pipeline(feature_table(values, ("a", "b", "c")))
         assert repr(t.ranges["c"]) == "(0.0, 1.0)"
+
+    def test_a_zero_end_is_recorded_as_zero(self):
+        # "a" holds its zeros as -0.0 only, at its min, and "b" ends at -0.0, its max: every
+        # reduction of them gives -0.0, yet the fits and the summary record 0.0
+        values = np.array([[-0.0, -1.0], [1.0, -0.0], [-0.0, -2.0], [3.0, -0.0], [2.0, -0.0], [2.0, -1.0]])
+        table = feature_table(values, ("a", "b"))
+        expected = {"a": "(0.0, 3.0)", "b": "(-2.0, 0.0)"}
+        for train in (None, np.arange(5)):
+            _, t = fit(table, train)
+            assert {name: repr(r) for name, r in t.ranges.items()} == expected
+        stats = summarize(table).numeric
+        assert {name: repr((s.min, s.max)) for name, s in stats.items()} == expected
 
     @pytest.mark.parametrize("train", [None, np.array([0, 1, 3])])
     def test_apply_returns_a_row_major_matrix(self, small_table, train):
