@@ -23,7 +23,9 @@ partitions the matrix with one boolean mask, which keeps each feature's
 order sorted, so the children need no sort either. A child that is a leaf
 by its counts alone (pure, at max_depth, or under 2 * min_samples_leaf
 rows) is known from the prefix sums at the cut, so it gets no rows: only a
-child that may be split is partitioned.
+child that may be split is partitioned. Each feature is sorted, and a
+node reads its candidates' values, as a contiguous row of the d x n
+transpose of the training matrix.
 
 Every boolean selection (the valid cuts, the partition) is `compress` on
 the C-order flattened array, with the same elements in the same order as
@@ -148,22 +150,8 @@ def _check_training_data(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.n
     return X, y
 
 
-def _presort(X: np.ndarray) -> np.ndarray:
-    """d x n matrix whose row f lists the row ids in ascending order of feature f.
-
-    The order among rows with equal values is whatever numpy's default sort
-    gives, not their row order: no split depends on it. A cut is only valid
-    between two distinct values, and the prefix sums there count the same
-    rows, in whatever order the tied rows before the cut come; the sorted
-    values, and so the thresholds, are the same too (see the module
-    docstring). The partition that follows a split only keeps each feature's
-    rows sorted, so a child inherits the same freedom.
-    """
-    return np.argsort(X.T, axis=1)
-
-
 def _grow_tree(
-    X: np.ndarray,
+    XT: np.ndarray,
     y: np.ndarray,
     order: np.ndarray,
     weight: np.ndarray,
@@ -172,15 +160,16 @@ def _grow_tree(
 ) -> Tree:
     """Grow one tree on the rows with weight > 0, each counted `weight` times.
 
-    `order` is the presort of `X` (see `_presort`). The tree is the one a
-    per-node sort would grow on the multiset of rows: see the module
-    docstring. At each node, m_try candidate features are drawn without
-    replacement from `rng` (consumed in preorder, left child before right),
-    and the best valid split among them is taken. A node becomes a leaf when
-    it is pure, at max_depth, too small to split, or none of its candidate
-    features admits a valid partition.
+    `XT` is the C-ordered transpose of the n x d training matrix, and row f
+    of `order` lists the row ids in ascending order of feature f. The tree
+    is the one a per-node sort would grow on the multiset of rows: see the
+    module docstring. At each node, m_try candidate features are drawn
+    without replacement from `rng` (consumed in preorder, left child before
+    right), and the best valid split among them is taken. A node becomes a
+    leaf when it is pure, at max_depth, too small to split, or none of its
+    candidate features admits a valid partition.
     """
-    n, d = X.shape
+    d, n = XT.shape
     m_try = cfg.resolve_m_try(d)
     min_leaf = cfg.min_samples_leaf
     max_depth = math.inf if cfg.max_depth is None else cfg.max_depth
@@ -228,7 +217,7 @@ def _grow_tree(
         # last position admits none
         cand_rows = rows_sorted[candidates]
         u = cand_rows.shape[1]
-        values = X.take(cand_rows * d + candidates[:, None])
+        values = XT.take(cand_rows + candidates[:, None] * n)
         sums = np.cumsum(packed.take(cand_rows), axis=1)
         valid = np.zeros((m_try, u), dtype=bool)
         np.less(values[:, :-1], values[:, 1:], out=valid[:, :-1])
@@ -322,11 +311,13 @@ def train_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: int) -> 
 
     Tree i uses the generator seeded by the seed sequence (seed, spawn_key=i),
     so the forest is reproducible and trees are independent. The features
-    are sorted once here and shared by every tree.
+    are sorted once here and shared by every tree; the order among tied
+    rows is numpy's, and no split depends on it (see the module docstring).
     """
     X, y = _check_training_data(X, y)
     n = X.shape[0]
-    order = _presort(X)
+    XT = np.ascontiguousarray(X.T)  # a view when X is column-contiguous, as a model job's matrix is
+    order = np.argsort(XT, axis=1)
     trees = []
     for i in range(cfg.n_trees):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
@@ -334,7 +325,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: int) -> 
             weight = np.bincount(rng.integers(0, n, size=n), minlength=n)
         else:
             weight = np.ones(n, dtype=np.int64)
-        trees.append(_grow_tree(X, y, order, weight, cfg, rng))
+        trees.append(_grow_tree(XT, y, order, weight, cfg, rng))
     return RandomForestModel(tuple(trees), X.shape[1], cfg.resolve_m_try(X.shape[1]), seed)
 
 

@@ -112,7 +112,8 @@ def _bce(z: np.ndarray, y: np.ndarray) -> float:
 
 def mlp_score(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Attack scores in (0, 1) for a batch of rows."""
-    X = np.asarray(X, dtype=np.float64)
+    # row order, as a batch in training: a column-contiguous X would take another BLAS path
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(
             f"feature dimensionality mismatch: model expects {model.n_features}, "

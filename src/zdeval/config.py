@@ -99,7 +99,12 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     def resolved_workers(self) -> int:
-        return self.workers if self.workers is not None else (os.cpu_count() or 1)
+        """`workers`, else the number of CPUs this process may run on."""
+        if self.workers is not None:
+            return self.workers
+        if hasattr(os, "sched_getaffinity"):  # Linux; elsewhere every CPU counts
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
     def to_json(self) -> dict:
         """Config echo with every default resolved, for the run report."""

@@ -5,12 +5,11 @@ whose columns are the schema's feature columns in schema order: a numeric
 column holds its values, a categorical column each row's index into the
 column's sorted distinct values (`FlowTable.categories`). Each column's n
 values are contiguous (`features.strides[0]` is the item size), since every
-reader but a model job reads one feature at a time; a model job's gather of
-its rows, `features[rows]`, is a new row-major block. A categorical column
-is held nowhere else: the strings a table is built from are indexed into
-the block and dropped. The numeric entries of `FlowTable.data` are views of
-the block's columns, and the identifier columns are object arrays of
-interned strings. The attack class is held once, as each row's code into
+reader reads one feature at a time. A categorical column is held nowhere
+else: the strings a table is built from are indexed into the block and
+dropped. The numeric entries of `FlowTable.data` are views of the block's
+columns, and the identifier columns are object arrays of interned strings.
+The attack class is held once, as each row's code into
 `FlowTable.class_names`; the binary label is the code != 0. `load_csv`
 parses straight into the block, with numpy's C reader while the file's
 chunks are clean and with the `csv` module from the first chunk that is

@@ -26,11 +26,11 @@ job becomes a warning and is left out of every mean.
 The features are held once: the loaded table is the base matrix, its
 feature-major block the one n x d float64 matrix a run holds, and nothing
 writes to it. Each job reads its rows of it through its scenario's fitted
-transform: a distance job one column at a time, each side one take from
-the contiguous column, and a model job its train rows and its test rows,
-each gathered into a new row-major matrix. The table's class codes are the
-one class column and the one class inventory: a model job's labels are its
-rows' codes != 0.
+transform, one column at a time, each one take from the contiguous column:
+a distance job each side of a feature, and a model job every feature of
+its train rows and of its test rows, into a new matrix whose columns are
+contiguous. The table's class codes are the one class column and the one
+class inventory: a model job's labels are its rows' codes != 0.
 """
 
 from __future__ import annotations

@@ -15,11 +15,12 @@ per fit, each on a union of row groups (a scenario's train rows are its
 gathers no fit's rows; the block is feature-major, so each column it reads
 is contiguous. Each resulting `FittedTransform` codes and scales the rows a
 reader asks for, one column (`column`, into a caller's buffer) or all of
-them (`apply`, into a new row-major matrix), in a copy of those rows:
-nothing writes to the table. Distance jobs and model jobs read the same
-coded and scaled values; no reader sees a coded but unscaled column. The
-encoding codes by first appearance among the fit rows in row order,
-exactly as encoding the strings of those rows would.
+them (`apply`, column by column into a new matrix whose columns are
+contiguous), in a copy of those rows: nothing writes to the table.
+Distance jobs and model jobs read the same coded and scaled values through
+`column`; no reader sees a coded but unscaled column. The encoding codes by
+first appearance among the fit rows in row order, exactly as encoding the
+strings of those rows would.
 Fitted transforms are immutable and serializable so a run can be replayed
 and audited.
 """
@@ -72,19 +73,21 @@ def _min_max(col: np.ndarray, lo: float, hi: float, out: np.ndarray | None = Non
 
     A constant feature maps to 0. A range wider than the largest float
     (hi - lo overflows) is scaled with both sides halved, which keeps every
-    term finite.
+    term finite. A value far outside a narrow range may still overflow to
+    inf, silently: the clamp maps it to 1 (or -inf to 0).
     """
     if not hi > lo:
         out = np.empty_like(col) if out is None else out
         out.fill(0.0)
         return out
-    if not np.isfinite(hi - lo):
-        out = np.divide(col, 2, out=out)
-        out -= lo / 2
-        out /= hi / 2 - lo / 2
-        return out
-    out = np.subtract(col, lo, out=out)
-    out /= hi - lo
+    with np.errstate(over="ignore"):
+        if not np.isfinite(hi - lo):
+            out = np.divide(col, 2, out=out)
+            out -= lo / 2
+            out /= hi / 2 - lo / 2
+            return out
+        out = np.subtract(col, lo, out=out)
+        out /= hi - lo
     return out
 
 
@@ -105,11 +108,6 @@ class FittedTransform:
     codes: dict[str, np.ndarray]
     counters: PrepCounters
 
-    def _scale(self, name: str, col: np.ndarray) -> np.ndarray:
-        """The column, scaled into [0, 1] in place."""
-        _min_max(col, *self.ranges[name], out=col)
-        return np.clip(col, 0.0, 1.0, out=col)
-
     def column(self, base: FlowTable, rows: np.ndarray, j: int, *, out: np.ndarray) -> np.ndarray:
         """Feature j of the table's `rows` (an index array), encoded and scaled into [0, 1] in `out`.
 
@@ -127,24 +125,23 @@ class FittedTransform:
             for start in range(0, len(rows), _GATHER_ROWS):
                 chunk = out[start:start + _GATHER_ROWS]
                 chunk[:] = _coded(base, name, chunk, self.codes)
-        return self._scale(name, out)
+        _min_max(out, *self.ranges[name], out=out)
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def apply(self, base: FlowTable, rows: np.ndarray) -> np.ndarray:
         """The features of the table's `rows` (an index array), encoded and scaled into [0, 1].
 
-        The rows are gathered once, into a new row-major matrix, and each
-        column of that copy is coded and scaled in place.
+        Each feature is read by `column` into its row of a new d x n block,
+        and the block's n x d transpose is returned, so each column is
+        contiguous.
         """
         names = base.feature_names
         if set(self.ranges) != set(names):
             raise ValueError(f"scaler/table feature mismatch: {sorted(set(names) ^ set(self.ranges))}")
-        values = base.features[rows]
-        for j, name in enumerate(names):
-            col = values[:, j]
-            if name in base.categories:
-                col[:] = _coded(base, name, col, self.codes)
-            self._scale(name, col)
-        return values
+        block = np.empty((len(names), len(rows)))
+        for j in range(len(names)):
+            self.column(base, rows, j, out=block[j])
+        return block.T
 
 
 def _group_min_max(col: np.ndarray, groups: np.ndarray | None, n_groups: int) -> tuple[np.ndarray, np.ndarray]:

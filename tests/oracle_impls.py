@@ -367,7 +367,8 @@ def string_pipeline(schema, cells, train_indices=None, unseen: str = "reserve-co
     for j, name in enumerate(features):
         lo, hi = ranges[name]
         col = unscaled[:, j]
-        out = (col - lo) / (hi - lo) if hi > lo else np.zeros_like(col)
+        with np.errstate(over="ignore"):  # a value far outside a narrow range overflows to inf, then clamps
+            out = (col - lo) / (hi - lo) if hi > lo else np.zeros_like(col)
         n_out = int(np.count_nonzero((out < 0.0) | (out > 1.0)))
         if n_out:
             out = np.clip(out, 0.0, 1.0)

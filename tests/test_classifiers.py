@@ -266,6 +266,31 @@ class TestPresortMatchesPerNodeSort:
             assert forest_to_json(train_forest(X, y, cfg, seed)) == per_node_sort_forest(X, y, cfg, seed)
 
 
+class TestInputLayout:
+    """A model job's matrix is column-contiguous; the classifiers give the same bytes from a row-major one."""
+
+    def layouts(self):
+        X, y = blobs(60, d=5, gap=1.0, noise=1.0, seed=2)
+        X[:, 1] = np.round(X[:, 1], 1)  # ties
+        return X, np.asfortranarray(X), y
+
+    def test_forest(self):
+        X, XF, y = self.layouts()
+        cfg = ForestConfig(n_trees=5, min_samples_leaf=2)
+        model, model_f = train_forest(X, y, cfg, seed=3), train_forest(XF, y, cfg, seed=3)
+        assert forest_to_json(model_f) == forest_to_json(model)
+        assert forest_score(model_f, XF).tobytes() == forest_score(model, X).tobytes()
+
+    def test_mlp(self):
+        X, XF, y = self.layouts()
+        cfg = MlpConfig(batch_size=16, epochs=3, hidden_units=(8, 6))
+        model, model_f = mlp_train(X, y, cfg, seed=3), mlp_train(XF, y, cfg, seed=3)
+        for name, value in model.parameters().items():
+            assert model_f.parameters()[name].tobytes() == value.tobytes()
+        assert model_f.loss_history == model.loss_history
+        assert mlp_score(model, XF).tobytes() == mlp_score(model, X).tobytes()
+
+
 class TestMlp:
     def test_init_shapes_and_zero_biases(self):
         model = mlp_init(43, seed=0)

@@ -222,6 +222,17 @@ class TestConfig:
         assert echo == every_key
         assert config_from_dict(json.loads(json.dumps(echo))) == cfg
 
+    def test_default_workers_count_the_cpus_this_process_may_run_on(self, synth_csv, monkeypatch):
+        # an affinity mask (taskset, a cgroup cpuset) can allow fewer CPUs than the machine has
+        path, table = synth_csv
+        cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), workers=None))
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert cfg.resolved_workers() == 3 and cfg.to_json()["workers"] == 3
+        assert dataclasses.replace(cfg, workers=5).resolved_workers() == 5
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS and Windows
+        assert cfg.resolved_workers() == 64
+
     def test_overrides_take_field_names(self, synth_csv):
         path, table = synth_csv
         cfg = config_from_dict(base_config_dict(path, table.schema.to_json()))

@@ -147,10 +147,21 @@ class TestScaler:
         # hi - lo overflows to inf, and (x - lo) / inf read 0 for 0 and nan for hi
         m = self.matrix([-1e308, 0.0, 1e308])
         assert fit_rows(m).apply(m, every_row(m)).ravel().tolist() == [0.0, 0.5, 1.0]
-        with np.errstate(over="ignore"):  # the out-of-range row overflows to inf, then clamps to 1
-            t = fit_rows(m, np.array([0, 1]))
-            assert t.apply(m, every_row(m)).ravel().tolist() == [0.0, 1.0, 1.0]
+        t = fit_rows(m, np.array([0, 1]))  # the out-of-range row overflows to inf, then clamps to 1
+        assert t.apply(m, every_row(m)).ravel().tolist() == [0.0, 1.0, 1.0]
         assert t.counters.clamped == {"x": 1}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "lo, hi, value", [(0.0, 1e-10, 1e300), (-1e308, 0.0, 1.7e308)], ids=["divide", "subtract"]
+    )
+    def test_an_overflow_the_clamp_maps_into_range_does_not_warn(self, lo, hi, value):
+        # (value - lo) / (hi - lo) overflows to inf in the divide or in the subtract: the fit
+        # counts the clamp, and the read clamps the value to 1, neither with a numpy warning
+        m = self.matrix([lo, hi, value])
+        t = fit_rows(m, np.array([0, 1]))
+        assert t.counters.clamped == {"x": 1}
+        assert t.apply(m, every_row(m)).ravel().tolist() == [0.0, 1.0, 1.0]
 
     def test_out_of_range_clamped_and_counted(self):
         m = self.matrix([2.0, 6.0, 8.0, 0.0, 4.0])
@@ -355,11 +366,18 @@ class TestStringOracle:
         assert {name: repr((s.min, s.max)) for name, s in stats.items()} == expected
 
     @pytest.mark.parametrize("train", [None, np.array([0, 1, 3])])
-    def test_apply_returns_a_row_major_matrix(self, small_table, train):
-        # the models read the matrix as the row-major block a model job has always handed them
+    def test_apply_returns_contiguous_columns(self, small_table, train):
+        # each column is one `column` read, and the forest sorts and reads each feature whole
         base, t = fit(small_table, train)
         values = t.apply(base, np.array([4, 0, 2]))
-        assert values.flags.c_contiguous and values.shape == (3, 2)
+        assert values.shape == (3, 2) and values.strides[0] == values.itemsize
+
+    def test_apply_refuses_a_row_outside_the_table(self, small_table):
+        # as `column` does: a gather from the block would read row -1 as the last row
+        base, t = fit(small_table)
+        for rows in (np.array([0, -1]), np.array([base.row_count])):
+            with pytest.raises(IndexError, match=r"rows must lie in \[0, 5\) of the table"):
+                t.apply(base, rows)
 
     @pytest.mark.parametrize("train", [None, np.array([1, 2, 5, 8])])
     def test_column_gathers_across_chunks(self, monkeypatch, train):
