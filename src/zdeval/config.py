@@ -30,7 +30,6 @@ _TOP_LEVEL_KEYS = {
     "k": int,
     "seed": int,
     "fit_scope": str,
-    "wd_subsample_cap": (int, type(None)),
     "subsample": (int, type(None)),
     "classes": (list, type(None)),
     "output_dir": str,
@@ -54,7 +53,6 @@ class ExperimentConfig:
     k: int = 5
     seed: int = 0
     fit_scope: str = "full-dataset"
-    wd_subsample_cap: int | None = 100_000
     subsample: int | None = None
     classes: tuple[str, ...] | None = None
     output_dir: str = "out"
@@ -93,8 +91,6 @@ class ExperimentConfig:
             raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
         if self.subsample is not None and self.subsample < 1:
             raise ConfigError(f"subsample must be >= 1, got {self.subsample}")
-        if self.wd_subsample_cap is not None and self.wd_subsample_cap < 1:
-            raise ConfigError(f"wd_subsample_cap must be >= 1, got {self.wd_subsample_cap}")
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 

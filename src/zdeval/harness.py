@@ -28,9 +28,10 @@ feature-major block the one n x d float64 matrix a run holds, and nothing
 writes to it. Each job reads its rows of it through its scenario's fitted
 transform, one column at a time, each one take from the contiguous column:
 a distance job each side of a feature, and a model job every feature of
-its train rows and of its test rows, into a new matrix whose columns are
-contiguous. The table's class codes are the one class column and the one
-class inventory: a model job's labels are its rows' codes != 0.
+its train rows and, once its model is trained, of its test rows, into a
+new matrix whose columns are contiguous. The table's class codes are the
+one class column and the one class inventory: a model job's labels are its
+rows' codes != 0.
 """
 
 from __future__ import annotations
@@ -137,21 +138,18 @@ def _execute_job(job: ScenarioJob) -> JobResult:
                 transform=transform,
                 held_out_class=scenario.held_out,
                 fold_id=scenario.fold_id,
-                subsample_cap=cfg.wd_subsample_cap,
-                seed=job.seed,
             )
             return JobResult(job.kind, job.scenario, report)
 
         train_codes, test_codes = base.class_codes[train], base.class_codes[test]
         x_train, y_train = transform.apply(base, train), (train_codes != 0).astype(np.int64)
-        x_test, y_test = transform.apply(base, test), (test_codes != 0).astype(np.int64)
-
         if job.kind == "forest":
             model = train_forest(x_train, y_train, cfg.forest, job.seed)
-            scores = forest_score(model, x_test)
         else:
             model = mlp_train(x_train, y_train, cfg.mlp, job.seed)
-            scores = mlp_score(model, x_test)
+        # read once the model is trained, so the test matrix is not held through training
+        x_test, y_test = transform.apply(base, test), (test_codes != 0).astype(np.int64)
+        scores = forest_score(model, x_test) if job.kind == "forest" else mlp_score(model, x_test)
 
         y_pred = predict(scores, cfg.threshold)
         report = scenario_report(

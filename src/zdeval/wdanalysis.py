@@ -15,10 +15,10 @@ or range.
 Each feature's distance takes one in-place sort per side and one merge,
 inside one workspace per scenario, so a pool worker does not fault in fresh
 pages for every feature: one allocation, sized to the scenario's n train
-and test rows after the cap, holding the values (the train half, then the
-test half), the merged values, two float buffers of n - 1 and the float
-ranks 1..n-1. A feature's train and test columns are gathered from the
-table's feature-major block into the two halves, each by one take from the
+and test rows, holding the values (the train half, then the test half),
+the merged values, two float buffers of n - 1 and the float ranks 1..n-1.
+A feature's train and test columns are gathered from the table's
+feature-major block into the two halves, each by one take from the
 contiguous column, transformed there by the scenario's fitted transform,
 sorted, and merged by a stable argsort of the
 two sorted runs (one linear merge, whose result is the only n-element array
@@ -53,7 +53,6 @@ class WdReport:
     encoded_features: tuple[str, ...] = ()
     rows_train: int = 0
     rows_test: int = 0
-    subsample_cap: int | None = None
 
     def to_json(self) -> dict:
         return {
@@ -64,7 +63,6 @@ class WdReport:
             "encoded_features": list(self.encoded_features),
             "rows_train": self.rows_train,
             "rows_test": self.rows_test,
-            "subsample_cap": self.subsample_cap,
         }
 
 
@@ -114,17 +112,14 @@ def per_feature_wd(
     transform: FittedTransform,
     held_out_class: str | None = None,
     fold_id: int | None = None,
-    subsample_cap: int | None = 100_000,
-    seed: int = 0,
 ) -> WdReport:
     """Wasserstein distance per feature between a table's train and test rows.
 
     Each feature is read through `transform.column`, encoded and scaled
     into [0, 1], into one workspace reused for every feature, so every
-    distance lies in [0, 1].
+    distance lies in [0, 1]. Every distance is exact, over all of both
+    sides' rows.
 
-    Sides larger than `subsample_cap` rows are reduced to a seeded uniform
-    subsample (without replacement); the cap is recorded in the report.
     Features that are encoded categories are carried through in
     `encoded_features` since distances over arbitrary integer codes depend
     on the code assignment.
@@ -134,15 +129,6 @@ def per_feature_wd(
     n_train, n_test = train_rows.size, test_rows.size
     if n_train == 0 or n_test == 0:
         raise ValueError("per_feature_wd requires nonempty train and test sets")
-
-    capped = None
-    if subsample_cap is not None and (n_train > subsample_cap or n_test > subsample_cap):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        if n_train > subsample_cap:
-            train_rows = train_rows[np.sort(rng.choice(n_train, size=subsample_cap, replace=False))]
-        if n_test > subsample_cap:
-            test_rows = test_rows[np.sort(rng.choice(n_test, size=subsample_cap, replace=False))]
-        capped = subsample_cap
 
     # each column is copied into the workspace, so sorting it leaves the table alone
     ws = _Workspace(train_rows, test_rows)
@@ -156,7 +142,6 @@ def per_feature_wd(
         encoded_features=base.schema.categorical_names,
         rows_train=n_train,
         rows_test=n_test,
-        subsample_cap=capped,
     )
 
 

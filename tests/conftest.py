@@ -118,13 +118,12 @@ class RawColumns:
 def wasserstein_1d(u, v) -> float:
     """The package's distance between two samples: `per_feature_wd` on a one-feature matrix.
 
-    The rows of `u` are the train rows and the rows of `v` the test rows, with
-    no subsampling.
+    The rows of `u` are the train rows and the rows of `v` the test rows.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
     table = feature_table(np.concatenate([u, v]))
-    return raw_wd(table, np.arange(u.size), np.arange(u.size, table.row_count), subsample_cap=None).per_feature["x"]
+    return raw_wd(table, np.arange(u.size), np.arange(u.size, table.row_count)).per_feature["x"]
 
 
 def raw_wd(table: FlowTable, train_rows, test_rows, **kwargs):

@@ -121,13 +121,15 @@ class TestRun:
 
     @pytest.mark.parametrize("command", ["run", "wd"])
     def test_a_deleted_key_exits_1_before_the_dataset_is_read(self, tmp_path, caplog, command):
-        # distances always read scaled features: the key that switched that off is now unknown
+        # distances always read scaled features, over all of their rows: the keys that switched
+        # scaling off and capped each side's rows are now unknown
         cfg = tmp_path / "cfg.json"
-        doc = {"dataset": "missing.csv", "benign_name": "Benign", "columns": _COLUMNS, "seed": 0, "wd_on_scaled": False}
-        cfg.write_text(json.dumps(doc))
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert "unknown config key 'wd_on_scaled'" in caplog.text
-        assert not (tmp_path / "o").exists()
+        for key, value in (("wd_on_scaled", False), ("wd_subsample_cap", 100000)):
+            doc = {"dataset": "missing.csv", "benign_name": "Benign", "columns": _COLUMNS, "seed": 0, key: value}
+            cfg.write_text(json.dumps(doc))
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+            assert f"unknown config key '{key}'" in caplog.text
+            assert not (tmp_path / "o").exists()
 
     def test_data_error_exit_code(self, experiment_setup, caplog):
         tmp_path, cfg = experiment_setup

@@ -41,6 +41,7 @@ from zdeval.harness import (
     subsample_rows,
     wd_means_tsv_text,
 )
+from zdeval.preprocess import FittedTransform
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
 from zdeval.wdanalysis import per_feature_wd
 from zdeval.zslsplit import Scenario, make_fold_plan, make_zero_day_scenarios, scenario_rows
@@ -146,9 +147,11 @@ class TestConfig:
         # every key left out takes its ExperimentConfig default
         assert config_from_dict({**required, "seed": 0}) == ExperimentConfig(str(path), "Benign", table.schema)
 
-    @pytest.mark.parametrize("key, value", [("typo_key", 1), ("wd_on_scaled", False)])
+    @pytest.mark.parametrize(
+        "key, value", [("typo_key", 1), ("wd_on_scaled", False), ("wd_subsample_cap", 100000)]
+    )
     def test_unknown_key_rejected(self, synth_csv, key, value):
-        # the second is a deleted key: distances always read scaled features
+        # the others are deleted keys: distances always read scaled features, over all of their rows
         path, table = synth_csv
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             config_from_dict(base_config_dict(path, table.schema.to_json(), **{key: value}))
@@ -210,8 +213,8 @@ class TestConfig:
     def test_echo_loads_back_to_an_equal_config(self, synth_csv):
         path, table = synth_csv
         every_key = base_config_dict(
-            path, table.schema.to_json(), models=["mlp", "forest"], k=4, fit_scope="train-only",
-            wd_subsample_cap=500, subsample=200, classes=["alpha", "gamma"], output_dir="elsewhere", workers=3,
+            path, table.schema.to_json(), models=["mlp", "forest"], k=4, fit_scope="train-only", subsample=200,
+            classes=["alpha", "gamma"], output_dir="elsewhere", workers=3,
             keep_going=True, save_models=True, on_bad_row="drop", unseen_category_policy="error", threshold=0.25,
             forest={"n_trees": 4, "m_try": 2, "max_depth": 6, "min_samples_leaf": 3, "bootstrap": False},
             mlp={"learning_rate": 0.5, "batch_size": 16, "epochs": 2, "hidden_units": [3, 5]},
@@ -531,6 +534,33 @@ class TestScenarioMemory:
                 tracemalloc.stop()
         # the fits read one column at a time: a few columns of n float64 at most above the load's peak
         assert peaks["train-only"] <= peaks["full-dataset"] + 4 * table.row_count * 8, peaks
+
+    @pytest.mark.parametrize("model, trainer", [("forest", "train_forest"), ("mlp", "mlp_train")])
+    def test_a_model_job_reads_its_test_matrix_after_training(self, synth_csv, monkeypatch, model, trainer):
+        # so the test matrix is not held through training
+        path, table = synth_csv
+        cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), models=[model], classes=["alpha"]))
+        prep = _prepare(cfg, with_baseline=True)
+        calls = []
+        apply, train = FittedTransform.apply, getattr(harness, trainer)
+
+        def recorded_apply(transform, base, rows):
+            calls.append(("read", len(rows)))
+            return apply(transform, base, rows)
+
+        def recorded_train(x, *args):
+            calls.append(("train", len(x)))
+            return train(x, *args)
+
+        monkeypatch.setattr(harness, "_prepare", lambda cfg, *, with_baseline: prep)
+        monkeypatch.setattr(FittedTransform, "apply", recorded_apply)
+        monkeypatch.setattr(harness, trainer, recorded_train)
+        run_experiment(cfg)
+        sizes = sorted((tr.size, te.size) for tr, te in map(prep.rows, range(len(prep.scenarios))))
+        assert len(sizes) == 6  # alpha and the baseline, k=3
+        jobs = [calls[i:i + 3] for i in range(0, len(calls), 3)]
+        assert sorted((job[0][1], job[2][1]) for job in jobs) == sizes
+        assert all(job == [("read", job[0][1]), ("train", job[0][1]), ("read", job[2][1])] for job in jobs), calls
 
 
 def _buffers(arrays: list[np.ndarray]) -> list[np.ndarray]:

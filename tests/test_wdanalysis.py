@@ -168,17 +168,14 @@ class TestPerFeatureWd:
         report = raw_wd(*stacked(rng.random((25, 5)), rng.random((35, 5)), tuple("abcde")))
         assert report.mean_wd == pytest.approx(np.mean(list(report.per_feature.values())), abs=1e-15)
 
-    def test_subsample_cap_recorded_and_deterministic(self):
+    def test_a_side_over_100k_rows_is_read_whole(self):
+        # every distance is exact: no side is cut to a sample, however many rows it holds
         rng = np.random.default_rng(7)
-        m, train_rows, test_rows = stacked(rng.random((500, 2)), rng.random((100, 2)), ("a", "b"))
-        r1 = raw_wd(m, train_rows, test_rows, subsample_cap=200, seed=9)
-        r2 = raw_wd(m, train_rows, test_rows, subsample_cap=200, seed=9)
-        assert r1.subsample_cap == 200
-        assert r1.per_feature == r2.per_feature
-        assert (r1.rows_train, r1.rows_test) == (500, 100)
-        full = raw_wd(m, train_rows, test_rows, subsample_cap=None)
-        assert full.subsample_cap is None
-        assert full.per_feature != r1.per_feature  # subsample really kicked in
+        train, test = rng.random((100_001, 2)), rng.random((50, 2))
+        m, train_rows, test_rows = stacked(train, test, ("a", "b"))
+        report = raw_wd(m, train_rows, test_rows)
+        assert report.per_feature == {name: three_sort_wd(train[:, j], test[:, j]) for j, name in enumerate("ab")}
+        assert (report.rows_train, report.rows_test) == (100_001, 50)
 
     def test_encoded_features_flagged(self):
         m = matrix_from(np.zeros((3, 2)), ("num", "proto"), encoded=("proto",))
@@ -227,15 +224,9 @@ class TestPerFeatureWd:
         assert raw["c"] > 1.0 > scaled["c"]
 
 
-def _subsample(rows: np.ndarray, cap: int | None, rng) -> np.ndarray:
-    if cap is None or rows.size <= cap:
-        return rows
-    return rows[np.sort(rng.choice(rows.size, size=cap, replace=False))]
-
-
 @st.composite
 def wd_cases(draw):
-    """A matrix, disjoint unsorted train/test row sets, a cap and a seed.
+    """A matrix and disjoint unsorted train/test row sets.
 
     Columns are tie-heavy grids, constant, or spread over a drawn magnitude
     (negative and large included); rows may repeat; a side may hold one row
@@ -261,8 +252,7 @@ def wd_cases(draw):
     if draw(st.booleans()):  # duplicate rows
         values = values[rng.integers(0, max(1, n_rows // 4), n_rows)]
     perm = rng.permutation(n_rows)
-    cap = draw(st.sampled_from([None, 1, 5, 40, 100_000]))
-    return values, perm[:n_train], perm[n_train:n_train + n_test], cap, draw(st.integers(0, 1000))
+    return values, perm[:n_train], perm[n_train:n_train + n_test]
 
 
 class TestBitIdentity:
@@ -271,22 +261,16 @@ class TestBitIdentity:
     @given(wd_cases())
     @settings(max_examples=150, deadline=None)
     def test_per_feature_wd_equals_three_sort_oracle(self, case):
-        values, train_rows, test_rows, cap, seed = case
+        values, train_rows, test_rows = case
         names = tuple(f"f{j}" for j in range(values.shape[1]))
-        report = raw_wd(
-            matrix_from(values, names), train_rows, test_rows, subsample_cap=cap, seed=seed
-        )
-        # the same rng.choice calls in the same order: train side, then test side
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        train_used = _subsample(train_rows, cap, rng)
-        test_used = _subsample(test_rows, cap, rng)
+        report = raw_wd(matrix_from(values, names), train_rows, test_rows)
         for j, name in enumerate(names):
-            assert report.per_feature[name] == three_sort_wd(values[train_used, j], values[test_used, j])
+            assert report.per_feature[name] == three_sort_wd(values[train_rows, j], values[test_rows, j])
         assert (report.rows_train, report.rows_test) == (train_rows.size, test_rows.size)
 
     def test_inputs_left_unsorted(self):
         values = np.array([[3.0], [1.0], [2.0], [0.5], [0.25]])
-        raw_wd(matrix_from(values, ("x",)), np.array([0, 1, 2]), np.array([3, 4]), subsample_cap=None)
+        raw_wd(matrix_from(values, ("x",)), np.array([0, 1, 2]), np.array([3, 4]))
         assert values.ravel().tolist() == [3.0, 1.0, 2.0, 0.5, 0.25]
 
 
