@@ -4,9 +4,11 @@ A config is one flat JSON document; every knob the run depends on lives here
 (there is no hidden nondeterminism: the seed is required). The
 `ExperimentConfig` fields are the one list of run settings: the config echo
 is built from them, and CLI flags override them by field name. Unknown keys
-are rejected so typos fail loudly, and the `forest` and `mlp`
-hyperparameters are type-checked, so a bad value fails before the dataset
-is read.
+are rejected so typos fail loudly, and so are the keys of deleted
+settings: distances always read scaled features over all of their rows,
+and a category unseen at fit time always takes the encoder's reserve
+code. The `forest` and `mlp` hyperparameters are type-checked, so a bad
+value fails before the dataset is read.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ _TOP_LEVEL_KEYS = {
     "keep_going": bool,
     "save_models": bool,
     "on_bad_row": str,
-    "unseen_category_policy": str,
     "threshold": float,
     "forest": dict,
     "mlp": dict,
@@ -60,7 +61,6 @@ class ExperimentConfig:
     keep_going: bool = False
     save_models: bool = True
     on_bad_row: str = "abort"
-    unseen_category_policy: str = "reserve-code"
     threshold: float = 0.5
     forest: ForestConfig = field(default_factory=ForestConfig)
     mlp: MlpConfig = field(default_factory=MlpConfig)
@@ -83,10 +83,6 @@ class ExperimentConfig:
             raise ConfigError(f"fit_scope must be 'full-dataset' or 'train-only', got {self.fit_scope!r}")
         if self.on_bad_row not in ("abort", "drop"):
             raise ConfigError(f"on_bad_row must be 'abort' or 'drop', got {self.on_bad_row!r}")
-        if self.unseen_category_policy not in ("error", "reserve-code"):
-            raise ConfigError(
-                f"unseen_category_policy must be 'error' or 'reserve-code', got {self.unseen_category_policy!r}"
-            )
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
         if self.subsample is not None and self.subsample < 1:

@@ -171,8 +171,7 @@ def _execute_job(job: ScenarioJob) -> JobResult:
             _write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
         return JobResult(job.kind, job.scenario, report, per_class)
     except Exception as exc:  # noqa: BLE001 - attributed and re-raised by the parent
-        error = str(exc) if job.kind == DISTANCE else f"{type(exc).__name__}: {exc}"
-        return JobResult(job.kind, job.scenario, error=error)
+        return JobResult(job.kind, job.scenario, error=f"{type(exc).__name__}: {exc}")
 
 
 def _attribution(prep: _Prepared, job: ScenarioJob | JobResult) -> str:
@@ -354,33 +353,29 @@ class _Prepared:
 def _fit_transforms(
     cfg: ExperimentConfig, base: FlowTable, scenarios: list[Scenario], plan: FoldPlan, warnings: list[str]
 ) -> tuple[list[FittedTransform], dict, dict]:
-    """Fit, per scenario, the transform its jobs read the table through.
+    """Fit, per scenario, the transform its jobs read the table through, in one call over the (class, fold) groups.
 
-    full-dataset scope: one transform, fitted on every row, shared by every
-    scenario. train-only scope: one transform per scenario, fitted on that
-    scenario's train rows, so nothing from a scenario's test rows leaks into
-    its transforms; one call fits them all, from the (class, fold) row
-    groups that each scenario's train rows are a union of.
+    full-dataset scope: one fit over every group, so on every row, shared by
+    every scenario. train-only scope: one fit per scenario over the groups
+    its train rows are a union of, so nothing from a scenario's test rows
+    leaks into its transform. The scope picks only the fits and their names.
     """
     if cfg.fit_scope == "full-dataset":
-        [fit] = preprocess_pipeline(base, unseen=cfg.unseen_category_policy)
-        transforms = {"full": transforms_to_json(fit, cfg.fit_scope)}
-        return [fit] * len(scenarios), transforms, {"fit_scope": cfg.fit_scope, **fit.counters.to_json()}
-
-    keys = _unique_slugs(base.attack_names, slug=str)
-    names = [(BASELINE if s.held_out is None else keys[s.held_out], s.fold_id) for s in scenarios]
+        names, fits = [("full", None)], np.ones((1, len(base.class_names) * plan.k), dtype=bool)
+    else:
+        keys = _unique_slugs(base.attack_names, slug=str)
+        names = [(BASELINE if s.held_out is None else keys[s.held_out], s.fold_id) for s in scenarios]
+        fits = train_groups(scenarios, plan, base)
     try:
-        fitted = preprocess_pipeline(
-            base, row_groups(plan, base), train_groups(scenarios, plan, base), unseen=cfg.unseen_category_policy
-        )
-    except (DataError, ValueError) as exc:
+        fitted = preprocess_pipeline(base, row_groups(plan, base), fits)
+    except ValueError as exc:
         if not hasattr(exc, "fit"):
             raise
         name, fold = names[exc.fit]
-        raise type(exc)(f"scenario {name!r} fold {fold}: {exc}") from exc
+        raise ValueError(f"scenario {name!r} fold {fold}: {exc}") from exc
     transforms = {}
     for (name, fold), fit in zip(names, fitted):
-        transforms[f"{name}/f{fold}"] = transforms_to_json(fit, cfg.fit_scope)
+        transforms[name if fold is None else f"{name}/f{fold}"] = transforms_to_json(fit, cfg.fit_scope)
         for feat, value, code in fit.counters.unseen:
             warnings.append(
                 f"scenario {name!r} fold {fold}: unseen category {value!r} in {feat!r} mapped to reserve code {code}"
@@ -388,6 +383,8 @@ def _fit_transforms(
     clamp_total = sum(fit.counters.clamped_total for fit in fitted)
     if clamp_total:
         warnings.append(f"train-only scaling clamped {clamp_total} out-of-range values into [0, 1]")
+    if len(fitted) == 1:  # one fit serves every scenario
+        fitted *= len(scenarios)
     return fitted, transforms, {"fit_scope": cfg.fit_scope, "clamped_total": clamp_total}
 
 

@@ -7,20 +7,20 @@ feature into [0, 1].
 The string work is done when the table is built: its feature block (see
 `flowdata`) has no identifier columns and holds, in each categorical
 column, every row's index into the column's sorted distinct values, so the
-table itself is the unscaled base matrix. `preprocess_pipeline` fits the
-encodings and scalings of one scope from the block alone: one transform on
-every row, or, given row groups and fits over them (train-only scope), one
-per fit, each on a union of row groups (a scenario's train rows are its
-(class, fold) groups), all in one pass that reads one column at a time and
-gathers no fit's rows; the block is feature-major, so each column it reads
-is contiguous. Each resulting `FittedTransform` codes and scales the rows a
-reader asks for, one column (`column`, into a caller's buffer) or all of
-them (`apply`, column by column into a new matrix whose columns are
-contiguous), in a copy of those rows: nothing writes to the table.
-Distance jobs and model jobs read the same coded and scaled values through
-`column`; no reader sees a coded but unscaled column. The encoding codes by
-first appearance among the fit rows in row order, exactly as encoding the
-strings of those rows would.
+table itself is the unscaled base matrix. `preprocess_pipeline` fits
+encodings and scalings from the block alone, one per fit, each on a union
+of row groups, all in one pass that reads one column at a time and gathers
+no fit's rows; the block is feature-major, so each column it reads is
+contiguous. A run's groups are its (class, fold) groups: the full-dataset
+scope is one fit over every group, the train-only scope one fit per
+scenario over its train groups. Each resulting `FittedTransform` codes and
+scales the rows a reader asks for, one column (`column`, into a caller's
+buffer) or all of them (`apply`, column by column into a new matrix whose
+columns are contiguous), in a copy of those rows: nothing writes to the
+table. Distance jobs and model jobs read the same coded and scaled values
+through `column`; no reader sees a coded but unscaled column. The encoding
+codes by first appearance among the fit rows in row order, exactly as
+encoding the strings of those rows would.
 Fitted transforms are immutable and serializable so a run can be replayed
 and audited.
 """
@@ -111,15 +111,14 @@ class FittedTransform:
     def column(self, base: FlowTable, rows: np.ndarray, j: int, *, out: np.ndarray) -> np.ndarray:
         """Feature j of the table's `rows` (an index array), encoded and scaled into [0, 1] in `out`.
 
-        The rows are checked against the table once, and the column, which
-        is contiguous in the block, is gathered into `out` (float64, one
-        element per row) by one take; a categorical column is then coded in
-        place, `_GATHER_ROWS` rows at a time, and the column scaled in
-        place. `out` is returned.
+        The caller has checked the rows against the table (`check_rows`):
+        the take clips, so a row outside it would read another row. The
+        column, which is contiguous in the block, is gathered into `out`
+        (float64, one element per row) by one take; a categorical column is
+        then coded in place, `_GATHER_ROWS` rows at a time, and the column
+        scaled in place. `out` is returned.
         """
         name = base.feature_names[j]
-        if len(rows) and not (rows.min() >= 0 and rows.max() < base.row_count):
-            raise IndexError(f"rows must lie in [0, {base.row_count}) of the table")
         np.take(base.features[:, j], rows, out=out, mode="clip")  # "raise" would copy `out`
         if name in base.categories:
             for start in range(0, len(rows), _GATHER_ROWS):
@@ -131,33 +130,38 @@ class FittedTransform:
     def apply(self, base: FlowTable, rows: np.ndarray) -> np.ndarray:
         """The features of the table's `rows` (an index array), encoded and scaled into [0, 1].
 
-        Each feature is read by `column` into its row of a new d x n block,
-        and the block's n x d transpose is returned, so each column is
-        contiguous.
+        The rows are checked against the table once, then each feature is
+        read by `column` into its row of a new d x n block, and the block's
+        n x d transpose is returned, so each column is contiguous.
         """
         names = base.feature_names
         if set(self.ranges) != set(names):
             raise ValueError(f"scaler/table feature mismatch: {sorted(set(names) ^ set(self.ranges))}")
+        check_rows(base, rows)
         block = np.empty((len(names), len(rows)))
         for j in range(len(names)):
             self.column(base, rows, j, out=block[j])
         return block.T
 
 
-def _group_min_max(col: np.ndarray, groups: np.ndarray | None, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row group, the column's min and max (+inf and -inf for an empty group); one group if `groups` is None."""
-    if groups is None:
-        return np.array([col.min()]), np.array([col.max()])
+def check_rows(base: FlowTable, rows: np.ndarray) -> None:
+    """Raise an IndexError unless each of `rows` (an index array) is a row of the table."""
+    if len(rows) and not (rows.min() >= 0 and rows.max() < base.row_count):
+        raise IndexError(f"rows must lie in [0, {base.row_count}) of the table")
+
+
+def _group_min_max(col: np.ndarray, groups: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row group, the column's min and max (+inf and -inf for an empty group)."""
     lo, hi = np.full(n_groups, np.inf), np.full(n_groups, -np.inf)
     np.minimum.at(lo, groups, col)
     np.maximum.at(hi, groups, col)
     return lo, hi
 
 
-def _group_first_rows(idx: np.ndarray, groups: np.ndarray | None, n_groups: int, n_categories: int) -> np.ndarray:
+def _group_first_rows(idx: np.ndarray, groups: np.ndarray, n_groups: int, n_categories: int) -> np.ndarray:
     """Per row group and category index, the first row at which the category appears (the row count if none)."""
     first = np.full(n_groups * n_categories, len(idx), dtype=np.intp)
-    np.minimum.at(first, idx if groups is None else groups * n_categories + idx, np.arange(len(idx)))
+    np.minimum.at(first, groups * n_categories + idx, np.arange(len(idx)))
     return first.reshape(n_groups, n_categories)
 
 
@@ -166,52 +170,38 @@ def _clamped(scaled: np.ndarray) -> np.ndarray:
     return (scaled < 0.0) | (scaled > 1.0)
 
 
-def preprocess_pipeline(
-    base: FlowTable,
-    groups: np.ndarray | None = None,
-    fits: np.ndarray | None = None,
-    *,
-    unseen: str = "reserve-code",
-) -> list[FittedTransform]:
-    """Fit the encodings and the scalings of one scope on a table's features, in one pass over its columns.
+def preprocess_pipeline(base: FlowTable, groups: np.ndarray, fits: np.ndarray) -> list[FittedTransform]:
+    """Fit encodings and scalings on a table's features, one per row of `fits`, in one pass over its columns.
 
-    With neither `groups` nor `fits`, one transform is fitted over every
-    row (full-dataset scope; note: this leaks test statistics into the
-    transforms, but is the conventional order for these datasets and is the
-    default). With both (train-only scope), one transform is fitted per row
-    of `fits`, a boolean matrix over row groups: transform i is fitted on
-    the rows whose group, `groups[row]`, has `fits[i, group]` set, so other
-    rows may hit the clamp or the encoder's reserve code.
+    `groups` gives each row's group, and `fits` is a boolean matrix over the
+    groups: transform i is fitted on the rows whose group, `groups[row]`,
+    has `fits[i, group]` set, so other rows may hit the clamp or the
+    encoder's reserve code. The full-dataset scope is one fit over every
+    group (note: this leaks test statistics into the transform, but is the
+    conventional order for these datasets and is the default); the
+    train-only scope is one fit per scenario over its train groups.
 
     Each column is read once and reduced per group: to its min and max, or,
     for a categorical column, to the first row at which each category
     appears. A fit's range and encoding are reduced from its groups'
     entries. The encoder codes each category by its first row among the fit
-    rows. Categories of other rows either raise (unseen="error"; the
-    DataError's `fit` is the index of the fit that met it) or map to the
-    reserve code (unseen="reserve-code"), recorded in the counters in
-    sorted order. The scaler records each feature's exact min and max over
-    the fit rows, a zero end as 0.0 whether the rows hold -0.0 or 0.0 there,
-    so no layout or reduction order can change a range. The counters tally,
-    per feature, the rows whose scaled value falls outside [0, 1] and is
-    clamped. Only a value outside [lo, hi] can be, since rounding is
-    monotone, so only those are scaled to count. A fit whose groups hold no
-    row raises a ValueError whose `fit` is its index.
+    rows; a category of no fit row maps to the reserve code and is recorded
+    in the counters, in sorted order. The scaler records each feature's
+    exact min and max over the fit rows, a zero end as 0.0 whether the rows
+    hold -0.0 or 0.0 there, so no layout or reduction order can change a
+    range. The counters tally, per feature, the rows whose scaled value
+    falls outside [0, 1] and is clamped. Only a value outside [lo, hi] can
+    be, since rounding is monotone, so only those are scaled to count. A
+    fit whose groups hold no row raises a ValueError whose `fit` is its
+    index.
     """
-    if unseen not in ("error", "reserve-code"):
-        raise ValueError(f"unseen policy must be 'error' or 'reserve-code', got {unseen!r}")
-    if (groups is None) != (fits is None):
-        raise ValueError("the row groups and the fits over them are given together or not at all")
-    if groups is None:
-        fits = np.ones((1, 1), dtype=bool)
-    else:
-        groups, fits = np.asarray(groups, dtype=np.intp), np.asarray(fits, dtype=bool)
+    groups, fits = np.asarray(groups, dtype=np.intp), np.asarray(fits, dtype=bool)
     if base.row_count < 1:
         raise ValueError("cannot fit a scaler on an empty table")
 
     n = base.row_count
     n_fits, n_groups = fits.shape
-    sizes = fits @ (np.array([n]) if groups is None else np.bincount(groups, minlength=n_groups))
+    sizes = fits @ np.bincount(groups, minlength=n_groups)
     names = base.feature_names
     first_rows = {
         name: _group_first_rows(base.features[:, names.index(name)].astype(np.intp), groups, n_groups, len(categories))
@@ -231,12 +221,7 @@ def preprocess_pipeline(
             mappings[name] = {str(categories[c]): code for code, c in enumerate(order)}
             codes[name] = np.full(len(categories), reserve, dtype=np.float64)
             codes[name][order] = np.arange(reserve)
-            for c in np.flatnonzero(first == n):
-                if unseen == "error":
-                    error = DataError(f"unseen category {str(categories[c])!r} in feature {name!r}")
-                    error.fit = i
-                    raise error
-                counters.unseen.append((name, str(categories[c]), reserve))
+            counters.unseen += [(name, str(categories[c]), reserve) for c in np.flatnonzero(first == n)]
         fitted.append(FittedTransform(mappings, {}, codes, counters))
 
     for j, name in enumerate(names):

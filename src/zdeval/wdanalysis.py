@@ -39,7 +39,7 @@ import numpy as np
 
 from .flowdata import FlowTable
 from .metrics import average_ranks
-from .preprocess import FittedTransform
+from .preprocess import FittedTransform, check_rows
 
 
 @dataclass
@@ -115,10 +115,10 @@ def per_feature_wd(
 ) -> WdReport:
     """Wasserstein distance per feature between a table's train and test rows.
 
-    Each feature is read through `transform.column`, encoded and scaled
-    into [0, 1], into one workspace reused for every feature, so every
-    distance lies in [0, 1]. Every distance is exact, over all of both
-    sides' rows.
+    Both row sets are checked against the table once; then each feature is
+    read through `transform.column`, encoded and scaled into [0, 1], into
+    one workspace reused for every feature, so every distance lies in
+    [0, 1]. Every distance is exact, over all of both sides' rows.
 
     Features that are encoded categories are carried through in
     `encoded_features` since distances over arbitrary integer codes depend
@@ -129,6 +129,8 @@ def per_feature_wd(
     n_train, n_test = train_rows.size, test_rows.size
     if n_train == 0 or n_test == 0:
         raise ValueError("per_feature_wd requires nonempty train and test sets")
+    check_rows(base, train_rows)
+    check_rows(base, test_rows)
 
     # each column is copied into the workspace, so sorting it leaves the table alone
     ws = _Workspace(train_rows, test_rows)

@@ -87,18 +87,15 @@ def coded_table(codes, class_names: tuple[str, ...]) -> FlowTable:
                      class_names=tuple(class_names))
 
 
-def fit_rows(table: FlowTable, rows=None, **kwargs):
-    """`preprocess_pipeline`'s one transform: over every row, or train-only on the row set `rows`.
+def fit_rows(table: FlowTable, rows=None):
+    """`preprocess_pipeline`'s one transform, fitted on the row set `rows` (every row if None).
 
     The rows are one group of two, and the one fit takes that group alone,
     so they are fitted on as a set, in row order.
     """
-    if rows is None:
-        [fit] = preprocess_pipeline(table, **kwargs)
-    else:
-        groups = np.ones(table.row_count, dtype=np.intp)
-        groups[rows] = 0
-        [fit] = preprocess_pipeline(table, groups, [[True, False]], **kwargs)
+    groups = np.ones(table.row_count, dtype=np.intp)
+    groups[slice(None) if rows is None else rows] = 0
+    [fit] = preprocess_pipeline(table, groups, [[True, False]])
     return fit
 
 

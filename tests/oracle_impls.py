@@ -316,7 +316,7 @@ def per_node_sort_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: 
     }
 
 
-def string_pipeline(schema, cells, train_indices=None, unseen: str = "reserve-code") -> dict:
+def string_pipeline(schema, cells, train_indices=None) -> dict:
     """Drop identifiers, encode and min-max scale a table's raw cells the string way.
 
     `cells` maps each feature column of `schema` to its cells, as the test
@@ -352,8 +352,6 @@ def string_pipeline(schema, cells, train_indices=None, unseen: str = "reserve-co
             value = str(value)
             if value in mapping:
                 codes[i] = mapping[value]
-            elif unseen == "error":
-                raise ValueError(f"unseen category {value!r} in feature {name!r}")
             else:
                 codes[i] = len(mapping)
                 unseen_list.append((name, value, len(mapping)))
@@ -380,8 +378,8 @@ def string_pipeline(schema, cells, train_indices=None, unseen: str = "reserve-co
     }
 
 
-def gathered_scenario_fit(base, train_indices, unseen: str = "reserve-code"):
-    """One train-only transform fitted on a table's sorted `train_indices`, one scenario at a time.
+def gathered_scenario_fit(base, train_indices):
+    """One transform fitted on a table's sorted `train_indices` (a scenario's train rows, or every row), alone.
 
     The fit rows' n_train x d block is gathered; each categorical column is
     encoded by `np.unique` over those rows' category indices, by first
@@ -404,8 +402,6 @@ def gathered_scenario_fit(base, train_indices, unseen: str = "reserve-code"):
         codes[name] = np.full(len(categories), reserve, dtype=np.float64)
         codes[name][order] = np.arange(reserve)
         for i in np.flatnonzero(codes[name] == reserve):
-            if unseen == "error":
-                raise DataError(f"unseen category {str(categories[i])!r} in feature {name!r}")
             counters.unseen.append((name, str(categories[i]), reserve))
 
     def coded(name, col):

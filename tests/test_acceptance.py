@@ -274,7 +274,7 @@ def test_criterion_5_classifier_sanity(tmp_path):
         )
         table = synthesize_dataset(spec)
         assert table.row_count == 1600
-        [fit] = preprocess_pipeline(table)
+        [fit] = preprocess_pipeline(table, np.zeros(table.row_count, dtype=np.intp), [[True]])
         train, test = scenario_rows(Scenario(None, 0), make_fold_plan(table, 5, seed=1), table)
         labels = (table.class_codes != 0).astype(np.int64)
         x_tr, y_tr = fit.apply(table, train), labels[train]

@@ -121,10 +121,11 @@ class TestRun:
 
     @pytest.mark.parametrize("command", ["run", "wd"])
     def test_a_deleted_key_exits_1_before_the_dataset_is_read(self, tmp_path, caplog, command):
-        # distances always read scaled features, over all of their rows: the keys that switched
-        # scaling off and capped each side's rows are now unknown
+        # distances always read scaled features, over all of their rows, and a category unseen at
+        # fit time always takes the reserve code: the keys that switched scaling off, capped each
+        # side's rows and chose the unseen-category policy are now unknown
         cfg = tmp_path / "cfg.json"
-        for key, value in (("wd_on_scaled", False), ("wd_subsample_cap", 100000)):
+        for key, value in (("wd_on_scaled", False), ("wd_subsample_cap", 100000), ("unseen_category_policy", "error")):
             doc = {"dataset": "missing.csv", "benign_name": "Benign", "columns": _COLUMNS, "seed": 0, key: value}
             cfg.write_text(json.dumps(doc))
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

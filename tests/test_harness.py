@@ -148,10 +148,12 @@ class TestConfig:
         assert config_from_dict({**required, "seed": 0}) == ExperimentConfig(str(path), "Benign", table.schema)
 
     @pytest.mark.parametrize(
-        "key, value", [("typo_key", 1), ("wd_on_scaled", False), ("wd_subsample_cap", 100000)]
+        "key, value",
+        [("typo_key", 1), ("wd_on_scaled", False), ("wd_subsample_cap", 100000), ("unseen_category_policy", "error")],
     )
     def test_unknown_key_rejected(self, synth_csv, key, value):
-        # the others are deleted keys: distances always read scaled features, over all of their rows
+        # the others are deleted keys: distances always read scaled features, over all of their rows,
+        # and a category unseen at fit time always takes the reserve code
         path, table = synth_csv
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             config_from_dict(base_config_dict(path, table.schema.to_json(), **{key: value}))
@@ -215,7 +217,7 @@ class TestConfig:
         every_key = base_config_dict(
             path, table.schema.to_json(), models=["mlp", "forest"], k=4, fit_scope="train-only", subsample=200,
             classes=["alpha", "gamma"], output_dir="elsewhere", workers=3,
-            keep_going=True, save_models=True, on_bad_row="drop", unseen_category_policy="error", threshold=0.25,
+            keep_going=True, save_models=True, on_bad_row="drop", threshold=0.25,
             forest={"n_trees": 4, "m_try": 2, "max_depth": 6, "min_samples_leaf": 3, "bootstrap": False},
             mlp={"learning_rate": 0.5, "batch_size": 16, "epochs": 2, "hidden_units": [3, 5]},
         )
@@ -396,6 +398,27 @@ class TestRunExperiment:
             col = loaded.data[feat][train]
             assert rng_["min"] == float(col.min())
             assert rng_["max"] == float(col.max())
+
+    @pytest.mark.parametrize("fit_scope", ["full-dataset", "train-only"])
+    def test_either_scope_is_one_fit_call_over_the_class_fold_groups(self, synth_csv, monkeypatch, fit_scope):
+        path, table = synth_csv
+        cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), fit_scope=fit_scope, k=2))
+        calls, fit = [], harness.preprocess_pipeline
+
+        def counted(base, groups, fits):
+            calls.append(np.shape(fits))
+            return fit(base, groups, fits)
+
+        monkeypatch.setattr(harness, "preprocess_pipeline", counted)
+        prep = _prepare(cfg, with_baseline=True)
+        n_fits = 1 if fit_scope == "full-dataset" else len(prep.scenarios)
+        assert calls == [(n_fits, len(table.class_names) * cfg.k)]
+        assert len(prep.fitted) == len(prep.scenarios) and len({id(f) for f in prep.fitted}) == n_fits
+        assert len(prep.report.transforms) == n_fits
+        assert prep.report.preprocess.keys() == {"fit_scope", "clamped_total"}
+        if fit_scope == "full-dataset":  # every row is a fit row: nothing clamps, no category is unseen
+            assert list(prep.report.transforms) == ["full"]
+            assert prep.report.preprocess == {"fit_scope": "full-dataset", "clamped_total": 0}
 
 
 def _renamed_csv(table, out: Path, name: str) -> Path:
@@ -616,34 +639,6 @@ class TestOneFeatureMatrix:
         monkeypatch.setattr(harness, "_prepare", keep)
         work(cfg)
         self.assert_one_unwritten_matrix(prepared[0], loaded)
-
-
-class TestUnseenCategoryError:
-    @pytest.mark.parametrize("work", [run_wd_analysis, run_experiment])
-    def test_error_names_the_scenario(self, tmp_path, work):
-        # 200 rows, 4 classes, k=2; "icmp" occurs in class gamma only, so the
-        # gamma scenarios meet it in their test rows alone
-        spec = SyntheticSpec(
-            n_benign=80, attacks=tuple(AttackBlob(n, 40) for n in ("alpha", "beta", "gamma")), d=2, seed=3,
-            include_identifier=False,
-        )
-        table = synthesize_dataset(spec)
-        proto = np.where(table.attack_classes == "gamma", "icmp", np.where(np.arange(200) % 2, "tcp", "udp"))
-        schema = FeatureSchema((*table.schema.columns, Column("proto", ColumnKind.CATEGORICAL)))
-        table = FlowTable(
-            schema, table.benign_name, {**table.data, "proto": proto.astype(object)},
-            class_codes=table.class_codes, class_names=table.class_names,
-        )
-        path = tmp_path / "data.csv"
-        write_csv(table, path)
-        cfg = config_from_dict(
-            base_config_dict(
-                path, schema.to_json(), k=2, fit_scope="train-only", unseen_category_policy="error",
-                output_dir=str(tmp_path / "out"),
-            )
-        )
-        with pytest.raises(DataError, match=r"^scenario 'gamma' fold 0: unseen category 'icmp' in feature 'proto'$"):
-            work(cfg)
 
 
 class TestDistanceFailureAttribution:
@@ -1091,14 +1086,29 @@ class TestKeepGoing:
         failures = [w for w in report.warnings if "failed" in w]
         # in job order: the distance jobs, then the model jobs; one per fold each
         assert failures == [
-            *(f"distance analysis failed (class=solo, fold={f}): per_feature_wd requires nonempty train and test sets"
-              for f in range(2)),
+            *(f"distance analysis failed (class=solo, fold={f}): "
+              "ValueError: per_feature_wd requires nonempty train and test sets" for f in range(2)),
             *(f"scenario failed (model=forest, class=solo, fold={f}): "
               "ValueError: training data must be a nonempty 2-D matrix" for f in range(2)),
         ]
         assert report.baseline["forest"]["folds"]  # baseline itself succeeded
         assert report.zero_day["forest"] == {}
         assert report.wd == {}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_distance_failure_names_its_exception_type(self, synth_csv, monkeypatch, workers):
+        # an exception with an empty message still reads as what it was, as a model job's does
+        path, table = synth_csv
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(harness, "per_feature_wd", out_of_memory)
+        cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), keep_going=True, workers=workers))
+        report = run_wd_analysis(cfg)
+        failures = [w for w in report.warnings if "distance analysis failed" in w]
+        assert failures and all(w.endswith("): MemoryError: ") for w in failures)
+        assert failures[0] == "distance analysis failed (class=alpha, fold=0): MemoryError: "
 
 
 class TestDivergedModel:

@@ -30,8 +30,8 @@ def every_row(table: FlowTable) -> np.ndarray:
     return np.arange(table.row_count)
 
 
-def fit(table, train_indices=None, **kwargs) -> tuple[FlowTable, FittedTransform]:
-    return table, fit_rows(table, train_indices, **kwargs)
+def fit(table, train_indices=None) -> tuple[FlowTable, FittedTransform]:
+    return table, fit_rows(table, train_indices)
 
 
 def coded(base: FlowTable, t: FittedTransform, rows: np.ndarray) -> np.ndarray:
@@ -70,12 +70,8 @@ class TestEncoder:
         assert coded(base, t, every_row(base)).ravel().tolist() == [0.0, 1.0]
         assert t.apply(base, every_row(base)).ravel().tolist() == [0.0, 1.0]
 
-    def test_unseen_error_names_feature_and_value(self):
-        with pytest.raises(DataError, match=r"icmp.*proto"):
-            fit(cat_table(["tcp", "udp", "icmp"]), np.array([0, 1]), unseen="error")
-
     def test_unseen_reserve_code_flagged(self):
-        base, t = fit(cat_table(["tcp", "udp", "icmp"]), np.array([0, 1]), unseen="reserve-code")
+        base, t = fit(cat_table(["tcp", "udp", "icmp"]), np.array([0, 1]))
         assert coded(base, t, np.array([2])).ravel().tolist() == [2.0]
         assert t.counters.unseen == [("proto", "icmp", 2)]
 
@@ -106,7 +102,7 @@ class TestEncoder:
         )
         tracemalloc.start()
         try:
-            preprocess_pipeline(table)
+            fit_rows(table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -228,13 +224,6 @@ class TestPipeline:
         assert base.categories == {}
         assert coded(base, t, every_row(base)).tobytes() == base.features.tobytes()
 
-    def test_train_only_requires_indices(self, small_table):
-        groups = np.zeros(small_table.row_count, dtype=np.intp)
-        with pytest.raises(ValueError, match="given together or not at all"):
-            preprocess_pipeline(small_table, groups)
-        with pytest.raises(ValueError, match="given together or not at all"):
-            preprocess_pipeline(small_table, fits=[[True]])
-
     def test_matrix_requires_encoding_first(self, small_table):
         # category indices are never passed on as values without an encoding
         base, t = fit(small_table)
@@ -350,7 +339,7 @@ class TestStringOracle:
         values = np.zeros((9, 3))
         values[:, 2] = [-0.0] * 7 + [1.0, 0.0]
         assert np.signbit(values[:, 2].copy().min())
-        (t,) = preprocess_pipeline(feature_table(values, ("a", "b", "c")))
+        t = fit_rows(feature_table(values, ("a", "b", "c")))
         assert repr(t.ranges["c"]) == "(0.0, 1.0)"
 
     def test_a_zero_end_is_recorded_as_zero(self):
@@ -421,24 +410,6 @@ class TestStringOracle:
         # a chunk of gathered, cast and coded values at a time; the column is n x 8 bytes
         assert peak <= 64 * 1024
 
-    def test_column_rejects_a_row_past_the_table(self, small_table):
-        base, t = fit(small_table)
-        with pytest.raises(IndexError):
-            t.column(base, np.array([0, base.row_count]), 0, out=np.empty(2))
-
-    @given(_tables())
-    @settings(max_examples=100, deadline=None)
-    def test_unseen_error_matches_string_pipeline(self, case):
-        table, cells, train, _ = case
-        try:
-            string_pipeline(table.schema, cells, train, unseen="error")
-        except ValueError as exc:
-            with pytest.raises(DataError) as raised:
-                fit(table, train, unseen="error")
-            assert str(raised.value) == str(exc)
-        else:
-            fit(table, train, unseen="error")
-
 
 def _transform_bytes(t: FittedTransform) -> tuple:
     """Everything of a transform that a run reads or records, in order and bit for bit."""
@@ -454,18 +425,24 @@ def _transform_bytes(t: FittedTransform) -> tuple:
 def _fit_or_error(fit):
     try:
         return fit()
-    except (ValueError, DataError) as exc:
+    except ValueError as exc:
         return exc
 
 
-def assert_fits_equal_oracle(table: FlowTable, plan, scenarios: list[Scenario], unseen: str) -> None:
-    """The one-pass fit of every scenario against the oracle's fit of each, or both raise the same first error."""
+def assert_fits_equal_oracle(table: FlowTable, plan, scenarios: list[Scenario]) -> None:
+    """The one-pass fits against the oracle's fit of each on its rows, or both raise the same first error.
+
+    Both scopes' fits over the (class, fold) groups: the full-dataset fit,
+    one over every group, against the oracle on every row, and the
+    train-only fit of every scenario against the oracle on its train rows.
+    """
+    groups = row_groups(plan, table)
+    [full] = preprocess_pipeline(table, groups, np.ones((1, len(table.class_names) * plan.k), dtype=bool))
+    assert _transform_bytes(full) == _transform_bytes(gathered_scenario_fit(table, np.arange(table.row_count)))
     expected = [
-        _fit_or_error(lambda s=s: gathered_scenario_fit(table, scenario_rows(s, plan, table)[0], unseen))
-        for s in scenarios
+        _fit_or_error(lambda s=s: gathered_scenario_fit(table, scenario_rows(s, plan, table)[0])) for s in scenarios
     ]
-    fits = train_groups(scenarios, plan, table)
-    got = _fit_or_error(lambda: preprocess_pipeline(table, row_groups(plan, table), fits, unseen=unseen))
+    got = _fit_or_error(lambda: preprocess_pipeline(table, groups, train_groups(scenarios, plan, table)))
     first = next((i for i, e in enumerate(expected) if isinstance(e, Exception)), None)
     if first is not None:
         assert type(got) is type(expected[first]) and str(got) == str(expected[first])
@@ -516,14 +493,14 @@ def _scenario_tables(draw):
 
 
 class TestOnePassFit:
-    """Every scenario's train-only transform from one pass over the columns, against fitting each on its rows."""
+    """Both scopes' transforms from one pass over the columns, against fitting each on its rows."""
 
-    @given(_scenario_tables(), st.sampled_from(("reserve-code", "error")))
+    @given(_scenario_tables())
     @settings(max_examples=300, deadline=None)
-    def test_fits_equal_the_per_scenario_oracle(self, case, unseen):
+    def test_fits_equal_the_per_scenario_oracle(self, case):
         table, plan, scenarios = case
         with np.errstate(over="ignore"):  # an out-of-range value of a wide range scales past the largest float
-            assert_fits_equal_oracle(table, plan, scenarios, unseen)
+            assert_fits_equal_oracle(table, plan, scenarios)
 
     @pytest.mark.parametrize("subsample", [None, 900])
     def test_a_synthetic_table_fits_as_the_oracle(self, subsample):
@@ -546,7 +523,7 @@ class TestOnePassFit:
         plan = make_fold_plan(table, 5, 11)
         scenarios = [Scenario(None, f) for f in range(5)]
         scenarios += [s for s in make_zero_day_scenarios(plan, table) if s.held_out in ("a", "c")]
-        assert_fits_equal_oracle(table, plan, scenarios, "reserve-code")
+        assert_fits_equal_oracle(table, plan, scenarios)
 
     @pytest.mark.parametrize(
         "lo, hi, value",

@@ -148,6 +148,19 @@ class TestPerFeatureWd:
         with pytest.raises(ValueError, match="nonempty"):
             raw_wd(m, empty, np.arange(3))
 
+    def test_a_row_outside_the_table_is_rejected(self):
+        # with the IndexError `FittedTransform.apply` raises: `column` does not check its rows,
+        # and its clipping take would read row n - 1 for row n
+        table = feature_table(np.arange(5.0))
+        transform = fit_rows(table)
+        for train, test in ((np.array([0, 5]), np.array([1])), (np.array([0]), np.array([-1, 2]))):
+            rows = train if train.max() >= 5 else test
+            with pytest.raises(IndexError) as applied:
+                transform.apply(table, rows)
+            with pytest.raises(IndexError, match=r"^rows must lie in \[0, 5\) of the table$") as raised:
+                per_feature_wd(table, train, test, transform=transform)
+            assert str(raised.value) == str(applied.value)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected(self, bad):
         values = np.zeros((4, 2))
