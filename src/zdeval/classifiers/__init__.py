@@ -48,9 +48,7 @@ __all__ = [
 ]
 
 
-def predict(scores: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Hard labels from attack scores: 1 iff score >= threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+def predict(scores: np.ndarray) -> np.ndarray:
+    """Hard labels from attack scores: 1 iff score >= 0.5."""
     scores = np.asarray(scores, dtype=np.float64)
-    return (scores >= threshold).astype(np.int64)
+    return (scores >= 0.5).astype(np.int64)

@@ -11,21 +11,21 @@ are still taken when the node is impure: patterns like XOR are separable
 only through an initially gain-free split.
 
 Nothing is sorted per node (presorting, as in SLIQ and SPRINT). The forest
-argsorts each feature once. A tree draws its bootstrap sample as counts per
-row (`bincount`) and keeps, from every feature's sorted order, the row ids
-with a count above 0: a d x u matrix, u about 0.63 n, whose counts act as
-integer row weights. A node scores all its candidate features in one pass
-over the prefix sums of weights and weighted attacks along those sorted
-rows. Each row's weight and attack weight are packed into one int64, the
-attack weight 32 bits up, so one gather and one cumsum give both sums; they
-stay exact below 2**31 training rows, which `train_forest` checks. A split
-partitions the matrix with one boolean mask, which keeps each feature's
-order sorted, so the children need no sort either. A child that is a leaf
-by its counts alone (pure, at max_depth, or under 2 * min_samples_leaf
-rows) is known from the prefix sums at the cut, so it gets no rows: only a
-child that may be split is partitioned. Each feature is sorted, and a
-node reads its candidates' values, as a contiguous row of the d x n
-transpose of the training matrix.
+argsorts each feature once. Every tree draws a bootstrap sample of n rows
+as counts per row (`bincount`) and keeps, from every feature's sorted
+order, the row ids with a count above 0: a d x u matrix, u about 0.63 n,
+whose counts act as integer row weights. A node scores all its candidate
+features in one pass over the prefix sums of weights and weighted attacks
+along those sorted rows. Each row's weight and attack weight are packed
+into one int64, the attack weight 32 bits up, so one gather and one cumsum
+give both sums; they stay exact below 2**31 training rows, which
+`train_forest` checks. A split partitions the matrix with one boolean mask,
+which keeps each feature's order sorted, so the children need no sort
+either. A child that is a leaf by its counts alone (pure, at max_depth, or
+under 2 * min_samples_leaf rows) is known from the prefix sums at the cut,
+so it gets no rows: only a child that may be split is partitioned. Each
+feature is sorted, and a node reads its candidates' values, as a contiguous
+row of the d x n transpose of the training matrix.
 
 Every boolean selection (the valid cuts, the partition) is `compress` on
 the C-order flattened array, with the same elements in the same order as
@@ -91,17 +91,12 @@ class Tree:
 
 @dataclass(frozen=True)
 class ForestConfig:
-    """Forest hyperparameters; m_try=None resolves to ceil(sqrt(d)).
-
-    `bootstrap=False` trains every tree on the full sample (test hook for
-    the single-tree reduction).
-    """
+    """Forest hyperparameters; m_try=None resolves to ceil(sqrt(d))."""
 
     n_trees: int = 50
     m_try: int | None = None
     max_depth: int | None = None
     min_samples_leaf: int = 1
-    bootstrap: bool = True
 
     def __post_init__(self) -> None:
         for name in ("n_trees", "m_try", "max_depth", "min_samples_leaf"):
@@ -112,8 +107,6 @@ class ForestConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if not isinstance(self.bootstrap, bool):
-            raise ValueError(f"bootstrap must be true or false, got {self.bootstrap!r}")
 
     def resolve_m_try(self, n_features: int) -> int:
         if self.m_try is not None:
@@ -321,10 +314,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: int) -> 
     trees = []
     for i in range(cfg.n_trees):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        if cfg.bootstrap:
-            weight = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        else:
-            weight = np.ones(n, dtype=np.int64)
+        weight = np.bincount(rng.integers(0, n, size=n), minlength=n)
         trees.append(_grow_tree(XT, y, order, weight, cfg, rng))
     return RandomForestModel(tuple(trees), X.shape[1], cfg.resolve_m_try(X.shape[1]), seed)
 
@@ -399,10 +389,18 @@ def forest_to_json(model: RandomForestModel) -> dict:
 
 
 def forest_from_json(obj: dict) -> RandomForestModel:
+    """Load a saved model, rejecting one with no feature, no tree or a malformed tree."""
     if obj.get("kind") != "forest":
         raise ValueError(f"not a forest model document: kind={obj.get('kind')!r}")
     if obj.get("version") != 2:
         raise ValueError(f"unsupported forest model version {obj.get('version')!r}; expected 2")
-    n_features = int(obj["n_features"])
-    trees = tuple(_tree_from_json(t, n_features) for t in obj["trees"])
-    return RandomForestModel(trees, n_features, int(obj["m_try"]), int(obj["seed"]))
+    try:
+        n_features = int(obj["n_features"])
+        if n_features < 1:
+            raise ValueError(f"malformed forest: n_features is {n_features}; expected at least 1")
+        if not obj["trees"]:
+            raise ValueError("malformed forest: the 'trees' list is empty")
+        trees = tuple(_tree_from_json(t, n_features) for t in obj["trees"])
+        return RandomForestModel(trees, n_features, int(obj["m_try"]), int(obj["seed"]))
+    except KeyError as exc:  # of the document or of a tree
+        raise ValueError(f"malformed forest: missing key {exc}") from exc

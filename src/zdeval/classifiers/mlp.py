@@ -220,6 +220,8 @@ def mlp_from_json(obj: dict) -> MlpModel:
         raise ValueError(f"not an mlp model document: kind={obj.get('kind')!r}")
     if obj.get("version") != 1:
         raise ValueError(f"unsupported mlp model version {obj.get('version')!r}; expected 1")
+    if "weights" not in obj:
+        raise ValueError("malformed mlp: missing key 'weights'")
     weights = obj["weights"]
     missing = [name for name in _PARAMETERS if name not in weights]
     if missing:

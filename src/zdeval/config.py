@@ -6,9 +6,10 @@ A config is one flat JSON document; every knob the run depends on lives here
 is built from them, and CLI flags override them by field name. Unknown keys
 are rejected so typos fail loudly, and so are the keys of deleted
 settings: distances always read scaled features over all of their rows,
-and a category unseen at fit time always takes the encoder's reserve
-code. The `forest` and `mlp` hyperparameters are type-checked, so a bad
-value fails before the dataset is read.
+a category unseen at fit time always takes the encoder's reserve code, a
+flow is labelled an attack iff its score is >= 0.5, and every tree trains
+on a bootstrap sample. The `forest` and `mlp` hyperparameters are
+type-checked, so a bad value fails before the dataset is read.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ _TOP_LEVEL_KEYS = {
     "keep_going": bool,
     "save_models": bool,
     "on_bad_row": str,
-    "threshold": float,
     "forest": dict,
     "mlp": dict,
 }
@@ -61,7 +61,6 @@ class ExperimentConfig:
     keep_going: bool = False
     save_models: bool = True
     on_bad_row: str = "abort"
-    threshold: float = 0.5
     forest: ForestConfig = field(default_factory=ForestConfig)
     mlp: MlpConfig = field(default_factory=MlpConfig)
 
@@ -83,8 +82,6 @@ class ExperimentConfig:
             raise ConfigError(f"fit_scope must be 'full-dataset' or 'train-only', got {self.fit_scope!r}")
         if self.on_bad_row not in ("abort", "drop"):
             raise ConfigError(f"on_bad_row must be 'abort' or 'drop', got {self.on_bad_row!r}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
         if self.subsample is not None and self.subsample < 1:
             raise ConfigError(f"subsample must be >= 1, got {self.subsample}")
         if self.workers is not None and self.workers < 1:
@@ -124,8 +121,6 @@ def _check_type(key: str, value, expected) -> None:
         ok = isinstance(value, expected) and not (isinstance(value, bool) and bool not in expected)
     elif expected is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
-    elif expected is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     else:
         ok = isinstance(value, expected)
     if not ok:
@@ -169,8 +164,6 @@ def config_from_dict(obj: dict, *, base_dir: Path | None = None) -> ExperimentCo
             raise ConfigError(f"bad model hyperparameters: {exc}") from exc
     if base_dir is not None and not Path(obj["dataset"]).is_absolute():
         given["dataset"] = str(base_dir / obj["dataset"])
-    if "threshold" in obj:
-        given["threshold"] = float(obj["threshold"])
     try:
         return ExperimentConfig(**given)
     except ConfigError:

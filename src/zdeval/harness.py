@@ -151,7 +151,7 @@ def _execute_job(job: ScenarioJob) -> JobResult:
         x_test, y_test = transform.apply(base, test), (test_codes != 0).astype(np.int64)
         scores = forest_score(model, x_test) if job.kind == "forest" else mlp_score(model, x_test)
 
-        y_pred = predict(scores, cfg.threshold)
+        y_pred = predict(scores)
         report = scenario_report(
             y_test,
             y_pred,

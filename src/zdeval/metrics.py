@@ -178,7 +178,6 @@ class FoldAggregate:
     mean: MetricsReport
     std: dict[str, float | None]
     undefined_counts: dict[str, int]
-    n_folds: int
 
 
 def aggregate_folds(reports: list[MetricsReport]) -> FoldAggregate:
@@ -201,4 +200,4 @@ def aggregate_folds(reports: list[MetricsReport]) -> FoldAggregate:
             setattr(mean, name, float(defined.mean()))
         else:
             std[name] = None
-    return FoldAggregate(mean, std, undefined, len(reports))
+    return FoldAggregate(mean, std, undefined)

@@ -58,9 +58,14 @@ class SyntheticSpec:
             raise ValueError(f"attack class names must be unique, got {names}")
         if self.benign_name in names:
             raise ValueError(f"benign name {self.benign_name!r} collides with an attack class")
+        if not self.benign_cov_scale >= 0:
+            raise ValueError(f"benign_cov_scale must be >= 0, got {self.benign_cov_scale}")
         for a in self.attacks:
             if a.count < 0:
                 raise ValueError(f"count for class {a.name!r} must be >= 0, got {a.count}")
+            if not a.cov_scale >= 0:
+                raise ValueError(f"cov_scale for class {a.name!r} must be >= 0, got {a.cov_scale}")
+            a.mean_vector(self.d)  # a mean of the wrong length or not numeric raises here, before any draw
 
     @classmethod
     def from_json(cls, obj: dict) -> "SyntheticSpec":

@@ -135,7 +135,7 @@ def per_feature_wd(
     # each column is copied into the workspace, so sorting it leaves the table alone
     ws = _Workspace(train_rows, test_rows)
     distances = {name: _feature_wd(ws, base, transform, j) for j, name in enumerate(base.feature_names)}
-    mean_wd = float(np.mean(list(distances.values()))) if distances else 0.0
+    mean_wd = float(np.mean(list(distances.values())))
     return WdReport(
         held_out_class=held_out_class,
         fold_id=fold_id,

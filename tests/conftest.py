@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from zdeval.classifiers.forest import _grow_tree
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
 from zdeval.preprocess import preprocess_pipeline
 from zdeval.wdanalysis import per_feature_wd
@@ -97,6 +98,14 @@ def fit_rows(table: FlowTable, rows=None):
     groups[slice(None) if rows is None else rows] = 0
     [fit] = preprocess_pipeline(table, groups, [[True, False]])
     return fit
+
+
+def grow_on_every_row(X, y, cfg, rng=None):
+    """One tree grown by `_grow_tree` on every row of X once: unit weights over the argsorted transpose."""
+    XT = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    weight = np.ones(XT.shape[1], dtype=np.int64)
+    rng = np.random.default_rng(0) if rng is None else rng
+    return _grow_tree(XT, np.asarray(y, dtype=np.int64), np.argsort(XT, axis=1), weight, cfg, rng)
 
 
 class RawColumns:

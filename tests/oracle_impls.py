@@ -305,11 +305,8 @@ def per_node_sort_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed: 
     trees = []
     for i in range(cfg.n_trees):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        if cfg.bootstrap:
-            sample = rng.integers(0, n, size=n)
-            trees.append(per_node_sort_tree(X[sample], y[sample], cfg, rng))
-        else:
-            trees.append(per_node_sort_tree(X, y, cfg, rng))
+        sample = rng.integers(0, n, size=n)
+        trees.append(per_node_sort_tree(X[sample], y[sample], cfg, rng))
     return {
         "format": "zdeval-model", "version": 2, "kind": "forest", "n_features": X.shape[1],
         "m_try": cfg.resolve_m_try(X.shape[1]), "seed": seed, "trees": [node_tree_json(t) for t in trees],

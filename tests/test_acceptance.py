@@ -15,11 +15,12 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from conftest import coded_table, wasserstein_1d
+from conftest import coded_table, grow_on_every_row, wasserstein_1d
 
 from zdeval.classifiers import (
     ForestConfig,
     MlpConfig,
+    RandomForestModel,
     forest_score,
     mlp_loss_and_grads,
     mlp_init,
@@ -294,10 +295,9 @@ def test_criterion_5_classifier_sanity(tmp_path):
             assert report.accuracy >= 99.0, (name, report.accuracy)
             assert report.dr >= 99.0, (name, report.dr)
 
-        single_cfg = ForestConfig(n_trees=1, m_try=10, bootstrap=False)
-        forest = train_forest(x_tr, y_tr, single_cfg, seed=4)
-        (lone_tree,) = forest.trees
-        assert lone_tree.count[0] == len(x_tr)  # no bootstrap: every train row once
+        lone_tree = grow_on_every_row(x_tr, y_tr, ForestConfig(n_trees=1, m_try=10), np.random.default_rng(4))
+        forest = RandomForestModel((lone_tree,), 10, 10, 4)
+        assert lone_tree.count[0] == len(x_tr)  # unit weights: every train row once
         assert np.array_equal(forest_score(forest, x_te), tree_score(lone_tree, x_te))
 
 

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_impls import per_node_sort_forest
+from conftest import grow_on_every_row
+from oracle_impls import node_tree_json, per_node_sort_forest, per_node_sort_tree
 
 from zdeval.classifiers import (
     ForestConfig,
     MlpConfig,
     MlpModel,
+    RandomForestModel,
     forest_from_json,
     forest_score,
     forest_to_json,
@@ -25,6 +27,7 @@ from zdeval.classifiers import (
     train_forest,
     tree_score,
 )
+from zdeval.classifiers.forest import _tree_to_json
 
 
 def blobs(n_per_side=100, d=2, gap=3.0, noise=0.5, seed=0):
@@ -45,12 +48,18 @@ def tree_depth(tree) -> int:
     return max(depth)
 
 
+def lone_tree_forest(X, y, cfg) -> RandomForestModel:
+    """A forest of one tree grown on every row once."""
+    d = np.shape(X)[1]
+    return RandomForestModel((grow_on_every_row(X, y, cfg),), d, cfg.resolve_m_try(d), 0)
+
+
 class TestTree:
     def full_cfg(self, d):
-        return ForestConfig(n_trees=1, m_try=d, bootstrap=False)
+        return ForestConfig(n_trees=1, m_try=d)
 
     def grow(self, X, y, cfg):
-        return train_forest(X, y, cfg, seed=0).trees[0]
+        return grow_on_every_row(X, y, cfg)
 
     def test_separable_1d_single_split(self):
         X = np.array([[0.1], [0.2], [0.8], [0.9]])
@@ -65,7 +74,7 @@ class TestTree:
         # 0.5 * (below + above) rounds up to `above` (adjacent doubles) or
         # overflows; a threshold there would send both rows left
         assert not 0.5 * (below + above) < above
-        cfg = ForestConfig(n_trees=1, max_depth=3, bootstrap=False)
+        cfg = ForestConfig(n_trees=1, max_depth=3)
         tree = self.grow(np.array([[below], [above]]), np.array([0, 1]), cfg)
         assert tree.threshold[0] == below
         assert tree.feature.tolist() == [0, -1, -1]
@@ -89,13 +98,13 @@ class TestTree:
 
     def test_min_samples_leaf_respected(self):
         X, y = blobs(50, d=3, gap=1.0, noise=0.8, seed=1)
-        cfg = ForestConfig(n_trees=1, m_try=3, bootstrap=False, min_samples_leaf=5)
+        cfg = ForestConfig(n_trees=1, m_try=3, min_samples_leaf=5)
         tree = self.grow(X, y, cfg)
         assert tree.count[tree.feature == -1].min() >= 5
 
     def test_max_depth_respected(self):
         X, y = blobs(60, seed=2)
-        cfg = ForestConfig(n_trees=1, m_try=2, bootstrap=False, max_depth=2)
+        cfg = ForestConfig(n_trees=1, m_try=2, max_depth=2)
         assert tree_depth(self.grow(X, y, cfg)) <= 2
 
     def test_tie_break_lowest_feature_then_threshold(self):
@@ -122,10 +131,9 @@ class TestForest:
 
     def test_reduction_to_single_tree(self):
         X, y = blobs(50, d=4, seed=3)
-        cfg = ForestConfig(n_trees=1, m_try=4, bootstrap=False)
-        forest = train_forest(X, y, cfg, seed=5)
+        forest = lone_tree_forest(X, y, ForestConfig(n_trees=1, m_try=4))
         (tree,) = forest.trees
-        # without bootstrap the lone tree sees every row once
+        # unit weights: the lone tree sees every row once
         assert tree.count[0] == len(X) and tree.fraction[0] == y.mean()
         assert np.array_equal(forest_score(forest, X), tree_score(tree, X))
 
@@ -182,7 +190,7 @@ class TestForest:
     def test_json_is_flat_preorder(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
-        doc = forest_to_json(train_forest(X, y, ForestConfig(n_trees=1, bootstrap=False), seed=0))
+        doc = forest_to_json(lone_tree_forest(X, y, ForestConfig(n_trees=1)))
         assert doc["version"] == 2
         assert doc["trees"] == [
             {"feature": [0, -1, -1], "threshold": [1.5, None, None], "fraction": [0.5, 0.0, 1.0], "count": [4, 2, 2]}
@@ -192,7 +200,7 @@ class TestForest:
         # alternating labels on one feature peel one row per split: depth 3999
         X = np.arange(4000, dtype=np.float64)[:, None]
         y = np.arange(4000) % 2
-        model = train_forest(X, y, ForestConfig(n_trees=1, bootstrap=False), seed=0)
+        model = lone_tree_forest(X, y, ForestConfig(n_trees=1))
         restored = forest_from_json(json.loads(json.dumps(forest_to_json(model))))
         assert np.array_equal(forest_score(restored, X), forest_score(model, X))
 
@@ -221,10 +229,36 @@ class TestForest:
         with pytest.raises(ValueError, match="malformed"):
             forest_from_json(doc)
 
+    @staticmethod
+    def leaf_forest_doc() -> dict:
+        leaf = {"feature": [-1], "threshold": [None], "fraction": [0.5], "count": [2]}
+        return {"format": "zdeval-model", "version": 2, "kind": "forest", "n_features": 1, "m_try": 1,
+                "seed": 0, "trees": [leaf]}
+
+    def test_leaf_forest_doc_loads(self):
+        assert forest_score(forest_from_json(self.leaf_forest_doc()), np.zeros((2, 1))).tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            # a forest of no trees would score every row 0 / 0
+            (lambda doc: doc.update(trees=[]), "malformed forest: the 'trees' list is empty"),
+            (lambda doc: doc.update(n_features=0), "malformed forest: n_features is 0; expected at least 1"),
+            (lambda doc: doc.pop("n_features"), "malformed forest: missing key 'n_features'"),
+            (lambda doc: doc["trees"][0].pop("count"), "malformed forest: missing key 'count'"),
+        ],
+        ids=["no-trees", "no-features", "missing-n_features", "tree-missing-count"],
+    )
+    def test_unscoreable_document_rejected(self, spoil, message):
+        doc = self.leaf_forest_doc()
+        spoil(doc)
+        with pytest.raises(ValueError, match=message):
+            forest_from_json(doc)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_input_rejected(self, value):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        forest = train_forest(X, np.array([0, 0, 1, 1]), ForestConfig(n_trees=1, bootstrap=False), seed=0)
+        forest = lone_tree_forest(X, np.array([0, 0, 1, 1]), ForestConfig(n_trees=1))
         assert forest.trees[0].feature[0] == 0  # one split, so a NaN would fall through to a leaf
         with pytest.raises(ValueError, match="non-finite"):
             forest_score(forest, np.array([[value]]))
@@ -246,7 +280,6 @@ def forest_problems(draw):
         m_try=draw(st.one_of(st.none(), st.integers(1, d))),
         max_depth=draw(st.one_of(st.none(), st.integers(1, 4))),
         min_samples_leaf=draw(st.sampled_from([1, 2, 3])),
-        bootstrap=draw(st.booleans()),
     )
     return X, y, cfg, draw(st.integers(0, 2**32 - 1))
 
@@ -257,6 +290,14 @@ class TestPresortMatchesPerNodeSort:
     def test_forest_json_identical(self, problem):
         X, y, cfg, seed = problem
         assert forest_to_json(train_forest(X, y, cfg, seed)) == per_node_sort_forest(X, y, cfg, seed)
+
+    @given(forest_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_unit_weight_tree_identical(self, problem):
+        # every row once, with weight 1: the presorted grower against the per-node sort on X itself
+        X, y, cfg, seed = problem
+        grown = grow_on_every_row(X, y, cfg, np.random.default_rng(seed))
+        assert _tree_to_json(grown) == node_tree_json(per_node_sort_tree(X, y, cfg, np.random.default_rng(seed)))
 
     def test_continuous_blobs_identical(self):
         for seed in range(5):
@@ -431,6 +472,12 @@ class TestMlp:
         with pytest.raises(ValueError, match="malformed mlp: missing parameter 'w3'"):
             mlp_from_json(doc)
 
+    def test_missing_weights_rejected(self):
+        doc = mlp_to_json(mlp_init(3, seed=0, hidden_units=(4, 4)))
+        del doc["weights"]
+        with pytest.raises(ValueError, match="malformed mlp: missing key 'weights'"):
+            mlp_from_json(doc)
+
     def test_mismatched_shape_rejected(self):
         # a 4x3 w2 for hidden units (4, 4) would load and then fail to broadcast at scoring
         doc = mlp_to_json(mlp_init(3, seed=0, hidden_units=(4, 4)))
@@ -497,14 +544,4 @@ class TestGradients:
 
 class TestPredict:
     def test_threshold_rule(self):
-        assert predict(np.array([0.2, 0.5, 0.9]), 0.5).tolist() == [0, 1, 1]
-
-    def test_threshold_zero_all_one(self):
-        assert predict(np.array([0.0, 0.3]), 0.0).tolist() == [1, 1]
-
-    def test_threshold_one_only_exact(self):
-        assert predict(np.array([0.999, 1.0]), 1.0).tolist() == [0, 1]
-
-    def test_threshold_out_of_range(self):
-        with pytest.raises(ValueError):
-            predict(np.array([0.5]), 1.5)
+        assert predict(np.array([0.2, np.nextafter(0.5, 0.0), 0.5, 0.9])).tolist() == [0, 0, 1, 1]

@@ -71,6 +71,25 @@ class TestSynth:
         assert "bad synthetic spec: seed must be >= 0, got -1" in caplog.text
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize(
+        "attack, spec, message",
+        [
+            ({"mean": [1, 2, 3]}, {}, "mean vector for class 'a' must have length 2, got (3,)"),
+            ({"mean": "far"}, {}, "could not convert string to float: 'far'"),
+            ({"mean": ["x", "y"]}, {}, "could not convert string to float: 'x'"),
+            ({"cov_scale": -0.5}, {}, "cov_scale for class 'a' must be >= 0, got -0.5"),
+            ({}, {"benign_cov_scale": -1}, "benign_cov_scale must be >= 0, got -1.0"),
+        ],
+        ids=["mean-length", "mean-str", "mean-strs", "cov_scale-negative", "benign_cov_scale-negative"],
+    )
+    def test_a_bad_spec_value_is_config_error(self, tmp_path, caplog, attack, spec, message):
+        # checked when the spec is read, before anything is drawn
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n_benign": 10, "d": 2, "attacks": [{"name": "a", "count": 5, **attack}], **spec}))
+        assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        assert f"bad synthetic spec: {message}" in caplog.text
+        assert not (tmp_path / "o.csv").exists()
+
     def test_seed_override(self, tmp_path, spec_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["synth", "--spec", str(spec_file), "--out", str(a), "--seed", "99"]) == 0
@@ -121,11 +140,14 @@ class TestRun:
 
     @pytest.mark.parametrize("command", ["run", "wd"])
     def test_a_deleted_key_exits_1_before_the_dataset_is_read(self, tmp_path, caplog, command):
-        # distances always read scaled features, over all of their rows, and a category unseen at
-        # fit time always takes the reserve code: the keys that switched scaling off, capped each
-        # side's rows and chose the unseen-category policy are now unknown
+        # distances always read scaled features, over all of their rows, a category unseen at fit
+        # time always takes the reserve code, and a score >= 0.5 is an attack: the keys that switched
+        # scaling off, capped each side's rows, chose the unseen-category policy and set the decision
+        # threshold are now unknown
         cfg = tmp_path / "cfg.json"
-        for key, value in (("wd_on_scaled", False), ("wd_subsample_cap", 100000), ("unseen_category_policy", "error")):
+        deleted = (("wd_on_scaled", False), ("wd_subsample_cap", 100000), ("unseen_category_policy", "error"),
+                   ("threshold", 0.25))
+        for key, value in deleted:
             doc = {"dataset": "missing.csv", "benign_name": "Benign", "columns": _COLUMNS, "seed": 0, key: value}
             cfg.write_text(json.dumps(doc))
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -292,13 +314,11 @@ class TestHyperparameterTypes:
             ("forest", {"n_trees": 2.5}),
             ("forest", {"m_try": 1.5}),
             ("forest", {"n_trees": True}),
-            ("forest", {"bootstrap": "no"}),
             ("mlp", {"epochs": 1.5}),
             ("mlp", {"hidden_units": [4.5, 4]}),
             ("mlp", {"hidden_units": [4, 4, 4]}),
         ],
-        ids=["n_trees-float", "m_try-float", "n_trees-bool", "bootstrap-str", "epochs-float", "hidden-float",
-             "hidden-three"],
+        ids=["n_trees-float", "m_try-float", "n_trees-bool", "epochs-float", "hidden-float", "hidden-three"],
     )
     def test_a_mistyped_hyperparameter_exits_1_before_the_dataset_is_read(self, tmp_path, caplog, key, params):
         # the dataset does not exist, so reading it would exit 2
@@ -310,3 +330,13 @@ class TestHyperparameterTypes:
         assert not (tmp_path / "o").exists()
         with pytest.raises(ValueError):
             {"forest": ForestConfig, "mlp": MlpConfig}[key](**params)
+
+    def test_the_deleted_bootstrap_key_exits_1_before_the_dataset_is_read(self, tmp_path, caplog):
+        # every tree trains on a bootstrap sample, so the key that switched sampling off is unknown
+        cfg = tmp_path / "cfg.json"
+        doc = {"dataset": "missing.csv", "benign_name": "Benign", "columns": _COLUMNS, "seed": 0,
+               "forest": {"bootstrap": False}}
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown forest key 'bootstrap'" in caplog.text
+        assert not (tmp_path / "o").exists()

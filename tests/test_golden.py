@@ -59,7 +59,7 @@ GOLDEN_TRAIN_ONLY = {
     "wd_features_beta.csv": "6ac42bfbb380ac9f61355336cc4db01e1e109249d09fdb3993af75bdbb55a5e4",
     "wd_features_gamma.csv": "1811d5a893976ad516a27b9d07c5389fd006d6265c26858465069887ddd5e1ad",
     "wd_means.tsv": "c1bd00b49fbc41b0b55ac1654a338b432a7c73f578aaf4b5910b0276f84aaca5",
-    "run.json": "dad6556a566c815a35be53e62898e5e6ff6983dae6157f1f849c822d19a6823e",
+    "run.json": "1d1b47c9a1b323c85cb413c1cb8d79d526f71d3e51d9ab54486d01ab84f1d288",
 }
 
 
@@ -81,7 +81,7 @@ GOLDEN_TRAIN_ONLY_CATEGORICAL = {
     "models/forest_gamma_f0.json": "2e049c3423f1b24a2363f996ece0d4107bdf6fd7e5b2eaa2b4f9ccf6d0bd4427",
     "models/forest_gamma_f1.json": "515f08ae27659e11e1046cd4318ab9ccc1b23b7de1994da66ea2241a0bf4d65f",
     "models/forest_gamma_f2.json": "0cbc2a309b8cd080c1ad8c81a3be9e97ddbeab530a54695cee747e29d8326fd9",
-    "run.json": "4b5b4dffcc763254964d678b32b4d4fdc6736d895e6b6804ff64de511ed055c9",
+    "run.json": "022235d7361d6d061512410baad4dd3b31d05cd291014c6fdb504bc491116eac",
     "transforms.json": "6ef364facc745f2539d1a0a4aa8b6ca821a5d572880d2e8d7192bec3c730a866",
     "wd_features_alpha.csv": "191b041fafaf27dd4e7b75da18c6652bf902ff69357cf18205465dace23da22c",
     "wd_features_beta.csv": "1e97cb9771db09110c894bb12a022ed5b028713c09bb4c74dc4be756ecad3845",

@@ -149,11 +149,12 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("typo_key", 1), ("wd_on_scaled", False), ("wd_subsample_cap", 100000), ("unseen_category_policy", "error")],
+        [("typo_key", 1), ("wd_on_scaled", False), ("wd_subsample_cap", 100000), ("unseen_category_policy", "error"),
+         ("threshold", 0.25)],
     )
     def test_unknown_key_rejected(self, synth_csv, key, value):
         # the others are deleted keys: distances always read scaled features, over all of their rows,
-        # and a category unseen at fit time always takes the reserve code
+        # a category unseen at fit time always takes the reserve code, and a score >= 0.5 is an attack
         path, table = synth_csv
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             config_from_dict(base_config_dict(path, table.schema.to_json(), **{key: value}))
@@ -205,7 +206,6 @@ class TestConfig:
         cfg = config_from_dict(base_config_dict(path, table.schema.to_json()))
         echo = cfg.to_json()
         assert echo["fit_scope"] == "full-dataset"
-        assert echo["threshold"] == 0.5
         assert echo["forest"]["n_trees"] == 5
 
     def test_echo_names_every_config_key(self, synth_csv):
@@ -217,8 +217,8 @@ class TestConfig:
         every_key = base_config_dict(
             path, table.schema.to_json(), models=["mlp", "forest"], k=4, fit_scope="train-only", subsample=200,
             classes=["alpha", "gamma"], output_dir="elsewhere", workers=3,
-            keep_going=True, save_models=True, on_bad_row="drop", threshold=0.25,
-            forest={"n_trees": 4, "m_try": 2, "max_depth": 6, "min_samples_leaf": 3, "bootstrap": False},
+            keep_going=True, save_models=True, on_bad_row="drop",
+            forest={"n_trees": 4, "m_try": 2, "max_depth": 6, "min_samples_leaf": 3},
             mlp={"learning_rate": 0.5, "batch_size": 16, "epochs": 2, "hidden_units": [3, 5]},
         )
         assert every_key.keys() == _TOP_LEVEL_KEYS.keys()
