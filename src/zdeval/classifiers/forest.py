@@ -53,6 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mlp import _is_int
+
 # Two float split scores closer than this are treated as equal, so the
 # lowest-feature / lowest-threshold tie-break decides.
 _SCORE_EPS = 1e-12
@@ -351,6 +353,9 @@ def _tree_from_json(obj: dict, n_features: int) -> Tree:
     features, thresholds = obj["feature"], obj["threshold"]
     if not features or any(len(obj[k]) != len(features) for k in ("threshold", "fraction", "count")):
         raise ValueError("malformed tree: node lists must be nonempty and of equal length")
+    for count in obj["count"]:
+        if not _is_int(count):
+            raise ValueError(f"malformed tree: 'count' holds {count!r}; expected integers")
     right = [-1] * len(features)
     # internal nodes still missing their right child, innermost last
     open_nodes: list[int] = []
@@ -389,18 +394,25 @@ def forest_to_json(model: RandomForestModel) -> dict:
 
 
 def forest_from_json(obj: dict) -> RandomForestModel:
-    """Load a saved model, rejecting one with no feature, no tree or a malformed tree."""
+    """Load a saved model, rejecting one with no feature, no tree or a malformed tree.
+
+    `n_features`, `m_try`, `seed` and each node's count must be integers: a
+    bool, a float, a string or null raises a ValueError naming the key.
+    """
     if obj.get("kind") != "forest":
         raise ValueError(f"not a forest model document: kind={obj.get('kind')!r}")
     if obj.get("version") != 2:
         raise ValueError(f"unsupported forest model version {obj.get('version')!r}; expected 2")
     try:
-        n_features = int(obj["n_features"])
+        for key in ("n_features", "m_try", "seed"):
+            if not _is_int(obj[key]):
+                raise ValueError(f"malformed forest: {key} is {obj[key]!r}; expected an integer")
+        n_features = obj["n_features"]
         if n_features < 1:
             raise ValueError(f"malformed forest: n_features is {n_features}; expected at least 1")
         if not obj["trees"]:
             raise ValueError("malformed forest: the 'trees' list is empty")
         trees = tuple(_tree_from_json(t, n_features) for t in obj["trees"])
-        return RandomForestModel(trees, n_features, int(obj["m_try"]), int(obj["seed"]))
+        return RandomForestModel(trees, n_features, obj["m_try"], obj["seed"])
     except KeyError as exc:  # of the document or of a tree
         raise ValueError(f"malformed forest: missing key {exc}") from exc

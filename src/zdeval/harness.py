@@ -8,30 +8,34 @@ artifacts. Everything is keyed off the config seed: two runs with the same
 config and dataset produce identical metrics bytes.
 
 The run's scenarios form one ordered list: the known-attack folds, then
-each selected class's folds in code order. A job is (kind, scenario
-index, seed): a distance job computes one zero-day scenario's per-feature
-distances, a model job trains and scores one model on one scenario. A run
-submits its distance jobs ahead of its model jobs to one process pool (the
-`wd` command submits distance jobs alone); results are assembled in the
-order of their scenario indices, so the worker count never changes any
-output byte.
+each selected class's folds in code order. A job is (kind, index, seed): a
+distance job computes one feature's distance in every zero-day scenario,
+since one sort of the feature's column orders the sample of each (see
+`wdanalysis`), and a model job trains and scores one model on one
+scenario. A run submits its distance jobs ahead of its model jobs to one
+process pool (the `wd` command submits distance jobs alone); results are
+assembled in feature and scenario order, each scenario's distances into
+its report, so the worker count never changes any output byte.
 
 `_prepare` builds the run report with its fixed sections (config, dataset,
 fold plan, preprocessing, transforms and the preparation warnings); the
 jobs' results fill in the rest. The model jobs write the model files and
-`emit_reports` the reports. `_succeeded` is the one place a failed job is
-settled: without keep_going it stops the run, naming the job; with it, the
-job becomes a warning and is left out of every mean.
+`emit_reports` the reports. `_succeeded` is the one place a failure is
+settled, per scenario: a scenario's distances fail with the first of its
+features that fails, and a model job fails alone. Without keep_going it
+stops the run, naming the scenario; with it, the failure becomes a warning
+and is left out of every mean.
 
 The features are held once: the loaded table is the base matrix, its
 feature-major block the one n x d float64 matrix a run holds, and nothing
-writes to it. Each job reads its rows of it through its scenario's fitted
+writes to it. A distance job reads its feature's column whole, in sorted
+order, and codes and scales it through each distinct transform of the
+scenarios. A model job reads its rows through its scenario's fitted
 transform, one column at a time, each one take from the contiguous column:
-a distance job each side of a feature, and a model job every feature of
-its train rows and, once its model is trained, of its test rows, into a
-new matrix whose columns are contiguous. The table's class codes are the
-one class column and the one class inventory: a model job's labels are its
-rows' codes != 0.
+every feature of its train rows and, once its model is trained, of its
+test rows, into a new matrix whose columns are contiguous. The table's
+class codes are the one class column and the one class inventory: a model
+job's labels are its rows' codes != 0.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ BASELINE = "baseline"
 log = logging.getLogger(__name__)
 
 # spawn-key prefixes partitioning the master seed into independent streams
-_SEED_TRAIN, _SEED_WD, _SEED_SUBSAMPLE = 10, 20, 30
+_SEED_TRAIN, _SEED_SUBSAMPLE = 10, 30
 
 
 def derive_seed(master: int, *key: int) -> int:
@@ -90,17 +94,23 @@ DISTANCE = "wd"  # the kind of a distance job; a model job's kind is its model's
 
 
 @dataclass(frozen=True)
-class ScenarioJob:
+class Job:
     kind: str  # DISTANCE or a model name
-    scenario: int  # index into _Prepared.scenarios
-    seed: int
+    index: int  # a distance job's feature; a model job's scenario, an index into _Prepared.scenarios
+    seed: int = 0  # a model job's training seed
 
 
 @dataclass
 class JobResult:
+    """A job's result, or one zero-day scenario's distances (kind DISTANCE, `index` its scenario).
+
+    A distance job's `report` lists its feature's distance, or the failure
+    as a message, per zero-day scenario; its `error` is its first failure.
+    """
+
     kind: str
-    scenario: int  # index into _Prepared.scenarios
-    report: MetricsReport | WdReport | None = None
+    index: int
+    report: MetricsReport | WdReport | list[float | str] | None = None
     per_class: dict[str, tuple[int, int]] | None = None
     error: str | None = None
 
@@ -114,7 +124,7 @@ _POOL_STATE: dict = {}
 _QUEUED, _STARTED, _FINISHED = 0, 1, 2
 
 
-def _execute_tracked(slot: int, job: ScenarioJob) -> JobResult:
+def _execute_tracked(slot: int, job: Job) -> JobResult:
     """`_execute_job` in a pool worker, recording the job's state in its slot."""
     states = _POOL_STATE["states"]
     states[slot] = _STARTED
@@ -123,24 +133,29 @@ def _execute_tracked(slot: int, job: ScenarioJob) -> JobResult:
     return result
 
 
-def _execute_job(job: ScenarioJob) -> JobResult:
+def _failure(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _execute_job(job: Job) -> JobResult:
     prep: _Prepared = _POOL_STATE["prep"]
     cfg: ExperimentConfig = _POOL_STATE["cfg"]
-    scenario = prep.scenarios[job.scenario]
     try:
-        train, test = prep.rows(job.scenario)
-        base, transform = prep.base, prep.fitted[job.scenario]
         if job.kind == DISTANCE:
-            report = per_feature_wd(
-                base,
-                train,
-                test,
-                transform=transform,
-                held_out_class=scenario.held_out,
-                fold_id=scenario.fold_id,
+            zero_day = prep.zero_day
+            outcomes = per_feature_wd(
+                prep.base,
+                job.index,
+                prep.plan.fold,
+                [prep.scenarios[i] for i in zero_day],
+                [prep.fitted[i] for i in zero_day],
             )
-            return JobResult(job.kind, job.scenario, report)
+            report = [_failure(o) if isinstance(o, Exception) else o for o in outcomes]
+            return JobResult(job.kind, job.index, report, error=next((o for o in report if isinstance(o, str)), None))
 
+        scenario = prep.scenarios[job.index]
+        train, test = prep.rows(job.index)
+        base, transform = prep.base, prep.fitted[job.index]
         train_codes, test_codes = base.class_codes[train], base.class_codes[test]
         x_train, y_train = transform.apply(base, train), (train_codes != 0).astype(np.int64)
         if job.kind == "forest":
@@ -169,16 +184,23 @@ def _execute_job(job: ScenarioJob) -> JobResult:
             name = BASELINE if scenario.held_out is None else prep.report.slugs[scenario.held_out]
             path = Path(cfg.output_dir, "models", f"{job.kind}_{name}_f{scenario.fold_id}.json")
             _write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
-        return JobResult(job.kind, job.scenario, report, per_class)
+        return JobResult(job.kind, job.index, report, per_class)
     except Exception as exc:  # noqa: BLE001 - attributed and re-raised by the parent
-        return JobResult(job.kind, job.scenario, error=f"{type(exc).__name__}: {exc}")
+        return JobResult(job.kind, job.index, error=_failure(exc))
 
 
-def _attribution(prep: _Prepared, job: ScenarioJob | JobResult) -> str:
-    """The job's key in messages: (class=…, fold=…), led by model=… for a model job."""
-    s = prep.scenarios[job.scenario]
+def _attribution(prep: _Prepared, kind: str, scenario: int) -> str:
+    """A scenario's key in messages: (class=…, fold=…), led by model=… for a model job's."""
+    s = prep.scenarios[scenario]
     where = f"class={BASELINE if s.held_out is None else s.held_out}, fold={s.fold_id}"
-    return f"({where})" if job.kind == DISTANCE else f"(model={job.kind}, {where})"
+    return f"({where})" if kind == DISTANCE else f"(model={kind}, {where})"
+
+
+def _job_name(prep: _Prepared, job: Job) -> str:
+    """The job in messages: a distance job by its feature, a model job by its model and scenario."""
+    if job.kind == DISTANCE:
+        return f"distance job (feature={prep.base.feature_names[job.index]})"
+    return f"model job {_attribution(prep, job.kind, job.index)}"
 
 
 def openblas_function(name: str, restype, *argtypes):
@@ -205,13 +227,14 @@ def openblas_function(name: str, restype, *argtypes):
     return function
 
 
-def _run_jobs(cfg: ExperimentConfig, prep: _Prepared, jobs: list[ScenarioJob]) -> list[JobResult]:
+def _run_jobs(cfg: ExperimentConfig, prep: _Prepared, jobs: list[Job]) -> list[JobResult]:
     """The jobs' results in job order: in-process, or on one fork pool when workers > 1.
 
     A job's own failure comes back as its result's error. Without keep_going
-    the run stops at a failure: jobs that have not started by then are
-    dropped, so the results are those of a prefix of the jobs that holds
-    the first failure in job order. A worker that dies fails the run,
+    the run stops at a failure: model jobs that have not started by then are
+    dropped, while every distance job runs, so the results hold every
+    distance job's and those of a prefix of the model jobs that holds the
+    first failed model job. A worker that dies fails the run,
     naming the jobs that were in flight and counting those that had not
     started. Each worker of a pool with MLP jobs does its BLAS work on one
     thread, so the workers do not contend for the CPUs with a BLAS thread
@@ -223,11 +246,12 @@ def _run_jobs(cfg: ExperimentConfig, prep: _Prepared, jobs: list[ScenarioJob]) -
     try:
         # without fork, the base matrix cannot be inherited cheaply
         if workers <= 1 or len(jobs) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-            results = []
+            results, stop = [], False
             for j in jobs:
-                results.append(_execute_job(j))
-                if results[-1].error is not None and not cfg.keep_going:
+                if stop and j.kind != DISTANCE:
                     break
+                results.append(_execute_job(j))
+                stop = stop or (results[-1].error is not None and not cfg.keep_going)
             return results
         ctx = multiprocessing.get_context("fork")
         # one byte per job in anonymous shared memory, which the forked workers write to
@@ -249,8 +273,9 @@ def _run_jobs(cfg: ExperimentConfig, prep: _Prepared, jobs: list[ScenarioJob]) -
                 for f in concurrent.futures.as_completed(futures):
                     if f.exception() is None and f.result().error is not None:
                         # the pool starts jobs in submission order: every job before this one has started
-                        for pending in futures:
-                            pending.cancel()
+                        for job, pending in zip(jobs, futures):
+                            if job.kind != DISTANCE:
+                                pending.cancel()
                         break
     finally:
         _POOL_STATE.clear()
@@ -259,9 +284,7 @@ def _run_jobs(cfg: ExperimentConfig, prep: _Prepared, jobs: list[ScenarioJob]) -
     if lost:
         # a job that finished before the pool broke may still have lost its result
         in_flight = [jobs[i] for i, _ in lost if states[i] == _STARTED]
-        names = ", ".join(
-            f"{'distance' if j.kind == DISTANCE else 'model'} job {_attribution(prep, j)}" for j in in_flight
-        )
+        names = ", ".join(_job_name(prep, j) for j in in_flight)
         queued = sum(states[i] == _QUEUED for i, _ in lost)
         exc = lost[0][1]
         raise RuntimeError(
@@ -348,6 +371,11 @@ class _Prepared:
     def rows(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Scenario i's sorted train and test rows."""
         return scenario_rows(self.scenarios[i], self.plan, self.base)
+
+    @property
+    def zero_day(self) -> list[int]:
+        """The zero-day scenarios' indices, in scenario order."""
+        return [i for i, s in enumerate(self.scenarios) if s.held_out is not None]
 
 
 def _fit_transforms(
@@ -439,20 +467,40 @@ def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
     return _Prepared(plan, scenarios, table, fitted, report)
 
 
-def _distance_jobs(cfg: ExperimentConfig, prep: _Prepared) -> list[ScenarioJob]:
-    """One distance job per zero-day scenario, in scenario order."""
-    return [
-        ScenarioJob(DISTANCE, i, derive_seed(cfg.seed, _SEED_WD, prep.base.class_names.index(s.held_out), s.fold_id))
-        for i, s in enumerate(prep.scenarios)
-        if s.held_out is not None
-    ]
+def _distance_jobs(prep: _Prepared) -> list[Job]:
+    """One distance job per feature, in feature order."""
+    return [Job(DISTANCE, j) for j in range(len(prep.base.feature_names))]
+
+
+def _scenario_distances(prep: _Prepared, results: list[JobResult]) -> list[JobResult]:
+    """Per zero-day scenario, in scenario order, its distances from the distance jobs' results, in feature order.
+
+    A scenario fails with the first of its features that failed; a failed
+    job's error stands for each of its scenarios.
+    """
+    base, plan, zero_day = prep.base, prep.plan, prep.zero_day
+    scenarios = [prep.scenarios[i] for i in zero_day]
+    group_rows = np.bincount(row_groups(plan, base), minlength=len(base.class_names) * plan.k)
+    rows_train, rows_test = train_groups(scenarios, plan, base) @ group_rows, np.bincount(plan.fold, minlength=plan.k)
+    out = []
+    for col, (i, s) in enumerate(zip(zero_day, scenarios)):
+        outcomes = [r.error if r.report is None else r.report[col] for r in results]
+        error = next((o for o in outcomes if isinstance(o, str)), None)
+        report = None if error is not None else WdReport(
+            s.held_out, s.fold_id, dict(zip(base.feature_names, outcomes)), float(np.mean(outcomes)),
+            base.schema.categorical_names, int(rows_train[col]), int(rows_test[s.fold_id]),
+        )
+        out.append(JobResult(DISTANCE, i, report, error=error))
+    return out
 
 
 def _succeeded(cfg: ExperimentConfig, prep: _Prepared, results: list[JobResult]) -> list[JobResult]:
-    """The results of the jobs that succeeded, in job order: the one place a failed job is settled.
+    """The results that succeeded, in order: the one place a failure is settled.
 
-    Without keep_going a failed job stops the run with its attribution; with
-    it, the job becomes a warning on the report and is left out of every mean.
+    The results are each zero-day scenario's distances, then the model
+    jobs'. Without keep_going the first failure stops the run with its
+    attribution; with it, each becomes a warning on the report and is left
+    out of every mean.
     """
     ok = []
     for r in results:
@@ -460,7 +508,7 @@ def _succeeded(cfg: ExperimentConfig, prep: _Prepared, results: list[JobResult])
             ok.append(r)
             continue
         failed = "distance analysis failed" if r.kind == DISTANCE else "scenario failed"
-        message = f"{failed} {_attribution(prep, r)}: {r.error}"
+        message = f"{failed} {_attribution(prep, r.kind, r.index)}: {r.error}"
         if not cfg.keep_going:
             raise RuntimeError(message)
         prep.report.warnings.append(message)
@@ -470,7 +518,7 @@ def _succeeded(cfg: ExperimentConfig, prep: _Prepared, results: list[JobResult])
 def _compute_wd(prep: _Prepared, results: list[JobResult]) -> dict:
     """Per (class, fold) distances and the fold mean per class, from the succeeded distance jobs."""
     wd_section: dict[str, dict] = {}
-    for name, group in itertools.groupby(results, key=lambda r: prep.scenarios[r.scenario].held_out):
+    for name, group in itertools.groupby(results, key=lambda r: prep.scenarios[r.index].held_out):
         fold_reports: list[WdReport] = [r.report for r in group]
         wd_section[name] = {
             "folds": [r.to_json() for r in fold_reports],
@@ -514,19 +562,21 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     report.models = cfg.models
 
     # the distance jobs first, then each model's jobs in scenario order; the results come back in this order
-    jobs = _distance_jobs(cfg, prep)
+    jobs = _distance_jobs(prep)
     for model in cfg.models:
         model_idx = KNOWN_MODELS.index(model)
         for i, s in enumerate(prep.scenarios):
             class_key = 0 if s.held_out is None else prep.base.class_names.index(s.held_out)
-            jobs.append(ScenarioJob(model, i, derive_seed(cfg.seed, _SEED_TRAIN, model_idx, class_key, s.fold_id)))
+            jobs.append(Job(model, i, derive_seed(cfg.seed, _SEED_TRAIN, model_idx, class_key, s.fold_id)))
     if cfg.save_models:
         writable_dir(Path(cfg.output_dir, "models"))
-    ok = _succeeded(cfg, prep, _run_jobs(cfg, prep, jobs))
+    results = _run_jobs(cfg, prep, jobs)
+    n_distance = len(prep.base.feature_names)
+    ok = _succeeded(cfg, prep, _scenario_distances(prep, results[:n_distance]) + results[n_distance:])
     report.wd = _compute_wd(prep, [r for r in ok if r.kind == DISTANCE])
 
     for model in cfg.models:
-        mine = [(prep.scenarios[r.scenario], r) for r in ok if r.kind == model]
+        mine = [(prep.scenarios[r.index], r) for r in ok if r.kind == model]
         base = [r for s, r in mine if s.held_out is None]
         if base:
             fold_reports = [r.report for r in base]
@@ -572,7 +622,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 def run_wd_analysis(cfg: ExperimentConfig) -> RunReport:
     """Distribution-distance analysis only, no model training."""
     prep = _prepare(cfg, with_baseline=False)
-    prep.report.wd = _compute_wd(prep, _succeeded(cfg, prep, _run_jobs(cfg, prep, _distance_jobs(cfg, prep))))
+    distances = _scenario_distances(prep, _run_jobs(cfg, prep, _distance_jobs(prep)))
+    prep.report.wd = _compute_wd(prep, _succeeded(cfg, prep, distances))
     return prep.report
 
 

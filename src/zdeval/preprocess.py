@@ -14,11 +14,12 @@ no fit's rows; the block is feature-major, so each column it reads is
 contiguous. A run's groups are its (class, fold) groups: the full-dataset
 scope is one fit over every group, the train-only scope one fit per
 scenario over its train groups. Each resulting `FittedTransform` codes and
-scales the rows a reader asks for, one column (`column`, into a caller's
-buffer) or all of them (`apply`, column by column into a new matrix whose
-columns are contiguous), in a copy of those rows: nothing writes to the
-table. Distance jobs and model jobs read the same coded and scaled values
-through `column`; no reader sees a coded but unscaled column. The encoding
+scales, by one routine (`scale`), values a reader has copied from the
+table's block: model jobs read one column of the rows they ask for
+(`column`, into a caller's buffer) or all of them (`apply`, column by
+column into a new matrix whose columns are contiguous), and a distance job
+a whole column in sorted order. Nothing writes to the table, and no reader
+sees a coded but unscaled column. The encoding
 codes by first appearance among the fit rows in row order, exactly as
 encoding the strings of those rows would.
 Fitted transforms are immutable and serializable so a run can be replayed
@@ -114,17 +115,26 @@ class FittedTransform:
         The caller has checked the rows against the table (`check_rows`):
         the take clips, so a row outside it would read another row. The
         column, which is contiguous in the block, is gathered into `out`
-        (float64, one element per row) by one take; a categorical column is
-        then coded in place, `_GATHER_ROWS` rows at a time, and the column
-        scaled in place. `out` is returned.
+        (float64, one element per row) by one take, then coded and scaled
+        there by `scale`. `out` is returned.
+        """
+        np.take(base.features[:, j], rows, out=out, mode="clip")  # "raise" would copy `out`
+        return self.scale(base, j, out, out=out)
+
+    def scale(self, base: FlowTable, j: int, values: np.ndarray, *, out: np.ndarray) -> np.ndarray:
+        """Values of feature j as the table's block holds them, encoded and scaled into [0, 1] in `out`.
+
+        `out` (float64, one element per value) may be `values` itself. A
+        categorical column's category indices are coded `_GATHER_ROWS` at a
+        time, and the column is then scaled and clamped in place. `out` is
+        returned.
         """
         name = base.feature_names[j]
-        np.take(base.features[:, j], rows, out=out, mode="clip")  # "raise" would copy `out`
         if name in base.categories:
-            for start in range(0, len(rows), _GATHER_ROWS):
-                chunk = out[start:start + _GATHER_ROWS]
-                chunk[:] = _coded(base, name, chunk, self.codes)
-        _min_max(out, *self.ranges[name], out=out)
+            for start in range(0, len(values), _GATHER_ROWS):
+                out[start:start + _GATHER_ROWS] = _coded(base, name, values[start:start + _GATHER_ROWS], self.codes)
+            values = out
+        _min_max(values, *self.ranges[name], out=out)
         return np.clip(out, 0.0, 1.0, out=out)
 
     def apply(self, base: FlowTable, rows: np.ndarray) -> np.ndarray:

@@ -69,10 +69,12 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SyntheticSpec":
+        """The spec a JSON document gives; a count, `d` or `seed` that is not an integer, or an
+        `include_identifier` that is not a bool, raises a ValueError naming it."""
         attacks = tuple(
             AttackBlob(
                 name=str(a["name"]),
-                count=int(a["count"]),
+                count=_checked(a["count"], f"count for class {a['name']!r}", int),
                 mean=a.get("mean", 1.0),
                 cov_scale=float(a.get("cov_scale", 1.0)),
                 shift=float(a.get("shift", 0.0)),
@@ -80,15 +82,22 @@ class SyntheticSpec:
             for a in obj.get("attacks", [])
         )
         return cls(
-            n_benign=int(obj["n_benign"]),
+            n_benign=_checked(obj["n_benign"], "n_benign", int),
             attacks=attacks,
-            d=int(obj.get("d", 4)),
-            seed=int(obj.get("seed", 0)),
+            d=_checked(obj.get("d", 4), "d", int),
+            seed=_checked(obj.get("seed", 0), "seed", int),
             benign_name=str(obj.get("benign_name", "Benign")),
             benign_mean=float(obj.get("benign_mean", 0.0)),
             benign_cov_scale=float(obj.get("benign_cov_scale", 1.0)),
-            include_identifier=bool(obj.get("include_identifier", True)),
+            include_identifier=_checked(obj.get("include_identifier", True), "include_identifier", bool),
         )
+
+
+def _checked(value, name: str, expected: type):
+    """`value` if it is an `expected`, an int or a bool, where a bool is not an int; else a ValueError naming it."""
+    if isinstance(value, bool) is not (expected is bool) or not isinstance(value, expected):
+        raise ValueError(f"{name} must be {'a bool' if expected is bool else 'an integer'}, got {value!r}")
+    return value
 
 
 def synthesize_dataset(spec: SyntheticSpec) -> FlowTable:

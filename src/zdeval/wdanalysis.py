@@ -12,34 +12,40 @@ transform, so every distance lies in [0, 1] and the cross-feature mean
 weighs the features alike: no feature counts for more because of its unit
 or range.
 
-Each feature's distance takes one in-place sort per side and one merge,
-inside one workspace per scenario, so a pool worker does not fault in fresh
-pages for every feature: one allocation, sized to the scenario's n train
-and test rows, holding the values (the train half, then the test half),
-the merged values, two float buffers of n - 1 and the float ranks 1..n-1.
-A feature's train and test columns are gathered from the table's
-feature-major block into the two halves, each by one take from the
-contiguous column, transformed there by the scenario's fitted transform,
-sorted, and merged by a stable argsort of the
-two sorted runs (one linear merge, whose result is the only n-element array
-a feature allocates). |F_u - F_v| is then integrated over the merged values
-with cumulative counts of each side, in float64 (exact below 2**53). This
-is exact, and bit-identical to sorting the concatenation and counting each
-breakpoint with `searchsorted`: where the merged value increases, the
-cumulative count is the `searchsorted` count; where values tie, the step
-width is 0 and so is the term, whatever the counts. Both build the same
-array of terms, which `np.sum` adds in the same order.
+A distance job is one feature over every zero-day scenario. Min-max
+scaling and the [0, 1] clamp are monotone, so one argsort of the feature's
+raw column orders every scenario's sample, whatever its transform; a
+categorical column, whose codes need not rise with its category indices,
+is argsorted by its coded value, once per distinct code map. The job
+gathers the column's values and the rows' class codes and test folds in
+that order, and codes and scales the values once per distinct transform
+(once in all under the full-dataset scope). Scenario (c, f) trains on the
+rows of every other class outside fold f and tests on fold f, so one
+compress by (code != c) | (fold == f) gives its merged sample, sorted, and
+fold == f marks its test side. |F_u - F_v| is then integrated over the
+merged values with cumulative counts of each side, in float64 (exact below
+2**53).
+
+This is exact, and bit-identical to sorting each side and merging the
+two, or to sorting the concatenation and counting each breakpoint with
+`searchsorted`: where the merged value rises, the cumulative count does
+not depend on the order within ties; where values tie, the step width is 0
+and so is the term, whatever the counts. Every order builds the same array
+of terms, but for the sign of a zero term where -0.0 and 0.0 tie, and
+`np.sum`, which starts from 0.0, adds them to the same total.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .flowdata import FlowTable
 from .metrics import average_ranks
-from .preprocess import FittedTransform, check_rows
+from .preprocess import FittedTransform
+from .zslsplit import Scenario
 
 
 @dataclass
@@ -66,85 +72,71 @@ class WdReport:
         }
 
 
-class _Workspace:
-    """One scenario's row sets and its distance buffers, views of one block of n = n_u + n_v rows."""
-
-    def __init__(self, train_rows: np.ndarray, test_rows: np.ndarray):
-        self.train_rows, self.test_rows = train_rows, test_rows
-        self.n_u, self.n_v = train_rows.size, test_rows.size
-        n = self.n_u + self.n_v
-        block = np.empty(5 * n - 3)
-        self.values, self.merged = block[:n], block[n:2 * n]
-        self.u, self.v = self.values[:self.n_u], self.values[self.n_u:]
-        self.counts, self.terms, self.ranks = block[2 * n:].reshape(3, n - 1)
-        self.ranks[:] = np.arange(1.0, n)
-
-
-def _feature_wd(ws: _Workspace, base: FlowTable, transform: FittedTransform, j: int) -> float:
-    """Feature j's distance between the workspace's two nonempty row sets, computed inside it."""
-    u, v = ws.u, ws.v
-    transform.column(base, ws.train_rows, j, out=u)
-    transform.column(base, ws.test_rows, j, out=v)
-    u.sort()
-    v.sort()
-    # NaN and +inf sort last, -inf first: the ends decide finiteness
-    if not (np.isfinite(u[0]) and np.isfinite(u[-1]) and np.isfinite(v[0]) and np.isfinite(v[-1])):
-        raise ValueError(f"per_feature_wd (feature {base.feature_names[j]!r}) requires finite sample values")
-    # numpy's stable sort (timsort) finds the two sorted runs and merges them
-    # in one linear pass; the order within ties does not change the sum
-    order = np.argsort(ws.values, kind="stable")
-    merged = np.take(ws.values, order, out=ws.merged, mode="clip")  # "raise" would copy `out`
+def _merged_wd(merged: np.ndarray, is_test: np.ndarray, n_v: int, ranks: np.ndarray) -> float:
+    """The distance between the two sides of a sorted sample, `is_test` marking the n_v values of one side."""
+    n_u = merged.size - n_v
     # how many v, then how many u, lie at or before each breakpoint but the last
-    v_count = np.cumsum(np.greater_equal(order[:-1], ws.n_u, out=ws.counts), out=ws.counts)
-    u_count = np.subtract(ws.ranks, v_count, out=ws.terms)
-    u_count /= ws.n_u
-    v_count /= ws.n_v
-    terms = np.abs(np.subtract(u_count, v_count, out=ws.terms), out=ws.terms)
-    terms *= np.subtract(merged[1:], merged[:-1], out=ws.counts)
+    v_count = np.cumsum(is_test[:-1], dtype=np.float64)
+    u_count = np.subtract(ranks[:merged.size - 1], v_count)
+    u_count /= n_u
+    v_count /= n_v
+    terms = np.abs(np.subtract(u_count, v_count, out=u_count), out=u_count)
+    terms *= np.subtract(merged[1:], merged[:-1], out=v_count)
     return float(np.sum(terms))
 
 
 def per_feature_wd(
     base: FlowTable,
-    train_rows: np.ndarray,
-    test_rows: np.ndarray,
-    *,
-    transform: FittedTransform,
-    held_out_class: str | None = None,
-    fold_id: int | None = None,
-) -> WdReport:
-    """Wasserstein distance per feature between a table's train and test rows.
+    j: int,
+    fold: np.ndarray,
+    scenarios: Sequence[Scenario],
+    transforms: Sequence[FittedTransform],
+) -> list[float | ValueError]:
+    """Feature j's Wasserstein distance between the train and test rows of each scenario, in scenario order.
 
-    Both row sets are checked against the table once; then each feature is
-    read through `transform.column`, encoded and scaled into [0, 1], into
-    one workspace reused for every feature, so every distance lies in
-    [0, 1]. Every distance is exact, over all of both sides' rows.
-
-    Features that are encoded categories are carried through in
-    `encoded_features` since distances over arbitrary integer codes depend
-    on the code assignment.
+    `fold` holds each row's test fold, and `transforms[i]` is scenario i's
+    fitted transform, through which the feature is coded and scaled into
+    [0, 1], so every distance lies in [0, 1]. Every distance is exact, over
+    all of both sides' rows. A scenario whose train or test side is empty,
+    or whose sample holds a value that is not finite, gets a ValueError in
+    place of its distance.
     """
-    train_rows = np.asarray(train_rows, dtype=np.int64)
-    test_rows = np.asarray(test_rows, dtype=np.int64)
-    n_train, n_test = train_rows.size, test_rows.size
-    if n_train == 0 or n_test == 0:
-        raise ValueError("per_feature_wd requires nonempty train and test sets")
-    check_rows(base, train_rows)
-    check_rows(base, test_rows)
+    name = base.feature_names[j]
+    raw = base.features[:, j]
+    # per distinct sort (one, or one per code map of a categorical column), the scenarios of each transform
+    sorts: dict[bytes | None, dict[int, list[int]]] = {}
+    for i, transform in enumerate(transforms):
+        key = transform.codes[name].tobytes() if name in base.categories else None
+        sorts.setdefault(key, {}).setdefault(id(transform), []).append(i)
 
-    # each column is copied into the workspace, so sorting it leaves the table alone
-    ws = _Workspace(train_rows, test_rows)
-    distances = {name: _feature_wd(ws, base, transform, j) for j, name in enumerate(base.feature_names)}
-    mean_wd = float(np.mean(list(distances.values())))
-    return WdReport(
-        held_out_class=held_out_class,
-        fold_id=fold_id,
-        per_feature=distances,
-        mean_wd=mean_wd,
-        encoded_features=base.schema.categorical_names,
-        rows_train=n_train,
-        rows_test=n_test,
-    )
+    out: list = [None] * len(scenarios)
+    # the column, the rows' class codes and folds in sorted order, and the values coded and scaled
+    values, codes, folds = np.empty(raw.size), np.empty_like(base.class_codes), np.empty_like(fold)
+    scaled, ranks = np.empty(raw.size), np.arange(1.0, raw.size)
+    for key, groups in sorts.items():
+        groups = list(groups.values())
+        if key is None:
+            order = np.argsort(raw)
+        else:  # scaling is monotone in the coded value, so one order serves every transform of a code map
+            order = np.argsort(transforms[groups[0][0]].codes[name][raw.astype(np.intp)])
+        for column, gathered in ((raw, values), (base.class_codes, codes), (fold, folds)):
+            np.take(column, order, out=gathered, mode="clip")  # "raise" would copy `out`
+        del order
+        for group in groups:
+            transforms[group[0]].scale(base, j, values, out=scaled)
+            finite = bool(np.isfinite(scaled).all())
+            for i in group:
+                test = folds == scenarios[i].fold_id
+                keep = test | (codes != base.class_names.index(scenarios[i].held_out))
+                merged, is_test = scaled[keep], test[keep]
+                n_v = int(np.count_nonzero(is_test))
+                if n_v in (0, merged.size):
+                    out[i] = ValueError("per_feature_wd requires nonempty train and test sets")
+                elif not (finite or np.isfinite(merged).all()):
+                    out[i] = ValueError(f"per_feature_wd (feature {name!r}) requires finite sample values")
+                else:
+                    out[i] = _merged_wd(merged, is_test, n_v, ranks)
+    return out
 
 
 def rank_correlation(xs, ys) -> float:

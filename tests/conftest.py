@@ -7,6 +7,7 @@ from zdeval.classifiers.forest import _grow_tree
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
 from zdeval.preprocess import preprocess_pipeline
 from zdeval.wdanalysis import per_feature_wd
+from zdeval.zslsplit import Scenario
 
 
 def make_table(rows: list[dict], benign_name: str = "Benign", schema: FeatureSchema | None = None) -> FlowTable:
@@ -109,16 +110,22 @@ def grow_on_every_row(X, y, cfg, rng=None):
 
 
 class RawColumns:
-    """A stand-in for a fitted transform whose `column` reads the table's block as it is, bit for bit.
+    """A stand-in for a fitted transform that reads the table's block as it is, bit for bit.
 
     It lets the distance kernel be checked on raw values: a categorical
-    column reads as its category indices.
+    column reads as its category indices, each its own code.
     """
 
+    def __init__(self, table: FlowTable):
+        self.codes = {name: np.arange(len(cats), dtype=np.float64) for name, cats in table.categories.items()}
+
     @staticmethod
-    def column(base: FlowTable, rows, j: int, *, out: np.ndarray) -> np.ndarray:
-        out[:] = base.features[rows, j]
+    def scale(base: FlowTable, j: int, values, *, out: np.ndarray) -> np.ndarray:
+        out[:] = values
         return out
+
+    def column(self, base: FlowTable, rows, j: int, *, out: np.ndarray) -> np.ndarray:
+        return self.scale(base, j, base.features[rows, j], out=out)
 
 
 def wasserstein_1d(u, v) -> float:
@@ -129,12 +136,30 @@ def wasserstein_1d(u, v) -> float:
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
     table = feature_table(np.concatenate([u, v]))
-    return raw_wd(table, np.arange(u.size), np.arange(u.size, table.row_count)).per_feature["x"]
+    return scenario_wd(table, np.arange(u.size), np.arange(u.size, table.row_count))["x"]
 
 
-def raw_wd(table: FlowTable, train_rows, test_rows, **kwargs):
-    """`per_feature_wd` on the table's own values, read through `RawColumns`."""
-    return per_feature_wd(table, train_rows, test_rows, transform=RawColumns(), **kwargs)
+def scenario_wd(table: FlowTable, train_rows, test_rows, transform=None) -> dict[str, float]:
+    """`per_feature_wd` of every feature in one scenario that trains on `train_rows` and tests on `test_rows`.
+
+    The two row sets are disjoint. The scenario is the held-out class's
+    fold 1 in a table that shares `table`'s feature block: the train rows
+    are benign rows of fold 0, the test rows fold 1, and every other row
+    belongs to the held-out class in fold 0. The values are read through
+    `transform`, or as they are when it is None. The first failure raises.
+    """
+    codes, fold = np.ones(table.row_count, dtype=np.intp), np.zeros(table.row_count, dtype=np.uint8)
+    codes[train_rows] = codes[test_rows] = 0
+    fold[test_rows] = 1
+    view = FlowTable(table.schema, table.benign_name, {}, features=table.features, categories=table.categories,
+                     class_codes=codes, class_names=(table.benign_name, "held out"))
+    transform = RawColumns(table) if transform is None else transform
+    out = {}
+    for j, name in enumerate(table.feature_names):
+        [out[name]] = per_feature_wd(view, j, fold, [Scenario("held out", 1)], [transform])
+        if isinstance(out[name], Exception):
+            raise out[name]
+    return out
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,21 @@ class TestForest:
         doc = self.leaf_forest_doc()
         spoil(doc)
         with pytest.raises(ValueError, match=message):
+            forest_from_json(doc)
+
+    @pytest.mark.parametrize("key", ["n_features", "m_try", "seed"])
+    @pytest.mark.parametrize("value", [None, 1.7, "1", True], ids=["null", "float", "str", "bool"])
+    def test_a_header_integer_of_another_type_is_rejected(self, key, value):
+        # was cast by int(): 1.7 and "1" loaded as 1, a null raised TypeError
+        doc = dict(self.leaf_forest_doc(), **{key: value})
+        with pytest.raises(ValueError, match=f"^malformed forest: {key} is {re.escape(repr(value))}; expected an integer$"):
+            forest_from_json(doc)
+
+    @pytest.mark.parametrize("value", [None, 1.7, "1", True], ids=["null", "float", "str", "bool"])
+    def test_a_count_of_another_type_is_rejected(self, value):
+        doc = self.leaf_forest_doc()
+        doc["trees"][0]["count"] = [value]
+        with pytest.raises(ValueError, match=f"^malformed tree: 'count' holds {re.escape(repr(value))}; expected integers$"):
             forest_from_json(doc)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

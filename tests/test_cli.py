@@ -90,6 +90,28 @@ class TestSynth:
         assert f"bad synthetic spec: {message}" in caplog.text
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize(
+        "attack, spec, message",
+        [
+            ({}, {"include_identifier": "false"}, "include_identifier must be a bool, got 'false'"),
+            ({}, {"include_identifier": 0}, "include_identifier must be a bool, got 0"),
+            ({}, {"d": 2.9}, "d must be an integer, got 2.9"),
+            ({}, {"n_benign": "10"}, "n_benign must be an integer, got '10'"),
+            ({}, {"seed": True}, "seed must be an integer, got True"),
+            ({"count": 5.5}, {}, "count for class 'a' must be an integer, got 5.5"),
+            ({"count": None}, {}, "count for class 'a' must be an integer, got None"),
+        ],
+        ids=["include_identifier-str", "include_identifier-int", "d-float", "n_benign-str", "seed-bool",
+             "count-float", "count-null"],
+    )
+    def test_a_value_of_the_wrong_type_is_config_error(self, tmp_path, caplog, attack, spec, message):
+        # was coerced: "false" read as True and 2.9 as 2
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n_benign": 10, "d": 2, "attacks": [{"name": "a", "count": 5, **attack}], **spec}))
+        assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        assert f"bad synthetic spec: {message}" in caplog.text
+        assert not (tmp_path / "o.csv").exists()
+
     def test_seed_override(self, tmp_path, spec_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["synth", "--spec", str(spec_file), "--out", str(a), "--seed", "99"]) == 0

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fit_rows, tables_equal
+from conftest import fit_rows, scenario_wd, tables_equal
+from oracle_impls import merge_wd
 
 from zdeval import harness
 from zdeval.classifiers import forest_from_json
@@ -43,7 +44,6 @@ from zdeval.harness import (
 )
 from zdeval.preprocess import FittedTransform
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
-from zdeval.wdanalysis import per_feature_wd
 from zdeval.zslsplit import Scenario, make_fold_plan, make_zero_day_scenarios, scenario_rows
 
 
@@ -62,6 +62,23 @@ def base_config_dict(csv_path, schema_json, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+@pytest.fixture(scope="module")
+def cat_csv(synth_csv, tmp_path_factory):
+    """The synthetic table with a categorical column, "proto", appended."""
+    path, table = synth_csv
+    proto = np.where(np.arange(table.row_count) % 3, "tcp", "udp").astype(object)
+    schema = FeatureSchema((*table.schema.columns, Column("proto", ColumnKind.CATEGORICAL)))
+    path = tmp_path_factory.mktemp("cat") / "data.csv"
+    write_csv(
+        FlowTable(
+            schema, table.benign_name, {**table.data, "proto": proto},
+            class_codes=table.class_codes, class_names=table.class_names,
+        ),
+        path,
+    )
+    return path, schema
 
 
 @pytest.fixture(scope="module")
@@ -118,8 +135,8 @@ class TestSyntheticDataset:
         table = synthesize_dataset(spec)
         rows_a = np.flatnonzero(table.attack_classes == "a")
         rows_b = np.flatnonzero(table.attack_classes == "Benign")
-        report = per_feature_wd(table, rows_a, rows_b, transform=fit_rows(table))
-        assert report.mean_wd < 0.1
+        distances = scenario_wd(table, rows_a, rows_b, fit_rows(table))
+        assert np.mean(list(distances.values())) < 0.1
 
     def test_identifier_column_optional(self):
         spec = SyntheticSpec(
@@ -599,21 +616,6 @@ def _buffers(arrays: list[np.ndarray]) -> list[np.ndarray]:
 class TestOneFeatureMatrix:
     """Under either fit scope the run holds one n x d matrix, the loaded feature block, and nothing writes to it."""
 
-    @pytest.fixture(scope="class")
-    def cat_csv(self, synth_csv, tmp_path_factory):
-        path, table = synth_csv
-        proto = np.where(np.arange(table.row_count) % 3, "tcp", "udp").astype(object)
-        schema = FeatureSchema((*table.schema.columns, Column("proto", ColumnKind.CATEGORICAL)))
-        path = tmp_path_factory.mktemp("cat") / "data.csv"
-        write_csv(
-            FlowTable(
-                schema, table.benign_name, {**table.data, "proto": proto},
-                class_codes=table.class_codes, class_names=table.class_names,
-            ),
-            path,
-        )
-        return path, schema
-
     @staticmethod
     def assert_one_unwritten_matrix(prep, loaded: np.ndarray) -> None:
         big = [b for b in _buffers(_held_arrays(prep)) if b.nbytes >= loaded.nbytes]
@@ -644,10 +646,12 @@ class TestOneFeatureMatrix:
 class TestDistanceFailureAttribution:
     @pytest.fixture()
     def poisoned(self, synth_csv, monkeypatch):
-        """Config of a train-only run whose (beta, fold 1) transform reads a NaN in one test row.
+        """Config of a train-only run whose (beta, fold 1) transform scales one test row's value to NaN.
 
         `_prepare` is replaced by one that poisons that scenario's transform,
-        which pool workers inherit by fork.
+        which pool workers inherit by fork. Its `scale`, the step that codes
+        and scales every value a job reads, finds the row by its raw value
+        of feature 1, which no other row holds.
         """
         path, table = synth_csv
         prepare = harness._prepare
@@ -656,15 +660,18 @@ class TestDistanceFailureAttribution:
             prep = prepare(cfg, with_baseline=with_baseline)
             poisoned = prep.scenarios.index(Scenario("beta", 1))
             fit, bad_row = prep.fitted[poisoned], prep.rows(poisoned)[1][0]
-            column = fit.column
+            bad_value = prep.base.features[bad_row, 1]
+            assert np.count_nonzero(prep.base.features[:, 1] == bad_value) == 1
+            scale = fit.scale
 
-            def poisoned_column(base, rows, j, *, out):
-                col = column(base, rows, j, out=out)
+            def poisoned_scale(base, j, values, *, out):
+                bad = values == bad_value  # before `out`, which may be `values`, is written
+                col = scale(base, j, values, out=out)
                 if j == 1:
-                    col[rows == bad_row] = np.nan
+                    col[bad] = np.nan
                 return col
 
-            fit.column = poisoned_column  # train-only scope: no other scenario shares this transform
+            fit.scale = poisoned_scale  # train-only scope: no other scenario shares this transform
             return prep
 
         monkeypatch.setattr(harness, "_prepare", poisoned_prepare)
@@ -744,10 +751,8 @@ class TestDeadWorker:
     def test_a_dead_distance_job_is_named(self, synth_csv, monkeypatch):
         path, table = synth_csv
         cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), workers=2))
-        self._exit_in_worker(
-            monkeypatch, "per_feature_wd", lambda *a, held_out_class, fold_id, **kw: (held_out_class, fold_id) == ("beta", 1)
-        )
-        with pytest.raises(RuntimeError, match=r"returned no result: .*distance job \(class=beta, fold=1\)"):
+        self._exit_in_worker(monkeypatch, "per_feature_wd", lambda base, j, *a: j == 1)
+        with pytest.raises(RuntimeError, match=r"returned no result: .*distance job \(feature=f1\)"):
             run_wd_analysis(cfg)
 
     def test_a_dead_model_job_is_named(self, synth_csv, monkeypatch):
@@ -762,17 +767,15 @@ class TestDeadWorker:
             run_experiment(cfg)
 
     def test_only_the_jobs_in_flight_are_named(self, synth_csv, monkeypatch):
-        # 21 jobs on 2 workers: 9 distance jobs, then 12 forest jobs
+        # 15 jobs on 2 workers: 3 distance jobs, one per feature, then 12 forest jobs
         path, table = synth_csv
         cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), workers=2))
-        self._exit_in_worker(
-            monkeypatch, "per_feature_wd", lambda *a, held_out_class, fold_id, **kw: (held_out_class, fold_id) == ("alpha", 0)
-        )
+        self._exit_in_worker(monkeypatch, "per_feature_wd", lambda base, j, *a: j == 0)
         with pytest.raises(RuntimeError) as raised:
             run_experiment(cfg)
         message = str(raised.value)
         named = re.findall(r"(?:distance|model) job \([^)]*\)", message)
-        assert "distance job (class=alpha, fold=0)" in named
+        assert "distance job (feature=f0)" in named
         assert len(named) <= 2, message
         assert re.search(r"\b\d+ not started", message), message
 
@@ -788,12 +791,12 @@ def test_a_pool_worker_runs_one_blas_thread(synth_csv, monkeypatch, kinds):
     path, table = synth_csv
     cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), workers=2))
     # each job reports its worker's BLAS thread count as its result
-    monkeypatch.setattr(harness, "_execute_job", lambda job: harness.JobResult(job.kind, job.scenario, get_threads()))
+    monkeypatch.setattr(harness, "_execute_job", lambda job: harness.JobResult(job.kind, job.index, get_threads()))
     before = get_threads()
     set_threads(2)  # so that a worker that kept the parent's count would show it, on any host
     try:
         parent = get_threads()
-        results = harness._run_jobs(cfg, None, [harness.ScenarioJob(kind, i, 0) for i, kind in enumerate(kinds)])
+        results = harness._run_jobs(cfg, None, [harness.Job(kind, i) for i, kind in enumerate(kinds)])
         assert [r.report for r in results] == [1 if "mlp" in kinds else parent] * len(kinds)
         assert get_threads() == parent
     finally:
@@ -907,6 +910,24 @@ class TestWdOnly:
         wd_only = run_wd_analysis(cfg)
         full = run_experiment(cfg)
         assert json.dumps(wd_only.wd, sort_keys=True) == json.dumps(full.wd, sort_keys=True)
+
+    @pytest.mark.parametrize("fit_scope", ["full-dataset", "train-only"], ids=["full", "train"])
+    def test_each_fold_is_its_scenario_computed_alone(self, cat_csv, fit_scope):
+        # the feature jobs' distances, assembled per scenario, equal a job per scenario's bit for bit,
+        # next to the scenario's row counts, the mean over its features and the categorical flags
+        path, schema = cat_csv
+        cfg = config_from_dict(base_config_dict(path, schema.to_json(), fit_scope=fit_scope))
+        report, prep = run_wd_analysis(cfg), _prepare(cfg, with_baseline=False)
+        names = prep.base.feature_names
+        for i in prep.zero_day:
+            s = prep.scenarios[i]
+            [fold] = [f for f in report.wd[s.held_out]["folds"] if f["fold"] == s.fold_id]
+            train, test = prep.rows(i)
+            expected = merge_wd(prep.base, train, test, prep.fitted[i])
+            assert [fold["per_feature"][name] for name in names] == [expected[name] for name in names]
+            assert fold["mean_wd"] == float(np.mean([expected[name] for name in names]))
+            assert (fold["rows_train"], fold["rows_test"]) == (train.size, test.size)
+            assert fold["encoded_features"] == ["proto"]
 
 
 class TestEmitReports:

@@ -4,13 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import feature_table, fit_rows, make_table, raw_wd, wasserstein_1d
+from conftest import feature_table, fit_rows, make_table, scenario_wd, wasserstein_1d
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_impls import cdf_grid_wd, sorted_diff_wd, spearman_oracle, three_sort_wd
+from oracle_impls import cdf_grid_wd, merge_wd, sorted_diff_wd, spearman_oracle, three_sort_wd
 
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
-from zdeval.wdanalysis import _feature_wd, _Workspace, per_feature_wd, rank_correlation
+from zdeval.preprocess import preprocess_pipeline
+from zdeval.wdanalysis import WdReport, per_feature_wd, rank_correlation
+from zdeval.zslsplit import FoldPlan, make_zero_day_scenarios, row_groups, scenario_rows, train_groups
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
 samples = st.lists(finite_floats, min_size=1, max_size=60)
@@ -122,44 +124,27 @@ class TestPerFeatureWd:
     def test_identical_sets_all_zero(self):
         rng = np.random.default_rng(4)
         values = rng.random((30, 3))
-        report = raw_wd(*stacked(values, values, ("a", "b", "c")))
-        assert all(v == 0.0 for v in report.per_feature.values())
-        assert report.mean_wd == 0.0
+        distances = scenario_wd(*stacked(values, values, ("a", "b", "c")))
+        assert all(v == 0.0 for v in distances.values())
 
     def test_single_shifted_feature(self):
         rng = np.random.default_rng(5)
         base = rng.random((40, 4))
         shifted = base.copy()
         shifted[:, 2] += 0.3
-        report = raw_wd(*stacked(base, shifted, ("a", "b", "c", "d")))
-        assert report.per_feature["c"] == pytest.approx(0.3, abs=1e-12)
-        assert report.per_feature["a"] == 0.0
-        assert report.mean_wd == pytest.approx(0.3 / 4, abs=1e-12)
+        distances = scenario_wd(*stacked(base, shifted, ("a", "b", "c", "d")))
+        assert distances["c"] == pytest.approx(0.3, abs=1e-12)
+        assert distances["a"] == 0.0
         # cross-check the shifted column against the sorted-difference oracle
-        assert report.per_feature["c"] == pytest.approx(
-            sorted_diff_wd(base[:, 2], shifted[:, 2]), abs=1e-12
-        )
+        assert distances["c"] == pytest.approx(sorted_diff_wd(base[:, 2], shifted[:, 2]), abs=1e-12)
 
     def test_empty_side_rejected(self):
         m = matrix_from(np.zeros((3, 1)), ("a",))
         empty = np.array([], dtype=np.int64)
         with pytest.raises(ValueError, match="nonempty"):
-            raw_wd(m, np.arange(3), empty)
+            scenario_wd(m, np.arange(3), empty)
         with pytest.raises(ValueError, match="nonempty"):
-            raw_wd(m, empty, np.arange(3))
-
-    def test_a_row_outside_the_table_is_rejected(self):
-        # with the IndexError `FittedTransform.apply` raises: `column` does not check its rows,
-        # and its clipping take would read row n - 1 for row n
-        table = feature_table(np.arange(5.0))
-        transform = fit_rows(table)
-        for train, test in ((np.array([0, 5]), np.array([1])), (np.array([0]), np.array([-1, 2]))):
-            rows = train if train.max() >= 5 else test
-            with pytest.raises(IndexError) as applied:
-                transform.apply(table, rows)
-            with pytest.raises(IndexError, match=r"^rows must lie in \[0, 5\) of the table$") as raised:
-                per_feature_wd(table, train, test, transform=transform)
-            assert str(raised.value) == str(applied.value)
+            scenario_wd(m, empty, np.arange(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected(self, bad):
@@ -167,51 +152,38 @@ class TestPerFeatureWd:
         values[3, 1] = bad
         m = matrix_from(values, ("a", "b"))
         with pytest.raises(ValueError, match="finite"):
-            raw_wd(m, np.arange(2), np.arange(2, 4))
+            scenario_wd(m, np.arange(2), np.arange(2, 4))
 
     def test_matrix_left_unchanged(self):
         rng = np.random.default_rng(12)
         values = rng.random((50, 3))
         m = matrix_from(values.copy(), ("a", "b", "c"))
-        raw_wd(m, np.arange(49, 10, -1), np.arange(10))
+        scenario_wd(m, np.arange(49, 10, -1), np.arange(10))
         assert np.array_equal(m.features, values)
-
-    def test_mean_is_arithmetic_mean(self):
-        rng = np.random.default_rng(6)
-        report = raw_wd(*stacked(rng.random((25, 5)), rng.random((35, 5)), tuple("abcde")))
-        assert report.mean_wd == pytest.approx(np.mean(list(report.per_feature.values())), abs=1e-15)
 
     def test_a_side_over_100k_rows_is_read_whole(self):
         # every distance is exact: no side is cut to a sample, however many rows it holds
         rng = np.random.default_rng(7)
         train, test = rng.random((100_001, 2)), rng.random((50, 2))
         m, train_rows, test_rows = stacked(train, test, ("a", "b"))
-        report = raw_wd(m, train_rows, test_rows)
-        assert report.per_feature == {name: three_sort_wd(train[:, j], test[:, j]) for j, name in enumerate("ab")}
-        assert (report.rows_train, report.rows_test) == (100_001, 50)
-
-    def test_encoded_features_flagged(self):
-        m = matrix_from(np.zeros((3, 2)), ("num", "proto"), encoded=("proto",))
-        report = raw_wd(m, np.arange(3), np.arange(3))
-        assert report.encoded_features == ("proto",)
+        distances = scenario_wd(m, train_rows, test_rows)
+        assert distances == {name: three_sort_wd(train[:, j], test[:, j]) for j, name in enumerate("ab")}
 
     def test_report_serialization(self):
         import json
 
-        rng = np.random.default_rng(11)
-        m, train_rows, test_rows = stacked(rng.random((20, 2)), rng.random((30, 2)), ("a", "b"), encoded=("b",))
-        report = raw_wd(m, train_rows, test_rows, held_out_class="X", fold_id=1)
+        report = WdReport("X", 1, {"b": 0.25, "a": 0.5}, 0.375, ("b",), rows_train=20, rows_test=30)
         doc = json.loads(json.dumps(report.to_json()))
         assert doc["held_out_class"] == "X" and doc["fold"] == 1
-        assert set(doc["per_feature"]) == {"a", "b"}
+        assert list(doc["per_feature"]) == ["a", "b"]
         assert doc["encoded_features"] == ["b"]
+        assert (doc["mean_wd"], doc["rows_train"], doc["rows_test"]) == (0.375, 20, 30)
 
     def test_scaled_features_stay_in_unit_interval(self):
         rng = np.random.default_rng(8)
         m, train_rows, test_rows = stacked(rng.random((50, 3)) * 7 - 2, rng.random((60, 3)), ("a", "b", "c"))
-        report = per_feature_wd(m, train_rows, test_rows, transform=fit_rows(m))
-        assert all(0.0 <= v <= 1.0 for v in report.per_feature.values())
-        assert 0.0 <= report.mean_wd <= 1.0
+        distances = scenario_wd(m, train_rows, test_rows, fit_rows(m))
+        assert all(0.0 <= v <= 1.0 for v in distances.values())
 
     def test_train_only_clamped_features_stay_in_unit_interval(self):
         # test rows fall outside the train range on both sides: they clamp to 0 and 1
@@ -219,10 +191,9 @@ class TestPerFeatureWd:
         train, test = rng.random((50, 3)), rng.random((60, 3)) * 7 - 2
         m, train_rows, test_rows = stacked(train, test, ("a", "b", "c"))
         transform = fit_rows(m, train_rows)
-        report = per_feature_wd(m, train_rows, test_rows, transform=transform)
+        distances = scenario_wd(m, train_rows, test_rows, transform)
         assert set(transform.counters.clamped) == {"a", "b", "c"}
-        assert all(0.0 <= v <= 1.0 for v in report.per_feature.values())
-        assert 0.0 <= report.mean_wd <= 1.0
+        assert all(0.0 <= v <= 1.0 for v in distances.values())
 
     def test_scaled_distance_is_the_raw_distance_over_the_range(self):
         # W1(a x + b, a y + b) = a W1(x, y): min-max scaling divides each raw distance by its column's range
@@ -230,8 +201,8 @@ class TestPerFeatureWd:
         m, train_rows, test_rows = stacked(rng.random((40, 3)) * [1.0, 50.0, 1e4], rng.random((30, 3)) + 0.5,
                                            ("a", "b", "c"))
         transform = fit_rows(m)
-        scaled = per_feature_wd(m, train_rows, test_rows, transform=transform).per_feature
-        raw = raw_wd(m, train_rows, test_rows).per_feature
+        scaled = scenario_wd(m, train_rows, test_rows, transform)
+        raw = scenario_wd(m, train_rows, test_rows)
         for name, (lo, hi) in transform.ranges.items():
             assert scaled[name] == pytest.approx(raw[name] / (hi - lo), rel=1e-12)
         assert raw["c"] > 1.0 > scaled["c"]
@@ -269,29 +240,28 @@ def wd_cases(draw):
 
 
 class TestBitIdentity:
-    """The merge kernel equals the earlier three-sort kernel exactly."""
+    """The one-sort kernel equals the earlier three-sort kernel exactly."""
 
     @given(wd_cases())
     @settings(max_examples=150, deadline=None)
     def test_per_feature_wd_equals_three_sort_oracle(self, case):
         values, train_rows, test_rows = case
         names = tuple(f"f{j}" for j in range(values.shape[1]))
-        report = raw_wd(matrix_from(values, names), train_rows, test_rows)
+        distances = scenario_wd(matrix_from(values, names), train_rows, test_rows)
         for j, name in enumerate(names):
-            assert report.per_feature[name] == three_sort_wd(values[train_rows, j], values[test_rows, j])
-        assert (report.rows_train, report.rows_test) == (train_rows.size, test_rows.size)
+            assert distances[name] == three_sort_wd(values[train_rows, j], values[test_rows, j])
 
     def test_inputs_left_unsorted(self):
         values = np.array([[3.0], [1.0], [2.0], [0.5], [0.25]])
-        raw_wd(matrix_from(values, ("x",)), np.array([0, 1, 2]), np.array([3, 4]))
+        scenario_wd(matrix_from(values, ("x",)), np.array([0, 1, 2]), np.array([3, 4]))
         assert values.ravel().tolist() == [3.0, 1.0, 2.0, 0.5, 0.25]
 
 
-class TestWorkspace:
-    """Every feature of a scenario is computed inside one workspace."""
+class TestFeatureJob:
+    """A distance job is one feature over every scenario, computed in a few columns' worth of memory."""
 
     @staticmethod
-    def mixed_table(n: int, rng) -> FlowTable:
+    def mixed_table(n: int, rng, n_classes: int = 1) -> FlowTable:
         schema = FeatureSchema((
             Column("a", ColumnKind.NUMERIC), Column("proto", ColumnKind.CATEGORICAL), Column("b", ColumnKind.NUMERIC),
             Column("attack_class", ColumnKind.ATTACK_CLASS), Column("label", ColumnKind.BINARY_LABEL),
@@ -300,44 +270,46 @@ class TestWorkspace:
             "a": rng.normal(size=n) * 100,
             "proto": np.array(rng.choice(["tcp", "udp", "icmp"], n), dtype=object),
             "b": rng.integers(0, 5, n).astype(np.float64),
-            "attack_class": np.full(n, "Benign", dtype=object),
-            "label": np.zeros(n, dtype=np.int64),
         }
-        return FlowTable(schema, "Benign", data)
+        names = ("Benign", *(f"attack{c}" for c in range(1, n_classes)))
+        return FlowTable(schema, "Benign", data, class_codes=rng.integers(0, n_classes, n), class_names=names)
 
     @pytest.mark.parametrize("scope", ["full-dataset", "train-only"])
-    def test_a_feature_allocates_one_index_array(self, scope):
+    def test_a_job_holds_eight_columns_whatever_the_scenario_count(self, scope):
         rng = np.random.default_rng(15)
-        table = self.mixed_table(50_000, rng)
-        perm = rng.permutation(table.row_count)
-        train, test = perm[:30_000], perm[30_000:]
-        transform = fit_rows(table, None if scope == "full-dataset" else train)
-        ws = _Workspace(train, test)
-        _feature_wd(ws, table, transform, 0)  # the first call sets up what is cached
+        table = self.mixed_table(50_000, rng, n_classes=4)
+        plan = FoldPlan(3, 0, rng.integers(0, 3, table.row_count).astype(np.uint8), ())
+        scenarios = make_zero_day_scenarios(plan, table)
+        fits = np.ones((1, 4 * 3), dtype=bool) if scope == "full-dataset" else train_groups(scenarios, plan, table)
+        fitted = preprocess_pipeline(table, row_groups(plan, table), fits)
+        transforms = fitted * len(scenarios) if scope == "full-dataset" else fitted
+        per_feature_wd(table, 1, plan.fold, scenarios, transforms)  # the first call sets up what is cached
+        peaks = []
         tracemalloc.start()
         try:
-            peaks = []
-            for j in range(len(table.feature_names)):
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                _feature_wd(ws, table, transform, j)
-                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            for count in (1, len(scenarios)):
+                for j in range(len(table.feature_names)):
+                    tracemalloc.reset_peak()
+                    before = tracemalloc.get_traced_memory()[0]
+                    per_feature_wd(table, j, plan.fold, scenarios[:count], transforms[:count])
+                    peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
-        # the argsort result, n int64, and nothing else of more than a few chunks
-        assert max(peaks) <= (train.size + test.size) * 8 + 64 * 1024
+        # the sorted values, class codes and folds, the scaled values and the ranks, then one
+        # scenario's masks, sample and counts: about 56 bytes a row for one scenario or nine
+        assert max(peaks) <= 8 * 8 * table.row_count
 
     def test_one_row_each_side(self):
         m, train_rows, test_rows = stacked(np.array([[0.25, 3.0]]), np.array([[1.0, 3.0]]), ("a", "b"))
-        report = raw_wd(m, train_rows, test_rows)
-        assert report.per_feature == {"a": 0.75, "b": 0.0}
-        assert report.per_feature["a"] == three_sort_wd([0.25], [1.0])
+        distances = scenario_wd(m, train_rows, test_rows)
+        assert distances == {"a": 0.75, "b": 0.0}
+        assert distances["a"] == three_sort_wd([0.25], [1.0])
 
     def test_ties_across_the_two_sides(self):
         u = np.array([0.0, 1.0, 1.0, 2.0, 2.0, 5.0])
         v = np.array([1.0, 1.0, 2.0, 5.0])
         m, train_rows, test_rows = stacked(u[::-1, None], v[:, None], ("x",))
-        got = raw_wd(m, train_rows, test_rows).per_feature["x"]
+        got = scenario_wd(m, train_rows, test_rows)["x"]
         assert got == three_sort_wd(u, v)
         assert got == pytest.approx(cdf_grid_wd(list(u), list(v)), abs=1e-15)
         assert wasserstein_1d(v, u) == got
@@ -349,18 +321,77 @@ class TestWorkspace:
         values = np.column_stack([wide, np.full(40, 2.0), wide])
         m = matrix_from(values, ("a", "b", "c"))
         train_rows, test_rows = np.arange(25), np.arange(25, 40)
-        report = raw_wd(m, train_rows, test_rows)
+        distances = scenario_wd(m, train_rows, test_rows)
         for j, name in enumerate(("a", "b", "c")):
-            alone = raw_wd(matrix_from(values[:, j:j + 1], (name,)), train_rows, test_rows)
-            assert report.per_feature[name] == alone.per_feature[name]
-        assert report.per_feature["b"] == 0.0
+            alone = scenario_wd(matrix_from(values[:, j:j + 1], (name,)), train_rows, test_rows)
+            assert distances[name] == alone[name]
+        assert distances["b"] == 0.0
 
-    def test_a_row_past_the_table_raises(self):
-        m = matrix_from(np.arange(6.0).reshape(3, 2), ("a", "b"))
-        with pytest.raises(IndexError):
-            raw_wd(m, np.array([0, 1]), np.array([2, 3]))
-        with pytest.raises(IndexError):
-            raw_wd(m, np.array([3, 0]), np.array([2]))
+
+@st.composite
+def scenario_cases(draw):
+    """A table of classes in folds, its zero-day scenarios and their transforms, under either fit scope.
+
+    Columns are integer-valued with heavy ties, raw -0.0 next to 0.0,
+    constant, spread, or categorical; folds are drawn per row, so a class
+    may have no row in some fold and a fold no row at all. Under the
+    train-only scope a category of no train row is unseen, and a scenario
+    with no train row is left out, since it has no fit.
+    """
+    n = draw(st.integers(2, 90))
+    n_classes, k = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["integers", "signed-zeros", "constant", "spread", "categorical"]),
+                          min_size=1, max_size=4))
+    columns, data = [], {}
+    for j, kind in enumerate(kinds):
+        name = f"f{j}"
+        if kind == "categorical":
+            columns.append(Column(name, ColumnKind.CATEGORICAL))
+            data[name] = np.array(rng.choice(["tcp", "udp", "icmp", "gre"], n, p=[0.5, 0.3, 0.15, 0.05]), dtype=object)
+            continue
+        columns.append(Column(name, ColumnKind.NUMERIC))
+        if kind == "integers":
+            data[name] = rng.integers(-2, 3, n).astype(np.float64)
+        elif kind == "signed-zeros":
+            data[name] = rng.choice(np.array([-0.0, 0.0, 0.5, 1.0]), n)
+        elif kind == "constant":
+            data[name] = np.full(n, draw(st.sampled_from([-0.0, 0.0, 3.5])))
+        else:
+            data[name] = rng.standard_normal(n) * draw(st.sampled_from([1e-3, 1.0, 1e6]))
+    schema = FeatureSchema((*columns, Column("attack_class", ColumnKind.ATTACK_CLASS),
+                            Column("label", ColumnKind.BINARY_LABEL)))
+    names = ("Benign", *(f"c{c}" for c in range(1, n_classes)))
+    table = FlowTable(schema, "Benign", data, class_codes=rng.integers(0, n_classes, n), class_names=names)
+    plan = FoldPlan(k, 0, rng.integers(0, k, n).astype(np.uint8), ())
+    scenarios = make_zero_day_scenarios(plan, table)
+    groups = row_groups(plan, table)
+    if draw(st.booleans()):  # the full-dataset scope
+        [fit] = preprocess_pipeline(table, groups, np.ones((1, n_classes * k), dtype=bool))
+        return table, plan, scenarios, [fit] * len(scenarios)
+    fits = train_groups(scenarios, plan, table)
+    fitted = fits @ np.bincount(groups, minlength=n_classes * k) > 0
+    scenarios, fits = [s for s, ok in zip(scenarios, fitted) if ok], fits[fitted]
+    return table, plan, scenarios, preprocess_pipeline(table, groups, fits) if len(fits) else []
+
+
+class TestOneSortEqualsMergeOracle:
+    """The one-sort kernel equals the earlier job per scenario, which sorted each side and merged them, bit for bit."""
+
+    @given(scenario_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_every_scenario_and_feature(self, case):
+        table, plan, scenarios, transforms = case
+        jobs = [per_feature_wd(table, j, plan.fold, scenarios, transforms) for j in range(len(table.feature_names))]
+        for i, (scenario, transform) in enumerate(zip(scenarios, transforms)):
+            train, test = scenario_rows(scenario, plan, table)
+            if not (train.size and test.size):
+                for outcomes in jobs:
+                    assert str(outcomes[i]) == "per_feature_wd requires nonempty train and test sets"
+                continue
+            expected = merge_wd(table, train, test, transform)
+            got = [outcomes[i] for outcomes in jobs]
+            assert np.array(got).view(np.int64).tolist() == np.array(list(expected.values())).view(np.int64).tolist()
 
 
 class TestRankCorrelation:
