@@ -302,24 +302,22 @@ class FlowTable:
 
 
 def _parse_numeric_column(raw: Sequence[str], name: str) -> tuple[np.ndarray, dict[int, str]]:
-    """Parse raw strings into float64; returns (values, bad row index -> reason).
+    """Parse raw strings into float64; returns (values, unparseable row index -> reason).
 
-    Bad cells get NaN placeholders so the caller can drop or abort; NaN/inf
-    literals in the file are reported as bad too (tables must be finite).
+    An unparseable cell gets a NaN placeholder, which `_typed_chunk` finds
+    with the cells that are not finite and names by its reason here.
     """
     bad: dict[int, str] = {}
     try:
-        out = np.asarray(raw, dtype=np.float64)
+        return np.asarray(raw, dtype=np.float64), bad
     except ValueError:
         out = np.empty(len(raw), dtype=np.float64)
-        for i, cell in enumerate(raw):
-            try:
-                out[i] = np.float64(cell)  # same dialect as the vectorized path
-            except ValueError:
-                out[i] = np.nan
-                bad[i] = f"unparseable numeric cell {cell!r} in column {name!r}"
-    for i in np.flatnonzero(~np.isfinite(out)):
-        bad.setdefault(int(i), f"non-finite value in column {name!r}")
+    for i, cell in enumerate(raw):
+        try:
+            out[i] = np.float64(cell)  # same dialect as the vectorized path
+        except ValueError:
+            out[i] = np.nan
+            bad[i] = f"unparseable numeric cell {cell!r} in column {name!r}"
     return out, bad
 
 
@@ -370,44 +368,44 @@ def _line_end_bound(path: Path) -> int:
 
 
 def _typed_chunk(
-    rows: list[list[str]],
-    position: dict[str, int],
+    fields: Mapping[str, Sequence],
+    unparseable: Mapping[str, dict[int, str]],
     schema: FeatureSchema,
     benign_name: str,
     strings: tuple[str, ...],
     out: np.ndarray,
 ) -> tuple[dict[str, np.ndarray], dict[int, str]]:
-    """Parse full-width rows: numeric cells into `out`, the rest into typed columns.
+    """Check a chunk's rows: numeric cells into `out`, the string columns interned.
 
-    `out` is the rows' slice of the feature block; its categorical columns
-    are left as they are. Returns the string columns named in `strings`,
-    and bad row index -> the row's first reason: its first bad numeric cell
-    in schema order, else a label other than 0 or 1, else a label that
-    disagrees with the class.
+    `fields` maps each column name to the chunk's cells, as either parser
+    split them: `np.loadtxt`'s typed fields, or the `csv` rows' cells with
+    each numeric column read through `_parse_numeric_column`, whose
+    unparseable cells are named in `unparseable`. `out` is the rows' slice
+    of the feature block; its categorical columns are left as they are.
+    Returns the string columns named in `strings`, and bad row index -> the
+    row's first reason: its first bad numeric cell in schema order, else a
+    label other than 0 or 1, else a label that disagrees with the class.
     """
-    cells = list(zip(*rows))
-    columns: dict[str, np.ndarray] = {}
     bad: dict[int, str] = {}
     for j, name in enumerate(schema.feature_names):
         if schema.kind_of(name) is ColumnKind.NUMERIC:
-            out[:, j], column_bad = _parse_numeric_column(cells[position[name]], name)
-            for i, reason in column_bad.items():
-                bad.setdefault(i, reason)
+            out[:, j] = fields[name]
+            finite = np.isfinite(out[:, j])
+            if not finite.all():
+                reasons = unparseable.get(name, {})
+                for i in np.flatnonzero(~finite).tolist():
+                    bad.setdefault(i, reasons.get(i, f"non-finite value in column {name!r}"))
 
-    raw_labels = cells[position[schema.label_column]]
-    labels = np.array([_BINARY_LABELS.get(c.strip(), -1) for c in raw_labels], dtype=np.int64)
-    for i in np.flatnonzero(labels < 0):
-        bad.setdefault(int(i), f"binary label must be 0 or 1, got {raw_labels[i]!r}")
-        labels[i] = 0
+    raw_labels = fields[schema.label_column]
+    labels = np.fromiter((_BINARY_LABELS.get(c.strip(), -1) for c in raw_labels), dtype=np.int64, count=len(out))
+    for i in np.flatnonzero(labels < 0).tolist():
+        bad.setdefault(i, f"binary label must be 0 or 1, got {raw_labels[i]!r}")
 
-    for name in strings:
-        columns[name] = np.fromiter(map(sys.intern, cells[position[name]]), dtype=object, count=len(rows))
-
+    columns = {name: np.fromiter(map(sys.intern, fields[name]), dtype=object, count=len(out)) for name in strings}
     class_col = columns[schema.attack_class_column]
-    expect = (class_col != benign_name).astype(np.int64)
-    for i in np.flatnonzero(expect != labels):
+    for i in np.flatnonzero(labels != (class_col != benign_name)).tolist():
         bad.setdefault(
-            int(i),
+            i,
             f"binary label {labels[i]} disagrees with attack class {class_col[i]!r} "
             f"(benign name is {benign_name!r})",
         )
@@ -419,30 +417,6 @@ def _recorded(lines: Iterator[str], handed: list[str]) -> Iterator[str]:
     for line in lines:
         handed.append(line)
         yield line
-
-
-def _clean_columns(
-    chunk: np.ndarray, schema: FeatureSchema, benign_name: str, strings: tuple[str, ...], out: np.ndarray
-) -> dict[str, np.ndarray] | None:
-    """The string columns of a chunk parsed by `np.loadtxt`, or None when it is not clean.
-
-    A chunk is clean when every numeric cell is finite and every label
-    strips to 0 or 1 and agrees with its row's class. The numeric fields are
-    written into `out`, the rows' slice of the feature block, as they are
-    checked.
-    """
-    for j, name in enumerate(schema.feature_names):
-        if schema.kind_of(name) is ColumnKind.NUMERIC:
-            if not np.isfinite(chunk[name]).all():
-                return None
-            out[:, j] = chunk[name]
-    labels = np.fromiter(
-        (_BINARY_LABELS.get(c.strip(), -1) for c in chunk[schema.label_column]), dtype=np.int64, count=len(chunk)
-    )
-    columns = {name: np.fromiter(map(sys.intern, chunk[name]), dtype=object, count=len(chunk)) for name in strings}
-    if not np.array_equal(labels, columns[schema.attack_class_column] != benign_name):
-        return None
-    return columns
 
 
 def load_csv(
@@ -472,20 +446,22 @@ def load_csv(
     line ends, and rows are parsed in chunks of `_CHUNK_ROWS`. Each chunk is
     first parsed by numpy's C reader (`np.loadtxt`) from a generator that
     pulls the file's lines as the reader asks for them, so a quoted cell
-    that spans lines is read whole. While every chunk is clean (see
-    `_clean_columns`), its numeric cells go straight into the block's next
-    rows and its string columns into typed parts. The first chunk that is
-    not clean -- `loadtxt` rejects a cell or a row's width, a numeric cell
-    is not finite, or a label is bad or disagrees with the class -- is
-    parsed again from its recorded lines by the `csv` module, and so is the
-    rest of the file. The csv path is the reference: it alone reports or
+    that spans lines is read whole. Both parsers hand a chunk's cells to one
+    checker, `_typed_chunk`, which writes its numeric cells into the block's
+    next rows and reports each bad row. While the checker finds no bad row
+    in a `loadtxt` chunk, its string columns go into typed parts. The first
+    chunk that `loadtxt` rejects (a cell or a row's width) or in which the
+    checker finds a bad row (a numeric cell that is not finite, a label that
+    is bad or disagrees with the class) is parsed again from its recorded
+    lines by the `csv` module, and so is the rest of the file. The csv path
+    is the reference: it alone can name file lines, so it alone reports or
     drops bad rows, and on every chunk that `loadtxt` accepts it yields the
-    same cells. Only then are a chunk's class cells coded, so a class met
-    only in dropped rows gets no code. The block is feature-major, so a
-    chunk writes one contiguous run of each column; the pages of each column
-    past the last row are never written, so they take no memory. The
-    categorical columns of the block are indexed from their strings once the
-    file is read.
+    same cells. A chunk's class cells are coded once its rows are accepted,
+    so a class met only in dropped rows gets no code. The block is
+    feature-major, so a chunk writes one contiguous run of each column; the
+    pages of each column past the last row are never written, so they take
+    no memory. The categorical columns of the block are indexed from their
+    strings once the file is read.
     """
     if on_bad_row not in ("abort", "drop"):
         raise ValueError(f"on_bad_row must be 'abort' or 'drop', got {on_bad_row!r}")
@@ -505,6 +481,15 @@ def load_csv(
     codes, codes_of = [np.empty(0, dtype=np.intp)], {benign_name: 0}
     block = np.empty((_line_end_bound(path), len(schema.feature_names)), order="F")
     n = dropped = 0
+
+    def store(columns: dict[str, np.ndarray]) -> None:
+        """Keep a checked chunk's accepted rows: code their classes, and count them into the block."""
+        nonlocal n
+        codes.append(_class_codes(columns.pop(class_column).tolist(), codes_of))
+        for name, col in columns.items():
+            parts[name].append(col)
+        n += len(codes[-1])
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -540,24 +525,23 @@ def load_csv(
                     )
                 except ValueError:
                     break
-                columns = _clean_columns(chunk, schema, benign_name, strings, block[n : n + len(chunk)])
-                if columns is None:
+                columns, bad = _typed_chunk(chunk, {}, schema, benign_name, strings, block[n : n + len(chunk)])
+                if bad:
                     break
-                codes.append(_class_codes(columns.pop(class_column).tolist(), codes_of))
-                for name, col in columns.items():
-                    parts[name].append(col)
-                n += len(chunk)
+                store(columns)
                 offset += len(handed)
                 handed.clear()
                 if len(chunk) < _CHUNK_ROWS:
                     break  # the file is read
 
         # the csv path: the chunk that was not clean, if any, and the rest of the file
-        position = {name: i for i, name in enumerate(header)}
         reader = csv.reader(itertools.chain(handed, fh))
         for rows, lines in _row_chunks(reader, len(header), path, offset):
+            cells, unparseable = dict(zip(header, zip(*rows))), {}
+            for name in schema.numeric_names:
+                cells[name], unparseable[name] = _parse_numeric_column(cells[name], name)
             out = block[n : n + len(rows)]
-            columns, bad = _typed_chunk(rows, position, schema, benign_name, strings, out)
+            columns, bad = _typed_chunk(cells, unparseable, schema, benign_name, strings, out)
             if bad and on_bad_row == "abort":
                 first = min(bad)
                 raise DataError(f"line {lines[first]}: {bad[first]} ({path})")
@@ -567,11 +551,8 @@ def load_csv(
                 block[n : n + len(rows) - len(bad)] = out[keep]
                 columns = {name: col[keep] for name, col in columns.items()}
                 dropped += len(bad)
-            n += len(rows) - len(bad)
-            codes.append(_class_codes(columns.pop(class_column).tolist(), codes_of))
-            for name, col in columns.items():
-                parts[name].append(col)
-            del rows, lines  # free this chunk's cells before the next one is read
+            store(columns)
+            del rows, lines, cells  # free this chunk's cells before the next one is read
 
     # pop each column's parts as it is joined, so only one column is held twice
     data = {name: np.concatenate(parts.pop(name)) for name in list(parts)}

@@ -181,12 +181,16 @@ def _execute_job(job: Job) -> JobResult:
             per_class = per_class_positives(y_test, y_pred, test_codes, base.class_names)
         if cfg.save_models:  # written last, so a failed job leaves no model file
             doc = forest_to_json(model) if job.kind == "forest" else mlp_to_json(model)
-            name = BASELINE if scenario.held_out is None else prep.report.slugs[scenario.held_out]
-            path = Path(cfg.output_dir, "models", f"{job.kind}_{name}_f{scenario.fold_id}.json")
+            path = Path(cfg.output_dir, _model_file(job.kind, prep.report.slugs, scenario.held_out, scenario.fold_id))
             _write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
         return JobResult(job.kind, job.index, report, per_class)
     except Exception as exc:  # noqa: BLE001 - attributed and re-raised by the parent
         return JobResult(job.kind, job.index, error=_failure(exc))
+
+
+def _model_file(kind: str, slugs: dict[str, str], held_out: str | None, fold: int) -> str:
+    """A model's file in the output directory, named by its held-out class's slug (the baseline's if None)."""
+    return f"models/{kind}_{BASELINE if held_out is None else slugs[held_out]}_f{fold}.json"
 
 
 def _attribution(prep: _Prepared, kind: str, scenario: int) -> str:
@@ -712,10 +716,9 @@ def _stale_files(report: RunReport, out: Path, written: set[str]) -> list[str]:
     from its models, its classes and the baseline, and its k folds.
     """
     if report.config["save_models"]:
-        names = [BASELINE, *(report.slugs[c] for c in report.classes)]
         written = written | {
-            f"models/{model}_{name}_f{fold}.json"
-            for model in report.models for name in names for fold in range(report.fold_plan["k"])
+            _model_file(model, report.slugs, held_out, fold)
+            for model in report.models for held_out in (None, *report.classes) for fold in range(report.fold_plan["k"])
         }
     found = {
         path.relative_to(out).as_posix()

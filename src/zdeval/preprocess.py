@@ -160,18 +160,23 @@ def check_rows(base: FlowTable, rows: np.ndarray) -> None:
         raise IndexError(f"rows must lie in [0, {base.row_count}) of the table")
 
 
-def _group_min_max(col: np.ndarray, groups: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row group, the column's min and max (+inf and -inf for an empty group)."""
+def _group_min_max(col: np.ndarray, groups: np.ndarray | None, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row group, the column's min and max (+inf and -inf for an empty group); no `groups`, the column's."""
+    if groups is None:
+        return np.array([col.min()]), np.array([col.max()])
     lo, hi = np.full(n_groups, np.inf), np.full(n_groups, -np.inf)
     np.minimum.at(lo, groups, col)
     np.maximum.at(hi, groups, col)
     return lo, hi
 
 
-def _group_first_rows(idx: np.ndarray, groups: np.ndarray, n_groups: int, n_categories: int) -> np.ndarray:
-    """Per row group and category index, the first row at which the category appears (the row count if none)."""
+def _group_first_rows(idx: np.ndarray, groups: np.ndarray | None, n_groups: int, n_categories: int) -> np.ndarray:
+    """Per row group and category index, the first row at which the category appears (the row count if none).
+
+    With no `groups`, the column is one group.
+    """
     first = np.full(n_groups * n_categories, len(idx), dtype=np.intp)
-    np.minimum.at(first, groups * n_categories + idx, np.arange(len(idx)))
+    np.minimum.at(first, idx if groups is None else groups * n_categories + idx, np.arange(len(idx)))
     return first.reshape(n_groups, n_categories)
 
 
@@ -194,16 +199,17 @@ def preprocess_pipeline(base: FlowTable, groups: np.ndarray, fits: np.ndarray) -
     Each column is read once and reduced per group: to its min and max, or,
     for a categorical column, to the first row at which each category
     appears. A fit's range and encoding are reduced from its groups'
-    entries. The encoder codes each category by its first row among the fit
-    rows; a category of no fit row maps to the reserve code and is recorded
-    in the counters, in sorted order. The scaler records each feature's
-    exact min and max over the fit rows, a zero end as 0.0 whether the rows
-    hold -0.0 or 0.0 there, so no layout or reduction order can change a
-    range. The counters tally, per feature, the rows whose scaled value
-    falls outside [0, 1] and is clamped. Only a value outside [lo, hi] can
-    be, since rounding is monotone, so only those are scaled to count. A
-    fit whose groups hold no row raises a ValueError whose `fit` is its
-    index.
+    entries. When every fit covers every group, as the full-dataset fit
+    does, each column is reduced whole instead. The encoder codes each
+    category by its first row among the fit rows; a category of no fit row
+    maps to the reserve code and is recorded in the counters, in sorted
+    order. The scaler records each feature's exact min and max over the fit
+    rows, a zero end as 0.0 whether the rows hold -0.0 or 0.0 there, so no
+    layout or reduction order can change a range. The counters tally, per
+    feature, the rows whose scaled value falls outside [0, 1] and is
+    clamped. Only a value outside [lo, hi] can be, since rounding is
+    monotone, so only those are scaled to count. A fit whose groups hold no
+    row raises a ValueError whose `fit` is its index.
     """
     groups, fits = np.asarray(groups, dtype=np.intp), np.asarray(fits, dtype=bool)
     if base.row_count < 1:
@@ -212,6 +218,8 @@ def preprocess_pipeline(base: FlowTable, groups: np.ndarray, fits: np.ndarray) -
     n = base.row_count
     n_fits, n_groups = fits.shape
     sizes = fits @ np.bincount(groups, minlength=n_groups)
+    if fits.all():  # every fit covers every group, so each column is reduced whole, as one group
+        groups, fits, n_groups = None, fits[:, :1], 1
     names = base.feature_names
     first_rows = {
         name: _group_first_rows(base.features[:, names.index(name)].astype(np.intp), groups, n_groups, len(categories))

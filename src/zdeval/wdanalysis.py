@@ -110,8 +110,10 @@ def per_feature_wd(
         sorts.setdefault(key, {}).setdefault(id(transform), []).append(i)
 
     out: list = [None] * len(scenarios)
-    # the column, the rows' class codes and folds in sorted order, and the values coded and scaled
-    values, codes, folds = np.empty(raw.size), np.empty_like(base.class_codes), np.empty_like(fold)
+    # the column, the rows' class codes (in the fewest bytes) and folds in sorted order, and the values
+    # coded and scaled
+    codes = np.empty(raw.size, dtype=np.min_scalar_type(len(base.class_names) - 1))
+    values, folds = np.empty(raw.size), np.empty_like(fold)
     scaled, ranks = np.empty(raw.size), np.arange(1.0, raw.size)
     for key, groups in sorts.items():
         groups = list(groups.values())

@@ -772,7 +772,7 @@ class TestLoadAgainstOracle:
         path = tmp_path / "t.csv"
         path.write_bytes(("\r\n".join([MIXED_HEADER] + rows) + "\r\n").encode())
         with mock.patch.object(flowdata, "_CHUNK_ROWS", 2):
-            with mock.patch.object(flowdata, "_typed_chunk", side_effect=AssertionError("csv path")) as csv_path:
+            with mock.patch.object(flowdata, "_parse_numeric_column", side_effect=AssertionError("csv path")) as csv_path:
                 table = load_csv(path, MIXED, "Benign", keep_identifiers=True)
                 assert table.row_count == 8 and csv_path.call_count == 0
                 proto = table.categories["proto"][int(table.features[2, MIXED.feature_names.index("proto")])]

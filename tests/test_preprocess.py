@@ -525,6 +525,29 @@ class TestOnePassFit:
         scenarios += [s for s in make_zero_day_scenarios(plan, table) if s.held_out in ("a", "c")]
         assert_fits_equal_oracle(table, plan, scenarios)
 
+    def test_a_fit_over_every_group_reduces_each_column_whole(self):
+        rng = np.random.default_rng(3)
+        n = 40_000
+        table = FlowTable(
+            FeatureSchema((Column("x", ColumnKind.NUMERIC), Column("proto", ColumnKind.CATEGORICAL),
+                           Column("attack_class", ColumnKind.ATTACK_CLASS), Column("label", ColumnKind.BINARY_LABEL))),
+            "Benign",
+            {"x": rng.normal(size=n), "proto": np.array(rng.choice(["tcp", "udp", "icmp"], n), dtype=object),
+             "attack_class": np.array(rng.choice(["Benign", "a", "b"], n), dtype=object)},
+        )
+        plan = make_fold_plan(table, 5, 1)
+        groups, fits = row_groups(plan, table), np.ones((1, 3 * 5), dtype=bool)
+        tracemalloc.start()
+        try:
+            [full] = preprocess_pipeline(table, groups, fits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _transform_bytes(full) == _transform_bytes(gathered_scenario_fit(table, np.arange(n)))
+        # the category indices and the row numbers, 16 bytes a row; keyed by (group, category), the
+        # first rows took a third array of 8 bytes a row
+        assert peak <= 17 * n
+
     @pytest.mark.parametrize(
         "lo, hi, value",
         [(-0.5, 2.0**53 - 1, 2.0**53), (3 * 5e-324, 1e300, 2 * 5e-324)],
