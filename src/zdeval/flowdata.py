@@ -11,9 +11,9 @@ dropped. The numeric entries of `FlowTable.data` are views of the block's
 columns, and the identifier columns are object arrays of interned strings.
 The attack class is held once, as each row's code into
 `FlowTable.class_names`; the binary label is the code != 0. `load_csv`
-parses straight into the block, with numpy's C reader while the file's
-chunks are clean and with the `csv` module from the first chunk that is
-not; it keeps the identifier columns only when asked. Tables are immutable
+parses straight into the block, each chunk of the file with numpy's C
+reader, and a chunk that is not clean again, alone, with the `csv` module;
+it keeps the identifier columns only when asked. Tables are immutable
 by convention: no function in this package mutates a table after
 construction.
 """
@@ -321,12 +321,13 @@ def _parse_numeric_column(raw: Sequence[str], name: str) -> tuple[np.ndarray, di
     return out, bad
 
 
-def _row_chunks(reader, width: int, path: Path, offset: int) -> Iterator[tuple[list[list[str]], list[int]]]:
-    """Nonblank rows in chunks of `_CHUNK_ROWS`, each with the file lines its rows end on.
+def _row_chunk(reader, width: int, path: Path, offset: int) -> tuple[list[list[str]], list[int], DataError | None]:
+    """The reader's next `_CHUNK_ROWS` nonblank rows, the file lines they end on, and a width error.
 
     `offset` is the number of file lines read before the reader's first
-    line. A row of the wrong width raises DataError once the rows before it
-    are yielded.
+    line. At a row of the wrong width the chunk ends, and the error naming
+    it is returned, not raised, so that the rows before it are checked
+    first; otherwise the error is None.
     """
     rows: list[list[str]] = []
     lines: list[int] = []
@@ -334,18 +335,13 @@ def _row_chunks(reader, width: int, path: Path, offset: int) -> Iterator[tuple[l
         if not row:
             continue  # blank line
         if len(row) != width:
-            if rows:
-                yield rows, lines
-            raise DataError(
-                f"row at line {offset + reader.line_num} has {len(row)} cells, expected {width} ({path})"
-            )
+            error = f"row at line {offset + reader.line_num} has {len(row)} cells, expected {width} ({path})"
+            return rows, lines, DataError(error)
         rows.append(row)
         lines.append(offset + reader.line_num)
         if len(rows) == _CHUNK_ROWS:
-            yield rows, lines
-            rows, lines = [], []
-    if rows:
-        yield rows, lines
+            break
+    return rows, lines, None
 
 
 def _line_end_bound(path: Path) -> int:
@@ -436,11 +432,11 @@ def load_csv(
     "abort" (default) raises DataError naming the first bad row in file
     order, "drop" removes the rows and counts them in `dropped_rows`. A row
     with the wrong number of cells raises DataError under either policy.
-    Blank lines are skipped. An error names the file line on which its row
-    ends, so a row with a quoted cell that spans lines is named by its last
-    line. The identifier columns are checked like any other, but their
-    cells are kept only with `keep_identifiers`: no analysis reads them, and
-    only `summarize` and `write_csv` need them.
+    Blank lines and a UTF-8 byte-order mark are skipped. An error names the
+    file line on which its row ends, so a row with a quoted cell that spans
+    lines is named by its last line. The identifier columns are checked
+    like any other, but their cells are kept only with `keep_identifiers`:
+    no analysis reads them, and only `summarize` and `write_csv` need them.
 
     The feature block is allocated once, for as many rows as the file has
     line ends, and rows are parsed in chunks of `_CHUNK_ROWS`. Each chunk is
@@ -449,14 +445,15 @@ def load_csv(
     that spans lines is read whole. Both parsers hand a chunk's cells to one
     checker, `_typed_chunk`, which writes its numeric cells into the block's
     next rows and reports each bad row. While the checker finds no bad row
-    in a `loadtxt` chunk, its string columns go into typed parts. The first
-    chunk that `loadtxt` rejects (a cell or a row's width) or in which the
-    checker finds a bad row (a numeric cell that is not finite, a label that
-    is bad or disagrees with the class) is parsed again from its recorded
-    lines by the `csv` module, and so is the rest of the file. The csv path
-    is the reference: it alone can name file lines, so it alone reports or
-    drops bad rows, and on every chunk that `loadtxt` accepts it yields the
-    same cells. A chunk's class cells are coded once its rows are accepted,
+    in a `loadtxt` chunk, its string columns go into typed parts. A chunk
+    that `loadtxt` rejects (a cell or a row's width) or in which the checker
+    finds a bad row (a numeric cell that is not finite, a label that is bad
+    or disagrees with the class) is parsed again by the `csv` module, from
+    its recorded lines and then the file's next lines, up to `_CHUNK_ROWS`
+    rows; the next chunk goes back to `loadtxt`. The csv path is the
+    reference: it alone can name file lines, so it alone reports or drops
+    bad rows, and on every chunk that `loadtxt` accepts it yields the same
+    cells. A chunk's class cells are coded once its rows are accepted,
     so a class met only in dropped rows gets no code. The block is
     feature-major, so a chunk writes one contiguous run of each column; the
     pages of each column past the last row are never written, so they take
@@ -482,15 +479,7 @@ def load_csv(
     block = np.empty((_line_end_bound(path), len(schema.feature_names)), order="F")
     n = dropped = 0
 
-    def store(columns: dict[str, np.ndarray]) -> None:
-        """Keep a checked chunk's accepted rows: code their classes, and count them into the block."""
-        nonlocal n
-        codes.append(_class_codes(columns.pop(class_column).tolist(), codes_of))
-        for name, col in columns.items():
-            parts[name].append(col)
-        n += len(codes[-1])
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -511,48 +500,54 @@ def load_csv(
         # not kept is a zero-width string, which holds none of its cell
         fields = {ColumnKind.NUMERIC: "f8", ColumnKind.IDENTIFIER: "O" if keep_identifiers else "U0"}
         dtype = np.dtype([(name, fields.get(schema.kind_of(name), "O")) for name in header])
-        handed: list[str] = []
-        pulled = _recorded(fh, handed)
-        offset = reader.line_num  # file lines before the first line of `handed`
+        offset = reader.line_num  # file lines before the chunk's first line
         with warnings.catch_warnings():
             # blank lines and an empty chunk are not errors here, as they are not in the csv path
             warnings.filterwarnings("ignore", r"(loadtxt: input|input line \d+) contained no data", UserWarning)
             while True:
+                handed: list[str] = []
                 try:
                     chunk = np.loadtxt(
-                        pulled, delimiter=",", quotechar='"', comments=None, dtype=dtype,
+                        _recorded(fh, handed), delimiter=",", quotechar='"', comments=None, dtype=dtype,
                         max_rows=_CHUNK_ROWS, ndmin=1,
                     )
-                except ValueError:
-                    break
-                columns, bad = _typed_chunk(chunk, {}, schema, benign_name, strings, block[n : n + len(chunk)])
-                if bad:
-                    break
-                store(columns)
-                offset += len(handed)
-                handed.clear()
-                if len(chunk) < _CHUNK_ROWS:
+                except ValueError:  # a cell or a row's width that loadtxt turns down
+                    bad = True
+                else:
+                    size = len(chunk)
+                    columns, bad = _typed_chunk(chunk, {}, schema, benign_name, strings, block[n : n + size])
+                if not bad:
+                    offset += len(handed)
+                else:
+                    # the csv path, for this chunk alone: its recorded lines, then the file's next ones
+                    reader = csv.reader(itertools.chain(handed, fh))
+                    rows, lines, error = _row_chunk(reader, len(header), path, offset)
+                    # a chunk that ends at its first row, on a row of the wrong width, has no cells
+                    cells, unparseable = dict(zip(header, zip(*rows) if rows else [()] * len(header))), {}
+                    for name in schema.numeric_names:
+                        cells[name], unparseable[name] = _parse_numeric_column(cells[name], name)
+                    size = len(rows)
+                    out = block[n : n + size]
+                    columns, bad = _typed_chunk(cells, unparseable, schema, benign_name, strings, out)
+                    if bad and on_bad_row == "abort":
+                        first = min(bad)
+                        raise DataError(f"line {lines[first]}: {bad[first]} ({path})")
+                    if error is not None:
+                        raise error
+                    if bad:
+                        keep = np.ones(size, dtype=bool)
+                        keep[list(bad)] = False
+                        block[n : n + size - len(bad)] = out[keep]
+                        columns = {name: col[keep] for name, col in columns.items()}
+                        dropped += len(bad)
+                    offset += reader.line_num
+                    del rows, lines, cells  # free this chunk's cells before the next one is read
+                codes.append(_class_codes(columns.pop(class_column).tolist(), codes_of))
+                for name, col in columns.items():
+                    parts[name].append(col)
+                n += len(codes[-1])
+                if size < _CHUNK_ROWS:
                     break  # the file is read
-
-        # the csv path: the chunk that was not clean, if any, and the rest of the file
-        reader = csv.reader(itertools.chain(handed, fh))
-        for rows, lines in _row_chunks(reader, len(header), path, offset):
-            cells, unparseable = dict(zip(header, zip(*rows))), {}
-            for name in schema.numeric_names:
-                cells[name], unparseable[name] = _parse_numeric_column(cells[name], name)
-            out = block[n : n + len(rows)]
-            columns, bad = _typed_chunk(cells, unparseable, schema, benign_name, strings, out)
-            if bad and on_bad_row == "abort":
-                first = min(bad)
-                raise DataError(f"line {lines[first]}: {bad[first]} ({path})")
-            if bad:
-                keep = np.ones(len(rows), dtype=bool)
-                keep[list(bad)] = False
-                block[n : n + len(rows) - len(bad)] = out[keep]
-                columns = {name: col[keep] for name, col in columns.items()}
-                dropped += len(bad)
-            store(columns)
-            del rows, lines, cells  # free this chunk's cells before the next one is read
 
     # pop each column's parts as it is joined, so only one column is held twice
     data = {name: np.concatenate(parts.pop(name)) for name in list(parts)}

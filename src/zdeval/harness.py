@@ -269,8 +269,9 @@ def _run_jobs(cfg: ExperimentConfig, prep: _Prepared, jobs: list[Job]) -> list[J
             set_threads = openblas_function("set_num_threads", None, ctypes.c_int)
             if set_threads is None:
                 log.warning("no OpenBLAS library found: each pool worker keeps the BLAS's own thread count")
+        # the pool forks all its workers at the first submit, so it gets no more than there are jobs
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx, initializer=set_threads, initargs=(1,)
+            max_workers=min(workers, len(jobs)), mp_context=ctx, initializer=set_threads, initargs=(1,)
         ) as pool:
             futures = [pool.submit(_execute_tracked, i, j) for i, j in enumerate(jobs)]
             if not cfg.keep_going:

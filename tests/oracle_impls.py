@@ -555,7 +555,7 @@ def row_at_a_time_load_csv(path, schema, benign_name: str, on_bad_row: str = "ab
     """
     rows = []
     dropped = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
         for row in reader:

@@ -782,6 +782,45 @@ class TestLoadAgainstOracle:
                     load_csv(path, MIXED, "Benign")
             assert_same_as_oracle(path)
 
+    def test_a_chunk_that_falls_back_falls_back_alone(self, tmp_path):
+        # 4 chunks of 2 rows; the one bad cell is in chunk 2, and only that chunk is parsed by the csv path
+        rows = [f"{i}.5,id{i},{int(i % 3 > 0)},tcp,{'dos' if i % 3 else 'Benign'},{i}" for i in range(8)]
+        clean, bad = tmp_path / "clean.csv", tmp_path / "bad.csv"
+        write_lines(clean, [MIXED_HEADER] + rows[:3] + rows[4:])
+        write_lines(bad, [MIXED_HEADER] + rows[:3] + [rows[3].replace("3.5", "nan")] + rows[4:])
+        parse = flowdata._parse_numeric_column
+        with mock.patch.object(flowdata, "_CHUNK_ROWS", 2):
+            with mock.patch.object(flowdata, "_parse_numeric_column", wraps=parse) as csv_path:
+                table = load_csv(bad, MIXED, "Benign", on_bad_row="drop")
+            assert [(len(c.args[0]), c.args[1]) for c in csv_path.call_args_list] == [(2, "dur"), (2, "bytes")]
+            assert table.dropped_rows == 1
+            assert _loaded(table)[:3] == _loaded(load_csv(clean, MIXED, "Benign"))[:3]
+            assert_same_as_oracle(bad)
+
+    @pytest.mark.parametrize("policy", ["abort", "drop"])
+    def test_file_lines_are_counted_past_a_chunk_that_fell_back(self, tmp_path, policy):
+        # chunk 2 falls back and spans an extra line; a row of the wrong width in chunk 4 is named by its line
+        rows = [f"{i}.5,id{i},1,tcp,dos,{i}" for i in range(8)]
+        rows[2] = '2.5,"two\nlines",1,tcp,dos,1_5'  # a number only the csv path reads
+        rows[7] = "7.5,id7,1,tcp,dos"
+        path = tmp_path / "t.csv"
+        write_lines(path, [MIXED_HEADER] + rows)
+        with mock.patch.object(flowdata, "_CHUNK_ROWS", 2):
+            with pytest.raises(DataError, match=r"^row at line 10 has 5 cells"):
+                load_csv(path, MIXED, "Benign", on_bad_row=policy)
+            assert_same_as_oracle(path)
+
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        rows = [f"{i}.5,id{i},{int(i % 2)},tcp,{'dos' if i % 2 else 'Benign'},{i}" for i in range(5)]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_lines(plain, [MIXED_HEADER] + rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for keep_identifiers in (False, True):
+            table = load_csv(marked, MIXED, "Benign", keep_identifiers=keep_identifiers)
+            assert _loaded(table) == _loaded(load_csv(plain, MIXED, "Benign", keep_identifiers=keep_identifiers))
+            assert table.row_count == 5
+        assert_same_as_oracle(marked)
+
 
 def _table_bytes(table) -> int:
     """Array bytes, the class codes' included, plus each distinct string object the object arrays point to."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import ctypes
 import dataclasses
 import json
@@ -801,6 +802,39 @@ def test_a_pool_worker_runs_one_blas_thread(synth_csv, monkeypatch, kinds):
         assert get_threads() == parent
     finally:
         set_threads(before)
+
+
+class _InlinePool:
+    """A stand-in for the process pool: it records its size and runs each job at submit, starting no process."""
+
+    def __init__(self, sizes: list, max_workers: int, **kwargs):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork")
+@pytest.mark.parametrize("workers, jobs, size", [(5000, 4, 4), (2, 4, 2)])
+def test_the_pool_is_no_larger_than_the_job_count(synth_csv, monkeypatch, workers, jobs, size):
+    # the pool forks every worker at its first submit, so 5000 workers for 4 jobs would fork 5000 processes
+    path, table = synth_csv
+    cfg = config_from_dict(base_config_dict(path, table.schema.to_json(), workers=workers))
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: _InlinePool(sizes, **kw))
+    monkeypatch.setattr(harness, "_execute_job", lambda job: harness.JobResult(job.kind, job.index, None))
+    results = harness._run_jobs(cfg, None, [harness.Job(harness.DISTANCE, i) for i in range(jobs)])
+    assert sizes == [size]
+    assert [r.index for r in results] == list(range(jobs))
+    assert cfg.to_json()["workers"] == workers  # run.json echoes the resolved count
 
 
 def _emitted_bytes(report, out: Path) -> dict[str, bytes]:
