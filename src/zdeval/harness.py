@@ -14,17 +14,19 @@ since one sort of the feature's column orders the sample of each (see
 `wdanalysis`), and a model job trains and scores one model on one
 scenario. A run submits its distance jobs ahead of its model jobs to one
 process pool (the `wd` command submits distance jobs alone); results are
-assembled in feature and scenario order, each scenario's distances into
-its report, so the worker count never changes any output byte.
+read in job order, so the worker count never changes any output byte.
 
 `_prepare` builds the run report with its fixed sections (config, dataset,
 fold plan, preprocessing, transforms and the preparation warnings); the
-jobs' results fill in the rest. The model jobs write the model files and
-`emit_reports` the reports. `_succeeded` is the one place a failure is
+jobs' results fill in the rest. `_compute_wd` builds the `wd` section
+straight from the distance jobs' per-feature lists, taking each zero-day
+scenario's column in scenario order. The model jobs write the model files
+and `emit_reports` the reports. `_settle` is the one place a failure is
 settled, per scenario: a scenario's distances fail with the first of its
-features that fails, and a model job fails alone. Without keep_going it
-stops the run, naming the scenario; with it, the failure becomes a warning
-and is left out of every mean.
+features that fails, and a model job fails alone. The distance failures
+are settled first, in scenario order, then the model jobs'. Without
+keep_going the first stops the run, naming the scenario; with it, each
+becomes a warning and is left out of every mean.
 
 The features are held once: the loaded table is the base matrix, its
 feature-major block the one n x d float64 matrix a run holds, and nothing
@@ -41,9 +43,9 @@ job's labels are its rows' codes != 0.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import ctypes
 import datetime as _dt
-import itertools
 import json
 import logging
 import mmap
@@ -62,7 +64,7 @@ from .errors import ConfigError, DataError
 from .flowdata import FlowTable, load_csv
 from .metrics import FoldAggregate, MetricsReport, aggregate_folds, per_class_positives, scenario_report, zdr
 from .preprocess import FittedTransform, preprocess_pipeline, transforms_to_json
-from .wdanalysis import WdReport, per_feature_wd, rank_correlation
+from .wdanalysis import per_feature_wd, rank_correlation
 from .zslsplit import (
     FoldPlan, Scenario, fold_warnings, make_fold_plan, make_zero_day_scenarios, row_groups, scenario_rows, train_groups,
 )
@@ -102,7 +104,7 @@ class Job:
 
 @dataclass
 class JobResult:
-    """A job's result, or one zero-day scenario's distances (kind DISTANCE, `index` its scenario).
+    """A job's result; `index` is its job's, a distance job's feature or a model job's scenario.
 
     A distance job's `report` lists its feature's distance, or the failure
     as a message, per zero-day scenario; its `error` is its first failure.
@@ -110,7 +112,7 @@ class JobResult:
 
     kind: str
     index: int
-    report: MetricsReport | WdReport | list[float | str] | None = None
+    report: MetricsReport | list[float | str] | None = None
     per_class: dict[str, tuple[int, int]] | None = None
     error: str | None = None
 
@@ -477,61 +479,60 @@ def _distance_jobs(prep: _Prepared) -> list[Job]:
     return [Job(DISTANCE, j) for j in range(len(prep.base.feature_names))]
 
 
-def _scenario_distances(prep: _Prepared, results: list[JobResult]) -> list[JobResult]:
-    """Per zero-day scenario, in scenario order, its distances from the distance jobs' results, in feature order.
+def _settle(cfg: ExperimentConfig, prep: _Prepared, kind: str, scenario: int, error: str) -> None:
+    """Settle a failed scenario: without keep_going, stop the run with its attribution; with it, warn.
 
-    A scenario fails with the first of its features that failed; a failed
-    job's error stands for each of its scenarios.
+    The caller leaves a scenario it settles out of every mean.
+    """
+    failed = "distance analysis failed" if kind == DISTANCE else "scenario failed"
+    message = f"{failed} {_attribution(prep, kind, scenario)}: {error}"
+    if not cfg.keep_going:
+        raise RuntimeError(message)
+    prep.report.warnings.append(message)
+
+
+def _succeeded(cfg: ExperimentConfig, prep: _Prepared, results: list[JobResult]) -> list[JobResult]:
+    """The model jobs' results that succeeded, in order; each failure is settled in turn."""
+    for r in results:
+        if r.error is not None:
+            _settle(cfg, prep, r.kind, r.index, r.error)
+    return [r for r in results if r.error is None]
+
+
+def _compute_wd(cfg: ExperimentConfig, prep: _Prepared, results: list[JobResult]) -> dict:
+    """The wd section, from the distance jobs' results in feature order.
+
+    Per zero-day scenario, in scenario order, its fold entry under its
+    class: the distance per feature, their mean and the row counts of both
+    sides. A scenario fails with the first of its features that failed (a
+    failed job's error stands for each of its scenarios) and is settled.
+    Then each class's fold mean, overall and per feature.
     """
     base, plan, zero_day = prep.base, prep.plan, prep.zero_day
     scenarios = [prep.scenarios[i] for i in zero_day]
     group_rows = np.bincount(row_groups(plan, base), minlength=len(base.class_names) * plan.k)
     rows_train, rows_test = train_groups(scenarios, plan, base) @ group_rows, np.bincount(plan.fold, minlength=plan.k)
-    out = []
+    wd_section: dict[str, dict] = {}
     for col, (i, s) in enumerate(zip(zero_day, scenarios)):
         outcomes = [r.error if r.report is None else r.report[col] for r in results]
         error = next((o for o in outcomes if isinstance(o, str)), None)
-        report = None if error is not None else WdReport(
-            s.held_out, s.fold_id, dict(zip(base.feature_names, outcomes)), float(np.mean(outcomes)),
-            base.schema.categorical_names, int(rows_train[col]), int(rows_test[s.fold_id]),
-        )
-        out.append(JobResult(DISTANCE, i, report, error=error))
-    return out
-
-
-def _succeeded(cfg: ExperimentConfig, prep: _Prepared, results: list[JobResult]) -> list[JobResult]:
-    """The results that succeeded, in order: the one place a failure is settled.
-
-    The results are each zero-day scenario's distances, then the model
-    jobs'. Without keep_going the first failure stops the run with its
-    attribution; with it, each becomes a warning on the report and is left
-    out of every mean.
-    """
-    ok = []
-    for r in results:
-        if r.error is None:
-            ok.append(r)
+        if error is not None:
+            _settle(cfg, prep, DISTANCE, i, error)
             continue
-        failed = "distance analysis failed" if r.kind == DISTANCE else "scenario failed"
-        message = f"{failed} {_attribution(prep, r.kind, r.index)}: {r.error}"
-        if not cfg.keep_going:
-            raise RuntimeError(message)
-        prep.report.warnings.append(message)
-    return ok
-
-
-def _compute_wd(prep: _Prepared, results: list[JobResult]) -> dict:
-    """Per (class, fold) distances and the fold mean per class, from the succeeded distance jobs."""
-    wd_section: dict[str, dict] = {}
-    for name, group in itertools.groupby(results, key=lambda r: prep.scenarios[r.index].held_out):
-        fold_reports: list[WdReport] = [r.report for r in group]
-        wd_section[name] = {
-            "folds": [r.to_json() for r in fold_reports],
-            "mean_wd": float(np.mean([r.mean_wd for r in fold_reports])),
-            "per_feature_mean": {
-                feat: float(np.mean([r.per_feature[feat] for r in fold_reports]))
-                for feat in fold_reports[0].per_feature
-            },
+        wd_section.setdefault(s.held_out, {"folds": []})["folds"].append({
+            "held_out_class": s.held_out,
+            "fold": s.fold_id,
+            "mean_wd": float(np.mean(outcomes)),
+            "per_feature": dict(sorted(zip(base.feature_names, outcomes))),
+            "encoded_features": list(base.schema.categorical_names),
+            "rows_train": int(rows_train[col]),
+            "rows_test": int(rows_test[s.fold_id]),
+        })
+    for entry in wd_section.values():
+        folds = entry["folds"]
+        entry["mean_wd"] = float(np.mean([f["mean_wd"] for f in folds]))
+        entry["per_feature_mean"] = {
+            feat: float(np.mean([f["per_feature"][feat] for f in folds])) for feat in base.feature_names
         }
     return wd_section
 
@@ -577,8 +578,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         writable_dir(Path(cfg.output_dir, "models"))
     results = _run_jobs(cfg, prep, jobs)
     n_distance = len(prep.base.feature_names)
-    ok = _succeeded(cfg, prep, _scenario_distances(prep, results[:n_distance]) + results[n_distance:])
-    report.wd = _compute_wd(prep, [r for r in ok if r.kind == DISTANCE])
+    # the distance failures are settled first, in scenario order, then the model jobs'
+    report.wd = _compute_wd(cfg, prep, results[:n_distance])
+    ok = _succeeded(cfg, prep, results[n_distance:])
 
     for model in cfg.models:
         mine = [(prep.scenarios[r.index], r) for r in ok if r.kind == model]
@@ -627,8 +629,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 def run_wd_analysis(cfg: ExperimentConfig) -> RunReport:
     """Distribution-distance analysis only, no model training."""
     prep = _prepare(cfg, with_baseline=False)
-    distances = _scenario_distances(prep, _run_jobs(cfg, prep, _distance_jobs(prep)))
-    prep.report.wd = _compute_wd(prep, _succeeded(cfg, prep, distances))
+    prep.report.wd = _compute_wd(cfg, prep, _run_jobs(cfg, prep, _distance_jobs(prep)))
     return prep.report
 
 
@@ -636,65 +637,79 @@ def _fmt(value: float | None, places: int) -> str:
     return "NA" if value is None else f"{value:.{places}f}"
 
 
+class _Line:
+    """A stand-in file whose `write` hands its text back, so a `csv.writer` on it returns each row's line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _table_text(rows: list[list[str]], delimiter: str, newline: str) -> str:
+    """The rows as delimited text, each ended by `newline`.
+
+    A cell that holds the delimiter, a quote or a line break is quoted, so a
+    class or feature name never splits its row.
+    """
+    # a writer whose line end is "\r\n" quotes a cell that holds either character; each row's end is then swapped
+    writer = csv.writer(_Line(), delimiter=delimiter, lineterminator="\r\n")
+    return "".join(writer.writerow(row)[:-2] + newline for row in rows)
+
+
 def metrics_csv_text(report: RunReport, model: str) -> str:
     """One row per held-out class, in code order, fold-mean metrics."""
-    lines = ["Zero-day Attack,Z-DR,Accuracy,F1 Score,FAR,DR,AUC"]
+    rows = [["Zero-day Attack", "Z-DR", "Accuracy", "F1 Score", "FAR", "DR", "AUC"]]
     for name in report.classes:
         entry = report.zero_day.get(model, {}).get(name)
         if entry is None:
             continue
         mean = entry["mean"]
-        lines.append(
-            ",".join(
-                [
-                    name,
-                    _fmt(mean["zdr"], 2),
-                    _fmt(mean["accuracy"], 2),
-                    _fmt(mean["f1"], 4),
-                    _fmt(mean["far"], 2),
-                    _fmt(mean["dr"], 2),
-                    _fmt(mean["auc"], 4),
-                ]
-            )
-        )
-    return "\r\n".join(lines) + "\r\n"
+        rows.append([
+            name, _fmt(mean["zdr"], 2), _fmt(mean["accuracy"], 2), _fmt(mean["f1"], 4), _fmt(mean["far"], 2),
+            _fmt(mean["dr"], 2), _fmt(mean["auc"], 4),
+        ])
+    return _table_text(rows, ",", "\r\n")
 
 
 def dr_vs_zdr_tsv_text(report: RunReport, model: str) -> str:
     """Per class: known-attack DR (baseline) next to zero-day DR."""
-    lines = ["class\tknown_dr\tzero_day_dr"]
+    rows = [["class", "known_dr", "zero_day_dr"]]
     per_class = report.baseline.get(model, {}).get("per_class_dr", {})
     for name in report.classes:
         known = (per_class.get(name) or {}).get("mean")
         entry = report.zero_day.get(model, {}).get(name)
         zdr_mean = entry["mean"]["zdr"] if entry else None
-        lines.append(f"{name}\t{_fmt(known, 2)}\t{_fmt(zdr_mean, 2)}")
-    return "\n".join(lines) + "\n"
+        rows.append([name, _fmt(known, 2), _fmt(zdr_mean, 2)])
+    return _table_text(rows, "\t", "\n")
 
 
 def wd_means_tsv_text(report: RunReport) -> str:
-    lines = ["class\tmean_wd"]
+    rows = [["class", "mean_wd"]]
     for name in report.classes:
         entry = report.wd.get(name)
         if entry is None:
             continue
-        lines.append(f"{name}\t{_fmt(entry['mean_wd'], 4)}")
-    return "\n".join(lines) + "\n"
+        rows.append([name, _fmt(entry["mean_wd"], 4)])
+    return _table_text(rows, "\t", "\n")
 
 
 def wd_features_csv_text(report: RunReport, class_name: str) -> str:
     """Fold-mean distance per feature for one held-out class."""
-    lines = ["feature,distance"]
+    rows = [["feature", "distance"]]
     for feat, value in report.wd[class_name]["per_feature_mean"].items():
-        lines.append(f"{feat},{_fmt(value, 4)}")
-    return "\r\n".join(lines) + "\r\n"
+        rows.append([feat, _fmt(value, 4)])
+    return _table_text(rows, ",", "\r\n")
 
 
 def _write_atomic(path, content: str) -> None:
+    """Write to a temp file beside `path`, then rename it over `path`; on failure remove the temp file."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def writable_dir(path) -> Path:

@@ -24,7 +24,10 @@ rows of every other class outside fold f and tests on fold f, so one
 compress by (code != c) | (fold == f) gives its merged sample, sorted, and
 fold == f marks its test side. |F_u - F_v| is then integrated over the
 merged values with cumulative counts of each side, in float64 (exact below
-2**53).
+2**53). The job returns one distance per scenario, or the scenario's
+error, and that list is the only form a distance takes before the run
+report: the harness builds the report's `wd` section straight from the
+jobs' lists.
 
 This is exact, and bit-identical to sorting each side and merging the
 two, or to sorting the concatenation and counting each breakpoint with
@@ -37,7 +40,6 @@ of terms, but for the sign of a zero term where -0.0 and 0.0 tie, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -46,30 +48,6 @@ from .flowdata import FlowTable
 from .metrics import average_ranks
 from .preprocess import FittedTransform
 from .zslsplit import Scenario
-
-
-@dataclass
-class WdReport:
-    """Per-feature and mean train/test distances for one scenario."""
-
-    held_out_class: str | None
-    fold_id: int | None
-    per_feature: dict[str, float]
-    mean_wd: float
-    encoded_features: tuple[str, ...] = ()
-    rows_train: int = 0
-    rows_test: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "held_out_class": self.held_out_class,
-            "fold": self.fold_id,
-            "mean_wd": self.mean_wd,
-            "per_feature": dict(sorted(self.per_feature.items())),
-            "encoded_features": list(self.encoded_features),
-            "rows_train": self.rows_train,
-            "rows_test": self.rows_test,
-        }
 
 
 def _merged_wd(merged: np.ndarray, is_test: np.ndarray, n_v: int, ranks: np.ndarray) -> float:

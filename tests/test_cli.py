@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 from types import SimpleNamespace
@@ -127,6 +128,43 @@ class TestRun:
         names = {p.name for p in out.iterdir()}
         assert {"run.json", "metrics_forest.csv", "metrics_mlp.csv", "wd_means.tsv"} <= names
 
+    def test_a_name_that_holds_a_delimiter_or_a_quote_keeps_its_row_whole(self, tmp_path):
+        # class names with a comma, a quote and a tab, and a line break, and a feature named with a comma
+        classes = ["DoS, flood", 'say "hi"\tthere', "line\rbreak"]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "n_benign": 80, "d": 2, "seed": 4, "attacks": [{"name": name, "count": 30} for name in classes],
+        }))
+        data, cfg = tmp_path / "data.csv", tmp_path / "cfg.json"
+        assert main(["synth", "--spec", str(spec), "--out", str(data), "--config-out", str(cfg)]) == 0
+        with open(data, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[0][rows[0].index("f0")] = "bytes, in"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        doc = json.loads(cfg.read_text())
+        doc["columns"] = [dict(c, name="bytes, in") if c["name"] == "f0" else c for c in doc["columns"]]
+        doc.update(models=["forest"], k=2, workers=1, save_models=False, forest={"n_trees": 2})
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
+        def read(name, delimiter):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                return list(csv.reader(fh, delimiter=delimiter))
+
+        metrics = read("metrics_forest.csv", ",")
+        assert [len(row) for row in metrics] == [7] * 4
+        assert [row[0] for row in metrics[1:]] == classes
+        for name, delimiter, width in (("dr_vs_zdr_forest.tsv", "\t", 3), ("wd_means.tsv", "\t", 2)):
+            rows = read(name, delimiter)
+            assert [len(row) for row in rows] == [width] * 4
+            assert [row[0] for row in rows[1:]] == classes
+        for slug in ("dos-flood", "say-hi-there", "line-break"):
+            rows = read(f"wd_features_{slug}.csv", ",")
+            assert rows[1:] and all(len(row) == 2 for row in rows)
+            assert [row[0] for row in rows[1:]] == ["bytes, in", "f1"]
+
     def test_model_and_class_flags(self, experiment_setup):
         tmp_path, cfg = experiment_setup
         out = tmp_path / "out2"
@@ -228,6 +266,15 @@ class TestWd:
         body = (out / "wd_means.tsv").read_text().strip().splitlines()
         assert body[0] == "class\tmean_wd"
         assert len(body) == 4
+
+    def test_a_failed_write_leaves_no_temp_file(self, experiment_setup):
+        # run.json cannot replace a directory of that name: the run fails, and its temp file goes
+        tmp_path, cfg = experiment_setup
+        out = tmp_path / "wdout"
+        (out / "run.json").mkdir(parents=True)
+        assert main(["wd", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not [p.name for p in out.iterdir() if ".tmp-" in p.name]
+        assert (out / "run.json").is_dir()
 
 
 class TestEmptyClasses:

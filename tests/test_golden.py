@@ -30,11 +30,18 @@ from zdeval.harness import _SEED_TRAIN, _prepare, derive_seed, emit_reports, ope
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
 from zdeval.zslsplit import Scenario
 
+# the default (full-dataset) scope: every emitted file, and run.json without
+# its timestamp and paths
 GOLDEN_FILES = {
-    "metrics_forest.csv": "dbbe496737d8a9cb43a95d5b11f88d8e83052e2f56d0a942e911ec8a8e3bc8ad",
-    "metrics_mlp.csv": "6676611a06e4f203f12bba9a524fcde179657e28076b4be709db373dc706823c",
     "dr_vs_zdr_forest.tsv": "70b8b4ad6efe7674d7f1ad0708af3467912591658a992cec2ba633a2f58a9247",
     "dr_vs_zdr_mlp.tsv": "71a224b936278887c01a1de459ca94d6c4e0f69db2c97a9737afd1a481a65e42",
+    "metrics_forest.csv": "dbbe496737d8a9cb43a95d5b11f88d8e83052e2f56d0a942e911ec8a8e3bc8ad",
+    "metrics_mlp.csv": "6676611a06e4f203f12bba9a524fcde179657e28076b4be709db373dc706823c",
+    "run.json": "fcb91c8b1fe8c8958ce3da22eace6cad9e8a83e07e7a68ad71485b3b24b415e5",
+    "transforms.json": "1793b721b188053e9e7dde20960f054b8971cacbae4c9054d10df24188589c08",
+    "wd_features_alpha.csv": "5cbdd33e933c1776f410ef89922162f3eb4f126b4a970c77f9166989f240fa4e",
+    "wd_features_beta.csv": "6ebf4dc53283398a39abe462e66b20b687b84873d68c4be4390f8033f09fa8d6",
+    "wd_features_gamma.csv": "c431639a1155c0514da9b634eb6b30f4e3937a13f7151f4cab83432f1c3fd899",
     "wd_means.tsv": "823f7ed23d13bef69a8719fe8127258fe02de04f74fce3dc64d1944c0ca40c58",
 }
 
@@ -189,9 +196,8 @@ def _job_scores(cfg, prep, model: str, held_out: str | None, fold_id: int) -> np
     return mlp_score(mlp_train(x_train, y_train, cfg.mlp, seed), x_test)
 
 
-def test_golden_tables(golden_cfg):
-    emit_reports(run_experiment(golden_cfg), golden_cfg.output_dir)
-    got = {name: _sha((Path(golden_cfg.output_dir) / name).read_bytes()) for name in GOLDEN_FILES}
+def test_golden_tables(golden_cfg, tmp_path):
+    got = _run_fingerprints(dataclasses.replace(golden_cfg, output_dir=str(tmp_path)))
     assert got == GOLDEN_FILES, _table(got)
 
 

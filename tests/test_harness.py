@@ -962,6 +962,36 @@ class TestWdOnly:
             assert fold["mean_wd"] == float(np.mean([expected[name] for name in names]))
             assert (fold["rows_train"], fold["rows_test"]) == (train.size, test.size)
             assert fold["encoded_features"] == ["proto"]
+            assert fold["held_out_class"] == s.held_out
+            assert list(fold["per_feature"]) == sorted(names)
+
+    def test_means_over_nine_folds_and_eleven_features(self, tmp_path):
+        # from 8 terms on, numpy's pairwise sum rounds unlike a sum in another order or along an axis: each
+        # mean is np.mean of a list, over the features in table order (f10 sorts before f2) or the folds in order
+        names = ["exploit", "fuzz", "generic", "recon", "dos", "analysis", "door", "shell", "worm"]
+        spec = SyntheticSpec(
+            n_benign=400,
+            attacks=tuple(AttackBlob(n, 45, mean=1.0 + 0.07 * i, cov_scale=0.3 + 0.05 * i) for i, n in enumerate(names)),
+            d=11,
+            seed=13,
+        )
+        table = synthesize_dataset(spec)
+        path = tmp_path / "wide.csv"
+        write_csv(table, path)
+        report = run_wd_analysis(config_from_dict(base_config_dict(path, table.schema.to_json(), k=9)))
+        features = [f"f{j}" for j in range(11)]
+        assert list(report.wd) == names
+        for name in names:
+            entry, folds = report.wd[name], report.wd[name]["folds"]
+            assert [f["fold"] for f in folds] == list(range(9))
+            fold_means = []
+            for f in folds:
+                fold_means.append(f["mean_wd"])
+                assert f["mean_wd"] == float(np.mean([f["per_feature"][feat] for feat in features]))
+            assert entry["mean_wd"] == float(np.mean(fold_means))
+            assert list(entry["per_feature_mean"]) == features
+            for feat in features:
+                assert entry["per_feature_mean"][feat] == float(np.mean([f["per_feature"][feat] for f in folds]))
 
 
 class TestEmitReports:

@@ -11,7 +11,7 @@ from oracle_impls import cdf_grid_wd, merge_wd, sorted_diff_wd, spearman_oracle,
 
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
 from zdeval.preprocess import preprocess_pipeline
-from zdeval.wdanalysis import WdReport, per_feature_wd, rank_correlation
+from zdeval.wdanalysis import per_feature_wd, rank_correlation
 from zdeval.zslsplit import FoldPlan, make_zero_day_scenarios, row_groups, scenario_rows, train_groups
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
@@ -168,16 +168,6 @@ class TestPerFeatureWd:
         m, train_rows, test_rows = stacked(train, test, ("a", "b"))
         distances = scenario_wd(m, train_rows, test_rows)
         assert distances == {name: three_sort_wd(train[:, j], test[:, j]) for j, name in enumerate("ab")}
-
-    def test_report_serialization(self):
-        import json
-
-        report = WdReport("X", 1, {"b": 0.25, "a": 0.5}, 0.375, ("b",), rows_train=20, rows_test=30)
-        doc = json.loads(json.dumps(report.to_json()))
-        assert doc["held_out_class"] == "X" and doc["fold"] == 1
-        assert list(doc["per_feature"]) == ["a", "b"]
-        assert doc["encoded_features"] == ["b"]
-        assert (doc["mean_wd"], doc["rows_train"], doc["rows_test"]) == (0.375, 20, 30)
 
     def test_scaled_features_stay_in_unit_interval(self):
         rng = np.random.default_rng(8)
