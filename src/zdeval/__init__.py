@@ -16,6 +16,7 @@ from .flowdata import (
     FlowTable,
     load_csv,
     summarize,
+    table_from_columns,
     write_csv,
 )
 from .preprocess import FittedTransform, preprocess_pipeline

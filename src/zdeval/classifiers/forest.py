@@ -256,8 +256,9 @@ def _grow_tree(
 
         node_feature[node] = int(candidates[j])
         node_threshold[node] = threshold
-        # the split feature's sorted values route left as a prefix
-        k = int(np.count_nonzero(values[j] <= threshold))
+        # the split feature's sorted values route left as a prefix of p + 1: a valid cut has
+        # below < above, and the threshold lies in [below, above), as rounding is monotone
+        k = p + 1
         left_sums = int(sums[j, k - 1])
         left_total, left_attack = left_sums & _LOW_32, left_sums >> 32
         right_total, right_attack = total - left_total, n_attack - left_attack

@@ -9,7 +9,8 @@ settings: distances always read scaled features over all of their rows,
 a category unseen at fit time always takes the encoder's reserve code, a
 flow is labelled an attack iff its score is >= 0.5, and every tree trains
 on a bootstrap sample. The `forest` and `mlp` hyperparameters are
-type-checked, so a bad value fails before the dataset is read.
+type-checked, and a `subsample` below `k` is rejected, so either fails
+before the dataset is read.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ class ExperimentConfig:
             raise ConfigError(f"fit_scope must be 'full-dataset' or 'train-only', got {self.fit_scope!r}")
         if self.on_bad_row not in ("abort", "drop"):
             raise ConfigError(f"on_bad_row must be 'abort' or 'drop', got {self.on_bad_row!r}")
-        if self.subsample is not None and self.subsample < 1:
-            raise ConfigError(f"subsample must be >= 1, got {self.subsample}")
+        if self.subsample is not None and self.subsample < self.k:
+            raise ConfigError(f"subsample must be >= k ({self.k}), one row per fold at least, got {self.subsample}")
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 

@@ -5,16 +5,16 @@ whose columns are the schema's feature columns in schema order: a numeric
 column holds its values, a categorical column each row's index into the
 column's sorted distinct values (`FlowTable.categories`). Each column's n
 values are contiguous (`features.strides[0]` is the item size), since every
-reader reads one feature at a time. A categorical column is held nowhere
-else: the strings a table is built from are indexed into the block and
-dropped. The numeric entries of `FlowTable.data` are views of the block's
-columns, and the identifier columns are object arrays of interned strings.
-The attack class is held once, as each row's code into
-`FlowTable.class_names`; the binary label is the code != 0. `load_csv`
-parses straight into the block, each chunk of the file with numpy's C
-reader, and a chunk that is not clean again, alone, with the `csv` module;
-it keeps the identifier columns only when asked. Tables are immutable
-by convention: no function in this package mutates a table after
+reader reads one feature at a time. The attack class is held once, as each
+row's code into `FlowTable.class_names`; the binary label is the code != 0.
+The kept identifier columns are object arrays of interned strings. This
+coded form is a table's only form: `FlowTable` takes it as it is, and
+`table_from_columns` builds it from columns of strings and numbers.
+`load_csv` parses straight into the block, each chunk of the file with
+numpy's C reader, and a chunk that is not clean again, alone, with the
+`csv` module; it indexes the categorical strings into the block once the
+file is read, and keeps the identifier columns only when asked. Tables are
+immutable by convention: no function in this package mutates a table after
 construction.
 """
 
@@ -167,81 +167,40 @@ class FlowTable:
     indexes. `class_codes` holds each row's attack class as its code into
     `class_names`: benign first, then the attack classes in order of first
     appearance. The table is the one class inventory: `attack_names` and
-    `class_counts` are read from these codes and names. `data` maps the
-    identifiers to object arrays of strings and each numeric feature to a
-    view of its block column; it may leave out the identifier columns, as
-    `load_csv` does unless asked to keep them.
+    `class_counts` are read from these codes and names. `identifiers` maps
+    the kept identifier columns to object arrays of strings; it may leave
+    them out, as `load_csv` does unless asked to keep them. `dropped_rows`
+    counts rows discarded by the loader under the drop policy; a table
+    taken from another keeps its count.
 
-    At construction a categorical column is given as strings in `data`,
-    which are indexed into the block and dropped from `data`; or, with
-    `categories`, as indices already in the given block (as `take` builds
-    it). Likewise the attack class is given as strings in `data`, coded and
-    dropped with the label, which, if given, must be code != 0 on every
-    row; or as `class_codes` with `class_names`. Given `features`, its
-    numeric columns are the table's and `data` need not hold them; a given
-    block whose columns are not contiguous is copied into one whose are.
-    Without it, the block is built from `data`. `dropped_rows` counts rows
-    discarded by the loader under the drop policy; a table taken from
-    another keeps its count.
+    Construction checks only the shapes (a block of n rows and one column
+    per feature, categories for each categorical feature, n class codes
+    and n cells per identifier), and copies a block whose columns are not
+    contiguous into one whose are.
     """
 
     schema: FeatureSchema
     benign_name: str
-    data: dict[str, np.ndarray]
+    features: np.ndarray
+    categories: dict[str, np.ndarray] = field(repr=False)
+    class_codes: np.ndarray = field(repr=False)
+    class_names: tuple[str, ...]
+    identifiers: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     dropped_rows: int = 0
-    features: np.ndarray | None = None
-    categories: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    class_codes: np.ndarray | None = field(default=None, repr=False)
-    class_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        schema = self.schema
-        numeric, names = schema.numeric_names, schema.feature_names
-        class_column, label_column = schema.attack_class_column, schema.label_column
-        if self.categories and self.features is None:
-            raise DataError("categories index a given feature block, and none was given")
-        coded = self.class_codes is not None
-        stored = [
-            name for name in schema.names
-            if name not in self.categories and (self.features is None or name not in numeric)
-            and not (coded and name == class_column)
-        ]
-        for name in stored:
-            if name not in self.data and name not in (*schema.identifier_names, label_column):
-                raise DataError(f"table is missing column {name!r}")
-        stored = [name for name in stored if name in self.data]
-        if not coded:
-            codes_of = {self.benign_name: 0}
-            self.class_codes = _class_codes(self.data[class_column].tolist(), codes_of)
-            self.class_names = tuple(codes_of)
-        n = len(self.class_codes)
-        for name in stored:
-            if len(self.data[name]) != n:
-                raise DataError(f"column {name!r} has {len(self.data[name])} cells, expected {n}")
-        if label_column in self.data:
-            labels = self.data[label_column]
-            for bad in np.flatnonzero(labels != (self.class_codes != 0))[:1]:
-                raise DataError(
-                    f"binary label disagrees with attack class at row {bad}: "
-                    f"label={labels[bad]}, class={self.class_names[self.class_codes[bad]]!r}"
-                )
-        if self.features is None:
-            self.features = np.empty((n, len(names)), order="F")
-            for j, name in enumerate(names):
-                if name in numeric:
-                    self.features[:, j] = self.data[name]
-        elif self.features.shape != (n, len(names)):
-            raise DataError(f"feature block has shape {self.features.shape}, expected {(n, len(names))}")
-        elif self.features.strides[0] != self.features.itemsize:
+        d = len(self.schema.feature_names)
+        if self.features.ndim != 2 or self.features.shape[1] != d:
+            raise DataError(f"feature block has shape {self.features.shape}, expected (rows, {d})")
+        if self.features.strides[0] != self.features.itemsize:
             self.features = np.asfortranarray(self.features)
-        self.categories = dict(self.categories)
-        for j, name in enumerate(names):
-            if name in schema.categorical_names and name not in self.categories:
-                self.categories[name], self.features[:, j] = _category_indices(self.data[name])
-        self.data = {
-            **{name: self.features[:, j] for j, name in enumerate(names) if name in numeric},
-            **{k: v for k, v in self.data.items() if k not in names and k not in (class_column, label_column)},
-        }
+        n = len(self.features)
+        for name in self.schema.categorical_names:
+            if name not in self.categories:
+                raise DataError(f"categorical feature {name!r} has no categories")
+        for name, col in {"class_codes": self.class_codes, **self.identifiers}.items():
+            if len(col) != n:
+                raise DataError(f"{name!r} has {len(col)} cells, expected {n}, one per row of the feature block")
 
     @property
     def row_count(self) -> int:
@@ -287,18 +246,49 @@ class FlowTable:
             features[:, j] = col
         codes_of = {0: 0}  # an old code -> its new code
         codes = _class_codes(self.class_codes[idx].tolist(), codes_of)
-        data = {k: v[idx] for k, v in self.data.items() if k not in names}
-        return FlowTable(self.schema, self.benign_name, data, dropped_rows=self.dropped_rows, features=features,
-                         categories=categories, class_codes=codes,
-                         class_names=tuple(self.class_names[c] for c in codes_of))
+        return FlowTable(self.schema, self.benign_name, features, categories, codes,
+                         tuple(self.class_names[c] for c in codes_of),
+                         {k: v[idx] for k, v in self.identifiers.items()}, self.dropped_rows)
 
-    def validate(self) -> None:
-        """Check that every numeric cell is finite (construction checks the rest); raises DataError."""
-        for name in self.schema.numeric_names:
-            col = self.data[name]
-            if col.size and not np.isfinite(col).all():
-                bad = int(np.flatnonzero(~np.isfinite(col))[0])
+
+def table_from_columns(schema: FeatureSchema, benign_name: str, columns: Mapping[str, Sequence]) -> FlowTable:
+    """A table built from columns of strings and numbers, each `columns[name]` a column's cells.
+
+    Every feature column and the attack-class column must be given. An
+    identifier column may be left out, and so may the binary label, which,
+    if given, must be class code != 0 on every row. A categorical column is
+    indexed into its sorted distinct values (`_category_indices`), and the
+    classes are coded benign first, then in order of first appearance. A
+    missing column, a column of the wrong length, a label that disagrees
+    with the class and a numeric cell that is not finite raise DataError.
+    """
+    names, class_column, label_column = schema.feature_names, schema.attack_class_column, schema.label_column
+    for name in (*names, class_column):
+        if name not in columns:
+            raise DataError(f"table is missing column {name!r}")
+    codes_of = {benign_name: 0}
+    codes = _class_codes(np.asarray(columns[class_column]).tolist(), codes_of)
+    n, class_names = len(codes), tuple(codes_of)
+    for name in schema.names:
+        if name in columns and len(columns[name]) != n:
+            raise DataError(f"column {name!r} has {len(columns[name])} cells, expected {n}")
+    if label_column in columns:
+        labels = np.asarray(columns[label_column])
+        for bad in np.flatnonzero(labels != (codes != 0))[:1]:
+            raise DataError(
+                f"binary label disagrees with attack class at row {bad}: "
+                f"label={labels[bad]}, class={class_names[codes[bad]]!r}"
+            )
+    features, categories = np.empty((n, len(names)), order="F"), {}
+    for j, name in enumerate(names):
+        if name in schema.categorical_names:
+            categories[name], features[:, j] = _category_indices(columns[name])
+        else:
+            features[:, j] = columns[name]
+            for bad in np.flatnonzero(~np.isfinite(features[:, j]))[:1]:
                 raise DataError(f"non-finite value in column {name!r} at row {bad}")
+    identifiers = {name: np.asarray(columns[name], dtype=object) for name in schema.identifier_names if name in columns}
+    return FlowTable(schema, benign_name, features, categories, codes, class_names, identifiers)
 
 
 def _parse_numeric_column(raw: Sequence[str], name: str) -> tuple[np.ndarray, dict[int, str]]:
@@ -457,8 +447,8 @@ def load_csv(
     so a class met only in dropped rows gets no code. The block is
     feature-major, so a chunk writes one contiguous run of each column; the
     pages of each column past the last row are never written, so they take
-    no memory. The categorical columns of the block are indexed from their
-    strings once the file is read.
+    no memory. Once the file is read, each categorical column's parts are
+    joined and indexed into its block column, one column at a time.
     """
     if on_bad_row not in ("abort", "drop"):
         raise ValueError(f"on_bad_row must be 'abort' or 'drop', got {on_bad_row!r}")
@@ -550,14 +540,18 @@ def load_csv(
                     break  # the file is read
 
     # pop each column's parts as it is joined, so only one column is held twice
-    data = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
-    return FlowTable(schema, benign_name, data, dropped_rows=dropped, features=block[:n],
-                     class_codes=np.concatenate(codes), class_names=tuple(codes_of))
+    features, categories = block[:n], {}
+    for j, name in enumerate(schema.feature_names):
+        if name in parts:
+            categories[name], features[:, j] = _category_indices(np.concatenate(parts.pop(name)))
+    identifiers = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
+    return FlowTable(schema, benign_name, features, categories, np.concatenate(codes), tuple(codes_of),
+                     identifiers, dropped)
 
 
 def _require_identifiers(table: FlowTable, what: str) -> None:
     for name in table.schema.identifier_names:
-        if name not in table.data:
+        if name not in table.identifiers:
             raise DataError(
                 f"{what} needs identifier column {name!r}, and the table has none: "
                 "load it with keep_identifiers=True"
@@ -578,17 +572,16 @@ def write_csv(table: FlowTable, path: str | Path) -> None:
         columns = []
         for name in schema.names:
             kind = schema.kind_of(name)
-            if kind is ColumnKind.CATEGORICAL:
-                j = schema.feature_names.index(name)
-                columns.append(table.categories[name][table.features[:, j].astype(np.intp)].tolist())
-            elif kind is ColumnKind.NUMERIC:
-                columns.append([repr(float(v)) for v in table.data[name]])
+            if name in schema.feature_names:
+                col = table.features[:, schema.feature_names.index(name)]
+                cats = table.categories.get(name)
+                columns.append(list(map(repr, col.tolist())) if cats is None else cats[col.astype(np.intp)].tolist())
             elif kind is ColumnKind.BINARY_LABEL:
                 columns.append(["0" if c == 0 else "1" for c in table.class_codes.tolist()])
             elif kind is ColumnKind.ATTACK_CLASS:
                 columns.append(table.attack_classes.tolist())
             else:
-                columns.append(list(table.data[name]))
+                columns.append(list(table.identifiers[name]))
         for row in zip(*columns) if columns else []:
             writer.writerow(row)
 
@@ -635,7 +628,7 @@ def summarize(table: FlowTable) -> TableSummary:
 
     numeric = {}
     for name in table.schema.numeric_names:
-        col = table.data[name]
+        col = table.features[:, table.feature_names.index(name)]
         if col.size:
             numeric[name] = NumericStats(float(col.min()) + 0.0, float(col.max()) + 0.0, float(col.mean()))
         else:
@@ -647,7 +640,7 @@ def summarize(table: FlowTable) -> TableSummary:
         if kind is ColumnKind.CATEGORICAL:
             cardinality[name] = len(table.categories[name])
         elif kind is ColumnKind.IDENTIFIER:
-            cardinality[name] = len(set(table.data[name]))
+            cardinality[name] = len(set(table.identifiers[name]))
 
     return TableSummary(
         row_count=table.row_count,

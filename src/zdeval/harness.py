@@ -439,6 +439,8 @@ def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
         raise ConfigError(f"held-out class {unknown[0]!r} not present in dataset")
     selected = attack_names if cfg.classes is None else tuple(c for c in attack_names if c in cfg.classes)
 
+    if table.row_count < cfg.k:
+        raise DataError(f"k is {cfg.k}, more than the table's {table.row_count} rows: each fold needs a row")
     plan = make_fold_plan(table, cfg.k, cfg.seed)
     for name in plan.sparse_classes:
         warnings.append(f"class {name!r} has fewer rows than folds; it is sparse across folds")

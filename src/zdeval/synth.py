@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flowdata import Column, ColumnKind, FeatureSchema, FlowTable
+from .flowdata import Column, ColumnKind, FeatureSchema, FlowTable, table_from_columns
 
 
 @dataclass(frozen=True)
@@ -124,17 +124,15 @@ def synthesize_dataset(spec: SyntheticSpec) -> FlowTable:
     n = values.shape[0]
 
     columns = []
-    data: dict[str, np.ndarray] = {}
+    data: dict[str, Sequence] = {}
     if spec.include_identifier:
         columns.append(Column("flow_id", ColumnKind.IDENTIFIER))
         data["flow_id"] = np.array([f"flow-{i:07d}" for i in range(n)], dtype=object)
     for j in range(spec.d):
         columns.append(Column(f"f{j}", ColumnKind.NUMERIC))
-        data[f"f{j}"] = values[:, j].copy()
+        data[f"f{j}"] = values[:, j]
     columns.append(Column("attack_class", ColumnKind.ATTACK_CLASS))
-    data["attack_class"] = np.array(class_cells, dtype=object)
+    data["attack_class"] = class_cells
     columns.append(Column("label", ColumnKind.BINARY_LABEL))  # each row's class code != 0
 
-    table = FlowTable(FeatureSchema(tuple(columns)), spec.benign_name, data)
-    table.validate()
-    return table
+    return table_from_columns(FeatureSchema(tuple(columns)), spec.benign_name, data)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zdeval.classifiers.forest import _grow_tree
-from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
+from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable, table_from_columns
 from zdeval.preprocess import preprocess_pipeline
 from zdeval.wdanalysis import per_feature_wd
 from zdeval.zslsplit import Scenario
@@ -41,29 +41,43 @@ def make_table(rows: list[dict], benign_name: str = "Benign", schema: FeatureSch
             data[col.name] = np.array(cells, dtype=np.int64)
         else:
             data[col.name] = np.array([str(c) for c in cells], dtype=object)
-    table = FlowTable(schema, benign_name, data)
-    table.validate()
-    return table
+    return table_from_columns(schema, benign_name, data)
 
 
 def tables_equal(a: FlowTable, b: FlowTable) -> bool:
     """Cell-for-cell equality, schema and benign name included.
 
     The feature blocks, categorical indices included, must be equal, and so
-    must the categories, the class codes and names, and every column of
-    `data`.
+    must the categories, the class codes and names, and every kept
+    identifier column.
     """
     if a.schema != b.schema or a.benign_name != b.benign_name or a.row_count != b.row_count:
         return False
     if a.class_names != b.class_names or not np.array_equal(a.class_codes, b.class_codes):
         return False
-    if a.data.keys() != b.data.keys() or a.categories.keys() != b.categories.keys():
+    if a.identifiers.keys() != b.identifiers.keys() or a.categories.keys() != b.categories.keys():
         return False
     return (
         np.array_equal(a.features, b.features)
         and all(a.categories[n].tolist() == b.categories[n].tolist() for n in a.categories)
-        and all(np.array_equal(a.data[n], b.data[n]) for n in a.data)
+        and all(np.array_equal(a.identifiers[n], b.identifiers[n]) for n in a.identifiers)
     )
+
+
+def column(table: FlowTable, name: str) -> np.ndarray:
+    """A numeric feature's block column (a view), or a kept identifier column."""
+    if name in table.identifiers:
+        return table.identifiers[name]
+    return table.features[:, table.feature_names.index(name)]
+
+
+def table_columns(table: FlowTable) -> dict[str, np.ndarray]:
+    """The table's columns as `table_from_columns` takes them: numbers, category and class strings, identifiers."""
+    columns = {table.schema.attack_class_column: table.attack_classes, **table.identifiers}
+    for j, name in enumerate(table.feature_names):
+        col = table.features[:, j]
+        columns[name] = table.categories[name][col.astype(np.intp)] if name in table.categories else col
+    return columns
 
 
 def feature_table(values, names: tuple[str, ...] = ("x",)) -> FlowTable:
@@ -74,19 +88,19 @@ def feature_table(values, names: tuple[str, ...] = ("x",)) -> FlowTable:
         (*(Column(name, ColumnKind.NUMERIC) for name in names),
          Column("attack_class", ColumnKind.ATTACK_CLASS), Column("label", ColumnKind.BINARY_LABEL))
     )
-    columns = {"attack_class": np.full(n, "Benign", dtype=object), "label": np.zeros(n, dtype=np.int64)}
-    return FlowTable(schema, "Benign", columns, features=values)
+    return FlowTable(schema, "Benign", values, {}, np.zeros(n, dtype=np.intp), ("Benign",))
+
+
+def with_classes(table: FlowTable, codes, class_names: tuple[str, ...]) -> FlowTable:
+    """`table`'s features and identifiers, its rows' classes the given codes into `class_names` (benign first)."""
+    codes = np.asarray(codes, dtype=np.intp)
+    return FlowTable(table.schema, class_names[0], table.features, table.categories, codes, tuple(class_names),
+                     table.identifiers)
 
 
 def coded_table(codes, class_names: tuple[str, ...]) -> FlowTable:
     """A table whose rows have the given class codes into `class_names` (benign first), with one zero feature."""
-    codes = np.asarray(codes, dtype=np.intp)
-    schema = FeatureSchema(
-        (Column("x", ColumnKind.NUMERIC), Column("attack_class", ColumnKind.ATTACK_CLASS),
-         Column("label", ColumnKind.BINARY_LABEL))
-    )
-    return FlowTable(schema, class_names[0], {}, features=np.zeros((codes.size, 1)), class_codes=codes,
-                     class_names=tuple(class_names))
+    return with_classes(feature_table(np.zeros(len(codes))), codes, class_names)
 
 
 def fit_rows(table: FlowTable, rows=None):
@@ -151,8 +165,7 @@ def scenario_wd(table: FlowTable, train_rows, test_rows, transform=None) -> dict
     codes, fold = np.ones(table.row_count, dtype=np.intp), np.zeros(table.row_count, dtype=np.uint8)
     codes[train_rows] = codes[test_rows] = 0
     fold[test_rows] = 1
-    view = FlowTable(table.schema, table.benign_name, {}, features=table.features, categories=table.categories,
-                     class_codes=codes, class_names=(table.benign_name, "held out"))
+    view = with_classes(table, codes, (table.benign_name, "held out"))
     transform = RawColumns(table) if transform is None else transform
     out = {}
     for j, name in enumerate(table.feature_names):

@@ -214,6 +214,23 @@ class TestRun:
             assert f"unknown config key '{key}'" in caplog.text
             assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run", "wd"])
+    def test_a_subsample_below_k_exits_1_before_the_dataset_is_read(self, tmp_path, caplog, command):
+        # the dataset does not exist, so reading it would exit 2
+        cfg = tmp_path / "cfg.json"
+        doc = {"dataset": "missing.csv", "benign_name": "Benign", "columns": _COLUMNS, "seed": 0, "k": 5}
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg), "--subsample", "3", "--out", str(tmp_path / "o")]) == 1
+        assert "subsample must be >= k (5), one row per fold at least, got 3" in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "wd"])
+    def test_more_folds_than_rows_is_a_data_error(self, experiment_setup, caplog, command):
+        tmp_path, cfg = experiment_setup
+        cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), k=400)))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "k is 400, more than the table's 300 rows: each fold needs a row" in caplog.text
+
     def test_data_error_exit_code(self, experiment_setup, caplog):
         tmp_path, cfg = experiment_setup
         doc = json.loads(cfg.read_text())

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import csv
+import re
 import sys
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import feature_table, make_table, tables_equal
+from conftest import column, feature_table, make_table, tables_equal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle_impls import row_at_a_time_load_csv, unique_summary_counts
@@ -21,6 +22,7 @@ from zdeval.flowdata import (
     FlowTable,
     load_csv,
     summarize,
+    table_from_columns,
     write_csv,
 )
 from zdeval.harness import subsample_rows
@@ -82,13 +84,13 @@ class TestLoadCsv:
         assert table.row_count == 3
         assert table.class_names == ("Benign", "Dos", "Worms")
         assert table.class_codes.tolist() == [0, 1, 2]
-        assert table.data["dur"].tolist() == [1.5, 2.0, 0.5]
+        assert column(table, "dur").tolist() == [1.5, 2.0, 0.5]
 
     def test_header_order_insensitive(self, tmp_path):
         p = tmp_path / "t.csv"
         write_lines(p, ["label,dur,attack_class", "0,1.5,Benign", "1,2.0,Dos"])
         table = load_csv(p, schema_3col(), "Benign")
-        assert table.data["dur"].tolist() == [1.5, 2.0]
+        assert column(table, "dur").tolist() == [1.5, 2.0]
 
     def test_missing_column_named(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -119,7 +121,7 @@ class TestLoadCsv:
         write_lines(p, ["dur,attack_class,label"])
         table = load_csv(p, schema_3col(), "Benign")
         assert table.row_count == 0
-        assert [col.dtype for col in table.data.values()] == [np.float64]
+        assert table.features.dtype == np.float64 and table.features.shape == (0, 1)
         assert table.class_codes.dtype == np.intp and table.class_names == ("Benign",)
 
     def test_bad_numeric_abort_names_line(self, tmp_path):
@@ -167,7 +169,7 @@ class TestLoadCsv:
         p = tmp_path / "t.csv"
         write_lines(p, ["dur,attack_class,label", "1e-3,Benign,0", "2.75,Dos,1"])
         table = load_csv(p, schema_3col(), "Benign")
-        assert table.data["dur"].tolist() == [0.001, 2.75]
+        assert column(table, "dur").tolist() == [0.001, 2.75]
 
 
 class TestRoundTrip:
@@ -181,10 +183,9 @@ class TestRoundTrip:
         p = tmp_path / "rt.csv"
         write_csv(small_table, p)
         table = load_csv(p, small_table.schema, small_table.benign_name)
-        assert set(small_table.data) - set(table.data) == {"flow_id"}
+        assert list(small_table.identifiers) == ["flow_id"] and table.identifiers == {}
         assert np.array_equal(table.features, small_table.features)
-        assert all(np.array_equal(table.data[n], small_table.data[n]) for n in table.data)
-        assert table.take(np.array([4, 0])).data["dur"].tolist() == [5.0, 1.0]
+        assert column(table.take(np.array([4, 0])), "dur").tolist() == [5.0, 1.0]
         with pytest.raises(DataError, match=r"^summarize needs identifier column 'flow_id'"):
             summarize(table)
         with pytest.raises(DataError, match=r"^write_csv needs identifier column 'flow_id'"):
@@ -335,6 +336,105 @@ def test_label_consistency_assertable_over_all_rows(small_table):
         make_table([{"x": 0.0, "attack_class": "Benign", "label": 0}, {"x": 1.0, "attack_class": "Dos", "label": 0}])
 
 
+MIXED_COLUMNS = FeatureSchema(
+    (
+        Column("flow_id", ColumnKind.IDENTIFIER),
+        Column("dur", ColumnKind.NUMERIC),
+        Column("proto", ColumnKind.CATEGORICAL),
+        Column("attack_class", ColumnKind.ATTACK_CLASS),
+        Column("label", ColumnKind.BINARY_LABEL),
+    )
+)
+
+
+class TestConstructor:
+    """`FlowTable` takes the coded form and checks only its shapes, naming what is wrong."""
+
+    def parts(self, n=3):
+        features = np.zeros((n, 2), order="F")
+        return {"features": features, "categories": {"proto": np.array(["tcp"])},
+                "class_codes": np.zeros(n, dtype=np.intp), "class_names": ("Benign",),
+                "identifiers": {"flow_id": np.array(["a"] * n, dtype=object)}}
+
+    def test_the_coded_form_is_taken_as_it_is(self):
+        parts = self.parts()
+        table = FlowTable(MIXED_COLUMNS, "Benign", **parts)
+        assert table.features is parts["features"] and table.identifiers is parts["identifiers"]
+        assert table.row_count == 3 and table.dropped_rows == 0
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 1), (6,)])
+    def test_a_block_of_the_wrong_shape(self, shape):
+        parts = {**self.parts(), "features": np.zeros(shape)}
+        with pytest.raises(DataError, match=rf"^feature block has shape {re.escape(str(shape))}, expected \(rows, 2\)"):
+            FlowTable(MIXED_COLUMNS, "Benign", **parts)
+
+    def test_a_categorical_feature_with_no_categories(self):
+        parts = {**self.parts(), "categories": {}}
+        with pytest.raises(DataError, match=r"^categorical feature 'proto' has no categories"):
+            FlowTable(MIXED_COLUMNS, "Benign", **parts)
+
+    def test_an_identifier_column_of_the_wrong_length(self):
+        parts = {**self.parts(), "identifiers": {"flow_id": np.array(["a", "b"], dtype=object)}}
+        with pytest.raises(DataError, match=r"^'flow_id' has 2 cells, expected 3, one per row of the feature block"):
+            FlowTable(MIXED_COLUMNS, "Benign", **parts)
+
+    def test_class_codes_of_the_wrong_length(self):
+        parts = {**self.parts(), "class_codes": np.zeros(4, dtype=np.intp)}
+        with pytest.raises(DataError, match=r"^'class_codes' has 4 cells, expected 3, one per row of the feature block"):
+            FlowTable(MIXED_COLUMNS, "Benign", **parts)
+
+
+class TestTableFromColumns:
+    """`table_from_columns` codes columns of strings and numbers, and checks their cells."""
+
+    COLUMNS = {
+        "flow_id": ["a", "b", "c", "d"],
+        "dur": [1.5, 2.0, 0.5, 4.0],
+        "proto": ["udp", "tcp", "udp", "icmp"],
+        "attack_class": ["Dos", "Benign", "Worms", "Dos"],
+        "label": [1, 0, 1, 1],
+    }
+
+    def test_categories_indexed_and_classes_coded(self):
+        table = table_from_columns(MIXED_COLUMNS, "Benign", self.COLUMNS)
+        assert table.categories["proto"].tolist() == ["icmp", "tcp", "udp"]
+        assert table.features.tolist() == [[1.5, 2.0], [2.0, 1.0], [0.5, 2.0], [4.0, 0.0]]
+        assert table.features.strides[0] == table.features.itemsize
+        assert table.class_names == ("Benign", "Dos", "Worms")
+        assert table.class_codes.tolist() == [1, 0, 2, 1]
+        assert table.identifiers["flow_id"].dtype == object
+        assert table.identifiers["flow_id"].tolist() == ["a", "b", "c", "d"]
+
+    def test_identifiers_and_label_may_be_left_out(self):
+        columns = {k: v for k, v in self.COLUMNS.items() if k not in ("flow_id", "label")}
+        table, full = (table_from_columns(MIXED_COLUMNS, "Benign", c) for c in (columns, self.COLUMNS))
+        assert table.identifiers == {}
+        assert np.array_equal(table.features, full.features) and np.array_equal(table.class_codes, full.class_codes)
+
+    @pytest.mark.parametrize("name", ["dur", "proto", "attack_class"])
+    def test_a_missing_column(self, name):
+        columns = {k: v for k, v in self.COLUMNS.items() if k != name}
+        with pytest.raises(DataError, match=rf"^table is missing column '{name}'"):
+            table_from_columns(MIXED_COLUMNS, "Benign", columns)
+
+    @pytest.mark.parametrize("name", ["flow_id", "dur", "proto", "label"])
+    def test_a_column_of_the_wrong_length(self, name):
+        columns = {**self.COLUMNS, name: self.COLUMNS[name][:3]}
+        with pytest.raises(DataError, match=rf"^column '{name}' has 3 cells, expected 4"):
+            table_from_columns(MIXED_COLUMNS, "Benign", columns)
+
+    def test_a_label_that_disagrees_with_the_class(self):
+        columns = {**self.COLUMNS, "label": [1, 0, 0, 1]}
+        with pytest.raises(DataError, match=r"^binary label disagrees with attack class at row 2: label=0, class='Worms'"):
+            table_from_columns(MIXED_COLUMNS, "Benign", columns)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_numeric_cell_that_is_not_finite(self, value):
+        columns = {**self.COLUMNS, "dur": [1.5, 2.0, 0.5, value]}
+        with pytest.raises(DataError, match=r"^non-finite value in column 'dur' at row 3"):
+            table_from_columns(MIXED_COLUMNS, "Benign", columns)
+
+
 class TestLoadLineNumbers:
     @pytest.mark.parametrize(
         "lines, expect",
@@ -390,7 +490,7 @@ class TestLoadLineEnds:
         write_lines(p, ["dur,attack_class,label", "", '1.5,"Ben', 'ign",1', "", "", "2.5,Benign,0", ""])
         table = load_csv(p, schema_3col(), "Benign")
         assert table.attack_classes.tolist() == ["Ben\nign", "Benign"]
-        assert table.data["dur"].tolist() == [1.5, 2.5]
+        assert column(table, "dur").tolist() == [1.5, 2.5]
         assert table.features.shape == (2, 1)
 
     @pytest.mark.parametrize(
@@ -433,16 +533,12 @@ class TestCategoryIndices:
         j = small_table.schema.feature_names.index("proto")
         assert taken.categories["proto"].tolist() == ["icmp", "udp"]
         assert taken.features[:, j].tolist() == [0.0, 1.0]
-        assert taken.data["dur"].tolist() == [4.0, 2.0]
+        assert column(taken, "dur").tolist() == [4.0, 2.0]
 
 
 def assert_feature_major(table: FlowTable) -> None:
-    """Each column of the table's block is contiguous, and each numeric column of `data` is a view of it."""
-    block = table.features
-    assert block.strides[0] == block.itemsize
-    for j, name in enumerate(table.feature_names):
-        if name in table.schema.numeric_names:
-            assert np.shares_memory(table.data[name], block[:, j])
+    """Each column of the table's block is contiguous."""
+    assert table.features.strides[0] == table.features.itemsize
 
 
 class TestFeatureMajorLayout:
@@ -465,7 +561,7 @@ class TestFeatureMajorLayout:
         write_lines(p, self.LINES)
         table = load_csv(p, self.SCHEMA, "Benign")
         assert_feature_major(table)
-        assert table.data["bytes"].tolist() == [10.0, 20.0, 30.0]
+        assert column(table, "bytes").tolist() == [10.0, 20.0, 30.0]
 
     def test_load_csv_dropping_a_row(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -473,8 +569,8 @@ class TestFeatureMajorLayout:
         table = load_csv(p, self.SCHEMA, "Benign", on_bad_row="drop")
         assert table.dropped_rows == 1
         assert_feature_major(table)
-        assert table.data["dur"].tolist() == [1.5, 3.5]
-        assert table.data["bytes"].tolist() == [10.0, 30.0]
+        assert column(table, "dur").tolist() == [1.5, 3.5]
+        assert column(table, "bytes").tolist() == [10.0, 30.0]
 
     def test_built_from_data(self, small_table):
         assert_feature_major(small_table)
@@ -488,7 +584,7 @@ class TestFeatureMajorLayout:
     def test_take_and_subsample(self, small_table):
         taken = small_table.take(np.array([4, 0, 3, 0]))
         assert_feature_major(taken)
-        assert taken.data["dur"].tolist() == [5.0, 1.0, 4.0, 1.0]
+        assert column(taken, "dur").tolist() == [5.0, 1.0, 4.0, 1.0]
         assert_feature_major(subsample_rows(small_table, 3, seed=1))
 
     def test_take_holds_the_rows_once(self):
@@ -556,7 +652,7 @@ class TestTakeAgainstLoad:
     def test_subsample(self, tmp_path, cap):
         rows = self.rows()
         sub = subsample_rows(make_table(rows, schema=self.SCHEMA), cap, seed=cap)
-        keep = [int(i) for i in sub.data["flow_id"]]
+        keep = [int(i) for i in sub.identifiers["flow_id"]]
         assert len(keep) == cap
         self.assert_same(sub, self.loaded(tmp_path, [rows[i] for i in keep]))
 
@@ -586,7 +682,7 @@ class TestLoadChunks:
         )
         assert table.dropped_rows == len(bad)
         assert tables_equal(table, expect)
-        assert list(table.data) == ["dur"]
+        assert table.features.shape == (len(good), 1)
         assert table.class_codes.dtype == np.intp
 
     @pytest.mark.parametrize("chunk_rows", [2, flowdata._CHUNK_ROWS], ids=["second-chunk", "one-chunk"])
@@ -686,7 +782,7 @@ def _outcome(load, path, **kwargs):
 
 def _loaded(table) -> tuple:
     """A loaded table as plain values: its block's bytes, its other columns, its categories and its drops."""
-    strings = {name: (col.dtype, col.tolist()) for name, col in table.data.items() if name not in MIXED.numeric_names}
+    strings = {name: (col.dtype, col.tolist()) for name, col in table.identifiers.items()}
     categories = {name: col.tolist() for name, col in table.categories.items()}
     return table.features.tobytes(), strings, categories, table.dropped_rows
 
@@ -717,11 +813,9 @@ def assert_same_as_oracle(path, keep_identifiers=False):
         # the categorical column is held once, as the block's indices into its categories
         cells, _ = parsed
         index = table.features[:, MIXED.feature_names.index("proto")].astype(np.intp)
-        assert "proto" not in table.data
         assert table.categories["proto"][index].tolist() == cells["proto"].tolist()
         # the class is held once, as codes into the names in order of first appearance, and the label not at all
         classes = cells["attack_class"].tolist()
-        assert not {"label", "attack_class"} & set(table.data)
         assert table.class_names == tuple(dict.fromkeys(["Benign", *classes]))
         assert [table.class_names[c] for c in table.class_codes] == classes
         assert (table.class_codes != 0).tolist() == (cells["label"] == 1).tolist()
@@ -759,7 +853,7 @@ class TestLoadAgainstOracle:
             assert_same_as_oracle(path)
             assert_same_as_oracle(path, keep_identifiers=True)
             if late.startswith("1_5"):
-                assert load_csv(path, MIXED, "Benign").data["dur"][6] == 15.0
+                assert column(load_csv(path, MIXED, "Benign"), "dur")[6] == 15.0
                 return
             line = 1 + sum(row.count("\n") + 1 for row in rows[:7])
             with pytest.raises(DataError, match=rf"^(row at )?line {line}\b"):
@@ -776,7 +870,7 @@ class TestLoadAgainstOracle:
                 table = load_csv(path, MIXED, "Benign", keep_identifiers=True)
                 assert table.row_count == 8 and csv_path.call_count == 0
                 proto = table.categories["proto"][int(table.features[2, MIXED.feature_names.index("proto")])]
-                assert table.data["flow_id"][2] == 'a,"b"\r\nc' and proto == "u\ndp"
+                assert table.identifiers["flow_id"][2] == 'a,"b"\r\nc' and proto == "u\ndp"
                 path.write_bytes(path.read_bytes().replace(b"7.25", b"nan"))
                 with pytest.raises(AssertionError, match="csv path"):
                     load_csv(path, MIXED, "Benign")
@@ -824,8 +918,8 @@ class TestLoadAgainstOracle:
 
 def _table_bytes(table) -> int:
     """Array bytes, the class codes' included, plus each distinct string object the object arrays point to."""
-    strings = {id(s): s for col in table.data.values() if col.dtype == object for s in col}
-    arrays = sum(col.nbytes for col in table.data.values()) + table.class_codes.nbytes
+    strings = {id(s): s for col in table.identifiers.values() for s in col}
+    arrays = table.features.nbytes + sum(col.nbytes for col in table.identifiers.values()) + table.class_codes.nbytes
     return arrays + sum(sys.getsizeof(s) for s in strings.values())
 
 

@@ -22,10 +22,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import table_columns
 
 from zdeval.classifiers import forest_score, mlp_score, mlp_train, train_forest
 from zdeval.config import KNOWN_MODELS, config_from_dict
-from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable, load_csv, write_csv
+from zdeval.flowdata import Column, ColumnKind, FeatureSchema, load_csv, table_from_columns, write_csv
 from zdeval.harness import _SEED_TRAIN, _prepare, derive_seed, emit_reports, openblas_function, run_experiment
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
 from zdeval.zslsplit import Scenario
@@ -129,12 +130,10 @@ def golden_cfg(tmp_path_factory):
         seed=21,
     )
     table = synthesize_dataset(spec)
-    data = dict(table.data)
+    data = table_columns(table)
     for j in range(spec.d):
         data[f"f{j}"] = np.round(data[f"f{j}"], 1)
-    table = FlowTable(
-        table.schema, table.benign_name, data, class_codes=table.class_codes, class_names=table.class_names
-    )
+    table = table_from_columns(table.schema, table.benign_name, data)
     path = tmp / "golden.csv"
     write_csv(table, path)
     return config_from_dict(
@@ -170,10 +169,7 @@ def categorical_cfg(golden_cfg, tmp_path_factory):
     proto = np.array([str(rng.choice(choices[c])) for c in table.attack_classes], dtype=object)
     columns = list(table.schema.columns)
     columns.insert(columns.index(Column("f1", ColumnKind.NUMERIC)) + 1, Column("proto", ColumnKind.CATEGORICAL))
-    table = FlowTable(
-        FeatureSchema(tuple(columns)), table.benign_name, {**table.data, "proto": proto},
-        class_codes=table.class_codes, class_names=table.class_names,
-    )
+    table = table_from_columns(FeatureSchema(tuple(columns)), table.benign_name, {**table_columns(table), "proto": proto})
     path = tmp / "golden-categorical.csv"
     write_csv(table, path)
     return dataclasses.replace(

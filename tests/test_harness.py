@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fit_rows, scenario_wd, tables_equal
+from conftest import column, fit_rows, scenario_wd, table_columns, tables_equal
 from oracle_impls import merge_wd
 
 from zdeval import harness
@@ -29,7 +29,7 @@ from zdeval.config import (
     load_config,
 )
 from zdeval.errors import ConfigError, DataError
-from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable, load_csv, write_csv
+from zdeval.flowdata import Column, ColumnKind, FeatureSchema, load_csv, table_from_columns, write_csv
 from zdeval.harness import (
     _SEED_TRAIN,
     _prepare,
@@ -72,13 +72,7 @@ def cat_csv(synth_csv, tmp_path_factory):
     proto = np.where(np.arange(table.row_count) % 3, "tcp", "udp").astype(object)
     schema = FeatureSchema((*table.schema.columns, Column("proto", ColumnKind.CATEGORICAL)))
     path = tmp_path_factory.mktemp("cat") / "data.csv"
-    write_csv(
-        FlowTable(
-            schema, table.benign_name, {**table.data, "proto": proto},
-            class_codes=table.class_codes, class_names=table.class_names,
-        ),
-        path,
-    )
+    write_csv(table_from_columns(schema, table.benign_name, {**table_columns(table), "proto": proto}), path)
     return path, schema
 
 
@@ -125,7 +119,7 @@ class TestSyntheticDataset:
             n_benign=10, attacks=(AttackBlob("a", 50, mean=0.0, shift=1.5),), d=2, seed=9
         )
         t_base, t_moved = synthesize_dataset(base), synthesize_dataset(moved)
-        delta = t_moved.data["f0"][10:] - t_base.data["f0"][10:]
+        delta = column(t_moved, "f0")[10:] - column(t_base, "f0")[10:]
         assert np.allclose(delta, 1.5, atol=1e-12)
 
     def test_unshifted_class_near_benign_wd(self):
@@ -176,6 +170,13 @@ class TestConfig:
         path, table = synth_csv
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             config_from_dict(base_config_dict(path, table.schema.to_json(), **{key: value}))
+
+    @pytest.mark.parametrize("subsample", [0, 1, 4])
+    def test_a_subsample_below_k_rejected(self, synth_csv, subsample):
+        path, table = synth_csv
+        with pytest.raises(ConfigError, match=rf"^subsample must be >= k \(5\), one row per fold at least, got {subsample}$"):
+            config_from_dict(base_config_dict(path, table.schema.to_json(), k=5, subsample=subsample))
+        assert config_from_dict(base_config_dict(path, table.schema.to_json(), k=5, subsample=5)).subsample == 5
 
     def test_unknown_model_rejected(self, synth_csv):
         path, table = synth_csv
@@ -413,7 +414,7 @@ class TestRunExperiment:
         recorded = report.transforms[key]["scaler"]
         train, _ = scenario_rows(scenario, plan, loaded)
         for feat, rng_ in recorded.items():
-            col = loaded.data[feat][train]
+            col = column(loaded, feat)[train]
             assert rng_["min"] == float(col.min())
             assert rng_["max"] == float(col.max())
 
@@ -445,7 +446,7 @@ def _renamed_csv(table, out: Path, name: str) -> Path:
     classes = table.attack_classes.copy()
     classes[classes == "beta"] = name
     path = out / "data.csv"
-    write_csv(FlowTable(table.schema, table.benign_name, {**table.data, col: classes}), path)
+    write_csv(table_from_columns(table.schema, table.benign_name, {**table_columns(table), col: classes}), path)
     return path
 
 

@@ -5,14 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import feature_table, fit_rows, make_table
+from conftest import column, feature_table, fit_rows, make_table, table_columns
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracle_impls import gathered_scenario_fit, string_pipeline
 
 from zdeval import preprocess
 from zdeval.errors import DataError
-from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable, summarize
+from zdeval.flowdata import Column, ColumnKind, FeatureSchema, summarize, table_from_columns
 from zdeval.harness import subsample_rows
 from zdeval.preprocess import FittedTransform, PrepCounters, preprocess_pipeline, transforms_to_json
 from zdeval.synth import AttackBlob, SyntheticSpec, synthesize_dataset
@@ -87,7 +87,6 @@ class TestEncoder:
 
     def test_base_matrix_is_the_tables_block(self, small_table):
         _, t = fit(small_table)
-        assert np.shares_memory(small_table.features, small_table.data["dur"])
         assert small_table.features.strides[0] == small_table.features.itemsize  # each column contiguous
         rows = every_row(small_table)
         assert coded(small_table, t, rows)[:, 0].tobytes() == small_table.features[:, 0].tobytes()
@@ -110,9 +109,7 @@ class TestEncoder:
         assert peak < table.features.nbytes
 
     def test_labels_preserved_exactly(self, small_table):
-        # the categorical strings, the label and the class cells are dropped at construction;
         # the class is held as codes, and the label is the code != 0
-        assert not {"proto", "label", "attack_class"} & set(small_table.data)
         assert (small_table.class_codes != 0).astype(int).tolist() == [0, 1, 1, 1, 0]
         assert small_table.attack_classes.tolist() == ["Benign", "Dos", "Worms", "Dos", "Benign"]
 
@@ -284,7 +281,7 @@ def _tables(draw):
     columns += [Column("attack_class", ColumnKind.ATTACK_CLASS), Column("label", ColumnKind.BINARY_LABEL)]
     data["attack_class"] = np.array(classes, dtype=object)
     data["label"] = np.array([int(c != "Benign") for c in classes], dtype=np.int64)
-    table = FlowTable(FeatureSchema(tuple(columns)), "Benign", data)
+    table = table_from_columns(FeatureSchema(tuple(columns)), "Benign", data)
     # sorted, as a scenario's train rows are: a fit takes its rows as a set, in row order
     train = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).map(sorted))
     rows = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
@@ -390,7 +387,7 @@ class TestStringOracle:
     def test_column_into_a_buffer_allocates_only_chunks(self, train):
         rng = np.random.default_rng(18)
         n = 40_000
-        table = FlowTable(
+        table = table_from_columns(
             FeatureSchema((Column("x", ColumnKind.NUMERIC), Column("proto", ColumnKind.CATEGORICAL),
                            Column("attack_class", ColumnKind.ATTACK_CLASS), Column("label", ColumnKind.BINARY_LABEL))),
             "Benign",
@@ -479,7 +476,7 @@ def _scenario_tables(draw):
     columns += [Column("attack_class", ColumnKind.ATTACK_CLASS), Column("label", ColumnKind.BINARY_LABEL)]
     data["attack_class"] = np.array(classes, dtype=object)
     data["label"] = np.array([int(c != "Benign") for c in classes], dtype=np.int64)
-    table = FlowTable(FeatureSchema(tuple(columns)), "Benign", data)
+    table = table_from_columns(FeatureSchema(tuple(columns)), "Benign", data)
     k = draw(st.integers(2, min(3, n)))
     cap = draw(st.none() | st.integers(k, n))
     if cap is not None:
@@ -511,12 +508,9 @@ class TestOnePassFit:
         )
         table = synthesize_dataset(spec)
         proto = np.where(table.attack_classes == "c", "icmp", np.where(np.arange(table.row_count) % 3, "tcp", "udp"))
-        x = np.round(table.data["f0"], 0) * np.where(np.arange(table.row_count) % 2, 1.0, -1.0)
+        x = np.round(column(table, "f0"), 0) * np.where(np.arange(table.row_count) % 2, 1.0, -1.0)
         schema = FeatureSchema((*table.schema.columns, Column("proto", ColumnKind.CATEGORICAL)))
-        table = FlowTable(
-            schema, table.benign_name, {**table.data, "f0": x, "proto": proto.astype(object)},
-            class_codes=table.class_codes, class_names=table.class_names,
-        )
+        table = table_from_columns(schema, table.benign_name, {**table_columns(table), "f0": x, "proto": proto})
         assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
         if subsample is not None:
             table = subsample_rows(table, subsample, 3)
@@ -528,7 +522,7 @@ class TestOnePassFit:
     def test_a_fit_over_every_group_reduces_each_column_whole(self):
         rng = np.random.default_rng(3)
         n = 40_000
-        table = FlowTable(
+        table = table_from_columns(
             FeatureSchema((Column("x", ColumnKind.NUMERIC), Column("proto", ColumnKind.CATEGORICAL),
                            Column("attack_class", ColumnKind.ATTACK_CLASS), Column("label", ColumnKind.BINARY_LABEL))),
             "Benign",

@@ -4,12 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import feature_table, fit_rows, make_table, scenario_wd, wasserstein_1d
+from conftest import feature_table, fit_rows, make_table, scenario_wd, wasserstein_1d, with_classes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_impls import cdf_grid_wd, merge_wd, sorted_diff_wd, spearman_oracle, three_sort_wd
 
-from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable
+from zdeval.flowdata import Column, ColumnKind, FeatureSchema, FlowTable, table_from_columns
 from zdeval.preprocess import preprocess_pipeline
 from zdeval.wdanalysis import per_feature_wd, rank_correlation
 from zdeval.zslsplit import FoldPlan, make_zero_day_scenarios, row_groups, scenario_rows, train_groups
@@ -260,9 +260,10 @@ class TestFeatureJob:
             "a": rng.normal(size=n) * 100,
             "proto": np.array(rng.choice(["tcp", "udp", "icmp"], n), dtype=object),
             "b": rng.integers(0, 5, n).astype(np.float64),
+            "attack_class": np.full(n, "Benign", dtype=object),
         }
         names = ("Benign", *(f"attack{c}" for c in range(1, n_classes)))
-        return FlowTable(schema, "Benign", data, class_codes=rng.integers(0, n_classes, n), class_names=names)
+        return with_classes(table_from_columns(schema, "Benign", data), rng.integers(0, n_classes, n), names)
 
     @pytest.mark.parametrize("scope", ["full-dataset", "train-only"])
     def test_a_job_holds_eight_columns_whatever_the_scenario_count(self, scope):
@@ -353,7 +354,8 @@ def scenario_cases(draw):
     schema = FeatureSchema((*columns, Column("attack_class", ColumnKind.ATTACK_CLASS),
                             Column("label", ColumnKind.BINARY_LABEL)))
     names = ("Benign", *(f"c{c}" for c in range(1, n_classes)))
-    table = FlowTable(schema, "Benign", data, class_codes=rng.integers(0, n_classes, n), class_names=names)
+    data["attack_class"] = np.full(n, "Benign", dtype=object)
+    table = with_classes(table_from_columns(schema, "Benign", data), rng.integers(0, n_classes, n), names)
     plan = FoldPlan(k, 0, rng.integers(0, k, n).astype(np.uint8), ())
     scenarios = make_zero_day_scenarios(plan, table)
     groups = row_groups(plan, table)
