@@ -40,8 +40,6 @@ from .classifiers import (
     train_forest,
 )
 from .metrics import (
-    ConfusionCounts,
-    MetricsReport,
     aggregate_folds,
     auc,
     basic_metrics,

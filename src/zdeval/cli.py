@@ -131,11 +131,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     table = load_csv(cfg.dataset, cfg.schema, cfg.benign_name, on_bad_row=cfg.on_bad_row, keep_identifiers=True)
-    attack_names = table.attack_names
-    out = summarize(table).to_json()
-    out["attack_names"] = list(attack_names)
-    out["attack_rows"] = sum(table.class_counts[1:])
-    json.dump(out, sys.stdout, indent=2, sort_keys=True)
+    table.attack_names  # raises DataError for a table with no attack class
+    json.dump(summarize(table), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
 

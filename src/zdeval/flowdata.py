@@ -586,66 +586,34 @@ def write_csv(table: FlowTable, path: str | Path) -> None:
             writer.writerow(row)
 
 
-@dataclass(frozen=True)
-class NumericStats:
-    """Per-feature stats; None for a column with no rows."""
+def summarize(table: FlowTable) -> dict:
+    """The summary `zdeval inspect` prints: row and class counts, numeric stats, cardinalities.
 
-    min: float | None
-    max: float | None
-    mean: float | None
-
-
-@dataclass(frozen=True)
-class TableSummary:
-    row_count: int
-    class_counts: dict[str, int]
-    numeric: dict[str, NumericStats]
-    cardinality: dict[str, int]
-    n_feature_columns: int
-
-    def to_json(self) -> dict:
-        return {
-            "row_count": self.row_count,
-            "class_counts": dict(self.class_counts),
-            "numeric": {k: {"min": v.min, "max": v.max, "mean": v.mean} for k, v in self.numeric.items()},
-            "cardinality": dict(self.cardinality),
-            "n_feature_columns": self.n_feature_columns,
-        }
-
-
-def summarize(table: FlowTable) -> TableSummary:
-    """Deterministic dataset summary: class counts, numeric stats, cardinalities.
-
-    Class counts are in sorted-name order. Means are computed in float64
-    with numpy's pairwise summation, and a zero min or max is 0.0, as in a
-    fitted range, whether the column holds -0.0 or 0.0 there. A categorical
-    column's cardinality is the number of its categories, and an identifier
-    column's is counted over its interned strings, with no fixed-width copy.
-    A class with no rows has no count.
+    Class counts are in sorted-name order, and a class with no rows has
+    none. The attack classes are named in code order, benign rows aside.
+    Per numeric feature, its min, max and mean, each None for a table with
+    no rows. Means are computed in float64 with numpy's pairwise summation,
+    and a zero min or max is 0.0, as in a fitted range, whether the column
+    holds -0.0 or 0.0 there. A categorical column's cardinality is the
+    number of its categories, and an identifier column's is counted over its
+    interned strings, with no fixed-width copy.
     """
     _require_identifiers(table, "summarize")
-    class_counts = {name: c for name, c in sorted(zip(table.class_names, table.class_counts)) if c}
-
     numeric = {}
     for name in table.schema.numeric_names:
         col = table.features[:, table.feature_names.index(name)]
         if col.size:
-            numeric[name] = NumericStats(float(col.min()) + 0.0, float(col.max()) + 0.0, float(col.mean()))
+            numeric[name] = {"min": float(col.min()) + 0.0, "max": float(col.max()) + 0.0, "mean": float(col.mean())}
         else:
-            numeric[name] = NumericStats(None, None, None)
-
-    cardinality = {}
-    for name in table.schema.names:
-        kind = table.schema.kind_of(name)
-        if kind is ColumnKind.CATEGORICAL:
-            cardinality[name] = len(table.categories[name])
-        elif kind is ColumnKind.IDENTIFIER:
-            cardinality[name] = len(set(table.identifiers[name]))
-
-    return TableSummary(
-        row_count=table.row_count,
-        class_counts=class_counts,
-        numeric=numeric,
-        cardinality=cardinality,
-        n_feature_columns=len(table.schema.feature_names),
-    )
+            numeric[name] = {"min": None, "max": None, "mean": None}
+    cardinality = {name: len(table.categories[name]) for name in table.schema.categorical_names}
+    cardinality |= {name: len(set(table.identifiers[name])) for name in table.schema.identifier_names}
+    return {
+        "row_count": table.row_count,
+        "class_counts": {name: c for name, c in sorted(zip(table.class_names, table.class_counts)) if c},
+        "attack_names": list(table.class_names[1:]),
+        "attack_rows": sum(table.class_counts[1:]),
+        "numeric": numeric,
+        "cardinality": cardinality,
+        "n_feature_columns": len(table.schema.feature_names),
+    }

@@ -62,7 +62,7 @@ from .classifiers import forest_score, forest_to_json, mlp_score, mlp_to_json, m
 from .config import KNOWN_MODELS, ExperimentConfig
 from .errors import ConfigError, DataError
 from .flowdata import FlowTable, load_csv
-from .metrics import FoldAggregate, MetricsReport, aggregate_folds, per_class_positives, scenario_report, zdr
+from .metrics import aggregate_folds, per_class_positives, scenario_report, zdr
 from .preprocess import FittedTransform, preprocess_pipeline, transforms_to_json
 from .wdanalysis import per_feature_wd, rank_correlation
 from .zslsplit import (
@@ -106,13 +106,14 @@ class Job:
 class JobResult:
     """A job's result; `index` is its job's, a distance job's feature or a model job's scenario.
 
-    A distance job's `report` lists its feature's distance, or the failure
-    as a message, per zero-day scenario; its `error` is its first failure.
+    A model job's `report` is its fold's object in `run.json`. A distance
+    job's lists its feature's distance, or the failure as a message, per
+    zero-day scenario; its `error` is its first failure.
     """
 
     kind: str
     index: int
-    report: MetricsReport | list[float | str] | None = None
+    report: dict | list[float | str] | None = None
     per_class: dict[str, tuple[int, int]] | None = None
     error: str | None = None
 
@@ -441,6 +442,12 @@ def _prepare(cfg: ExperimentConfig, *, with_baseline: bool) -> _Prepared:
 
     if table.row_count < cfg.k:
         raise DataError(f"k is {cfg.k}, more than the table's {table.row_count} rows: each fold needs a row")
+    # each class deals its remainder rows from fold 0, so fold k - 1 holds a row only if some class has k
+    largest = max(table.class_counts)
+    if largest < cfg.k:
+        raise DataError(
+            f"k is {cfg.k}, and no class has {cfg.k} rows (the largest has {largest}): fold {largest} would hold no row"
+        )
     plan = make_fold_plan(table, cfg.k, cfg.seed)
     for name in plan.sparse_classes:
         warnings.append(f"class {name!r} has fewer rows than folds; it is sparse across folds")
@@ -539,15 +546,6 @@ def _compute_wd(cfg: ExperimentConfig, prep: _Prepared, results: list[JobResult]
     return wd_section
 
 
-def _aggregate_to_json(agg: FoldAggregate, folds: list[MetricsReport]) -> dict:
-    return {
-        "folds": [r.to_json() for r in folds],
-        "mean": agg.mean.to_json(),
-        "std": agg.std,
-        "undefined_counts": agg.undefined_counts,
-    }
-
-
 def _baseline_per_class_dr(
     base: list[JobResult], attack_names: tuple[str, ...], warnings: list[str], model: str
 ) -> dict:
@@ -588,9 +586,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         mine = [(prep.scenarios[r.index], r) for r in ok if r.kind == model]
         base = [r for s, r in mine if s.held_out is None]
         if base:
-            fold_reports = [r.report for r in base]
             report.baseline[model] = {
-                **_aggregate_to_json(aggregate_folds(fold_reports), fold_reports),
+                **aggregate_folds([r.report for r in base]),
                 "per_class_dr": _baseline_per_class_dr(base, prep.base.attack_names, report.warnings, model),
             }
         report.zero_day[model] = {}
@@ -598,13 +595,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             fold_reports = [r.report for s, r in mine if s.held_out == name]
             if not fold_reports:
                 continue
-            agg = aggregate_folds(fold_reports)
-            if agg.undefined_counts.get("zdr"):
+            entry = report.zero_day[model][name] = aggregate_folds(fold_reports)
+            if entry["undefined_counts"]["zdr"]:
                 report.warnings.append(
-                    f"zero-day detection rate undefined in {agg.undefined_counts['zdr']} fold(s) "
+                    f"zero-day detection rate undefined in {entry['undefined_counts']['zdr']} fold(s) "
                     f"for class {name!r} (model={model}); mean taken over the rest"
                 )
-            report.zero_day[model][name] = _aggregate_to_json(agg, fold_reports)
 
     for model in cfg.models:
         # zero_day[model] holds its classes in report order

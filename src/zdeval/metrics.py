@@ -3,8 +3,10 @@
 Attack is the positive class. Accuracy, detection rate (attack recall),
 false alarm rate, and the zero-day detection rate are reported in percent;
 precision, F1 and AUC as fractions in [0, 1]. A metric whose denominator is
-zero is `None` ("undefined"), never silently 0 or 100; JSON serialization
-turns these into nulls and fold aggregation skips them with a count.
+zero is `None` ("undefined"), never silently 0 or 100; `run.json` holds it
+as null and fold aggregation skips it with a count. Each report is the
+JSON object `run.json` holds: a fold's from `scenario_report`, a class's
+fold entry from `aggregate_folds`.
 
 The zero-day detection rate of a held-out class is the detection rate
 restricted to the test rows of that class: tp_z / (tp_z + fn_z) * 100. When
@@ -14,55 +16,13 @@ Test rows name their classes by code, as the table holds them (0 is benign).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 METRIC_NAMES = ("accuracy", "dr", "far", "precision", "f1", "auc", "zdr")
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    def to_json(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
-
-
-@dataclass
-class MetricsReport:
-    accuracy: float | None = None
-    dr: float | None = None
-    far: float | None = None
-    precision: float | None = None
-    f1: float | None = None
-    auc: float | None = None
-    zdr: float | None = None
-    fold_id: int | None = None
-    held_out_class: str | None = None
-    confusion: ConfusionCounts | None = None
-
-    def metric(self, name: str) -> float | None:
-        return getattr(self, name)
-
-    def to_json(self) -> dict:
-        out = {name: self.metric(name) for name in METRIC_NAMES}
-        out["fold"] = self.fold_id
-        out["held_out_class"] = self.held_out_class
-        if self.confusion is not None:
-            out["confusion"] = self.confusion.to_json()
-        return out
-
-
-def confusion(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionCounts:
-    """Exact confusion counts; attack (label 1) is positive."""
+def confusion(y_true: np.ndarray, y_pred: np.ndarray) -> dict[str, int]:
+    """Exact confusion counts {"tp", "fp", "tn", "fn"}; attack (label 1) is positive."""
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     if y_true.shape != y_pred.shape:
@@ -73,21 +33,31 @@ def confusion(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionCounts:
     fp = int(np.count_nonzero((y_true == 0) & (y_pred == 1)))
     tn = int(np.count_nonzero((y_true == 0) & (y_pred == 0)))
     fn = int(np.count_nonzero((y_true == 1) & (y_pred == 0)))
-    return ConfusionCounts(tp, fp, tn, fn)
+    return {"tp": tp, "fp": fp, "tn": tn, "fn": fn}
 
 
-def basic_metrics(c: ConfusionCounts) -> MetricsReport:
-    """Accuracy, DR, FAR (percent) and precision, F1 (fractions) from counts."""
-    accuracy = (c.tp + c.tn) / c.total * 100.0
-    dr = c.tp / (c.tp + c.fn) * 100.0 if (c.tp + c.fn) > 0 else None
-    far = c.fp / (c.fp + c.tn) * 100.0 if (c.fp + c.tn) > 0 else None
-    precision = c.tp / (c.tp + c.fp) if (c.tp + c.fp) > 0 else None
+def basic_metrics(c: dict[str, int]) -> dict:
+    """A fold's report from its counts: accuracy, DR, FAR (percent), precision, F1 (fractions).
+
+    The report holds every metric, `fold`, `held_out_class` and the counts
+    as `confusion`; AUC, Z-DR, the fold and the class are None until
+    `scenario_report` sets them.
+    """
+    tp, fp, tn, fn = c["tp"], c["fp"], c["tn"], c["fn"]
+    total = tp + fp + tn + fn
+    accuracy = (tp + tn) / total * 100.0 if total > 0 else None
+    dr = tp / (tp + fn) * 100.0 if (tp + fn) > 0 else None
+    far = fp / (fp + tn) * 100.0 if (fp + tn) > 0 else None
+    precision = tp / (tp + fp) if (tp + fp) > 0 else None
     f1 = None
     if precision is not None and dr is not None:
         recall = dr / 100.0
         if precision + recall > 0:
             f1 = 2.0 * precision * recall / (precision + recall)
-    return MetricsReport(accuracy=accuracy, dr=dr, far=far, precision=precision, f1=f1, confusion=c)
+    return {
+        "accuracy": accuracy, "dr": dr, "far": far, "precision": precision, "f1": f1, "auc": None, "zdr": None,
+        "fold": None, "held_out_class": None, "confusion": c,
+    }
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -160,44 +130,34 @@ def scenario_report(
     *,
     held_out_class: str | None = None,
     fold_id: int | None = None,
-) -> MetricsReport:
-    """Full per-fold report: confusion metrics, AUC, and Z-DR when applicable."""
+) -> dict:
+    """A fold's full report, as `run.json` holds it: confusion metrics, AUC, and Z-DR when applicable."""
     report = basic_metrics(confusion(y_true, y_pred))
-    report.auc = auc(y_true, scores)
-    report.fold_id = fold_id
-    report.held_out_class = held_out_class
+    report.update(auc=auc(y_true, scores), fold=fold_id, held_out_class=held_out_class)
     if held_out_class is not None:
-        report.zdr = zdr(per_class_positives(y_true, y_pred, class_codes, class_names), held_out_class)
+        report["zdr"] = zdr(per_class_positives(y_true, y_pred, class_codes, class_names), held_out_class)
     return report
 
 
-@dataclass
-class FoldAggregate:
-    """Mean/std over folds, skipping (and counting) undefined metrics."""
+def aggregate_folds(reports: list[dict]) -> dict:
+    """The fold reports and, per metric over the folds where it is defined, its arithmetic mean and population std.
 
-    mean: MetricsReport
-    std: dict[str, float | None]
-    undefined_counts: dict[str, int]
-
-
-def aggregate_folds(reports: list[MetricsReport]) -> FoldAggregate:
-    """Arithmetic mean and population std per metric over defined folds."""
+    Returns `run.json`'s entry {"folds", "mean", "std", "undefined_counts"}:
+    `mean` is a report with no fold, and a metric undefined in every fold
+    has a None mean and std. `undefined_counts` counts the folds skipped.
+    """
     if not reports:
         raise ValueError("cannot aggregate an empty report list")
-    held = {r.held_out_class for r in reports}
+    held = {r["held_out_class"] for r in reports}
     if len(held) > 1:
         raise ValueError(f"cannot aggregate reports for different held-out classes: {sorted(map(str, held))}")
 
-    mean = MetricsReport(held_out_class=reports[0].held_out_class)
+    mean: dict = {"fold": None, "held_out_class": reports[0]["held_out_class"]}
     std: dict[str, float | None] = {}
     undefined: dict[str, int] = {}
     for name in METRIC_NAMES:
-        values = [r.metric(name) for r in reports]
-        defined = np.array([v for v in values if v is not None], dtype=np.float64)
-        undefined[name] = len(values) - defined.size
-        if defined.size:
-            std[name] = float(defined.std())
-            setattr(mean, name, float(defined.mean()))
-        else:
-            std[name] = None
-    return FoldAggregate(mean, std, undefined)
+        defined = np.array([r[name] for r in reports if r[name] is not None], dtype=np.float64)
+        undefined[name] = len(reports) - defined.size
+        mean[name] = float(defined.mean()) if defined.size else None
+        std[name] = float(defined.std()) if defined.size else None
+    return {"folds": reports, "mean": mean, "std": std, "undefined_counts": undefined}

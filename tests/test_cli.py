@@ -231,6 +231,18 @@ class TestRun:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "k is 400, more than the table's 300 rows: each fold needs a row" in caplog.text
 
+    @pytest.mark.parametrize("command", ["run", "wd"])
+    def test_a_fold_with_no_row_is_a_data_error(self, tmp_path, caplog, command):
+        # each class deals its remainder rows from fold 0, so with no class of k rows the last
+        # fold is empty, and --keep-going does not carry the run past it
+        spec, cfg = tmp_path / "spec.json", tmp_path / "cfg.json"
+        spec.write_text(json.dumps({"n_benign": 4, "attacks": [{"name": "dos", "count": 4}], "d": 2, "seed": 1}))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data.csv"), "--config-out", str(cfg)]) == 0
+        assert json.loads(cfg.read_text())["k"] == 5
+        assert main([command, "--config", str(cfg), "--keep-going", "--out", str(tmp_path / "o")]) == 2
+        assert "k is 5, and no class has 5 rows (the largest has 4): fold 4 would hold no row" in caplog.text
+        assert not (tmp_path / "o" / "run.json").exists()
+
     def test_data_error_exit_code(self, experiment_setup, caplog):
         tmp_path, cfg = experiment_setup
         doc = json.loads(cfg.read_text())

@@ -262,10 +262,10 @@ class TestSummarize:
             ]
         )
         s = summarize(table)
-        assert s.numeric["x"].min == 2.0
-        assert s.numeric["x"].max == 6.0
-        assert s.numeric["x"].mean == 4.0
-        assert s.class_counts == {"Benign": 1, "A": 2}
+        assert s["numeric"]["x"]["min"] == 2.0
+        assert s["numeric"]["x"]["max"] == 6.0
+        assert s["numeric"]["x"]["mean"] == 4.0
+        assert s["class_counts"] == {"Benign": 1, "A": 2}
 
     def test_min_and_max_keep_the_sign_of_zero(self):
         # a contiguous column of these values reduces to min -0.0, and the summary records that
@@ -273,19 +273,19 @@ class TestSummarize:
         values = np.zeros((9, 3))
         values[:, 2] = [-0.0] * 7 + [1.0, 0.0]
         s = summarize(feature_table(values, ("a", "b", "c")))
-        assert (repr(s.numeric["c"].min), repr(s.numeric["c"].max)) == ("0.0", "1.0")
+        assert (repr(s["numeric"]["c"]["min"]), repr(s["numeric"]["c"]["max"])) == ("0.0", "1.0")
 
     def test_cardinality_and_feature_count(self, small_table):
         s = summarize(small_table)
-        assert s.cardinality["proto"] == 3
-        assert s.cardinality["flow_id"] == 5
-        assert s.n_feature_columns == 2  # dur + proto; identifier excluded
+        assert s["cardinality"]["proto"] == 3
+        assert s["cardinality"]["flow_id"] == 5
+        assert s["n_feature_columns"] == 2  # dur + proto; identifier excluded
 
     def test_empty_table_cardinality_zero(self, small_table):
         empty = small_table.take(np.array([], dtype=np.int64))
         s = summarize(empty)
-        assert s.cardinality["proto"] == 0
-        assert s.row_count == 0
+        assert s["cardinality"]["proto"] == 0
+        assert s["row_count"] == 0
 
     @pytest.mark.parametrize(
         "rows",
@@ -307,8 +307,8 @@ class TestSummarize:
         s = summarize(table)
         columns = {name: [row[name] for row in cells] for name in table.schema.names}
         class_counts, cardinality = unique_summary_counts(table.schema, columns)
-        assert list(s.class_counts.items()) == list(class_counts.items())
-        assert s.cardinality == cardinality
+        assert list(s["class_counts"].items()) == list(class_counts.items())
+        assert s["cardinality"] == cardinality
 
     def test_peak_memory_without_fixed_width_copies(self):
         spec = SyntheticSpec(
@@ -321,7 +321,7 @@ class TestSummarize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert s.cardinality == {"flow_id": 40_000}
+        assert s["cardinality"] == {"flow_id": 40_000}
         # a set of the 40k identifiers peaks at about 66 bytes per row; a fixed-width
         # unicode copy of the column and its sorted copy peaked at about 170
         assert peak <= 100 * table.row_count

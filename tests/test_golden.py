@@ -25,6 +25,7 @@ import pytest
 from conftest import table_columns
 
 from zdeval.classifiers import forest_score, mlp_score, mlp_train, train_forest
+from zdeval.cli import main
 from zdeval.config import KNOWN_MODELS, config_from_dict
 from zdeval.flowdata import Column, ColumnKind, FeatureSchema, load_csv, table_from_columns, write_csv
 from zdeval.harness import _SEED_TRAIN, _prepare, derive_seed, emit_reports, openblas_function, run_experiment
@@ -96,6 +97,10 @@ GOLDEN_TRAIN_ONLY_CATEGORICAL = {
     "wd_features_gamma.csv": "8a387ca87cc6087b241e83c43e0be64b448ea51527182cfa3e842f0a80ab7369",
     "wd_means.tsv": "77694a519917f5b8ad9422a793e99b33022bc226ec91bd8446325cd32393bf47",
 }
+
+# sha256 of `zdeval inspect`'s stdout on the categorical table, its
+# identifier column `flow_id` holding repeated values
+GOLDEN_INSPECT = "52b2d552ad4901f448ef4e37338210a5a88954b78e2d1b4783f89243bd7d24c1"
 
 
 def _sha(data: bytes) -> str:
@@ -236,3 +241,17 @@ def test_golden_train_only(golden_cfg, tmp_path):
 def test_golden_train_only_categorical(categorical_cfg, workers, tmp_path):
     got = _run_fingerprints(dataclasses.replace(categorical_cfg, workers=workers, output_dir=str(tmp_path)))
     assert got == GOLDEN_TRAIN_ONLY_CATEGORICAL, _table(got)
+
+
+def test_golden_inspect(categorical_cfg, tmp_path, capsys):
+    # the identifier column repeats its values, so its cardinality is below the row count
+    table = load_csv(categorical_cfg.dataset, categorical_cfg.schema, categorical_cfg.benign_name)
+    flow_id = np.array([f"10.0.{i % 7}.{i % 37}" for i in range(table.row_count)], dtype=object)
+    table = table_from_columns(table.schema, table.benign_name, {**table_columns(table), "flow_id": flow_id})
+    write_csv(table, tmp_path / "data.csv")
+    config = {"dataset": str(tmp_path / "data.csv"), "benign_name": "Benign", "columns": table.schema.to_json()}
+    (tmp_path / "config.json").write_text(json.dumps({**config, "seed": 0}))
+    assert main(["inspect", "--config", str(tmp_path / "config.json")]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["cardinality"] == {"flow_id": 7 * 37, "proto": 4}
+    assert _sha(out.encode()) == GOLDEN_INSPECT, out

@@ -7,8 +7,7 @@ import pytest
 from oracle_impls import brute_basic_metrics, brute_zdr, loop_average_ranks, pairwise_auc, roc_curve_points
 
 from zdeval.metrics import (
-    ConfusionCounts,
-    MetricsReport,
+    METRIC_NAMES,
     aggregate_folds,
     auc,
     average_ranks,
@@ -23,15 +22,15 @@ from zdeval.metrics import (
 class TestConfusion:
     def test_enumerated_example(self):
         c = confusion([1, 1, 0, 0], [1, 0, 0, 1])
-        assert (c.tp, c.fn, c.tn, c.fp) == (1, 1, 1, 1)
+        assert c == {"tp": 1, "fp": 1, "tn": 1, "fn": 1}
 
     def test_perfect_prediction(self):
         c = confusion([1, 0, 1], [1, 0, 1])
-        assert c.fp == 0 and c.fn == 0
+        assert c["fp"] == 0 and c["fn"] == 0
 
     def test_all_benign_truth_all_attack_pred(self):
         c = confusion([0, 0], [1, 1])
-        assert c.tp == 0 and c.tn == 0 and c.fp == 2
+        assert c["tp"] == 0 and c["tn"] == 0 and c["fp"] == 2
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -44,26 +43,32 @@ class TestConfusion:
 
 class TestBasicMetrics:
     def test_worked_example(self):
-        r = basic_metrics(ConfusionCounts(tp=90, fp=1, tn=99, fn=10))
-        assert r.dr == pytest.approx(90.0)
-        assert r.far == pytest.approx(1.0)
-        assert r.accuracy == pytest.approx(94.5)
+        r = basic_metrics({"tp": 90, "fp": 1, "tn": 99, "fn": 10})
+        assert r["dr"] == pytest.approx(90.0)
+        assert r["far"] == pytest.approx(1.0)
+        assert r["accuracy"] == pytest.approx(94.5)
 
     def test_perfect_classifier(self):
-        r = basic_metrics(ConfusionCounts(tp=5, fp=0, tn=5, fn=0))
-        assert r.accuracy == 100.0
-        assert r.f1 == 1.0
+        r = basic_metrics({"tp": 5, "fp": 0, "tn": 5, "fn": 0})
+        assert r["accuracy"] == 100.0
+        assert r["f1"] == 1.0
 
     def test_undefined_precision_and_f1(self):
-        r = basic_metrics(ConfusionCounts(tp=0, fp=0, tn=5, fn=5))
-        assert r.precision is None
-        assert r.f1 is None
-        assert r.dr == 0.0
+        r = basic_metrics({"tp": 0, "fp": 0, "tn": 5, "fn": 5})
+        assert r["precision"] is None
+        assert r["f1"] is None
+        assert r["dr"] == 0.0
 
     def test_zero_recall_zero_precision_f1_undefined(self):
-        r = basic_metrics(ConfusionCounts(tp=0, fp=3, tn=5, fn=5))
-        assert r.precision == 0.0
-        assert r.f1 is None  # 0/0 harmonic mean
+        r = basic_metrics({"tp": 0, "fp": 3, "tn": 5, "fn": 5})
+        assert r["precision"] == 0.0
+        assert r["f1"] is None  # 0/0 harmonic mean
+
+    def test_all_zero_counts_leave_every_rate_undefined(self):
+        # every denominator is zero, accuracy's too: each rate is None, as the module promises
+        c = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+        r = basic_metrics(c)
+        assert r == {**dict.fromkeys(METRIC_NAMES), "fold": None, "held_out_class": None, "confusion": c}
 
 
 class TestAuc:
@@ -97,7 +102,7 @@ class TestAuc:
         for t in np.linspace(0, 1, 10):
             pred = (scores >= t).astype(int)
             r = basic_metrics(confusion(y, pred))
-            x, yy = r.far / 100.0, r.dr / 100.0
+            x, yy = r["far"] / 100.0, r["dr"] / 100.0
             assert yy <= np.interp(x, fprs, tprs) + 1e-12
 
 
@@ -139,8 +144,8 @@ class TestZdr:
         y_pred = rng.integers(0, 2, 200)
         pc = per_class_positives(y_true, y_pred, *coded(list(classes)))
         c = confusion(y_true, y_pred)
-        assert sum(tp for tp, _ in pc.values()) == c.tp
-        assert sum(fn for _, fn in pc.values()) == c.fn
+        assert sum(tp for tp, _ in pc.values()) == c["tp"]
+        assert sum(fn for _, fn in pc.values()) == c["fn"]
 
     def test_zdr_equals_dr_when_single_attack_class(self):
         classes = np.array(["Benign"] * 10 + ["Z"] * 10, dtype=object)
@@ -148,7 +153,7 @@ class TestZdr:
         rng = np.random.default_rng(2)
         y_pred = rng.integers(0, 2, 20)
         r = basic_metrics(confusion(y_true, y_pred))
-        assert zdr(per_class_positives(y_true, y_pred, *coded(list(classes))), "Z") == r.dr
+        assert zdr(per_class_positives(y_true, y_pred, *coded(list(classes))), "Z") == r["dr"]
 
     def test_counts_match_brute_zdr_on_random_codes(self):
         # code 3 names a class no row holds: it gets no entry, as benign gets none
@@ -167,23 +172,24 @@ class TestZdr:
 
 class TestAggregate:
     def report(self, **kw):
-        return MetricsReport(**kw)
+        """A fold report whose metrics are None but those given."""
+        return {**dict.fromkeys(METRIC_NAMES), "fold": None, "held_out_class": None, **kw}
 
     def test_mean_over_folds(self):
         reports = [self.report(zdr=v, held_out_class="Z") for v in (80.0, 90.0, 100.0, 90.0, 90.0)]
         agg = aggregate_folds(reports)
-        assert agg.mean.zdr == pytest.approx(90.0)
+        assert agg["mean"]["zdr"] == pytest.approx(90.0)
 
     def test_single_report_std_zero(self):
         agg = aggregate_folds([self.report(accuracy=97.0, dr=50.0)])
-        assert agg.mean.accuracy == 97.0
-        assert agg.std["accuracy"] == 0.0
+        assert agg["mean"]["accuracy"] == 97.0
+        assert agg["std"]["accuracy"] == 0.0
 
     def test_undefined_folds_skipped_and_counted(self):
         reports = [self.report(auc=v) for v in (0.9, None, 0.7, 0.8, None)]
         agg = aggregate_folds(reports)
-        assert agg.mean.auc == pytest.approx(0.8)
-        assert agg.undefined_counts["auc"] == 2
+        assert agg["mean"]["auc"] == pytest.approx(0.8)
+        assert agg["undefined_counts"]["auc"] == 2
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -205,7 +211,7 @@ class TestOracleEquivalence:
             expected = brute_basic_metrics(y_true, y_pred)
             got = basic_metrics(confusion(y_true, y_pred))
             for name, want in expected.items():
-                have = got.metric(name)
+                have = got[name]
                 if want is None:
                     assert have is None, name
                 else:
@@ -251,7 +257,7 @@ class TestSerialization:
             held_out_class="Z",
             fold_id=0,
         )
-        doc = json.loads(json.dumps(report.to_json()))
+        doc = json.loads(json.dumps(report))
         assert doc["precision"] is None
         assert doc["zdr"] == 0.0
         assert doc["held_out_class"] == "Z"
@@ -264,6 +270,6 @@ class TestSerialization:
         scores = rng.random(100)
         y_pred = (scores >= 0.5).astype(int)
         report = scenario_report(y_true, y_pred, scores, *coded(list(classes)), held_out_class="A", fold_id=3)
-        assert report.zdr == pytest.approx(brute_zdr(y_pred, classes, "A"))
-        assert report.auc == pytest.approx(pairwise_auc(y_true, scores), abs=1e-12)
-        assert report.fold_id == 3
+        assert report["zdr"] == pytest.approx(brute_zdr(y_pred, classes, "A"))
+        assert report["auc"] == pytest.approx(pairwise_auc(y_true, scores), abs=1e-12)
+        assert report["fold"] == 3

@@ -348,8 +348,8 @@ class TestStringOracle:
         for train in (None, np.arange(5)):
             _, t = fit(table, train)
             assert {name: repr(r) for name, r in t.ranges.items()} == expected
-        stats = summarize(table).numeric
-        assert {name: repr((s.min, s.max)) for name, s in stats.items()} == expected
+        stats = summarize(table)["numeric"]
+        assert {name: repr((s["min"], s["max"])) for name, s in stats.items()} == expected
 
     @pytest.mark.parametrize("train", [None, np.array([0, 1, 3])])
     def test_apply_returns_contiguous_columns(self, small_table, train):
